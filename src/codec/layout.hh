@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "device/stripe.hh"
+#include "util/fields.hh"
 
 namespace rtm
 {
@@ -50,6 +51,18 @@ enum class PeccVariant
     OverheadRegion, //!< p-ECC-O: code in overhead regions (4.2.4)
     DelIns          //!< interleaved-VT del/ins code (codec/del_ins.hh)
 };
+
+/** Spec tokens for the variants. */
+constexpr auto
+enumTokens(PeccVariant)
+{
+    return std::to_array<EnumToken<PeccVariant>>({
+        {PeccVariant::None, "none"},
+        {PeccVariant::Standard, "std"},
+        {PeccVariant::OverheadRegion, "overhead"},
+        {PeccVariant::DelIns, "del-ins"},
+    });
+}
 
 /** Configuration of one protected stripe. */
 struct PeccConfig
@@ -113,7 +126,20 @@ struct PeccConfig
      * per-stripe position code can represent). F = 1 is exactly m.
      */
     int effectiveCorrect() const;
+
+    bool operator==(const PeccConfig &) const = default;
 };
+
+/** Serialised keys of a stripe configuration (util/fields.hh). */
+template <class V, FieldsOf<PeccConfig>... S>
+void
+forEachField(V &&v, S &...s)
+{
+    v("segments", s.num_segments...);
+    v("lseg", s.seg_len...);
+    v("correct", s.correct...);
+    v("variant", s.variant...);
+}
 
 /**
  * Non-fatal geometry diagnosis for spec-driven configuration: empty

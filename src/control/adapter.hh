@@ -23,6 +23,7 @@
 #include <cstdint>
 
 #include "control/planner.hh"
+#include "util/fields.hh"
 
 namespace rtm
 {
@@ -35,6 +36,18 @@ enum class ShiftPolicy
     WorstCase,      //!< fixed safe distance from peak intensity
     Adaptive        //!< run-time interval-based selection
 };
+
+/** Spec tokens for the policies. */
+constexpr auto
+enumTokens(ShiftPolicy)
+{
+    return std::to_array<EnumToken<ShiftPolicy>>({
+        {ShiftPolicy::Unconstrained, "unconstrained"},
+        {ShiftPolicy::StepByStep, "step"},
+        {ShiftPolicy::WorstCase, "worst"},
+        {ShiftPolicy::Adaptive, "adaptive"},
+    });
+}
 
 /**
  * Stateful policy engine: owns the interval counter and consults the

@@ -31,27 +31,7 @@ constexpr Cycles kEdcProbeCycles = 1;
 void
 ControllerStats::merge(const ControllerStats &other)
 {
-    accesses += other.accesses;
-    shift_ops += other.shift_ops;
-    shift_steps += other.shift_steps;
-    detected_errors += other.detected_errors;
-    corrected_errors += other.corrected_errors;
-    unrecoverable += other.unrecoverable;
-    silent_errors += other.silent_errors;
-    busy_cycles += other.busy_cycles;
-    distance_histogram.merge(other.distance_histogram);
-    retry_attempts += other.retry_attempts;
-    sts_realigns += other.sts_realigns;
-    scrubs += other.scrubs;
-    recovered_retry += other.recovered_retry;
-    recovered_realign += other.recovered_realign;
-    recovered_scrub += other.recovered_scrub;
-    recovery_cycles += other.recovery_cycles;
-    edc_checks += other.edc_checks;
-    edc_passes += other.edc_passes;
-    full_decodes += other.full_decodes;
-    edc_cycles += other.edc_cycles;
-    decode_cycles += other.decode_cycles;
+    forEachField(FieldSum{}, *this, other);
 }
 
 std::string

@@ -21,6 +21,7 @@
 #include "control/adapter.hh"
 #include "control/planner.hh"
 #include "control/sts.hh"
+#include "util/fields.hh"
 #include "util/stats.hh"
 #include "util/telemetry.hh"
 
@@ -55,6 +56,18 @@ struct RecoveryConfig
     int max_replans = 2;      //!< cautious re-seeks after recovery
     Cycles scrub_cycles = 1024; //!< charged per full scrub (refill)
 };
+
+/** Spec keys of the ladder (util/fields.hh). */
+template <class V, FieldsOf<RecoveryConfig>... S>
+void
+forEachField(V &&v, S &...s)
+{
+    v("retry_budget", s.retry_budget...);
+    v("sts_realign", s.sts_realign...);
+    v("allow_scrub", s.allow_scrub...);
+    v("max_replans", s.max_replans...);
+    v("scrub_cycles", s.scrub_cycles...);
+}
 
 /** Per-controller statistics. */
 struct ControllerStats
@@ -97,7 +110,45 @@ struct ControllerStats
 
     /** Per-field sum (campaign aggregation). */
     void merge(const ControllerStats &other);
+
+    bool operator==(const ControllerStats &) const = default;
 };
+
+/**
+ * Checkpointed fields (util/fields.hh), also the per-field merge. The
+ * two-tier counters are written only when non-zero, so journaled
+ * campaign cells (which never read two-tier) keep their bytes.
+ */
+template <class V, FieldsOf<ControllerStats>... S>
+void
+forEachField(V &&v, S &...s)
+{
+    v("accesses", s.accesses...);
+    v("shift_ops", s.shift_ops...);
+    v("shift_steps", s.shift_steps...);
+    v("detected_errors", s.detected_errors...);
+    v("corrected_errors", s.corrected_errors...);
+    v("unrecoverable", s.unrecoverable...);
+    v("silent_errors", s.silent_errors...);
+    v("busy_cycles", s.busy_cycles...);
+    v("distance_histogram", s.distance_histogram...);
+    v("retry_attempts", s.retry_attempts...);
+    v("sts_realigns", s.sts_realigns...);
+    v("scrubs", s.scrubs...);
+    v("recovered_retry", s.recovered_retry...);
+    v("recovered_realign", s.recovered_realign...);
+    v("recovered_scrub", s.recovered_scrub...);
+    v("recovery_cycles", s.recovery_cycles...);
+    if (v.emitWhen((s.edc_checks > 0 || s.edc_passes > 0 ||
+                    s.full_decodes > 0 || s.edc_cycles > 0 ||
+                    s.decode_cycles > 0)...)) {
+        v("edc_checks", s.edc_checks...);
+        v("edc_passes", s.edc_passes...);
+        v("full_decodes", s.full_decodes...);
+        v("edc_cycles", s.edc_cycles...);
+        v("decode_cycles", s.decode_cycles...);
+    }
+}
 
 /**
  * Ledger invariant check: every detection is accounted to exactly

@@ -18,6 +18,8 @@
 
 #include <string>
 
+#include "util/fields.hh"
+
 namespace rtm
 {
 
@@ -30,15 +32,32 @@ enum class HeadPolicy
     Predictive  //!< drift to the group's hottest slot of last epoch
 };
 
-/** Human-readable head-policy name (also the spec/CLI token). */
-const char *headPolicyName(HeadPolicy policy);
+/** Spec/CLI tokens; "home" is a parse-only shorthand. */
+constexpr auto
+enumTokens(HeadPolicy)
+{
+    return std::to_array<EnumToken<HeadPolicy>>({
+        {HeadPolicy::Stay, "stay"},
+        {HeadPolicy::ReturnHome, "return-home"},
+        {HeadPolicy::ReturnHome, "home"},
+        {HeadPolicy::Center, "center"},
+        {HeadPolicy::Predictive, "predictive"},
+    });
+}
 
-/**
- * Parse a head-policy token. Accepts the canonical names plus
- * "home" as a shorthand for "return-home". Returns false on
- * unknown input.
- */
-bool headPolicyFromToken(const std::string &token, HeadPolicy *out);
+/** Human-readable head-policy name (also the spec/CLI token). */
+inline const char *
+headPolicyName(HeadPolicy policy)
+{
+    return enumToken(policy);
+}
+
+/** Parse a head-policy token; false on unknown input. */
+inline bool
+headPolicyFromToken(const std::string &token, HeadPolicy *out)
+{
+    return enumFromToken(token, out);
+}
 
 } // namespace rtm
 

@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "device/error_model.hh"
+#include "util/fields.hh"
 
 namespace rtm
 {
@@ -242,6 +243,19 @@ enum class ScenarioKind
     Skew
 };
 
+/** Spec tokens for the scenario kinds. */
+constexpr auto
+enumTokens(ScenarioKind)
+{
+    return std::to_array<EnumToken<ScenarioKind>>({
+        {ScenarioKind::Iid, "iid"},
+        {ScenarioKind::Burst, "burst"},
+        {ScenarioKind::StuckStripe, "stuck-stripe"},
+        {ScenarioKind::Droop, "droop"},
+        {ScenarioKind::Skew, "skew"},
+    });
+}
+
 /** Declarative scenario description (campaign configuration). */
 struct ScenarioSpec
 {
@@ -266,26 +280,27 @@ struct ScenarioSpec
     uint64_t stripe_id = 7;
     double skew_sigma = 0.6;
 
-    /** Field-wise equality (spec round-trip tests). */
-    bool operator==(const ScenarioSpec &o) const
-    {
-        return kind == o.kind && name == o.name &&
-               burst_period == o.burst_period &&
-               burst_len == o.burst_len &&
-               burst_multiplier == o.burst_multiplier &&
-               stuck_after == o.stuck_after &&
-               stuck_len == o.stuck_len &&
-               droop_period == o.droop_period &&
-               droop_len == o.droop_len &&
-               droop_undershoot_prob == o.droop_undershoot_prob &&
-               stripe_id == o.stripe_id &&
-               skew_sigma == o.skew_sigma;
-    }
-    bool operator!=(const ScenarioSpec &o) const
-    {
-        return !(*this == o);
-    }
+    bool operator==(const ScenarioSpec &) const = default;
 };
+
+/** Spec keys of a scenario (util/fields.hh). */
+template <class V, FieldsOf<ScenarioSpec>... S>
+void
+forEachField(V &&v, S &...s)
+{
+    v("kind", s.kind...);
+    v("name", s.name...);
+    v("burst_period", s.burst_period...);
+    v("burst_len", s.burst_len...);
+    v("burst_multiplier", s.burst_multiplier...);
+    v("stuck_after", s.stuck_after...);
+    v("stuck_len", s.stuck_len...);
+    v("droop_period", s.droop_period...);
+    v("droop_len", s.droop_len...);
+    v("droop_undershoot_prob", s.droop_undershoot_prob...);
+    v("stripe_id", s.stripe_id...);
+    v("skew_sigma", s.skew_sigma...);
+}
 
 /** Build a scenario instance over `base` from a spec. */
 std::unique_ptr<FaultScenario>

@@ -26,6 +26,7 @@
 #define RTM_DEVICE_FITTED_MODEL_HH
 
 #include "device/error_model.hh"
+#include "util/fields.hh"
 
 namespace rtm
 {
@@ -52,7 +53,20 @@ struct FittedModelParams
 
     /** Growth of the skip log-probability per extra step. */
     double skip_growth = 2.59;
+
+    bool operator==(const FittedModelParams &) const = default;
 };
+
+/** Keys of a Monte-Carlo cell's `fit` object (util/fields.hh). */
+template <class V, FieldsOf<FittedModelParams>... S>
+void
+forEachField(V &&v, S &...s)
+{
+    v("sigma_step", s.sigma_step...);
+    v("resync_rho", s.resync_rho...);
+    v("drift", s.drift...);
+    v("notch_half_width", s.notch_half_width...);
+}
 
 /**
  * Closed-form error model with the parameters above.

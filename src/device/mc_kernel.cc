@@ -6,26 +6,6 @@
 namespace rtm
 {
 
-const char *
-mcTierToken(McTier tier)
-{
-    return tier == McTier::Fast ? "fast" : "exact";
-}
-
-bool
-mcTierFromToken(const std::string &token, McTier *tier)
-{
-    if (token == "exact") {
-        *tier = McTier::Exact;
-        return true;
-    }
-    if (token == "fast") {
-        *tier = McTier::Fast;
-        return true;
-    }
-    return false;
-}
-
 namespace
 {
 

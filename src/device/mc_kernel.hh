@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <string>
 
+#include "util/fields.hh"
 #include "util/rng.hh"
 #include "util/stats.hh"
 
@@ -45,11 +46,28 @@ enum class McTier
     Fast   //!< batch-order draws, polynomial transforms
 };
 
-/** Spec/CLI token for a tier ("exact" / "fast"). */
-const char *mcTierToken(McTier tier);
+/** Spec/CLI tokens for the tiers. */
+constexpr auto
+enumTokens(McTier)
+{
+    return std::to_array<EnumToken<McTier>>({
+        {McTier::Exact, "exact"},
+        {McTier::Fast, "fast"},
+    });
+}
+
+inline const char *
+mcTierToken(McTier tier)
+{
+    return enumToken(tier);
+}
 
 /** Parse a tier token; false (and *tier untouched) when unknown. */
-bool mcTierFromToken(const std::string &token, McTier *tier);
+inline bool
+mcTierFromToken(const std::string &token, McTier *tier)
+{
+    return enumFromToken(token, tier);
+}
 
 /** Trials per SoA batch (and the fast tier's shard granule). */
 constexpr uint64_t kMcBatchTrials = 256;

@@ -8,31 +8,6 @@
 namespace rtm
 {
 
-const char *
-placementKindName(PlacementKind kind)
-{
-    switch (kind) {
-      case PlacementKind::Static: return "static";
-      case PlacementKind::HotCenter: return "hot-center";
-      case PlacementKind::Adaptive: return "adaptive";
-    }
-    return "?";
-}
-
-bool
-placementKindFromToken(const std::string &token, PlacementKind *out)
-{
-    if (token == "static")
-        *out = PlacementKind::Static;
-    else if (token == "hot-center")
-        *out = PlacementKind::HotCenter;
-    else if (token == "adaptive")
-        *out = PlacementKind::Adaptive;
-    else
-        return false;
-    return true;
-}
-
 PlacementPolicy::PlacementPolicy(const PlacementGeometry &geom,
                                  const PlacementConfig &config,
                                  HeadPolicy head_policy)

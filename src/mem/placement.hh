@@ -58,12 +58,29 @@ enum class PlacementKind
     Adaptive   //!< epoch-based bounded hot/cold swaps at runtime
 };
 
-/** Token used in specs/CLI ("static", "hot-center", "adaptive"). */
-const char *placementKindName(PlacementKind kind);
+/** Tokens used in specs/CLI. */
+constexpr auto
+enumTokens(PlacementKind)
+{
+    return std::to_array<EnumToken<PlacementKind>>({
+        {PlacementKind::Static, "static"},
+        {PlacementKind::HotCenter, "hot-center"},
+        {PlacementKind::Adaptive, "adaptive"},
+    });
+}
+
+inline const char *
+placementKindName(PlacementKind kind)
+{
+    return enumToken(kind);
+}
 
 /** Parse a placement token; returns false on unknown input. */
-bool placementKindFromToken(const std::string &token,
-                            PlacementKind *out);
+inline bool
+placementKindFromToken(const std::string &token, PlacementKind *out)
+{
+    return enumFromToken(token, out);
+}
 
 /** Placement configuration carried by RmBankConfig. */
 struct PlacementConfig

@@ -57,32 +57,6 @@ ProtectionPolicy::isDefault() const
     return true;
 }
 
-const char *
-protectionKindToken(ProtectionScopeKind kind)
-{
-    switch (kind) {
-      case ProtectionScopeKind::Uniform: return "uniform";
-      case ProtectionScopeKind::PerLevel: return "per-level";
-      case ProtectionScopeKind::AddressRegion: return "regions";
-    }
-    return "uniform";
-}
-
-bool
-protectionKindFromToken(const std::string &token,
-                        ProtectionScopeKind *out)
-{
-    if (token == "uniform")
-        *out = ProtectionScopeKind::Uniform;
-    else if (token == "per-level")
-        *out = ProtectionScopeKind::PerLevel;
-    else if (token == "regions")
-        *out = ProtectionScopeKind::AddressRegion;
-    else
-        return false;
-    return true;
-}
-
 bool
 ResolvedProtection::isDefault() const
 {

@@ -42,6 +42,17 @@ enum class ProtectionScopeKind
     AddressRegion, //!< domains over fractions of the frame space
 };
 
+/** Spec/CLI tokens for the scope kinds. */
+constexpr auto
+enumTokens(ProtectionScopeKind)
+{
+    return std::to_array<EnumToken<ProtectionScopeKind>>({
+        {ProtectionScopeKind::Uniform, "uniform"},
+        {ProtectionScopeKind::PerLevel, "per-level"},
+        {ProtectionScopeKind::AddressRegion, "regions"},
+    });
+}
+
 /** One protection contract. */
 struct ProtectionDomain
 {
@@ -75,11 +86,20 @@ struct ProtectionDomain
                codeword_frames == o.codeword_frames &&
                two_tier == o.two_tier;
     }
-    bool operator!=(const ProtectionDomain &o) const
-    {
-        return !(*this == o);
-    }
 };
+
+/**
+ * Spec keys of a domain (util/fields.hh); `scheme` is present only
+ * when it overrides. Levels and regions inline these keys.
+ */
+template <class V, FieldsOf<ProtectionDomain>... S>
+void
+forEachField(V &&v, S &...s)
+{
+    v("scheme", PresentIf{s.has_scheme, s.scheme}...);
+    v("codeword_frames", s.codeword_frames...);
+    v("two_tier", s.two_tier...);
+}
 
 /** One address-region entry: [begin, end) fractions of the frames. */
 struct ProtectionRegion
@@ -88,12 +108,17 @@ struct ProtectionRegion
     double end = 1.0;   //!< exclusive fraction of the frame space
     ProtectionDomain domain;
 
-    bool operator==(const ProtectionRegion &o) const
-    {
-        return begin == o.begin && end == o.end &&
-               domain == o.domain;
-    }
+    bool operator==(const ProtectionRegion &) const = default;
 };
+
+template <class V, FieldsOf<ProtectionRegion>... S>
+void
+forEachField(V &&v, S &...s)
+{
+    v("begin", s.begin...);
+    v("end", s.end...);
+    forEachField(v, s.domain...);
+}
 
 /** Named per-cache-level entry (kind == PerLevel). */
 struct ProtectionLevel
@@ -101,11 +126,16 @@ struct ProtectionLevel
     std::string level; //!< "l1" | "l2" | "llc"
     ProtectionDomain domain;
 
-    bool operator==(const ProtectionLevel &o) const
-    {
-        return level == o.level && domain == o.domain;
-    }
+    bool operator==(const ProtectionLevel &) const = default;
 };
+
+template <class V, FieldsOf<ProtectionLevel>... S>
+void
+forEachField(V &&v, S &...s)
+{
+    v("level", s.level...);
+    forEachField(v, s.domain...);
+}
 
 /**
  * The protection-policy axis of a machine configuration.
@@ -131,23 +161,35 @@ struct ProtectionPolicy
     /** True for the paper's configuration (no-op everywhere). */
     bool isDefault() const;
 
-    bool operator==(const ProtectionPolicy &o) const
-    {
-        return kind == o.kind && uniform == o.uniform &&
-               levels == o.levels && regions == o.regions;
-    }
-    bool operator!=(const ProtectionPolicy &o) const
-    {
-        return !(*this == o);
-    }
+    bool operator==(const ProtectionPolicy &) const = default;
 };
 
-/** Token for a scope kind ("uniform" | "per-level" | "regions"). */
-const char *protectionKindToken(ProtectionScopeKind kind);
+/** Spec keys of the `protection` section (util/fields.hh). */
+template <class V, FieldsOf<ProtectionPolicy>... S>
+void
+forEachField(V &&v, S &...s)
+{
+    v("kind", s.kind...);
+    v("uniform", s.uniform...);
+    if (v.emitWhen(!s.levels.empty()...))
+        v("levels", s.levels...);
+    if (v.emitWhen(!s.regions.empty()...))
+        v("regions", s.regions...);
+}
+
+inline const char *
+protectionKindToken(ProtectionScopeKind kind)
+{
+    return enumToken(kind);
+}
 
 /** Inverse of protectionKindToken; false on an unknown token. */
-bool protectionKindFromToken(const std::string &token,
-                             ProtectionScopeKind *out);
+inline bool
+protectionKindFromToken(const std::string &token,
+                        ProtectionScopeKind *out)
+{
+    return enumFromToken(token, out);
+}
 
 /**
  * Bank-resolved form of a policy: the base (llc) domain plus, for

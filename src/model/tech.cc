@@ -17,34 +17,6 @@ memTechName(MemTech tech)
     return "?";
 }
 
-const char *
-techToken(MemTech tech)
-{
-    switch (tech) {
-      case MemTech::SRAM: return "sram";
-      case MemTech::STTRAM: return "sttram";
-      case MemTech::Racetrack: return "rm";
-      case MemTech::RacetrackIdeal: return "rm-ideal";
-    }
-    return "?";
-}
-
-bool
-techFromToken(const std::string &token, MemTech *out)
-{
-    if (token == "sram")
-        *out = MemTech::SRAM;
-    else if (token == "sttram")
-        *out = MemTech::STTRAM;
-    else if (token == "rm")
-        *out = MemTech::Racetrack;
-    else if (token == "rm-ideal")
-        *out = MemTech::RacetrackIdeal;
-    else
-        return false;
-    return true;
-}
-
 TechParams
 sramL3()
 {
@@ -160,49 +132,6 @@ schemeName(Scheme scheme)
       case Scheme::DelIns: return "del-ins-k";
     }
     return "?";
-}
-
-const char *
-schemeToken(Scheme scheme)
-{
-    switch (scheme) {
-      case Scheme::Baseline: return "baseline";
-      case Scheme::Sts: return "sts";
-      case Scheme::SedPecc: return "sed";
-      case Scheme::SecdedPecc: return "secded";
-      case Scheme::PeccO: return "pecc-o";
-      case Scheme::PeccSWorst: return "worst";
-      case Scheme::PeccSAdaptive: return "adaptive";
-      case Scheme::LmPos: return "lm-pos";
-      case Scheme::DelIns: return "del-ins-k";
-    }
-    return "?";
-}
-
-bool
-schemeFromToken(const std::string &token, Scheme *out)
-{
-    if (token == "baseline")
-        *out = Scheme::Baseline;
-    else if (token == "sts")
-        *out = Scheme::Sts;
-    else if (token == "sed")
-        *out = Scheme::SedPecc;
-    else if (token == "secded")
-        *out = Scheme::SecdedPecc;
-    else if (token == "pecc-o")
-        *out = Scheme::PeccO;
-    else if (token == "worst")
-        *out = Scheme::PeccSWorst;
-    else if (token == "adaptive")
-        *out = Scheme::PeccSAdaptive;
-    else if (token == "lm-pos")
-        *out = Scheme::LmPos;
-    else if (token == "del-ins-k")
-        *out = Scheme::DelIns;
-    else
-        return false;
-    return true;
 }
 
 int

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <string>
 
+#include "util/fields.hh"
 #include "util/units.hh"
 
 namespace rtm
@@ -33,15 +34,30 @@ enum class MemTech
 /** Human-readable technology name. */
 const char *memTechName(MemTech tech);
 
-/**
- * Stable machine-readable token, the inverse of techFromToken:
- * "sram" | "sttram" | "rm" | "rm-ideal". Used by the CLI flags and
- * the experiment-spec JSON schema.
- */
-const char *techToken(MemTech tech);
+/** Stable tokens of the CLI flags and the experiment-spec JSON. */
+constexpr auto
+enumTokens(MemTech)
+{
+    return std::to_array<EnumToken<MemTech>>({
+        {MemTech::SRAM, "sram"},
+        {MemTech::STTRAM, "sttram"},
+        {MemTech::Racetrack, "rm"},
+        {MemTech::RacetrackIdeal, "rm-ideal"},
+    });
+}
+
+inline const char *
+techToken(MemTech tech)
+{
+    return enumToken(tech);
+}
 
 /** Parse a technology token; false (out untouched) when unknown. */
-bool techFromToken(const std::string &token, MemTech *out);
+inline bool
+techFromToken(const std::string &token, MemTech *out)
+{
+    return enumFromToken(token, out);
+}
 
 /** Timing/energy/capacity description of one cache technology. */
 struct TechParams
@@ -108,16 +124,35 @@ enum class Scheme
 /** Human-readable scheme name. */
 const char *schemeName(Scheme scheme);
 
-/**
- * Stable machine-readable token, the inverse of schemeFromToken:
- * "baseline" | "sts" | "sed" | "secded" | "pecc-o" | "worst" |
- * "adaptive" | "lm-pos" | "del-ins-k". Used by the CLI flags and the
- * experiment-spec JSON schema.
- */
-const char *schemeToken(Scheme scheme);
+/** Stable tokens of the CLI flags and the experiment-spec JSON. */
+constexpr auto
+enumTokens(Scheme)
+{
+    return std::to_array<EnumToken<Scheme>>({
+        {Scheme::Baseline, "baseline"},
+        {Scheme::Sts, "sts"},
+        {Scheme::SedPecc, "sed"},
+        {Scheme::SecdedPecc, "secded"},
+        {Scheme::PeccO, "pecc-o"},
+        {Scheme::PeccSWorst, "worst"},
+        {Scheme::PeccSAdaptive, "adaptive"},
+        {Scheme::LmPos, "lm-pos"},
+        {Scheme::DelIns, "del-ins-k"},
+    });
+}
+
+inline const char *
+schemeToken(Scheme scheme)
+{
+    return enumToken(scheme);
+}
 
 /** Parse a scheme token; false (out untouched) when unknown. */
-bool schemeFromToken(const std::string &token, Scheme *out);
+inline bool
+schemeFromToken(const std::string &token, Scheme *out)
+{
+    return enumFromToken(token, out);
+}
 
 /**
  * Correction radius the scheme's shift code claims: the largest

@@ -4,7 +4,7 @@
 #include "sim/experiment.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
-#include "util/stats_serde.hh"
+#include "util/fields.hh"
 
 namespace rtm
 {
@@ -27,18 +27,7 @@ mixSeed(uint64_t seed, uint64_t index)
 void
 CampaignLedger::merge(const CampaignLedger &other)
 {
-    accesses += other.accesses;
-    injected_samples += other.injected_samples;
-    injected_faults += other.injected_faults;
-    injected_step_errors += other.injected_step_errors;
-    injected_stops += other.injected_stops;
-    detected += other.detected;
-    corrected += other.corrected;
-    recovered_retry += other.recovered_retry;
-    recovered_realign += other.recovered_realign;
-    recovered_scrub += other.recovered_scrub;
-    due += other.due;
-    sdc += other.sdc;
+    forEachField(FieldSum{}, *this, other);
 }
 
 CampaignCellResult
@@ -181,24 +170,16 @@ runFaultDrill(const ScenarioSpec &spec,
     res.contained = res.violation.empty();
 
     if (telemetry) {
-        // Counters exported from the reconciled ledger itself — one
-        // source of truth, two views — so the JSON export can never
+        // One counter per ledger field, exported from the reconciled
+        // ledger through its field list, so the telemetry can never
         // disagree with CampaignResult totals.
         Telemetry &t = *telemetry.get();
         t.counter("campaign.cells").add();
-        t.counter("campaign.accesses").add(res.ledger.accesses);
-        t.counter("campaign.injected_faults")
-            .add(res.ledger.injected_faults);
-        t.counter("campaign.detected").add(res.ledger.detected);
-        t.counter("campaign.corrected").add(res.ledger.corrected);
-        t.counter("campaign.recovered_retry")
-            .add(res.ledger.recovered_retry);
-        t.counter("campaign.recovered_realign")
-            .add(res.ledger.recovered_realign);
-        t.counter("campaign.recovered_scrub")
-            .add(res.ledger.recovered_scrub);
-        t.counter("campaign.due").add(res.ledger.due);
-        t.counter("campaign.sdc").add(res.ledger.sdc);
+        forEachField(
+            [&t](const char *key, uint64_t value) {
+                t.counter(std::string("campaign.") + key).add(value);
+            },
+            res.ledger);
         t.counter("campaign.bank.due_reports")
             .add(res.bank_due_reports);
         t.counter("campaign.bank.degraded_groups")
@@ -246,7 +227,7 @@ appendCampaignJobs(ExperimentEngine &engine, CampaignResult *out,
         };
         cell.save = [slot] { return campaignCellToJson(*slot); };
         cell.load = [slot](const JsonValue &doc) {
-            return campaignCellFromJson(doc, slot);
+            return fromJson(doc, slot);
         };
         engine.addCell(std::move(cell));
     }
@@ -285,173 +266,10 @@ runCampaign(const std::vector<ScenarioSpec> &scenarios,
     return out;
 }
 
-namespace
-{
-
-JsonValue
-ledgerToJson(const CampaignLedger &l)
-{
-    JsonValue v = JsonValue::object();
-    v.set("accesses", l.accesses);
-    v.set("injected_samples", l.injected_samples);
-    v.set("injected_faults", l.injected_faults);
-    v.set("injected_step_errors", l.injected_step_errors);
-    v.set("injected_stops", l.injected_stops);
-    v.set("detected", l.detected);
-    v.set("corrected", l.corrected);
-    v.set("recovered_retry", l.recovered_retry);
-    v.set("recovered_realign", l.recovered_realign);
-    v.set("recovered_scrub", l.recovered_scrub);
-    v.set("due", l.due);
-    v.set("sdc", l.sdc);
-    return v;
-}
-
-bool
-ledgerFromJson(const JsonValue &doc, CampaignLedger *out)
-{
-    if (!doc.isObject())
-        return false;
-    CampaignLedger l;
-    auto u64 = [&doc](const char *key, uint64_t *field) {
-        if (const JsonValue *v = doc.find(key))
-            *field = v->asU64();
-    };
-    u64("accesses", &l.accesses);
-    u64("injected_samples", &l.injected_samples);
-    u64("injected_faults", &l.injected_faults);
-    u64("injected_step_errors", &l.injected_step_errors);
-    u64("injected_stops", &l.injected_stops);
-    u64("detected", &l.detected);
-    u64("corrected", &l.corrected);
-    u64("recovered_retry", &l.recovered_retry);
-    u64("recovered_realign", &l.recovered_realign);
-    u64("recovered_scrub", &l.recovered_scrub);
-    u64("due", &l.due);
-    u64("sdc", &l.sdc);
-    *out = l;
-    return true;
-}
-
-JsonValue
-controllerStatsToJson(const ControllerStats &s)
-{
-    JsonValue v = JsonValue::object();
-    v.set("accesses", s.accesses);
-    v.set("shift_ops", s.shift_ops);
-    v.set("shift_steps", s.shift_steps);
-    v.set("detected_errors", s.detected_errors);
-    v.set("corrected_errors", s.corrected_errors);
-    v.set("unrecoverable", s.unrecoverable);
-    v.set("silent_errors", s.silent_errors);
-    v.set("busy_cycles", static_cast<uint64_t>(s.busy_cycles));
-    v.set("distance_histogram",
-          intTallyToJson(s.distance_histogram));
-    v.set("retry_attempts", s.retry_attempts);
-    v.set("sts_realigns", s.sts_realigns);
-    v.set("scrubs", s.scrubs);
-    v.set("recovered_retry", s.recovered_retry);
-    v.set("recovered_realign", s.recovered_realign);
-    v.set("recovered_scrub", s.recovered_scrub);
-    v.set("recovery_cycles",
-          static_cast<uint64_t>(s.recovery_cycles));
-    return v;
-}
-
-bool
-controllerStatsFromJson(const JsonValue &doc, ControllerStats *out)
-{
-    if (!doc.isObject())
-        return false;
-    ControllerStats s;
-    auto u64 = [&doc](const char *key, uint64_t *field) {
-        if (const JsonValue *v = doc.find(key))
-            *field = v->asU64();
-    };
-    u64("accesses", &s.accesses);
-    u64("shift_ops", &s.shift_ops);
-    u64("shift_steps", &s.shift_steps);
-    u64("detected_errors", &s.detected_errors);
-    u64("corrected_errors", &s.corrected_errors);
-    u64("unrecoverable", &s.unrecoverable);
-    u64("silent_errors", &s.silent_errors);
-    u64("busy_cycles", &s.busy_cycles);
-    u64("retry_attempts", &s.retry_attempts);
-    u64("sts_realigns", &s.sts_realigns);
-    u64("scrubs", &s.scrubs);
-    u64("recovered_retry", &s.recovered_retry);
-    u64("recovered_realign", &s.recovered_realign);
-    u64("recovered_scrub", &s.recovered_scrub);
-    u64("recovery_cycles", &s.recovery_cycles);
-    if (const JsonValue *h = doc.find("distance_histogram"))
-        if (!intTallyFromJson(*h, &s.distance_histogram))
-            return false;
-    *out = std::move(s);
-    return true;
-}
-
-} // anonymous namespace
-
 JsonValue
 campaignCellToJson(const CampaignCellResult &cell)
 {
-    JsonValue v = JsonValue::object();
-    v.set("scenario", cell.scenario);
-    v.set("workload", cell.workload);
-    v.set("ledger", ledgerToJson(cell.ledger));
-    v.set("controller", controllerStatsToJson(cell.controller));
-    v.set("access_latency",
-          runningStatsToJson(cell.access_latency));
-    v.set("recovery_latency",
-          runningStatsToJson(cell.recovery_latency));
-    v.set("bank_due_reports", cell.bank_due_reports);
-    v.set("bank_degraded_groups", cell.bank_degraded_groups);
-    v.set("bank_remapped_accesses", cell.bank_remapped_accesses);
-    v.set("degraded_capacity_fraction",
-          cell.degraded_capacity_fraction);
-    v.set("contained", cell.contained);
-    v.set("violation", cell.violation);
-    return v;
-}
-
-bool
-campaignCellFromJson(const JsonValue &doc, CampaignCellResult *out)
-{
-    if (!doc.isObject())
-        return false;
-    const JsonValue *scenario = doc.find("scenario");
-    const JsonValue *workload = doc.find("workload");
-    const JsonValue *ledger = doc.find("ledger");
-    const JsonValue *controller = doc.find("controller");
-    const JsonValue *access = doc.find("access_latency");
-    const JsonValue *recovery = doc.find("recovery_latency");
-    const JsonValue *contained = doc.find("contained");
-    if (!scenario || !scenario->isString() || !workload ||
-        !workload->isString() || !ledger || !controller ||
-        !access || !recovery || !contained ||
-        !contained->isBool())
-        return false;
-    CampaignCellResult cell;
-    cell.scenario = scenario->asString();
-    cell.workload = workload->asString();
-    if (!ledgerFromJson(*ledger, &cell.ledger) ||
-        !controllerStatsFromJson(*controller, &cell.controller) ||
-        !runningStatsFromJson(*access, &cell.access_latency) ||
-        !runningStatsFromJson(*recovery, &cell.recovery_latency))
-        return false;
-    if (const JsonValue *v = doc.find("bank_due_reports"))
-        cell.bank_due_reports = v->asU64();
-    if (const JsonValue *v = doc.find("bank_degraded_groups"))
-        cell.bank_degraded_groups = v->asU64();
-    if (const JsonValue *v = doc.find("bank_remapped_accesses"))
-        cell.bank_remapped_accesses = v->asU64();
-    if (const JsonValue *v = doc.find("degraded_capacity_fraction"))
-        cell.degraded_capacity_fraction = v->asDouble();
-    cell.contained = contained->asBool();
-    if (const JsonValue *v = doc.find("violation"))
-        cell.violation = v->asString();
-    *out = std::move(cell);
-    return true;
+    return toJson(cell);
 }
 
 JsonValue
@@ -483,21 +301,7 @@ campaignResultToJson(const CampaignResult &result)
         cells.push(std::move(v));
     }
     doc.set("cells", std::move(cells));
-    const CampaignLedger &t = result.totals;
-    JsonValue totals = JsonValue::object();
-    totals.set("accesses", t.accesses);
-    totals.set("injected_samples", t.injected_samples);
-    totals.set("injected_faults", t.injected_faults);
-    totals.set("injected_step_errors", t.injected_step_errors);
-    totals.set("injected_stops", t.injected_stops);
-    totals.set("detected", t.detected);
-    totals.set("corrected", t.corrected);
-    totals.set("recovered_retry", t.recovered_retry);
-    totals.set("recovered_realign", t.recovered_realign);
-    totals.set("recovered_scrub", t.recovered_scrub);
-    totals.set("due", t.due);
-    totals.set("sdc", t.sdc);
-    doc.set("totals", std::move(totals));
+    doc.set("totals", toJson(result.totals));
     doc.set("contained_cells", result.contained_cells);
     doc.set("total_cells",
             static_cast<uint64_t>(result.cells.size()));

@@ -29,8 +29,8 @@
 #include "device/fault_scenario.hh"
 #include "mem/rm_bank.hh"
 #include "trace/workload.hh"
+#include "util/fields.hh"
 #include "util/parallel.hh"
-#include "util/serde.hh"
 #include "util/stats.hh"
 
 namespace rtm
@@ -103,7 +103,31 @@ struct CampaignLedger
 
     /** Per-field sum (totals aggregation). */
     void merge(const CampaignLedger &other);
+
+    bool operator==(const CampaignLedger &) const = default;
 };
+
+/**
+ * Ledger keys (util/fields.hh): the JSON object, the per-field merge
+ * and one `campaign.<key>` telemetry counter each.
+ */
+template <class V, FieldsOf<CampaignLedger>... L>
+void
+forEachField(V &&v, L &...l)
+{
+    v("accesses", l.accesses...);
+    v("injected_samples", l.injected_samples...);
+    v("injected_faults", l.injected_faults...);
+    v("injected_step_errors", l.injected_step_errors...);
+    v("injected_stops", l.injected_stops...);
+    v("detected", l.detected...);
+    v("corrected", l.corrected...);
+    v("recovered_retry", l.recovered_retry...);
+    v("recovered_realign", l.recovered_realign...);
+    v("recovered_scrub", l.recovered_scrub...);
+    v("due", l.due...);
+    v("sdc", l.sdc...);
+}
 
 /** Outcome of one (scenario, workload) campaign cell. */
 struct CampaignCellResult
@@ -123,7 +147,28 @@ struct CampaignCellResult
 
     bool contained = false; //!< all containment checks passed
     std::string violation;  //!< first failed check (empty if none)
+
+    bool operator==(const CampaignCellResult &) const = default;
 };
+
+/** Checkpointed keys of a campaign cell (util/fields.hh). */
+template <class V, FieldsOf<CampaignCellResult>... C>
+void
+forEachField(V &&v, C &...c)
+{
+    v("scenario", c.scenario...);
+    v("workload", c.workload...);
+    v("ledger", c.ledger...);
+    v("controller", c.controller...);
+    v("access_latency", c.access_latency...);
+    v("recovery_latency", c.recovery_latency...);
+    v("bank_due_reports", c.bank_due_reports...);
+    v("bank_degraded_groups", c.bank_degraded_groups...);
+    v("bank_remapped_accesses", c.bank_remapped_accesses...);
+    v("degraded_capacity_fraction", c.degraded_capacity_fraction...);
+    v("contained", c.contained...);
+    v("violation", c.violation...);
+}
 
 /** Aggregated campaign outcome. */
 struct CampaignResult
@@ -183,14 +228,10 @@ void finalizeCampaignTotals(CampaignResult *out);
  * Full-fidelity serialisation of one campaign cell — every ledger,
  * controller and bank field plus the raw latency accumulators — so a
  * journaled cell replays into a bit-identical CampaignCellResult on
- * resume. (campaignResultToJson is the lossy *reporting* view; this
- * is the checkpointing view.)
+ * resume; fromJson (util/fields.hh) restores it. (campaignResultToJson
+ * is the lossy *reporting* view; this is the checkpointing view.)
  */
 JsonValue campaignCellToJson(const CampaignCellResult &cell);
-
-/** Restore a journaled cell; false on a malformed document. */
-bool campaignCellFromJson(const JsonValue &doc,
-                          CampaignCellResult *out);
 
 /** The campaign result as a JSON document (serde layer). */
 JsonValue campaignResultToJson(const CampaignResult &result);

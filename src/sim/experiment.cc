@@ -12,7 +12,6 @@
 #include "util/hash.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
-#include "util/stats_serde.hh"
 
 namespace rtm
 {
@@ -20,102 +19,16 @@ namespace rtm
 namespace
 {
 
-// --- enum <-> token maps (spec schema) -------------------------------
-
-const char *
-scenarioKindToken(ScenarioKind kind)
+void
+checkWorkloadNames(const SpecReader &r,
+                   const std::vector<std::string> &names)
 {
-    switch (kind) {
-      case ScenarioKind::Iid: return "iid";
-      case ScenarioKind::Burst: return "burst";
-      case ScenarioKind::StuckStripe: return "stuck-stripe";
-      case ScenarioKind::Droop: return "droop";
-      case ScenarioKind::Skew: return "skew";
+    for (const std::string &name : names) {
+        const std::vector<WorkloadProfile> &known = parsecProfiles();
+        if (std::none_of(known.begin(), known.end(),
+                         [&](const auto &p) { return p.name == name; }))
+            r.fail("workloads", "unknown workload '" + name + "'");
     }
-    return "?";
-}
-
-bool
-scenarioKindFromToken(const std::string &token, ScenarioKind *out)
-{
-    if (token == "iid")
-        *out = ScenarioKind::Iid;
-    else if (token == "burst")
-        *out = ScenarioKind::Burst;
-    else if (token == "stuck-stripe")
-        *out = ScenarioKind::StuckStripe;
-    else if (token == "droop")
-        *out = ScenarioKind::Droop;
-    else if (token == "skew")
-        *out = ScenarioKind::Skew;
-    else
-        return false;
-    return true;
-}
-
-const char *
-peccVariantToken(PeccVariant variant)
-{
-    switch (variant) {
-      case PeccVariant::None: return "none";
-      case PeccVariant::Standard: return "std";
-      case PeccVariant::OverheadRegion: return "overhead";
-      case PeccVariant::DelIns: return "del-ins";
-    }
-    return "?";
-}
-
-bool
-peccVariantFromToken(const std::string &token, PeccVariant *out)
-{
-    if (token == "none")
-        *out = PeccVariant::None;
-    else if (token == "std")
-        *out = PeccVariant::Standard;
-    else if (token == "overhead")
-        *out = PeccVariant::OverheadRegion;
-    else if (token == "del-ins")
-        *out = PeccVariant::DelIns;
-    else
-        return false;
-    return true;
-}
-
-const char *
-shiftPolicyToken(ShiftPolicy policy)
-{
-    switch (policy) {
-      case ShiftPolicy::Unconstrained: return "unconstrained";
-      case ShiftPolicy::StepByStep: return "step";
-      case ShiftPolicy::WorstCase: return "worst";
-      case ShiftPolicy::Adaptive: return "adaptive";
-    }
-    return "?";
-}
-
-bool
-shiftPolicyFromToken(const std::string &token, ShiftPolicy *out)
-{
-    if (token == "unconstrained")
-        *out = ShiftPolicy::Unconstrained;
-    else if (token == "step")
-        *out = ShiftPolicy::StepByStep;
-    else if (token == "worst")
-        *out = ShiftPolicy::WorstCase;
-    else if (token == "adaptive")
-        *out = ShiftPolicy::Adaptive;
-    else
-        return false;
-    return true;
-}
-
-bool
-knownProfileName(const std::string &name)
-{
-    for (const WorkloadProfile &p : parsecProfiles())
-        if (p.name == name)
-            return true;
-    return false;
 }
 
 /** The faultcampaign tool's historical default workload trio. */
@@ -123,107 +36,6 @@ std::vector<std::string>
 defaultCampaignWorkloads()
 {
     return {"swaptions", "canneal", "ferret"};
-}
-
-// --- spec emission ---------------------------------------------------
-
-JsonValue
-scenarioToJson(const ScenarioSpec &s)
-{
-    JsonValue v = JsonValue::object();
-    v.set("kind", scenarioKindToken(s.kind));
-    v.set("name", s.name);
-    v.set("burst_period", s.burst_period);
-    v.set("burst_len", s.burst_len);
-    v.set("burst_multiplier", s.burst_multiplier);
-    v.set("stuck_after", s.stuck_after);
-    v.set("stuck_len", s.stuck_len);
-    v.set("droop_period", s.droop_period);
-    v.set("droop_len", s.droop_len);
-    v.set("droop_undershoot_prob", s.droop_undershoot_prob);
-    v.set("stripe_id", s.stripe_id);
-    v.set("skew_sigma", s.skew_sigma);
-    return v;
-}
-
-JsonValue
-optionToJson(const LlcOption &o)
-{
-    JsonValue v = JsonValue::object();
-    v.set("label", o.label);
-    v.set("tech", techToken(o.tech));
-    v.set("scheme", schemeToken(o.scheme));
-    JsonValue p = JsonValue::object();
-    p.set("policy", placementKindName(o.placement));
-    p.set("epoch", o.placement_epoch);
-    p.set("swap_budget",
-          static_cast<uint64_t>(o.placement_swap_budget));
-    p.set("head", headPolicyName(o.head_policy));
-    v.set("placement", std::move(p));
-    return v;
-}
-
-JsonValue
-stringArray(const std::vector<std::string> &items)
-{
-    JsonValue v = JsonValue::array();
-    for (const std::string &s : items)
-        v.push(s);
-    return v;
-}
-
-// --- spec parsing ----------------------------------------------------
-
-void
-parseWorkloadList(SpecReader &r, const char *key,
-                  std::vector<std::string> *out)
-{
-    const JsonValue *arr = r.child(key, JsonType::Array);
-    if (!arr)
-        return;
-    out->clear();
-    for (size_t i = 0; i < arr->size(); ++i) {
-        const JsonValue &item = arr->at(i);
-        if (!item.isString()) {
-            r.fail(key, "expected string workload name, got " +
-                            std::string(jsonTypeName(item.type())));
-            continue;
-        }
-        if (!knownProfileName(item.asString())) {
-            r.fail(key, "unknown workload '" + item.asString() + "'");
-            continue;
-        }
-        out->push_back(item.asString());
-    }
-}
-
-/**
- * Parse a `placement` object (policy, epoch length, swap budget,
- * head policy) into `opt`. Shared by the per-option form and the
- * matrix-level default section.
- */
-void
-parsePlacementInto(const JsonValue &v, const std::string &path,
-                   LlcOption *opt, std::string *diag)
-{
-    SpecReader p(v, path, diag);
-    std::string policy_token = placementKindName(opt->placement);
-    p.readString("policy", &policy_token);
-    if (!placementKindFromToken(policy_token, &opt->placement))
-        p.fail("policy",
-               "unknown placement policy '" + policy_token + "'");
-    p.readU64("epoch", &opt->placement_epoch);
-    p.readInt("swap_budget", &opt->placement_swap_budget);
-    std::string head_token = headPolicyName(opt->head_policy);
-    p.readString("head", &head_token);
-    if (!headPolicyFromToken(head_token, &opt->head_policy))
-        p.fail("head",
-               "unknown head policy '" + head_token + "'");
-    if (opt->placement_epoch == 0)
-        p.fail("epoch", "must be >= 1 access");
-    if (opt->placement_swap_budget < 0)
-        p.fail("swap_budget", "must be >= 0");
-    p.rejectUnknownKeys({"policy", "epoch", "swap_budget", "head"});
 }
 
 /** Whether an option carries a non-default placement/head setting. */
@@ -234,415 +46,218 @@ nonDefaultPlacement(const LlcOption &o)
            o.head_policy != HeadPolicy::Stay;
 }
 
+/** Range checks of the `placement` object under reader `r`. */
+void
+checkPlacement(const SpecReader &r, const LlcOption &o)
+{
+    if (o.placement_epoch == 0)
+        r.fail("placement.epoch", "must be >= 1 access");
+    if (o.placement_swap_budget < 0)
+        r.fail("placement.swap_budget", "must be >= 0");
+}
+
+/** `o` with the placement axes of `defaults`. */
+LlcOption
+inheritPlacement(LlcOption o, const LlcOption &defaults)
+{
+    placementFields([](const char *, auto &to,
+                       const auto &from) { to = from; },
+                    o, defaults);
+    return o;
+}
+
 void
 parseOptionList(SpecReader &r, std::vector<LlcOption> *out,
-                const LlcOption &defaults, std::string *diag)
+                const LlcOption &defaults)
 {
     const JsonValue *arr = r.child("options", JsonType::Array);
     if (!arr)
         return;
     out->clear();
-    auto inherit = [&defaults](LlcOption o) {
-        o.placement = defaults.placement;
-        o.placement_epoch = defaults.placement_epoch;
-        o.placement_swap_budget = defaults.placement_swap_budget;
-        o.head_policy = defaults.head_policy;
-        return o;
-    };
     for (size_t i = 0; i < arr->size(); ++i) {
         const JsonValue &item = arr->at(i);
-        std::string path =
-            r.path() + ".options[" + std::to_string(i) + "]";
         if (item.isString()) {
             // Catalogue shortcuts, resolved at parse time so the
             // emitted spec is always an explicit list. They inherit
             // the matrix-level placement defaults.
-            if (item.asString() == "standard") {
-                for (const LlcOption &o : standardLlcOptions())
-                    out->push_back(inherit(o));
-            } else if (item.asString() == "racetrack") {
-                for (const LlcOption &o : racetrackSchemeOptions())
-                    out->push_back(inherit(o));
-            } else if (item.asString() == "shift-codes") {
-                for (const LlcOption &o : shiftCodeLlcOptions())
-                    out->push_back(inherit(o));
-            } else {
+            std::vector<LlcOption> catalogue;
+            if (item.asString() == "standard")
+                catalogue = standardLlcOptions();
+            else if (item.asString() == "racetrack")
+                catalogue = racetrackSchemeOptions();
+            else if (item.asString() == "shift-codes")
+                catalogue = shiftCodeLlcOptions();
+            else
                 r.fail("options",
                        "unknown option shortcut '" +
                            item.asString() +
                            "' (want \"standard\", \"racetrack\" or "
                            "\"shift-codes\")");
-            }
+            for (const LlcOption &o : catalogue)
+                out->push_back(inheritPlacement(o, defaults));
             continue;
         }
-        SpecReader o(item, path, diag);
-        LlcOption opt = inherit(LlcOption{});
+        SpecReader o = r.sub("options[" + std::to_string(i) + "]", item);
+        LlcOption opt = inheritPlacement(LlcOption{}, defaults);
         opt.tech = MemTech::Racetrack;
         opt.scheme = Scheme::PeccSAdaptive;
-        std::string tech_token = techToken(opt.tech);
-        std::string scheme_token = schemeToken(opt.scheme);
-        o.readString("tech", &tech_token);
-        o.readString("scheme", &scheme_token);
-        if (!techFromToken(tech_token, &opt.tech))
-            o.fail("tech", "unknown tech '" + tech_token + "'");
-        if (!schemeFromToken(scheme_token, &opt.scheme))
-            o.fail("scheme",
-                   "unknown scheme '" + scheme_token + "'");
-        if (const JsonValue *p =
-                o.child("placement", JsonType::Object))
-            parsePlacementInto(*p, path + ".placement", &opt, diag);
-        opt.label = std::string(memTechName(opt.tech)) + " " +
-                    schemeName(opt.scheme);
+        readFields(o, opt);
+        if (o.has("placement"))
+            checkPlacement(o, opt);
         // Default labels must stay distinct across a placement
         // sweep, so non-default axes are spelled out unless the
         // spec names the option itself.
-        if (nonDefaultPlacement(opt)) {
-            opt.label += std::string(" [") +
-                         placementKindName(opt.placement) + "/" +
-                         headPolicyName(opt.head_policy) + "]";
+        if (!o.has("label")) {
+            opt.label = std::string(memTechName(opt.tech)) + " " +
+                        schemeName(opt.scheme);
+            if (nonDefaultPlacement(opt))
+                opt.label += std::string(" [") +
+                             placementKindName(opt.placement) + "/" +
+                             headPolicyName(opt.head_policy) + "]";
         }
-        o.readString("label", &opt.label);
-        o.rejectUnknownKeys({"label", "tech", "scheme",
-                             "placement"});
         out->push_back(opt);
     }
 }
 
-ScenarioSpec
-parseScenario(const JsonValue &v, const std::string &path,
-              std::string *diag)
+void
+checkProtectionDomain(const SpecReader &r, const std::string &at,
+                      const ProtectionDomain &d)
 {
-    ScenarioSpec s;
-    SpecReader r(v, path, diag);
-    std::string kind_token = scenarioKindToken(s.kind);
-    r.readString("kind", &kind_token);
-    if (!scenarioKindFromToken(kind_token, &s.kind))
-        r.fail("kind",
-               "unknown scenario kind '" + kind_token + "'");
-    s.name = scenarioKindToken(s.kind);
-    r.readString("name", &s.name);
-    r.readU64("burst_period", &s.burst_period);
-    r.readU64("burst_len", &s.burst_len);
-    r.readDouble("burst_multiplier", &s.burst_multiplier);
-    r.readU64("stuck_after", &s.stuck_after);
-    r.readU64("stuck_len", &s.stuck_len);
-    r.readU64("droop_period", &s.droop_period);
-    r.readU64("droop_len", &s.droop_len);
-    r.readDouble("droop_undershoot_prob",
-                 &s.droop_undershoot_prob);
-    r.readU64("stripe_id", &s.stripe_id);
-    r.readDouble("skew_sigma", &s.skew_sigma);
-    r.rejectUnknownKeys({"kind", "name", "burst_period",
-                         "burst_len", "burst_multiplier",
-                         "stuck_after", "stuck_len", "droop_period",
-                         "droop_len", "droop_undershoot_prob",
-                         "stripe_id", "skew_sigma"});
-    return s;
+    // The fixed hierarchy defaults (Lseg, frames per group); the
+    // bank re-validates at construction against its actual scheme,
+    // this front-loads the typed diagnostic.
+    const HierarchyConfig geometry;
+    const std::string err = protectionDomainError(
+        d, Scheme::PeccSAdaptive, geometry.seg_len,
+        geometry.frames_per_group);
+    if (!err.empty())
+        r.fail(at + "codeword_frames", err);
 }
 
+} // anonymous namespace
+
+// --- spec sections (hand-written parse steps, see fields.hh) ----------
+
 void
-parseMatrixSection(const JsonValue &v, MatrixSpec *m,
-                   std::string *diag)
+finishRead(SpecReader &r, MatrixSpec &m)
 {
-    SpecReader r(v, "matrix", diag);
-    r.readBool("enabled", &m->enabled);
-    const bool had_warmup = r.has("warmup");
-    r.readU64("requests", &m->requests);
-    r.readU64("warmup", &m->warmup);
     // The rtmsim convention: an unstated warmup tracks the request
     // count (one tenth), so shrinking a spec's requests on the command
     // line keeps the run proportioned.
-    if (!had_warmup)
-        m->warmup = m->requests / 10;
-    r.readU64("divisor", &m->divisor);
-    r.readU64("seed", &m->seed);
-    parseWorkloadList(r, "workloads", &m->workloads);
+    if (!r.has("warmup"))
+        m.warmup = m.requests / 10;
+    checkWorkloadNames(r, m.workloads);
     // A matrix-level `placement` object is parse-time sugar: it seeds
     // the defaults every option (and shortcut expansion) inherits
     // unless the option carries its own `placement`. The emitted spec
     // is always explicit per-option, so parse -> emit -> parse is the
     // identity.
-    LlcOption placement_defaults;
-    if (const JsonValue *p = r.child("placement", JsonType::Object))
-        parsePlacementInto(*p, "matrix.placement",
-                           &placement_defaults, diag);
-    parseOptionList(r, &m->options, placement_defaults, diag);
+    LlcOption defaults;
+    FieldReader reader(r);
+    reader("placement",
+           SubObject{[&](auto &p) { placementFields(p, defaults); }});
+    checkPlacement(r, defaults);
+    parseOptionList(r, &m.options, defaults);
     // Without an explicit option list the normalizer fills the
     // standard catalogue; expand it here instead when a matrix-level
     // placement was given so the section is honoured in that case
     // too.
-    if (!r.has("options") &&
-        nonDefaultPlacement(placement_defaults)) {
-        m->options.clear();
-        for (LlcOption o : standardLlcOptions()) {
-            o.placement = placement_defaults.placement;
-            o.placement_epoch = placement_defaults.placement_epoch;
-            o.placement_swap_budget =
-                placement_defaults.placement_swap_budget;
-            o.head_policy = placement_defaults.head_policy;
-            m->options.push_back(o);
-        }
+    if (!r.has("options") && nonDefaultPlacement(defaults)) {
+        m.options.clear();
+        for (const LlcOption &o : standardLlcOptions())
+            m.options.push_back(inheritPlacement(o, defaults));
     }
-    if (m->requests == 0)
+    if (m.requests == 0)
         r.fail("requests", "must be >= 1");
-    if (m->divisor == 0)
+    if (m.divisor == 0)
         r.fail("divisor", "must be >= 1");
-    r.rejectUnknownKeys({"enabled", "requests", "warmup", "divisor",
-                         "seed", "workloads", "options",
-                         "placement"});
 }
 
 void
-parseCampaignSection(const JsonValue &v, CampaignSpec *c,
-                     std::string *diag)
+finishRead(SpecReader &r, CampaignSpec &c)
 {
-    SpecReader r(v, "campaign", diag);
-    CampaignConfig &cfg = c->config;
-    r.readBool("enabled", &c->enabled);
-    r.readU64("accesses", &cfg.accesses_per_cell);
-    r.readU64("seed", &cfg.seed);
-    r.readDouble("scale", &cfg.scale);
-    std::string policy_token = shiftPolicyToken(cfg.policy);
-    r.readString("policy", &policy_token);
-    if (!shiftPolicyFromToken(policy_token, &cfg.policy))
-        r.fail("policy", "unknown policy '" + policy_token + "'");
-    r.readDouble("peak_ops_per_second", &cfg.peak_ops_per_second);
-    r.readInt("workload_cores", &cfg.workload_cores);
-    uint64_t ring = cfg.telemetry_ring_capacity;
-    r.readU64("ring_capacity", &ring);
-    cfg.telemetry_ring_capacity = static_cast<size_t>(ring);
-
-    if (const JsonValue *p = r.child("pecc", JsonType::Object)) {
-        SpecReader pr(*p, "campaign.pecc", diag);
-        pr.readInt("segments", &cfg.pecc.num_segments);
-        pr.readInt("lseg", &cfg.pecc.seg_len);
-        pr.readInt("correct", &cfg.pecc.correct);
-        std::string variant_token =
-            peccVariantToken(cfg.pecc.variant);
-        pr.readString("variant", &variant_token);
-        if (!peccVariantFromToken(variant_token, &cfg.pecc.variant))
-            pr.fail("variant",
-                    "unknown variant '" + variant_token + "'");
-        pr.rejectUnknownKeys(
-            {"segments", "lseg", "correct", "variant"});
-        if (cfg.pecc.num_segments < 1)
-            pr.fail("segments", "must be >= 1");
-        if (cfg.pecc.seg_len < 2)
-            pr.fail("lseg", "must be >= 2");
-    }
-    if (const JsonValue *rec = r.child("recovery", JsonType::Object)) {
-        SpecReader rr(*rec, "campaign.recovery", diag);
-        rr.readInt("retry_budget", &cfg.recovery.retry_budget);
-        rr.readBool("sts_realign", &cfg.recovery.sts_realign);
-        rr.readBool("allow_scrub", &cfg.recovery.allow_scrub);
-        rr.readInt("max_replans", &cfg.recovery.max_replans);
-        uint64_t scrub = cfg.recovery.scrub_cycles;
-        rr.readU64("scrub_cycles", &scrub);
-        cfg.recovery.scrub_cycles = scrub;
-        rr.rejectUnknownKeys({"retry_budget", "sts_realign",
-                              "allow_scrub", "max_replans",
-                              "scrub_cycles"});
-    }
-    if (const JsonValue *b = r.child("bank", JsonType::Object)) {
-        SpecReader br(*b, "campaign.bank", diag);
-        br.readU64("frames", &cfg.bank_frames);
-        br.readDouble("due_prob", &cfg.bank_due_prob);
-        br.readInt("retry_budget", &cfg.group_retry_budget);
-        br.rejectUnknownKeys({"frames", "due_prob", "retry_budget"});
-        if (cfg.bank_frames == 0)
-            br.fail("frames", "must be >= 1");
-    }
+    const CampaignConfig &cfg = c.config;
     if (const JsonValue *arr = r.child("scenarios", JsonType::Array)) {
-        c->scenarios.clear();
+        c.scenarios.clear();
         for (size_t i = 0; i < arr->size(); ++i) {
             const JsonValue &item = arr->at(i);
-            if (item.isString()) {
-                if (item.asString() == "standard") {
-                    for (const ScenarioSpec &s : standardScenarios())
-                        c->scenarios.push_back(s);
-                } else {
-                    r.fail("scenarios",
-                           "unknown scenario shortcut '" +
-                               item.asString() +
-                               "' (want \"standard\")");
-                }
-                continue;
+            if (item.isString() && item.asString() == "standard") {
+                for (const ScenarioSpec &s : standardScenarios())
+                    c.scenarios.push_back(s);
+            } else if (item.isString()) {
+                r.fail("scenarios", "unknown scenario shortcut '" +
+                                        item.asString() +
+                                        "' (want \"standard\")");
+            } else {
+                SpecReader sr = r.sub(
+                    "scenarios[" + std::to_string(i) + "]", item);
+                ScenarioSpec s;
+                readFields(sr, s);
+                if (!sr.has("name"))
+                    s.name = enumToken(s.kind);
+                c.scenarios.push_back(s);
             }
-            c->scenarios.push_back(parseScenario(
-                item,
-                "campaign.scenarios[" + std::to_string(i) + "]",
-                diag));
         }
     }
-    parseWorkloadList(r, "workloads", &c->workloads);
+    checkWorkloadNames(r, c.workloads);
     if (cfg.accesses_per_cell == 0)
         r.fail("accesses", "must be >= 1");
     if (cfg.scale <= 0.0)
         r.fail("scale", "must be > 0");
-    r.rejectUnknownKeys({"enabled", "accesses", "seed", "scale",
-                         "policy", "peak_ops_per_second",
-                         "workload_cores", "ring_capacity", "pecc",
-                         "recovery", "bank", "scenarios",
-                         "workloads"});
+    if (cfg.pecc.num_segments < 1)
+        r.fail("pecc.segments", "must be >= 1");
+    if (cfg.pecc.seg_len < 2)
+        r.fail("pecc.lseg", "must be >= 2");
+    if (cfg.bank_frames == 0)
+        r.fail("bank.frames", "must be >= 1");
 }
 
 void
-parseStressSection(const JsonValue &v, StressSpec *s,
-                   std::string *diag)
+finishRead(SpecReader &r, ExperimentSpec &spec)
 {
-    SpecReader r(v, "stress", diag);
-    r.readBool("enabled", &s->enabled);
-    r.readString("scheme", &s->scheme);
-    r.readDouble("scale", &s->scale);
-    r.readU64("ops", &s->ops);
-    r.readInt("lseg", &s->lseg);
-    r.readU64("seed", &s->seed);
+    const StressSpec &s = spec.stress;
     Scheme scheme;
     PeccConfig cfg;
-    if (!stressSchemeConfig(s->scheme, &scheme, &cfg))
-        r.fail("scheme", "unknown scheme '" + s->scheme + "'");
-    if (s->scale <= 0.0)
-        r.fail("scale", "must be > 0");
-    if (s->lseg < 2)
-        r.fail("lseg", "must be >= 2");
-    r.rejectUnknownKeys(
-        {"enabled", "scheme", "scale", "ops", "lseg", "seed"});
-}
-
-void
-parseMcSection(const JsonValue &v, McSpec *s, std::string *diag)
-{
-    SpecReader r(v, "montecarlo", diag);
-    r.readBool("enabled", &s->enabled);
-    r.readInt("distance", &s->distance);
-    r.readU64("trials", &s->trials);
-    r.readU64("fit_trials", &s->fit_trials);
-    r.readU64("seed", &s->seed);
-    r.readString("tier", &s->tier);
+    if (!stressSchemeConfig(s.scheme, &scheme, &cfg))
+        r.fail("stress.scheme", "unknown scheme '" + s.scheme + "'");
+    if (s.scale <= 0.0)
+        r.fail("stress.scale", "must be > 0");
+    if (s.lseg < 2)
+        r.fail("stress.lseg", "must be >= 2");
+    const McSpec &mc = spec.montecarlo;
     McTier tier;
-    if (!mcTierFromToken(s->tier, &tier))
-        r.fail("tier",
-               "unknown tier '" + s->tier + "' (exact | fast)");
-    if (s->distance < 1)
-        r.fail("distance", "must be >= 1");
-    if (s->trials < 1)
-        r.fail("trials", "must be >= 1");
-    r.rejectUnknownKeys({"enabled", "distance", "trials",
-                         "fit_trials", "seed", "tier"});
-}
+    if (!mcTierFromToken(mc.tier, &tier))
+        r.fail("montecarlo.tier",
+               "unknown tier '" + mc.tier + "' (exact | fast)");
+    if (mc.distance < 1)
+        r.fail("montecarlo.distance", "must be >= 1");
+    if (mc.trials < 1)
+        r.fail("montecarlo.trials", "must be >= 1");
 
-void
-parseResilienceSection(const JsonValue &v, ResilienceSpec *s,
-                       std::string *diag)
-{
-    SpecReader r(v, "resilience", diag);
-    r.readU64("retry_budget", &s->retry_budget);
-    r.readU64("backoff_ms", &s->backoff_ms);
-    r.readU64("cell_deadline_ms", &s->cell_deadline_ms);
-    r.readU64("run_deadline_ms", &s->run_deadline_ms);
-    r.rejectUnknownKeys({"retry_budget", "backoff_ms",
-                         "cell_deadline_ms", "run_deadline_ms"});
-}
-
-/** Append a domain's keys to an (already started) object. */
-void
-setProtectionDomainKeys(JsonValue *v, const ProtectionDomain &d)
-{
-    if (d.has_scheme)
-        v->set("scheme", schemeToken(d.scheme));
-    v->set("codeword_frames", d.codeword_frames);
-    v->set("two_tier", d.two_tier);
-}
-
-/**
- * Parse the domain keys of `r`'s object (scheme / codeword_frames /
- * two_tier) and validate the geometry they imply against the fixed
- * hierarchy defaults (Lseg, frames per group); the bank re-validates
- * at construction against its actual scheme, this front-loads the
- * typed diagnostic.
- */
-void
-parseProtectionDomain(SpecReader &r, ProtectionDomain *d)
-{
-    if (r.has("scheme")) {
-        std::string token;
-        r.readString("scheme", &token);
-        if (!schemeFromToken(token, &d->scheme))
-            r.fail("scheme", "unknown scheme '" + token + "'");
-        else
-            d->has_scheme = true;
-    }
-    r.readInt("codeword_frames", &d->codeword_frames);
-    r.readBool("two_tier", &d->two_tier);
-    const HierarchyConfig geometry;
-    const std::string err = protectionDomainError(
-        *d, Scheme::PeccSAdaptive, geometry.seg_len,
-        geometry.frames_per_group);
-    if (!err.empty())
-        r.fail("codeword_frames", err);
-}
-
-void
-parseProtectionSection(const JsonValue &v, ProtectionPolicy *p,
-                       std::string *diag)
-{
-    SpecReader r(v, "protection", diag);
-    std::string kind_token = protectionKindToken(p->kind);
-    r.readString("kind", &kind_token);
-    if (!protectionKindFromToken(kind_token, &p->kind))
-        r.fail("kind", "unknown protection kind '" + kind_token +
-                           "' (uniform | per-level | regions)");
-    if (const JsonValue *u = r.child("uniform", JsonType::Object)) {
-        SpecReader ur(*u, "protection.uniform", diag);
-        parseProtectionDomain(ur, &p->uniform);
-        ur.rejectUnknownKeys(
-            {"scheme", "codeword_frames", "two_tier"});
-    }
-    if (const JsonValue *arr = r.child("levels", JsonType::Array)) {
-        p->levels.clear();
-        for (size_t i = 0; i < arr->size(); ++i) {
-            SpecReader lr(arr->at(i),
-                          "protection.levels[" + std::to_string(i) +
-                              "]",
-                          diag);
-            ProtectionLevel level;
-            lr.readString("level", &level.level);
-            if (level.level != "l1" && level.level != "l2" &&
-                level.level != "llc")
-                lr.fail("level", "unknown cache level '" +
-                                     level.level +
+    if (!r.has("protection"))
+        return;
+    const ProtectionPolicy &p = spec.protection;
+    checkProtectionDomain(r, "protection.uniform.", p.uniform);
+    for (size_t i = 0; i < p.levels.size(); ++i) {
+        const std::string at =
+            "protection.levels[" + std::to_string(i) + "].";
+        const std::string &level = p.levels[i].level;
+        if (level != "l1" && level != "l2" && level != "llc")
+            r.fail(at + "level", "unknown cache level '" + level +
                                      "' (l1 | l2 | llc)");
-            parseProtectionDomain(lr, &level.domain);
-            lr.rejectUnknownKeys(
-                {"level", "scheme", "codeword_frames", "two_tier"});
-            p->levels.push_back(std::move(level));
-        }
+        checkProtectionDomain(r, at, p.levels[i].domain);
     }
-    if (const JsonValue *arr = r.child("regions", JsonType::Array)) {
-        p->regions.clear();
-        for (size_t i = 0; i < arr->size(); ++i) {
-            SpecReader rr(arr->at(i),
-                          "protection.regions[" +
-                              std::to_string(i) + "]",
-                          diag);
-            ProtectionRegion region;
-            rr.readDouble("begin", &region.begin);
-            rr.readDouble("end", &region.end);
-            if (region.begin < 0.0 || region.begin >= 1.0)
-                rr.fail("begin", "must be in [0, 1)");
-            if (region.end <= region.begin || region.end > 1.0)
-                rr.fail("end", "must be in (begin, 1]");
-            parseProtectionDomain(rr, &region.domain);
-            rr.rejectUnknownKeys(
-                {"begin", "end", "scheme", "codeword_frames",
-                 "two_tier"});
-            p->regions.push_back(region);
-        }
+    for (size_t i = 0; i < p.regions.size(); ++i) {
+        const std::string at =
+            "protection.regions[" + std::to_string(i) + "].";
+        const ProtectionRegion &g = p.regions[i];
+        if (g.begin < 0.0 || g.begin >= 1.0)
+            r.fail(at + "begin", "must be in [0, 1)");
+        if (g.end <= g.begin || g.end > 1.0)
+            r.fail(at + "end", "must be in (begin, 1]");
+        checkProtectionDomain(r, at, g.domain);
     }
-    r.rejectUnknownKeys({"kind", "uniform", "levels", "regions"});
 }
-
-} // anonymous namespace
 
 // --- engine ----------------------------------------------------------
 
@@ -806,33 +421,6 @@ ExperimentEngine::run(TelemetryScope root)
 
 // --- spec ------------------------------------------------------------
 
-bool
-CampaignSpec::operator==(const CampaignSpec &o) const
-{
-    const CampaignConfig &a = config;
-    const CampaignConfig &b = o.config;
-    return enabled == o.enabled && scenarios == o.scenarios &&
-           workloads == o.workloads &&
-           a.accesses_per_cell == b.accesses_per_cell &&
-           a.seed == b.seed && a.scale == b.scale &&
-           a.pecc.num_segments == b.pecc.num_segments &&
-           a.pecc.seg_len == b.pecc.seg_len &&
-           a.pecc.correct == b.pecc.correct &&
-           a.pecc.variant == b.pecc.variant &&
-           a.recovery.retry_budget == b.recovery.retry_budget &&
-           a.recovery.sts_realign == b.recovery.sts_realign &&
-           a.recovery.allow_scrub == b.recovery.allow_scrub &&
-           a.recovery.max_replans == b.recovery.max_replans &&
-           a.recovery.scrub_cycles == b.recovery.scrub_cycles &&
-           a.policy == b.policy &&
-           a.peak_ops_per_second == b.peak_ops_per_second &&
-           a.workload_cores == b.workload_cores &&
-           a.bank_frames == b.bank_frames &&
-           a.bank_due_prob == b.bank_due_prob &&
-           a.group_retry_budget == b.group_retry_budget &&
-           a.telemetry_ring_capacity == b.telemetry_ring_capacity;
-}
-
 void
 normalizeExperimentSpec(ExperimentSpec *spec)
 {
@@ -852,124 +440,7 @@ experimentSpecToJson(const ExperimentSpec &spec_in)
 {
     ExperimentSpec spec = spec_in;
     normalizeExperimentSpec(&spec);
-
-    JsonValue doc = JsonValue::object();
-    doc.set("name", spec.name);
-
-    JsonValue m = JsonValue::object();
-    m.set("enabled", spec.matrix.enabled);
-    m.set("requests", spec.matrix.requests);
-    m.set("warmup", spec.matrix.warmup);
-    m.set("divisor", spec.matrix.divisor);
-    m.set("seed", spec.matrix.seed);
-    m.set("workloads", stringArray(spec.matrix.workloads));
-    JsonValue opts = JsonValue::array();
-    for (const LlcOption &o : spec.matrix.options)
-        opts.push(optionToJson(o));
-    m.set("options", std::move(opts));
-    doc.set("matrix", std::move(m));
-
-    const CampaignConfig &cfg = spec.campaign.config;
-    JsonValue c = JsonValue::object();
-    c.set("enabled", spec.campaign.enabled);
-    c.set("accesses", cfg.accesses_per_cell);
-    c.set("seed", cfg.seed);
-    c.set("scale", cfg.scale);
-    c.set("policy", shiftPolicyToken(cfg.policy));
-    c.set("peak_ops_per_second", cfg.peak_ops_per_second);
-    c.set("workload_cores", cfg.workload_cores);
-    c.set("ring_capacity",
-          static_cast<uint64_t>(cfg.telemetry_ring_capacity));
-    JsonValue pecc = JsonValue::object();
-    pecc.set("segments", cfg.pecc.num_segments);
-    pecc.set("lseg", cfg.pecc.seg_len);
-    pecc.set("correct", cfg.pecc.correct);
-    pecc.set("variant", peccVariantToken(cfg.pecc.variant));
-    c.set("pecc", std::move(pecc));
-    JsonValue rec = JsonValue::object();
-    rec.set("retry_budget", cfg.recovery.retry_budget);
-    rec.set("sts_realign", cfg.recovery.sts_realign);
-    rec.set("allow_scrub", cfg.recovery.allow_scrub);
-    rec.set("max_replans", cfg.recovery.max_replans);
-    rec.set("scrub_cycles",
-            static_cast<uint64_t>(cfg.recovery.scrub_cycles));
-    c.set("recovery", std::move(rec));
-    JsonValue bank = JsonValue::object();
-    bank.set("frames", cfg.bank_frames);
-    bank.set("due_prob", cfg.bank_due_prob);
-    bank.set("retry_budget", cfg.group_retry_budget);
-    c.set("bank", std::move(bank));
-    JsonValue scenarios = JsonValue::array();
-    for (const ScenarioSpec &s : spec.campaign.scenarios)
-        scenarios.push(scenarioToJson(s));
-    c.set("scenarios", std::move(scenarios));
-    c.set("workloads", stringArray(spec.campaign.workloads));
-    doc.set("campaign", std::move(c));
-
-    JsonValue st = JsonValue::object();
-    st.set("enabled", spec.stress.enabled);
-    st.set("scheme", spec.stress.scheme);
-    st.set("scale", spec.stress.scale);
-    st.set("ops", spec.stress.ops);
-    st.set("lseg", spec.stress.lseg);
-    st.set("seed", spec.stress.seed);
-    doc.set("stress", std::move(st));
-
-    JsonValue mc = JsonValue::object();
-    mc.set("enabled", spec.montecarlo.enabled);
-    mc.set("distance", spec.montecarlo.distance);
-    mc.set("trials", spec.montecarlo.trials);
-    mc.set("fit_trials", spec.montecarlo.fit_trials);
-    mc.set("seed", spec.montecarlo.seed);
-    mc.set("tier", spec.montecarlo.tier);
-    doc.set("montecarlo", std::move(mc));
-
-    JsonValue rs = JsonValue::object();
-    rs.set("retry_budget", spec.resilience.retry_budget);
-    rs.set("backoff_ms", spec.resilience.backoff_ms);
-    rs.set("cell_deadline_ms", spec.resilience.cell_deadline_ms);
-    rs.set("run_deadline_ms", spec.resilience.run_deadline_ms);
-    doc.set("resilience", std::move(rs));
-
-    // Omitted entirely under the default policy so pre-existing
-    // specs keep their emitted bytes (and resume-journal hashes).
-    if (spec.protection != ProtectionPolicy{}) {
-        JsonValue pr = JsonValue::object();
-        pr.set("kind", protectionKindToken(spec.protection.kind));
-        JsonValue uni = JsonValue::object();
-        setProtectionDomainKeys(&uni, spec.protection.uniform);
-        pr.set("uniform", std::move(uni));
-        if (!spec.protection.levels.empty()) {
-            JsonValue levels = JsonValue::array();
-            for (const ProtectionLevel &l : spec.protection.levels) {
-                JsonValue lv = JsonValue::object();
-                lv.set("level", l.level);
-                setProtectionDomainKeys(&lv, l.domain);
-                levels.push(std::move(lv));
-            }
-            pr.set("levels", std::move(levels));
-        }
-        if (!spec.protection.regions.empty()) {
-            JsonValue regions = JsonValue::array();
-            for (const ProtectionRegion &g :
-                 spec.protection.regions) {
-                JsonValue rv = JsonValue::object();
-                rv.set("begin", g.begin);
-                rv.set("end", g.end);
-                setProtectionDomainKeys(&rv, g.domain);
-                regions.push(std::move(rv));
-            }
-            pr.set("regions", std::move(regions));
-        }
-        doc.set("protection", std::move(pr));
-    }
-
-    JsonValue tel = JsonValue::object();
-    tel.set("metrics", spec.metrics_path);
-    tel.set("trace", spec.trace_path);
-    doc.set("telemetry", std::move(tel));
-    doc.set("output", spec.output_path);
-    return doc;
+    return toJson(spec);
 }
 
 bool
@@ -982,33 +453,7 @@ experimentSpecFromJson(const JsonValue &doc, ExperimentSpec *spec,
 
     ExperimentSpec out;
     SpecReader top(doc, "", d);
-    top.readString("name", &out.name);
-    if (const JsonValue *m = top.child("matrix", JsonType::Object))
-        parseMatrixSection(*m, &out.matrix, d);
-    if (const JsonValue *c = top.child("campaign", JsonType::Object))
-        parseCampaignSection(*c, &out.campaign, d);
-    if (const JsonValue *s = top.child("stress", JsonType::Object))
-        parseStressSection(*s, &out.stress, d);
-    if (const JsonValue *m =
-            top.child("montecarlo", JsonType::Object))
-        parseMcSection(*m, &out.montecarlo, d);
-    if (const JsonValue *r =
-            top.child("resilience", JsonType::Object))
-        parseResilienceSection(*r, &out.resilience, d);
-    if (const JsonValue *p =
-            top.child("protection", JsonType::Object))
-        parseProtectionSection(*p, &out.protection, d);
-    if (const JsonValue *t =
-            top.child("telemetry", JsonType::Object)) {
-        SpecReader tr(*t, "telemetry", d);
-        tr.readString("metrics", &out.metrics_path);
-        tr.readString("trace", &out.trace_path);
-        tr.rejectUnknownKeys({"metrics", "trace"});
-    }
-    top.readString("output", &out.output_path);
-    top.rejectUnknownKeys({"name", "matrix", "campaign", "stress",
-                           "montecarlo", "resilience", "protection",
-                           "telemetry", "output"});
+    readFields(top, out);
     if (!d->empty())
         return false;
     normalizeExperimentSpec(&out);
@@ -1128,35 +573,34 @@ stressSchemeConfig(const std::string &token, Scheme *scheme,
     // The stripe drill shares one stripe between two ports; seg_len
     // is the caller's (the --lseg flag / stress.lseg field).
     config->num_segments = 2;
-    if (token == "baseline") {
-        *scheme = Scheme::Baseline;
-        config->correct = 1;
-        config->variant = PeccVariant::None;
-    } else if (token == "sed") {
-        *scheme = Scheme::SedPecc;
-        config->correct = 0;
-        config->variant = PeccVariant::Standard;
-    } else if (token == "pecc-o") {
-        *scheme = Scheme::PeccO;
-        config->correct = 1;
-        config->variant = PeccVariant::OverheadRegion;
-    } else if (token == "secded") {
-        *scheme = Scheme::SecdedPecc;
-        config->correct = 1;
-        config->variant = PeccVariant::Standard;
-    } else if (token == "lm-pos") {
-        *scheme = Scheme::LmPos;
-        config->correct = kLmPosCorrect;
-        config->window_ports = kLmPosWindow;
-        config->variant = PeccVariant::Standard;
-    } else if (token == "del-ins-k") {
-        *scheme = Scheme::DelIns;
-        config->correct = kDelInsStrength;
-        config->variant = PeccVariant::DelIns;
-    } else {
+    struct Drill
+    {
+        Scheme scheme;
+        int correct;
+        PeccVariant variant;
+    };
+    static constexpr Drill kDrills[] = {
+        {Scheme::Baseline, 1, PeccVariant::None},
+        {Scheme::SedPecc, 0, PeccVariant::Standard},
+        {Scheme::PeccO, 1, PeccVariant::OverheadRegion},
+        {Scheme::SecdedPecc, 1, PeccVariant::Standard},
+        {Scheme::LmPos, kLmPosCorrect, PeccVariant::Standard},
+        {Scheme::DelIns, kDelInsStrength, PeccVariant::DelIns},
+    };
+    Scheme s;
+    if (!schemeFromToken(token, &s))
         return false;
+    for (const Drill &d : kDrills) {
+        if (d.scheme != s)
+            continue;
+        *scheme = s;
+        config->correct = d.correct;
+        config->variant = d.variant;
+        if (s == Scheme::LmPos)
+            config->window_ports = kLmPosWindow;
+        return true;
     }
-    return true;
+    return false;
 }
 
 StressResult
@@ -1323,193 +767,42 @@ runMcCell(const McSpec &spec, TelemetryScope telemetry,
 
 // --- result serde ----------------------------------------------------
 
-namespace
-{
-
-/** MTTFs can be +inf (non-racetrack options); JSON has no inf. */
-JsonValue
-finiteOrNull(double v)
-{
-    return std::isfinite(v) ? JsonValue(v) : JsonValue();
-}
-
-/** finiteOrNull inverse: null (or absent) restores +inf. */
-double
-infiniteIfNull(const JsonValue *v)
-{
-    return v && v->isNumber()
-               ? v->asDouble()
-               : std::numeric_limits<double>::infinity();
-}
-
-} // anonymous namespace
-
 JsonValue
 simResultToJson(const std::string &workload, const LlcOption &opt,
                 const SimResult &r)
 {
+    // The cell's identity comes from the spec; "option" sits right
+    // after "workload" and is not a SimResult field.
+    SimResult row = r;
+    row.workload = workload;
+    row.llc_tech = opt.tech;
+    row.scheme = opt.scheme;
     JsonValue v = JsonValue::object();
     v.set("workload", workload);
     v.set("option", opt.label);
-    v.set("tech", techToken(opt.tech));
-    v.set("scheme", schemeToken(opt.scheme));
-    v.set("instructions", r.instructions);
-    v.set("mem_ops", r.mem_ops);
-    v.set("cycles", static_cast<uint64_t>(r.cycles));
-    v.set("seconds", r.seconds);
-    v.set("ipc", r.ipc());
-    v.set("llc_accesses", r.llc_accesses);
-    v.set("llc_misses", r.llc_misses);
-    v.set("dram_accesses", r.dram_accesses);
-    v.set("shift_ops", r.shift_ops);
-    v.set("shift_steps", r.shift_steps);
-    v.set("shift_cycles", static_cast<uint64_t>(r.shift_cycles));
-    v.set("shifts_per_access", r.shiftsPerAccess());
-    v.set("migrations", r.migrations);
-    v.set("migration_steps", r.migration_steps);
-    // Only present under a pooled-codeword protection domain, so
-    // pre-existing result documents (and their digests) keep their
-    // exact bytes under the default policy.
-    if (r.redundancy_accesses > 0 || r.redundancy_steps > 0) {
-        v.set("redundancy_accesses", r.redundancy_accesses);
-        v.set("redundancy_steps", r.redundancy_steps);
-    }
-    v.set("cache_dynamic_energy", r.cache_dynamic_energy);
-    v.set("llc_shift_energy", r.llc_shift_energy);
-    v.set("dram_energy", r.dram_energy);
-    v.set("leakage_energy", r.leakage_energy);
-    v.set("total_energy", r.totalEnergy());
-    v.set("sdc_mttf", finiteOrNull(r.sdc_mttf));
-    v.set("due_mttf", finiteOrNull(r.due_mttf));
+    writeFields(v, row);
     return v;
 }
 
 bool
 simResultFromJson(const JsonValue &doc, SimResult *out)
 {
-    if (!doc.isObject())
+    std::string diag;
+    SpecReader r(doc, "", &diag);
+    std::string label;
+    r.readString("option", &label);
+    SimResult res;
+    readFields(r, res);
+    if (!diag.empty())
         return false;
-    const JsonValue *workload = doc.find("workload");
-    const JsonValue *tech = doc.find("tech");
-    const JsonValue *scheme = doc.find("scheme");
-    if (!workload || !workload->isString() || !tech ||
-        !tech->isString() || !scheme || !scheme->isString())
-        return false;
-    SimResult r;
-    r.workload = workload->asString();
-    if (!techFromToken(tech->asString(), &r.llc_tech))
-        return false;
-    if (!schemeFromToken(scheme->asString(), &r.scheme))
-        return false;
-    auto u64 = [&doc](const char *key, uint64_t *field) {
-        if (const JsonValue *v = doc.find(key))
-            *field = v->asU64();
-    };
-    auto dbl = [&doc](const char *key, double *field) {
-        if (const JsonValue *v = doc.find(key))
-            *field = v->asDouble();
-    };
-    u64("instructions", &r.instructions);
-    u64("mem_ops", &r.mem_ops);
-    u64("cycles", &r.cycles);
-    dbl("seconds", &r.seconds);
-    u64("llc_accesses", &r.llc_accesses);
-    u64("llc_misses", &r.llc_misses);
-    u64("dram_accesses", &r.dram_accesses);
-    u64("shift_ops", &r.shift_ops);
-    u64("shift_steps", &r.shift_steps);
-    u64("shift_cycles", &r.shift_cycles);
-    u64("migrations", &r.migrations);
-    u64("migration_steps", &r.migration_steps);
-    u64("redundancy_accesses", &r.redundancy_accesses);
-    u64("redundancy_steps", &r.redundancy_steps);
-    dbl("cache_dynamic_energy", &r.cache_dynamic_energy);
-    dbl("llc_shift_energy", &r.llc_shift_energy);
-    dbl("dram_energy", &r.dram_energy);
-    dbl("leakage_energy", &r.leakage_energy);
-    r.sdc_mttf = infiniteIfNull(doc.find("sdc_mttf"));
-    r.due_mttf = infiniteIfNull(doc.find("due_mttf"));
-    *out = std::move(r);
+    *out = std::move(res);
     return true;
 }
 
 namespace
 {
 
-/**
- * Full-fidelity stress checkpoint (the reporting view in
- * stressResultToJson drops the distance tally and p-ECC geometry,
- * which a resumed run needs back).
- */
-JsonValue
-stressCellToJson(const StressResult &r)
-{
-    JsonValue v = JsonValue::object();
-    v.set("scheme", schemeToken(r.scheme));
-    JsonValue pecc = JsonValue::object();
-    pecc.set("segments", r.pecc.num_segments);
-    pecc.set("lseg", r.pecc.seg_len);
-    pecc.set("correct", r.pecc.correct);
-    pecc.set("variant", peccVariantToken(r.pecc.variant));
-    v.set("pecc", std::move(pecc));
-    v.set("corrected", r.corrected);
-    v.set("due", r.due);
-    v.set("silent", r.silent);
-    v.set("clean", r.clean);
-    v.set("expected_corrected", r.exp_corrected);
-    v.set("expected_due", r.exp_due);
-    v.set("expected_sdc", r.exp_sdc);
-    v.set("distances", intTallyToJson(r.distances));
-    return v;
-}
-
-bool
-stressCellFromJson(const JsonValue &doc, StressResult *out)
-{
-    if (!doc.isObject())
-        return false;
-    const JsonValue *scheme = doc.find("scheme");
-    const JsonValue *distances = doc.find("distances");
-    if (!scheme || !scheme->isString() || !distances)
-        return false;
-    StressResult r;
-    if (!schemeFromToken(scheme->asString(), &r.scheme))
-        return false;
-    if (const JsonValue *p = doc.find("pecc")) {
-        if (!p->isObject())
-            return false;
-        if (const JsonValue *v = p->find("segments"))
-            r.pecc.num_segments = v->asInt();
-        if (const JsonValue *v = p->find("lseg"))
-            r.pecc.seg_len = v->asInt();
-        if (const JsonValue *v = p->find("correct"))
-            r.pecc.correct = v->asInt();
-        if (const JsonValue *v = p->find("variant"))
-            if (!peccVariantFromToken(v->asString(),
-                                      &r.pecc.variant))
-                return false;
-    }
-    auto u64 = [&doc](const char *key, uint64_t *field) {
-        if (const JsonValue *v = doc.find(key))
-            *field = v->asU64();
-    };
-    auto dbl = [&doc](const char *key, double *field) {
-        if (const JsonValue *v = doc.find(key))
-            *field = v->asDouble();
-    };
-    u64("corrected", &r.corrected);
-    u64("due", &r.due);
-    u64("silent", &r.silent);
-    u64("clean", &r.clean);
-    dbl("expected_corrected", &r.exp_corrected);
-    dbl("expected_due", &r.exp_due);
-    dbl("expected_sdc", &r.exp_sdc);
-    if (!intTallyFromJson(*distances, &r.distances))
-        return false;
-    *out = std::move(r);
-    return true;
-}
-
+/** The stress reporting view (the checkpoint is its field list). */
 JsonValue
 stressResultToJson(const StressResult &r)
 {
@@ -1526,70 +819,6 @@ stressResultToJson(const StressResult &r)
     return v;
 }
 
-JsonValue
-mcResultToJson(const McRunResult &r)
-{
-    JsonValue v = JsonValue::object();
-    v.set("distance", r.distance);
-    v.set("trials", r.trials);
-    v.set("tier", r.tier);
-    v.set("deviation_mean", r.deviation_mean);
-    v.set("deviation_stddev", r.deviation_stddev);
-    v.set("step_prob_ok", r.step_prob_ok);
-    v.set("step_prob_plus1", r.step_prob_plus1);
-    v.set("step_prob_minus1", r.step_prob_minus1);
-    if (r.has_fit) {
-        JsonValue fit = JsonValue::object();
-        fit.set("sigma_step", r.fit.sigma_step);
-        fit.set("resync_rho", r.fit.resync_rho);
-        fit.set("drift", r.fit.drift);
-        fit.set("notch_half_width", r.fit.notch_half_width);
-        v.set("fit", std::move(fit));
-    }
-    return v;
-}
-
-/** mcResultToJson is already full-fidelity; this is its inverse. */
-bool
-mcResultFromJson(const JsonValue &doc, McRunResult *out)
-{
-    if (!doc.isObject())
-        return false;
-    const JsonValue *tier = doc.find("tier");
-    if (!tier || !tier->isString())
-        return false;
-    McRunResult r;
-    r.tier = tier->asString();
-    if (const JsonValue *v = doc.find("distance"))
-        r.distance = v->asInt();
-    if (const JsonValue *v = doc.find("trials"))
-        r.trials = v->asU64();
-    auto dbl = [&doc](const char *key, double *field) {
-        if (const JsonValue *v = doc.find(key))
-            *field = v->asDouble();
-    };
-    dbl("deviation_mean", &r.deviation_mean);
-    dbl("deviation_stddev", &r.deviation_stddev);
-    dbl("step_prob_ok", &r.step_prob_ok);
-    dbl("step_prob_plus1", &r.step_prob_plus1);
-    dbl("step_prob_minus1", &r.step_prob_minus1);
-    if (const JsonValue *fit = doc.find("fit")) {
-        if (!fit->isObject())
-            return false;
-        r.has_fit = true;
-        auto fdbl = [fit](const char *key, double *field) {
-            if (const JsonValue *v = fit->find(key))
-                *field = v->asDouble();
-        };
-        fdbl("sigma_step", &r.fit.sigma_step);
-        fdbl("resync_rho", &r.fit.resync_rho);
-        fdbl("drift", &r.fit.drift);
-        fdbl("notch_half_width", &r.fit.notch_half_width);
-    }
-    *out = std::move(r);
-    return true;
-}
-
 /**
  * The result *sections* alone — the part of the document that must
  * be bit-identical between an uninterrupted run and a kill/resume
@@ -1602,11 +831,8 @@ resultSectionsToJson(const ExperimentResult &result)
     JsonValue doc = JsonValue::object();
     if (result.has_matrix) {
         JsonValue m = JsonValue::object();
-        m.set("workloads", stringArray(spec.matrix.workloads));
-        JsonValue opts = JsonValue::array();
-        for (const LlcOption &o : spec.matrix.options)
-            opts.push(optionToJson(o));
-        m.set("options", std::move(opts));
+        m.set("workloads", toJson(spec.matrix.workloads));
+        m.set("options", toJson(spec.matrix.options));
         JsonValue results = JsonValue::array();
         for (const WorkloadMatrixRow &row : result.matrix)
             for (size_t o = 0; o < row.results.size(); ++o)
@@ -1621,7 +847,7 @@ resultSectionsToJson(const ExperimentResult &result)
     if (result.has_stress)
         doc.set("stress", stressResultToJson(result.stress));
     if (result.has_mc)
-        doc.set("montecarlo", mcResultToJson(result.mc));
+        doc.set("montecarlo", toJson(result.mc));
     return doc;
 }
 
@@ -1649,35 +875,13 @@ journalResumeError(const JournalFile &journal,
 {
     if (!journal.has_header)
         return "journal has no intact header record";
+    // Every header field (spec hash, section seeds, cell count)
+    // identifies the run; the first that differs is reported.
     const JournalHeader want = makeJournalHeader(spec, cells);
-    const JournalHeader &have = journal.header;
-    if (have.spec_sha256 != want.spec_sha256)
-        return "journal belongs to a different spec (hash " +
-               have.spec_sha256 + ", this run " + want.spec_sha256 +
-               ")";
-    auto seedMismatch = [](const char *what, uint64_t a,
-                           uint64_t b) {
-        return std::string("journal ") + what + " seed " +
-               std::to_string(a) + " does not match this run's " +
-               std::to_string(b);
-    };
-    if (have.matrix_seed != want.matrix_seed)
-        return seedMismatch("matrix", have.matrix_seed,
-                            want.matrix_seed);
-    if (have.campaign_seed != want.campaign_seed)
-        return seedMismatch("campaign", have.campaign_seed,
-                            want.campaign_seed);
-    if (have.stress_seed != want.stress_seed)
-        return seedMismatch("stress", have.stress_seed,
-                            want.stress_seed);
-    if (have.mc_seed != want.mc_seed)
-        return seedMismatch("montecarlo", have.mc_seed,
-                            want.mc_seed);
-    if (have.cells != want.cells)
-        return "journal cell count " + std::to_string(have.cells) +
-               " does not match this run's " +
-               std::to_string(want.cells);
-    return "";
+    FieldsEqual eq;
+    forEachField(eq, journal.header, want);
+    return eq.equal ? "" : "journal belongs to another run: " +
+                               eq.mismatch;
 }
 
 // --- whole-spec runs -------------------------------------------------
@@ -1722,37 +926,35 @@ runExperiment(const ExperimentSpec &spec_in,
                            spec.campaign.scenarios, profiles,
                            spec.campaign.config);
     }
-    if (spec.stress.enabled) {
-        res.has_stress = true;
-        StressResult *slot = &res.stress;
-        const StressSpec stress = spec.stress;
+    // The stress and Monte-Carlo sections are one cell each,
+    // checkpointed through their result's field list.
+    auto addSectionCell = [&engine](const char *label, auto *slot,
+                                    auto run) {
         ExperimentEngine::Cell cell;
-        cell.label = "stress";
-        cell.body = [slot, stress](TelemetryScope t,
-                                   StopFlag *stop) {
-            *slot = runStressDrill(stress, t, stop);
+        cell.label = label;
+        cell.body = [slot, run](TelemetryScope t, StopFlag *stop) {
+            *slot = run(t, stop);
         };
-        cell.save = [slot] { return stressCellToJson(*slot); };
+        cell.save = [slot] { return toJson(*slot); };
         cell.load = [slot](const JsonValue &doc) {
-            return stressCellFromJson(doc, slot);
+            return fromJson(doc, slot);
         };
         engine.addCell(std::move(cell));
-    }
-    if (spec.montecarlo.enabled) {
-        res.has_mc = true;
-        McRunResult *slot = &res.mc;
-        const McSpec mc = spec.montecarlo;
-        ExperimentEngine::Cell cell;
-        cell.label = "montecarlo";
-        cell.body = [slot, mc](TelemetryScope t, StopFlag *stop) {
-            *slot = runMcCell(mc, t, stop);
-        };
-        cell.save = [slot] { return mcResultToJson(*slot); };
-        cell.load = [slot](const JsonValue &doc) {
-            return mcResultFromJson(doc, slot);
-        };
-        engine.addCell(std::move(cell));
-    }
+    };
+    res.has_stress = spec.stress.enabled;
+    if (res.has_stress)
+        addSectionCell("stress", &res.stress,
+                       [s = spec.stress](TelemetryScope t,
+                                         StopFlag *stop) {
+                           return runStressDrill(s, t, stop);
+                       });
+    res.has_mc = spec.montecarlo.enabled;
+    if (res.has_mc)
+        addSectionCell("montecarlo", &res.mc,
+                       [s = spec.montecarlo](TelemetryScope t,
+                                             StopFlag *stop) {
+                           return runMcCell(s, t, stop);
+                       });
 
     res.cells = engine.jobCount();
     engine.setCancelToken(control.cancel);

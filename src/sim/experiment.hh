@@ -31,6 +31,7 @@
 #include "device/montecarlo.hh"
 #include "sim/campaign.hh"
 #include "sim/runner.hh"
+#include "util/fields.hh"
 #include "util/journal.hh"
 #include "util/parallel.hh"
 #include "util/serde.hh"
@@ -77,18 +78,18 @@ struct ResilienceSpec
     uint64_t cell_deadline_ms = 0; //!< per-cell watchdog (0 = none)
     uint64_t run_deadline_ms = 0;  //!< whole-run watchdog (0 = none)
 
-    bool operator==(const ResilienceSpec &o) const
-    {
-        return retry_budget == o.retry_budget &&
-               backoff_ms == o.backoff_ms &&
-               cell_deadline_ms == o.cell_deadline_ms &&
-               run_deadline_ms == o.run_deadline_ms;
-    }
-    bool operator!=(const ResilienceSpec &o) const
-    {
-        return !(*this == o);
-    }
+    bool operator==(const ResilienceSpec &) const = default;
 };
+
+template <class V, FieldsOf<ResilienceSpec>... S>
+void
+forEachField(V &&v, S &...s)
+{
+    v("retry_budget", s.retry_budget...);
+    v("backoff_ms", s.backoff_ms...);
+    v("cell_deadline_ms", s.cell_deadline_ms...);
+    v("run_deadline_ms", s.run_deadline_ms...);
+}
 
 /**
  * Deterministic job-set scheduler on the global ThreadPool.
@@ -246,18 +247,28 @@ struct MatrixSpec
     /** LLC options; empty = standardLlcOptions(). */
     std::vector<LlcOption> options;
 
-    bool operator==(const MatrixSpec &o) const
-    {
-        return enabled == o.enabled && requests == o.requests &&
-               warmup == o.warmup && divisor == o.divisor &&
-               seed == o.seed && workloads == o.workloads &&
-               options == o.options;
-    }
-    bool operator!=(const MatrixSpec &o) const
-    {
-        return !(*this == o);
-    }
+    bool operator==(const MatrixSpec &) const = default;
 };
+
+template <class V, FieldsOf<MatrixSpec>... S>
+void
+forEachField(V &&v, S &...s)
+{
+    v("enabled", s.enabled...);
+    v("requests", s.requests...);
+    v("warmup", s.warmup...);
+    v("divisor", s.divisor...);
+    v("seed", s.seed...);
+    v("workloads", s.workloads...);
+    v("options", HandParsed{s.options}...);
+}
+
+/**
+ * The hand-written part of reading a matrix section (readFields):
+ * the warmup default, option shortcuts, the matrix-level
+ * `placement` default options inherit, and range checks.
+ */
+void finishRead(SpecReader &r, MatrixSpec &m);
 
 /** Campaign section: fault scenarios x workloads (sim/campaign.hh). */
 struct CampaignSpec
@@ -270,12 +281,41 @@ struct CampaignSpec
     /** Workload names; empty = swaptions, canneal, ferret. */
     std::vector<std::string> workloads;
 
+    /** Over the field list: the telemetry wiring is not spec. */
     bool operator==(const CampaignSpec &o) const;
-    bool operator!=(const CampaignSpec &o) const
-    {
-        return !(*this == o);
-    }
 };
+
+template <class V, FieldsOf<CampaignSpec>... S>
+void
+forEachField(V &&v, S &...s)
+{
+    v("enabled", s.enabled...);
+    v("accesses", s.config.accesses_per_cell...);
+    v("seed", s.config.seed...);
+    v("scale", s.config.scale...);
+    v("policy", s.config.policy...);
+    v("peak_ops_per_second", s.config.peak_ops_per_second...);
+    v("workload_cores", s.config.workload_cores...);
+    v("ring_capacity", s.config.telemetry_ring_capacity...);
+    v("pecc", s.config.pecc...);
+    v("recovery", s.config.recovery...);
+    v("bank", SubObject{[&](auto &b) {
+          b("frames", s.config.bank_frames...);
+          b("due_prob", s.config.bank_due_prob...);
+          b("retry_budget", s.config.group_retry_budget...);
+      }});
+    v("scenarios", HandParsed{s.scenarios}...);
+    v("workloads", s.workloads...);
+}
+
+inline bool
+CampaignSpec::operator==(const CampaignSpec &o) const
+{
+    return fieldsEqual(*this, o);
+}
+
+/** Scenario shortcuts and range checks (see MatrixSpec's). */
+void finishRead(SpecReader &r, CampaignSpec &c);
 
 /**
  * Stress section: the stripe-level fault-injection drill faultsim
@@ -293,17 +333,20 @@ struct StressSpec
     int lseg = 8;
     uint64_t seed = 1;
 
-    bool operator==(const StressSpec &o) const
-    {
-        return enabled == o.enabled && scheme == o.scheme &&
-               scale == o.scale && ops == o.ops &&
-               lseg == o.lseg && seed == o.seed;
-    }
-    bool operator!=(const StressSpec &o) const
-    {
-        return !(*this == o);
-    }
+    bool operator==(const StressSpec &) const = default;
 };
+
+template <class V, FieldsOf<StressSpec>... S>
+void
+forEachField(V &&v, S &...s)
+{
+    v("enabled", s.enabled...);
+    v("scheme", s.scheme...);
+    v("scale", s.scale...);
+    v("ops", s.ops...);
+    v("lseg", s.lseg...);
+    v("seed", s.seed...);
+}
 
 /**
  * Monte-Carlo section: one device-level position-error extraction
@@ -320,17 +363,20 @@ struct McSpec
     uint64_t seed = 12345;
     std::string tier = "exact"; //!< exact | fast
 
-    bool operator==(const McSpec &o) const
-    {
-        return enabled == o.enabled && distance == o.distance &&
-               trials == o.trials && fit_trials == o.fit_trials &&
-               seed == o.seed && tier == o.tier;
-    }
-    bool operator!=(const McSpec &o) const
-    {
-        return !(*this == o);
-    }
+    bool operator==(const McSpec &) const = default;
 };
+
+template <class V, FieldsOf<McSpec>... S>
+void
+forEachField(V &&v, S &...s)
+{
+    v("enabled", s.enabled...);
+    v("distance", s.distance...);
+    v("trials", s.trials...);
+    v("fit_trials", s.fit_trials...);
+    v("seed", s.seed...);
+    v("tier", s.tier...);
+}
 
 /** One declarative experiment: every section plus output sinks. */
 struct ExperimentSpec
@@ -357,22 +403,34 @@ struct ExperimentSpec
     std::string trace_path;   //!< Chrome trace_event JSON
     std::string output_path;  //!< unified result JSON
 
-    bool operator==(const ExperimentSpec &o) const
-    {
-        return name == o.name && matrix == o.matrix &&
-               campaign == o.campaign && stress == o.stress &&
-               montecarlo == o.montecarlo &&
-               resilience == o.resilience &&
-               protection == o.protection &&
-               metrics_path == o.metrics_path &&
-               trace_path == o.trace_path &&
-               output_path == o.output_path;
-    }
-    bool operator!=(const ExperimentSpec &o) const
-    {
-        return !(*this == o);
-    }
+    bool operator==(const ExperimentSpec &) const = default;
 };
+
+template <class V, FieldsOf<ExperimentSpec>... S>
+void
+forEachField(V &&v, S &...s)
+{
+    v("name", s.name...);
+    v("matrix", s.matrix...);
+    v("campaign", s.campaign...);
+    v("stress", s.stress...);
+    v("montecarlo", s.montecarlo...);
+    v("resilience", s.resilience...);
+    if (v.emitWhen((s.protection != ProtectionPolicy{})...))
+        v("protection", s.protection...);
+    v("telemetry", SubObject{[&](auto &t) {
+          t("metrics", s.metrics_path...);
+          t("trace", s.trace_path...);
+      }});
+    v("output", s.output_path...);
+}
+
+/**
+ * Checks of the stress and montecarlo sections, plus the protection
+ * checks: level names, region bounds and each domain's geometry
+ * against the default hierarchy.
+ */
+void finishRead(SpecReader &r, ExperimentSpec &spec);
 
 /**
  * SHA-256 of the spec's *result-determining* content: the normalized
@@ -431,16 +489,7 @@ struct ExperimentCell
     /** Short human-readable cell name for diagnostics. */
     std::string label() const;
 
-    bool operator==(const ExperimentCell &o) const
-    {
-        return kind == o.kind && local_index == o.local_index &&
-               workload == o.workload && option == o.option &&
-               scenario == o.scenario;
-    }
-    bool operator!=(const ExperimentCell &o) const
-    {
-        return !(*this == o);
-    }
+    bool operator==(const ExperimentCell &) const = default;
 };
 
 /**
@@ -464,7 +513,30 @@ struct StressResult
     double exp_due = 0.0;
     double exp_sdc = 0.0;
     IntTally distances; //!< seek distances driven
+
+    bool operator==(const StressResult &) const = default;
 };
+
+/**
+ * Full-fidelity stress checkpoint keys (util/fields.hh); the
+ * reporting view in the result document drops the p-ECC geometry
+ * and the distance tally.
+ */
+template <class V, FieldsOf<StressResult>... S>
+void
+forEachField(V &&v, S &...s)
+{
+    v("scheme", s.scheme...);
+    v("pecc", s.pecc...);
+    v("corrected", s.corrected...);
+    v("due", s.due...);
+    v("silent", s.silent...);
+    v("clean", s.clean...);
+    v("expected_corrected", s.exp_corrected...);
+    v("expected_due", s.exp_due...);
+    v("expected_sdc", s.exp_sdc...);
+    v("distances", s.distances...);
+}
 
 /**
  * Resolve a stress scheme token to the (scheme, stripe config) pair
@@ -491,7 +563,25 @@ struct McRunResult
     double step_prob_minus1 = 0.0;  //!< P(step error -1)
     bool has_fit = false;
     FittedModelParams fit;          //!< valid when has_fit
+
+    bool operator==(const McRunResult &) const = default;
 };
+
+/** Keys of the Monte-Carlo result (journal and result document). */
+template <class V, FieldsOf<McRunResult>... S>
+void
+forEachField(V &&v, S &...s)
+{
+    v("distance", s.distance...);
+    v("trials", s.trials...);
+    v("tier", s.tier...);
+    v("deviation_mean", s.deviation_mean...);
+    v("deviation_stddev", s.deviation_stddev...);
+    v("step_prob_ok", s.step_prob_ok...);
+    v("step_prob_plus1", s.step_prob_plus1...);
+    v("step_prob_minus1", s.step_prob_minus1...);
+    v("fit", PresentIf{s.has_fit, s.fit}...);
+}
 
 /** Run the Monte-Carlo cell (spec.enabled is not consulted). */
 McRunResult runMcCell(const McSpec &spec,
@@ -595,7 +685,8 @@ ExperimentResult runExperiment(const ExperimentSpec &spec,
 JsonValue simResultToJson(const std::string &workload,
                           const LlcOption &opt, const SimResult &r);
 
-/** Restore a matrix cell result; false on a malformed document. */
+/** Restore a matrix cell result; false on a malformed document (any
+ *  field present but mistyped, out of range or unknown). */
 bool simResultFromJson(const JsonValue &doc, SimResult *out);
 
 /**

@@ -33,19 +33,33 @@ struct LlcOption
     int placement_swap_budget = 4;  //!< adaptive swaps per epoch
     HeadPolicy head_policy = HeadPolicy::Stay;
 
-    bool operator==(const LlcOption &o) const
-    {
-        return label == o.label && tech == o.tech &&
-               scheme == o.scheme && placement == o.placement &&
-               placement_epoch == o.placement_epoch &&
-               placement_swap_budget == o.placement_swap_budget &&
-               head_policy == o.head_policy;
-    }
-    bool operator!=(const LlcOption &o) const
-    {
-        return !(*this == o);
-    }
+    bool operator==(const LlcOption &) const = default;
 };
+
+/**
+ * Keys of an option's `placement` object; a spec's matrix-level
+ * `placement` default uses them too.
+ */
+template <class V, FieldsOf<LlcOption>... O>
+void
+placementFields(V &&v, O &...o)
+{
+    v("policy", o.placement...);
+    v("epoch", o.placement_epoch...);
+    v("swap_budget", o.placement_swap_budget...);
+    v("head", o.head_policy...);
+}
+
+/** Spec keys of an LLC option (util/fields.hh). */
+template <class V, FieldsOf<LlcOption>... O>
+void
+forEachField(V &&v, O &...o)
+{
+    v("label", o.label...);
+    v("tech", o.tech...);
+    v("scheme", o.scheme...);
+    v("placement", SubObject{[&](auto &p) { placementFields(p, o...); }});
+}
 
 /** The paper's standard comparison set (Fig. 16-18 legends). */
 std::vector<LlcOption> standardLlcOptions();

@@ -24,6 +24,7 @@
 #include "mem/hierarchy.hh"
 #include "model/reliability.hh"
 #include "trace/workload.hh"
+#include "util/fields.hh"
 #include "util/parallel.hh"
 #include "util/units.hh"
 
@@ -86,7 +87,49 @@ struct SimResult
      * LLC access — the metric data placement minimises.
      */
     double shiftsPerAccess() const;
+
+    bool operator==(const SimResult &) const = default;
 };
+
+/**
+ * Keys of a matrix cell result (util/fields.hh). The redundancy pair
+ * is written only under a pooled-codeword domain, so result
+ * documents (and digests) from the default policy keep their bytes.
+ */
+template <class V, FieldsOf<SimResult>... S>
+void
+forEachField(V &&v, S &...s)
+{
+    v("workload", s.workload...);
+    v("tech", s.llc_tech...);
+    v("scheme", s.scheme...);
+    v("instructions", s.instructions...);
+    v("mem_ops", s.mem_ops...);
+    v("cycles", s.cycles...);
+    v("seconds", s.seconds...);
+    v("ipc", EmitOnly{s.ipc()}...);
+    v("llc_accesses", s.llc_accesses...);
+    v("llc_misses", s.llc_misses...);
+    v("dram_accesses", s.dram_accesses...);
+    v("shift_ops", s.shift_ops...);
+    v("shift_steps", s.shift_steps...);
+    v("shift_cycles", s.shift_cycles...);
+    v("shifts_per_access", EmitOnly{s.shiftsPerAccess()}...);
+    v("migrations", s.migrations...);
+    v("migration_steps", s.migration_steps...);
+    if (v.emitWhen(
+            (s.redundancy_accesses > 0 || s.redundancy_steps > 0)...)) {
+        v("redundancy_accesses", s.redundancy_accesses...);
+        v("redundancy_steps", s.redundancy_steps...);
+    }
+    v("cache_dynamic_energy", s.cache_dynamic_energy...);
+    v("llc_shift_energy", s.llc_shift_energy...);
+    v("dram_energy", s.dram_energy...);
+    v("leakage_energy", s.leakage_energy...);
+    v("total_energy", EmitOnly{s.totalEnergy()}...);
+    v("sdc_mttf", NullIfInf{s.sdc_mttf}...);
+    v("due_mttf", NullIfInf{s.due_mttf}...);
+}
 
 /** One simulation configuration. */
 struct SimConfig

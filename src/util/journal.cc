@@ -52,49 +52,21 @@ journalHeaderToJson(const JournalHeader &header)
 {
     JsonValue v = JsonValue::object();
     v.set("type", "header");
-    v.set("version", header.version);
-    v.set("name", header.name);
-    v.set("spec_sha256", header.spec_sha256);
-    JsonValue seeds = JsonValue::object();
-    seeds.set("matrix", header.matrix_seed);
-    seeds.set("campaign", header.campaign_seed);
-    seeds.set("stress", header.stress_seed);
-    seeds.set("montecarlo", header.mc_seed);
-    v.set("seeds", std::move(seeds));
-    v.set("cells", header.cells);
+    writeFields(v, header);
     return v;
 }
 
 bool
 journalHeaderFromJson(const JsonValue &doc, JournalHeader *header)
 {
-    if (!doc.isObject())
-        return false;
-    const JsonValue *type = doc.find("type");
-    if (!type || !type->isString() ||
-        type->asString() != "header")
-        return false;
+    std::string diag;
+    SpecReader r(doc, "", &diag);
+    std::string type;
+    r.readString("type", &type);
     JournalHeader out;
-    if (const JsonValue *v = doc.find("version"))
-        out.version = v->asInt();
-    if (const JsonValue *v = doc.find("name"))
-        out.name = v->asString();
-    const JsonValue *hash = doc.find("spec_sha256");
-    if (!hash || !hash->isString())
+    readFields(r, out);
+    if (type != "header" || out.spec_sha256.empty() || !diag.empty())
         return false;
-    out.spec_sha256 = hash->asString();
-    if (const JsonValue *seeds = doc.find("seeds")) {
-        if (const JsonValue *v = seeds->find("matrix"))
-            out.matrix_seed = v->asU64();
-        if (const JsonValue *v = seeds->find("campaign"))
-            out.campaign_seed = v->asU64();
-        if (const JsonValue *v = seeds->find("stress"))
-            out.stress_seed = v->asU64();
-        if (const JsonValue *v = seeds->find("montecarlo"))
-            out.mc_seed = v->asU64();
-    }
-    if (const JsonValue *v = doc.find("cells"))
-        out.cells = v->asU64();
     *header = std::move(out);
     return true;
 }

@@ -34,7 +34,7 @@
 #include <string>
 #include <vector>
 
-#include "util/serde.hh"
+#include "util/fields.hh"
 
 namespace rtm
 {
@@ -50,7 +50,26 @@ struct JournalHeader
     uint64_t stress_seed = 0;
     uint64_t mc_seed = 0;
     uint64_t cells = 0; //!< total scheduled cells of the run
+
+    bool operator==(const JournalHeader &) const = default;
 };
+
+/** Header keys after `"type": "header"` (util/fields.hh). */
+template <class V, FieldsOf<JournalHeader>... H>
+void
+forEachField(V &&v, H &...h)
+{
+    v("version", h.version...);
+    v("name", h.name...);
+    v("spec_sha256", h.spec_sha256...);
+    v("seeds", SubObject{[&](auto &s) {
+          s("matrix", h.matrix_seed...);
+          s("campaign", h.campaign_seed...);
+          s("stress", h.stress_seed...);
+          s("montecarlo", h.mc_seed...);
+      }});
+    v("cells", h.cells...);
+}
 
 JsonValue journalHeaderToJson(const JournalHeader &header);
 bool journalHeaderFromJson(const JsonValue &doc,

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace rtm
 {
@@ -629,6 +630,7 @@ SpecReader::SpecReader(const JsonValue &value, std::string path,
 {
     if (value_.isObject()) {
         usable_ = true;
+        seen_.assign(value_.members().size(), false);
     } else {
         fail("", std::string("expected object, got ") +
                      jsonTypeName(value_.type()));
@@ -657,14 +659,82 @@ SpecReader::has(const char *key) const
 }
 
 const JsonValue *
-SpecReader::typedField(const char *key, JsonType want) const
+SpecReader::field(const char *key) const
 {
     if (!usable_)
         return nullptr;
-    const JsonValue *v = value_.find(key);
+    const auto &members = value_.members();
+    for (size_t i = 0; i < members.size(); ++i) {
+        if (members[i].first == key) {
+            seen_[i] = true;
+            return &members[i].second;
+        }
+    }
+    return nullptr;
+}
+
+bool
+SpecReader::integral(const char *key, const JsonValue *v, double lo,
+                     double hi, const char *range) const
+{
     if (!v)
-        return nullptr;
-    if (v->type() != want) {
+        return false;
+    const double d = v->asDouble();
+    if (d != std::floor(d)) {
+        fail(key, "expected an integer, got " + jsonNumberToString(d));
+        return false;
+    }
+    if (d < lo || d > hi) {
+        fail(key, std::string("out of range ") + range + ": " +
+                      jsonNumberToString(d));
+        return false;
+    }
+    return true;
+}
+
+void
+SpecReader::readBool(const char *key, bool *out)
+{
+    if (const JsonValue *v = child(key, JsonType::Bool))
+        *out = v->asBool();
+}
+
+void
+SpecReader::readU64(const char *key, uint64_t *out)
+{
+    const JsonValue *v = child(key, JsonType::Number);
+    if (integral(key, v, 0.0, 9007199254740992.0, "[0, 2^53]"))
+        *out = static_cast<uint64_t>(v->asDouble());
+}
+
+void
+SpecReader::readInt(const char *key, int *out)
+{
+    const JsonValue *v = child(key, JsonType::Number);
+    if (integral(key, v, std::numeric_limits<int>::min(),
+                 std::numeric_limits<int>::max(), "for int"))
+        *out = static_cast<int>(v->asDouble());
+}
+
+void
+SpecReader::readDouble(const char *key, double *out)
+{
+    if (const JsonValue *v = child(key, JsonType::Number))
+        *out = v->asDouble();
+}
+
+void
+SpecReader::readString(const char *key, std::string *out)
+{
+    if (const JsonValue *v = child(key, JsonType::String))
+        *out = v->asString();
+}
+
+const JsonValue *
+SpecReader::child(const char *key, JsonType want) const
+{
+    const JsonValue *v = field(key);
+    if (v && v->type() != want) {
         fail(key, std::string("expected ") + jsonTypeName(want) +
                       ", got " + jsonTypeName(v->type()));
         return nullptr;
@@ -672,50 +742,11 @@ SpecReader::typedField(const char *key, JsonType want) const
     return v;
 }
 
-void
-SpecReader::readBool(const char *key, bool *out)
+SpecReader
+SpecReader::sub(const std::string &key, const JsonValue &value) const
 {
-    if (const JsonValue *v = typedField(key, JsonType::Bool))
-        *out = v->asBool();
-}
-
-void
-SpecReader::readU64(const char *key, uint64_t *out)
-{
-    if (const JsonValue *v = typedField(key, JsonType::Number)) {
-        if (v->asDouble() < 0.0) {
-            fail(key, "expected non-negative number");
-            return;
-        }
-        *out = v->asU64();
-    }
-}
-
-void
-SpecReader::readInt(const char *key, int *out)
-{
-    if (const JsonValue *v = typedField(key, JsonType::Number))
-        *out = v->asInt();
-}
-
-void
-SpecReader::readDouble(const char *key, double *out)
-{
-    if (const JsonValue *v = typedField(key, JsonType::Number))
-        *out = v->asDouble();
-}
-
-void
-SpecReader::readString(const char *key, std::string *out)
-{
-    if (const JsonValue *v = typedField(key, JsonType::String))
-        *out = v->asString();
-}
-
-const JsonValue *
-SpecReader::child(const char *key, JsonType want) const
-{
-    return typedField(key, want);
+    return SpecReader(value, path_.empty() ? key : path_ + "." + key,
+                      diag_);
 }
 
 void
@@ -724,15 +755,13 @@ SpecReader::rejectUnknownKeys(
 {
     if (!usable_)
         return;
-    for (const auto &kv : value_.members()) {
-        bool found = false;
+    const auto &members = value_.members();
+    for (size_t i = 0; i < members.size(); ++i) {
+        bool found = seen_[i];
         for (const char *k : known)
-            if (kv.first == k) {
-                found = true;
-                break;
-            }
+            found = found || members[i].first == k;
         if (!found)
-            fail(kv.first, "unknown field");
+            fail(members[i].first, "unknown field");
     }
 }
 

@@ -183,7 +183,8 @@ bool saveJsonFile(const std::string &path, const JsonValue &value,
  * untouched. Type mismatches and unknown keys append one diagnostic
  * line each to the shared error string, prefixed with the reader's
  * dotted path, so a malformed spec reports *all* its problems in one
- * pass.
+ * pass. Integer reads reject fractions and values outside the
+ * target type (u64: [0, 2^53], the exact range of a JSON double).
  */
 class SpecReader
 {
@@ -211,13 +212,20 @@ class SpecReader
      */
     const JsonValue *child(const char *key, JsonType want) const;
 
+    /** The member under `key` of any type, or null when absent. */
+    const JsonValue *field(const char *key) const;
+
+    /** Reader over a child value, at path `<path>.<key>`. */
+    SpecReader sub(const std::string &key,
+                   const JsonValue &value) const;
+
     /**
-     * Append an "unknown field" diagnostic for every member not in
-     * `known` — catches typos like "reqests" that would otherwise be
-     * silently ignored.
+     * Append an "unknown field" diagnostic for every member neither
+     * looked up through this reader nor listed in `known` — catches
+     * typos like "reqests" that would otherwise be silently ignored.
      */
     void rejectUnknownKeys(
-        std::initializer_list<const char *> known) const;
+        std::initializer_list<const char *> known = {}) const;
 
     /** Append a custom diagnostic under this reader's path. */
     void fail(const std::string &key, const std::string &msg) const;
@@ -225,17 +233,16 @@ class SpecReader
     /** True while no diagnostic has been appended (by anyone). */
     bool ok() const { return diag_->empty(); }
 
-    const JsonValue &value() const { return value_; }
-    const std::string &path() const { return path_; }
-
   private:
-    const JsonValue *typedField(const char *key,
-                                JsonType want) const;
+    bool integral(const char *key, const JsonValue *v, double lo,
+                  double hi, const char *range) const;
 
     const JsonValue &value_;
     std::string path_;
     std::string *diag_;
     bool usable_ = false;
+    /** Per member: looked up (rejectUnknownKeys spares it). */
+    mutable std::vector<bool> seen_;
 };
 
 /**

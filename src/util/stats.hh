@@ -7,11 +7,13 @@
 #ifndef RTM_UTIL_STATS_HH
 #define RTM_UTIL_STATS_HH
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace rtm
@@ -53,30 +55,27 @@ class RunningStats
     /** Sum of all samples. */
     double sum() const { return mean_ * static_cast<double>(count_); }
 
-    /**
-     * Raw Welford second moment (sum of squared deviations). Exposed
-     * so serde can round-trip the accumulator bit-exactly; derive
-     * variance via variance(), not from this.
-     */
-    double m2() const { return m2_; }
+    bool operator==(const RunningStats &) const = default;
 
     /**
-     * Rebuild an accumulator from previously serialized state. The
-     * min/max pair defaults to the empty-accumulator sentinels (±inf)
-     * so callers restoring a count==0 record can omit them.
+     * Checkpoint keys (util/fields.hh): the raw Welford state, not
+     * derived variance, so a reload reproduces the accumulator
+     * bit-exactly. min/max are written only when non-empty (they are
+     * ±inf sentinels otherwise, which JSON cannot carry).
      */
-    static RunningStats
-    restore(uint64_t count, double mean, double m2,
-            double min = std::numeric_limits<double>::infinity(),
-            double max = -std::numeric_limits<double>::infinity())
+    template <class V, class... S>
+        requires(std::same_as<std::remove_const_t<S>, RunningStats> &&
+                 ...)
+    friend void
+    forEachField(V &&v, S &...s)
     {
-        RunningStats s;
-        s.count_ = count;
-        s.mean_ = mean;
-        s.m2_ = m2;
-        s.min_ = min;
-        s.max_ = max;
-        return s;
+        v("count", s.count_...);
+        v("mean", s.mean_...);
+        v("m2", s.m2_...);
+        if (v.emitWhen((s.count_ > 0)...)) {
+            v("min", s.min_...);
+            v("max", s.max_...);
+        }
     }
 
   private:
@@ -165,6 +164,9 @@ class IntTally
   private:
     std::map<int64_t, uint64_t> map_;
     uint64_t total_ = 0;
+
+  public:
+    bool operator==(const IntTally &) const = default;
 };
 
 } // namespace rtm

@@ -250,6 +250,27 @@ TEST(ExperimentSpec, MalformedSpecsProduceActionableDiagnostics)
     EXPECT_NE(diag.find("matrix.requests"), std::string::npos)
         << diag;
 
+    // Integer fields reject fractions and out-of-range values
+    // instead of truncating or wrapping them.
+    diag = parseSpecDiag("{\"campaign\": {\"workload_cores\": 1e10}}");
+    EXPECT_NE(diag.find("campaign.workload_cores: out of range"),
+              std::string::npos)
+        << diag;
+    diag = parseSpecDiag(
+        "{\"campaign\": {\"pecc\": {\"segments\": 2.5}}}");
+    EXPECT_NE(diag.find("campaign.pecc.segments: expected an integer"),
+              std::string::npos)
+        << diag;
+    diag = parseSpecDiag("{\"matrix\": {\"divisor\": 3.7}}");
+    EXPECT_NE(diag.find("matrix.divisor: expected an integer"),
+              std::string::npos)
+        << diag;
+    diag = parseSpecDiag("{\"montecarlo\": {\"trials\": 1e30}}");
+    EXPECT_NE(diag.find("montecarlo.trials: out of range"),
+              std::string::npos)
+        << diag;
+    EXPECT_EQ(diag.find("must be >= 1"), std::string::npos) << diag;
+
     // Multiple problems all reported in one pass.
     diag = parseSpecDiag(
         "{\"matrix\": {\"requests\": \"x\", \"divisor\": \"y\"}}");

@@ -201,6 +201,64 @@ TEST(KillResume, CorruptedRecordRerunsCell)
     std::remove(journal.c_str());
 }
 
+/**
+ * A record with a valid CRC but a mistyped or non-integral field is
+ * rejected by the strict reload, so its cell re-runs instead of
+ * replaying as zeros and silently changing the digest.
+ */
+TEST(KillResume, MistypedRecordRerunsCell)
+{
+    const ExperimentSpec spec = smallSpec();
+    const std::string want =
+        experimentResultDigest(runExperiment(spec));
+
+    const std::string full = tempPath("mistyped_full.jsonl");
+    std::remove(full.c_str());
+    {
+        RunControl control;
+        control.stream_path = full;
+        ASSERT_TRUE(runExperiment(spec, nullptr, {}, control)
+                        .complete());
+    }
+    JournalFile parsed;
+    std::string error;
+    ASSERT_TRUE(readJournal(full, &parsed, &error)) << error;
+    ASSERT_TRUE(parsed.has_header);
+
+    // Rewrite the journal through the writer (every CRC valid) with
+    // one matrix record's count turned into a string and the
+    // Monte-Carlo record's trial count made fractional.
+    const std::string journal = tempPath("mistyped_resume.jsonl");
+    JournalWriter writer;
+    ASSERT_TRUE(writer.open(journal, false, &error)) << error;
+    ASSERT_TRUE(writer.appendHeader(parsed.header));
+    int broken = 0;
+    for (JournalRecord record : parsed.records) {
+        JsonValue &result = record.result;
+        if (broken == 0 && result.find("instructions")) {
+            result.set("instructions", "x");
+            ++broken;
+        } else if (record.label == "montecarlo") {
+            result.set("trials", 2.5);
+            ++broken;
+        }
+        ASSERT_TRUE(writer.appendRecord(record));
+    }
+    ASSERT_TRUE(writer.close());
+    ASSERT_EQ(broken, 2);
+
+    RunControl resume;
+    resume.resume_path = journal;
+    ExperimentResult res = runExperiment(spec, nullptr, {}, resume);
+    EXPECT_TRUE(res.complete());
+    EXPECT_EQ(res.replayed_cells,
+              static_cast<uint64_t>(res.cells) - 2);
+    EXPECT_EQ(res.ok_cells, 2u);
+    EXPECT_EQ(experimentResultDigest(res), want);
+    std::remove(full.c_str());
+    std::remove(journal.c_str());
+}
+
 /** A throwing cell is contained: Failed outcome, sweep completes. */
 TEST(FaultContainment, ThrowingCellDoesNotAbortTheSweep)
 {

@@ -189,6 +189,46 @@ TEST(SpecReader, AccumulatesDottedPathDiagnostics)
     EXPECT_EQ(neg, 0u);
 }
 
+TEST(SpecReader, IntegerReadsRejectFractionsAndOutOfRange)
+{
+    JsonValue v = parseOk(
+        "{\"frac\": 2.5, \"big\": 1e10, \"int_min\": -2147483648,"
+        " \"huge\": 1e30, \"max\": 9007199254740992,"
+        " \"over\": 9007199254740994}");
+    std::string diag;
+    SpecReader r(v, "s", &diag);
+
+    // int: fractions and values outside int leave the default.
+    int i = 7;
+    r.readInt("frac", &i);
+    EXPECT_EQ(i, 7);
+    r.readInt("big", &i);
+    EXPECT_EQ(i, 7);
+    r.readInt("int_min", &i);
+    EXPECT_EQ(i, std::numeric_limits<int>::min());
+
+    // u64: fractions and values above 2^53 (no longer exact as a
+    // JSON double) leave the default; 2^53 itself is accepted.
+    uint64_t u = 7;
+    r.readU64("frac", &u);
+    EXPECT_EQ(u, 7u);
+    r.readU64("huge", &u);
+    EXPECT_EQ(u, 7u);
+    r.readU64("over", &u);
+    EXPECT_EQ(u, 7u);
+    r.readU64("max", &u);
+    EXPECT_EQ(u, 9007199254740992u);
+
+    // One dotted-path diagnostic per rejected read.
+    for (const char *key : {"s.frac", "s.big", "s.huge", "s.over"})
+        EXPECT_NE(diag.find(key), std::string::npos) << diag;
+    EXPECT_NE(diag.find("expected an integer"), std::string::npos)
+        << diag;
+    EXPECT_NE(diag.find("out of range"), std::string::npos) << diag;
+    EXPECT_EQ(diag.find("s.int_min"), std::string::npos) << diag;
+    EXPECT_EQ(diag.find("s.max"), std::string::npos) << diag;
+}
+
 TEST(SpecReader, RejectsUnknownKeysAndNonObjects)
 {
     JsonValue v = parseOk("{\"requests\": 1, \"reqests\": 2}");

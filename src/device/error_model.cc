@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numbers>
 #include <vector>
 
 #include "util/logging.hh"
@@ -15,6 +16,8 @@ namespace
 {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+// ScaledErrorModel's per-outcome probability cap; equals std::log(0.5).
+constexpr double kLogHalf = -std::numbers::ln2;
 
 // Paper Table 2: combined +/-k out-of-step rates after STS, for shift
 // distances 1..7 on the default 64-domain / 8-segment stripe.
@@ -105,49 +108,50 @@ ShiftOutcome
 PositionErrorModel::sample(Rng &rng, int distance, bool sts_enabled)
     const
 {
-    ShiftOutcome out;
-    double u = rng.uniform();
-    if (sts_enabled) {
-        // Walk the out-of-step outcomes from most likely outward.
-        double acc = 0.0;
-        for (int mag = 1; mag <= maxStepError(); ++mag) {
-            for (int sign : {+1, -1}) {
-                double p = std::exp(logProbStep(distance, sign * mag));
-                acc += p;
-                if (u < acc) {
-                    out.step_error = sign * mag;
-                    return out;
-                }
-            }
-        }
-        return out; // success
-    }
-    // Without STS the raw outcome may also be stop-in-middle, and
-    // the out-of-step share excludes the flat-region mass STS would
-    // otherwise fold in.
+    const double u = rng.uniform();
+    std::vector<CumulativeOutcome> list;
+    outcomeList(distance, sts_enabled, &list);
+    return pickOutcome(list, u);
+}
+
+void
+PositionErrorModel::outcomeList(int distance, bool sts_enabled,
+                                std::vector<CumulativeOutcome> *out)
+    const
+{
+    out->clear();
     double acc = 0.0;
-    for (int mag = 1; mag <= maxStepError(); ++mag) {
+    auto add = [&](double log_p, int step_error, bool middle) {
+        acc += std::exp(log_p);
+        out->push_back({acc, {step_error, middle}});
+    };
+    // Out-of-step outcomes from most likely outward. Without STS the
+    // pinned share excludes the flat-region mass STS would otherwise
+    // fold in, and the flat-region (stop-in-middle) floors follow.
+    const int kmax = maxStepError();
+    for (int mag = 1; mag <= kmax; ++mag) {
         for (int sign : {+1, -1}) {
-            double p =
-                std::exp(logProbStepRaw(distance, sign * mag));
-            acc += p;
-            if (u < acc) {
-                out.step_error = sign * mag;
-                return out;
-            }
+            const int k = sign * mag;
+            add(sts_enabled ? logProbStep(distance, k)
+                            : logProbStepRaw(distance, k),
+                k, false);
         }
     }
-    for (int floor_k = -maxStepError(); floor_k < maxStepError();
-         ++floor_k) {
-        double p = std::exp(logProbStopInMiddle(distance, floor_k));
-        acc += p;
-        if (u < acc) {
-            out.step_error = floor_k;
-            out.stop_in_middle = true;
-            return out;
-        }
+    if (sts_enabled)
+        return;
+    for (int floor_k = -kmax; floor_k < kmax; ++floor_k)
+        add(logProbStopInMiddle(distance, floor_k), floor_k, true);
+}
+
+ShiftOutcome
+PositionErrorModel::pickOutcome(
+    const std::vector<CumulativeOutcome> &list, double u)
+{
+    for (const CumulativeOutcome &e : list) {
+        if (u < e.acc)
+            return e.outcome;
     }
-    return out;
+    return ShiftOutcome{};
 }
 
 PaperCalibratedErrorModel::PaperCalibratedErrorModel(
@@ -266,13 +270,18 @@ ScaledErrorModel::ScaledErrorModel(
         rtm_fatal("ScaledErrorModel: null base model");
     if (!(factor > 0.0))
         rtm_fatal("ScaledErrorModel: factor must be positive");
+    for (int sts = 0; sts < 2; ++sts) {
+        outcomes_[sts].resize(kTabulatedDistance);
+        for (int d = 1; d <= kTabulatedDistance; ++d)
+            outcomeList(d, sts != 0, &outcomes_[sts][d - 1]);
+    }
 }
 
 double
 ScaledErrorModel::logProbStep(int distance, int step_error) const
 {
     double lp = base_->logProbStep(distance, step_error) + log_factor_;
-    return std::min(lp, std::log(0.5));
+    return std::min(lp, kLogHalf);
 }
 
 double
@@ -281,7 +290,7 @@ ScaledErrorModel::logProbStopInMiddle(int distance,
 {
     double lp = base_->logProbStopInMiddle(distance, interval_floor) +
                 log_factor_;
-    return std::min(lp, std::log(0.5));
+    return std::min(lp, kLogHalf);
 }
 
 double
@@ -289,13 +298,23 @@ ScaledErrorModel::logProbStepRaw(int distance, int step_error) const
 {
     double lp = base_->logProbStepRaw(distance, step_error) +
                 log_factor_;
-    return std::min(lp, std::log(0.5));
+    return std::min(lp, kLogHalf);
 }
 
 int
 ScaledErrorModel::maxStepError() const
 {
     return base_->maxStepError();
+}
+
+ShiftOutcome
+ScaledErrorModel::sample(Rng &rng, int distance, bool sts_enabled)
+    const
+{
+    if (distance < 1 || distance > kTabulatedDistance)
+        return PositionErrorModel::sample(rng, distance, sts_enabled);
+    return pickOutcome(outcomes_[sts_enabled ? 1 : 0][distance - 1],
+                       rng.uniform());
 }
 
 ScriptedErrorModel::ScriptedErrorModel(std::vector<ShiftOutcome> script)

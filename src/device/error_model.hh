@@ -100,12 +100,45 @@ class PositionErrorModel
      */
     double logProbAtLeast(int distance, int magnitude) const;
 
-    /** Sample one outcome for an N-step shift. */
+    /**
+     * Sample one outcome for an N-step shift: one rng.uniform() draw
+     * walked against outcomeList(). Models with a precomputed list
+     * (ScaledErrorModel) walk that instead, with identical results.
+     */
     virtual ShiftOutcome sample(Rng &rng, int distance,
                                 bool sts_enabled) const;
 
     /** Largest |k| this model assigns non-negligible probability. */
     virtual int maxStepError() const { return 4; }
+
+  protected:
+    /**
+     * One entry of a cumulative outcome list: a uniform draw u
+     * selects the outcome of the first entry whose running
+     * probability sum exceeds it.
+     */
+    struct CumulativeOutcome
+    {
+        double acc = 0.0;     //!< running sum of outcome probabilities
+        ShiftOutcome outcome; //!< outcome selected by this entry
+    };
+
+    /**
+     * Fill `out` with the cumulative outcome list of an N-step
+     * shift: out-of-step +1, -1, +2, -2, ... up to maxStepError()
+     * and, without STS, the stop-in-middle floors from
+     * -maxStepError() upward, each entry holding the running sum of
+     * exp(log-probability) in exactly that order. The order and the
+     * additions are what make every tabulated sample bit-identical
+     * to one built on the fly.
+     */
+    void outcomeList(int distance, bool sts_enabled,
+                     std::vector<CumulativeOutcome> *out) const;
+
+    /** The outcome draw `u` selects from a cumulative list (success
+     *  when it falls past the last entry). */
+    static ShiftOutcome
+    pickOutcome(const std::vector<CumulativeOutcome> &list, double u);
 };
 
 /**
@@ -154,10 +187,23 @@ class ZeroErrorModel : public PositionErrorModel
 /**
  * Wrapper that scales another model's error rates by a constant factor
  * (used by ablation benches and accelerated fault-injection tests).
+ *
+ * Every fault drill injects through this wrapper, so it tabulates its
+ * cumulative outcome lists once at construction: sample() is then one
+ * uniform draw and a short compare walk instead of ~24 libm calls.
  */
-class ScaledErrorModel : public PositionErrorModel
+class ScaledErrorModel final : public PositionErrorModel
 {
   public:
+    /**
+     * Longest shift whose outcome lists are tabulated: the largest
+     * distance the fault drills request (the del-ins-k readout's
+     * return shift on 8-domain segments reaches 15; the campaign
+     * and positional stress drills stay within Lseg - 1 = 7).
+     * Longer shifts build their list on the fly.
+     */
+    static constexpr int kTabulatedDistance = 15;
+
     ScaledErrorModel(std::shared_ptr<const PositionErrorModel> base,
                      double factor);
 
@@ -167,10 +213,14 @@ class ScaledErrorModel : public PositionErrorModel
     double logProbStepRaw(int distance,
                           int step_error) const override;
     int maxStepError() const override;
+    ShiftOutcome sample(Rng &rng, int distance,
+                        bool sts_enabled) const override;
 
   private:
     std::shared_ptr<const PositionErrorModel> base_;
     double log_factor_;
+    /** outcomes_[sts][d - 1]: outcome list of a d-step shift. */
+    std::vector<std::vector<CumulativeOutcome>> outcomes_[2];
 };
 
 /**

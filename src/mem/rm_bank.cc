@@ -323,13 +323,6 @@ RmBank::groupOf(uint64_t frame) const
     return frame / static_cast<uint64_t>(config_.frames_per_group);
 }
 
-int
-RmBank::indexInGroup(uint64_t frame) const
-{
-    return static_cast<int>(
-        frame % static_cast<uint64_t>(config_.frames_per_group));
-}
-
 Joules
 RmBank::shiftOpEnergy(int steps) const
 {

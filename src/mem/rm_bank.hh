@@ -152,9 +152,10 @@ struct RmBankConfig
      * construction) instead of replanning and refolding reliability
      * on every access. Results are bit-identical either way — the
      * memo is an exact cache keyed on everything the plan depends on
-     * — so this switch exists to bypass the memo where callers want
-     * the planner exercised live (fault campaigns that perturb bank
-     * state, golden cross-checks, baseline benchmarking).
+     * (distance, interval bucket, protection domain; never head,
+     * placement or degradation state) — so this switch exists only
+     * to exercise the planner live (golden cross-checks, the frozen
+     * reference simulator, baseline benchmarking).
      */
     bool use_plan_memo = true;
 
@@ -285,8 +286,9 @@ class RmBank
 
     /**
      * Rebuild the shift-plan memo from the current planner/scheme
-     * state. The bank's configuration is immutable today, so this
-     * only needs calling if that ever changes; construction calls it
+     * state. The memo depends on configuration only — head moves,
+     * migrations and group retirement leave it valid — and the
+     * configuration is immutable today, so construction calls this
      * once.
      */
     void invalidatePlanMemo();
@@ -395,7 +397,6 @@ class RmBank
     LatencyHistogram *t_shift_latency_ = nullptr;
 
     uint64_t groupOf(uint64_t frame) const;
-    int indexInGroup(uint64_t frame) const;
 
     /** Reliability model of protection domain `dom`. */
     const ReliabilityModel &domainModel(int dom) const

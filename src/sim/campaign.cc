@@ -129,14 +129,14 @@ runFaultDrill(const ScenarioSpec &spec,
 
     // Bank degradation drill: the same scaled model drives an RmBank
     // with injected DUE reports; the bank must degrade gracefully and
-    // keep its per-group ledger consistent.
+    // keep its per-group ledger consistent. Retiring and remapping
+    // groups changes which group serves a frame, never what a shift
+    // plan costs (the memo key is distance, interval bucket and
+    // protection domain), so the drill is served from the plan memo.
     RmBankConfig bank_config;
     bank_config.line_frames = config.bank_frames;
     bank_config.scheme = Scheme::PeccSAdaptive;
     bank_config.group_retry_budget = config.group_retry_budget;
-    // Fault scenarios perturb bank state mid-run; exercise the live
-    // planner rather than the steady-state plan memo.
-    bank_config.use_plan_memo = false;
     bank_config.telemetry = telemetry;
     TechParams tech = l3For(MemTech::Racetrack);
     RmBank bank(bank_config, scaled.get(), tech);

@@ -642,7 +642,31 @@ runStressDrill(const StressSpec &spec, TelemetryScope telemetry,
                                           powerOfTwoEdges(64.0))
                   : nullptr;
 
+    // The analytic expectation of an op depends on its seek distance
+    // alone, so exponentiate each distance's fold once; an op adds
+    // its table entry. Both the target and the believed index lie in
+    // [0, lseg), so every distance is in [1, lseg - 1]. The
+    // OverheadRegion variant decomposes into 1-step shifts.
     const int lseg = spec.lseg;
+    struct Expectation
+    {
+        double corrected = 0.0;
+        double due = 0.0;
+        double sdc = 0.0;
+    };
+    std::vector<Expectation> expectation(static_cast<size_t>(lseg));
+    for (int d = 1; d < lseg; ++d) {
+        std::vector<int> parts =
+            cfg.variant == PeccVariant::OverheadRegion
+                ? std::vector<int>(static_cast<size_t>(d), 1)
+                : std::vector<int>{d};
+        ShiftReliability r = analytic.sequence(parts);
+        Expectation &e = expectation[static_cast<size_t>(d)];
+        e.corrected = std::exp(r.log_corrected);
+        e.due = std::exp(r.log_due);
+        e.sdc = std::exp(r.log_sdc);
+    }
+
     for (uint64_t i = 0; i < spec.ops; ++i) {
         if (stop && (i & 255) == 0 && stop->poll())
             return out;
@@ -654,16 +678,11 @@ runStressDrill(const StressSpec &spec, TelemetryScope telemetry,
             continue;
         out.distances.add(distance);
 
-        // Accumulate the analytic expectation for this op. The
-        // OverheadRegion variant decomposes into 1-step shifts.
-        std::vector<int> parts =
-            cfg.variant == PeccVariant::OverheadRegion
-                ? std::vector<int>(static_cast<size_t>(distance), 1)
-                : std::vector<int>{distance};
-        ShiftReliability r = analytic.sequence(parts);
-        out.exp_corrected += std::exp(r.log_corrected);
-        out.exp_due += std::exp(r.log_due);
-        out.exp_sdc += std::exp(r.log_sdc);
+        const Expectation &e =
+            expectation[static_cast<size_t>(distance)];
+        out.exp_corrected += e.corrected;
+        out.exp_due += e.due;
+        out.exp_sdc += e.sdc;
 
         // The del/ins scheme is exercised by what it actually
         // protects: a whole-stripe streaming readout (which also

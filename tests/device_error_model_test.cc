@@ -10,6 +10,7 @@
 #include <memory>
 
 #include "device/error_model.hh"
+#include "device/fault_scenario.hh"
 
 namespace rtm
 {
@@ -160,6 +161,152 @@ TEST(ScaledModel, CapsAtHalf)
     auto base = std::make_shared<PaperCalibratedErrorModel>();
     ScaledErrorModel m(base, 1e9);
     EXPECT_LE(std::exp(m.logProbStep(7, 1)), 0.5 + 1e-12);
+}
+
+/**
+ * The outcome walk sample() performed before outcome lists were
+ * tabulated: one uniform draw, then a running sum of exp(log-prob)
+ * over +/-1, +/-2, ... and, without STS, the stop-in-middle floors.
+ */
+ShiftOutcome
+referenceWalk(const PositionErrorModel &m, Rng &rng, int distance,
+              bool sts_enabled)
+{
+    ShiftOutcome out;
+    double u = rng.uniform();
+    double acc = 0.0;
+    for (int mag = 1; mag <= m.maxStepError(); ++mag) {
+        for (int sign : {+1, -1}) {
+            double lp = sts_enabled
+                            ? m.logProbStep(distance, sign * mag)
+                            : m.logProbStepRaw(distance, sign * mag);
+            acc += std::exp(lp);
+            if (u < acc) {
+                out.step_error = sign * mag;
+                return out;
+            }
+        }
+    }
+    if (sts_enabled)
+        return out;
+    for (int floor_k = -m.maxStepError(); floor_k < m.maxStepError();
+         ++floor_k) {
+        acc += std::exp(m.logProbStopInMiddle(distance, floor_k));
+        if (u < acc) {
+            out.step_error = floor_k;
+            out.stop_in_middle = true;
+            return out;
+        }
+    }
+    return out;
+}
+
+/** Forwards every rate to `inner` but samples by referenceWalk. */
+class ReferenceWalkModel : public PositionErrorModel
+{
+  public:
+    explicit ReferenceWalkModel(
+        std::shared_ptr<const PositionErrorModel> inner)
+        : inner_(std::move(inner))
+    {
+    }
+    double logProbStep(int d, int k) const override
+    {
+        return inner_->logProbStep(d, k);
+    }
+    double logProbStopInMiddle(int d, int k) const override
+    {
+        return inner_->logProbStopInMiddle(d, k);
+    }
+    double logProbStepRaw(int d, int k) const override
+    {
+        return inner_->logProbStepRaw(d, k);
+    }
+    int maxStepError() const override
+    {
+        return inner_->maxStepError();
+    }
+    ShiftOutcome sample(Rng &rng, int d, bool sts) const override
+    {
+        return referenceWalk(*inner_, rng, d, sts);
+    }
+
+  private:
+    std::shared_ptr<const PositionErrorModel> inner_;
+};
+
+TEST(ErrorModel, TabulatedSampleMatchesReferenceWalk)
+{
+    // Distances past kTabulatedDistance take the on-the-fly list.
+    const int max_distance = ScaledErrorModel::kTabulatedDistance + 4;
+    auto base = std::make_shared<PaperCalibratedErrorModel>();
+    for (double factor : {1.0, 50.0, 2000.0, 1e6}) {
+        ScaledErrorModel m(base, factor);
+        for (bool sts : {true, false}) {
+            Rng tab(0x5eed), ref(0x5eed);
+            uint64_t errors = 0;
+            for (int i = 0; i < 100000; ++i) {
+                const int d = 1 + i % max_distance;
+                ShiftOutcome a = m.sample(tab, d, sts);
+                ShiftOutcome b = referenceWalk(m, ref, d, sts);
+                ASSERT_EQ(a.step_error, b.step_error)
+                    << "factor " << factor << " sts " << sts
+                    << " draw " << i;
+                ASSERT_EQ(a.stop_in_middle, b.stop_in_middle)
+                    << "factor " << factor << " sts " << sts
+                    << " draw " << i;
+                errors += a.ok() ? 0 : 1;
+            }
+            // One uniform per sample on both paths.
+            EXPECT_EQ(tab.next(), ref.next());
+            if (factor > 1.0) {
+                EXPECT_GT(errors, 0u) << "factor " << factor;
+            }
+        }
+    }
+    // The largest factor saturates every rate at the 0.5 clamp.
+    ScaledErrorModel clamped(base, 1e6);
+    EXPECT_EQ(clamped.logProbStep(1, 1), std::log(0.5));
+    EXPECT_EQ(clamped.logProbStepRaw(1, -1), std::log(0.5));
+    EXPECT_EQ(clamped.logProbStopInMiddle(1, 0), std::log(0.5));
+}
+
+TEST(ErrorModel, ScenarioLedgersMatchReferenceWalk)
+{
+    // Every standard regime over the same timeline of shift
+    // requests, once on the tabulated model and once on a model
+    // sampling by the reference walk: identical outcomes, ledgers
+    // and rng streams. (The burst and skew wrappers rescale their
+    // base through a ScaledErrorModel on both sides; the test above
+    // pins that model's tables.)
+    const int max_distance = ScaledErrorModel::kTabulatedDistance + 4;
+    auto scaled = std::make_shared<ScaledErrorModel>(
+        std::make_shared<PaperCalibratedErrorModel>(), 2000.0);
+    auto reference = std::make_shared<ReferenceWalkModel>(scaled);
+    for (const ScenarioSpec &spec : standardScenarios()) {
+        auto tab = makeScenario(spec, scaled);
+        auto ref = makeScenario(spec, reference);
+        Rng timeline(99), rng_tab(7), rng_ref(7);
+        for (int i = 0; i < 20000; ++i) {
+            const int d = 1 + static_cast<int>(timeline.uniformInt(
+                                  static_cast<uint64_t>(max_distance)));
+            const bool sts = timeline.bernoulli(0.75);
+            ShiftOutcome a = tab->sample(rng_tab, d, sts);
+            ShiftOutcome b = ref->sample(rng_ref, d, sts);
+            ASSERT_EQ(a.step_error, b.step_error)
+                << spec.name << " shift " << i;
+            ASSERT_EQ(a.stop_in_middle, b.stop_in_middle)
+                << spec.name << " shift " << i;
+        }
+        EXPECT_EQ(rng_tab.next(), rng_ref.next()) << spec.name;
+        const InjectionLedger &lt = tab->ledger();
+        const InjectionLedger &lr = ref->ledger();
+        EXPECT_EQ(lt.samples, lr.samples) << spec.name;
+        EXPECT_EQ(lt.injected, lr.injected) << spec.name;
+        EXPECT_EQ(lt.step_errors, lr.step_errors) << spec.name;
+        EXPECT_EQ(lt.stop_in_middle, lr.stop_in_middle) << spec.name;
+        EXPECT_GT(lt.injected, 0u) << spec.name;
+    }
 }
 
 TEST(ScriptedModel, PlaysScriptThenSucceeds)

@@ -182,6 +182,68 @@ TEST(GoldenRmBank, MemoMatchesLivePlanning)
     }
 }
 
+TEST(GoldenRmBank, MemoMatchesLivePlanningUnderDegradation)
+{
+    // The campaign's bank drill: accelerated rates, injected DUE
+    // reports retiring groups and remapping their frames mid-run.
+    // The memo key (distance, interval bucket, protection domain)
+    // never reads degradation state, so the memo must still match
+    // live planning access for access.
+    auto base = std::make_shared<PaperCalibratedErrorModel>();
+    ScaledErrorModel model(base, 2000.0);
+    TechParams tech = l3For(MemTech::Racetrack);
+    RmBankConfig cfg;
+    cfg.line_frames = 1024;
+    cfg.scheme = Scheme::PeccSAdaptive;
+    cfg.group_retry_budget = 2;
+    RmBankConfig live_cfg = cfg;
+    live_cfg.use_plan_memo = false;
+
+    RmBank memo(cfg, &model, tech);
+    RmBank live(live_cfg, &model, tech);
+    Rng rng(31337);
+    Cycles now = 0;
+    for (int i = 0; i < 3000; ++i) {
+        uint64_t frame = rng.uniformInt(cfg.line_frames);
+        ShiftCost a = memo.accessFrame(frame, now);
+        ShiftCost b = live.accessFrame(frame, now);
+        ASSERT_EQ(a.latency, b.latency) << "access " << i;
+        ASSERT_EQ(a.stall, b.stall) << "access " << i;
+        ASSERT_EQ(a.energy, b.energy) << "access " << i;
+        ASSERT_EQ(a.total_steps, b.total_steps) << "access " << i;
+        ASSERT_EQ(a.sub_shifts, b.sub_shifts) << "access " << i;
+        now += a.latency + 4;
+        if (rng.bernoulli(0.01)) {
+            ASSERT_EQ(memo.reportUnrecoverable(frame),
+                      live.reportUnrecoverable(frame))
+                << "access " << i;
+        }
+    }
+    const RmBankStats &ms = memo.stats();
+    const RmBankStats &ls = live.stats();
+    EXPECT_EQ(ms.accesses, ls.accesses);
+    EXPECT_EQ(ms.shift_ops, ls.shift_ops);
+    EXPECT_EQ(ms.shift_steps, ls.shift_steps);
+    EXPECT_EQ(ms.shift_cycles, ls.shift_cycles);
+    EXPECT_EQ(ms.shift_energy, ls.shift_energy);
+    EXPECT_EQ(ms.reliability.expectedSdc(),
+              ls.reliability.expectedSdc());
+    EXPECT_EQ(ms.reliability.expectedDue(),
+              ls.reliability.expectedDue());
+    EXPECT_EQ(ms.due_reports, ls.due_reports);
+    EXPECT_EQ(ms.degraded_groups, ls.degraded_groups);
+    EXPECT_EQ(ms.remapped_accesses, ls.remapped_accesses);
+    EXPECT_EQ(memo.degradedCapacityFraction(),
+              live.degradedCapacityFraction());
+    // The drill must actually have degraded, or it proves nothing.
+    EXPECT_GT(ms.degraded_groups, 0u);
+    EXPECT_GT(ms.remapped_accesses, 0u);
+    EXPECT_GT(ms.plan_memo_hits, 0u);
+    EXPECT_EQ(ls.plan_memo_hits, 0u);
+    EXPECT_EQ(memo.ledgerViolation(), "");
+    EXPECT_EQ(live.ledgerViolation(), "");
+}
+
 // --- 2. end-to-end equivalence ---------------------------------------
 
 void
@@ -587,6 +649,76 @@ TEST(GoldenSim, FastTierDigestMatchesPinAcrossThreadCounts)
                   "into tests/sim_golden_test.cc and re-run";
     }
     EXPECT_EQ(serial, kGoldenFastMcHash);
+}
+
+// --- 5. fault-drill pins ---------------------------------------------
+
+/**
+ * The fault drills (campaign cells with their bank degradation
+ * drill, and the stripe stress drill) sample injected shift outcomes
+ * and fold analytic expectations; every table they are served from
+ * must reproduce the live computation bit for bit. Two specs freeze
+ * them: the standard campaign on two workloads plus a del-ins-k
+ * stress drill, and a secded stress drill. Regenerate with
+ * RTM_UPDATE_GOLDEN=1 after an intentional change to the drills.
+ */
+const char *const kGoldenFaultDrillHashes[] = {
+    "70af62c1f096a8aa271707bb70b8f9c7da8edef162e7fb1a8ab6e4a682728632", // golden-fault-drill
+    "6b13154edbf953f26836b1614b04b59a1ae1020fb45e21035339c1dc9c157b13", // golden-secded-stress
+};
+
+std::vector<ExperimentSpec>
+faultDrillSpecs()
+{
+    ExperimentSpec campaign;
+    campaign.name = "golden-fault-drill";
+    campaign.matrix.enabled = false;
+    campaign.campaign.enabled = true;
+    campaign.campaign.config.accesses_per_cell = 1500;
+    campaign.campaign.config.seed = 4242;
+    campaign.campaign.workloads = {"swaptions", "canneal"};
+    campaign.stress.enabled = true;
+    campaign.stress.scheme = "del-ins-k";
+    campaign.stress.scale = 50.0;
+    campaign.stress.ops = 3000;
+    campaign.stress.seed = 42;
+
+    ExperimentSpec secded;
+    secded.name = "golden-secded-stress";
+    secded.matrix.enabled = false;
+    secded.stress.enabled = true;
+    secded.stress.scheme = "secded";
+    secded.stress.scale = 500.0;
+    secded.stress.ops = 20000;
+    secded.stress.seed = 3;
+    return {campaign, secded};
+}
+
+TEST(GoldenCampaign, FaultDrillDigestsPinned)
+{
+    const std::vector<ExperimentSpec> specs = faultDrillSpecs();
+    std::vector<std::string> digests;
+    for (const ExperimentSpec &spec : specs) {
+        ExperimentResult res = runExperiment(spec);
+        ASSERT_TRUE(res.complete()) << spec.name;
+        ASSERT_TRUE(res.has_stress) << spec.name;
+        ASSERT_EQ(res.has_campaign, spec.campaign.enabled)
+            << spec.name;
+        digests.push_back(experimentResultDigest(res));
+    }
+
+    if (std::getenv("RTM_UPDATE_GOLDEN")) {
+        printf("const char *const kGoldenFaultDrillHashes[] = {\n");
+        for (size_t i = 0; i < digests.size(); ++i)
+            printf("    \"%s\", // %s\n", digests[i].c_str(),
+                   specs[i].name.c_str());
+        printf("};\n");
+        FAIL() << "RTM_UPDATE_GOLDEN set: paste the printed pins "
+                  "into tests/sim_golden_test.cc and re-run";
+    }
+    for (size_t i = 0; i < digests.size(); ++i)
+        EXPECT_EQ(digests[i], kGoldenFaultDrillHashes[i])
+            << specs[i].name;
 }
 
 } // namespace

@@ -48,6 +48,10 @@ CyclicCode::CyclicCode(int window_bits)
     if (window_bits < 1 || window_bits > 16)
         rtm_fatal("CyclicCode window must be in [1,16], got %d",
                   window_bits);
+    // bitAt, decode and the layout's expected phases reduce by the
+    // period with a mask, which needs T to be a power of two.
+    if ((period_ & (period_ - 1)) != 0)
+        rtm_panic("period %d is not a power of two", period_);
     sequence_ = deBruijn(window_bits);
     if (static_cast<int>(sequence_.size()) != period_)
         rtm_panic("de Bruijn length %zu != period %d",
@@ -69,9 +73,8 @@ CyclicCode::CyclicCode(int window_bits)
 Bit
 CyclicCode::bitAt(int64_t index) const
 {
-    int64_t m = index % period_;
-    if (m < 0)
-        m += period_;
+    // T = 2^w, so the mask is the non-negative residue of any index.
+    const int64_t m = index & static_cast<int64_t>(period_ - 1);
     return sequence_[static_cast<size_t>(m)] ? Bit::One : Bit::Zero;
 }
 
@@ -80,16 +83,16 @@ CyclicCode::phaseOf(const std::vector<Bit> &window_bits) const
 {
     if (static_cast<int>(window_bits.size()) != window_)
         return -1;
-    int value = 0;
+    uint32_t value = 0;
     for (Bit b : window_bits) {
         // Only defined domains decode; X (freshly injected or
         // misaligned) and any out-of-range raw lane value make the
         // whole window unreadable rather than aliasing to a phase.
         if (b != Bit::Zero && b != Bit::One)
             return -1;
-        value = (value << 1) | (b == Bit::One ? 1 : 0);
+        value = (value << 1) | static_cast<uint32_t>(b);
     }
-    return phase_lookup_[static_cast<size_t>(value)];
+    return phaseOfValue(value);
 }
 
 DecodeResult
@@ -113,8 +116,10 @@ CyclicCode::decode(int observed, int expected,
     // The window phase equals (base - offset_true) mod T while the
     // expectation uses the believed offset, so the residue recovers
     // e = offset_true - offset_believed as (expected - observed).
-    int t = period_;
-    int diff = ((expected - observed) % t + t) % t;
+    // T = 2^w (asserted at construction), so masking with T - 1 is
+    // the non-negative residue of any int difference.
+    const int t = period_;
+    const int diff = (expected - observed) & (t - 1);
     if (diff == 0)
         return res; // ok
     res.detected = true;

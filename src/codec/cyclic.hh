@@ -66,9 +66,19 @@ class CyclicCode
     /**
      * Phase of a window of w bits (the code index of its first bit,
      * modulo the period). Returns -1 if any bit is undefined or the
-     * window length mismatches.
+     * window length mismatches. Off the hot path: the stripe packs
+     * its window straight into an integer (phaseOfValue).
      */
     int phaseOf(const std::vector<Bit> &window_bits) const;
+
+    /**
+     * Phase of a window packed first-bit-most-significant into an
+     * integer in [0, period).
+     */
+    int phaseOfValue(uint32_t value) const
+    {
+        return phase_lookup_[value];
+    }
 
     /**
      * Decode an observed window phase against the expected phase.

@@ -96,17 +96,24 @@ DelInsCode::encode(const std::vector<Bit> &payload) const
     return out;
 }
 
-std::vector<Bit>
-DelInsCode::extractTrackData(const std::vector<Bit> &track) const
+void
+DelInsCode::appendTrackData(const std::vector<Bit> &track,
+                            std::vector<Bit> *out) const
 {
     if (static_cast<int>(track.size()) != len_)
         rtm_fatal("del-ins track must be %d bits, got %zu", len_,
                   track.size());
-    std::vector<Bit> data;
-    data.reserve(dataBitsPerTrack());
     for (int p = 0; p < len_; ++p)
         if (!is_check_[p])
-            data.push_back(track[p]);
+            out->push_back(track[p]);
+}
+
+std::vector<Bit>
+DelInsCode::extractTrackData(const std::vector<Bit> &track) const
+{
+    std::vector<Bit> data;
+    data.reserve(dataBitsPerTrack());
+    appendTrackData(track, &data);
     return data;
 }
 
@@ -115,12 +122,18 @@ DelInsCode::extractPayload(
     const std::vector<std::vector<Bit>> &tracks) const
 {
     std::vector<Bit> payload;
-    payload.reserve(payloadBits());
-    for (const auto &track : tracks) {
-        auto data = extractTrackData(track);
-        payload.insert(payload.end(), data.begin(), data.end());
-    }
+    extractPayload(tracks, &payload);
     return payload;
+}
+
+void
+DelInsCode::extractPayload(const std::vector<std::vector<Bit>> &tracks,
+                           std::vector<Bit> *out) const
+{
+    out->clear();
+    out->reserve(payloadBits());
+    for (const auto &track : tracks)
+        appendTrackData(track, out);
 }
 
 bool
@@ -186,8 +199,10 @@ DelInsCode::tryCandidate(
     // hypothesis. Re-read positions must agree; reads that land
     // outside the tracks must have seen an undefined domain, and data
     // positions must never read as undefined.
-    std::vector<std::vector<Bit>> recon(
-        tracks_, std::vector<Bit>(len_, Bit::X));
+    std::vector<std::vector<Bit>> &recon = *out;
+    recon.resize(tracks_);
+    for (auto &track : recon)
+        track.assign(len_, Bit::X);
     for (int s = 0; s < tracks_; ++s)
         for (int t = 0; t < n; ++t) {
             const int o = t + (t >= burst_time ? delta : 0);
@@ -243,11 +258,15 @@ DelInsCode::tryCandidate(
     }
 
     // Verification pass: the reconstruction must re-predict the
-    // observed streams bit for bit under the same hypothesis. This is
-    // what rules out silent acceptance of a wrong candidate.
-    if (referenceStreams(recon, burst_time, delta) != streams)
-        return false;
-    *out = std::move(recon);
+    // observed streams bit for bit under the same hypothesis (the
+    // referenceStreams comparison, read for read). This is what
+    // rules out silent acceptance of a wrong candidate.
+    for (int s = 0; s < tracks_; ++s)
+        for (int t = 0; t < n; ++t) {
+            const int o = t + (t >= burst_time ? delta : 0);
+            if (predictedRead(recon, s, o) != streams[s][t])
+                return false;
+        }
     return true;
 }
 
@@ -256,14 +275,27 @@ DelInsCode::decode(
     const std::vector<std::vector<Bit>> &streams) const
 {
     Result res;
-    res.status.detected = true; // until proven decodable
+    std::vector<std::vector<Bit>> scratch;
+    decode(streams, &res, &scratch);
+    if (!res.status.ok() && !res.status.correctable)
+        res.tracks.clear();
+    return res;
+}
+
+void
+DelInsCode::decode(const std::vector<std::vector<Bit>> &streams,
+                   Result *res,
+                   std::vector<std::vector<Bit>> *scratch) const
+{
+    res->status = DecodeResult{};
+    res->status.detected = true; // until proven decodable
     const int n = readoutReads();
     if (static_cast<int>(streams.size()) != tracks_)
-        return res;
+        return;
     for (const auto &stream : streams)
         if (static_cast<int>(stream.size()) != n)
-            return res;
-    res.status.valid = true;
+            return;
+    res->status.valid = true;
 
     // The net offset is read off the trailing undefined run of head
     // 0: its track is exhausted after L - delta reads, so the run has
@@ -274,33 +306,33 @@ DelInsCode::decode(
         ++trailing;
     const int delta = trailing - flushReads();
     if (delta < -k_ || delta > k_)
-        return res; // beyond the claimed radius: uncorrectable
+        return; // beyond the claimed radius: uncorrectable
 
-    // Enumerate when the burst could have struck; distinct surviving
-    // reconstructions mean ambiguity, reported as uncorrectable
-    // rather than resolved by guessing.
-    std::vector<std::vector<std::vector<Bit>>> accepted;
-    std::vector<std::vector<Bit>> candidate;
+    // Enumerate when the burst could have struck. The first
+    // surviving reconstruction lands in res->tracks, later ones in
+    // the scratch buffer; a distinct second one means ambiguity,
+    // reported as uncorrectable rather than resolved by guessing.
+    bool found = false;
     const int last_time = delta == 0 ? 0 : n - 1;
     for (int burst_time = 0; burst_time <= last_time; ++burst_time) {
-        if (!tryCandidate(streams, burst_time, delta, &candidate))
+        if (!tryCandidate(streams, burst_time, delta,
+                          found ? scratch : &res->tracks))
             continue;
-        if (std::find(accepted.begin(), accepted.end(), candidate) ==
-            accepted.end())
-            accepted.push_back(candidate);
+        if (!found)
+            found = true;
+        else if (*scratch != res->tracks)
+            return;
     }
-    if (accepted.size() != 1)
-        return res;
+    if (!found)
+        return;
 
-    res.tracks = std::move(accepted.front());
-    res.status.step_error = delta;
+    res->status.step_error = delta;
     if (delta == 0) {
-        res.status.detected = false;
+        res->status.detected = false;
     } else {
-        res.status.detected = true;
-        res.status.correctable = true;
+        res->status.detected = true;
+        res->status.correctable = true;
     }
-    return res;
 }
 
 } // namespace rtm

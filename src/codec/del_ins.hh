@@ -111,6 +111,10 @@ class DelInsCode
     std::vector<Bit>
     extractPayload(const std::vector<std::vector<Bit>> &tracks) const;
 
+    /** extractPayload into `out`, reusing its storage. */
+    void extractPayload(const std::vector<std::vector<Bit>> &tracks,
+                        std::vector<Bit> *out) const;
+
     /** True if every interleave class of `track` has syndrome 0. */
     bool trackSyndromesOk(const std::vector<Bit> &track) const;
 
@@ -140,6 +144,16 @@ class DelInsCode
         const std::vector<std::vector<Bit>> &streams) const;
 
     /**
+     * decode(streams) into `res`, reusing the storage of res->tracks
+     * and of `scratch` (a second candidate buffer) across calls.
+     * res->tracks is unspecified unless the status is ok or
+     * correctable.
+     */
+    void decode(const std::vector<std::vector<Bit>> &streams,
+                Result *res,
+                std::vector<std::vector<Bit>> *scratch) const;
+
+    /**
      * Reference readout: the streams a fault-free readout of
      * `tracks` would observe if a single net offset burst of
      * `error` steps took effect from read index `burst_time` on
@@ -165,11 +179,16 @@ class DelInsCode
     std::vector<ClassInfo> classes_;      //!< one per residue mod k
     std::vector<uint8_t> is_check_;       //!< per track position
 
+    /** Append the data bits of one L-bit track to `out`. */
+    void appendTrackData(const std::vector<Bit> &track,
+                         std::vector<Bit> *out) const;
+
     /** Predicted read of head `s` at offset `o` from track array. */
     Bit predictedRead(const std::vector<std::vector<Bit>> &tracks,
                       int head, int offset) const;
 
-    /** Try one (burst_time, delta) candidate; true on success. */
+    /** Try one (burst_time, delta) candidate, reconstructing into
+     *  `out` (overwritten either way); true on success. */
     bool tryCandidate(const std::vector<std::vector<Bit>> &streams,
                       int burst_time, int delta,
                       std::vector<std::vector<Bit>> *out) const;

@@ -72,6 +72,15 @@ extraDomainsAtStrength(const PeccConfig &c, int m, int w)
     return 0;
 }
 
+/** Non-negative residue of `x` modulo the power-of-two `period`. */
+int
+phaseMod(int x, int period)
+{
+    if (period <= 0 || (period & (period - 1)) != 0)
+        rtm_panic("code period %d is not a power of two", period);
+    return x & (period - 1);
+}
+
 } // anonymous namespace
 
 int
@@ -208,8 +217,7 @@ PeccLayout::expectedPhase(int offset, int period) const
     } else {
         base = window_slots.front();
     }
-    int phase = (base - offset) % period;
-    return phase < 0 ? phase + period : phase;
+    return phaseMod(base - offset, period);
 }
 
 int
@@ -217,8 +225,7 @@ PeccLayout::expectedLeftPhase(int offset, int period) const
 {
     int base = left_window_slots.empty() ? 0
                                          : left_window_slots.front();
-    int phase = (base - offset) % period;
-    return phase < 0 ? phase + period : phase;
+    return phaseMod(base - offset, period);
 }
 
 std::vector<Port>

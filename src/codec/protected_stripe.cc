@@ -75,16 +75,21 @@ ProtectedStripe::readWindowPhase(bool left_window) const
     if (slots.empty())
         rtm_panic("this layout has no %s window",
                   left_window ? "left" : "right");
-    std::vector<Bit> bits;
-    bits.reserve(slots.size());
-    for (size_t i = 0; i < slots.size(); ++i) {
-        int port = left_window
-                       ? layout_.leftWindowPortIndex(
-                             static_cast<int>(i))
-                       : layout_.windowPortIndex(static_cast<int>(i));
-        bits.push_back(stripe_.read(port));
+    const int width = static_cast<int>(slots.size());
+    if (width != code_.window())
+        return -1;
+    // The window ports are consecutive in the port list; pack their
+    // bits first-port-most-significant, exactly as phaseOf does.
+    const int first = left_window ? layout_.leftWindowPortIndex(0)
+                                  : layout_.windowPortIndex(0);
+    uint32_t value = 0;
+    for (int i = 0; i < width; ++i) {
+        const Bit b = stripe_.read(first + i);
+        if (b != Bit::Zero && b != Bit::One)
+            return -1;
+        value = (value << 1) | static_cast<uint32_t>(b);
     }
-    return code_.phaseOf(bits);
+    return code_.phaseOfValue(value);
 }
 
 DecodeResult
@@ -340,9 +345,12 @@ ProtectedStripe::readoutNow(std::vector<Bit> *payload_out,
             stripe_.shift(-believed_offset_);
             believed_offset_ = 0;
         }
-        std::vector<std::vector<Bit>> streams(
-            static_cast<size_t>(tracks),
-            std::vector<Bit>(static_cast<size_t>(n), Bit::X));
+        // Every (track, read) cell is written below, so the reused
+        // buffers only need the right shape.
+        std::vector<std::vector<Bit>> &streams = readout_streams_;
+        streams.resize(static_cast<size_t>(tracks));
+        for (auto &stream : streams)
+            stream.resize(static_cast<size_t>(n));
         for (int t = 0; t < n; ++t) {
             if (t > 0) {
                 stripe_.shift(1);
@@ -353,7 +361,8 @@ ProtectedStripe::readoutNow(std::vector<Bit> *payload_out,
                        [static_cast<size_t>(t)] =
                     stripe_.read(layout_.dataPortIndex(s));
         }
-        DelInsCode::Result dec = code.decode(streams);
+        DelInsCode::Result &dec = readout_decode_;
+        code.decode(streams, &dec, &readout_scratch_);
         if (dec.status.ok() || dec.status.correctable) {
             // Return home compensating the inferred net offset; the
             // believed offset re-synchronises to the decoded ground
@@ -369,7 +378,7 @@ ProtectedStripe::readoutNow(std::vector<Bit> *payload_out,
                 res.correction_shifts += std::abs(delta);
             }
             if (payload_out)
-                *payload_out = code.extractPayload(dec.tracks);
+                code.extractPayload(dec.tracks, payload_out);
             return res;
         }
         // Undecodable round (beyond-radius offset, conflicting or no

@@ -101,6 +101,13 @@ class ProtectedStripe
     bool writeAligned(int segment, Bit value);
 
     /**
+     * Code phase read through the right (or, for p-ECC-O, the left)
+     * window ports; -1 when any lane is not a defined 0/1 domain.
+     * Equal to code().phaseOf() of the bits those ports read.
+     */
+    int readWindowPhase(bool left_window) const;
+
+    /**
      * Run a p-ECC check without shifting (re-synchronisation probe).
      */
     DecodeResult checkNow() const;
@@ -133,12 +140,23 @@ class ProtectedStripe
      * shift the whole stripe under the data ports, decode the
      * deletion/insertion code, counter-shift home compensating the
      * inferred net offset, and (optionally) return the decoded
-     * payload. Undecodable readouts are retried up to
-     * `max_correction_rounds` before reporting unrecoverable.
+     * payload into `payload_out`, reusing its storage. Undecodable
+     * readouts are retried up to `max_correction_rounds` before
+     * reporting unrecoverable.
      */
     ProtectedShiftResult readoutNow(
         std::vector<Bit> *payload_out,
         int max_correction_rounds = kMaxCorrectionRounds);
+
+    /**
+     * DelIns variant only: the track codewords the last readoutNow
+     * decoded. Valid only when that readout did not end
+     * unrecoverable.
+     */
+    const std::vector<std::vector<Bit>> &decodedTracks() const
+    {
+        return readout_decode_.tracks;
+    }
 
     /**
      * DelIns variant only: encode a payload (delInsCode()->
@@ -176,8 +194,12 @@ class ProtectedStripe
     RacetrackStripe stripe_;
     int believed_offset_ = 0;
 
-    /** Read the (right/active) code window through the ports. */
-    int readWindowPhase(bool left_window) const;
+    /** DelIns readout buffers, reused across rounds and readouts:
+     *  the observed streams, the decode result and the decoder's
+     *  second candidate. */
+    std::vector<std::vector<Bit>> readout_streams_;
+    DelInsCode::Result readout_decode_;
+    std::vector<std::vector<Bit>> readout_scratch_;
 
     /** Decode the active window for the current believed offset. */
     DecodeResult decodeWindow(bool left_window) const;

@@ -347,13 +347,12 @@ ShiftController::delInsAccess(int segment, int index,
     // undecodable readout the same escalation ladder as the window
     // schemes runs (recoverNow dispatches to readout rounds for this
     // variant), then the readout is retried, boundedly.
-    std::vector<Bit> image;
     RecoveryRung recovered_by = RecoveryRung::None;
     int attempts = 0;
     for (;;) {
         const uint64_t steps_before = stripe_.stripe().stepsMoved();
         const uint64_t ops_before = stripe_.shiftOps();
-        ProtectedShiftResult r = stripe_.readoutNow(&image);
+        ProtectedShiftResult r = stripe_.readoutNow(nullptr);
         stats_.shift_ops += stripe_.shiftOps() - ops_before;
         const uint64_t steps =
             stripe_.stripe().stepsMoved() - steps_before;
@@ -396,6 +395,12 @@ ShiftController::delInsAccess(int segment, int index,
         }
     }
 
+    // The decoded track codewords, concatenated: the stripe's full
+    // data image (check bits included), indexed like its domains.
+    std::vector<Bit> &image = image_;
+    image.clear();
+    for (const std::vector<Bit> &track : stripe_.decodedTracks())
+        image.insert(image.end(), track.begin(), track.end());
     const int track_bit = segment * c.seg_len + index;
     if (write_value) {
         // Maintenance write: patch the decoded image, re-derive the

@@ -234,6 +234,10 @@ class ShiftController
     RecoveryConfig recovery_;
     ControllerStats stats_;
 
+    /** DelIns: decoded data image of the last readout (buffer
+     *  reused across accesses). */
+    std::vector<Bit> image_;
+
     /** Telemetry sink (null = disabled) and the timestamp of the
      *  in-flight seek, stamped on ladder events. */
     Telemetry *t_ = nullptr;

@@ -14,6 +14,8 @@ StsTiming::StsTiming(double clock_hz, double stage1_per_step,
 {
     if (clock_hz_ <= 0.0)
         rtm_fatal("clock frequency must be positive");
+    for (int n = 1; n <= kTabulatedSteps; ++n)
+        cycles_[static_cast<size_t>(n)] = formulaCycles(n);
 }
 
 Seconds
@@ -25,7 +27,7 @@ StsTiming::stage1Seconds(int steps) const
 }
 
 Cycles
-StsTiming::shiftCycles(int steps) const
+StsTiming::formulaCycles(int steps) const
 {
     // Stage 1 rounds up to whole cycles; stage 2 and the p-ECC check
     // are fixed-width tails (2 cycles and ceil(check) respectively).

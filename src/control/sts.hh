@@ -15,6 +15,9 @@
 #ifndef RTM_CONTROL_STS_HH
 #define RTM_CONTROL_STS_HH
 
+#include <array>
+#include <cstddef>
+
 #include "util/units.hh"
 
 namespace rtm
@@ -37,8 +40,17 @@ class StsTiming
                        double stage2_pulse = 1.0e-9,
                        double pecc_check = 0.0);
 
+    /** Shift distances whose cycle count is tabulated at
+     *  construction; longer shifts evaluate the formula directly. */
+    static constexpr int kTabulatedSteps = 64;
+
     /** Cycles for one N-step shift operation (N >= 1). */
-    Cycles shiftCycles(int steps) const;
+    Cycles shiftCycles(int steps) const
+    {
+        if (steps >= 1 && steps <= kTabulatedSteps)
+            return cycles_[static_cast<std::size_t>(steps)];
+        return formulaCycles(steps);
+    }
 
     /** Seconds for one N-step shift operation. */
     Seconds shiftSeconds(int steps) const;
@@ -57,6 +69,12 @@ class StsTiming
     double stage1_per_step_;
     double stage2_pulse_;
     double pecc_check_;
+
+    /** cycles_[n] = formulaCycles(n) for n in 1..kTabulatedSteps. */
+    std::array<Cycles, kTabulatedSteps + 1> cycles_{};
+
+    /** The shift-cycle formula the table is filled from. */
+    Cycles formulaCycles(int steps) const;
 };
 
 } // namespace rtm

@@ -102,8 +102,8 @@ PlacementPolicy::updateRest(uint64_t group)
     // Rest under the slot that served the most accesses this epoch;
     // ties toward the lower offset, and an idle group keeps its
     // previous prediction.
-    std::vector<uint64_t> per_offset(
-        static_cast<size_t>(geom_.seg_len), 0);
+    std::vector<uint64_t> &per_offset = offset_heat_;
+    per_offset.assign(static_cast<size_t>(geom_.seg_len), 0);
     for (uint64_t f = first; f < last; ++f)
         per_offset[static_cast<size_t>(slotOffset(f))] +=
             frame_count_[f];
@@ -330,8 +330,8 @@ class AdaptivePlacement : public TablePlacement
 
         // Target slot: the offset whose residents drew the most
         // accesses. Ties toward the lower offset for determinism.
-        std::vector<uint64_t> per_offset(
-            static_cast<size_t>(geom_.seg_len), 0);
+        std::vector<uint64_t> &per_offset = offset_heat_;
+        per_offset.assign(static_cast<size_t>(geom_.seg_len), 0);
         for (uint64_t f = first; f < last; ++f)
             per_offset[static_cast<size_t>(slot_[f])] += counts[f];
         int target = 0;
@@ -340,29 +340,39 @@ class AdaptivePlacement : public TablePlacement
                 per_offset[static_cast<size_t>(target)])
                 target = o;
 
-        // Hottest outside frames, coldest residents.
+        // Hottest outside frames, coldest residents. Only the first
+        // `pairs` of each ranking can swap, and (count, frame) is a
+        // strict total order, so a partial sort yields exactly the
+        // prefix a full sort would.
         const int cap = slotsPerOffset();
-        std::vector<uint64_t> outside, resident;
+        std::vector<uint64_t> &outside = outside_;
+        std::vector<uint64_t> &resident = resident_;
+        outside.clear();
+        resident.clear();
         for (uint64_t f = first; f < last; ++f)
             (slot_[f] == target ? resident : outside).push_back(f);
-        std::stable_sort(outside.begin(), outside.end(),
-                         [counts](uint64_t a, uint64_t b) {
-                             if (counts[a] != counts[b])
-                                 return counts[a] > counts[b];
-                             return a < b;
-                         });
-        std::stable_sort(resident.begin(), resident.end(),
-                         [counts](uint64_t a, uint64_t b) {
-                             if (counts[a] != counts[b])
-                                 return counts[a] < counts[b];
-                             return a < b;
-                         });
-        int swaps = 0;
-        for (size_t i = 0;
-             i < outside.size() && i < resident.size() &&
-             static_cast<int>(i) < cap &&
-             swaps < config_.swap_budget;
-             ++i) {
+        const size_t pairs = std::min(
+            {outside.size(), resident.size(), static_cast<size_t>(cap),
+             static_cast<size_t>(config_.swap_budget)});
+        std::partial_sort(outside.begin(),
+                          outside.begin() +
+                              static_cast<std::ptrdiff_t>(pairs),
+                          outside.end(),
+                          [counts](uint64_t a, uint64_t b) {
+                              if (counts[a] != counts[b])
+                                  return counts[a] > counts[b];
+                              return a < b;
+                          });
+        std::partial_sort(resident.begin(),
+                          resident.begin() +
+                              static_cast<std::ptrdiff_t>(pairs),
+                          resident.end(),
+                          [counts](uint64_t a, uint64_t b) {
+                              if (counts[a] != counts[b])
+                                  return counts[a] < counts[b];
+                              return a < b;
+                          });
+        for (size_t i = 0; i < pairs; ++i) {
             uint64_t a = outside[i];  // hot, wants in
             uint64_t b = resident[i]; // cold, gets a's old slot
             // The move must clearly pay for its shift cost. Two
@@ -380,9 +390,13 @@ class AdaptivePlacement : public TablePlacement
             slot_[b] = static_cast<int8_t>(from_a);
             out->push_back({a, from_a, target});
             out->push_back({b, target, from_a});
-            ++swaps;
         }
     }
+
+  private:
+    /** Epoch scratch: frames outside / inside the target offset. */
+    std::vector<uint64_t> outside_;
+    std::vector<uint64_t> resident_;
 };
 
 } // anonymous namespace

@@ -267,6 +267,8 @@ class PlacementPolicy
     std::vector<uint64_t> group_epochs_;
     /** Per-group predictive rest offset. */
     std::vector<int8_t> group_rest_;
+    /** Epoch scratch: accesses served per slot offset. */
+    std::vector<uint64_t> offset_heat_;
 };
 
 /** Build the policy selected by `config.kind`. */

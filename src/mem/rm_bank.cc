@@ -1,6 +1,7 @@
 #include "rm_bank.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/logging.hh"
@@ -104,10 +105,10 @@ RmBank::RmBank(const RmBankConfig &config,
                 d.codeword_frames);
         }
     }
-    uint64_t groups =
-        (config_.line_frames +
-         static_cast<uint64_t>(config_.frames_per_group) - 1) /
-        static_cast<uint64_t>(config_.frames_per_group);
+    const auto fpg = static_cast<uint64_t>(config_.frames_per_group);
+    if (std::has_single_bit(fpg))
+        group_shift_ = std::countr_zero(fpg);
+    uint64_t groups = (config_.line_frames + fpg - 1) / fpg;
     head_.assign(groups, 0);
     busy_until_.assign(groups, 0);
     last_access_.assign(groups, kNeverShifted);
@@ -317,12 +318,6 @@ RmBank::applyHeadPolicy(uint64_t group, Cycles now)
     }
 }
 
-uint64_t
-RmBank::groupOf(uint64_t frame) const
-{
-    return frame / static_cast<uint64_t>(config_.frames_per_group);
-}
-
 Joules
 RmBank::shiftOpEnergy(int steps) const
 {
@@ -408,8 +403,8 @@ RmBank::accessFrame(uint64_t frame_index, Cycles now)
         interval = kNeverShifted;
     } else {
         interval = now > last_shift_ ? now - last_shift_ : 0;
-        interval /= static_cast<Cycles>(
-            std::max(config_.interleave_ways, 1));
+        if (config_.interleave_ways > 1)
+            interval /= static_cast<Cycles>(config_.interleave_ways);
     }
     if (memo_enabled_) {
         // Fast path: the decomposition cost and its reliability fold

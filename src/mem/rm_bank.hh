@@ -396,7 +396,16 @@ class RmBank
     Counter *t_migration_steps_ = nullptr;
     LatencyHistogram *t_shift_latency_ = nullptr;
 
-    uint64_t groupOf(uint64_t frame) const;
+    /** log2(frames_per_group) when it is a power of two, else -1:
+     *  groupOf is then a shift instead of a division. */
+    int group_shift_ = -1;
+
+    uint64_t groupOf(uint64_t frame) const
+    {
+        if (group_shift_ >= 0)
+            return frame >> group_shift_;
+        return frame / static_cast<uint64_t>(config_.frames_per_group);
+    }
 
     /** Reliability model of protection domain `dom`. */
     const ReliabilityModel &domainModel(int dom) const

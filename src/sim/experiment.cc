@@ -667,6 +667,7 @@ runStressDrill(const StressSpec &spec, TelemetryScope telemetry,
         e.sdc = std::exp(r.log_sdc);
     }
 
+    std::vector<Bit> got; // del/ins readout payload, reused per op
     for (uint64_t i = 0; i < spec.ops; ++i) {
         if (stop && (i & 255) == 0 && stop->poll())
             return out;
@@ -689,7 +690,6 @@ runStressDrill(const StressSpec &spec, TelemetryScope telemetry,
         // realigns), not a positioned seek. The analytic expectation
         // above still uses the op's seek distance as its intensity,
         // matching how the LLC model charges the scheme.
-        std::vector<Bit> got;
         ProtectedShiftResult res =
             cfg.variant == PeccVariant::DelIns
                 ? stripe.readoutNow(&got)

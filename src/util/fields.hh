@@ -126,12 +126,12 @@ inline JsonValue
 toJson(const IntTally &tally)
 {
     JsonValue v = JsonValue::array();
-    for (const auto &[key, count] : tally.entries()) {
+    tally.forEachEntry([&v](int64_t key, uint64_t count) {
         JsonValue pair = JsonValue::array();
         pair.push(static_cast<double>(key));
         pair.push(count);
         v.push(std::move(pair));
-    }
+    });
     return v;
 }
 

@@ -23,12 +23,6 @@ splitmix64(uint64_t &x)
     return z ^ (z >> 31);
 }
 
-uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // anonymous namespace
 
 Rng::Rng(uint64_t seed)
@@ -44,44 +38,21 @@ Rng::Rng(uint64_t seed)
 }
 
 uint64_t
-Rng::next()
-{
-    uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 random mantissa bits -> uniform in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double
-Rng::uniform(double lo, double hi)
-{
-    return lo + (hi - lo) * uniform();
-}
-
-uint64_t
 Rng::uniformInt(uint64_t n)
 {
     if (n == 0)
         rtm_panic("uniformInt(0) is undefined");
-    // Rejection sampling to avoid modulo bias.
-    uint64_t limit = UINT64_MAX - UINT64_MAX % n;
+    // Rejection sampling to avoid modulo bias. For n = 2^k the
+    // remainder UINT64_MAX % n is n - 1 and the reduction a mask:
+    // the same limit, the same draws, the same value.
+    const bool pow2 = (n & (n - 1)) == 0;
+    const uint64_t limit =
+        UINT64_MAX - (pow2 ? n - 1 : UINT64_MAX % n);
     uint64_t v;
     do {
         v = next();
     } while (v >= limit);
-    return v % n;
+    return pow2 ? v & (n - 1) : v % n;
 }
 
 double
@@ -108,16 +79,6 @@ double
 Rng::gaussian(double mean, double stddev)
 {
     return mean + stddev * gaussian();
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
 }
 
 void

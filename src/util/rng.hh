@@ -12,6 +12,7 @@
 #define RTM_UTIL_RNG_HH
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -31,13 +32,31 @@ class Rng
     explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
     /** Next raw 64-bit value. */
-    uint64_t next();
+    uint64_t next()
+    {
+        const uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+        const uint64_t t = state_[1] << 17;
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = std::rotl(state_[3], 45);
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double uniform()
+    {
+        // 53 random mantissa bits -> uniform in [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
-    double uniform(double lo, double hi);
+    double uniform(double lo, double hi)
+    {
+        return lo + (hi - lo) * uniform();
+    }
 
     /** Uniform integer in [0, n). @pre n > 0. */
     uint64_t uniformInt(uint64_t n);
@@ -55,7 +74,14 @@ class Rng
     double gaussian(double mean, double stddev);
 
     /** True with probability p (clamped to [0, 1]). */
-    bool bernoulli(double p);
+    bool bernoulli(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return uniform() < p;
+    }
 
     /** Fill dst[0..n) with uniform() draws, in draw order. */
     void fillUniform(double *dst, size_t n);

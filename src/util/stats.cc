@@ -113,25 +113,23 @@ Histogram::density(size_t i) const
 }
 
 void
-IntTally::add(int64_t k, uint64_t weight)
-{
-    map_[k] += weight;
-    total_ += weight;
-}
-
-void
 IntTally::merge(const IntTally &other)
 {
-    for (const auto &[k, c] : other.map_)
-        map_[k] += c;
+    for (size_t k = 0; k < dense_.size(); ++k)
+        dense_[k] += other.dense_[k];
+    dense_keys_ |= other.dense_keys_;
+    for (const auto &[k, c] : other.sparse_)
+        sparse_[k] += c;
     total_ += other.total_;
 }
 
 uint64_t
 IntTally::count(int64_t k) const
 {
-    auto it = map_.find(k);
-    return it == map_.end() ? 0 : it->second;
+    if (k >= 0 && k < kDenseKeys)
+        return dense_[static_cast<size_t>(k)];
+    auto it = sparse_.find(k);
+    return it == sparse_.end() ? 0 : it->second;
 }
 
 double
@@ -140,9 +138,18 @@ IntTally::mean() const
     if (total_ == 0)
         return 0.0;
     double acc = 0.0;
-    for (const auto &[k, c] : map_)
+    forEachEntry([&acc](int64_t k, uint64_t c) {
         acc += static_cast<double>(k) * static_cast<double>(c);
+    });
     return acc / static_cast<double>(total_);
+}
+
+std::vector<IntTally::Entry>
+IntTally::entries() const
+{
+    std::vector<Entry> out;
+    forEachEntry([&out](int64_t k, uint64_t c) { out.emplace_back(k, c); });
+    return out;
 }
 
 } // namespace rtm

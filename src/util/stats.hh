@@ -7,6 +7,8 @@
 #ifndef RTM_UTIL_STATS_HH
 #define RTM_UTIL_STATS_HH
 
+#include <array>
+#include <bit>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
@@ -14,6 +16,7 @@
 #include <map>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace rtm
@@ -137,14 +140,31 @@ class Histogram
 };
 
 /**
- * Sparse integer tally, used e.g. to count shift operations by
- * distance or p-ECC outcomes by step error.
+ * Integer tally, used e.g. to count shift operations by distance or
+ * p-ECC outcomes by step error. Small non-negative keys (shift
+ * distances) land in a flat array, so the hot add is a store; every
+ * other key goes to an ordered map. Callers see one ordered key set.
  */
 class IntTally
 {
   public:
-    /** Add weight to key k. */
-    void add(int64_t k, uint64_t weight = 1);
+    /** Keys in [0, kDenseKeys) are counted in the flat array. */
+    static constexpr int64_t kDenseKeys = 64;
+
+    /** One (key, count) pair. */
+    using Entry = std::pair<int64_t, uint64_t>;
+
+    /** Add weight to key k (a zero weight still records the key). */
+    void add(int64_t k, uint64_t weight = 1)
+    {
+        if (k >= 0 && k < kDenseKeys) {
+            dense_[static_cast<size_t>(k)] += weight;
+            dense_keys_ |= uint64_t{1} << k;
+        } else {
+            sparse_[k] += weight;
+        }
+        total_ += weight;
+    }
 
     /** Merge another tally into this one (per-key count sums). */
     void merge(const IntTally &other);
@@ -158,15 +178,35 @@ class IntTally
     /** Weighted mean of keys (0 if empty). */
     double mean() const;
 
+    /** Call fn(key, count) for every recorded key, increasing. */
+    template <class F>
+    void
+    forEachEntry(F &&fn) const
+    {
+        auto it = sparse_.begin();
+        for (; it != sparse_.end() && it->first < 0; ++it)
+            fn(it->first, it->second);
+        for (uint64_t keys = dense_keys_; keys != 0;
+             keys &= keys - 1) {
+            const int k = std::countr_zero(keys);
+            fn(int64_t{k}, dense_[static_cast<size_t>(k)]);
+        }
+        for (; it != sparse_.end(); ++it)
+            fn(it->first, it->second);
+    }
+
     /** All (key, count) pairs in increasing key order. */
-    const std::map<int64_t, uint64_t> &entries() const { return map_; }
+    std::vector<Entry> entries() const;
+
+    bool operator==(const IntTally &) const = default;
 
   private:
-    std::map<int64_t, uint64_t> map_;
+    std::array<uint64_t, kDenseKeys> dense_{};
+    /** Bit k set once key k was added, with any weight. */
+    uint64_t dense_keys_ = 0;
+    /** Keys outside [0, kDenseKeys). */
+    std::map<int64_t, uint64_t> sparse_;
     uint64_t total_ = 0;
-
-  public:
-    bool operator==(const IntTally &) const = default;
 };
 
 } // namespace rtm

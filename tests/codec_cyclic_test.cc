@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "codec/cyclic.hh"
+#include "util/rng.hh"
 
 namespace rtm
 {
@@ -229,6 +233,90 @@ TEST(CyclicCode, HeadAndTailPadWindowsAreDetectedNotDecoded)
             EXPECT_TRUE(r.detected);
             EXPECT_FALSE(r.correctable);
         }
+    }
+}
+
+/** decode() as written with the double modulo, kept as reference. */
+DecodeResult
+referenceDecode(int period, int observed, int expected, int m)
+{
+    DecodeResult res;
+    if (observed < 0 || observed >= period) {
+        res.detected = true;
+        return res;
+    }
+    res.valid = true;
+    const int t = period;
+    const int diff = ((expected - observed) % t + t) % t;
+    if (diff == 0)
+        return res;
+    res.detected = true;
+    if (diff <= m) {
+        res.correctable = true;
+        res.step_error = diff;
+    } else if (t - diff <= m) {
+        res.correctable = true;
+        res.step_error = -(t - diff);
+    }
+    return res;
+}
+
+void
+expectSameDecode(const CyclicCode &code, int observed, int expected,
+                 int m)
+{
+    const DecodeResult got = code.decode(observed, expected, m);
+    const DecodeResult want =
+        referenceDecode(code.period(), observed, expected, m);
+    const bool same = got.valid == want.valid &&
+                      got.detected == want.detected &&
+                      got.correctable == want.correctable &&
+                      got.step_error == want.step_error;
+    EXPECT_TRUE(same) << "w " << code.window() << " observed "
+                      << observed << " expected " << expected << " m "
+                      << m;
+}
+
+TEST(CyclicCode, MaskedResiduesMatchDoubleModulo)
+{
+    // decode() and bitAt() reduce by T = 2^w with a mask. Against the
+    // double modulo: every (expected, observed) pair in [-3T, 3T] for
+    // w <= 8; for wider windows every expected against a fixed
+    // observed set (edges plus seeded draws) and every observed
+    // against the same expected set. Both the largest strength the
+    // period allows and m = 1 are decoded.
+    Rng rng(1701);
+    for (int w = 1; w <= 16; ++w) {
+        const CyclicCode code(w);
+        const int t = code.period();
+        std::vector<int> strengths = {(t - 2) / 2};
+        if (t >= 4)
+            strengths.push_back(1);
+        for (int64_t i = -3 * t; i <= 3 * t; ++i) {
+            const int64_t ref = ((i % t) + t) % t;
+            if (code.bitAt(i) != code.bitAt(ref)) {
+                ADD_FAILURE() << "bitAt w " << w << " index " << i;
+                break;
+            }
+        }
+        if (w <= 8) {
+            for (int m : strengths)
+                for (int e = -3 * t; e <= 3 * t; ++e)
+                    for (int o = -3 * t; o <= 3 * t; ++o)
+                        expectSameDecode(code, o, e, m);
+            continue;
+        }
+        std::vector<int> probes = {-3 * t, -1, 0, 1, t / 2, t - 1, t,
+                                   3 * t};
+        for (int k = 0; k < 16; ++k)
+            probes.push_back(
+                static_cast<int>(rng.uniformInt(6 * t + 1)) - 3 * t);
+        for (int m : strengths)
+            for (int x = -3 * t; x <= 3 * t; ++x)
+                for (int p : probes) {
+                    expectSameDecode(code, p, x, m);
+                    expectSameDecode(code, x, p, m);
+                }
     }
 }
 

@@ -255,5 +255,53 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(PeccVariant::None, PeccVariant::Standard,
                           PeccVariant::OverheadRegion)));
 
+/** expectedPhase / expectedLeftPhase with the double modulo. */
+int
+referencePhase(int base, int offset, int period)
+{
+    const int phase = (base - offset) % period;
+    return phase < 0 ? phase + period : phase;
+}
+
+TEST(Layout, MaskedExpectedPhasesMatchDoubleModulo)
+{
+    // The expected phases reduce by the power-of-two period with a
+    // mask; against the double modulo for every offset in [-3T, 3T]
+    // and periods 2^1..2^16, on layouts with a dedicated code
+    // region, a widened window and both p-ECC-O windows.
+    PeccConfig wide = cfg(4, 8, 1, PeccVariant::Standard);
+    wide.window_ports = 3;
+    for (const PeccConfig &c :
+         {cfg(2, 8, 1, PeccVariant::Standard), wide,
+          cfg(8, 8, 1, PeccVariant::OverheadRegion)}) {
+        const PeccLayout lay = computeLayout(c);
+        const int base = c.variant == PeccVariant::Standard
+                             ? lay.window_slots.front() - lay.code_base
+                             : lay.window_slots.front();
+        const int left_base = lay.left_window_slots.empty()
+                                  ? 0
+                                  : lay.left_window_slots.front();
+        for (int w = 1; w <= 16; ++w) {
+            const int t = 1 << w;
+            for (int o = -3 * t; o <= 3 * t; ++o) {
+                ASSERT_EQ(lay.expectedPhase(o, t),
+                          referencePhase(base, o, t))
+                    << "w " << w << " offset " << o;
+                ASSERT_EQ(lay.expectedLeftPhase(o, t),
+                          referencePhase(left_base, o, t))
+                    << "w " << w << " offset " << o;
+            }
+        }
+    }
+}
+
+TEST(Layout, ExpectedPhaseRejectsNonPowerOfTwoPeriods)
+{
+    const PeccLayout lay =
+        computeLayout(cfg(2, 8, 1, PeccVariant::Standard));
+    EXPECT_DEATH(lay.expectedPhase(0, 6), "power of two");
+    EXPECT_DEATH(lay.expectedLeftPhase(0, 0), "power of two");
+}
+
 } // namespace
 } // namespace rtm

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "codec/protected_stripe.hh"
 #include "device/error_model.hh"
@@ -299,6 +301,83 @@ TEST(ProtectedStripe, BaselineSilentlyCorrupts)
     auto res = ps.shiftBy(3);
     EXPECT_FALSE(res.detected);
     EXPECT_NE(ps.positionError(), 0);
+}
+
+/** The window phase as phaseOf sees the bits the window ports read. */
+int
+referenceWindowPhase(const ProtectedStripe &ps, bool left)
+{
+    const PeccLayout &lay = ps.layout();
+    const auto &slots = left ? lay.left_window_slots : lay.window_slots;
+    std::vector<Bit> bits;
+    for (int i = 0; i < static_cast<int>(slots.size()); ++i)
+        bits.push_back(ps.stripe().read(
+            left ? lay.leftWindowPortIndex(i) : lay.windowPortIndex(i)));
+    return ps.code().phaseOf(bits);
+}
+
+TEST(ProtectedStripe, IntegerWindowPhaseMatchesPhaseOf)
+{
+    // readWindowPhase packs the window into an integer instead of a
+    // vector. Against phaseOf: every lane state (0, 1, X and the raw
+    // lane value 3) on every window port; every tape offset a
+    // fault-free walk reaches, including those that bring the
+    // undefined head/tail pad domains under the window; and a
+    // misaligned stripe. SED, SECDED, the widened lm-pos window and
+    // both p-ECC-O windows.
+    PeccConfig wide = cfg(4, 8, 1, PeccVariant::Standard);
+    wide.window_ports = 3;
+    for (const PeccConfig &c :
+         {cfg(2, 8, 0, PeccVariant::Standard),
+          cfg(2, 8, 1, PeccVariant::Standard), wide,
+          cfg(2, 8, 1, PeccVariant::OverheadRegion)}) {
+        ZeroErrorModel model;
+        ProtectedStripe ps(c, &model, Rng(3));
+        const PeccLayout &lay = ps.layout();
+        for (bool left : {false, true}) {
+            const auto &slots =
+                left ? lay.left_window_slots : lay.window_slots;
+            if (slots.empty())
+                continue;
+            const std::string ctx =
+                "w " + std::to_string(c.window()) + " variant " +
+                std::to_string(static_cast<int>(c.variant)) +
+                (left ? " left" : " right");
+
+            ps.initializeIdeal();
+            const int w = static_cast<int>(slots.size());
+            for (int state = 0; state < 1 << (2 * w); ++state) {
+                for (int i = 0; i < w; ++i)
+                    ps.stripe().poke(
+                        slots[static_cast<size_t>(i)],
+                        static_cast<Bit>((state >> (2 * i)) & 3));
+                ASSERT_EQ(ps.readWindowPhase(left),
+                          referenceWindowPhase(ps, left))
+                    << ctx << " lanes " << state;
+            }
+
+            ps.initializeIdeal();
+            int readable = 0, unreadable = 0;
+            for (int step = 0; step < 3 * lay.wire_len; ++step) {
+                const int phase = ps.readWindowPhase(left);
+                ASSERT_EQ(phase, referenceWindowPhase(ps, left))
+                    << ctx << " offset " << ps.stripe().trueOffset();
+                ++(phase < 0 ? unreadable : readable);
+                ps.stripe().shift(step < lay.wire_len ? 1 : -1);
+            }
+            EXPECT_GT(readable, 0) << ctx;
+            EXPECT_GT(unreadable, 0) << ctx;
+        }
+    }
+
+    ScriptedErrorModel stuck({{0, true}});
+    ProtectedStripe ps(cfg(2, 8, 1, PeccVariant::Standard), &stuck,
+                       Rng(4));
+    ps.initializeIdeal();
+    ps.stripe().shift(1);
+    ASSERT_TRUE(ps.stripe().misaligned());
+    EXPECT_EQ(ps.readWindowPhase(false), -1);
+    EXPECT_EQ(referenceWindowPhase(ps, false), -1);
 }
 
 } // namespace

@@ -45,6 +45,33 @@ TEST(Controller, ReadBackAfterWrite)
     EXPECT_EQ(ctl.read(0, 0, t).value, Bit::Zero);
 }
 
+TEST(Controller, DelInsWritesReadBackThroughTheDecodedImage)
+{
+    // A del-ins access decodes the whole stripe: a write patches the
+    // decoded track codewords (check bits re-derived) and writes them
+    // back, so every data position reads back what was written.
+    PeccConfig c = secdedConfig(PeccVariant::DelIns);
+    c.num_segments = 8;
+    ZeroErrorModel model;
+    ShiftController ctl(c, &model, ShiftPolicy::Adaptive, 83e6,
+                        Rng(9));
+    ctl.initialize();
+    const DelInsCode &code = *ctl.stripe().delInsCode();
+    Cycles t = 0;
+    for (int seg = 0; seg < c.num_segments; ++seg)
+        for (int idx = 0; idx < c.seg_len; ++idx) {
+            if (code.isCheckPosition(idx))
+                continue;
+            const Bit v = (seg + idx) % 3 == 0 ? Bit::One : Bit::Zero;
+            EXPECT_FALSE(ctl.write(seg, idx, v, t += 100).due);
+            const AccessResult r = ctl.read(seg, idx, t += 100);
+            EXPECT_FALSE(r.due);
+            EXPECT_EQ(r.value, v) << "segment " << seg << " index "
+                                  << idx;
+        }
+    EXPECT_EQ(ctl.stats().detected_errors, 0u);
+}
+
 TEST(Controller, NoShiftWhenAlreadyAligned)
 {
     ZeroErrorModel model;

@@ -81,6 +81,38 @@ TEST(Sts, CustomClock)
     EXPECT_DOUBLE_EQ(t.clockHz(), 1e9);
 }
 
+/** The three-secondsToCycles formula the per-distance table holds. */
+Cycles
+referenceShiftCycles(double clock_hz, double stage1_per_step,
+                     double stage2_pulse, double pecc_check, int steps)
+{
+    return secondsToCycles(stage1_per_step * steps, clock_hz) +
+           secondsToCycles(stage2_pulse, clock_hz) +
+           secondsToCycles(pecc_check, clock_hz);
+}
+
+TEST(Sts, TableMatchesFormulaBeyondItsReach)
+{
+    // Every clock / check width the other tests use, plus the
+    // controller's 0.34 ns check: the table covers 1..K and longer
+    // shifts fall back to the formula, so 1..2K crosses the seam.
+    struct Clock
+    {
+        double hz, check;
+    };
+    for (const Clock c : {Clock{kDefaultClockHz, 0.0},
+                          Clock{kDefaultClockHz, 0.34e-9},
+                          Clock{1e9, 0.0}, Clock{1e9, 0.34e-9}}) {
+        const StsTiming t(c.hz, 0.4e-9, 1.0e-9, c.check);
+        for (int n = 1; n <= 2 * StsTiming::kTabulatedSteps; ++n)
+            EXPECT_EQ(t.shiftCycles(n),
+                      referenceShiftCycles(c.hz, 0.4e-9, 1.0e-9,
+                                           c.check, n))
+                << "clock " << c.hz << " check " << c.check << " n "
+                << n;
+    }
+}
+
 TEST(Sts, StagePulseWidths)
 {
     StsTiming t;

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "mem/placement.hh"
 #include "mem/rm_bank.hh"
+#include "util/rng.hh"
 
 namespace rtm
 {
@@ -201,6 +204,192 @@ TEST(AdaptivePlacementTest, ZeroBudgetNeverMigrates)
     EXPECT_TRUE(migrations.empty());
     for (uint64_t f = 0; f < geom.line_frames; ++f)
         EXPECT_EQ(policy->slotOffset(f), homeOffsetOf(geom, f));
+}
+
+/**
+ * The adaptive policy as written with two full stable_sorts and
+ * per-epoch vectors, kept as the reference for the partial-sort
+ * version: counts, epochs, aging every 8 group epochs, the
+ * predictive rest, and the hysteresis-gated swaps.
+ */
+class ReferenceAdaptive
+{
+  public:
+    ReferenceAdaptive(const PlacementGeometry &geom,
+                      const PlacementConfig &config, bool predictive)
+        : geom_(geom), config_(config), predictive_(predictive),
+          slot_(geom.line_frames), count_(geom.line_frames)
+    {
+        const uint64_t fpg =
+            static_cast<uint64_t>(geom.frames_per_group);
+        const uint64_t groups = (geom.line_frames + fpg - 1) / fpg;
+        since_.assign(groups, 0);
+        epochs_.assign(groups, 0);
+        rest_.assign(groups, 0);
+        for (uint64_t f = 0; f < geom.line_frames; ++f)
+            slot_[f] = homeOffsetOf(geom, f);
+    }
+
+    void record(uint64_t frame, std::vector<PlacementMigration> *out)
+    {
+        ++count_[frame];
+        const uint64_t g =
+            frame / static_cast<uint64_t>(geom_.frames_per_group);
+        if (++since_[g] < config_.epoch_accesses)
+            return;
+        since_[g] = 0;
+        ++epochs_[g];
+        onEpoch(g, out);
+        if (predictive_)
+            updateRest(g);
+        if (epochs_[g] % 8 == 0) // the policy's kAgePeriod
+            for (uint64_t f = first(g); f < last(g); ++f)
+                count_[f] >>= 1;
+    }
+
+    int slot(uint64_t frame) const { return slot_[frame]; }
+    int rest(uint64_t group) const { return rest_[group]; }
+
+  private:
+    uint64_t first(uint64_t g) const
+    {
+        return g * static_cast<uint64_t>(geom_.frames_per_group);
+    }
+    uint64_t last(uint64_t g) const
+    {
+        return std::min(first(g) + static_cast<uint64_t>(
+                                       geom_.frames_per_group),
+                        geom_.line_frames);
+    }
+
+    void onEpoch(uint64_t g, std::vector<PlacementMigration> *out)
+    {
+        if (config_.swap_budget == 0)
+            return;
+        std::vector<uint64_t> per_offset(
+            static_cast<size_t>(geom_.seg_len), 0);
+        for (uint64_t f = first(g); f < last(g); ++f)
+            per_offset[static_cast<size_t>(slot_[f])] += count_[f];
+        int target = 0;
+        for (int o = 1; o < geom_.seg_len; ++o)
+            if (per_offset[static_cast<size_t>(o)] >
+                per_offset[static_cast<size_t>(target)])
+                target = o;
+        const int cap = geom_.frames_per_group / geom_.seg_len;
+        std::vector<uint64_t> outside, resident;
+        for (uint64_t f = first(g); f < last(g); ++f)
+            (slot_[f] == target ? resident : outside).push_back(f);
+        const std::vector<uint64_t> &c = count_;
+        std::stable_sort(outside.begin(), outside.end(),
+                         [&c](uint64_t a, uint64_t b) {
+                             if (c[a] != c[b])
+                                 return c[a] > c[b];
+                             return a < b;
+                         });
+        std::stable_sort(resident.begin(), resident.end(),
+                         [&c](uint64_t a, uint64_t b) {
+                             if (c[a] != c[b])
+                                 return c[a] < c[b];
+                             return a < b;
+                         });
+        int swaps = 0;
+        for (size_t i = 0; i < outside.size() && i < resident.size() &&
+                           static_cast<int>(i) < cap &&
+                           swaps < config_.swap_budget;
+             ++i) {
+            const uint64_t a = outside[i];
+            const uint64_t b = resident[i];
+            if (c[a] < c[b] + std::max<uint64_t>(2, c[b] / 2))
+                break;
+            const int from_a = slot_[a];
+            slot_[a] = target;
+            slot_[b] = from_a;
+            out->push_back({a, from_a, target});
+            out->push_back({b, target, from_a});
+            ++swaps;
+        }
+    }
+
+    void updateRest(uint64_t g)
+    {
+        std::vector<uint64_t> per_offset(
+            static_cast<size_t>(geom_.seg_len), 0);
+        for (uint64_t f = first(g); f < last(g); ++f)
+            per_offset[static_cast<size_t>(slot_[f])] += count_[f];
+        uint64_t best = 0;
+        int best_offset = rest_[g];
+        for (int o = 0; o < geom_.seg_len; ++o)
+            if (per_offset[static_cast<size_t>(o)] > best) {
+                best = per_offset[static_cast<size_t>(o)];
+                best_offset = o;
+            }
+        rest_[g] = best_offset;
+    }
+
+    PlacementGeometry geom_;
+    PlacementConfig config_;
+    bool predictive_;
+    std::vector<int> slot_;
+    std::vector<uint64_t> count_;
+    std::vector<uint64_t> since_;
+    std::vector<uint64_t> epochs_;
+    std::vector<int> rest_;
+};
+
+TEST(AdaptivePlacementTest, PartialSortMatchesStableSortReference)
+{
+    // A seeded, phase-changing skewed stream over four groups. Swap
+    // budgets below, at and above the per-offset capacity (8) bound
+    // the partial sort by each of its limits in turn.
+    PlacementGeometry geom;
+    geom.line_frames = 256;
+    geom.frames_per_group = 64;
+    geom.seg_len = 8;
+    for (int budget : {1, 4, 8, 16}) {
+        for (HeadPolicy head : {HeadPolicy::Stay, HeadPolicy::Predictive}) {
+            const std::string ctx =
+                "budget " + std::to_string(budget) +
+                (head == HeadPolicy::Predictive ? " predictive" : "");
+            PlacementConfig config;
+            config.kind = PlacementKind::Adaptive;
+            config.epoch_accesses = 16;
+            config.swap_budget = budget;
+            auto policy = makePlacementPolicy(geom, config, head);
+            ReferenceAdaptive ref(geom, config,
+                                  head == HeadPolicy::Predictive);
+            std::vector<PlacementMigration> got, want;
+            Rng rng(99 + static_cast<uint64_t>(budget));
+            std::vector<uint64_t> hot(12);
+            for (int i = 0; i < 40000; ++i) {
+                if (i % 5000 == 0)
+                    for (uint64_t &f : hot)
+                        f = rng.uniformInt(geom.line_frames);
+                const uint64_t frame =
+                    rng.uniformInt(4) == 0
+                        ? rng.uniformInt(geom.line_frames)
+                        : hot[rng.uniformInt(hot.size())];
+                policy->recordAccess(frame, &got);
+                ref.record(frame, &want);
+            }
+            ASSERT_EQ(got.size(), want.size()) << ctx;
+            EXPECT_GT(got.size(), 0u) << ctx;
+            for (size_t i = 0; i < got.size(); ++i) {
+                ASSERT_EQ(got[i].frame, want[i].frame) << ctx << " " << i;
+                ASSERT_EQ(got[i].from_offset, want[i].from_offset)
+                    << ctx << " " << i;
+                ASSERT_EQ(got[i].to_offset, want[i].to_offset)
+                    << ctx << " " << i;
+            }
+            for (uint64_t f = 0; f < geom.line_frames; ++f)
+                EXPECT_EQ(policy->slotOffset(f), ref.slot(f))
+                    << ctx << " frame " << f;
+            if (head == HeadPolicy::Predictive) {
+                for (uint64_t g = 0; g < 4; ++g)
+                    EXPECT_EQ(policy->restOffset(g), ref.rest(g))
+                        << ctx << " group " << g;
+            }
+        }
+    }
 }
 
 TEST(PredictiveHeadTest, RestFollowsTheHottestSlot)

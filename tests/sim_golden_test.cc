@@ -657,14 +657,19 @@ TEST(GoldenSim, FastTierDigestMatchesPinAcrossThreadCounts)
  * The fault drills (campaign cells with their bank degradation
  * drill, and the stripe stress drill) sample injected shift outcomes
  * and fold analytic expectations; every table they are served from
- * must reproduce the live computation bit for bit. Two specs freeze
+ * must reproduce the live computation bit for bit. Four specs freeze
  * them: the standard campaign on two workloads plus a del-ins-k
- * stress drill, and a secded stress drill. Regenerate with
+ * stress drill, and secded, p-ECC-O and lm-pos stress drills. The
+ * p-ECC-O drill decodes the left window on every left step and
+ * maintains the end code with shift-and-write; the lm-pos drill
+ * decodes the widened limited-magnitude window. Regenerate with
  * RTM_UPDATE_GOLDEN=1 after an intentional change to the drills.
  */
 const char *const kGoldenFaultDrillHashes[] = {
     "70af62c1f096a8aa271707bb70b8f9c7da8edef162e7fb1a8ab6e4a682728632", // golden-fault-drill
     "6b13154edbf953f26836b1614b04b59a1ae1020fb45e21035339c1dc9c157b13", // golden-secded-stress
+    "e6d976fb90ee15d956fb7e92448638b2cdbb98bd54c2683ea8c48696a0dd365b", // golden-pecc-o-stress
+    "0f6261b52ff12bd0011043342e120aadcf616aa5e72e85d8b7e4b2bb913769b1", // golden-lm-pos-stress
 };
 
 std::vector<ExperimentSpec>
@@ -691,7 +696,18 @@ faultDrillSpecs()
     secded.stress.scale = 500.0;
     secded.stress.ops = 20000;
     secded.stress.seed = 3;
-    return {campaign, secded};
+
+    ExperimentSpec pecc_o = secded;
+    pecc_o.name = "golden-pecc-o-stress";
+    pecc_o.stress.scheme = "pecc-o";
+    pecc_o.stress.ops = 5000;
+    pecc_o.stress.seed = 5;
+
+    ExperimentSpec lm_pos = secded;
+    lm_pos.name = "golden-lm-pos-stress";
+    lm_pos.stress.scheme = "lm-pos";
+    lm_pos.stress.seed = 7;
+    return {campaign, secded, pecc_o, lm_pos};
 }
 
 TEST(GoldenCampaign, FaultDrillDigestsPinned)

@@ -206,5 +206,39 @@ TEST(Rng, FillGaussianFastTracksScalarValues)
         EXPECT_NEAR(fast[i], scalar[i], 1e-9) << "i=" << i;
 }
 
+/** uniformInt as rejection + modulo, kept as the reference. */
+uint64_t
+referenceUniformInt(Rng &rng, uint64_t n)
+{
+    const uint64_t limit = UINT64_MAX - UINT64_MAX % n;
+    uint64_t v;
+    do {
+        v = rng.next();
+    } while (v >= limit);
+    return v % n;
+}
+
+TEST(Rng, UniformIntMatchesRejectionModulo)
+{
+    // Powers of two take the mask path; 3 and 1000 stay on the
+    // modulo path. Same values and the same stream position after.
+    for (uint64_t n : {uint64_t{1}, uint64_t{2}, uint64_t{16},
+                       uint64_t{1024}, uint64_t{1} << 40,
+                       uint64_t{1} << 63, uint64_t{3},
+                       uint64_t{1000}}) {
+        Rng fast(77 + n), ref(77 + n);
+        for (int i = 0; i < 100000; ++i) {
+            const uint64_t want = referenceUniformInt(ref, n);
+            const uint64_t got = fast.uniformInt(n);
+            if (got != want) {
+                ADD_FAILURE() << "n " << n << " draw " << i << ": "
+                              << got << " != " << want;
+                break;
+            }
+        }
+        EXPECT_EQ(fast.next(), ref.next()) << "n " << n;
+    }
+}
+
 } // namespace
 } // namespace rtm

@@ -6,7 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <utility>
+#include <vector>
 
+#include "util/fields.hh"
+#include "util/rng.hh"
 #include "util/stats.hh"
 
 namespace rtm
@@ -152,6 +157,154 @@ TEST(IntTally, MergeWithEmptyIsIdentity)
     EXPECT_EQ(a.entries(), before.entries());
     empty.merge(a);
     EXPECT_EQ(empty.entries(), a.entries());
+}
+
+/** A tally as the one listed field of a document (util/fields.hh). */
+struct TallyDoc
+{
+    IntTally tally;
+    bool operator==(const TallyDoc &) const = default;
+};
+
+template <class V, FieldsOf<TallyDoc>... S>
+void
+forEachField(V &&v, S &...s)
+{
+    v("tally", s.tally...);
+}
+
+/** The std::map reference the tally must be indistinguishable from. */
+using RefTally = std::map<int64_t, uint64_t>;
+
+std::vector<IntTally::Entry>
+refEntries(const RefTally &ref)
+{
+    return {ref.begin(), ref.end()};
+}
+
+uint64_t
+refTotal(const RefTally &ref)
+{
+    uint64_t total = 0;
+    for (const auto &[k, c] : ref)
+        total += c;
+    return total;
+}
+
+double
+refMean(const RefTally &ref)
+{
+    const uint64_t total = refTotal(ref);
+    if (total == 0)
+        return 0.0;
+    double acc = 0.0;
+    for (const auto &[k, c] : ref)
+        acc += static_cast<double>(k) * static_cast<double>(c);
+    return acc / static_cast<double>(total);
+}
+
+/** The fields.hh pair bytes, written from the reference map. */
+std::string
+refPairBytes(const RefTally &ref)
+{
+    JsonValue v = JsonValue::array();
+    for (const auto &[k, c] : ref) {
+        JsonValue pair = JsonValue::array();
+        pair.push(static_cast<double>(k));
+        pair.push(c);
+        v.push(std::move(pair));
+    }
+    return v.dump(0);
+}
+
+/** Seeded add(k, w) stream over negative keys, the dense window, and
+ *  keys beyond it; about one call in six has weight zero. */
+void
+randomAdds(Rng &rng, int calls, IntTally *tally, RefTally *ref)
+{
+    for (int i = 0; i < calls; ++i) {
+        int64_t k;
+        switch (rng.uniformInt(4)) {
+          case 0:
+            k = -static_cast<int64_t>(1 + rng.uniformInt(40));
+            break;
+          case 1:
+            k = IntTally::kDenseKeys +
+                static_cast<int64_t>(rng.uniformInt(40));
+            break;
+          default:
+            k = static_cast<int64_t>(
+                rng.uniformInt(IntTally::kDenseKeys));
+            break;
+        }
+        const uint64_t w =
+            rng.uniformInt(6) == 0 ? 0 : 1 + rng.uniformInt(1000);
+        tally->add(k, w);
+        (*ref)[k] += w;
+    }
+}
+
+void
+expectMatches(const IntTally &t, const RefTally &ref,
+              const std::string &ctx)
+{
+    EXPECT_EQ(t.entries(), refEntries(ref)) << ctx;
+    EXPECT_EQ(t.total(), refTotal(ref)) << ctx;
+    EXPECT_EQ(t.mean(), refMean(ref)) << ctx; // same order: bit-exact
+    for (int64_t k = -45; k < IntTally::kDenseKeys + 45; ++k) {
+        const auto it = ref.find(k);
+        EXPECT_EQ(t.count(k), it == ref.end() ? 0 : it->second)
+            << ctx << " key " << k;
+    }
+    EXPECT_EQ(toJson(t).dump(0), refPairBytes(ref)) << ctx;
+    TallyDoc back;
+    ASSERT_TRUE(fromJson(toJson(TallyDoc{t}), &back)) << ctx;
+    EXPECT_TRUE(back.tally == t) << ctx;
+    EXPECT_EQ(back.tally.entries(), refEntries(ref)) << ctx;
+}
+
+TEST(IntTally, MatchesOrderedMapReference)
+{
+    Rng rng(20260417);
+    for (int round = 0; round < 50; ++round) {
+        const std::string ctx = "round " + std::to_string(round);
+        IntTally a, b;
+        RefTally ra, rb;
+        randomAdds(rng, 1 + static_cast<int>(rng.uniformInt(300)), &a,
+                   &ra);
+        randomAdds(rng, static_cast<int>(rng.uniformInt(300)), &b, &rb);
+        expectMatches(a, ra, ctx + " a");
+        expectMatches(b, rb, ctx + " b");
+
+        RefTally rab = ra;
+        for (const auto &[k, c] : rb)
+            rab[k] += c;
+        IntTally ab = a, ba = b;
+        ab.merge(b);
+        ba.merge(a);
+        expectMatches(ab, rab, ctx + " a+b");
+        expectMatches(ba, rab, ctx + " b+a");
+        EXPECT_TRUE(ab == ba) << ctx;
+        EXPECT_EQ(a == b, ra == rb) << ctx;
+    }
+}
+
+TEST(IntTally, ZeroWeightKeysStayPresent)
+{
+    for (int64_t k : {int64_t{-3}, int64_t{0}, int64_t{5},
+                      IntTally::kDenseKeys - 1, IntTally::kDenseKeys,
+                      int64_t{1000}}) {
+        IntTally t, empty;
+        t.add(k, 0);
+        EXPECT_EQ(t.entries(),
+                  (std::vector<IntTally::Entry>{{k, 0}}))
+            << k;
+        EXPECT_EQ(t.total(), 0u) << k;
+        EXPECT_FALSE(t == empty) << k;
+        EXPECT_EQ(toJson(t).dump(0), refPairBytes({{k, 0}})) << k;
+        empty.merge(t);
+        EXPECT_TRUE(empty == t) << k;
+    }
 }
 
 TEST(RunningStats, MergeManyShardsMatchesChanFormula)

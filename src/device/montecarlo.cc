@@ -275,8 +275,8 @@ PositionErrorMonteCarlo::runScalarReference(int distance,
                                             uint64_t trials)
 {
     // Frozen pre-batching path: per-trial walk + classify over the
-    // same shard structure. Kept callable so tests and micro_ops
-    // --check can assert the exact tier never drifts from it.
+    // same shard structure. Kept callable so the unit tests can
+    // assert the exact tier never drifts from it.
     size_t shards = shardCount(trials);
     if (shards == 0) {
         ErrorPdf empty;

@@ -107,9 +107,10 @@ class PositionErrorMonteCarlo
      * The pre-batching scalar path, frozen as a reference: identical
      * shard structure, but each shard walks one trial at a time via
      * simulateDeviation() + classify(). Exact-tier run() must stay
-     * bit-identical to this; micro_ops --check and the unit tests
-     * enforce it. Consumes the same amount of the seed stream as
-     * run() with the same arguments.
+     * bit-identical to this, which
+     * MonteCarlo.ExactTierMatchesScalarReferenceBitwise enforces.
+     * Consumes the same amount of the seed stream as run() with the
+     * same arguments.
      */
     ErrorPdf runScalarReference(int distance, uint64_t trials);
 
@@ -146,9 +147,8 @@ class PositionErrorMonteCarlo
     /**
      * Recompute the step jitter from the timing model (eight RK4
      * ShiftTiming::stepTime evaluations for central-difference
-     * sensitivities). This is what every trial used to pay before
-     * the result was hoisted into the constructor; benches time it
-     * to quantify that win.
+     * sensitivities). The constructor calls it once and caches the
+     * result as stepJitter().
      */
     double computeStepJitter() const;
 

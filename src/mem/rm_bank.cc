@@ -150,9 +150,10 @@ RmBank::RmBank(const RmBankConfig &config,
 }
 
 /**
- * Decompose `distance` into sub-shift parts exactly as the live
- * (non-memo) access path does for the bank's policy. The adaptive
- * policy is handled by the caller (one memo entry per Pareto plan).
+ * Decompose `distance` into sub-shift parts under a static policy;
+ * both the plan memo and the live (non-memo) access path use it. The
+ * adaptive policy is handled by the callers (the Pareto front for the
+ * memo, planFor for the live path).
  */
 static std::vector<int>
 staticPartsFor(ShiftPolicy policy, int distance, int worst_case)
@@ -427,31 +428,13 @@ RmBank::accessFrame(uint64_t frame_index, Cycles now)
         addMemoReliability(*pc, dom);
         ++stats_.plan_memo_hits;
     } else {
-        const std::vector<int> *parts = nullptr;
         std::vector<int> scratch;
-        switch (policy_) {
-          case ShiftPolicy::Unconstrained:
-            scratch = {distance};
-            parts = &scratch;
-            break;
-          case ShiftPolicy::StepByStep:
-            scratch.assign(static_cast<size_t>(distance), 1);
-            parts = &scratch;
-            break;
-          case ShiftPolicy::WorstCase: {
-            int remaining = distance;
-            while (remaining > 0) {
-                int p = std::min(remaining, worst_case_distance_);
-                scratch.push_back(p);
-                remaining -= p;
-            }
-            parts = &scratch;
-            break;
-          }
-          case ShiftPolicy::Adaptive:
+        const std::vector<int> *parts = &scratch;
+        if (policy_ == ShiftPolicy::Adaptive)
             parts = &planner_.planFor(distance, interval).parts;
-            break;
-        }
+        else
+            scratch = staticPartsFor(policy_, distance,
+                                     worst_case_distance_);
 
         for (int p : *parts) {
             cost.latency += timing_.shiftCycles(p);

@@ -1,11 +1,13 @@
 #include "serde.hh"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 
 namespace rtm
 {
@@ -835,29 +837,64 @@ CliFlags::get(const std::string &name,
     return it == values_.end() ? fallback : it->second;
 }
 
+namespace
+{
+
+/**
+ * Parse the whole of a flag's value as a T, or exit 2 naming the
+ * flag and the value. from_chars takes no leading space or '+', and
+ * no '-' for unsigned types.
+ */
+template <typename T>
+T
+flagNumberOrExit(const std::string &name, const std::string &value,
+                 const char *expected)
+{
+    T out{};
+    const char *end = value.data() + value.size();
+    auto [ptr, ec] = std::from_chars(value.data(), end, out);
+    bool ok = ec == std::errc() && ptr == end;
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(out);
+    if (!ok) {
+        std::fprintf(stderr,
+                     "invalid value '%s' for '--%s' (expected %s)\n",
+                     value.c_str(), name.c_str(), expected);
+        std::exit(2);
+    }
+    return out;
+}
+
+} // anonymous namespace
+
 uint64_t
 CliFlags::getU64(const std::string &name, uint64_t fallback) const
 {
     auto it = values_.find(name);
     return it == values_.end()
                ? fallback
-               : std::strtoull(it->second.c_str(), nullptr, 10);
+               : flagNumberOrExit<uint64_t>(name, it->second,
+                                            "an unsigned integer");
 }
 
 int
 CliFlags::getInt(const std::string &name, int fallback) const
 {
     auto it = values_.find(name);
-    return it == values_.end() ? fallback
-                               : std::atoi(it->second.c_str());
+    return it == values_.end()
+               ? fallback
+               : flagNumberOrExit<int>(name, it->second,
+                                       "an integer");
 }
 
 double
 CliFlags::getDouble(const std::string &name, double fallback) const
 {
     auto it = values_.find(name);
-    return it == values_.end() ? fallback
-                               : std::atof(it->second.c_str());
+    return it == values_.end()
+               ? fallback
+               : flagNumberOrExit<double>(name, it->second,
+                                          "a finite number");
 }
 
 std::vector<std::string>

@@ -275,6 +275,12 @@ class CliFlags
     bool has(const std::string &name) const;
     std::string get(const std::string &name,
                     const std::string &fallback) const;
+
+    /**
+     * Typed getters: the whole value must parse (no sign for
+     * getU64, in range for getInt, finite for getDouble); otherwise
+     * they print the flag and its value and exit 2.
+     */
     uint64_t getU64(const std::string &name,
                     uint64_t fallback) const;
     int getInt(const std::string &name, int fallback) const;

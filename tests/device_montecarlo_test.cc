@@ -168,9 +168,10 @@ TEST(MonteCarlo, ExactTierMatchesScalarReferenceBitwise)
     // bit-identical to the frozen reference at any trial count —
     // including sub-batch, tail-remainder and prime counts.
     DeviceParams p;
-    for (uint64_t trials : {uint64_t(1), uint64_t(255),
-                            uint64_t(256), uint64_t(4097),
-                            uint64_t(20011)}) {
+    for (uint64_t trials : {uint64_t(1), uint64_t(200),
+                            uint64_t(255), uint64_t(256),
+                            uint64_t(4097), uint64_t(20011),
+                            uint64_t(100003)}) {
         PositionErrorMonteCarlo batch(p, 5, McTier::Exact);
         PositionErrorMonteCarlo scalar(p, 5);
         expectPdfsIdentical(batch.run(7, trials),

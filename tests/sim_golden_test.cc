@@ -8,7 +8,7 @@
  * evidence:
  *
  *  1. component equivalence: each optimized component against its
- *     frozen reference (sim/reference.hh) under randomized driving;
+ *     frozen reference (tests/reference.hh) under randomized driving;
  *  2. end-to-end equivalence: simulate() against referenceSimulate()
  *     with every SimResult field compared exactly;
  *  3. pinned digests: SHA-256 over a full runMatrix sweep, compared
@@ -27,7 +27,7 @@
 #include "mem/rm_bank.hh"
 #include "model/tech.hh"
 #include "sim/experiment.hh"
-#include "sim/reference.hh"
+#include "reference.hh"
 #include "sim/runner.hh"
 #include "sim/system.hh"
 #include "trace/workload.hh"

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -267,7 +268,8 @@ TEST(CliFlags, ParsesPairsWithTypedGetters)
     std::string err;
     CliFlags f = tryParseArgs(
         {"tool", "--requests", "6000", "--scale", "2.5", "--name",
-         "x", "--neg", "-3"},
+         "x", "--neg", "-3", "--intensity", "83e6", "--max",
+         "18446744073709551615", "--min", "-2147483648"},
         {}, &ok, &err);
     ASSERT_TRUE(ok) << err;
     EXPECT_TRUE(f.has("requests"));
@@ -275,6 +277,10 @@ TEST(CliFlags, ParsesPairsWithTypedGetters)
     EXPECT_EQ(f.getDouble("scale", 0.0), 2.5);
     EXPECT_EQ(f.get("name", ""), "x");
     EXPECT_EQ(f.getInt("neg", 0), -3);
+    EXPECT_EQ(f.getDouble("intensity", 0.0), 83e6);
+    EXPECT_EQ(f.getU64("max", 0),
+              std::numeric_limits<uint64_t>::max());
+    EXPECT_EQ(f.getInt("min", 0), std::numeric_limits<int>::min());
     EXPECT_EQ(f.get("absent", "fb"), "fb");
     EXPECT_EQ(f.getU64("absent", 9), 9u);
 }
@@ -300,6 +306,53 @@ TEST(CliFlags, ReportsStrayMissingAndUnknown)
         << err;
     EXPECT_NE(err.find("--requests"), std::string::npos) << err;
     EXPECT_NE(err.find("--seed"), std::string::npos) << err;
+}
+
+/** `--requests <value>`, parsed. */
+CliFlags
+requestsFlag(const char *value)
+{
+    bool ok = false;
+    std::string err;
+    CliFlags f =
+        tryParseArgs({"tool", "--requests", value}, {}, &ok, &err);
+    EXPECT_TRUE(ok) << err;
+    return f;
+}
+
+/** The message pattern naming --requests and `value`. */
+std::string
+badRequestsPattern(const char *value)
+{
+    std::string re = "'";
+    for (const char *c = value; *c; ++c) {
+        if (std::strchr(".+*?()[]{}|^$\\", *c))
+            re += '\\';
+        re += *c;
+    }
+    return re + "' for '--requests'";
+}
+
+TEST(CliFlags, MalformedNumbersExitTwoNamingFlagAndValue)
+{
+    // Each of these used to parse silently: "abc" as 0, "1e3" as 1,
+    // "-5" as 2^64 - 5.
+    for (const char *v : {"abc", "1e3", "-5", "+5", "", " 7", "7 ",
+                          "18446744073709551616"})
+        EXPECT_EXIT(requestsFlag(v).getU64("requests", 0),
+                    ::testing::ExitedWithCode(2),
+                    badRequestsPattern(v))
+            << v;
+    for (const char *v : {"x", "1.5", "2147483648", "-2147483649"})
+        EXPECT_EXIT(requestsFlag(v).getInt("requests", 0),
+                    ::testing::ExitedWithCode(2),
+                    badRequestsPattern(v))
+            << v;
+    for (const char *v : {"abc", "2.5x", "nan", "inf", "1e400"})
+        EXPECT_EXIT(requestsFlag(v).getDouble("requests", 0.0),
+                    ::testing::ExitedWithCode(2),
+                    badRequestsPattern(v))
+            << v;
 }
 
 TEST(CliFlags, EmptyAllowedAcceptsAnything)

@@ -179,7 +179,11 @@ loadSpecOrExit(const std::string &path)
     return spec;
 }
 
-/** Apply `run` flag overrides on top of a loaded spec. */
+/**
+ * Apply `run` flag overrides on top of a loaded spec, then emit and
+ * re-parse the result so the overrides pass the same checks as the
+ * file (exit 2 with the dotted-path diagnostic otherwise).
+ */
 void
 applyRunOverrides(const CliFlags &flags, ExperimentSpec *spec)
 {
@@ -248,6 +252,14 @@ applyRunOverrides(const CliFlags &flags, ExperimentSpec *spec)
         spec->metrics_path = flags.get("metrics", "");
     if (flags.has("trace-out"))
         spec->trace_path = flags.get("trace-out", "");
+
+    std::string diag;
+    if (!experimentSpecFromJson(experimentSpecToJson(*spec), spec,
+                                &diag)) {
+        std::fprintf(stderr, "%s (after flag overrides): %s\n",
+                     flags.get("spec", "").c_str(), diag.c_str());
+        std::exit(2);
+    }
 }
 
 /** Signal-visible cancel source for spec runs (SIGINT/SIGTERM). */
@@ -454,6 +466,10 @@ cmdRun(int argc, char **argv)
     cfg.hierarchy.scheme =
         schemeOrExit(flags.get("scheme", "adaptive"));
     cfg.hierarchy.capacity_divisor = flags.getU64("divisor", 16);
+    if (cfg.hierarchy.capacity_divisor == 0) {
+        std::fprintf(stderr, "--divisor must be >= 1\n");
+        std::exit(2);
+    }
     cfg.hierarchy.placement.kind =
         placementOrExit(flags.get("placement", "static"));
     cfg.hierarchy.placement.epoch_accesses =
@@ -653,10 +669,19 @@ cmdStripe(int argc, char **argv)
     c.seg_len = flags.getInt("lseg", 8);
     c.correct = flags.getInt("strength", 1);
     std::string variant = flags.get("variant", "std");
-    c.variant = variant == "overhead"
-                    ? PeccVariant::OverheadRegion
-                    : variant == "del-ins" ? PeccVariant::DelIns
-                                           : PeccVariant::Standard;
+    if (variant == "std") {
+        c.variant = PeccVariant::Standard;
+    } else if (variant == "overhead") {
+        c.variant = PeccVariant::OverheadRegion;
+    } else if (variant == "del-ins") {
+        c.variant = PeccVariant::DelIns;
+    } else {
+        std::fprintf(stderr,
+                     "unknown variant '%s' (std | overhead | "
+                     "del-ins)\n",
+                     variant.c_str());
+        std::exit(2);
+    }
     PeccLayout lay = computeLayout(c);
     AreaModel area;
     std::printf("stripe: %d segments x %d domains, m = %d (%s)\n",

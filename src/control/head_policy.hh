@@ -52,13 +52,6 @@ headPolicyName(HeadPolicy policy)
     return enumToken(policy);
 }
 
-/** Parse a head-policy token; false on unknown input. */
-inline bool
-headPolicyFromToken(const std::string &token, HeadPolicy *out)
-{
-    return enumFromToken(token, out);
-}
-
 } // namespace rtm
 
 #endif // RTM_CONTROL_HEAD_POLICY_HH

@@ -52,13 +52,6 @@ techToken(MemTech tech)
     return enumToken(tech);
 }
 
-/** Parse a technology token; false (out untouched) when unknown. */
-inline bool
-techFromToken(const std::string &token, MemTech *out)
-{
-    return enumFromToken(token, out);
-}
-
 /** Timing/energy/capacity description of one cache technology. */
 struct TechParams
 {

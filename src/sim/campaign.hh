@@ -236,10 +236,6 @@ JsonValue campaignCellToJson(const CampaignCellResult &cell);
 /** The campaign result as a JSON document (serde layer). */
 JsonValue campaignResultToJson(const CampaignResult &result);
 
-/** Write the campaign result as JSON; returns false on I/O error. */
-bool writeCampaignJson(const CampaignResult &result,
-                       const std::string &path);
-
 } // namespace rtm
 
 #endif // RTM_SIM_CAMPAIGN_HH

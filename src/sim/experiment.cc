@@ -31,7 +31,7 @@ checkWorkloadNames(const SpecReader &r,
     }
 }
 
-/** The faultcampaign tool's historical default workload trio. */
+/** The campaign section's default workload trio. */
 std::vector<std::string>
 defaultCampaignWorkloads()
 {
@@ -638,7 +638,7 @@ runStressDrill(const StressSpec &spec, TelemetryScope telemetry,
 
     Rng dice(spec.seed ^ 0xfeedbeef);
     LatencyHistogram *t_dist =
-        telemetry ? &telemetry->histogram("faultsim.shift_distance",
+        telemetry ? &telemetry->histogram("stress.shift_distance",
                                           powerOfTwoEdges(64.0))
                   : nullptr;
 
@@ -737,15 +737,15 @@ runStressDrill(const StressSpec &spec, TelemetryScope telemetry,
 
     if (telemetry) {
         Telemetry &t = *telemetry.get();
-        t.counter("faultsim.ops").add(spec.ops);
-        t.counter("faultsim.corrected").add(out.corrected);
-        t.counter("faultsim.due").add(out.due);
-        t.counter("faultsim.silent").add(out.silent);
-        t.counter("faultsim.clean").add(out.clean);
-        t.gauge("faultsim.scale").set(spec.scale);
-        t.gauge("faultsim.expected_corrected").set(out.exp_corrected);
-        t.gauge("faultsim.expected_due").set(out.exp_due);
-        t.gauge("faultsim.expected_sdc").set(out.exp_sdc);
+        t.counter("stress.ops").add(spec.ops);
+        t.counter("stress.corrected").add(out.corrected);
+        t.counter("stress.due").add(out.due);
+        t.counter("stress.silent").add(out.silent);
+        t.counter("stress.clean").add(out.clean);
+        t.gauge("stress.scale").set(spec.scale);
+        t.gauge("stress.expected_corrected").set(out.exp_corrected);
+        t.gauge("stress.expected_due").set(out.exp_due);
+        t.gauge("stress.expected_sdc").set(out.exp_sdc);
     }
     return out;
 }

@@ -6,8 +6,8 @@
  * An ExperimentSpec describes a whole evaluation as data — the
  * technology/scheme axes and workload set of a matrix sweep
  * (Figs. 14/16-18), the scenario catalogue of a fault-injection
- * campaign, the stripe-level stress drill faultsim runs, telemetry
- * sinks and seeds — and round-trips losslessly through JSON
+ * campaign, the stripe-level stress drill, telemetry sinks and
+ * seeds — and round-trips losslessly through JSON
  * (util/serde.hh). A spec expands into a flat cell list, and every
  * cell — matrix, campaign and stress alike — is scheduled as one job
  * set on the global thread pool by the ExperimentEngine: no
@@ -318,9 +318,9 @@ CampaignSpec::operator==(const CampaignSpec &o) const
 void finishRead(SpecReader &r, CampaignSpec &c);
 
 /**
- * Stress section: the stripe-level fault-injection drill faultsim
- * runs — randomized seeks on one protected stripe with scaled error
- * rates, reconciled against the closed-form ReliabilityModel.
+ * Stress section: the stripe-level fault-injection drill —
+ * randomized seeks on one protected stripe with scaled error rates,
+ * reconciled against the closed-form ReliabilityModel.
  */
 struct StressSpec
 {
@@ -446,7 +446,7 @@ std::string experimentSpecHash(const ExperimentSpec &spec);
  * Resolve every defaulted axis to its explicit catalogue (empty
  * matrix workloads -> all PARSEC profiles, empty options -> the
  * standard LLC set, empty scenarios -> the standard catalogue, empty
- * campaign workloads -> the faultcampaign trio), so expansion and
+ * campaign workloads -> the containment trio), so expansion and
  * emission are deterministic and emitted specs are self-contained.
  */
 void normalizeExperimentSpec(ExperimentSpec *spec);

@@ -13,9 +13,9 @@
  *    (ExperimentSpec et al.) that accumulates dotted-path
  *    diagnostics ("matrix.requests: expected number, got string")
  *    instead of dying on the first problem;
- *  - CliFlags: the one --flag value command-line parser shared by
- *    rtmsim / faultsim / faultcampaign, with uniform error handling
- *    for stray tokens, missing values and unknown flags.
+ *  - CliFlags: the --flag value command-line parser of rtmsim, with
+ *    uniform error handling for stray tokens, missing values and
+ *    unknown flags.
  */
 
 #ifndef RTM_UTIL_SERDE_HH

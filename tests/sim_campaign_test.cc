@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <map>
 #include <string>
 
@@ -326,27 +325,29 @@ TEST(Campaign, DegradationDrillRetiresGroupsGracefully)
     EXPECT_TRUE(cell.contained) << cell.violation;
 }
 
-TEST(Campaign, WritesJsonReport)
+TEST(Campaign, ReportJsonListsCellsAndCoverage)
 {
-    std::string path = "/tmp/rtm_campaign_test.json";
     std::vector<ScenarioSpec> one = {standardScenarios()[1]};
     CampaignConfig config = quickConfig();
     config.accesses_per_cell = 300;
     CampaignResult r = runCampaign(one, {"swaptions"}, config);
-    ASSERT_TRUE(writeCampaignJson(r, path));
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    ASSERT_NE(f, nullptr);
-    char buf[4096];
-    size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
-    std::fclose(f);
-    buf[n] = '\0';
-    std::string text(buf);
-    EXPECT_NE(text.find("\"cells\""), std::string::npos);
-    EXPECT_NE(text.find("\"containment_coverage\""),
-              std::string::npos);
-    EXPECT_NE(text.find("\"burst\""), std::string::npos);
-    std::remove(path.c_str());
-    EXPECT_FALSE(writeCampaignJson(r, "/nonexistent/dir/x.json"));
+    ASSERT_EQ(r.cells.size(), 1u);
+    const JsonValue doc = campaignResultToJson(r);
+
+    const JsonValue *cells = doc.find("cells");
+    ASSERT_NE(cells, nullptr);
+    ASSERT_EQ(cells->size(), 1u);
+    const JsonValue &cell = cells->at(0);
+    ASSERT_NE(cell.find("scenario"), nullptr);
+    EXPECT_EQ(cell.find("scenario")->asString(), "burst");
+    ASSERT_NE(cell.find("injected_faults"), nullptr);
+    EXPECT_EQ(cell.find("injected_faults")->asU64(),
+              r.cells[0].ledger.injected_faults);
+    ASSERT_NE(doc.find("total_cells"), nullptr);
+    EXPECT_EQ(doc.find("total_cells")->asU64(), 1u);
+    ASSERT_NE(doc.find("containment_coverage"), nullptr);
+    EXPECT_EQ(doc.find("containment_coverage")->asDouble(),
+              static_cast<double>(r.contained_cells));
 }
 
 } // namespace

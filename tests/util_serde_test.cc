@@ -134,6 +134,7 @@ TEST(Json, FileRoundTrip)
 
     EXPECT_FALSE(loadJsonFile("no/such/dir/x.json", &back, &err));
     EXPECT_NE(err.find("no/such/dir/x.json"), std::string::npos);
+    EXPECT_FALSE(saveJsonFile("/nonexistent/dir/x.json", v));
 }
 
 TEST(SpecReader, BindsTypedFieldsAndKeepsDefaults)

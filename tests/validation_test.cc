@@ -2,7 +2,8 @@
  * @file
  * Model-validation tests: the closed-form reliability model must
  * agree with the functional protection stack under fault-injection
- * campaigns (the property faultsim demonstrates interactively), and
+ * campaigns (the property `rtmsim run --spec
+ * examples/specs/stress.json` reports as its reconciliation table), and
  * rebuild paths must fully reset ground-truth bookkeeping.
  */
 

@@ -14,7 +14,12 @@
  * `run` options:
  *   --spec FILE.json  run a declarative ExperimentSpec (see
  *                     docs/ARCHITECTURE.md); the flags below become
- *                     overrides on top of the spec
+ *                     overrides on top of the spec, and a flag for a
+ *                     section the spec does not enable exits 2.
+ *                     A campaign section prints its per-cell
+ *                     containment table (exit 1 unless every cell
+ *                     contained its faults), a stress section its
+ *                     measured-vs-analytic reconciliation table
  *   --workload NAME   PARSEC-like profile (default streamcluster)
  *   --trace PATH      replay a text trace instead of a profile
  *   --tech T          sram | sttram | rm | rm-ideal  (default rm)
@@ -23,7 +28,8 @@
  *                                                  (default adaptive)
  *   --requests N      memory requests              (default 60000)
  *   --divisor D       capacity divisor             (default 16)
- *   --seed N          RNG seed                     (default 42)
+ *   --seed N          RNG seed                     (default 42;
+ *                     on a spec run it reseeds every enabled section)
  *   --placement P     static | hot-center | adaptive
  *                     data placement policy        (default static)
  *   --placement-epoch N  accesses per placement epoch (default 64)
@@ -70,6 +76,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cmath>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -89,54 +96,25 @@ using namespace rtm;
 namespace
 {
 
-MemTech
-techOrExit(const std::string &s)
+/**
+ * Parse flag `name` (or `fallback`) as a token of enum E's table;
+ * exit 2 listing the accepted tokens otherwise.
+ */
+template <class E>
+E
+enumFlagOrExit(const CliFlags &flags, const char *name,
+               const char *fallback)
 {
-    MemTech tech;
-    if (!techFromToken(s, &tech)) {
-        std::fprintf(stderr, "unknown tech '%s'\n", s.c_str());
-        std::exit(2);
-    }
-    return tech;
-}
-
-Scheme
-schemeOrExit(const std::string &s)
-{
-    Scheme scheme;
-    if (!schemeFromToken(s, &scheme)) {
-        std::fprintf(stderr, "unknown scheme '%s'\n", s.c_str());
-        std::exit(2);
-    }
-    return scheme;
-}
-
-PlacementKind
-placementOrExit(const std::string &s)
-{
-    PlacementKind kind;
-    if (!placementKindFromToken(s, &kind)) {
-        std::fprintf(stderr,
-                     "unknown placement '%s' (static | hot-center | "
-                     "adaptive)\n",
-                     s.c_str());
-        std::exit(2);
-    }
-    return kind;
-}
-
-HeadPolicy
-headPolicyOrExit(const std::string &s)
-{
-    HeadPolicy policy;
-    if (!headPolicyFromToken(s, &policy)) {
-        std::fprintf(stderr,
-                     "unknown head policy '%s' (stay | return-home | "
-                     "center | predictive)\n",
-                     s.c_str());
-        std::exit(2);
-    }
-    return policy;
+    const std::string token = flags.get(name, fallback);
+    E value{};
+    if (enumFromToken(token, &value))
+        return value;
+    std::string known;
+    for (const EnumToken<E> &row : enumTokens(value))
+        known += (known.empty() ? "" : " | ") + std::string(row.token);
+    std::fprintf(stderr, "unknown --%s '%s' (%s)\n", name,
+                 token.c_str(), known.c_str());
+    std::exit(2);
 }
 
 /**
@@ -180,6 +158,29 @@ loadSpecOrExit(const std::string &path)
 }
 
 /**
+ * Exit 2 if one of `names` is set while the spec leaves `section`
+ * disabled: the override would otherwise be dropped unread.
+ */
+void
+rejectForDisabledSection(const CliFlags &flags, bool enabled,
+                         const char *section,
+                         std::initializer_list<const char *> names)
+{
+    if (enabled)
+        return;
+    for (const char *name : names) {
+        if (flags.has(name)) {
+            std::fprintf(stderr,
+                         "--%s only affects the %s section, which "
+                         "%s does not enable\n",
+                         name, section,
+                         flags.get("spec", "").c_str());
+            std::exit(2);
+        }
+    }
+}
+
+/**
  * Apply `run` flag overrides on top of a loaded spec, then emit and
  * re-parse the result so the overrides pass the same checks as the
  * file (exit 2 with the dotted-path diagnostic otherwise).
@@ -187,6 +188,20 @@ loadSpecOrExit(const std::string &path)
 void
 applyRunOverrides(const CliFlags &flags, ExperimentSpec *spec)
 {
+    if (flags.has("trace")) {
+        std::fprintf(stderr, "--trace replays one trace file and "
+                     "cannot be combined with --spec (--trace-out "
+                     "writes the Chrome trace)\n");
+        std::exit(2);
+    }
+    rejectForDisabledSection(
+        flags, spec->matrix.enabled, "matrix",
+        {"requests", "divisor", "workload", "tech", "scheme",
+         "placement", "placement-epoch", "swap-budget", "head-policy",
+         "protection", "codeword-frames"});
+    rejectForDisabledSection(flags, spec->montecarlo.enabled,
+                             "montecarlo", {"mc-tier", "mc-trials"});
+
     if (flags.has("requests")) {
         spec->matrix.requests = flags.getU64("requests", 60000);
         // Same convention as an unstated spec warmup: track the
@@ -195,14 +210,26 @@ applyRunOverrides(const CliFlags &flags, ExperimentSpec *spec)
     }
     if (flags.has("divisor"))
         spec->matrix.divisor = flags.getU64("divisor", 16);
-    if (flags.has("seed"))
-        spec->matrix.seed = flags.getU64("seed", 42);
+    if (flags.has("seed")) {
+        // Reseed only enabled sections: a disabled section's seed
+        // still enters the journal's spec hash.
+        const uint64_t seed = flags.getU64("seed", 42);
+        if (spec->matrix.enabled)
+            spec->matrix.seed = seed;
+        if (spec->campaign.enabled)
+            spec->campaign.config.seed = seed;
+        if (spec->stress.enabled)
+            spec->stress.seed = seed;
+        if (spec->montecarlo.enabled)
+            spec->montecarlo.seed = seed;
+    }
     if (flags.has("workload"))
         spec->matrix.workloads = {flags.get("workload", "")};
     if (flags.has("tech") || flags.has("scheme")) {
         LlcOption opt;
-        opt.tech = techOrExit(flags.get("tech", "rm"));
-        opt.scheme = schemeOrExit(flags.get("scheme", "adaptive"));
+        opt.tech = enumFlagOrExit<MemTech>(flags, "tech", "rm");
+        opt.scheme =
+            enumFlagOrExit<Scheme>(flags, "scheme", "adaptive");
         opt.label = std::string(memTechName(opt.tech)) + " " +
                     schemeName(opt.scheme);
         spec->matrix.options = {opt};
@@ -214,11 +241,11 @@ applyRunOverrides(const CliFlags &flags, ExperimentSpec *spec)
         flags.has("placement-epoch") || flags.has("swap-budget")) {
         for (LlcOption &opt : spec->matrix.options) {
             if (flags.has("placement"))
-                opt.placement =
-                    placementOrExit(flags.get("placement", "static"));
+                opt.placement = enumFlagOrExit<PlacementKind>(
+                    flags, "placement", "static");
             if (flags.has("head-policy"))
-                opt.head_policy = headPolicyOrExit(
-                    flags.get("head-policy", "stay"));
+                opt.head_policy = enumFlagOrExit<HeadPolicy>(
+                    flags, "head-policy", "stay");
             if (flags.has("placement-epoch"))
                 opt.placement_epoch = flags.getU64(
                     "placement-epoch", opt.placement_epoch);
@@ -232,17 +259,9 @@ applyRunOverrides(const CliFlags &flags, ExperimentSpec *spec)
     }
     if (flags.has("protection") || flags.has("codeword-frames"))
         spec->protection = protectionOrExit(flags);
-    if (flags.has("mc-tier")) {
-        const std::string token = flags.get("mc-tier", "exact");
-        McTier tier;
-        if (!mcTierFromToken(token, &tier)) {
-            std::fprintf(stderr,
-                         "unknown --mc-tier '%s' (exact | fast)\n",
-                         token.c_str());
-            std::exit(2);
-        }
-        spec->montecarlo.tier = token;
-    }
+    if (flags.has("mc-tier"))
+        spec->montecarlo.tier = mcTierToken(
+            enumFlagOrExit<McTier>(flags, "mc-tier", "exact"));
     if (flags.has("mc-trials"))
         spec->montecarlo.trials =
             flags.getU64("mc-trials", spec->montecarlo.trials);
@@ -287,8 +306,8 @@ resolveStreamPath(const CliFlags &flags,
 
 /**
  * Uniform epilogue for crash-safe spec runs: outcome summary,
- * resume hint, and the exit status convention shared by all three
- * tools (130 interrupted, 1 on contained-but-failed cells).
+ * resume hint, and the exit status convention (130 interrupted,
+ * 1 on contained-but-failed cells).
  */
 int
 resilienceEpilogue(const ExperimentResult &result,
@@ -329,6 +348,73 @@ resilienceEpilogue(const ExperimentResult &result,
     if (result.failed_cells)
         return 1;
     return exit_code;
+}
+
+/** A campaign section's per-cell containment table. */
+void
+printCampaign(const CampaignSpec &spec, const CampaignResult &r)
+{
+    const CampaignConfig &c = spec.config;
+    std::printf("campaign: %zu scenarios x %zu workloads, %llu "
+                "accesses/cell, rates x%.0f, retry budget %d\n\n",
+                spec.scenarios.size(), spec.workloads.size(),
+                static_cast<unsigned long long>(c.accesses_per_cell),
+                c.scale, c.recovery.retry_budget);
+    auto count = [](uint64_t n) {
+        return TextTable::integer(static_cast<long long>(n));
+    };
+    TextTable t({"scenario", "workload", "injected", "detected",
+                 "corrected", "ladder", "DUE", "SDC", "degr.cap",
+                 "contained"});
+    for (const CampaignCellResult &cell : r.cells) {
+        const CampaignLedger &l = cell.ledger;
+        t.addRow({cell.scenario, cell.workload,
+                  count(l.injected_faults), count(l.detected),
+                  count(l.corrected),
+                  count(l.recovered_retry + l.recovered_realign +
+                        l.recovered_scrub),
+                  count(l.due), count(l.sdc),
+                  TextTable::fixed(cell.degraded_capacity_fraction, 3),
+                  cell.contained ? "yes" : cell.violation});
+    }
+    t.print(stdout);
+    std::printf("\n%llu/%zu cells contained\n\n",
+                static_cast<unsigned long long>(r.contained_cells),
+                r.cells.size());
+}
+
+/**
+ * The stress drill's outcomes against the closed-form
+ * ReliabilityModel's expectation at the same scaled rates.
+ */
+void
+printStress(const StressSpec &spec, const StressResult &r)
+{
+    std::printf("stress: %s, rates x%.0f, %llu ops, Lseg %d\n\n",
+                schemeName(r.scheme), spec.scale,
+                static_cast<unsigned long long>(spec.ops), spec.lseg);
+    TextTable t({"outcome", "measured", "analytic expectation",
+                 "ratio"});
+    auto row = [&](const char *name, uint64_t got, double want) {
+        double ratio = want > 0
+                           ? static_cast<double>(got) / want
+                           : (got == 0 ? 1.0 : INFINITY);
+        t.addRow({name,
+                  TextTable::integer(static_cast<long long>(got)),
+                  TextTable::fixed(want, 1),
+                  TextTable::fixed(ratio, 2)});
+    };
+    row("corrected", r.corrected, r.exp_corrected);
+    row("DUE", r.due, r.exp_due);
+    row("silent", r.silent, r.exp_sdc);
+    t.print(stdout);
+    std::printf("\nclean ops: %llu; mean shift distance %.2f\n",
+                static_cast<unsigned long long>(r.clean),
+                r.distances.mean());
+    std::printf("ratios near 1.00 validate the closed-form "
+                "reliability model against the functional stack; "
+                "the paper-scale MTTF figures rest on exactly that "
+                "model evaluated at the unscaled rates.\n\n");
 }
 
 int
@@ -377,21 +463,10 @@ runSpec(const ExperimentSpec &spec_in, const CliFlags &flags)
         t.print(stdout);
         std::printf("\n");
     }
-    if (result.has_campaign && result.complete()) {
-        std::printf("campaign: %llu/%zu cells contained\n",
-                    static_cast<unsigned long long>(
-                        result.campaign.contained_cells),
-                    result.campaign.cells.size());
-    }
-    if (result.has_stress) {
-        const StressResult &s = result.stress;
-        std::printf("stress (%s): %llu corrected, %llu DUE, "
-                    "%llu silent\n",
-                    schemeName(s.scheme),
-                    static_cast<unsigned long long>(s.corrected),
-                    static_cast<unsigned long long>(s.due),
-                    static_cast<unsigned long long>(s.silent));
-    }
+    if (result.has_campaign && result.complete())
+        printCampaign(spec.campaign, result.campaign);
+    if (result.has_stress && result.complete())
+        printStress(spec.stress, result.stress);
     if (result.has_mc) {
         const McRunResult &m = result.mc;
         std::printf("montecarlo (%s tier): distance %d, %llu "
@@ -462,22 +537,22 @@ cmdRun(int argc, char **argv)
     }
 
     SimConfig cfg;
-    cfg.hierarchy.llc_tech = techOrExit(flags.get("tech", "rm"));
+    cfg.hierarchy.llc_tech = enumFlagOrExit<MemTech>(flags, "tech", "rm");
     cfg.hierarchy.scheme =
-        schemeOrExit(flags.get("scheme", "adaptive"));
+        enumFlagOrExit<Scheme>(flags, "scheme", "adaptive");
     cfg.hierarchy.capacity_divisor = flags.getU64("divisor", 16);
     if (cfg.hierarchy.capacity_divisor == 0) {
         std::fprintf(stderr, "--divisor must be >= 1\n");
         std::exit(2);
     }
     cfg.hierarchy.placement.kind =
-        placementOrExit(flags.get("placement", "static"));
+        enumFlagOrExit<PlacementKind>(flags, "placement", "static");
     cfg.hierarchy.placement.epoch_accesses =
         flags.getU64("placement-epoch", 64);
     cfg.hierarchy.placement.swap_budget =
         static_cast<int>(flags.getU64("swap-budget", 4));
     cfg.hierarchy.head_policy =
-        headPolicyOrExit(flags.get("head-policy", "stay"));
+        enumFlagOrExit<HeadPolicy>(flags, "head-policy", "stay");
     if (flags.has("protection") || flags.has("codeword-frames"))
         cfg.hierarchy.protection = protectionOrExit(flags);
     cfg.mem_requests = flags.getU64("requests", 60000);

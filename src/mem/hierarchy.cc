@@ -1,27 +1,59 @@
 #include "hierarchy.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace rtm
 {
+
+std::string
+hierarchyGeometryError(const HierarchyConfig &config)
+{
+    if (config.cores < 1)
+        return "hierarchy needs at least one core";
+    const uint64_t d = config.capacity_divisor;
+    if (d == 0)
+        return "capacity divisor must be >= 1";
+    const uint64_t l1_bytes = l1Params().capacity_bytes / d;
+    const uint64_t min_bytes =
+        static_cast<uint64_t>(std::max(config.line_bytes, 0)) * 16;
+    if (l1_bytes < min_bytes)
+        return "capacity divisor " + std::to_string(d) +
+               " leaves L1 below " + std::to_string(min_bytes) +
+               " bytes";
+    const struct
+    {
+        const char *name;
+        uint64_t bytes;
+        int ways;
+    } levels[] = {
+        {"L1", l1_bytes, config.l1_ways},
+        {"L2", l2Params().capacity_bytes / d, config.l2_ways},
+        {"L3", l3For(config.llc_tech).capacity_bytes / d,
+         config.llc_ways},
+    };
+    for (const auto &level : levels) {
+        const std::string err = cacheGeometryError(
+            level.bytes, level.ways, config.line_bytes);
+        if (!err.empty())
+            return std::string(level.name) + " under capacity divisor " +
+                   std::to_string(d) + ": " + err;
+    }
+    return "";
+}
 
 Hierarchy::Hierarchy(const HierarchyConfig &config,
                      const PositionErrorModel *model)
     : config_(config), l1_params_(l1Params()), l2_params_(l2Params()),
       l3_params_(l3For(config.llc_tech)), dram_(dramParams())
 {
-    if (config_.cores < 1)
-        rtm_fatal("hierarchy needs at least one core");
-    if (config_.capacity_divisor == 0)
-        rtm_fatal("capacity divisor must be >= 1");
+    const std::string err = hierarchyGeometryError(config_);
+    if (!err.empty())
+        rtm_fatal("%s", err.c_str());
     l1_params_.capacity_bytes /= config_.capacity_divisor;
     l2_params_.capacity_bytes /= config_.capacity_divisor;
     l3_params_.capacity_bytes /= config_.capacity_divisor;
-    uint64_t min_bytes =
-        static_cast<uint64_t>(config_.line_bytes) * 16;
-    if (l1_params_.capacity_bytes < min_bytes)
-        rtm_fatal("capacity divisor leaves L1 below %llu bytes",
-                  static_cast<unsigned long long>(min_bytes));
     for (int c = 0; c < config_.cores; ++c) {
         l1_.push_back(std::make_unique<Cache>(
             l1_params_.capacity_bytes, config_.l1_ways,

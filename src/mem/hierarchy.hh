@@ -16,6 +16,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "device/error_model.hh"
@@ -90,6 +91,16 @@ struct HierarchyConfig
 };
 
 /**
+ * Why `config` cannot be built, or "" when it can: at least one core,
+ * a capacity divisor >= 1 that leaves L1 at least 16 lines, and a
+ * valid cache geometry (cacheGeometryError) at every level after
+ * dividing. The Hierarchy constructor and the spec and command-line
+ * readers all check it, so a bad divisor is refused before any
+ * simulation starts.
+ */
+std::string hierarchyGeometryError(const HierarchyConfig &config);
+
+/**
  * The full hierarchy.
  */
 class Hierarchy
@@ -117,6 +128,9 @@ class Hierarchy
 
     /** Shared L3. */
     const Cache &l3() const { return *l3_; }
+
+    /** Prefetch the L3 tag and recency words addr would look up. */
+    void prefetchLlc(Addr addr) const { l3_->prefetch(addr); }
 
     /** Racetrack shift engine (null for SRAM/STT-RAM LLC). */
     RmBank *rmBank() { return rm_bank_.get(); }

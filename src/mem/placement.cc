@@ -15,8 +15,11 @@ PlacementPolicy::PlacementPolicy(const PlacementGeometry &geom,
 {
     if (geom_.line_frames == 0)
         rtm_fatal("placement needs at least one frame");
-    if (geom_.frames_per_group % geom_.seg_len != 0)
+    if (geom_.seg_len < 1 || geom_.frames_per_group < 1 ||
+        geom_.frames_per_group % geom_.seg_len != 0)
         rtm_fatal("frames_per_group must be a multiple of seg_len");
+    group_div_ = Divider(static_cast<uint64_t>(geom_.frames_per_group));
+    seg_div_ = Divider(static_cast<uint64_t>(geom_.seg_len));
     if (config_.epoch_accesses == 0)
         rtm_fatal("placement epoch must be >= 1 access");
     if (config_.swap_budget < 0)

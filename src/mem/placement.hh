@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "control/head_policy.hh"
+#include "util/divider.hh"
 
 namespace rtm
 {
@@ -163,8 +164,7 @@ class PlacementPolicy
     /** Home stripe group of a frame. */
     uint64_t groupOf(uint64_t frame) const
     {
-        return frame /
-               static_cast<uint64_t>(geom_.frames_per_group);
+        return group_div_.quotient(frame);
     }
 
     /** Offset `group`'s heads drift to when idle. */
@@ -227,10 +227,11 @@ class PlacementPolicy
     /** The arithmetic (static) slot of a frame. */
     int homeOffset(uint64_t frame) const
     {
-        int idx = static_cast<int>(
-            frame % static_cast<uint64_t>(geom_.frames_per_group));
-        int r = idx % geom_.seg_len;
-        return geom_.seg_len - 1 - r;
+        // (frame mod frames_per_group) mod seg_len: seg_len divides
+        // frames_per_group (checked at construction), so one
+        // reduction does.
+        return geom_.seg_len - 1 -
+               static_cast<int>(seg_div_.remainder(frame));
     }
 
     /** Frames a group can hold per slot offset. */
@@ -254,6 +255,8 @@ class PlacementPolicy
     void updateRest(uint64_t group);
 
     PlacementGeometry geom_;
+    Divider group_div_; //!< by frames_per_group
+    Divider seg_div_;   //!< by seg_len
     PlacementConfig config_;
     HeadPolicy head_policy_;
     int fixed_rest_ = 0;

@@ -1,7 +1,6 @@
 #include "rm_bank.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "util/logging.hh"
@@ -78,7 +77,8 @@ RmBank::RmBank(const RmBankConfig &config,
         rtm_fatal("RmBank needs an error model");
     if (config_.line_frames == 0)
         rtm_fatal("RmBank needs at least one frame");
-    if (config_.frames_per_group % config_.seg_len != 0)
+    if (config_.seg_len < 1 || config_.frames_per_group < 1 ||
+        config_.frames_per_group % config_.seg_len != 0)
         rtm_fatal("frames_per_group must be a multiple of seg_len");
     for (size_t i = 0; i < protection_.domains.size(); ++i) {
         ProtectionDomain &d = protection_.domains[i];
@@ -104,10 +104,11 @@ RmBank::RmBank(const RmBankConfig &config,
                 model, d.has_scheme ? d.scheme : config_.scheme,
                 d.codeword_frames);
         }
+        codeword_div_.emplace_back(
+            static_cast<uint64_t>(std::max(d.codeword_frames, 1)));
     }
     const auto fpg = static_cast<uint64_t>(config_.frames_per_group);
-    if (std::has_single_bit(fpg))
-        group_shift_ = std::countr_zero(fpg);
+    group_div_ = Divider(fpg);
     uint64_t groups = (config_.line_frames + fpg - 1) / fpg;
     head_.assign(groups, 0);
     busy_until_.assign(groups, 0);
@@ -475,15 +476,16 @@ RmBank::accessFrame(uint64_t frame_index, Cycles now)
 ShiftCost
 RmBank::accessRedundancy(uint64_t frame_index, Cycles now)
 {
-    const ProtectionDomain &d = protection_.domainFor(frame_index);
-    if (d.codeword_frames <= 1)
+    const auto dom =
+        static_cast<size_t>(protection_.domainIndexFor(frame_index));
+    if (protection_.domains[dom].codeword_frames <= 1)
         return {};
     // The pooled check region lives in the codeword's base frame
     // slot. codeword_frames divides frames_per_group (validated at
     // construction), so the base frame shares the data frame's
     // group and domain.
-    const uint64_t f = static_cast<uint64_t>(d.codeword_frames);
-    uint64_t base = (frame_index / f) * f;
+    const uint64_t base =
+        frame_index - codeword_div_[dom].remainder(frame_index);
     ShiftCost cost = accessFrame(base, now);
     ++stats_.redundancy_accesses;
     stats_.redundancy_steps +=

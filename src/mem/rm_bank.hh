@@ -34,6 +34,7 @@
 #include "mem/protection.hh"
 #include "model/reliability.hh"
 #include "model/tech.hh"
+#include "util/divider.hh"
 #include "util/stats.hh"
 #include "util/telemetry.hh"
 
@@ -396,15 +397,14 @@ class RmBank
     Counter *t_migration_steps_ = nullptr;
     LatencyHistogram *t_shift_latency_ = nullptr;
 
-    /** log2(frames_per_group) when it is a power of two, else -1:
-     *  groupOf is then a shift instead of a division. */
-    int group_shift_ = -1;
+    /** Division by frames_per_group (frame -> home group). */
+    Divider group_div_;
+    /** codeword_div_[d]: division by domain d's codeword_frames. */
+    std::vector<Divider> codeword_div_;
 
     uint64_t groupOf(uint64_t frame) const
     {
-        if (group_shift_ >= 0)
-            return frame >> group_shift_;
-        return frame / static_cast<uint64_t>(config_.frames_per_group);
+        return group_div_.quotient(frame);
     }
 
     /** Reliability model of protection domain `dom`. */

@@ -134,6 +134,29 @@ checkProtectionDomain(const SpecReader &r, const std::string &at,
         r.fail(at + "codeword_frames", err);
 }
 
+/**
+ * The capacity divisor must leave every option's hierarchy buildable
+ * (hierarchyGeometryError, the rule the Hierarchy constructor
+ * enforces), so a bad divisor fails here instead of in every engine
+ * worker.
+ */
+void
+checkDivisorGeometry(SpecReader &r, const MatrixSpec &m)
+{
+    const std::vector<LlcOption> options =
+        m.options.empty() ? standardLlcOptions() : m.options;
+    for (const LlcOption &o : options) {
+        HierarchyConfig h;
+        h.llc_tech = o.tech;
+        h.capacity_divisor = m.divisor;
+        const std::string err = hierarchyGeometryError(h);
+        if (!err.empty()) {
+            r.fail("divisor", err);
+            return;
+        }
+    }
+}
+
 } // anonymous namespace
 
 // --- spec sections (hand-written parse steps, see fields.hh) ----------
@@ -171,6 +194,8 @@ finishRead(SpecReader &r, MatrixSpec &m)
         r.fail("requests", "must be >= 1");
     if (m.divisor == 0)
         r.fail("divisor", "must be >= 1");
+    else
+        checkDivisorGeometry(r, m);
 }
 
 void

@@ -31,6 +31,12 @@ namespace
 /**
  * Core simulation loop shared by the synthetic and trace-replay
  * front-ends: `next` yields the request stream.
+ *
+ * The loop runs one request ahead: request i+1 is drawn, and the L3
+ * tag and recency words it will look up are prefetched, before
+ * request i is served, so the (mostly missing) LLC set load overlaps
+ * request i's work. The served sequence is unchanged; the stream is
+ * merely asked for one request more than is served.
  */
 template <typename NextFn>
 SimResult
@@ -58,6 +64,17 @@ runSim(const std::string &name, const SimConfig &config,
     // stride so the hot loop pays one predictable branch per block.
     constexpr uint64_t kStopPollStride = 1024;
 
+    // One-request lookahead (see above): `ahead` is the request the
+    // next iteration serves.
+    MemRequest ahead = next();
+    hierarchy.prefetchLlc(ahead.addr);
+    auto advance = [&]() {
+        const MemRequest req = ahead;
+        ahead = next();
+        hierarchy.prefetchLlc(ahead.addr);
+        return req;
+    };
+
     // Warmup: touch caches without accounting.
     {
         ScopedPhase phase("sim.warmup");
@@ -65,7 +82,7 @@ runSim(const std::string &name, const SimConfig &config,
             if (config.stop && i % kStopPollStride == 0 &&
                 config.stop->poll())
                 return res;
-            const MemRequest &req = next();
+            const MemRequest req = advance();
             auto c = static_cast<size_t>(req.core);
             core_time[c] += req.gap_instructions;
             HierarchyAccess acc = hierarchy.access(
@@ -103,7 +120,7 @@ runSim(const std::string &name, const SimConfig &config,
             if (config.stop && i % kStopPollStride == 0 &&
                 config.stop->poll())
                 return res;
-            const MemRequest &req = next();
+            const MemRequest req = advance();
             auto c = static_cast<size_t>(req.core);
             core_time[c] += req.gap_instructions;
             res.instructions += req.gap_instructions + 1;
@@ -227,6 +244,14 @@ simulateTrace(const std::string &name,
 {
     if (requests.empty())
         rtm_fatal("simulateTrace: empty trace");
+    // Core ids index per-core state; refuse a stray one up front.
+    for (size_t i = 0; i < requests.size(); ++i) {
+        const int core = requests[i].core;
+        if (core < 0 || core >= config.hierarchy.cores)
+            rtm_fatal("simulateTrace: request %zu names core %d, "
+                      "the hierarchy has %d cores",
+                      i, core, config.hierarchy.cores);
+    }
     size_t pos = 0;
     // Return by reference and wrap with a branch: no per-request
     // MemRequest copy and no modulo on the hot path.

@@ -1,6 +1,7 @@
 #include "trace_file.hh"
 
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -21,7 +22,7 @@ constexpr int kMaxLenientWarnings = 10;
  * failure fills `error` with the reason (no line-number prefix).
  */
 bool
-parseTraceLine(const std::string &line, MemRequest &req,
+parseTraceLine(const std::string &line, int cores, MemRequest &req,
                std::string &error)
 {
     std::istringstream fields(line);
@@ -33,6 +34,12 @@ parseTraceLine(const std::string &line, MemRequest &req,
     }
     if (core < 0) {
         error = "negative core id";
+        return false;
+    }
+    if (core >= cores) {
+        error = "core id " + std::to_string(core) + " out of range";
+        if (cores < kAnyCores)
+            error += " (" + std::to_string(cores) + " cores)";
         return false;
     }
     req.core = static_cast<int>(core);
@@ -62,6 +69,10 @@ parseTraceLine(const std::string &line, MemRequest &req,
             error = "negative gap";
             return false;
         }
+        if (gap > static_cast<long>(UINT32_MAX)) {
+            error = "gap " + std::to_string(gap) + " out of range";
+            return false;
+        }
         req.gap_instructions = static_cast<uint32_t>(gap);
     }
     return true;
@@ -70,7 +81,8 @@ parseTraceLine(const std::string &line, MemRequest &req,
 } // anonymous namespace
 
 TraceParseResult
-parseTraceChecked(const std::string &text, TraceParseMode mode)
+parseTraceChecked(const std::string &text, TraceParseMode mode,
+                  int cores)
 {
     TraceParseResult result;
     std::istringstream in(text);
@@ -92,7 +104,7 @@ parseTraceChecked(const std::string &text, TraceParseMode mode)
 
         MemRequest req;
         std::string error;
-        if (parseTraceLine(line, req, error)) {
+        if (parseTraceLine(line, cores, req, error)) {
             result.requests.push_back(req);
             ++result.parsed_lines;
             continue;
@@ -147,7 +159,8 @@ slurpTraceFile(const std::string &path, std::string *text,
 } // anonymous namespace
 
 TraceParseResult
-loadTraceFileChecked(const std::string &path, TraceParseMode mode)
+loadTraceFileChecked(const std::string &path, TraceParseMode mode,
+                     int cores)
 {
     std::string text, error;
     if (!slurpTraceFile(path, &text, &error)) {
@@ -155,7 +168,7 @@ loadTraceFileChecked(const std::string &path, TraceParseMode mode)
         result.diagnostics.push_back({0, error});
         return result;
     }
-    return parseTraceChecked(text, mode);
+    return parseTraceChecked(text, mode, cores);
 }
 
 std::vector<MemRequest>

@@ -19,6 +19,7 @@
 #ifndef RTM_TRACE_TRACE_FILE_HH
 #define RTM_TRACE_TRACE_FILE_HH
 
+#include <climits>
 #include <string>
 #include <vector>
 
@@ -53,17 +54,22 @@ struct TraceParseResult
     bool ok() const { return diagnostics.empty(); }
 };
 
+/** Default core-count bound: any core id in [0, INT_MAX). */
+inline constexpr int kAnyCores = INT_MAX;
+
 /**
  * Parse a trace from a string buffer with per-line diagnostics.
  * Strict mode returns at the first malformed line (requests hold
  * everything parsed before it); lenient mode records a diagnostic,
  * skips the line, and keeps going — truncated or partially garbled
  * traces still yield their well-formed requests. An empty input is
- * ok() with zero requests.
+ * ok() with zero requests. A core id must lie in [0, cores), and a
+ * gap must fit 32 bits; neither is ever truncated.
  */
 TraceParseResult parseTraceChecked(
     const std::string &text,
-    TraceParseMode mode = TraceParseMode::Strict);
+    TraceParseMode mode = TraceParseMode::Strict,
+    int cores = kAnyCores);
 
 /**
  * Checked disk load: an unreadable file yields a line-0 diagnostic
@@ -71,7 +77,8 @@ TraceParseResult parseTraceChecked(
  */
 TraceParseResult loadTraceFileChecked(
     const std::string &path,
-    TraceParseMode mode = TraceParseMode::Strict);
+    TraceParseMode mode = TraceParseMode::Strict,
+    int cores = kAnyCores);
 
 /**
  * Parse a trace from a string buffer (used by tests and by

@@ -106,93 +106,101 @@ GeometricGapSampler::GeometricGapSampler(double mean_gap)
                 a = mid + 1;
             }
         }
-        thresholds_.push_back(static_cast<double>(a) * kUlp);
+        thresholds_.push_back(a);
         lo = a;
     }
 
-    // Bucket index: for u in [b/kBuckets, (b+1)/kBuckets) the gap is
-    // bounded by [#thresholds <= b/kBuckets, #thresholds < (b+1)/
-    // kBuckets]. kBuckets is a power of two, so the bucket edges are
-    // exactly representable and the bounds are exact; the residual
-    // scan in sample() resolves the (rare) buckets a threshold falls
-    // inside.
-    bucket_lo_.resize(kBuckets);
-    bucket_hi_.resize(kBuckets);
-    for (unsigned b = 0; b < kBuckets; ++b) {
-        double lo_u = static_cast<double>(b) / kBuckets;
-        double hi_u = static_cast<double>(b + 1) / kBuckets;
-        bucket_lo_[b] = static_cast<uint32_t>(
+    // Bucket index: for m in bucket b, [b << 42, (b + 1) << 42), the
+    // gap is bounded by [#thresholds <= b << 42, #thresholds <
+    // (b + 1) << 42]; the residual scan in sample() resolves the
+    // (rare) buckets a threshold falls inside.
+    constexpr uint64_t kBuckets = kGrid >> kBucketShift;
+    buckets_.resize(kBuckets);
+    for (uint64_t b = 0; b < kBuckets; ++b) {
+        const uint64_t first = b << kBucketShift;
+        const uint64_t end = (b + 1) << kBucketShift;
+        buckets_[b].lo = static_cast<uint32_t>(
             std::upper_bound(thresholds_.begin(), thresholds_.end(),
-                             lo_u) -
+                             first) -
             thresholds_.begin());
-        bucket_hi_[b] = static_cast<uint32_t>(
+        buckets_[b].hi = static_cast<uint32_t>(
             std::lower_bound(thresholds_.begin(), thresholds_.end(),
-                             hi_u) -
+                             end) -
             thresholds_.begin());
     }
 }
 
+namespace
+{
+
+/** Checked before any member is derived from the profile. */
+const WorkloadProfile &
+validProfile(const WorkloadProfile &profile, int cores)
+{
+    if (cores < 1)
+        rtm_fatal("workload needs at least one core");
+    if (profile.working_set_bytes < kLineBytes * 16ull)
+        rtm_fatal("working set too small");
+    return profile;
+}
+
+/** max(1, floor(lines * ratio)): a hot subset is never empty. */
+uint64_t
+hotLines(uint64_t lines, double ratio)
+{
+    return std::max<uint64_t>(
+        1, static_cast<uint64_t>(static_cast<double>(lines) * ratio));
+}
+
+} // anonymous namespace
+
 WorkloadGenerator::WorkloadGenerator(const WorkloadProfile &profile,
                                      int cores, uint64_t seed)
-    : profile_(profile), cores_(cores), rng_(seed),
-      gap_sampler_(profile.mean_gap),
+    : profile_(validProfile(profile, cores)), cores_(cores),
+      rng_(seed), gap_sampler_(profile.mean_gap),
       run_addr_(static_cast<size_t>(cores), 0),
-      run_left_(static_cast<size_t>(cores), 0)
+      run_left_(static_cast<size_t>(cores), 0),
+      // 3/4 of the working set is core-private, 1/4 shared.
+      private_lines_(profile.working_set_bytes / kLineBytes * 3 / 4 /
+                     static_cast<uint64_t>(cores)),
+      shared_base_(private_lines_ * static_cast<uint64_t>(cores)),
+      private_(regionFor(private_lines_ > 0
+                             ? private_lines_
+                             : profile.working_set_bytes / kLineBytes,
+                         profile.hot_set_ratio)),
+      shared_(regionFor(profile.working_set_bytes / kLineBytes -
+                            shared_base_,
+                        profile.hot_set_ratio)),
+      shared_coin_(0.25), hot_coin_(profile.hot_fraction),
+      write_coin_(profile.write_ratio),
+      sequential_coin_(profile.sequential_prob), run_length_(16)
 {
-    if (cores_ < 1)
-        rtm_fatal("workload needs at least one core");
-    if (profile_.working_set_bytes < kLineBytes * 16ull)
-        rtm_fatal("working set too small");
+}
 
-    // Region geometry, formerly re-derived on every pickLine: 3/4 of
-    // the working set is core-private, 1/4 shared.
-    lines_ = profile_.working_set_bytes / kLineBytes;
-    private_lines_ = lines_ * 3 / 4 / static_cast<uint64_t>(cores_);
-    shared_lines_ =
-        lines_ - private_lines_ * static_cast<uint64_t>(cores_);
-    shared_base_ = private_lines_ * static_cast<uint64_t>(cores_);
-    // A degenerate private split (more cores than private lines)
-    // falls back to the whole working set, as the per-request code
-    // did.
-    private_region_lines_ = private_lines_ > 0 ? private_lines_
-                                               : lines_;
-    hot_private_ = std::max<uint64_t>(
-        1, static_cast<uint64_t>(
-               static_cast<double>(private_region_lines_) *
-               profile_.hot_set_ratio));
-    hot_shared_ = std::max<uint64_t>(
-        1, static_cast<uint64_t>(
-               static_cast<double>(shared_lines_) *
-               profile_.hot_set_ratio));
+WorkloadGenerator::Region
+WorkloadGenerator::regionFor(uint64_t lines, double hot_set_ratio)
+{
+    return Region{FixedUniformInt(lines),
+                  FixedUniformInt(hotLines(lines, hot_set_ratio))};
 }
 
 Addr
 WorkloadGenerator::pickLine(int core)
 {
-    // The bernoulli is drawn before the region test so the RNG
-    // stream matches the original code exactly.
-    bool shared = rng_.bernoulli(0.25) && shared_lines_ > 0;
-    uint64_t region_base, region_lines, hot_lines;
-    if (shared) {
-        region_base = shared_base_;
-        region_lines = shared_lines_;
-        hot_lines = hot_shared_;
-    } else {
-        // private_lines_ == 0 implies the whole-set fallback, whose
-        // base is 0 — which private_lines_ * core already is.
-        region_base = private_lines_ * static_cast<uint64_t>(core);
-        region_lines = private_region_lines_;
-        hot_lines = hot_private_;
-    }
+    // The shared region holds at least a quarter of the working set
+    // (>= 4 lines), so the coin alone decides it. Drawing the coin
+    // first keeps the RNG stream of the original code.
+    const bool shared = shared_coin_(rng_);
+    const Region &region = shared ? shared_ : private_;
+    const uint64_t base =
+        shared ? shared_base_
+               : private_lines_ * static_cast<uint64_t>(core);
 
     // Hot-set bias: a small fraction of the region absorbs most
     // accesses (temporal locality).
-    uint64_t idx;
-    if (rng_.bernoulli(profile_.hot_fraction))
-        idx = rng_.uniformInt(hot_lines);
-    else
-        idx = rng_.uniformInt(region_lines);
-    return (region_base + idx) * kLineBytes;
+    const uint64_t idx =
+        hot_coin_(rng_) ? region.hot(rng_) : region.all(rng_);
+    return (base + idx) * kLineBytes;
 }
 
 MemRequest
@@ -204,21 +212,20 @@ WorkloadGenerator::next()
 
     MemRequest req;
     req.core = core;
-    req.is_write = rng_.bernoulli(profile_.write_ratio);
+    req.is_write = write_coin_(rng_);
     // Geometric gap with the configured mean, via the precomputed
     // inverse-CDF table (one uniform draw, as before).
-    req.gap_instructions = gap_sampler_.sample(rng_.uniform());
+    req.gap_instructions = gap_sampler_.sample(rng_.nextGrid());
 
     auto c = static_cast<size_t>(core);
-    if (run_left_[c] > 0 &&
-        rng_.bernoulli(profile_.sequential_prob)) {
+    if (run_left_[c] > 0 && sequential_coin_(rng_)) {
         run_addr_[c] += kLineBytes;
         if (run_addr_[c] >= profile_.working_set_bytes)
             run_addr_[c] = 0;
         --run_left_[c];
     } else {
         run_addr_[c] = pickLine(core);
-        run_left_[c] = static_cast<int>(rng_.uniformInt(16)) + 1;
+        run_left_[c] = static_cast<int>(run_length_(rng_)) + 1;
     }
     req.addr = run_addr_[c];
     return req;

@@ -13,13 +13,14 @@
  *
  * Substitution documented in DESIGN.md.
  *
- * The generator sits on the simulator's per-request hot path, so the
- * region geometry (private/shared split, hot-set sizes) is derived
- * once at construction instead of per request, and the geometric
- * instruction gap is sampled through a precomputed inverse-CDF
- * threshold table instead of a `log` call per request. Both draw RNG
- * variates in the original order and reproduce the original values
- * bit-for-bit (pinned by tests/sim_golden_test.cc).
+ * The generator sits on the simulator's per-request hot path, so
+ * everything that depends only on the profile is fixed at
+ * construction: the region geometry (private/shared split, hot-set
+ * sizes) with one FixedUniformInt per bound, one FixedBernoulli per
+ * probability, and an integer inverse-CDF threshold table for the
+ * geometric instruction gap instead of a `log` call per request. All
+ * of them draw RNG variates in the original order and reproduce the
+ * original values bit-for-bit (pinned by tests/sim_golden_test.cc).
  */
 
 #ifndef RTM_TRACE_WORKLOAD_HH
@@ -74,31 +75,30 @@ WorkloadProfile parsecProfile(const std::string &name);
  * Precomputed sampler for the truncated geometric instruction gap
  * `min(floor(-mean * log(1 - u)), 1000)` over u in [0, 1).
  *
- * thresholds()[k] is the smallest representable uniform variate (on
- * the generator's 53-bit grid) whose gap is at least k+1, found by
- * binary search against the original expression, so `sample(u)`
- * returns exactly what the per-request `log` computed for every
- * possible u. The table has one entry per reachable gap value
- * (~37 * mean entries). A bucket index over [0, 1) narrows the
- * threshold scan to the few entries inside u's bucket; most buckets
- * contain no threshold at all, so the common case is one table
- * lookup and zero compares (no data-dependent branch to mispredict,
- * unlike a scan from 0 whose exit is geometrically distributed).
+ * The generator's uniforms are u = m * 2^-53 for a grid index m in
+ * [0, 2^53) (Rng::nextGrid), so the sampler works on m directly.
+ * thresholds()[k] is the smallest grid index whose gap is at least
+ * k+1, found by binary search against the original expression, so
+ * `sample(m)` returns exactly what the per-request `log` computed for
+ * every possible m. The table has one entry per reachable gap value
+ * (~37 * mean entries). A bucket index on the top 11 bits of m
+ * narrows the threshold scan to the few entries inside m's bucket;
+ * most buckets contain no threshold at all, so the common case is
+ * one table lookup and zero compares (no data-dependent branch to
+ * mispredict, unlike a scan from 0 whose exit is geometrically
+ * distributed).
  */
 class GeometricGapSampler
 {
   public:
     explicit GeometricGapSampler(double mean_gap);
 
-    /** Gap for one uniform variate in [0, 1). */
-    uint32_t sample(double u) const
+    /** Gap for one grid index m in [0, 2^53). */
+    uint32_t sample(uint64_t m) const
     {
-        unsigned b = static_cast<unsigned>(u * kBuckets);
-        if (b >= kBuckets)
-            b = kBuckets - 1;
-        uint32_t gap = bucket_lo_[b];
-        const uint32_t hi = bucket_hi_[b];
-        while (gap < hi && u >= thresholds_[gap])
+        const Bucket b = buckets_[m >> kBucketShift];
+        uint32_t gap = b.lo;
+        while (gap < b.hi && m >= thresholds_[gap])
             ++gap;
         return gap;
     }
@@ -106,20 +106,25 @@ class GeometricGapSampler
     /** The exact reference expression the table was solved against. */
     static uint32_t reference(double mean_gap, double u);
 
-    /** Threshold table (introspection/tests). */
-    const std::vector<double> &thresholds() const
+    /** Threshold table as grid indices (introspection/tests). */
+    const std::vector<uint64_t> &thresholds() const
     {
         return thresholds_;
     }
 
   private:
-    /** Bucket count: power of two so bucket edges are exact. */
-    static constexpr unsigned kBuckets = 2048;
+    /** 2^11 buckets of 2^42 grid indices each. */
+    static constexpr int kBucketShift = 42;
 
-    std::vector<double> thresholds_;
-    /** Per-bucket gap bounds: gap(u) in [lo, hi] for u in bucket. */
-    std::vector<uint32_t> bucket_lo_;
-    std::vector<uint32_t> bucket_hi_;
+    /** gap(m) lies in [lo, hi] for every m of the bucket. */
+    struct Bucket
+    {
+        uint32_t lo;
+        uint32_t hi;
+    };
+
+    std::vector<uint64_t> thresholds_;
+    std::vector<Bucket> buckets_;
 };
 
 /**
@@ -140,6 +145,13 @@ class WorkloadGenerator
     const WorkloadProfile &profile() const { return profile_; }
 
   private:
+    /** Index draws over one region: all of it, or its hot subset. */
+    struct Region
+    {
+        FixedUniformInt all;
+        FixedUniformInt hot;
+    };
+
     WorkloadProfile profile_;
     int cores_;
     Rng rng_;
@@ -150,15 +162,23 @@ class WorkloadGenerator
 
     // Region geometry, derived once from (profile, cores). The
     // shared region sits above the per-core private regions; when
-    // the private split degenerates to zero lines each region falls
-    // back to the whole working set (original per-request logic).
-    uint64_t lines_;          //!< working set in lines
+    // the private split degenerates to zero lines each private
+    // region falls back to the whole working set (base 0, which
+    // private_lines_ * core already is).
     uint64_t private_lines_;  //!< private lines per core
-    uint64_t shared_lines_;   //!< lines of the shared region
     uint64_t shared_base_;    //!< first line of the shared region
-    uint64_t private_region_lines_; //!< after empty-region fallback
-    uint64_t hot_private_;    //!< hot lines of a private region
-    uint64_t hot_shared_;     //!< hot lines of the shared region
+    Region private_;
+    Region shared_;
+
+    // The profile's coins and the run-length draw.
+    FixedBernoulli shared_coin_;
+    FixedBernoulli hot_coin_;
+    FixedBernoulli write_coin_;
+    FixedBernoulli sequential_coin_;
+    FixedUniformInt run_length_;
+
+    /** Draws over a region of `lines` lines and its hot subset. */
+    static Region regionFor(uint64_t lines, double hot_set_ratio);
 
     Addr pickLine(int core);
 };

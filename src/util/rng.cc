@@ -23,6 +23,14 @@ splitmix64(uint64_t &x)
     return z ^ (z >> 31);
 }
 
+uint64_t
+nonZeroBound(uint64_t n)
+{
+    if (n == 0)
+        rtm_panic("uniformInt(0) is undefined");
+    return n;
+}
+
 } // anonymous namespace
 
 Rng::Rng(uint64_t seed)
@@ -166,6 +174,21 @@ Rng
 Rng::fork()
 {
     return Rng(next());
+}
+
+FixedUniformInt::FixedUniformInt(uint64_t n)
+    : div_(nonZeroBound(n)), limit_(UINT64_MAX - UINT64_MAX % n)
+{
+}
+
+FixedBernoulli::FixedBernoulli(double p)
+{
+    if (p <= 0.0 || p >= 1.0) {
+        draws_ = false;
+        always_ = p >= 1.0;
+    } else if (!std::isnan(p)) {
+        threshold_ = static_cast<uint64_t>(std::ceil(p * 0x1.0p53));
+    }
 }
 
 } // namespace rtm

@@ -16,6 +16,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "util/divider.hh"
+
 namespace rtm
 {
 
@@ -45,11 +47,14 @@ class Rng
         return result;
     }
 
+    /** Next 53-bit grid index m in [0, 2^53): uniform() is m * 2^-53. */
+    uint64_t nextGrid() { return next() >> 11; }
+
     /** Uniform double in [0, 1). */
     double uniform()
     {
         // 53 random mantissa bits -> uniform in [0, 1).
-        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+        return static_cast<double>(nextGrid()) * 0x1.0p-53;
     }
 
     /** Uniform double in [lo, hi). */
@@ -126,6 +131,65 @@ class Rng
     std::array<uint64_t, 4> state_;
     double cached_gauss_ = 0.0;
     bool has_cached_gauss_ = false;
+};
+
+/**
+ * Rng::uniformInt(n) for a bound fixed at construction: the rejection
+ * limit is computed once and the reduction is a Divider remainder, so
+ * a draw is a compare and four multiplications instead of two 64-bit
+ * divisions. Consumes the same variates and returns the same values
+ * as uniformInt(n), draw for draw.
+ */
+class FixedUniformInt
+{
+  public:
+    /** @pre n > 0 (n = 0 panics, as in uniformInt). */
+    explicit FixedUniformInt(uint64_t n);
+
+    uint64_t bound() const { return div_.divisor(); }
+
+    /** Uniform integer in [0, bound()). */
+    uint64_t operator()(Rng &rng) const
+    {
+        uint64_t v;
+        do {
+            v = rng.next();
+        } while (v >= limit_);
+        return div_.remainder(v);
+    }
+
+  private:
+    Divider div_;
+    uint64_t limit_; //!< UINT64_MAX - UINT64_MAX % n
+};
+
+/**
+ * Rng::bernoulli(p) for a probability fixed at construction, decided
+ * in the integer domain. uniform() < p holds exactly when the grid
+ * index m = nextGrid() is below ceil(p * 2^53) (scaling by 2^53 is
+ * exact and m is an integer), so a coin is one shift and one integer
+ * compare. Like bernoulli, p <= 0 and p >= 1 draw nothing, and a NaN p
+ * draws one variate and returns false.
+ */
+class FixedBernoulli
+{
+  public:
+    explicit FixedBernoulli(double p);
+
+    bool operator()(Rng &rng) const
+    {
+        if (!draws_)
+            return always_;
+        return rng.nextGrid() < threshold_;
+    }
+
+    /** Grid indices below this say yes (introspection/tests). */
+    uint64_t threshold() const { return threshold_; }
+
+  private:
+    bool draws_ = true;
+    bool always_ = false;    //!< outcome when nothing is drawn
+    uint64_t threshold_ = 0; //!< ceil(p * 2^53); 0 for NaN
 };
 
 } // namespace rtm

@@ -130,5 +130,19 @@ TEST(TraceSimDeathTest, EmptyTraceIsFatal)
                 ::testing::ExitedWithCode(1), "empty trace");
 }
 
+TEST(TraceSimDeathTest, CoreBeyondTheHierarchyIsFatal)
+{
+    // Core ids index per-core clocks: a stray id is refused before
+    // any request is served, not written out of bounds.
+    PaperCalibratedErrorModel model;
+    SimConfig cfg;
+    cfg.hierarchy.cores = 4;
+    std::vector<MemRequest> trace(2);
+    trace[1].core = 7;
+    EXPECT_EXIT(simulateTrace("stray", trace, cfg, &model),
+                ::testing::ExitedWithCode(1),
+                "request 1 names core 7, the hierarchy has 4 cores");
+}
+
 } // namespace
 } // namespace rtm

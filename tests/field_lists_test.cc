@@ -179,6 +179,10 @@ TEST(FieldLists, RandomSpecsRoundTrip)
             if (bad())
                 d = ProtectionDomain{};
         };
+        // Likewise a capacity divisor that breaks the cache geometry
+        // (hierarchyGeometryError): draw a power of two in [1, 32],
+        // the divisors every LLC option survives.
+        spec.matrix.divisor = uint64_t{1} << (spec.matrix.divisor % 6);
         realisable(spec.protection.uniform);
         for (ProtectionLevel &l : spec.protection.levels)
             realisable(l.domain);

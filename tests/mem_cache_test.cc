@@ -191,6 +191,9 @@ TEST(CacheDeathTest, RejectsBadGeometry)
 {
     EXPECT_EXIT(Cache(1000, 3, 64), ::testing::ExitedWithCode(1),
                 ".*");
+    // A set's recency word orders at most 16 ways.
+    EXPECT_EXIT(Cache(17 * 64 * 4, 17, 64),
+                ::testing::ExitedWithCode(1), "at most 16 ways");
     EXPECT_EXIT(Cache(1 << 12, 2, 60), ::testing::ExitedWithCode(1),
                 "power of two");
 }

@@ -261,6 +261,28 @@ TEST(ExperimentSpec, MalformedSpecsProduceActionableDiagnostics)
     EXPECT_NE(diag.find("campaign.pecc.segments: expected an integer"),
               std::string::npos)
         << diag;
+    // A divisor must leave every cache level a valid geometry.
+    diag = parseSpecDiag("{\"matrix\": {\"divisor\": 48}}");
+    EXPECT_NE(diag.find("matrix.divisor: capacity divisor 48 leaves L1 "
+                        "below 1024 bytes"),
+              std::string::npos)
+        << diag;
+    diag = parseSpecDiag("{\"matrix\": {\"divisor\": 3}}");
+    EXPECT_NE(diag.find("matrix.divisor: L1 under capacity divisor 3: "
+                        "set count must be a power of two"),
+              std::string::npos)
+        << diag;
+    // 64 leaves L1 at 512 bytes; 32 is the largest valid divisor.
+    diag = parseSpecDiag("{\"matrix\": {\"divisor\": 64}}");
+    EXPECT_NE(diag.find("matrix.divisor"), std::string::npos) << diag;
+    {
+        JsonValue doc;
+        std::string err;
+        ASSERT_TRUE(JsonValue::parse("{\"matrix\": {\"divisor\": 32}}",
+                                     &doc, &err));
+        ExperimentSpec spec;
+        EXPECT_TRUE(experimentSpecFromJson(doc, &spec, &err)) << err;
+    }
     diag = parseSpecDiag("{\"matrix\": {\"divisor\": 3.7}}");
     EXPECT_NE(diag.find("matrix.divisor: expected an integer"),
               std::string::npos)

@@ -43,9 +43,11 @@ namespace
 
 // --- 1. component equivalence ----------------------------------------
 
+/** Drive Cache and RefCache with one random stream; flush both
+ *  every `flush_period` accesses (0: never). */
 void
 fuzzCacheAgainstReference(uint64_t capacity, int ways, int line_bytes,
-                          uint64_t seed)
+                          uint64_t seed, int flush_period = 0)
 {
     Cache opt(capacity, ways, line_bytes);
     RefCache ref(capacity, ways, line_bytes);
@@ -67,12 +69,47 @@ fuzzCacheAgainstReference(uint64_t capacity, int ways, int line_bytes,
             Addr probe = rng.uniformInt(addr_space);
             ASSERT_EQ(opt.contains(probe), ref.contains(probe));
         }
+        if (flush_period > 0 && i % flush_period == flush_period - 1) {
+            opt.flush();
+            ref.flush();
+        }
     }
     EXPECT_EQ(opt.stats().reads, ref.stats().reads);
     EXPECT_EQ(opt.stats().writes, ref.stats().writes);
     EXPECT_EQ(opt.stats().read_misses, ref.stats().read_misses);
     EXPECT_EQ(opt.stats().write_misses, ref.stats().write_misses);
     EXPECT_EQ(opt.stats().writebacks, ref.stats().writebacks);
+}
+
+/** Distinct tags into the empty sets of a `ways`-way cache land in
+ *  ways 0, 1, 2, ... — the fill order the racetrack frame mapping
+ *  depends on — and after a flush the same order repeats. */
+void
+expectEmptySetsFillInWayOrder(int ways)
+{
+    const uint64_t sets = 4;
+    const uint64_t line = 64;
+    Cache opt(sets * static_cast<uint64_t>(ways) * line, ways);
+    RefCache ref(sets * static_cast<uint64_t>(ways) * line, ways);
+    for (int round = 0; round < 2; ++round) {
+        for (uint64_t set = 0; set < sets; ++set) {
+            for (int w = 0; w < ways; ++w) {
+                const Addr addr =
+                    (static_cast<uint64_t>(w) * sets + set) * line;
+                CacheAccessResult a = opt.access(addr, w % 2 == 1);
+                CacheAccessResult b = ref.access(addr, w % 2 == 1);
+                ASSERT_FALSE(a.hit);
+                ASSERT_EQ(a.frame_index,
+                          set * static_cast<uint64_t>(ways) +
+                              static_cast<uint64_t>(w))
+                    << ways << " ways, set " << set;
+                ASSERT_EQ(a.frame_index, b.frame_index);
+                ASSERT_FALSE(a.writeback);
+            }
+        }
+        opt.flush();
+        ref.flush();
+    }
 }
 
 TEST(GoldenCache, MatchesReferenceAcrossGeometries)
@@ -82,6 +119,14 @@ TEST(GoldenCache, MatchesReferenceAcrossGeometries)
     fuzzCacheAgainstReference(1024, 16, 64, 3);       // single set
     fuzzCacheAgainstReference(4096, 2, 32, 4);        // small lines
     fuzzCacheAgainstReference(64 * 1024, 16, 64, 5);  // LLC-like
+    fuzzCacheAgainstReference(32 * 1024, 8, 64, 6);   // 8-way
+    // Flushes return every set to its seed recency order mid-stream;
+    // partly refilled sets then mix invalid and valid ways.
+    fuzzCacheAgainstReference(16 * 1024, 4, 64, 7, 997);
+    fuzzCacheAgainstReference(64 * 1024, 16, 64, 8, 3001);
+    fuzzCacheAgainstReference(32 * 1024, 8, 64, 9, 1500);
+    for (int ways : {1, 2, 4, 8, 16})
+        expectEmptySetsFillInWayOrder(ways);
 }
 
 TEST(GoldenWorkload, StreamMatchesReferenceForAllProfiles)
@@ -108,21 +153,34 @@ TEST(GoldenWorkload, StreamMatchesReferenceForAllProfiles)
 
 TEST(GoldenWorkload, GapSamplerMatchesLogFormula)
 {
+    constexpr double kUlp = 0x1.0p-53;
+    constexpr uint64_t kGridMax = (1ull << 53) - 1;
+    auto u = [](uint64_t m) { return static_cast<double>(m) * kUlp; };
     Rng rng(7);
     for (double mean : {2.5, 3.0, 3.5, 4.0, 5.0}) {
         GeometricGapSampler sampler(mean);
         for (int i = 0; i < 200000; ++i) {
-            double u = rng.uniform();
-            ASSERT_EQ(sampler.sample(u),
-                      GeometricGapSampler::reference(mean, u))
-                << "mean " << mean << " u " << u;
+            const uint64_t m = rng.nextGrid();
+            ASSERT_EQ(sampler.sample(m),
+                      GeometricGapSampler::reference(mean, u(m)))
+                << "mean " << mean << " m " << m;
         }
-        // Grid extremes: u = 0 and the largest representable draw.
-        EXPECT_EQ(sampler.sample(0.0),
+        // Both sides of every threshold: the last grid index of one
+        // gap value and the first of the next.
+        for (uint64_t a : sampler.thresholds()) {
+            ASSERT_GT(a, 0u);
+            EXPECT_EQ(sampler.sample(a - 1),
+                      GeometricGapSampler::reference(mean, u(a - 1)))
+                << "mean " << mean << " below threshold " << a;
+            EXPECT_EQ(sampler.sample(a),
+                      GeometricGapSampler::reference(mean, u(a)))
+                << "mean " << mean << " at threshold " << a;
+        }
+        // Grid extremes: m = 0 and the largest index.
+        EXPECT_EQ(sampler.sample(0),
                   GeometricGapSampler::reference(mean, 0.0));
-        double u_max = (double)((1ull << 53) - 1) * 0x1.0p-53;
-        EXPECT_EQ(sampler.sample(u_max),
-                  GeometricGapSampler::reference(mean, u_max));
+        EXPECT_EQ(sampler.sample(kGridMax),
+                  GeometricGapSampler::reference(mean, u(kGridMax)));
     }
 }
 

@@ -229,6 +229,45 @@ TEST(TraceParseChecked, ReadErrorIsNotAnEmptyTrace)
               std::string::npos);
 }
 
+TEST(TraceParseChecked, CoreIdBeyondTheCoreCountIsRejected)
+{
+    TraceParseResult r =
+        parseTraceChecked("0 0x40 R\n7 0x80 W\n",
+                          TraceParseMode::Strict, 4);
+    EXPECT_FALSE(r.ok());
+    ASSERT_EQ(r.diagnostics.size(), 1u);
+    EXPECT_EQ(r.diagnostics[0].line, 2);
+    EXPECT_EQ(r.diagnostics[0].message,
+              "core id 7 out of range (4 cores)");
+    ASSERT_EQ(r.requests.size(), 1u);
+    // Without a core count the same trace parses.
+    EXPECT_TRUE(parseTraceChecked("0 0x40 R\n7 0x80 W\n").ok());
+}
+
+TEST(TraceParseChecked, CoreIdIsNeverTruncated)
+{
+    // 2^32 used to wrap to core 0.
+    TraceParseResult r = parseTraceChecked("4294967296 0x40 R\n");
+    EXPECT_FALSE(r.ok());
+    ASSERT_EQ(r.diagnostics.size(), 1u);
+    EXPECT_EQ(r.diagnostics[0].line, 1);
+    EXPECT_EQ(r.diagnostics[0].message,
+              "core id 4294967296 out of range");
+    EXPECT_TRUE(r.requests.empty());
+}
+
+TEST(TraceParseChecked, GapIsNeverTruncated)
+{
+    TraceParseResult r = parseTraceChecked("0 0x40 R 4294967295\n"
+                                           "0 0x80 R 4294967296\n");
+    EXPECT_FALSE(r.ok());
+    ASSERT_EQ(r.diagnostics.size(), 1u);
+    EXPECT_EQ(r.diagnostics[0].line, 2);
+    EXPECT_EQ(r.diagnostics[0].message, "gap 4294967296 out of range");
+    ASSERT_EQ(r.requests.size(), 1u);
+    EXPECT_EQ(r.requests[0].gap_instructions, 4294967295u);
+}
+
 TEST(TraceParseDeathTest, FatalLoaderReportsReadError)
 {
     EXPECT_EXIT(loadTraceFile("/tmp"),

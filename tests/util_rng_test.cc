@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
+#include "util/divider.hh"
 #include "util/rng.hh"
 #include "util/stats.hh"
 
@@ -238,6 +240,108 @@ TEST(Rng, UniformIntMatchesRejectionModulo)
         }
         EXPECT_EQ(fast.next(), ref.next()) << "n " << n;
     }
+}
+
+TEST(Divider, MatchesHardwareDivision)
+{
+    constexpr uint64_t kMax = UINT64_MAX;
+    const uint64_t divisors[] = {
+        1, 2, 3, 7, 64, (uint64_t{1} << 32) - 1, (uint64_t{1} << 32) + 1,
+        uint64_t{1} << 63, (uint64_t{1} << 63) + 1, kMax,
+    };
+    Rng rng(2024);
+    for (uint64_t n : divisors) {
+        const Divider div(n);
+        EXPECT_EQ(div.divisor(), n);
+        std::vector<uint64_t> dividends = {0, 1, n - 1, n, kMax};
+        if (n < kMax)
+            dividends.push_back(n + 1);
+        for (int i = 0; i < 20000; ++i) {
+            dividends.push_back(rng.next());
+            // Small dividends too, where a reciprocal would first go
+            // wrong.
+            dividends.push_back(rng.next() >> (rng.next() & 63));
+        }
+        for (uint64_t a : dividends) {
+            ASSERT_EQ(div.quotient(a), a / n) << a << " / " << n;
+            ASSERT_EQ(div.remainder(a), a % n) << a << " % " << n;
+        }
+    }
+}
+
+TEST(Rng, FixedUniformIntMatchesUniformIntDrawForDraw)
+{
+    for (uint64_t n :
+         {uint64_t{1}, uint64_t{2}, uint64_t{3}, uint64_t{16},
+          uint64_t{1000}, uint64_t{98304}, uint64_t{1} << 40,
+          uint64_t{1} << 63, (uint64_t{1} << 63) + 1, UINT64_MAX}) {
+        const FixedUniformInt draw(n);
+        EXPECT_EQ(draw.bound(), n);
+        Rng fixed(91 + n), ref(91 + n);
+        for (int i = 0; i < 100000; ++i) {
+            const uint64_t want = ref.uniformInt(n);
+            const uint64_t got = draw(fixed);
+            if (got != want) {
+                ADD_FAILURE() << "n " << n << " draw " << i << ": "
+                              << got << " != " << want;
+                break;
+            }
+        }
+        EXPECT_EQ(fixed.next(), ref.next()) << "n " << n;
+    }
+}
+
+TEST(Rng, FixedBernoulliMatchesBernoulliDrawForDraw)
+{
+    const double probabilities[] = {
+        -1.0, 0.0, std::numeric_limits<double>::denorm_min(), 0x1.0p-53,
+        0.25, 0.3, 0.55, std::nextafter(1.0, 0.0), 1.0, 2.0,
+        std::numeric_limits<double>::quiet_NaN(),
+    };
+    for (double p : probabilities) {
+        const FixedBernoulli coin(p);
+        Rng fixed(5), ref(5);
+        int hits = 0;
+        for (int i = 0; i < 100000; ++i) {
+            const bool want = ref.bernoulli(p);
+            const bool got = coin(fixed);
+            hits += got;
+            if (got != want) {
+                ADD_FAILURE() << "p " << p << " draw " << i;
+                break;
+            }
+        }
+        // Same variates consumed: none for p <= 0 or p >= 1, one per
+        // coin otherwise (NaN included).
+        EXPECT_EQ(fixed.next(), ref.next()) << "p " << p;
+        if (std::isnan(p)) {
+            EXPECT_EQ(hits, 0);
+        }
+    }
+    // The boundary itself, which random draws (2^-53 apart) cannot
+    // reach: grid index m says yes exactly when bernoulli's uniform()
+    // value m * 2^-53 is below p.
+    Rng pick(17);
+    std::vector<double> inside = {
+        std::numeric_limits<double>::denorm_min(), 0x1.0p-53, 0x1.8p-53,
+        0.25, 0.3, 0.55, std::nextafter(1.0, 0.0)};
+    for (int i = 0; i < 1000; ++i)
+        inside.push_back(pick.uniform());
+    for (double p : inside) {
+        if (p <= 0.0)
+            continue;
+        const uint64_t t = FixedBernoulli(p).threshold();
+        ASSERT_GT(t, 0u) << p;
+        EXPECT_LT(static_cast<double>(t - 1) * 0x1.0p-53, p) << p;
+        EXPECT_GE(static_cast<double>(t) * 0x1.0p-53, p) << p;
+    }
+    EXPECT_EQ(FixedBernoulli(std::nan("")).threshold(), 0u);
+
+    // The NaN coin draws exactly one variate and says no.
+    Rng a(11), b(11);
+    EXPECT_FALSE(FixedBernoulli(std::nan(""))(a));
+    b.next();
+    EXPECT_EQ(a.next(), b.next());
 }
 
 } // namespace

@@ -555,6 +555,14 @@ cmdRun(int argc, char **argv)
         enumFlagOrExit<HeadPolicy>(flags, "head-policy", "stay");
     if (flags.has("protection") || flags.has("codeword-frames"))
         cfg.hierarchy.protection = protectionOrExit(flags);
+    const std::string geometry = hierarchyGeometryError(cfg.hierarchy);
+    if (!geometry.empty()) {
+        std::fprintf(stderr, "--divisor %llu: %s\n",
+                     static_cast<unsigned long long>(
+                         cfg.hierarchy.capacity_divisor),
+                     geometry.c_str());
+        std::exit(2);
+    }
     cfg.mem_requests = flags.getU64("requests", 60000);
     cfg.warmup_requests = cfg.mem_requests / 10;
     cfg.seed = flags.getU64("seed", 42);
@@ -568,9 +576,23 @@ cmdRun(int argc, char **argv)
     PaperCalibratedErrorModel model;
     SimResult r;
     if (flags.has("trace")) {
-        auto trace = loadTraceFile(flags.get("trace", ""));
-        r = simulateTrace(flags.get("trace", ""), trace, cfg,
-                          &model);
+        const std::string path = flags.get("trace", "");
+        TraceParseResult trace = loadTraceFileChecked(
+            path, TraceParseMode::Strict, cfg.hierarchy.cores);
+        if (!trace.ok()) {
+            const TraceDiagnostic &d = trace.diagnostics.front();
+            if (d.line > 0)
+                std::fprintf(stderr, "%s:%d: %s\n", path.c_str(),
+                             d.line, d.message.c_str());
+            else
+                std::fprintf(stderr, "%s\n", d.message.c_str());
+            std::exit(2);
+        }
+        if (trace.requests.empty()) {
+            std::fprintf(stderr, "%s: no requests\n", path.c_str());
+            std::exit(2);
+        }
+        r = simulateTrace(path, trace.requests, cfg, &model);
     } else {
         std::string name = flags.get("workload", "streamcluster");
         WorkloadProfile profile = scaledProfile(

@@ -45,7 +45,7 @@ logDuePerAccess(const PaperCalibratedErrorModel &model, int lseg,
             if (d == 0)
                 continue;
             std::vector<int> parts;
-            if (scheme == Scheme::PeccO) {
+            if (schemeRow(scheme).policy == ShiftPolicy::StepByStep) {
                 parts.assign(static_cast<size_t>(d), 1);
             } else {
                 parts = planner.planForIntensity(d, ops_per_second)

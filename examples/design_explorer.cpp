@@ -44,7 +44,7 @@ logDuePerAccess(const PaperCalibratedErrorModel &model, int lseg,
             if (!d)
                 continue;
             std::vector<int> parts =
-                scheme == Scheme::PeccO
+                schemeRow(scheme).policy == ShiftPolicy::StepByStep
                     ? std::vector<int>(static_cast<size_t>(d), 1)
                     : planner.planForIntensity(d, ops).parts;
             acc += std::exp(rel.sequence(parts).log_due);
@@ -68,7 +68,7 @@ avgCycles(const PaperCalibratedErrorModel &model, int lseg,
             ++n;
             if (!d)
                 continue;
-            if (scheme == Scheme::PeccO)
+            if (schemeRow(scheme).policy == ShiftPolicy::StepByStep)
                 acc += static_cast<double>(
                     d * timing.shiftCycles(1));
             else
@@ -105,14 +105,8 @@ main(int argc, char **argv)
     for (const auto &s : shapes) {
         for (Scheme scheme :
              {Scheme::PeccSAdaptive, Scheme::PeccO}) {
-            PeccConfig c;
-            c.num_segments = s.segments;
-            c.seg_len = s.lseg;
-            c.correct = 1;
-            c.variant = scheme == Scheme::PeccO
-                            ? PeccVariant::OverheadRegion
-                            : PeccVariant::Standard;
-            double a = area.areaPerDataBit(c);
+            double a = area.areaPerDataBit(
+                peccConfigFor(scheme, s.segments, s.lseg));
             double lp = logDuePerAccess(model, s.lseg, scheme, ops);
             double mttf =
                 steadyStateMttf(lp, ops * stripes) /

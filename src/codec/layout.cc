@@ -92,6 +92,20 @@ PeccConfig::effectiveCorrect() const
     return std::min(correct + boost, seg_len - 1);
 }
 
+PeccConfig
+peccConfigFor(Scheme scheme, int num_segments, int seg_len)
+{
+    const SchemeRow &row = schemeRow(scheme);
+    PeccConfig c;
+    c.num_segments = num_segments;
+    c.seg_len = seg_len;
+    c.variant = row.variant;
+    if (row.code != CodeKind::None)
+        c.correct = row.radius;
+    c.window_ports = row.window;
+    return c;
+}
+
 std::string
 protectionGeometryError(const PeccConfig &config, int frames_per_group)
 {

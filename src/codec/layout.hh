@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "device/stripe.hh"
+#include "model/tech.hh"
 #include "util/fields.hh"
 
 namespace rtm
@@ -42,27 +43,6 @@ constexpr int kOverheadScrubDepthFactor = 8;
 
 /** Bounded retries of the correction loop before declaring DUE. */
 constexpr int kMaxCorrectionRounds = 4;
-
-/** Protection flavour for one stripe. */
-enum class PeccVariant
-{
-    None,           //!< unprotected baseline
-    Standard,       //!< dedicated p-ECC region (Sec. 4.2.1-4.2.3)
-    OverheadRegion, //!< p-ECC-O: code in overhead regions (4.2.4)
-    DelIns          //!< interleaved-VT del/ins code (codec/del_ins.hh)
-};
-
-/** Spec tokens for the variants. */
-constexpr auto
-enumTokens(PeccVariant)
-{
-    return std::to_array<EnumToken<PeccVariant>>({
-        {PeccVariant::None, "none"},
-        {PeccVariant::Standard, "std"},
-        {PeccVariant::OverheadRegion, "overhead"},
-        {PeccVariant::DelIns, "del-ins"},
-    });
-}
 
 /** Configuration of one protected stripe. */
 struct PeccConfig
@@ -140,6 +120,14 @@ forEachField(V &&v, S &...s)
     v("correct", s.correct...);
     v("variant", s.variant...);
 }
+
+/**
+ * Stripe configuration of `scheme` on `num_segments` segments of
+ * `seg_len` domains: its variant, strength and window from the scheme
+ * table (model/tech.hh). A code-less scheme keeps the default
+ * strength, which nothing reads on an unprotected stripe.
+ */
+PeccConfig peccConfigFor(Scheme scheme, int num_segments, int seg_len);
 
 /**
  * Non-fatal geometry diagnosis for spec-driven configuration: empty

@@ -2,121 +2,69 @@
 
 #include <cstdlib>
 
-#include "codec/del_ins.hh"
 #include "util/logging.hh"
 
 namespace rtm
 {
 
-CyclicPositionCode::CyclicPositionCode(int window_bits,
-                                       int correct_strength)
-    : code_(window_bits), correct_(correct_strength)
+ShiftCode::ShiftCode(CodeKind kind, int radius, int period)
+    : kind(kind), radius(radius), period(period)
 {
-    if (correct_ < 0)
-        rtm_fatal("correction radius must be >= 0, got %d", correct_);
-    // A cyclic code of period T distinguishes residues; correcting
-    // +/-m needs the 2m + 1 correctable residues plus at least one
-    // detect-only residue to be distinct: 2m + 2 <= T.
-    if (2 * correct_ + 2 > code_.period())
-        rtm_fatal("window w=%d (period %d) too narrow to correct "
-                  "+/-%d offsets",
-                  code_.window(), code_.period(), correct_);
-}
-
-const char *
-CyclicPositionCode::name() const
-{
-    return "limited-magnitude position code";
+    switch (kind) {
+      case CodeKind::None:
+        break;
+      case CodeKind::Cyclic:
+        if (radius < 0)
+            rtm_fatal("correction radius must be >= 0, got %d", radius);
+        if (period < 2 || (period & (period - 1)) != 0)
+            rtm_fatal("code period %d is not a power of two >= 2",
+                      period);
+        // A cyclic code of period T distinguishes residues;
+        // correcting +/-m needs the 2m + 1 correctable residues plus
+        // at least one detect-only residue to be distinct:
+        // 2m + 2 <= T.
+        if (2 * radius + 2 > period)
+            rtm_fatal("period %d too narrow to correct +/-%d offsets",
+                      period, radius);
+        break;
+      case CodeKind::DelIns:
+        if (radius < 1)
+            rtm_fatal("del-ins code needs k >= 1, got %d", radius);
+        break;
+    }
 }
 
 ErrorClass
-CyclicPositionCode::classify(int step_error) const
+ShiftCode::classify(int step_error) const
 {
     if (step_error == 0)
         return ErrorClass::Ok;
-    const int t = code_.period();
-    const int m = correct_;
-    int diff = (step_error % t + t) % t;
-    if (diff == 0)
-        return ErrorClass::Silent; // aliases to "no error"
-    if (diff <= m || t - diff <= m) {
-        int inferred = diff <= m ? diff : -(t - diff);
-        return inferred == step_error ? ErrorClass::Corrected
-                                      : ErrorClass::Miscorrected;
+    switch (kind) {
+      case CodeKind::None:
+        return ErrorClass::Silent; // nothing sees the error
+      case CodeKind::Cyclic: {
+        const int t = period;
+        const int m = radius;
+        int diff = (step_error % t + t) % t;
+        if (diff == 0)
+            return ErrorClass::Silent; // aliases to "no error"
+        if (diff <= m || t - diff <= m) {
+            int inferred = diff <= m ? diff : -(t - diff);
+            return inferred == step_error ? ErrorClass::Corrected
+                                          : ErrorClass::Miscorrected;
+        }
+        return ErrorClass::Ambiguous; // detected, direction unknown
+      }
+      case CodeKind::DelIns:
+        // Each protected readout absorbs a burst of up to k skipped
+        // or repeated reads; the trailing-sentinel length check plus
+        // the per-class VT syndromes expose anything larger, so there
+        // is no silent alias and no miscorrection channel within the
+        // device model's error range (see codec/del_ins.hh).
+        return std::abs(step_error) <= radius ? ErrorClass::Corrected
+                                              : ErrorClass::Ambiguous;
     }
-    return ErrorClass::Ambiguous; // detected, direction unknown
-}
-
-int
-CyclicPositionCode::redundancyDomains(int num_segments, int seg_len)
-    const
-{
-    (void)num_segments; // the code region is shared by all segments
-    const int m = correct_;
-    const int w = code_.window();
-    if (m == 0 && w == 1)
-        return seg_len + 1; // the paper's SED accounting
-    // p-ECC accounting (paper Sec. 4.2.3) plus one domain for each
-    // window port beyond the paper's w = m + 1.
-    return 2 * m + (seg_len - 1 + 2 * m) + (w - (m + 1));
-}
-
-DelInsShiftCode::DelInsShiftCode(int k) : k_(k)
-{
-    if (k_ < 1)
-        rtm_fatal("del-ins code needs k >= 1, got %d", k_);
-}
-
-const char *
-DelInsShiftCode::name() const
-{
-    return "interleaved-VT deletion/insertion code";
-}
-
-ErrorClass
-DelInsShiftCode::classify(int step_error) const
-{
-    if (step_error == 0)
-        return ErrorClass::Ok;
-    // Each protected readout absorbs a burst of up to k skipped or
-    // repeated reads; the trailing-sentinel length check plus the
-    // per-class VT syndromes expose anything larger, so there is no
-    // silent alias and no miscorrection channel within the device
-    // model's error range (see codec/del_ins.hh).
-    return std::abs(step_error) <= k_ ? ErrorClass::Corrected
-                                      : ErrorClass::Ambiguous;
-}
-
-int
-DelInsShiftCode::redundancyDomains(int num_segments, int seg_len)
-    const
-{
-    DelInsCode code(num_segments, seg_len, k_);
-    return num_segments * code.checkBitsPerTrack() +
-           code.flushReads();
-}
-
-std::shared_ptr<const ShiftCode>
-makeShiftCode(Scheme scheme)
-{
-    switch (scheme) {
-      case Scheme::Baseline:
-      case Scheme::Sts:
-        return nullptr;
-      case Scheme::SedPecc:
-        return std::make_shared<CyclicPositionCode>(1, 0);
-      case Scheme::SecdedPecc:
-      case Scheme::PeccO:
-      case Scheme::PeccSWorst:
-      case Scheme::PeccSAdaptive:
-        return std::make_shared<CyclicPositionCode>(2, 1);
-      case Scheme::LmPos:
-        return std::make_shared<CyclicPositionCode>(kLmPosWindow,
-                                                    kLmPosCorrect);
-      case Scheme::DelIns:
-        return std::make_shared<DelInsShiftCode>(kDelInsStrength);
-    }
-    return nullptr;
+    return ErrorClass::Ambiguous;
 }
 
 } // namespace rtm

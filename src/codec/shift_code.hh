@@ -1,10 +1,10 @@
 /**
  * @file
- * Shift-code family: a common interface over position-error codecs.
+ * Shift-code family: what a position-error codec does to an error.
  *
  * The paper's p-ECC protects shift operations with a cyclic de Bruijn
  * position code; the coding-theory line it spawned generalises the
- * idea in two directions, both modelled here behind one interface:
+ * idea in two directions, both classified here by one value type:
  *
  *  - limited-magnitude position codes (Chee et al., "Coding for
  *    Racetrack Memories"): decouple the window width w from the
@@ -18,19 +18,16 @@
  *    streaming readout that may have suffered up to k skipped
  *    (deletion) or repeated (insertion) reads (codec/del_ins.hh).
  *
- * A ShiftCode answers the questions the architecture layers ask of a
- * codec without knowing its mechanism: how large an error it corrects,
- * what a given ground-truth step error turns into (the reliability
- * model's SDC/DUE/corrected decomposition), and what redundancy it
- * costs (the layout/area accounting).
+ * Which code a scheme uses is a column of the scheme table
+ * (model/tech.hh); its redundancy is PeccLayout's (codec/layout.hh).
+ * A ShiftCode answers the one question the reliability model asks:
+ * what a given ground-truth step error turns into (the SDC/DUE/
+ * corrected decomposition).
  */
 
 #ifndef RTM_CODEC_SHIFT_CODE_HH
 #define RTM_CODEC_SHIFT_CODE_HH
 
-#include <memory>
-
-#include "codec/cyclic.hh"
 #include "model/tech.hh"
 
 namespace rtm
@@ -46,103 +43,25 @@ enum class ErrorClass
     Silent        //!< aliases to "no error" -> SDC
 };
 
-/** Default limited-magnitude configuration (scheme token "lm-pos"). */
-constexpr int kLmPosWindow = 3;  //!< w ports, period T = 8
-constexpr int kLmPosCorrect = 2; //!< m: corrects +/-2-step offsets
-
-/** Default deletion/insertion strength (scheme token "del-ins-k"). */
-constexpr int kDelInsStrength = 2; //!< k per protected readout
-
-/**
- * Abstract position-error codec: classification and redundancy.
- */
-class ShiftCode
+/** A position-error codec: its family, radius and period. */
+struct ShiftCode
 {
-  public:
-    virtual ~ShiftCode() = default;
+    CodeKind kind = CodeKind::None;
+    int radius = -1; //!< m (cyclic) or k (del-ins); -1 without a code
+    int period = 0;  //!< T = 2^w of a cyclic code; 0 otherwise
 
-    /** Short human-readable codec name. */
-    virtual const char *name() const = 0;
+    ShiftCode() = default;
 
-    /** Largest |e| the codec decodes back to the exact error. */
-    virtual int correctionRadius() const = 0;
+    /**
+     * A cyclic code needs m >= 0 and 2m + 2 <= T (the 2m + 1
+     * correctable residues plus one detect-only residue); a del-ins
+     * code needs k >= 1.
+     */
+    ShiftCode(CodeKind kind, int radius, int period);
 
     /** Classify a ground-truth signed per-operation step error. */
-    virtual ErrorClass classify(int step_error) const = 0;
-
-    /**
-     * Redundant domains this codec adds to a stripe of
-     * `num_segments` segments of `seg_len` domains (paper-facing
-     * accounting, matching PeccLayout::extraDomains for the
-     * equivalent PeccConfig).
-     */
-    virtual int redundancyDomains(int num_segments,
-                                  int seg_len) const = 0;
-
-    /** Extra read ports over the per-segment data ports. */
-    virtual int extraReadPorts() const = 0;
+    ErrorClass classify(int step_error) const;
 };
-
-/**
- * Cyclic position code with decoupled window and radius: the Chee
- * limited-magnitude construction, of which the paper's SED (w=1, m=0)
- * and SECDED (w=2, m=1) codes are special cases. Owns the de Bruijn
- * machinery (codec/cyclic.hh) used by the functional stripe.
- */
-class CyclicPositionCode : public ShiftCode
-{
-  public:
-    /**
-     * @param window_bits w: window ports, period T = 2^w
-     * @param correct_strength m: radius; needs 2m + 2 <= 2^w
-     */
-    CyclicPositionCode(int window_bits, int correct_strength);
-
-    const char *name() const override;
-    int correctionRadius() const override { return correct_; }
-    ErrorClass classify(int step_error) const override;
-    int redundancyDomains(int num_segments,
-                          int seg_len) const override;
-    int extraReadPorts() const override { return code_.window(); }
-
-    /** Underlying de Bruijn sequence / window decoder. */
-    const CyclicCode &code() const { return code_; }
-
-  private:
-    CyclicCode code_;
-    int correct_;
-};
-
-/**
- * Classification/accounting face of the interleaved-VT deletion/
- * insertion code (the decode mechanism lives in codec/del_ins.hh).
- * A readout whose net offset is |e| <= k is decoded exactly; larger
- * offsets are exposed by the sentinel/syndrome checks and flagged
- * DUE — the code has no silent or miscorrecting channel within the
- * device model's error range.
- */
-class DelInsShiftCode : public ShiftCode
-{
-  public:
-    explicit DelInsShiftCode(int k);
-
-    const char *name() const override;
-    int correctionRadius() const override { return k_; }
-    ErrorClass classify(int step_error) const override;
-    int redundancyDomains(int num_segments,
-                          int seg_len) const override;
-    int extraReadPorts() const override { return 0; }
-
-  private:
-    int k_;
-};
-
-/**
- * Codec implied by a protection scheme; nullptr for the code-less
- * schemes (Baseline/STS). The returned radius always equals
- * schemeCorrectionStrength(scheme).
- */
-std::shared_ptr<const ShiftCode> makeShiftCode(Scheme scheme);
 
 } // namespace rtm
 

@@ -23,31 +23,10 @@
 #include <cstdint>
 
 #include "control/planner.hh"
-#include "util/fields.hh"
+#include "model/tech.hh"
 
 namespace rtm
 {
-
-/** Shift-policy flavours evaluated in the paper. */
-enum class ShiftPolicy
-{
-    Unconstrained,  //!< one shift per request, any distance
-    StepByStep,     //!< 1-step shifts only (p-ECC-O)
-    WorstCase,      //!< fixed safe distance from peak intensity
-    Adaptive        //!< run-time interval-based selection
-};
-
-/** Spec tokens for the policies. */
-constexpr auto
-enumTokens(ShiftPolicy)
-{
-    return std::to_array<EnumToken<ShiftPolicy>>({
-        {ShiftPolicy::Unconstrained, "unconstrained"},
-        {ShiftPolicy::StepByStep, "step"},
-        {ShiftPolicy::WorstCase, "worst"},
-        {ShiftPolicy::Adaptive, "adaptive"},
-    });
-}
 
 /**
  * Stateful policy engine: owns the interval counter and consults the

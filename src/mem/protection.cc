@@ -7,28 +7,6 @@
 namespace rtm
 {
 
-namespace
-{
-
-/** PeccVariant implied by a scheme (for geometry validation). */
-PeccVariant
-variantFor(Scheme scheme)
-{
-    switch (scheme) {
-      case Scheme::Baseline:
-      case Scheme::Sts:
-        return PeccVariant::None;
-      case Scheme::PeccO:
-        return PeccVariant::OverheadRegion;
-      case Scheme::DelIns:
-        return PeccVariant::DelIns;
-      default:
-        return PeccVariant::Standard;
-    }
-}
-
-} // anonymous namespace
-
 const ProtectionDomain &
 ProtectionPolicy::llcDomain() const
 {
@@ -110,13 +88,9 @@ protectionDomainError(const ProtectionDomain &domain,
                       Scheme base_scheme, int seg_len,
                       int frames_per_group)
 {
-    const Scheme scheme =
-        domain.has_scheme ? domain.scheme : base_scheme;
-    PeccConfig cfg;
-    cfg.num_segments = std::max(frames_per_group / seg_len, 1);
-    cfg.seg_len = seg_len;
-    cfg.correct = std::max(schemeCorrectionStrength(scheme), 0);
-    cfg.variant = variantFor(scheme);
+    PeccConfig cfg = peccConfigFor(
+        domain.has_scheme ? domain.scheme : base_scheme,
+        std::max(frames_per_group / seg_len, 1), seg_len);
     cfg.codeword_frames = domain.codeword_frames;
     cfg.two_tier = domain.two_tier;
     return protectionGeometryError(cfg, frames_per_group);

@@ -1,5 +1,6 @@
 #include "reliability.hh"
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -26,40 +27,30 @@ ShiftReliability::none()
 ReliabilityModel::ReliabilityModel(const PositionErrorModel *model,
                                    Scheme scheme,
                                    int codeword_frames)
-    : model_(model), scheme_(scheme)
+    : model_(model)
 {
     if (!model_)
         rtm_fatal("reliability model needs an error model");
-    code_ = makeShiftCode(scheme);
-    correct_ = schemeCorrectionStrength(scheme);
-    if (code_ && code_->correctionRadius() != correct_)
-        rtm_panic("shift code radius %d disagrees with scheme "
-                  "strength %d", code_->correctionRadius(), correct_);
-    if (codeword_frames > 1 && code_ && correct_ >= 0) {
+    const SchemeRow &row = schemeRow(scheme);
+    code_ = ShiftCode(row.code, row.radius, row.period());
+    if (codeword_frames > 1 && code_.kind != CodeKind::None) {
         // Pooled codewords: F frames share one redundancy region
         // whose extra check bits buy log2(F) more correction radius
         // (spec validation already rejected geometries where the
         // boosted radius does not fit the stripe tail). Re-derive
-        // the code at the boosted strength so the classification
-        // walk below sees the larger radius.
+        // the code at the boosted strength, on the narrowest cyclic
+        // period that holds it, so the classification walk below
+        // sees the larger radius.
         int boost = 0;
         for (int f = codeword_frames; f > 1; f >>= 1)
             ++boost;
-        correct_ += boost;
-        if (scheme == Scheme::DelIns) {
-            code_ = std::make_shared<DelInsShiftCode>(correct_);
-        } else {
-            int w = 1;
-            while ((1 << w) < 2 * correct_ + 2)
-                ++w;
-            code_ = std::make_shared<CyclicPositionCode>(w, correct_);
-        }
+        const int m = code_.radius + boost;
+        code_ = ShiftCode(code_.kind, m,
+                          code_.kind == CodeKind::Cyclic
+                              ? static_cast<int>(std::bit_ceil(
+                                    static_cast<unsigned>(2 * m + 2)))
+                              : 0);
     }
-    // Residue period of the paper's w = m + 1 codes; the lm-pos
-    // default (w = 3, m = 2) happens to share it. Kept for
-    // introspection only - the decomposition below asks the shift
-    // code itself.
-    period_ = correct_ >= 0 ? (1 << (correct_ + 1)) : 0;
 }
 
 ShiftReliability
@@ -70,13 +61,13 @@ ReliabilityModel::shiftOp(int distance) const
         return r;
 
     const int kmax = model_->maxStepError();
-    if (!code_) {
+    if (code_.kind == CodeKind::None) {
         // Unprotected: every position error silently corrupts.
         r.log_sdc = model_->logProbAtLeast(distance, 1);
         return r;
     }
 
-    const int m = correct_;
+    const int m = code_.radius;
     // One batched ladder fetch covers every (sign, magnitude) the
     // classification walk below needs; values are bit-identical to
     // the per-call logProbStep evaluations this loop used to make.
@@ -95,7 +86,7 @@ ReliabilityModel::shiftOp(int distance) const
             // the cyclic family this reproduces the residue walk the
             // loop used to inline (same branches, same accumulation
             // order, bit-identical results).
-            switch (code_->classify(sign * mag)) {
+            switch (code_.classify(sign * mag)) {
               case ErrorClass::Ok:
                 break; // mag >= 1 never classifies as Ok
               case ErrorClass::Silent:

@@ -26,7 +26,6 @@
 #ifndef RTM_MODEL_RELIABILITY_HH
 #define RTM_MODEL_RELIABILITY_HH
 
-#include <memory>
 #include <vector>
 
 #include "codec/shift_code.hh"
@@ -76,23 +75,9 @@ class ReliabilityModel
      */
     ShiftReliability sequence(const std::vector<int> &parts) const;
 
-    /** Correction strength m implied by the scheme. */
-    int correctStrength() const { return correct_; }
-
-    /** Cyclic-code period implied by the scheme. */
-    int period() const { return period_; }
-
-    Scheme scheme() const { return scheme_; }
-
-    /** Shift code driving the decomposition (nullptr = unprotected). */
-    const ShiftCode *shiftCode() const { return code_.get(); }
-
   private:
     const PositionErrorModel *model_;
-    Scheme scheme_;
-    std::shared_ptr<const ShiftCode> code_; //!< scheme's codec
-    int correct_; //!< m
-    int period_;  //!< T = 2^(m+1)
+    ShiftCode code_; //!< the scheme's codec, boosted for pooling
 };
 
 /**

@@ -242,9 +242,18 @@ finishRead(SpecReader &r, ExperimentSpec &spec)
 {
     const StressSpec &s = spec.stress;
     Scheme scheme;
-    PeccConfig cfg;
-    if (!stressSchemeConfig(s.scheme, &scheme, &cfg))
-        r.fail("stress.scheme", "unknown scheme '" + s.scheme + "'");
+    const bool known = schemeFromToken(s.scheme, &scheme);
+    if (!known || !schemeRow(scheme).stripe_drill) {
+        std::string drills;
+        for (const SchemeRow &row : kSchemeRows)
+            if (row.stripe_drill)
+                drills += (drills.empty() ? "" : " | ") +
+                          std::string(row.token);
+        r.fail("stress.scheme",
+               (known ? "scheme '" + s.scheme + "' has no stripe drill"
+                      : "unknown scheme '" + s.scheme + "'") +
+                   " (" + drills + ")");
+    }
     if (s.scale <= 0.0)
         r.fail("stress.scale", "must be > 0");
     if (s.lseg < 2)
@@ -597,35 +606,12 @@ stressSchemeConfig(const std::string &token, Scheme *scheme,
 {
     // The stripe drill shares one stripe between two ports; seg_len
     // is the caller's (the --lseg flag / stress.lseg field).
-    config->num_segments = 2;
-    struct Drill
-    {
-        Scheme scheme;
-        int correct;
-        PeccVariant variant;
-    };
-    static constexpr Drill kDrills[] = {
-        {Scheme::Baseline, 1, PeccVariant::None},
-        {Scheme::SedPecc, 0, PeccVariant::Standard},
-        {Scheme::PeccO, 1, PeccVariant::OverheadRegion},
-        {Scheme::SecdedPecc, 1, PeccVariant::Standard},
-        {Scheme::LmPos, kLmPosCorrect, PeccVariant::Standard},
-        {Scheme::DelIns, kDelInsStrength, PeccVariant::DelIns},
-    };
     Scheme s;
-    if (!schemeFromToken(token, &s))
+    if (!schemeFromToken(token, &s) || !schemeRow(s).stripe_drill)
         return false;
-    for (const Drill &d : kDrills) {
-        if (d.scheme != s)
-            continue;
-        *scheme = s;
-        config->correct = d.correct;
-        config->variant = d.variant;
-        if (s == Scheme::LmPos)
-            config->window_ports = kLmPosWindow;
-        return true;
-    }
-    return false;
+    *scheme = s;
+    *config = peccConfigFor(s, 2, config->seg_len);
+    return true;
 }
 
 StressResult

@@ -325,8 +325,8 @@ void finishRead(SpecReader &r, CampaignSpec &c);
 struct StressSpec
 {
     bool enabled = false;
-    /** Scheme token: baseline | sed | secded | pecc-o | lm-pos |
-     *  del-ins-k. */
+    /** Token of a scheme with a stripe drill
+     *  (SchemeRow::stripe_drill). */
     std::string scheme = "secded";
     double scale = 500.0; //!< error-rate acceleration
     uint64_t ops = 200000;

@@ -32,8 +32,8 @@
 #include <vector>
 
 #include "codec/protected_stripe.hh"
-#include "codec/shift_code.hh"
 #include "device/fault_scenario.hh"
+#include "model/tech.hh"
 
 namespace rtm
 {
@@ -215,6 +215,14 @@ standardConfig(int correct, int window_ports)
     return c;
 }
 
+/** The lm-pos scheme's radius and window on the same geometry. */
+PeccConfig
+lmPosConfig()
+{
+    const SchemeRow &row = schemeRow(Scheme::LmPos);
+    return standardConfig(row.radius, row.window);
+}
+
 constexpr uint64_t kSeed = 0xd1ffe7e57ULL;
 constexpr int kOps = 400;
 constexpr double kAccel = 3e3;
@@ -234,8 +242,7 @@ TEST(Differential, WithinRadiusEverySchemeHasZeroSdc)
 
         auto lmpos = scenario->clone();
         DiffStats s2 = runStandardDifferential(
-            standardConfig(kLmPosCorrect, kLmPosWindow),
-            lmpos.get(), kSeed, kOps);
+            lmPosConfig(), lmpos.get(), kSeed, kOps);
         EXPECT_EQ(s2.sdc, 0u) << "lm-pos";
 
         auto delins = scenario->clone();
@@ -265,8 +272,7 @@ TEST(Differential, WithinRadiusTwoStepErrorsNeedTheWiderCodes)
 
         auto lmpos = scenario->clone();
         DiffStats s2 = runStandardDifferential(
-            standardConfig(kLmPosCorrect, kLmPosWindow),
-            lmpos.get(), kSeed, kOps);
+            lmPosConfig(), lmpos.get(), kSeed, kOps);
         EXPECT_EQ(s2.sdc, 0u) << "lm-pos";
 
         auto delins = scenario->clone();
@@ -288,8 +294,7 @@ TEST(Differential, BeyondRadiusIsDueNeverSilentForTheNewCodes)
 
         auto lmpos = scenario->clone();
         DiffStats s2 = runStandardDifferential(
-            standardConfig(kLmPosCorrect, kLmPosWindow),
-            lmpos.get(), kSeed, kOps);
+            lmPosConfig(), lmpos.get(), kSeed, kOps);
         EXPECT_EQ(s2.sdc, 0u) << "lm-pos";
 
         auto delins = scenario->clone();

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "codec/del_ins.hh"
 #include "codec/layout.hh"
 
 namespace rtm
@@ -52,6 +53,16 @@ TEST(Layout, PaperSecdedOverheadAccounting)
     EXPECT_NEAR(lay.storageOverhead(), 0.172, 0.005);
     EXPECT_EQ(lay.extraReadPorts(), 2);
     EXPECT_EQ(lay.extraWritePorts(), 0);
+
+    // The del-ins code has no code region: its extra domains are the
+    // per-track VT check bits plus the flush-read sentinel domains,
+    // read through the data ports.
+    PeccLayout del_ins =
+        computeLayout(cfg(4, 8, 2, PeccVariant::DelIns));
+    DelInsCode ref(4, 8, 2);
+    EXPECT_EQ(del_ins.extraDomains(),
+              4 * ref.checkBitsPerTrack() + ref.flushReads());
+    EXPECT_EQ(del_ins.extraReadPorts(), 0);
 }
 
 TEST(Layout, PeccOOverheadIndependentOfSegmentLength)

@@ -31,6 +31,7 @@
 #include <tuple>
 #include <vector>
 
+#include "codec/cyclic.hh"
 #include "codec/del_ins.hh"
 #include "codec/shift_code.hh"
 
@@ -70,10 +71,8 @@ TEST(LmPosExhaustive, ConfigSpaceIsTheExpectedOne)
 TEST(LmPosExhaustive, EveryPhaseEveryErrorDecodesPerContract)
 {
     for (auto [w, m] : validLmConfigs()) {
-        CyclicPositionCode code(w, m);
-        const CyclicCode &cyc = code.code();
+        const CyclicCode cyc(w);
         const int t = cyc.period();
-        ASSERT_EQ(code.correctionRadius(), m);
         for (int base = 0; base < t; ++base) {
             for (int e = -t; e <= t; ++e) {
                 const int observed = ((base - e) % t + t) % t;
@@ -115,9 +114,9 @@ TEST(LmPosExhaustive, EveryPhaseEveryErrorDecodesPerContract)
 TEST(LmPosExhaustive, ClassifyMatchesTheDecoderOnEveryResidue)
 {
     for (auto [w, m] : validLmConfigs()) {
-        CyclicPositionCode code(w, m);
-        const CyclicCode &cyc = code.code();
+        const CyclicCode cyc(w);
         const int t = cyc.period();
+        const ShiftCode code{CodeKind::Cyclic, m, t};
         for (int e = -2 * t; e <= 2 * t; ++e) {
             const ErrorClass cls = code.classify(e);
             const int observed = ((0 - e) % t + t) % t;
@@ -155,8 +154,9 @@ TEST(LmPosExhaustive, DefaultLmPosConfigCorrectsWiderThanSecded)
 {
     // The headline of the construction: w=3 corrects +/-2 where the
     // paper's SECDED (w=2) corrects only +/-1 and miscorrects +2.
-    CyclicPositionCode secded(2, 1);
-    CyclicPositionCode lmpos(kLmPosWindow, kLmPosCorrect);
+    const SchemeRow &row = schemeRow(Scheme::LmPos);
+    const ShiftCode secded{CodeKind::Cyclic, 1, 4};
+    const ShiftCode lmpos{row.code, row.radius, row.period()};
     EXPECT_EQ(secded.classify(2), ErrorClass::Ambiguous);
     EXPECT_EQ(secded.classify(3), ErrorClass::Miscorrected);
     EXPECT_EQ(lmpos.classify(2), ErrorClass::Corrected);
@@ -167,26 +167,8 @@ TEST(LmPosExhaustive, DefaultLmPosConfigCorrectsWiderThanSecded)
 
 TEST(LmPosShiftCode, NarrowWindowIsRejected)
 {
-    EXPECT_DEATH(CyclicPositionCode(1, 1), "too narrow");
-    EXPECT_DEATH(CyclicPositionCode(2, 2), "too narrow");
-}
-
-TEST(MakeShiftCode, RadiiMatchSchemeStrengths)
-{
-    for (Scheme s :
-         {Scheme::Baseline, Scheme::Sts, Scheme::SedPecc,
-          Scheme::SecdedPecc, Scheme::PeccO, Scheme::PeccSWorst,
-          Scheme::PeccSAdaptive, Scheme::LmPos, Scheme::DelIns}) {
-        auto code = makeShiftCode(s);
-        if (schemeCorrectionStrength(s) < 0) {
-            EXPECT_EQ(code, nullptr) << schemeToken(s);
-        } else {
-            ASSERT_NE(code, nullptr) << schemeToken(s);
-            EXPECT_EQ(code->correctionRadius(),
-                      schemeCorrectionStrength(s))
-                << schemeToken(s);
-        }
-    }
+    EXPECT_DEATH(ShiftCode(CodeKind::Cyclic, 1, 2), "too narrow");
+    EXPECT_DEATH(ShiftCode(CodeKind::Cyclic, 2, 4), "too narrow");
 }
 
 // ---------------------------------------------------------------------
@@ -435,19 +417,15 @@ TEST(DelInsCode, DegenerateParametersAreFatal)
     EXPECT_DEATH(DelInsCode(1, 3, 2), "too short|no data");
 }
 
-TEST(DelInsShiftCode, ClassifyAndAccounting)
+TEST(DelInsShiftCode, Classify)
 {
-    DelInsShiftCode code(2);
-    EXPECT_EQ(code.correctionRadius(), 2);
+    const ShiftCode code{CodeKind::DelIns, 2, 0};
     EXPECT_EQ(code.classify(0), ErrorClass::Ok);
     for (int e : {-2, -1, 1, 2})
         EXPECT_EQ(code.classify(e), ErrorClass::Corrected) << e;
     for (int e : {-5, -4, -3, 3, 4, 5})
         EXPECT_EQ(code.classify(e), ErrorClass::Ambiguous) << e;
-    EXPECT_EQ(code.extraReadPorts(), 0);
-    DelInsCode ref(4, 8, 2);
-    EXPECT_EQ(code.redundancyDomains(4, 8),
-              4 * ref.checkBitsPerTrack() + ref.flushReads());
+    EXPECT_DEATH(ShiftCode(CodeKind::DelIns, 0, 0), "k >= 1");
 }
 
 } // namespace

@@ -243,7 +243,19 @@ TEST(ExperimentSpec, MalformedSpecsProduceActionableDiagnostics)
         "{\"campaign\": {\"scenarios\": [{\"kind\": \"comet\"}]}}");
     EXPECT_NE(diag.find("comet"), std::string::npos) << diag;
     diag = parseSpecDiag("{\"stress\": {\"scheme\": \"raid5\"}}");
-    EXPECT_NE(diag.find("raid5"), std::string::npos) << diag;
+    EXPECT_NE(diag.find("stress.scheme: unknown scheme 'raid5' "
+                        "(baseline | sed | secded | pecc-o | lm-pos | "
+                        "del-ins-k)"),
+              std::string::npos)
+        << diag;
+    // A valid scheme without a stripe drill says so, with the same
+    // list.
+    diag = parseSpecDiag("{\"stress\": {\"scheme\": \"adaptive\"}}");
+    EXPECT_NE(diag.find("stress.scheme: scheme 'adaptive' has no stripe "
+                        "drill (baseline | sed | secded | pecc-o | "
+                        "lm-pos | del-ins-k)"),
+              std::string::npos)
+        << diag;
 
     // Semantic validation: zero requests / divisor rejected.
     diag = parseSpecDiag("{\"matrix\": {\"requests\": 0}}");

@@ -655,6 +655,58 @@ TEST(GoldenSim, ShiftCodeMatrixDigestsMatchPins)
     EXPECT_EQ(hashes.back(), kGoldenShiftCodeCombinedHash);
 }
 
+/**
+ * Pinned digests for the racetrack schemes no other pin covers: the
+ * STS driver alone, SED p-ECC and SECDED p-ECC (unconstrained
+ * distance) on the same small matrix as the shift-code pin. Freezes
+ * their shift timing, in-path check and Table 5 energy end to end.
+ */
+const char *const kGoldenCodeSchemeHashes[] = {
+    "6030fad6d1a754d6b519ad101f8cbc2378a4f416547ba3bce6a7637e85b679a1", // RM STS
+    "60541c81257836ea24382a17fc938f39de63b6d2fcae2936d0f9f69a5b272754", // RM SED p-ECC
+    "b7f6f915f25fede670c7bebf27433150788a5a0913af35e389cecc871eb50878", // RM SECDED p-ECC
+};
+const char *const kGoldenCodeSchemeCombinedHash =
+    "e0365247d5222ef26574c3fc1a5cdb08ee944cb02c19e7beb077c3ac7b80cbf0";
+
+TEST(GoldenSim, CodeSchemeMatrixDigestsMatchPins)
+{
+    const std::vector<LlcOption> options = {
+        {"RM STS", MemTech::Racetrack, Scheme::Sts},
+        {"RM SED p-ECC", MemTech::Racetrack, Scheme::SedPecc},
+        {"RM SECDED p-ECC", MemTech::Racetrack, Scheme::SecdedPecc},
+    };
+    ExperimentSpec spec;
+    spec.matrix.requests = kGoldenRequests;
+    spec.matrix.warmup = kGoldenWarmup;
+    spec.matrix.divisor = kGoldenDivisor;
+    spec.matrix.workloads = {"blackscholes", "canneal"};
+    spec.matrix.options = options;
+    normalizeExperimentSpec(&spec);
+    ASSERT_EQ(spec.matrix.options.size(), options.size());
+
+    PaperCalibratedErrorModel model;
+    ExperimentResult res = runExperiment(spec, &model);
+    ASSERT_EQ(res.matrix.size(), spec.matrix.workloads.size());
+    auto hashes = matrixHashes(res.matrix, options.size());
+
+    if (std::getenv("RTM_UPDATE_GOLDEN")) {
+        printf("const char *const kGoldenCodeSchemeHashes[] = {\n");
+        for (size_t o = 0; o < options.size(); ++o)
+            printf("    \"%s\", // %s\n", hashes[o].c_str(),
+                   options[o].label.c_str());
+        printf("};\nconst char *const "
+               "kGoldenCodeSchemeCombinedHash =\n    \"%s\";\n",
+               hashes.back().c_str());
+        FAIL() << "RTM_UPDATE_GOLDEN set: paste the printed pins "
+                  "into tests/sim_golden_test.cc and re-run";
+    }
+    for (size_t o = 0; o < options.size(); ++o)
+        EXPECT_EQ(hashes[o], kGoldenCodeSchemeHashes[o])
+            << "option " << options[o].label;
+    EXPECT_EQ(hashes.back(), kGoldenCodeSchemeCombinedHash);
+}
+
 // --- 4. fast-tier pins -----------------------------------------------
 
 /**
@@ -715,9 +767,10 @@ TEST(GoldenSim, FastTierDigestMatchesPinAcrossThreadCounts)
  * The fault drills (campaign cells with their bank degradation
  * drill, and the stripe stress drill) sample injected shift outcomes
  * and fold analytic expectations; every table they are served from
- * must reproduce the live computation bit for bit. Four specs freeze
+ * must reproduce the live computation bit for bit. Six specs freeze
  * them: the standard campaign on two workloads plus a del-ins-k
- * stress drill, and secded, p-ECC-O and lm-pos stress drills. The
+ * stress drill, and secded, p-ECC-O, lm-pos, unprotected baseline
+ * and SED stress drills (every scheme that has a drill). The
  * p-ECC-O drill decodes the left window on every left step and
  * maintains the end code with shift-and-write; the lm-pos drill
  * decodes the widened limited-magnitude window. Regenerate with
@@ -728,6 +781,8 @@ const char *const kGoldenFaultDrillHashes[] = {
     "6b13154edbf953f26836b1614b04b59a1ae1020fb45e21035339c1dc9c157b13", // golden-secded-stress
     "e6d976fb90ee15d956fb7e92448638b2cdbb98bd54c2683ea8c48696a0dd365b", // golden-pecc-o-stress
     "0f6261b52ff12bd0011043342e120aadcf616aa5e72e85d8b7e4b2bb913769b1", // golden-lm-pos-stress
+    "b8ff48ff0100ea720def0a31e8b061cb92cca0655950c530015ca52c707248d0", // golden-baseline-stress
+    "5bf6f82c947f33bd472dd93973dd0dc8d7746fa852fdbf0504d2c5fb02f98d4e", // golden-sed-stress
 };
 
 std::vector<ExperimentSpec>
@@ -765,7 +820,18 @@ faultDrillSpecs()
     lm_pos.name = "golden-lm-pos-stress";
     lm_pos.stress.scheme = "lm-pos";
     lm_pos.stress.seed = 7;
-    return {campaign, secded, pecc_o, lm_pos};
+
+    ExperimentSpec baseline = secded;
+    baseline.name = "golden-baseline-stress";
+    baseline.stress.scheme = "baseline";
+    baseline.stress.ops = 5000;
+    baseline.stress.seed = 11;
+
+    ExperimentSpec sed = secded;
+    sed.name = "golden-sed-stress";
+    sed.stress.scheme = "sed";
+    sed.stress.seed = 13;
+    return {campaign, secded, pecc_o, lm_pos, baseline, sed};
 }
 
 TEST(GoldenCampaign, FaultDrillDigestsPinned)

@@ -36,6 +36,7 @@
 #include "common.hh"
 #include "sim/system.hh"
 #include "trace/frame_profile.hh"
+#include "util/serde.hh"
 
 namespace rtm
 {
@@ -163,72 +164,55 @@ struct WorkloadReport
     std::vector<PolicyRun> runs; //!< runs[0] is static
 };
 
-void
+/** Write BENCH_placement.json; false (with a diagnostic) on error. */
+bool
 writeJson(const std::vector<WorkloadReport> &reports,
           const std::vector<PolicyRun> &head_sweep,
           const Sizing &sz)
 {
-    std::FILE *f = std::fopen("BENCH_placement.json", "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write BENCH_placement.json\n");
-        return;
-    }
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"requests\": %llu,\n",
-                 static_cast<unsigned long long>(sz.requests));
-    std::fprintf(f, "  \"divisor\": %llu,\n",
-                 static_cast<unsigned long long>(sz.divisor));
-    std::fprintf(f, "  \"workloads\": [\n");
-    for (size_t w = 0; w < reports.size(); ++w) {
-        const WorkloadReport &rep = reports[w];
+    JsonValue workloads = JsonValue::array();
+    for (const WorkloadReport &rep : reports) {
         const SimResult &base = rep.runs[0].result;
-        std::fprintf(f, "    {\"name\": \"%s\", "
-                        "\"hot_decile_share\": %.3f, "
-                        "\"policies\": [\n",
-                     rep.name.c_str(), rep.hot_share);
-        for (size_t i = 0; i < rep.runs.size(); ++i) {
-            const PolicyRun &r = rep.runs[i];
-            std::fprintf(
-                f,
-                "      {\"policy\": \"%s\", \"head\": \"%s\", "
-                "\"shifts_per_access\": %.4f, "
-                "\"reduction_pct\": %.2f, "
-                "\"migrations\": %llu, "
-                "\"migration_steps\": %llu, "
-                "\"cycles\": %llu, "
-                "\"wall_seconds\": %.4f}%s\n",
-                r.policy.c_str(), r.head.c_str(),
-                r.result.shiftsPerAccess(),
-                reductionPct(base, r.result),
-                static_cast<unsigned long long>(
-                    r.result.migrations),
-                static_cast<unsigned long long>(
-                    r.result.migration_steps),
-                static_cast<unsigned long long>(r.result.cycles),
-                r.wall_seconds,
-                i + 1 < rep.runs.size() ? "," : "");
+        JsonValue policies = JsonValue::array();
+        for (const PolicyRun &r : rep.runs) {
+            JsonValue v = JsonValue::object();
+            v.set("policy", r.policy);
+            v.set("head", r.head);
+            v.set("shifts_per_access", r.result.shiftsPerAccess());
+            v.set("reduction_pct", reductionPct(base, r.result));
+            v.set("migrations", r.result.migrations);
+            v.set("migration_steps", r.result.migration_steps);
+            v.set("cycles", r.result.cycles);
+            v.set("wall_seconds", r.wall_seconds);
+            policies.push(std::move(v));
         }
-        std::fprintf(f, "    ]}%s\n",
-                     w + 1 < reports.size() ? "," : "");
+        JsonValue w = JsonValue::object();
+        w.set("name", rep.name);
+        w.set("hot_decile_share", rep.hot_share);
+        w.set("policies", std::move(policies));
+        workloads.push(std::move(w));
     }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"head_sweep\": [\n");
-    for (size_t i = 0; i < head_sweep.size(); ++i) {
-        const PolicyRun &r = head_sweep[i];
-        std::fprintf(f,
-                     "    {\"policy\": \"%s\", \"head\": \"%s\", "
-                     "\"shifts_per_access\": %.4f, "
-                     "\"cycles\": %llu}%s\n",
-                     r.policy.c_str(), r.head.c_str(),
-                     r.result.shiftsPerAccess(),
-                     static_cast<unsigned long long>(
-                         r.result.cycles),
-                     i + 1 < head_sweep.size() ? "," : "");
+    JsonValue sweep = JsonValue::array();
+    for (const PolicyRun &r : head_sweep) {
+        JsonValue v = JsonValue::object();
+        v.set("policy", r.policy);
+        v.set("head", r.head);
+        v.set("shifts_per_access", r.result.shiftsPerAccess());
+        v.set("cycles", r.result.cycles);
+        sweep.push(std::move(v));
     }
-    std::fprintf(f, "  ]\n");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
+    JsonValue doc = JsonValue::object();
+    doc.set("requests", sz.requests);
+    doc.set("divisor", sz.divisor);
+    doc.set("workloads", std::move(workloads));
+    doc.set("head_sweep", std::move(sweep));
+    std::string error;
+    if (!saveJsonFile("BENCH_placement.json", doc, 2, &error)) {
+        std::fprintf(stderr, "%s\n", error.c_str());
+        return false;
+    }
     std::printf("wrote BENCH_placement.json\n");
+    return true;
 }
 
 } // namespace
@@ -353,7 +337,8 @@ main(int argc, char **argv)
         }
     }
 
-    writeJson(reports, head_sweep, sz);
+    if (!writeJson(reports, head_sweep, sz))
+        return 1;
     std::printf("best profiled hot-center reduction vs static: "
                 "%.1f%%\n",
                 best_oracle_pct);

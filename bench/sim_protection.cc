@@ -28,6 +28,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -37,6 +38,7 @@
 #include "common.hh"
 #include "mem/protection.hh"
 #include "sim/system.hh"
+#include "util/serde.hh"
 
 namespace rtm
 {
@@ -156,69 +158,58 @@ struct WorkloadReport
     std::vector<PolicyRun> runs; //!< runs[0] is the F=1 baseline
 };
 
-void
+/** MTTF as JSON: +inf (no failure expected) is written as null. */
+JsonValue
+mttfJson(double seconds)
+{
+    return std::isfinite(seconds) ? JsonValue(seconds) : JsonValue();
+}
+
+/** Write BENCH_protection.json; false (with a diagnostic) on error. */
+bool
 writeJson(const std::vector<WorkloadReport> &reports,
           const Sizing &sz)
 {
-    std::FILE *f = std::fopen("BENCH_protection.json", "w");
-    if (!f) {
-        std::fprintf(stderr,
-                     "cannot write BENCH_protection.json\n");
-        return;
-    }
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"requests\": %llu,\n",
-                 static_cast<unsigned long long>(sz.requests));
-    std::fprintf(f, "  \"divisor\": %llu,\n",
-                 static_cast<unsigned long long>(sz.divisor));
-    std::fprintf(f, "  \"workloads\": [\n");
-    for (size_t w = 0; w < reports.size(); ++w) {
-        const WorkloadReport &rep = reports[w];
+    JsonValue workloads = JsonValue::array();
+    for (const WorkloadReport &rep : reports) {
         const double base_bw =
             effectiveBandwidth(rep.runs[0].result);
-        std::fprintf(f,
-                     "    {\"name\": \"%s\", \"policies\": [\n",
-                     rep.name.c_str());
-        for (size_t i = 0; i < rep.runs.size(); ++i) {
-            const PolicyRun &r = rep.runs[i];
+        JsonValue policies = JsonValue::array();
+        for (const PolicyRun &r : rep.runs) {
             const double bw = effectiveBandwidth(r.result);
-            std::fprintf(
-                f,
-                "      {\"policy\": \"%s\", "
-                "\"codeword_frames\": %d, "
-                "\"two_tier\": %s, "
-                "\"differentiated\": %s, "
-                "\"sdc_mttf_seconds\": %.6g, "
-                "\"due_mttf_seconds\": %.6g, "
-                "\"shifts_per_access\": %.4f, "
-                "\"redundancy_accesses\": %llu, "
-                "\"redundancy_steps\": %llu, "
-                "\"effective_bandwidth_gbs\": %.4f, "
-                "\"bandwidth_vs_baseline_pct\": %.2f, "
-                "\"cycles\": %llu, "
-                "\"wall_seconds\": %.4f}%s\n",
-                r.label.c_str(), r.codeword_frames,
-                r.two_tier ? "true" : "false",
-                r.differentiated ? "true" : "false",
-                r.result.sdc_mttf, r.result.due_mttf,
-                r.result.shiftsPerAccess(),
-                static_cast<unsigned long long>(
-                    r.result.redundancy_accesses),
-                static_cast<unsigned long long>(
-                    r.result.redundancy_steps),
-                bw / 1e9,
-                base_bw > 0.0 ? 100.0 * (bw / base_bw - 1.0) : 0.0,
-                static_cast<unsigned long long>(r.result.cycles),
-                r.wall_seconds,
-                i + 1 < rep.runs.size() ? "," : "");
+            JsonValue v = JsonValue::object();
+            v.set("policy", r.label);
+            v.set("codeword_frames", r.codeword_frames);
+            v.set("two_tier", r.two_tier);
+            v.set("differentiated", r.differentiated);
+            v.set("sdc_mttf_seconds", mttfJson(r.result.sdc_mttf));
+            v.set("due_mttf_seconds", mttfJson(r.result.due_mttf));
+            v.set("shifts_per_access", r.result.shiftsPerAccess());
+            v.set("redundancy_accesses", r.result.redundancy_accesses);
+            v.set("redundancy_steps", r.result.redundancy_steps);
+            v.set("effective_bandwidth_gbs", bw / 1e9);
+            v.set("bandwidth_vs_baseline_pct",
+                  base_bw > 0.0 ? 100.0 * (bw / base_bw - 1.0) : 0.0);
+            v.set("cycles", r.result.cycles);
+            v.set("wall_seconds", r.wall_seconds);
+            policies.push(std::move(v));
         }
-        std::fprintf(f, "    ]}%s\n",
-                     w + 1 < reports.size() ? "," : "");
+        JsonValue w = JsonValue::object();
+        w.set("name", rep.name);
+        w.set("policies", std::move(policies));
+        workloads.push(std::move(w));
     }
-    std::fprintf(f, "  ]\n");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
+    JsonValue doc = JsonValue::object();
+    doc.set("requests", sz.requests);
+    doc.set("divisor", sz.divisor);
+    doc.set("workloads", std::move(workloads));
+    std::string error;
+    if (!saveJsonFile("BENCH_protection.json", doc, 2, &error)) {
+        std::fprintf(stderr, "%s\n", error.c_str());
+        return false;
+    }
     std::printf("wrote BENCH_protection.json\n");
+    return true;
 }
 
 } // namespace
@@ -330,7 +321,8 @@ main(int argc, char **argv)
         reports.push_back(std::move(rep));
     }
 
-    writeJson(reports, sz);
+    if (!writeJson(reports, sz))
+        return 1;
     std::printf("worst SDC MTTF gain, pooled F=8 vs per-frame: "
                 "%.3gx\n",
                 worst_gain_x);

@@ -208,8 +208,7 @@ PositionErrorMonteCarlo::classify(double deviation, ErrorPdf &pdf)
 ErrorPdf
 PositionErrorMonteCarlo::run(int distance, uint64_t trials)
 {
-    ScopedPhase phase("mc.run");
-    const double t0 = telemetry_ ? telemetryNowSeconds() : 0.0;
+    const double t0 = telemetry_ ? monotonicSeconds() : 0.0;
     // The shard count depends only on the trial count and each shard
     // owns an RNG forked deterministically from rng_ in shard order,
     // so the result is a pure function of (seed, trials) no matter
@@ -262,10 +261,9 @@ PositionErrorMonteCarlo::run(int distance, uint64_t trials)
             .set(pdf.deviation.stddev());
         telemetry_->gauge("device.mc.step_jitter").set(step_jitter_);
         telemetry_->gauge("device.mc.resync_rho").set(resync_rho_);
-        const double wall = telemetryNowSeconds() - t0;
-        telemetry_->event(EventKind::Span, "mc.run",
-                          static_cast<uint64_t>(t0 * 1e6),
-                          wall * 1e6, static_cast<double>(distance));
+        telemetry_->span("mc.run", telemetry_->lane(), t0,
+                         monotonicSeconds() - t0,
+                         static_cast<double>(distance));
     }
     return pdf;
 }
@@ -311,8 +309,7 @@ PositionErrorMonteCarlo::runScalarReference(int distance,
 FittedErrorModel
 PositionErrorMonteCarlo::fitModel(uint64_t trials_per_distance)
 {
-    ScopedPhase phase("mc.fit");
-    const double t0 = telemetry_ ? telemetryNowSeconds() : 0.0;
+    const double t0 = telemetry_ ? monotonicSeconds() : 0.0;
     // Fit sigma_step / rho / drift from measured moments at short and
     // long distances. With AR(1) variance
     //   var(N) = s^2 (1 - rho^N) / (1 - rho),
@@ -369,10 +366,8 @@ PositionErrorMonteCarlo::fitModel(uint64_t trials_per_distance)
         telemetry_->gauge("device.mc.fit.resync_rho")
             .set(fit.resync_rho);
         telemetry_->gauge("device.mc.fit.drift").set(fit.drift);
-        const double wall = telemetryNowSeconds() - t0;
-        telemetry_->event(EventKind::Span, "mc.fit",
-                          static_cast<uint64_t>(t0 * 1e6),
-                          wall * 1e6);
+        telemetry_->span("mc.fit", telemetry_->lane(), t0,
+                         monotonicSeconds() - t0);
     }
     return FittedErrorModel(fit);
 }

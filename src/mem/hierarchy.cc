@@ -90,7 +90,6 @@ Hierarchy::Hierarchy(const HierarchyConfig &config,
         bank.head_policy = config_.head_policy;
         bank.placement = config_.placement;
         bank.model_contention = config_.model_contention;
-        bank.use_plan_memo = config_.use_plan_memo;
         bank.telemetry = config_.telemetry;
         rm_bank_ = std::make_unique<RmBank>(bank, model, l3_params_);
     }

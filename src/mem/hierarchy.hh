@@ -68,9 +68,6 @@ struct HierarchyConfig
      */
     ProtectionPolicy protection;
 
-    /** Passed through to RmBankConfig::use_plan_memo. */
-    bool use_plan_memo = true;
-
     /**
      * Uniform capacity divisor applied to every cache level. The
      * Table 4 hierarchy needs millions of requests before a

@@ -38,8 +38,6 @@ runFaultDrill(const ScenarioSpec &spec,
 {
     // Cooperative cancellation stride for both drill loops.
     constexpr uint64_t kStopPollMask = 255;
-    ScopedPhase cell_phase("campaign.cell");
-    const double cell_start = telemetry ? telemetryNowSeconds() : 0.0;
     CampaignCellResult res;
     res.scenario = spec.name;
     res.workload = profile.name;
@@ -188,11 +186,6 @@ runFaultDrill(const ScenarioSpec &spec,
             .add(res.bank_remapped_accesses);
         if (!res.contained)
             t.counter("campaign.violations").add();
-        const double wall = telemetryNowSeconds() - cell_start;
-        t.histogram("campaign.cell_wall_ms", powerOfTwoEdges(65536.0))
-            .record(wall * 1e3);
-        t.event(EventKind::Span, "campaign.cell",
-                static_cast<uint64_t>(cell_start * 1e6), wall * 1e6);
     }
     return res;
 }
@@ -250,7 +243,6 @@ runCampaign(const std::vector<ScenarioSpec> &scenarios,
             const std::vector<std::string> &workloads,
             const CampaignConfig &config)
 {
-    ScopedPhase run_phase("campaign.run");
     if (scenarios.empty() || workloads.empty())
         rtm_fatal("campaign needs at least one scenario/workload");
     std::vector<WorkloadProfile> profiles;

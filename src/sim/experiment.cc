@@ -326,6 +326,7 @@ ExperimentEngine::runCell(Cell &cell, size_t index,
 {
     CellOutcome &out = outcomes_[index];
     const double t0 = monotonicSeconds();
+    out.start_s = t0;
     // Effective deadline: the earlier of the per-cell watchdog and
     // the whole-run deadline (0 = none).
     double deadline = 0.0;
@@ -433,6 +434,20 @@ ExperimentEngine::run(TelemetryScope root)
         cancel_);
     shards.mergeIntoRoot();
     if (root) {
+        // Each executed cell's one wall-clock measurement, pushed in
+        // cell order after the shard events so a wrapped event ring
+        // drops simulator events before any cell span.
+        Telemetry &t = *root.get();
+        LatencyHistogram &wall = t.histogram(
+            "experiment.cell_wall_ms", powerOfTwoEdges(65536.0));
+        for (size_t i = 0; i < outcomes_.size(); ++i) {
+            const CellOutcome &o = outcomes_[i];
+            if (o.attempts == 0)
+                continue; // replayed, or never claimed
+            wall.record(o.wall_ms);
+            t.span("experiment.cell", static_cast<uint32_t>(i),
+                   o.start_s, o.wall_ms * 1e-3, static_cast<double>(i));
+        }
         uint64_t ok = 0, failed = 0, timed_out = 0, cancelled = 0,
                  replayed = 0;
         for (const CellOutcome &o : outcomes_) {
@@ -444,7 +459,6 @@ ExperimentEngine::run(TelemetryScope root)
               case CellStatus::Skipped: ++replayed; break;
             }
         }
-        Telemetry &t = *root.get();
         t.counter("experiment.cells_ok").add(ok);
         t.counter("experiment.cells_failed").add(failed);
         t.counter("experiment.cells_timed_out").add(timed_out);
@@ -618,7 +632,6 @@ StressResult
 runStressDrill(const StressSpec &spec, TelemetryScope telemetry,
                StopFlag *stop)
 {
-    ScopedPhase drill_phase("experiment.stress");
     StressResult out;
     PeccConfig cfg;
     cfg.seg_len = spec.lseg;
@@ -767,7 +780,6 @@ McRunResult
 runMcCell(const McSpec &spec, TelemetryScope telemetry,
           StopFlag *stop)
 {
-    ScopedPhase mc_phase("experiment.mc");
     McTier tier = McTier::Exact;
     if (!mcTierFromToken(spec.tier, &tier))
         rtm_fatal("unknown montecarlo tier '%s'", spec.tier.c_str());
@@ -921,7 +933,6 @@ runExperiment(const ExperimentSpec &spec_in,
               const PositionErrorModel *model,
               TelemetryScope telemetry, const RunControl &control)
 {
-    ScopedPhase run_phase("experiment.run");
     ExperimentResult res;
     res.spec = spec_in;
     normalizeExperimentSpec(&res.spec);

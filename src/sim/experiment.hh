@@ -60,10 +60,11 @@ const char *cellStatusToken(CellStatus status);
 struct CellOutcome
 {
     CellStatus status = CellStatus::Cancelled;
-    std::string label; //!< cell label (diagnostics)
-    std::string error; //!< last exception text (Failed only)
-    int attempts = 0;  //!< body invocations (retries included)
-    double wall_ms = 0.0;
+    std::string label;    //!< cell label (diagnostics)
+    std::string error;    //!< last exception text (Failed only)
+    int attempts = 0;     //!< body invocations (retries included)
+    double start_s = 0.0; //!< monotonicSeconds() at cell start
+    double wall_ms = 0.0; //!< start to end, every attempt included
 };
 
 /**
@@ -208,9 +209,10 @@ class ExperimentEngine
 
     /**
      * Run every queued non-replayed cell on the global pool, then
-     * merge the telemetry shards into `root` in job order. One-shot:
-     * the job list is consumed; outcomes() holds one entry per cell
-     * afterwards.
+     * merge the telemetry shards into `root` in job order and add one
+     * "experiment.cell" span and "experiment.cell_wall_ms" sample per
+     * executed cell. One-shot: the job list is consumed; outcomes()
+     * holds one entry per cell afterwards.
      */
     void run(TelemetryScope root);
 

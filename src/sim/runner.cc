@@ -81,7 +81,6 @@ appendMatrixJobs(ExperimentEngine &engine,
         (*rows)[w].results.resize(options.size());
     }
     const size_t cells = profiles.size() * options.size();
-    const double matrix_start = telemetryNowSeconds();
     for (size_t cell = 0; cell < cells; ++cell) {
         const size_t w = cell / options.size();
         const size_t o = cell % options.size();
@@ -91,10 +90,8 @@ appendMatrixJobs(ExperimentEngine &engine,
         ExperimentEngine::Cell job;
         job.label = profile.name + "/" + opt.label;
         job.body = [slot, opt, profile, model, requests, warmup,
-                    capacity_divisor, seed, matrix_start, cell,
-                    protection](TelemetryScope shard,
-                                StopFlag *stop) {
-            ScopedPhase cell_phase("runner.cell");
+                    capacity_divisor, seed,
+                    protection](TelemetryScope shard, StopFlag *stop) {
             WorkloadProfile run_profile =
                 scaledProfile(profile, capacity_divisor);
             SimConfig cfg;
@@ -113,19 +110,9 @@ appendMatrixJobs(ExperimentEngine &engine,
             cfg.seed = seed;
             cfg.telemetry = shard;
             cfg.stop = stop;
-            const double t0 = shard ? telemetryNowSeconds() : 0.0;
             *slot = simulate(run_profile, cfg, model);
-            if (shard) {
-                const double wall = telemetryNowSeconds() - t0;
-                shard->histogram("runner.cell_wall_ms",
-                                 powerOfTwoEdges(65536.0))
-                    .record(wall * 1e3);
+            if (shard)
                 shard->counter("runner.cells").add();
-                shard->event(EventKind::Span, "runner.cell",
-                             static_cast<uint64_t>(
-                                 (t0 - matrix_start) * 1e6),
-                             wall * 1e6, static_cast<double>(cell));
-            }
         };
         job.save = [slot, profile, opt] {
             return simResultToJson(profile.name, opt, *slot);
@@ -143,7 +130,6 @@ runMatrix(const std::vector<LlcOption> &options,
           uint64_t warmup, uint64_t capacity_divisor,
           TelemetryScope telemetry)
 {
-    ScopedPhase matrix_phase("runner.matrix");
     std::vector<WorkloadMatrixRow> rows;
     ExperimentEngine engine;
     appendMatrixJobs(engine, &rows, parsecProfiles(), options,

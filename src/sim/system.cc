@@ -76,19 +76,16 @@ runSim(const std::string &name, const SimConfig &config,
     };
 
     // Warmup: touch caches without accounting.
-    {
-        ScopedPhase phase("sim.warmup");
-        for (uint64_t i = 0; i < config.warmup_requests; ++i) {
-            if (config.stop && i % kStopPollStride == 0 &&
-                config.stop->poll())
-                return res;
-            const MemRequest req = advance();
-            auto c = static_cast<size_t>(req.core);
-            core_time[c] += req.gap_instructions;
-            HierarchyAccess acc = hierarchy.access(
-                req.core, req.addr, req.is_write, core_time[c]);
-            core_time[c] += acc.latency;
-        }
+    for (uint64_t i = 0; i < config.warmup_requests; ++i) {
+        if (config.stop && i % kStopPollStride == 0 &&
+            config.stop->poll())
+            return res;
+        const MemRequest req = advance();
+        auto c = static_cast<size_t>(req.core);
+        core_time[c] += req.gap_instructions;
+        HierarchyAccess acc = hierarchy.access(
+            req.core, req.addr, req.is_write, core_time[c]);
+        core_time[c] += acc.latency;
     }
 
     // Snapshot counters after warmup so deltas are measured.
@@ -114,33 +111,30 @@ runSim(const std::string &name, const SimConfig &config,
     Cycles burst_end = 0;
 
     Joules dynamic_energy = 0.0;
-    {
-        ScopedPhase phase("sim.measure");
-        for (uint64_t i = 0; i < config.mem_requests; ++i) {
-            if (config.stop && i % kStopPollStride == 0 &&
-                config.stop->poll())
-                return res;
-            const MemRequest req = advance();
-            auto c = static_cast<size_t>(req.core);
-            core_time[c] += req.gap_instructions;
-            res.instructions += req.gap_instructions + 1;
-            ++res.mem_ops;
-            HierarchyAccess acc = hierarchy.access(
-                req.core, req.addr, req.is_write, core_time[c]);
-            core_time[c] += acc.latency;
-            dynamic_energy += acc.energy;
-            if (t) {
-                lat_hist->record(static_cast<double>(acc.latency));
-                if (acc.dram_access) {
-                    ++miss_run;
-                    burst_end = core_time[c];
-                } else if (miss_run > 0) {
-                    if (miss_run >= kBurstLen)
-                        t->event(EventKind::CacheMissBurst, "llc",
-                                 burst_end,
-                                 static_cast<double>(miss_run));
-                    miss_run = 0;
-                }
+    for (uint64_t i = 0; i < config.mem_requests; ++i) {
+        if (config.stop && i % kStopPollStride == 0 &&
+            config.stop->poll())
+            return res;
+        const MemRequest req = advance();
+        auto c = static_cast<size_t>(req.core);
+        core_time[c] += req.gap_instructions;
+        res.instructions += req.gap_instructions + 1;
+        ++res.mem_ops;
+        HierarchyAccess acc = hierarchy.access(
+            req.core, req.addr, req.is_write, core_time[c]);
+        core_time[c] += acc.latency;
+        dynamic_energy += acc.energy;
+        if (t) {
+            lat_hist->record(static_cast<double>(acc.latency));
+            if (acc.dram_access) {
+                ++miss_run;
+                burst_end = core_time[c];
+            } else if (miss_run > 0) {
+                if (miss_run >= kBurstLen)
+                    t->event(EventKind::CacheMissBurst, "llc",
+                             burst_end,
+                             static_cast<double>(miss_run));
+                miss_run = 0;
             }
         }
     }

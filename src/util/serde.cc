@@ -142,11 +142,8 @@ jsonNumberToString(double v)
     return buf;
 }
 
-namespace
-{
-
 void
-appendEscaped(std::string &out, const std::string &s)
+appendJsonString(std::string &out, const std::string &s)
 {
     out += '"';
     for (char c : s) {
@@ -179,6 +176,9 @@ appendEscaped(std::string &out, const std::string &s)
     out += '"';
 }
 
+namespace
+{
+
 void
 appendNewlineIndent(std::string &out, int indent, int depth)
 {
@@ -206,7 +206,7 @@ JsonValue::dumpTo(std::string &out, int indent, int depth) const
         out += jsonNumberToString(num_);
         return;
     case JsonType::String:
-        appendEscaped(out, str_);
+        appendJsonString(out, str_);
         return;
     case JsonType::Array: {
         if (items_.empty()) {
@@ -234,7 +234,7 @@ JsonValue::dumpTo(std::string &out, int indent, int depth) const
             if (i)
                 out += indent > 0 ? "," : ", ";
             appendNewlineIndent(out, indent, depth + 1);
-            appendEscaped(out, members_[i].first);
+            appendJsonString(out, members_[i].first);
             out += ": ";
             members_[i].second.dumpTo(out, indent, depth + 1);
         }

@@ -144,6 +144,9 @@ class JsonValue
     std::vector<std::pair<std::string, JsonValue>> members_;
 };
 
+/** Append `s` as a quoted, escaped JSON string literal. */
+void appendJsonString(std::string &out, const std::string &s);
+
 /** Shortest decimal form of `v` that strtod parses back exactly. */
 std::string jsonNumberToString(double v);
 

@@ -1,12 +1,11 @@
 #include "telemetry.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
+#include <cstdio>
 
 #include "util/logging.hh"
+#include "util/serde.hh"
 
 namespace rtm
 {
@@ -122,14 +121,36 @@ void
 Telemetry::event(EventKind kind, const char *name,
                  uint64_t timestamp, double a0, double a1)
 {
+    push(kind, lane_, name, timestamp, a0, a1);
+}
+
+void
+Telemetry::span(const char *name, uint32_t lane, double start_s,
+                double seconds, double a1)
+{
+    push(EventKind::Span, lane, name,
+         static_cast<uint64_t>(start_s * 1e6), seconds * 1e6, a1);
+}
+
+void
+Telemetry::push(EventKind kind, uint32_t lane, const char *name,
+                uint64_t timestamp, double a0, double a1)
+{
     TraceEvent ev;
     ev.kind = kind;
-    ev.lane = lane_;
+    ev.lane = lane;
     ev.timestamp = timestamp;
-    ev.seq = pushed_;
     ev.name = name;
     ev.a0 = a0;
     ev.a1 = a1;
+    append(ev);
+    ++kind_totals_[static_cast<size_t>(kind)];
+}
+
+void
+Telemetry::append(TraceEvent ev)
+{
+    ev.seq = pushed_;
     if (ring_.size() < ring_capacity_) {
         ring_.push_back(ev);
     } else {
@@ -137,7 +158,6 @@ Telemetry::event(EventKind kind, const char *name,
         ring_head_ = (ring_head_ + 1) % ring_capacity_;
     }
     ++pushed_;
-    ++kind_totals_[static_cast<size_t>(kind)];
 }
 
 uint64_t
@@ -172,17 +192,8 @@ Telemetry::merge(const Telemetry &shard)
     // Events append in the shard's push order with their original
     // lane; kind totals fold even for events the shard's ring
     // dropped, so reconciliation counts survive the merge.
-    for (const TraceEvent &ev : shard.ringEvents()) {
-        TraceEvent copy = ev;
-        copy.seq = pushed_;
-        if (ring_.size() < ring_capacity_) {
-            ring_.push_back(copy);
-        } else {
-            ring_[ring_head_] = copy;
-            ring_head_ = (ring_head_ + 1) % ring_capacity_;
-        }
-        ++pushed_;
-    }
+    for (const TraceEvent &ev : shard.ringEvents())
+        append(ev);
     uint64_t ring_merged =
         static_cast<uint64_t>(shard.ring_.size());
     uint64_t shard_dropped = shard.pushed_ - ring_merged;
@@ -196,66 +207,31 @@ Telemetry::merge(const Telemetry &shard)
 namespace
 {
 
-/** Minimal JSON string escaping (paths/names are plain ASCII). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-/** Print a double as JSON (no NaN/Inf — clamp to null). */
+/** Append a JSON number: %.17g, or null when `v` is not finite. */
 void
-printJsonNumber(std::FILE *f, double v)
+appendNumber(std::string &out, double v)
 {
-    if (std::isfinite(v))
-        std::fprintf(f, "%.17g", v);
-    else
-        std::fprintf(f, "null");
-}
-
-/** Open `path.tmp` for the atomic whole-file-write pattern. */
-std::FILE *
-openAtomic(const std::string &path, std::string *tmp)
-{
-    *tmp = path + ".tmp";
-    return std::fopen(tmp->c_str(), "w");
+    if (!std::isfinite(v)) {
+        out += "null";
+        return;
+    }
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    out += buf;
 }
 
 /**
- * Flush, verify stream state, close and rename over the target; a
- * failure anywhere (including deferred write errors surfacing at
- * fclose) removes the temporary and returns false, so a full disk
- * never leaves a truncated export masquerading as a complete one.
+ * Open the next member of a pretty-printed object: `"name": ` on a
+ * new line, after a comma unless it is the first (`out` still ends
+ * with the object's `{`).
  */
-bool
-commitAtomic(std::FILE *f, const std::string &tmp,
-             const std::string &path)
+void
+appendKey(std::string &out, const char *indent, const std::string &name)
 {
-    bool ok = std::fflush(f) == 0 && std::ferror(f) == 0;
-    ok = std::fclose(f) == 0 && ok;
-    if (ok)
-        ok = std::rename(tmp.c_str(), path.c_str()) == 0;
-    if (!ok)
-        std::remove(tmp.c_str());
-    return ok;
+    out += out.back() == '{' ? "\n" : ",\n";
+    out += indent;
+    appendJsonString(out, name);
+    out += ": ";
 }
 
 } // anonymous namespace
@@ -263,111 +239,86 @@ commitAtomic(std::FILE *f, const std::string &tmp,
 bool
 Telemetry::writeMetricsJson(const std::string &path) const
 {
-    std::string tmp;
-    std::FILE *f = openAtomic(path, &tmp);
-    if (!f)
-        return false;
-    std::fprintf(f, "{\n  \"counters\": {");
-    bool first = true;
+    std::string out = "{\n  \"counters\": {";
     for (const auto &[name, c] : counters_) {
-        std::fprintf(f, "%s\n    \"%s\": %llu",
-                     first ? "" : ",", jsonEscape(name).c_str(),
-                     static_cast<unsigned long long>(c.value()));
-        first = false;
+        appendKey(out, "    ", name);
+        out += std::to_string(c.value());
     }
-    std::fprintf(f, "\n  },\n  \"gauges\": {");
-    first = true;
+    out += "\n  },\n  \"gauges\": {";
     for (const auto &[name, g] : gauges_) {
-        std::fprintf(f, "%s\n    \"%s\": ", first ? "" : ",",
-                     jsonEscape(name).c_str());
-        printJsonNumber(f, g.value());
-        first = false;
+        appendKey(out, "    ", name);
+        appendNumber(out, g.value());
     }
-    std::fprintf(f, "\n  },\n  \"histograms\": {");
-    first = true;
+    out += "\n  },\n  \"histograms\": {";
     for (const auto &[name, h] : histograms_) {
-        std::fprintf(f, "%s\n    \"%s\": {\"edges\": [",
-                     first ? "" : ",", jsonEscape(name).c_str());
+        appendKey(out, "    ", name);
+        out += "{\"edges\": [";
         for (size_t i = 0; i < h.edges().size(); ++i) {
             if (i)
-                std::fprintf(f, ", ");
-            printJsonNumber(f, h.edges()[i]);
+                out += ", ";
+            appendNumber(out, h.edges()[i]);
         }
-        std::fprintf(f, "], \"counts\": [");
+        out += "], \"counts\": [";
         for (size_t i = 0; i < h.buckets(); ++i) {
-            std::fprintf(f, "%s%llu", i ? ", " : "",
-                         static_cast<unsigned long long>(
-                             h.count(i)));
+            if (i)
+                out += ", ";
+            out += std::to_string(h.count(i));
         }
-        std::fprintf(f, "], \"total\": %llu, \"sum\": ",
-                     static_cast<unsigned long long>(h.total()));
-        printJsonNumber(f, h.sum());
-        std::fprintf(f, "}");
-        first = false;
+        out += "], \"total\": " + std::to_string(h.total()) +
+               ", \"sum\": ";
+        appendNumber(out, h.sum());
+        out += "}";
     }
-    std::fprintf(f, "\n  },\n  \"events\": {\n    \"pushed\": {");
-    first = true;
+    out += "\n  },\n  \"events\": {\n    \"pushed\": {";
     for (size_t k = 0; k < static_cast<size_t>(EventKind::kCount);
          ++k) {
         if (kind_totals_[k] == 0)
             continue;
-        std::fprintf(f, "%s\n      \"%s\": %llu",
-                     first ? "" : ",",
-                     eventKindName(static_cast<EventKind>(k)),
-                     static_cast<unsigned long long>(
-                         kind_totals_[k]));
-        first = false;
+        appendKey(out, "      ",
+                  eventKindName(static_cast<EventKind>(k)));
+        out += std::to_string(kind_totals_[k]);
     }
-    std::fprintf(f,
-                 "\n    },\n    \"total\": %llu,\n"
-                 "    \"dropped\": %llu,\n    \"retained\": %llu\n"
-                 "  }\n}\n",
-                 static_cast<unsigned long long>(pushed_),
-                 static_cast<unsigned long long>(eventsDropped()),
-                 static_cast<unsigned long long>(ring_.size()));
-    return commitAtomic(f, tmp, path);
+    out += "\n    },\n    \"total\": " + std::to_string(pushed_) +
+           ",\n    \"dropped\": " + std::to_string(eventsDropped()) +
+           ",\n    \"retained\": " + std::to_string(ring_.size()) +
+           "\n  }\n}\n";
+    return saveTextFileAtomic(path, out);
 }
 
 bool
 Telemetry::writeChromeTrace(const std::string &path) const
 {
-    std::string tmp;
-    std::FILE *f = openAtomic(path, &tmp);
-    if (!f)
-        return false;
-    std::fprintf(
-        f,
+    std::string out =
         "{\"traceEvents\": [\n"
         "  {\"ph\": \"M\", \"pid\": 1, \"name\": \"process_name\", "
         "\"args\": {\"name\": \"sim-time (cycles)\"}},\n"
         "  {\"ph\": \"M\", \"pid\": 2, \"name\": \"process_name\", "
-        "\"args\": {\"name\": \"wall-clock (us)\"}}");
+        "\"args\": {\"name\": \"wall-clock (us)\"}}";
     for (const TraceEvent &ev : ringEvents()) {
-        bool wall = ev.kind == EventKind::Span ||
-                    ev.kind == EventKind::Phase;
-        std::fprintf(
-            f,
-            ",\n  {\"name\": \"%s.%s\", \"cat\": \"%s\", "
-            "\"ph\": \"%s\", \"ts\": %llu, ",
-            eventKindName(ev.kind), jsonEscape(ev.name).c_str(),
-            eventKindName(ev.kind), wall ? "X" : "i",
-            static_cast<unsigned long long>(ev.timestamp));
-        if (wall)
-            std::fprintf(f, "\"dur\": %.3f, ", ev.a0);
-        else
-            std::fprintf(f, "\"s\": \"t\", ");
-        std::fprintf(f,
-                     "\"pid\": %d, \"tid\": %u, \"args\": "
-                     "{\"a0\": ",
-                     wall ? 2 : 1, ev.lane);
-        printJsonNumber(f, ev.a0);
-        std::fprintf(f, ", \"a1\": ");
-        printJsonNumber(f, ev.a1);
-        std::fprintf(f, ", \"seq\": %llu}}",
-                     static_cast<unsigned long long>(ev.seq));
+        const bool wall = ev.kind == EventKind::Span ||
+                          ev.kind == EventKind::Phase;
+        const std::string kind = eventKindName(ev.kind);
+        out += ",\n  {\"name\": ";
+        appendJsonString(out, kind + "." + ev.name);
+        out += ", \"cat\": \"" + kind + "\", \"ph\": \"" +
+               (wall ? "X" : "i") +
+               "\", \"ts\": " + std::to_string(ev.timestamp) + ", ";
+        if (wall) {
+            char dur[400]; // room for %.3f of any finite double
+            std::snprintf(dur, sizeof(dur), "\"dur\": %.3f, ", ev.a0);
+            out += dur;
+        } else {
+            out += "\"s\": \"t\", ";
+        }
+        out += wall ? "\"pid\": 2, \"tid\": " : "\"pid\": 1, \"tid\": ";
+        out += std::to_string(ev.lane) + ", \"args\": {\"a0\": ";
+        appendNumber(out, ev.a0);
+        out += ", \"a1\": ";
+        appendNumber(out, ev.a1);
+        out += ", \"seq\": " + std::to_string(ev.seq) + "}}";
     }
-    std::fprintf(f, "\n]}\n");
-    return commitAtomic(f, tmp, path);
+    out += "\n]}\n";
+    return saveTextFileAtomic(path, out);
 }
 
 // --- TelemetryShards -------------------------------------------------
@@ -399,130 +350,6 @@ TelemetryShards::mergeIntoRoot()
         return;
     for (const auto &shard : shards_)
         root_->merge(*shard);
-}
-
-// --- Profiler --------------------------------------------------------
-
-namespace
-{
-
-int g_profile_override = -1; // -1 = follow env, else 0/1
-
-bool
-profileEnvEnabled()
-{
-    static const bool enabled = [] {
-        const char *v = std::getenv("RTM_PROFILE");
-        return v != nullptr && v[0] != '\0' &&
-               std::strcmp(v, "0") != 0;
-    }();
-    return enabled;
-}
-
-void
-profilerAtExit()
-{
-    Profiler::instance().report(stderr);
-}
-
-} // anonymous namespace
-
-Profiler &
-Profiler::instance()
-{
-    static Profiler profiler;
-    return profiler;
-}
-
-bool
-Profiler::enabled()
-{
-    if (g_profile_override >= 0)
-        return g_profile_override != 0;
-    return profileEnvEnabled();
-}
-
-void
-Profiler::setEnabledForTest(bool on)
-{
-    g_profile_override = on ? 1 : 0;
-}
-
-void
-Profiler::add(const char *phase, double seconds)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (phases_.empty() && profileEnvEnabled()) {
-        // First phase under RTM_PROFILE: arm the exit report.
-        std::atexit(profilerAtExit);
-    }
-    PhaseTotals &t = phases_[phase];
-    t.seconds += seconds;
-    ++t.calls;
-}
-
-double
-Profiler::seconds(const std::string &phase) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = phases_.find(phase);
-    return it == phases_.end() ? 0.0 : it->second.seconds;
-}
-
-uint64_t
-Profiler::calls(const std::string &phase) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = phases_.find(phase);
-    return it == phases_.end() ? 0 : it->second.calls;
-}
-
-void
-Profiler::reset()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    phases_.clear();
-}
-
-void
-Profiler::report(std::FILE *out) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (phases_.empty())
-        return;
-    std::fprintf(out, "\n[RTM_PROFILE] wall time per phase:\n");
-    size_t width = 0;
-    for (const auto &[name, t] : phases_)
-        width = std::max(width, name.size());
-    for (const auto &[name, t] : phases_) {
-        std::fprintf(out, "  %-*s %10.3f s  (%llu calls)\n",
-                     static_cast<int>(width), name.c_str(),
-                     t.seconds,
-                     static_cast<unsigned long long>(t.calls));
-    }
-}
-
-double
-telemetryNowSeconds()
-{
-    using clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(
-               clock::now().time_since_epoch())
-        .count();
-}
-
-ScopedPhase::ScopedPhase(const char *phase)
-    : phase_(Profiler::enabled() ? phase : nullptr)
-{
-    if (phase_)
-        start_ = telemetryNowSeconds();
-}
-
-ScopedPhase::~ScopedPhase()
-{
-    if (phase_)
-        Profiler::instance().add(phase_,
-                                 telemetryNowSeconds() - start_);
 }
 
 } // namespace rtm

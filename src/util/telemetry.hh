@@ -1,7 +1,7 @@
 /**
  * @file
- * Observability layer: hierarchical metrics registry, ring-buffer
- * structured event tracer, and wall-clock phase profiler.
+ * Observability layer: hierarchical metrics registry and ring-buffer
+ * structured event tracer.
  *
  * Design rules:
  *
@@ -30,21 +30,23 @@
  * Exports: writeMetricsJson (hierarchical dotted-path registry as
  * JSON) and writeChromeTrace (Chrome trace_event format, loadable in
  * chrome://tracing or Perfetto; sim-time events on pid 1, wall-clock
- * spans on pid 2).
+ * spans on pid 2). rtmsim writes them with --metrics / --trace-out.
  *
- * Phase profiling: set RTM_PROFILE=1 and every ScopedPhase records
- * wall time per pipeline stage into a process-wide Profiler that
- * prints a per-phase summary to stderr at exit.
+ * Wall time: every span reads one clock, monotonicSeconds()
+ * (util/parallel.hh), in absolute microseconds, so spans from every
+ * layer line up in one trace. ExperimentEngine times each cell once
+ * and records it as an "experiment.cell" span and an
+ * "experiment.cell_wall_ms" histogram sample; the Monte-Carlo kernel
+ * adds "mc.run" / "mc.fit" spans. Speed is measured by
+ * perfbench/run.py, not by this layer.
  */
 
 #ifndef RTM_UTIL_TELEMETRY_HH
 #define RTM_UTIL_TELEMETRY_HH
 
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -208,6 +210,14 @@ class Telemetry
     void event(EventKind kind, const char *name, uint64_t timestamp,
                double a0 = 0.0, double a1 = 0.0);
 
+    /**
+     * Push a wall-clock Span on `lane` that began at
+     * monotonicSeconds() `start_s` and lasted `seconds`; its
+     * timestamp and a0 (duration) are in microseconds.
+     */
+    void span(const char *name, uint32_t lane, double start_s,
+              double seconds, double a1 = 0.0);
+
     /** Events pushed of `kind`, including any the ring dropped. */
     uint64_t eventCount(EventKind kind) const
     {
@@ -261,6 +271,12 @@ class Telemetry
     bool writeChromeTrace(const std::string &path) const;
 
   private:
+    /** Push one event on `lane`, counting it in its kind's total. */
+    void push(EventKind kind, uint32_t lane, const char *name,
+              uint64_t timestamp, double a0, double a1);
+    /** Ring insertion (overwrite-oldest), restamping `seq`. */
+    void append(TraceEvent ev);
+
     uint32_t lane_;
     std::map<std::string, Counter> counters_;
     std::map<std::string, Gauge> gauges_;
@@ -326,68 +342,6 @@ class TelemetryShards
   private:
     TelemetryScope root_;
     std::vector<std::unique_ptr<Telemetry>> shards_;
-};
-
-/**
- * Process-wide wall-clock phase profiler, enabled by RTM_PROFILE=1.
- * Thread-safe (phase boundaries are rare); prints a per-phase table
- * to stderr at process exit when any phase was recorded.
- */
-class Profiler
-{
-  public:
-    static Profiler &instance();
-
-    /** Whether RTM_PROFILE asked for profiling (cached). */
-    static bool enabled();
-
-    /** Force-enable/disable for tests (overrides the env cache). */
-    static void setEnabledForTest(bool on);
-
-    /** Record `seconds` of wall time against `phase`. */
-    void add(const char *phase, double seconds);
-
-    /** Accumulated seconds for a phase (0 when never recorded). */
-    double seconds(const std::string &phase) const;
-
-    /** Calls recorded for a phase. */
-    uint64_t calls(const std::string &phase) const;
-
-    /** Drop all recorded phases (tests). */
-    void reset();
-
-    /** Write the per-phase table. */
-    void report(std::FILE *out) const;
-
-  private:
-    struct PhaseTotals
-    {
-        double seconds = 0.0;
-        uint64_t calls = 0;
-    };
-    mutable std::mutex mutex_;
-    std::map<std::string, PhaseTotals> phases_;
-};
-
-/** Monotonic wall clock in seconds (profiling / span timing). */
-double telemetryNowSeconds();
-
-/**
- * RAII phase timer: records into Profiler::instance() when profiling
- * is enabled, otherwise both constructor and destructor are no-ops.
- */
-class ScopedPhase
-{
-  public:
-    explicit ScopedPhase(const char *phase);
-    ~ScopedPhase();
-
-    ScopedPhase(const ScopedPhase &) = delete;
-    ScopedPhase &operator=(const ScopedPhase &) = delete;
-
-  private:
-    const char *phase_; //!< null when profiling is disabled
-    double start_ = 0.0;
 };
 
 } // namespace rtm

@@ -370,6 +370,114 @@ TEST(ExperimentEngine, RunsEveryJobOnceAndMergesShardsInOrder)
     EXPECT_EQ(engine.jobCount(), 0u);
 }
 
+/** Cell indices of the retained "experiment.cell" spans, in order. */
+std::vector<size_t>
+cellSpanIndices(const Telemetry &telemetry)
+{
+    std::vector<size_t> cells;
+    for (const TraceEvent &e : telemetry.ringEvents()) {
+        if (e.kind != EventKind::Span ||
+            std::string(e.name) != "experiment.cell")
+            continue;
+        EXPECT_EQ(e.lane, static_cast<uint32_t>(e.a1));
+        cells.push_back(static_cast<size_t>(e.a1));
+    }
+    return cells;
+}
+
+TEST(ExperimentRun, TimesEachExecutedCellOnceOnOneClock)
+{
+    // Matrix, campaign, stress and Monte-Carlo cells in one run:
+    // the engine times every cell kind on the same clock.
+    ExperimentSpec spec;
+    spec.name = "cell-spans";
+    spec.matrix.requests = 1000;
+    spec.matrix.warmup = 100;
+    spec.matrix.divisor = 32;
+    spec.matrix.workloads = {"canneal"};
+    spec.matrix.options = {
+        {"SRAM", MemTech::SRAM, Scheme::Baseline},
+        {"RM", MemTech::Racetrack, Scheme::PeccSAdaptive},
+    };
+    spec.campaign.enabled = true;
+    spec.campaign.config.accesses_per_cell = 300;
+    spec.campaign.config.bank_frames = 128;
+    const std::vector<ScenarioSpec> scenarios = standardScenarios();
+    spec.campaign.scenarios = {scenarios[0], scenarios[1]};
+    spec.campaign.workloads = {"swaptions"};
+    spec.stress.enabled = true;
+    spec.stress.ops = 1000;
+    spec.montecarlo.enabled = true;
+    spec.montecarlo.trials = 5000;
+    spec.montecarlo.fit_trials = 2000;
+    normalizeExperimentSpec(&spec);
+
+    const std::string journal =
+        std::string(::testing::TempDir()) + "cell_spans.jsonl";
+    std::remove(journal.c_str());
+    RunControl stream;
+    stream.stream_path = journal;
+    Telemetry telemetry(1 << 18);
+    const double before = monotonicSeconds();
+    ExperimentResult res =
+        runExperiment(spec, nullptr, &telemetry, stream);
+    const double after = monotonicSeconds();
+    ASSERT_TRUE(res.complete());
+    ASSERT_EQ(res.cells, 6u); // 2 matrix, 2 campaign, stress, mc
+    ASSERT_EQ(telemetry.eventsDropped(), 0u);
+
+    // Exactly one span per cell, in cell order, plus the
+    // Monte-Carlo kernel's run and fit spans.
+    std::vector<size_t> want(res.cells);
+    for (size_t i = 0; i < want.size(); ++i)
+        want[i] = i;
+    EXPECT_EQ(cellSpanIndices(telemetry), want);
+    EXPECT_EQ(telemetry.eventCount(EventKind::Span), res.cells + 2);
+    EXPECT_EQ(telemetry.histograms()
+                  .at("experiment.cell_wall_ms")
+                  .total(),
+              res.cells);
+
+    // Every span, whichever layer pushed it, lies inside the run on
+    // the absolute monotonicSeconds() clock.
+    for (const TraceEvent &e : telemetry.ringEvents()) {
+        if (e.kind != EventKind::Span)
+            continue;
+        EXPECT_GE(e.timestamp, static_cast<uint64_t>(before * 1e6))
+            << e.name;
+        EXPECT_LE(static_cast<double>(e.timestamp) + e.a0,
+                  after * 1e6 + 1.0)
+            << e.name;
+    }
+
+    // Resume from a journal holding only some records: a replayed
+    // cell is not run again, so it gets no span.
+    std::string text, error;
+    ASSERT_TRUE(readTextFile(journal, &text, &error)) << error;
+    size_t cut = 0;
+    for (int line = 0; line < 4; ++line) // header + 3 records
+        cut = text.find('\n', cut) + 1;
+    ASSERT_TRUE(saveTextFileAtomic(journal, text.substr(0, cut)));
+    RunControl resume;
+    resume.resume_path = journal;
+    Telemetry resumed(1 << 18);
+    ExperimentResult again =
+        runExperiment(spec, nullptr, &resumed, resume);
+    ASSERT_TRUE(again.complete());
+    EXPECT_EQ(again.replayed_cells, 3u);
+    std::vector<size_t> ran;
+    for (size_t i = 0; i < again.outcomes.size(); ++i)
+        if (again.outcomes[i].status != CellStatus::Skipped)
+            ran.push_back(i);
+    EXPECT_EQ(ran.size(), 3u);
+    EXPECT_EQ(cellSpanIndices(resumed), ran);
+    EXPECT_EQ(resumed.histograms()
+                  .at("experiment.cell_wall_ms")
+                  .total(),
+              ran.size());
+    std::remove(journal.c_str());
+}
+
 TEST(ExperimentRun, StressSectionMatchesStandaloneDrill)
 {
     StressSpec stress;

@@ -3,8 +3,8 @@
  * Telemetry-layer tests: registry find-or-create semantics, histogram
  * bucket-edge behaviour, event-ring overwrite accounting, shard-merge
  * determinism across thread counts, disabled-path zero-cost
- * (no allocations, no events), profiler phase accounting, and the
- * JSON / Chrome-trace writers.
+ * (no allocations, no events), and the byte layout of the JSON /
+ * Chrome-trace writers.
  *
  * This TU overrides global operator new/delete with counting wrappers
  * so the zero-allocation claims are measured, not assumed. Each test
@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "util/parallel.hh"
+#include "util/serde.hh"
 #include "util/telemetry.hh"
 
 namespace
@@ -321,30 +323,6 @@ TEST(Telemetry, EnabledHotPathDoesNotAllocateAfterRegistration)
     EXPECT_EQ(t.eventsPushed(), 100256u);
 }
 
-TEST(Telemetry, ProfilerAccumulatesPhases)
-{
-    Profiler::setEnabledForTest(true);
-    Profiler::instance().reset();
-    {
-        ScopedPhase p("test.phase");
-        double t0 = telemetryNowSeconds();
-        while (telemetryNowSeconds() - t0 < 1e-4) {
-        }
-    }
-    Profiler::instance().add("test.phase", 0.5);
-    EXPECT_EQ(Profiler::instance().calls("test.phase"), 2u);
-    EXPECT_GT(Profiler::instance().seconds("test.phase"), 0.5);
-    EXPECT_EQ(Profiler::instance().seconds("absent"), 0.0);
-    Profiler::instance().reset();
-    Profiler::setEnabledForTest(false);
-
-    // Disabled: ScopedPhase records nothing.
-    {
-        ScopedPhase p("test.off");
-    }
-    EXPECT_EQ(Profiler::instance().calls("test.off"), 0u);
-}
-
 std::string
 slurp(const std::string &path)
 {
@@ -362,33 +340,72 @@ slurp(const std::string &path)
     return out;
 }
 
+// The exports' exact bytes, as written before they moved onto the
+// shared atomic writer and escaper. Counters print as exact integers
+// (2^53 + 1 survives), non-finite numbers as null, and names go
+// through JSON string escaping.
+const char *const kExpectedMetrics = R"json({
+  "counters": {
+    "sim.big": 9007199254740993,
+    "sim.requests": 6000
+  },
+  "gauges": {
+    "sim.\"q\"\t\\": -0.10000000000000001,
+    "sim.ipc": 1.25,
+    "sim.nan": null
+  },
+  "histograms": {
+    "sim.lat": {"edges": [1, 2, 4, 8], "counts": [0, 0, 1, 0, 0], "total": 1, "sum": 3}
+  },
+  "events": {
+    "pushed": {
+      "shift_issued": 1,
+      "span": 1,
+      "custom": 1
+    },
+    "total": 3,
+    "dropped": 0,
+    "retained": 3
+  }
+}
+)json";
+
+const char *const kExpectedTrace = R"json({"traceEvents": [
+  {"ph": "M", "pid": 1, "name": "process_name", "args": {"name": "sim-time (cycles)"}},
+  {"ph": "M", "pid": 2, "name": "process_name", "args": {"name": "wall-clock (us)"}},
+  {"name": "shift_issued.bank", "cat": "shift_issued", "ph": "i", "ts": 123, "s": "t", "pid": 1, "tid": 0, "args": {"a0": 4, "a1": 17, "seq": 0}},
+  {"name": "span.runner.cell", "cat": "span", "ph": "X", "ts": 1000, "dur": 2500.000, "pid": 2, "tid": 0, "args": {"a0": 2500, "a1": 0, "seq": 1}},
+  {"name": "custom.a\\b", "cat": "custom", "ph": "i", "ts": 7, "s": "t", "pid": 1, "tid": 0, "args": {"a0": null, "a1": 0.10000000000000001, "seq": 2}}
+]}
+)json";
+
 TEST(Telemetry, WritesMetricsJsonAndChromeTrace)
 {
     Telemetry t(64);
     t.counter("sim.requests").add(6000);
+    t.counter("sim.big").add((uint64_t{1} << 53) + 1);
     t.gauge("sim.ipc").set(1.25);
+    t.gauge("sim.nan").set(std::nan(""));
+    t.gauge("sim.\"q\"\t\\").set(-0.1);
     t.histogram("sim.lat", powerOfTwoEdges(8.0)).record(3.0);
     t.event(EventKind::ShiftIssued, "bank", 123, 4.0, 17.0);
     t.event(EventKind::Span, "runner.cell", 1000, 2500.0);
+    t.event(EventKind::Custom, "a\\b", 7, HUGE_VAL, 0.1);
 
     const std::string mpath = "/tmp/rtm_telemetry_test.json";
     const std::string tpath = "/tmp/rtm_telemetry_test.trace.json";
     ASSERT_TRUE(t.writeMetricsJson(mpath));
     ASSERT_TRUE(t.writeChromeTrace(tpath));
 
-    std::string metrics = slurp(mpath);
-    EXPECT_NE(metrics.find("\"counters\""), std::string::npos);
-    EXPECT_NE(metrics.find("\"sim.requests\": 6000"),
-              std::string::npos);
-    EXPECT_NE(metrics.find("\"gauges\""), std::string::npos);
-    EXPECT_NE(metrics.find("\"histograms\""), std::string::npos);
-    EXPECT_NE(metrics.find("\"events\""), std::string::npos);
-    EXPECT_NE(metrics.find("\"shift_issued\""), std::string::npos);
-
-    std::string trace = slurp(tpath);
-    EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(trace.find("shift_issued.bank"), std::string::npos);
-    EXPECT_NE(trace.find("span.runner.cell"), std::string::npos);
+    const std::string metrics = slurp(mpath);
+    const std::string trace = slurp(tpath);
+    EXPECT_EQ(metrics, kExpectedMetrics);
+    EXPECT_EQ(trace, kExpectedTrace);
+    for (const std::string *text : {&metrics, &trace}) {
+        JsonValue doc;
+        std::string error;
+        EXPECT_TRUE(JsonValue::parse(*text, &doc, &error)) << error;
+    }
 
     EXPECT_FALSE(t.writeMetricsJson("/nonexistent/dir/m.json"));
     EXPECT_FALSE(t.writeChromeTrace("/nonexistent/dir/t.json"));

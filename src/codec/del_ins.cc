@@ -7,6 +7,35 @@
 namespace rtm
 {
 
+namespace
+{
+
+/**
+ * Check bits of an interleave class of `length` positions: the
+ * smallest r with 2^r - 1 >= length. The check bits at class-local
+ * indices 2^j - 1 have VT weight 2^j, so they can write any syndrome
+ * deficit in [0, length] directly.
+ */
+int
+classCheckBits(int length)
+{
+    int r = 0;
+    while ((1 << r) - 1 < length)
+        ++r;
+    return r;
+}
+
+} // anonymous namespace
+
+int
+DelInsCode::checkBits(int track_len, int k)
+{
+    int bits = 0;
+    for (int c = 0; c < k; ++c)
+        bits += classCheckBits((track_len - 1 - c) / k + 1);
+    return bits;
+}
+
 DelInsCode::DelInsCode(int tracks, int track_len, int k)
     : tracks_(tracks), len_(track_len), k_(k)
 {
@@ -25,12 +54,7 @@ DelInsCode::DelInsCode(int tracks, int track_len, int k)
     for (int c = 0; c < k_; ++c) {
         ClassInfo &info = classes_[c];
         info.length = (len_ - 1 - c) / k_ + 1;
-        // Smallest r with 2^r - 1 >= Lc: the check bits at class-local
-        // indices 2^j - 1 have VT weight 2^j, so they can write any
-        // syndrome deficit in [0, Lc] directly.
-        int r = 0;
-        while ((1 << r) - 1 < info.length)
-            ++r;
+        const int r = classCheckBits(info.length);
         for (int j = 0; j < r; ++j) {
             int local = (1 << j) - 1;
             info.check_local.push_back(local);

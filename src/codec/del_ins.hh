@@ -87,6 +87,13 @@ class DelInsCode
     /** VT check bits embedded in each track. */
     int checkBitsPerTrack() const { return checks_per_track_; }
 
+    /**
+     * The VT check bits per track of a (track_len, k) code, without
+     * building it: a geometry with track_len - checkBits(...) < 1
+     * leaves no data bits and the constructor aborts on it.
+     */
+    static int checkBits(int track_len, int k);
+
     /** Data bits per track: L minus the check bits. */
     int dataBitsPerTrack() const { return len_ - checks_per_track_; }
 

@@ -11,45 +11,6 @@ namespace rtm
 namespace
 {
 
-void
-validate(const PeccConfig &c)
-{
-    if (c.num_segments < 1)
-        rtm_fatal("stripe needs at least one segment");
-    if (c.seg_len < 2)
-        rtm_fatal("segment length must be >= 2");
-    if (c.correct < 0)
-        rtm_fatal("correction strength must be >= 0");
-    // The paper states m < Lseg - 1 (Sec. 4.2.3) but its own
-    // sensitivity figures include SECDED on Lseg = 2 stripes, where
-    // the single possible shift distance is 1 and +/-1 correction
-    // still makes sense; we accept m up to Lseg - 1.
-    if (c.correct > c.seg_len - 1 &&
-        c.variant == PeccVariant::Standard)
-        rtm_fatal("p-ECC requires m <= Lseg - 1 (m=%d, Lseg=%d)",
-                  c.correct, c.seg_len);
-    if (c.window_ports > 0) {
-        if (c.variant == PeccVariant::DelIns)
-            rtm_fatal("del-ins stripes have no code window");
-        // A period-2^w cyclic code tells the 2m + 1 correctable
-        // residues and at least one detect-only residue apart only
-        // when 2m + 2 <= 2^w.
-        if (2 * c.correct + 2 > (1 << c.window_ports))
-            rtm_fatal("window w=%d too narrow to correct +/-%d "
-                      "offsets", c.window_ports, c.correct);
-    }
-    if (c.variant == PeccVariant::DelIns) {
-        if (c.correct < 1)
-            rtm_fatal("del-ins protection needs k >= 1");
-        if (c.seg_len <= c.correct)
-            rtm_fatal("del-ins track of %d domains too short for "
-                      "k=%d", c.seg_len, c.correct);
-    }
-    const std::string geom = protectionGeometryError(c, 0);
-    if (!geom.empty())
-        rtm_fatal("%s", geom.c_str());
-}
-
 /** Extra domains of `c` evaluated at strength `m`, window `w`. */
 int
 extraDomainsAtStrength(const PeccConfig &c, int m, int w)
@@ -109,6 +70,43 @@ peccConfigFor(Scheme scheme, int num_segments, int seg_len)
 std::string
 protectionGeometryError(const PeccConfig &config, int frames_per_group)
 {
+    const std::string m = std::to_string(config.correct);
+    const std::string lseg = std::to_string(config.seg_len);
+    if (config.num_segments < 1)
+        return "stripe needs at least one segment";
+    if (config.seg_len < 2)
+        return "segment length must be >= 2";
+    if (config.correct < 0)
+        return "correction strength must be >= 0";
+    // The paper states m < Lseg - 1 (Sec. 4.2.3) but its own
+    // sensitivity figures include SECDED on Lseg = 2 stripes, where
+    // the single possible shift distance is 1 and +/-1 correction
+    // still makes sense; we accept m up to Lseg - 1.
+    if (config.correct > config.seg_len - 1 &&
+        config.variant == PeccVariant::Standard)
+        return "p-ECC requires m <= Lseg - 1 (m=" + m + ", Lseg=" +
+               lseg + ")";
+    if (config.window_ports > 0) {
+        if (config.variant == PeccVariant::DelIns)
+            return "del-ins stripes have no code window";
+        // A period-2^w cyclic code tells the 2m + 1 correctable
+        // residues and at least one detect-only residue apart only
+        // when 2m + 2 <= 2^w.
+        if (2 * config.correct + 2 > (1 << config.window_ports))
+            return "window w=" + std::to_string(config.window_ports) +
+                   " too narrow to correct +/-" + m + " offsets";
+    }
+    if (config.variant == PeccVariant::DelIns) {
+        if (config.correct < 1)
+            return "del-ins protection needs k >= 1";
+        if (config.seg_len <= config.correct)
+            return "del-ins track of " + lseg +
+                   " domains too short for k=" + m;
+        if (DelInsCode::checkBits(config.seg_len, config.correct) >=
+            config.seg_len)
+            return "del-ins code (L=" + lseg + ", k=" + m +
+                   ") leaves no data bits";
+    }
     const int f = config.codeword_frames;
     if (f < 1 || f > 8 || (f & (f - 1)) != 0)
         return "codeword_frames must be 1, 2, 4 or 8 (got " +
@@ -283,7 +281,9 @@ PeccLayout::leftWindowPortIndex(int i) const
 PeccLayout
 computeLayout(const PeccConfig &config)
 {
-    validate(config);
+    const std::string err = protectionGeometryError(config, 0);
+    if (!err.empty())
+        rtm_fatal("%s", err.c_str());
     PeccLayout lay;
     lay.config = config;
 

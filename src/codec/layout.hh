@@ -133,9 +133,10 @@ PeccConfig peccConfigFor(Scheme scheme, int num_segments, int seg_len);
  * Non-fatal geometry diagnosis for spec-driven configuration: empty
  * string when `config` (against a bank group of `frames_per_group`
  * frames; pass 0 to skip the group checks) is realisable, otherwise
- * one human-readable reason. Mirrors the rtm_fatal checks in
- * computeLayout but lets spec parsing report a dotted-path error and
- * exit 2 instead of aborting.
+ * one human-readable reason. computeLayout aborts on exactly these
+ * checks (group ones aside), and they include every geometry the
+ * DelInsCode constructor rejects, so spec parsing can report a
+ * dotted-path error and exit 2 instead of aborting in a worker.
  */
 std::string protectionGeometryError(const PeccConfig &config,
                                     int frames_per_group);

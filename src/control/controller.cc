@@ -13,13 +13,6 @@ namespace rtm
 namespace
 {
 
-/** p-ECC detection time folded into each shift (paper Table 5). */
-double
-peccCheckSeconds(const PeccConfig &config)
-{
-    return config.variant == PeccVariant::None ? 0.0 : 0.34e-9;
-}
-
 /** Correction logic time per counter-shift: 1.34 ns ~ 3 cycles. */
 constexpr Cycles kCorrectionLogicCycles = 3;
 
@@ -70,8 +63,11 @@ ShiftController::ShiftController(const PeccConfig &config,
                                  RecoveryConfig recovery,
                                  TelemetryScope telemetry)
     : stripe_(config, model, std::move(rng)),
-      timing_(kDefaultClockHz, 0.4e-9, 1.0e-9,
-              peccCheckSeconds(config)),
+      timing_(kDefaultClockHz, kStage1PerStepSeconds,
+              kStage2PulseSeconds,
+              // The in-path detect slot (Table 5) on a protected stripe.
+              config.variant == PeccVariant::None ? 0.0
+                                                  : kInPathCheckSeconds),
       planner_(model, timing_, config.correct,
                config.seg_len - 1, mttf_target_s),
       adapter_(&planner_,

@@ -55,6 +55,8 @@ struct RecoveryConfig
     bool allow_scrub = true;  //!< enable the scrub rung
     int max_replans = 2;      //!< cautious re-seeks after recovery
     Cycles scrub_cycles = 1024; //!< charged per full scrub (refill)
+
+    bool operator==(const RecoveryConfig &) const = default;
 };
 
 /** Spec keys of the ladder (util/fields.hh). */

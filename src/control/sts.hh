@@ -18,6 +18,7 @@
 #include <array>
 #include <cstddef>
 
+#include "device/timing.hh"
 #include "util/units.hh"
 
 namespace rtm
@@ -36,8 +37,8 @@ class StsTiming
      *                      detection takes ~0.3 ns = 1 extra cycle)
      */
     explicit StsTiming(double clock_hz = kDefaultClockHz,
-                       double stage1_per_step = 0.4e-9,
-                       double stage2_pulse = 1.0e-9,
+                       double stage1_per_step = kStage1PerStepSeconds,
+                       double stage2_pulse = kStage2PulseSeconds,
                        double pecc_check = 0.0);
 
     /** Shift distances whose cycle count is tabulated at

@@ -344,6 +344,10 @@ PositionErrorMonteCarlo::fitModel(uint64_t trials_per_distance)
             acc.d7.merge(part.d7);
         });
     FittedModelParams fit;
+    // A stopped fit is discarded by the caller (see setStopFlag), and
+    // its partial moments may have no spread to fit at all.
+    if (stop_ && stop_->stopped())
+        return FittedErrorModel(fit);
     fit.sigma_step = m.d1.stddev();
     double ratio = m.d7.variance() / std::max(m.d1.variance(), 1e-30);
     // Solve (1 - rho^7) / (1 - rho) = ratio by bisection on [0, 1).

@@ -166,7 +166,8 @@ class PositionErrorMonteCarlo
     /**
      * Optional cooperative stop flag, polled at shard boundaries by
      * run()/runScalarReference()/fitModel(). Once it trips, the
-     * remaining shards contribute nothing and the partial result must
+     * remaining shards contribute nothing (a stopped fitModel()
+     * returns the default parameters) and the partial result must
      * be discarded by the caller (the experiment engine does so by
      * classifying the cell as cancelled/timed-out). A run that never
      * observes the stop stays bit-identical to one with no flag.

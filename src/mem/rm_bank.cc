@@ -20,7 +20,8 @@ constexpr Cycles kNeverShifted =
 RmBank::RmBank(const RmBankConfig &config,
                const PositionErrorModel *model, const TechParams &tech)
     : config_(config), model_(model), tech_(tech),
-      timing_(kDefaultClockHz, 0.4e-9, 1.0e-9,
+      timing_(kDefaultClockHz, kStage1PerStepSeconds,
+              kStage2PulseSeconds,
               schemeRow(config.scheme).in_path_check
                   ? kInPathCheckSeconds
                   : 0.0),

@@ -1,18 +1,12 @@
 #include "campaign.hh"
 
 #include "model/tech.hh"
-#include "sim/experiment.hh"
-#include "util/logging.hh"
 #include "util/parallel.hh"
 #include "util/fields.hh"
 
 namespace rtm
 {
 
-namespace
-{
-
-/** SplitMix64 finaliser: cell seeds from (campaign seed, index). */
 uint64_t
 mixSeed(uint64_t seed, uint64_t index)
 {
@@ -21,8 +15,6 @@ mixSeed(uint64_t seed, uint64_t index)
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
 }
-
-} // anonymous namespace
 
 void
 CampaignLedger::merge(const CampaignLedger &other)
@@ -191,42 +183,6 @@ runFaultDrill(const ScenarioSpec &spec,
 }
 
 void
-appendCampaignJobs(ExperimentEngine &engine, CampaignResult *out,
-                   const std::vector<ScenarioSpec> &scenarios,
-                   const std::vector<WorkloadProfile> &profiles,
-                   const CampaignConfig &config)
-{
-    // One cell per slot: the seed depends only on (campaign seed,
-    // cell index), so any RTM_THREADS — and any interleaving with
-    // other jobs on the engine — produces identical results.
-    const size_t n = scenarios.size() * profiles.size();
-    const size_t base = out->cells.size();
-    out->cells.resize(base + n);
-    for (size_t i = 0; i < n; ++i) {
-        const size_t si = i / profiles.size();
-        const size_t wi = i % profiles.size();
-        CampaignCellResult *slot = &out->cells[base + i];
-        const ScenarioSpec spec = scenarios[si];
-        const WorkloadProfile profile = profiles[wi];
-        const uint64_t cell_seed = mixSeed(config.seed, i);
-        const CampaignConfig cell_config = config;
-        ExperimentEngine::Cell cell;
-        cell.label = spec.name + "/" + profile.name;
-        cell.body = [slot, spec, profile, cell_config,
-                     cell_seed](TelemetryScope shard,
-                                StopFlag *stop) {
-            *slot = runFaultDrill(spec, profile, cell_config,
-                                  cell_seed, shard, stop);
-        };
-        cell.save = [slot] { return campaignCellToJson(*slot); };
-        cell.load = [slot](const JsonValue &doc) {
-            return fromJson(doc, slot);
-        };
-        engine.addCell(std::move(cell));
-    }
-}
-
-void
 finalizeCampaignTotals(CampaignResult *out)
 {
     out->totals = CampaignLedger();
@@ -236,26 +192,6 @@ finalizeCampaignTotals(CampaignResult *out)
         if (cell.contained)
             ++out->contained_cells;
     }
-}
-
-CampaignResult
-runCampaign(const std::vector<ScenarioSpec> &scenarios,
-            const std::vector<std::string> &workloads,
-            const CampaignConfig &config)
-{
-    if (scenarios.empty() || workloads.empty())
-        rtm_fatal("campaign needs at least one scenario/workload");
-    std::vector<WorkloadProfile> profiles;
-    profiles.reserve(workloads.size());
-    for (const std::string &name : workloads)
-        profiles.push_back(parsecProfile(name));
-
-    CampaignResult out;
-    ExperimentEngine engine(config.telemetry_ring_capacity);
-    appendCampaignJobs(engine, &out, scenarios, profiles, config);
-    engine.run(config.telemetry);
-    finalizeCampaignTotals(&out);
-    return out;
 }
 
 JsonValue

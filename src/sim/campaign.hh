@@ -13,9 +13,11 @@
  * accounted outcome (in-line correction, a ladder rung, a reported
  * DUE, or a counted SDC) with no crash, hang, or ledger mismatch.
  *
- * Cells run in parallel on the global thread pool; every cell derives
- * its RNG streams from the campaign seed and its cell index alone, so
- * results are bit-identical for any RTM_THREADS setting.
+ * A campaign is an experiment spec's campaign section: runExperiment
+ * (sim/experiment.hh) schedules one runFaultDrill cell per (scenario,
+ * workload) pair on the global thread pool. Every cell derives its RNG
+ * streams from the campaign seed and its cell index alone (mixSeed),
+ * so results are bit-identical for any RTM_THREADS setting.
  */
 
 #ifndef RTM_SIM_CAMPAIGN_HH
@@ -35,8 +37,6 @@
 
 namespace rtm
 {
-
-class ExperimentEngine;
 
 /** Configuration of one fault-injection campaign. */
 struct CampaignConfig
@@ -65,20 +65,13 @@ struct CampaignConfig
     int group_retry_budget = 2;
 
     /**
-     * Observability sink for the whole campaign: each cell writes a
-     * private shard (injection/detection/ladder events, counters
-     * mirroring the ledger, per-cell wall-clock) merged in cell
-     * order, so the export is bit-identical at any RTM_THREADS.
-     * Disabled (null) by default.
-     */
-    TelemetryScope telemetry = {};
-
-    /**
      * Per-cell event-ring capacity. Event *counts* survive ring
      * overwrite either way; raise this when a consumer needs every
      * individual event retained (e.g. the reconciliation tests).
      */
     size_t telemetry_ring_capacity = Telemetry::kDefaultRingCapacity;
+
+    bool operator==(const CampaignConfig &) const = default;
 };
 
 /** Reconciled per-cell (and campaign-total) fault ledger. */
@@ -197,29 +190,11 @@ CampaignCellResult runFaultDrill(const ScenarioSpec &spec,
                                  StopFlag *stop = nullptr);
 
 /**
- * Sweep scenarios x workloads in parallel (global pool). Workload
- * names resolve through parsecProfile(). Bit-identical for any
- * RTM_THREADS under a fixed config.seed.
+ * Seed of campaign cell `index` under campaign seed `seed` (SplitMix64
+ * finaliser); runFaultDrill derives its own streams from the cell
+ * seed the same way.
  */
-CampaignResult runCampaign(const std::vector<ScenarioSpec> &scenarios,
-                           const std::vector<std::string> &workloads,
-                           const CampaignConfig &config);
-
-/**
- * Queue one drill per (scenario, profile) pair on `engine`
- * (scenario-major, the runCampaign order) without running them;
- * `out->cells` is sized here and filled when the engine runs. Cell
- * seeds depend only on (config.seed, pair index), so results are
- * bit-identical however the jobs interleave with the rest of the job
- * set. Call finalizeCampaignTotals after the engine has run.
- *
- * `out` must stay at a stable address until the engine has run.
- */
-void appendCampaignJobs(ExperimentEngine &engine,
-                        CampaignResult *out,
-                        const std::vector<ScenarioSpec> &scenarios,
-                        const std::vector<WorkloadProfile> &profiles,
-                        const CampaignConfig &config);
+uint64_t mixSeed(uint64_t seed, uint64_t index);
 
 /** Recompute totals/contained_cells from the finished cells. */
 void finalizeCampaignTotals(CampaignResult *out);

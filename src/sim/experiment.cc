@@ -229,12 +229,16 @@ finishRead(SpecReader &r, CampaignSpec &c)
         r.fail("accesses", "must be >= 1");
     if (cfg.scale <= 0.0)
         r.fail("scale", "must be > 0");
-    if (cfg.pecc.num_segments < 1)
-        r.fail("pecc.segments", "must be >= 1");
-    if (cfg.pecc.seg_len < 2)
-        r.fail("pecc.lseg", "must be >= 2");
+    if (cfg.workload_cores < 1)
+        r.fail("workload_cores", "must be >= 1");
+    // The stripe every drill cell builds (computeLayout's checks).
+    const std::string geometry = protectionGeometryError(cfg.pecc, 0);
+    if (!geometry.empty())
+        r.fail("pecc", geometry);
     if (cfg.bank_frames == 0)
         r.fail("bank.frames", "must be >= 1");
+    if (!(cfg.bank_due_prob >= 0.0 && cfg.bank_due_prob <= 1.0))
+        r.fail("bank.due_prob", "must be in [0, 1]");
 }
 
 void
@@ -256,8 +260,14 @@ finishRead(SpecReader &r, ExperimentSpec &spec)
     }
     if (s.scale <= 0.0)
         r.fail("stress.scale", "must be > 0");
-    if (s.lseg < 2)
-        r.fail("stress.lseg", "must be >= 2");
+    if (known && schemeRow(scheme).stripe_drill) {
+        // The drill's stripe: two segments of lseg domains.
+        const std::string err =
+            protectionGeometryError(peccConfigFor(scheme, 2, s.lseg), 0);
+        if (!err.empty())
+            r.fail("stress.lseg",
+                   "too short for scheme '" + s.scheme + "': " + err);
+    }
     const McSpec &mc = spec.montecarlo;
     McTier tier;
     if (!mcTierFromToken(mc.tier, &tier))
@@ -267,6 +277,9 @@ finishRead(SpecReader &r, ExperimentSpec &spec)
         r.fail("montecarlo.distance", "must be >= 1");
     if (mc.trials < 1)
         r.fail("montecarlo.trials", "must be >= 1");
+    // The fit reads a standard deviation, which one trial lacks.
+    if (mc.fit_trials == 1)
+        r.fail("montecarlo.fit_trials", "must be 0 (no fit) or >= 2");
 
     if (!r.has("protection"))
         return;
@@ -448,22 +461,6 @@ ExperimentEngine::run(TelemetryScope root)
             t.span("experiment.cell", static_cast<uint32_t>(i),
                    o.start_s, o.wall_ms * 1e-3, static_cast<double>(i));
         }
-        uint64_t ok = 0, failed = 0, timed_out = 0, cancelled = 0,
-                 replayed = 0;
-        for (const CellOutcome &o : outcomes_) {
-            switch (o.status) {
-              case CellStatus::Ok: ++ok; break;
-              case CellStatus::Failed: ++failed; break;
-              case CellStatus::TimedOut: ++timed_out; break;
-              case CellStatus::Cancelled: ++cancelled; break;
-              case CellStatus::Skipped: ++replayed; break;
-            }
-        }
-        t.counter("experiment.cells_ok").add(ok);
-        t.counter("experiment.cells_failed").add(failed);
-        t.counter("experiment.cells_timed_out").add(timed_out);
-        t.counter("experiment.cells_cancelled").add(cancelled);
-        t.counter("experiment.cells_replayed").add(replayed);
     }
 }
 
@@ -844,6 +841,25 @@ simResultFromJson(const JsonValue &doc, SimResult *out)
 namespace
 {
 
+/** The SimConfig of a matrix cell running `opt` under `spec`. */
+SimConfig
+matrixCellConfig(const ExperimentSpec &spec, const LlcOption &opt)
+{
+    SimConfig cfg;
+    cfg.hierarchy.llc_tech = opt.tech;
+    cfg.hierarchy.scheme = opt.scheme;
+    cfg.hierarchy.head_policy = opt.head_policy;
+    cfg.hierarchy.placement.kind = opt.placement;
+    cfg.hierarchy.placement.epoch_accesses = opt.placement_epoch;
+    cfg.hierarchy.placement.swap_budget = opt.placement_swap_budget;
+    cfg.hierarchy.capacity_divisor = spec.matrix.divisor;
+    cfg.hierarchy.protection = spec.protection;
+    cfg.mem_requests = spec.matrix.requests;
+    cfg.warmup_requests = spec.matrix.warmup;
+    cfg.seed = spec.matrix.seed;
+    return cfg;
+}
+
 /** The stress reporting view (the checkpoint is its field list). */
 JsonValue
 stressResultToJson(const StressResult &r)
@@ -943,61 +959,94 @@ runExperiment(const ExperimentSpec &spec_in,
     const PositionErrorModel *matrix_model =
         model ? model : &default_model;
 
-    if (spec.matrix.enabled) {
-        res.has_matrix = true;
-        std::vector<WorkloadProfile> profiles;
-        profiles.reserve(spec.matrix.workloads.size());
+    // Pre-size every result slot; cells write into them in place.
+    res.has_matrix = spec.matrix.enabled;
+    res.has_campaign = spec.campaign.enabled;
+    res.has_stress = spec.stress.enabled;
+    res.has_mc = spec.montecarlo.enabled;
+    const size_t options = spec.matrix.options.size();
+    if (res.has_matrix) {
         for (const std::string &name : spec.matrix.workloads)
-            profiles.push_back(parsecProfile(name));
-        appendMatrixJobs(engine, &res.matrix, profiles,
-                         spec.matrix.options, matrix_model,
-                         spec.matrix.requests, spec.matrix.warmup,
-                         spec.matrix.divisor, spec.matrix.seed,
-                         spec.protection);
+            res.matrix.push_back(WorkloadMatrixRow{
+                parsecProfile(name), std::vector<SimResult>(options)});
     }
-    if (spec.campaign.enabled) {
-        res.has_campaign = true;
+    if (res.has_campaign) {
+        res.campaign.cells.resize(spec.campaign.scenarios.size() *
+                                  spec.campaign.workloads.size());
         engine.requestRingCapacity(
             spec.campaign.config.telemetry_ring_capacity);
-        std::vector<WorkloadProfile> profiles;
-        profiles.reserve(spec.campaign.workloads.size());
-        for (const std::string &name : spec.campaign.workloads)
-            profiles.push_back(parsecProfile(name));
-        appendCampaignJobs(engine, &res.campaign,
-                           spec.campaign.scenarios, profiles,
-                           spec.campaign.config);
     }
-    // The stress and Monte-Carlo sections are one cell each,
-    // checkpointed through their result's field list.
-    auto addSectionCell = [&engine](const char *label, auto *slot,
-                                    auto run) {
-        ExperimentEngine::Cell cell;
-        cell.label = label;
-        cell.body = [slot, run](TelemetryScope t, StopFlag *stop) {
-            *slot = run(t, stop);
-        };
-        cell.save = [slot] { return toJson(*slot); };
-        cell.load = [slot](const JsonValue &doc) {
-            return fromJson(doc, slot);
-        };
-        engine.addCell(std::move(cell));
-    };
-    res.has_stress = spec.stress.enabled;
-    if (res.has_stress)
-        addSectionCell("stress", &res.stress,
-                       [s = spec.stress](TelemetryScope t,
-                                         StopFlag *stop) {
-                           return runStressDrill(s, t, stop);
-                       });
-    res.has_mc = spec.montecarlo.enabled;
-    if (res.has_mc)
-        addSectionCell("montecarlo", &res.mc,
-                       [s = spec.montecarlo](TelemetryScope t,
-                                             StopFlag *stop) {
-                           return runMcCell(s, t, stop);
-                       });
 
-    res.cells = engine.jobCount();
+    // One engine cell per expanded cell, in expansion order. A cell
+    // body reads only the spec and its own slot, so the results are
+    // independent of the worker count and of how cells interleave.
+    const std::vector<ExperimentCell> cells = expandCells(spec);
+    for (const ExperimentCell &c : cells) {
+        ExperimentEngine::Cell cell;
+        cell.label = c.label();
+        // The body stores run(shard, stop) in `slot`; the checkpoint
+        // is the slot's field list.
+        auto bind = [&cell](auto *slot, auto run) {
+            cell.body = [slot, run](TelemetryScope t, StopFlag *stop) {
+                *slot = run(t, stop);
+            };
+            cell.save = [slot] { return toJson(*slot); };
+            cell.load = [slot](const JsonValue &doc) {
+                return fromJson(doc, slot);
+            };
+        };
+        switch (c.kind) {
+          case ExperimentCell::Kind::Matrix: {
+            SimResult *slot = &res.matrix[c.local_index / options]
+                                   .results[c.local_index % options];
+            bind(slot, [cfg = matrixCellConfig(spec, c.option),
+                        profile = scaledProfile(parsecProfile(c.workload),
+                                                spec.matrix.divisor),
+                        matrix_model](TelemetryScope t, StopFlag *stop) {
+                SimConfig run = cfg;
+                run.telemetry = t;
+                run.stop = stop;
+                SimResult r = simulate(profile, run, matrix_model);
+                if (t)
+                    t->counter("runner.cells").add();
+                return r;
+            });
+            // A matrix row also names its workload and option.
+            cell.save = [slot, workload = c.workload, opt = c.option] {
+                return simResultToJson(workload, opt, *slot);
+            };
+            cell.load = [slot](const JsonValue &doc) {
+                return simResultFromJson(doc, slot);
+            };
+            break;
+          }
+          case ExperimentCell::Kind::Campaign:
+            bind(&res.campaign.cells[c.local_index],
+                 [scenario = c.scenario, profile = parsecProfile(c.workload),
+                  config = spec.campaign.config,
+                  seed = mixSeed(spec.campaign.config.seed, c.local_index)](
+                     TelemetryScope t, StopFlag *stop) {
+                     return runFaultDrill(scenario, profile, config, seed,
+                                          t, stop);
+                 });
+            break;
+          case ExperimentCell::Kind::Stress:
+            bind(&res.stress, [s = spec.stress](TelemetryScope t,
+                                                StopFlag *stop) {
+                return runStressDrill(s, t, stop);
+            });
+            break;
+          case ExperimentCell::Kind::MonteCarlo:
+            bind(&res.mc, [s = spec.montecarlo](TelemetryScope t,
+                                                StopFlag *stop) {
+                return runMcCell(s, t, stop);
+            });
+            break;
+        }
+        engine.addCell(std::move(cell));
+    }
+
+    res.cells = cells.size();
     engine.setCancelToken(control.cancel);
     engine.setResilience(spec.resilience);
     if (control.fault_hook)
@@ -1047,16 +1096,22 @@ runExperiment(const ExperimentSpec &spec_in,
 
     engine.run(telemetry);
 
+    // One count per CellStatus (in enum order), feeding both the
+    // result and the root telemetry.
     res.outcomes = engine.outcomes();
-    for (const CellOutcome &outcome : res.outcomes) {
-        switch (outcome.status) {
-        case CellStatus::Ok: ++res.ok_cells; break;
-        case CellStatus::Failed: ++res.failed_cells; break;
-        case CellStatus::TimedOut: ++res.timed_out_cells; break;
-        case CellStatus::Cancelled: ++res.cancelled_cells; break;
-        case CellStatus::Skipped: ++res.replayed_cells; break;
-        }
-    }
+    uint64_t *const tally[] = {&res.ok_cells, &res.failed_cells,
+                               &res.timed_out_cells,
+                               &res.cancelled_cells,
+                               &res.replayed_cells};
+    for (const CellOutcome &outcome : res.outcomes)
+        ++*tally[static_cast<size_t>(outcome.status)];
+    static constexpr const char *kTallyCounters[] = {
+        "experiment.cells_ok", "experiment.cells_failed",
+        "experiment.cells_timed_out", "experiment.cells_cancelled",
+        "experiment.cells_replayed"};
+    if (telemetry)
+        for (size_t s = 0; s < std::size(tally); ++s)
+            telemetry->counter(kTallyCounters[s]).add(*tally[s]);
     res.interrupted =
         res.cancelled_cells > 0 || res.timed_out_cells > 0;
 

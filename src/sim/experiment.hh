@@ -8,17 +8,14 @@
  * (Figs. 14/16-18), the scenario catalogue of a fault-injection
  * campaign, the stripe-level stress drill, telemetry sinks and
  * seeds — and round-trips losslessly through JSON
- * (util/serde.hh). A spec expands into a flat cell list, and every
- * cell — matrix, campaign and stress alike — is scheduled as one job
- * set on the global thread pool by the ExperimentEngine: no
- * per-matrix barrier, campaign and matrix cells interleave freely,
- * yet results and merged telemetry are bit-identical at any
- * RTM_THREADS because each cell derives its RNG streams from the
- * spec alone and per-cell telemetry shards merge in cell order.
- *
- * runMatrix (sim/runner.hh) and runCampaign (sim/campaign.hh) are
- * thin wrappers over this engine, so the golden SHA-256 digests of
- * tests/sim_golden_test.cc pin the engine path too.
+ * (util/serde.hh). expandCells(spec) is the one description of a
+ * run's cells, and runExperiment schedules exactly that list — matrix,
+ * campaign, stress and Monte-Carlo cells alike — as one job set on
+ * the global thread pool through the ExperimentEngine: no per-matrix
+ * barrier, campaign and matrix cells interleave freely, yet results
+ * and merged telemetry are bit-identical at any RTM_THREADS because
+ * each cell derives its RNG streams from the spec alone and per-cell
+ * telemetry shards merge in cell order.
  */
 
 #ifndef RTM_SIM_EXPERIMENT_HH
@@ -99,8 +96,8 @@ forEachField(V &&v, S &...s)
  * (lane = job index) and the shards merge into the root sink in job
  * order after the parallel region, so counters/events are
  * bit-identical for any RTM_THREADS. Jobs are claimed dynamically —
- * there is no barrier between the groups a caller appends, which is
- * what lets matrix and campaign cells interleave.
+ * there is no barrier between a spec's sections, which is what lets
+ * matrix and campaign cells interleave.
  *
  * Crash-safety contract: every scheduled cell ends in exactly one
  * CellOutcome. A throwing body is retried per the resilience policy
@@ -128,12 +125,6 @@ class ExperimentEngine
         bool replayed = false; //!< load()ed; body will not run
     };
 
-    explicit ExperimentEngine(
-        size_t ring_capacity = Telemetry::kDefaultRingCapacity)
-        : ring_capacity_(ring_capacity)
-    {
-    }
-
     /** Raise the per-shard event-ring capacity (max of requests). */
     void requestRingCapacity(size_t capacity)
     {
@@ -143,18 +134,6 @@ class ExperimentEngine
 
     /** Queue one cell. */
     void addCell(Cell cell) { cells_.push_back(std::move(cell)); }
-
-    /**
-     * Queue a legacy cell that ignores cancellation and cannot be
-     * checkpointed. The body receives its telemetry shard.
-     */
-    void addJob(std::function<void(TelemetryScope)> body)
-    {
-        Cell cell;
-        cell.body = [b = std::move(body)](TelemetryScope t,
-                                          StopFlag *) { b(t); };
-        addCell(std::move(cell));
-    }
 
     size_t jobCount() const { return cells_.size(); }
 
@@ -226,7 +205,7 @@ class ExperimentEngine
     void runCell(Cell &cell, size_t index, TelemetryScope shard,
                  double run_deadline);
 
-    size_t ring_capacity_;
+    size_t ring_capacity_ = Telemetry::kDefaultRingCapacity;
     std::vector<Cell> cells_;
     std::vector<CellOutcome> outcomes_;
     const CancelToken *cancel_ = nullptr;
@@ -276,15 +255,14 @@ void finishRead(SpecReader &r, MatrixSpec &m);
 struct CampaignSpec
 {
     bool enabled = false;
-    /** Per-cell drill configuration (telemetry wiring ignored). */
+    /** Per-cell drill configuration. */
     CampaignConfig config;
     /** Scenario list; empty = standardScenarios(). */
     std::vector<ScenarioSpec> scenarios;
     /** Workload names; empty = swaptions, canneal, ferret. */
     std::vector<std::string> workloads;
 
-    /** Over the field list: the telemetry wiring is not spec. */
-    bool operator==(const CampaignSpec &o) const;
+    bool operator==(const CampaignSpec &) const = default;
 };
 
 template <class V, FieldsOf<CampaignSpec>... S>
@@ -308,12 +286,6 @@ forEachField(V &&v, S &...s)
       }});
     v("scenarios", HandParsed{s.scenarios}...);
     v("workloads", s.workloads...);
-}
-
-inline bool
-CampaignSpec::operator==(const CampaignSpec &o) const
-{
-    return fieldsEqual(*this, o);
 }
 
 /** Scenario shortcuts and range checks (see MatrixSpec's). */
@@ -495,9 +467,10 @@ struct ExperimentCell
 };
 
 /**
- * Expand a spec into its flat cell list: matrix cells first
- * (workload-major, matching runMatrix), then campaign cells
- * (scenario-major, matching runCampaign), then the stress drill.
+ * Expand a spec into its flat cell list, the order runExperiment
+ * schedules and journals: matrix cells first (workload-major), then
+ * campaign cells (scenario-major), then the stress drill, then the
+ * Monte-Carlo cell.
  */
 std::vector<ExperimentCell>
 expandCells(const ExperimentSpec &spec);

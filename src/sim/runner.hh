@@ -1,8 +1,9 @@
 /**
  * @file
- * Matrix runner: sweeps workloads x (technology, scheme) pairs and
- * normalises results, shared by the Fig. 14/16/17/18 benches and the
- * example applications.
+ * The LLC options of the Fig. 14/16-18 matrix sweep, their catalogues
+ * and the per-workload result row. The sweep itself is an experiment
+ * spec's matrix section: runExperiment (sim/experiment.hh) schedules
+ * one cell per (workload, option) pair of expandCells(spec).
  */
 
 #ifndef RTM_SIM_RUNNER_HH
@@ -15,8 +16,6 @@
 
 namespace rtm
 {
-
-class ExperimentEngine;
 
 /** One LLC configuration of the Fig. 16-18 comparison. */
 struct LlcOption
@@ -84,51 +83,6 @@ struct WorkloadMatrixRow
  */
 WorkloadProfile scaledProfile(WorkloadProfile profile,
                               uint64_t divisor);
-
-/**
- * Run every workload against every option.
- *
- * Cells are simulated in parallel on the global ThreadPool (see
- * util/parallel.hh, RTM_THREADS); results are bit-identical at any
- * worker count and keep the serial ordering.
- *
- * @param options  LLC options to sweep
- * @param model    position-error model (racetrack options)
- * @param requests memory requests per run
- * @param warmup   warmup requests per run
- * @param capacity_divisor uniform hierarchy/working-set shrink
- * @param telemetry optional observability sink: each cell writes a
- *                 private shard (per-cell wall-clock spans, sim
- *                 counters) merged into the sink in cell order, so
- *                 the export is bit-identical at any RTM_THREADS.
- */
-std::vector<WorkloadMatrixRow>
-runMatrix(const std::vector<LlcOption> &options,
-          const PositionErrorModel *model, uint64_t requests,
-          uint64_t warmup = 20000, uint64_t capacity_divisor = 1,
-          TelemetryScope telemetry = {});
-
-/**
- * Queue one matrix cell per (profile, option) pair on `engine`
- * (workload-major, the runMatrix order) without running them; `rows`
- * is sized here and filled when the engine runs. This is how matrix
- * cells join a larger job set (sim/experiment.hh) — runMatrix itself
- * is a thin append + run wrapper.
- *
- * `rows` must stay at a stable address until the engine has run.
- *
- * `protection` applies to every racetrack cell (the spec-level
- * protection-domain policy); the default policy is the paper's
- * per-frame configuration and changes nothing.
- */
-void appendMatrixJobs(ExperimentEngine &engine,
-                      std::vector<WorkloadMatrixRow> *rows,
-                      const std::vector<WorkloadProfile> &profiles,
-                      const std::vector<LlcOption> &options,
-                      const PositionErrorModel *model,
-                      uint64_t requests, uint64_t warmup,
-                      uint64_t capacity_divisor, uint64_t seed,
-                      const ProtectionPolicy &protection = {});
 
 /** Geometric mean over positive values. */
 double geomean(const std::vector<double> &values);

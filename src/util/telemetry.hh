@@ -14,8 +14,8 @@
  *    never touches an RNG stream or any quantity that feeds back into
  *    a result.
  *
- *  - *Deterministic sharded merge.* Parallel call sites (runMatrix
- *    cells, campaign cells) each write a private Telemetry shard;
+ *  - *Deterministic sharded merge.* Parallel call sites (every
+ *    ExperimentEngine cell) each write a private Telemetry shard;
  *    TelemetryShards::mergeInto folds them into the root sink in
  *    shard-index order on the calling thread — the same discipline as
  *    ErrorPdf::merge — so the merged registry and event stream are

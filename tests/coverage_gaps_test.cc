@@ -14,6 +14,7 @@
 #include "codec/protected_stripe.hh"
 #include "control/controller.hh"
 #include "mem/hierarchy.hh"
+#include "matrix_sweep.hh"
 #include "sim/runner.hh"
 
 namespace rtm
@@ -124,7 +125,7 @@ TEST(Runner, MatrixShapesAndNormalisation)
         {"SRAM", MemTech::SRAM, Scheme::Baseline},
         {"RM", MemTech::Racetrack, Scheme::PeccSAdaptive},
     };
-    auto rows = runMatrix(options, &model, 3000, 500, 32);
+    auto rows = sweepMatrix(options, &model, 3000, 500, 32);
     EXPECT_EQ(rows.size(), parsecProfiles().size());
     for (const auto &row : rows) {
         ASSERT_EQ(row.results.size(), options.size());

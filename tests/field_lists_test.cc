@@ -183,6 +183,23 @@ TEST(FieldLists, RandomSpecsRoundTrip)
         // (hierarchyGeometryError): draw a power of two in [1, 32],
         // the divisors every LLC option survives.
         spec.matrix.divisor = uint64_t{1} << (spec.matrix.divisor % 6);
+        // And the fields a spec refuses because a worker would abort
+        // on them: a due probability beyond 1, a campaign stripe the
+        // layout rejects, a stress stripe too short for its scheme.
+        double &due_prob = spec.campaign.config.bank_due_prob;
+        if (due_prob > 1.0)
+            due_prob = 1.0 / due_prob;
+        PeccConfig &pecc = spec.campaign.config.pecc;
+        if (!protectionGeometryError(pecc, 0).empty())
+            pecc.correct = 1;
+        if (!protectionGeometryError(pecc, 0).empty())
+            pecc.variant = PeccVariant::Standard;
+        Scheme stress;
+        ASSERT_TRUE(schemeFromToken(spec.stress.scheme, &stress));
+        if (!protectionGeometryError(
+                 peccConfigFor(stress, 2, spec.stress.lseg), 0)
+                 .empty())
+            spec.stress.lseg = 8;
         realisable(spec.protection.uniform);
         for (ProtectionLevel &l : spec.protection.levels)
             realisable(l.domain);

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "device/montecarlo.hh"
+#include "matrix_sweep.hh"
 #include "sim/runner.hh"
 #include "util/parallel.hh"
 
@@ -128,7 +129,7 @@ TEST(ParallelDeterminism, RunMatrixMatchesSerialAndKeepsOrder)
         {"p-ECC-O", MemTech::Racetrack, Scheme::PeccO},
     };
     auto sweep = [&] {
-        return runMatrix(options, &model, 2000, 400, 32);
+        return sweepMatrix(options, &model, 2000, 400, 32);
     };
     auto serial = withThreads(1, sweep);
     auto parallel = withThreads(4, sweep);
@@ -169,7 +170,7 @@ TEST(ParallelDeterminism, PlacementPoliciesMatchSerial)
     std::vector<LlcOption> options = {adaptive, hot};
 
     auto sweep = [&] {
-        return runMatrix(options, &model, 2000, 400, 32);
+        return sweepMatrix(options, &model, 2000, 400, 32);
     };
     auto serial = withThreads(1, sweep);
     auto parallel = withThreads(4, sweep);

@@ -29,6 +29,21 @@ quickConfig()
     return c;
 }
 
+/** A campaign-only spec of `scenarios` x `workloads`, run. */
+CampaignResult
+campaignOnly(const std::vector<ScenarioSpec> &scenarios,
+             const std::vector<std::string> &workloads,
+             const CampaignConfig &config, TelemetryScope telemetry = {})
+{
+    ExperimentSpec spec;
+    spec.matrix.enabled = false;
+    spec.campaign.enabled = true;
+    spec.campaign.config = config;
+    spec.campaign.scenarios = scenarios;
+    spec.campaign.workloads = workloads;
+    return runExperiment(spec, nullptr, telemetry).campaign;
+}
+
 void
 expectLedgersEqual(const CampaignLedger &a, const CampaignLedger &b)
 {
@@ -49,8 +64,8 @@ expectLedgersEqual(const CampaignLedger &a, const CampaignLedger &b)
 TEST(Campaign, EveryCellContainsItsFaults)
 {
     CampaignResult r =
-        runCampaign(standardScenarios(), {"swaptions", "canneal"},
-                    quickConfig());
+        campaignOnly(standardScenarios(), {"swaptions", "canneal"},
+                     quickConfig());
     ASSERT_EQ(r.cells.size(), 10u);
     for (const CampaignCellResult &cell : r.cells) {
         EXPECT_TRUE(cell.contained)
@@ -74,8 +89,8 @@ TEST(Campaign, AdversarialRegimesExerciseTheLadder)
 {
     CampaignConfig config = quickConfig();
     config.accesses_per_cell = 1500;
-    CampaignResult r = runCampaign(standardScenarios(),
-                                   {"swaptions"}, config);
+    CampaignResult r =
+        campaignOnly(standardScenarios(), {"swaptions"}, config);
     uint64_t ladder = r.totals.recovered_retry +
                       r.totals.recovered_realign +
                       r.totals.recovered_scrub;
@@ -91,10 +106,10 @@ TEST(Campaign, BitIdenticalAcrossThreadCounts)
 
     ThreadPool::setGlobalThreads(1);
     CampaignResult serial =
-        runCampaign(scenarios, workloads, config);
+        campaignOnly(scenarios, workloads, config);
     ThreadPool::setGlobalThreads(3);
     CampaignResult parallel =
-        runCampaign(scenarios, workloads, config);
+        campaignOnly(scenarios, workloads, config);
     ThreadPool::setGlobalThreads(ThreadPool::configuredThreads());
 
     ASSERT_EQ(serial.cells.size(), parallel.cells.size());
@@ -121,7 +136,7 @@ TEST(Campaign, CombinedSpecInterleavingIsBitIdentical)
 {
     // Matrix and campaign cells scheduled as ONE job set on the
     // shared ExperimentEngine (no per-matrix barrier) must
-    // reproduce the standalone runCampaign result exactly, at
+    // reproduce the campaign-only spec's result exactly, at
     // several thread counts: cell seeds depend only on the
     // campaign seed and cell index, never on job interleaving.
     ExperimentSpec spec;
@@ -137,8 +152,8 @@ TEST(Campaign, CombinedSpecInterleavingIsBitIdentical)
               standardScenarios().size());
 
     CampaignResult alone =
-        runCampaign(spec.campaign.scenarios,
-                    spec.campaign.workloads, spec.campaign.config);
+        campaignOnly(spec.campaign.scenarios, spec.campaign.workloads,
+                     spec.campaign.config);
 
     for (unsigned threads : {1u, 4u}) {
         ThreadPool::setGlobalThreads(threads);
@@ -176,11 +191,10 @@ TEST(Campaign, TelemetryReconcilesWithLedgers)
     // the rung reconciliation below scans individual ring events.
     config.telemetry_ring_capacity = 1 << 15;
     Telemetry telemetry(1 << 20);
-    config.telemetry = &telemetry;
 
     CampaignResult r =
-        runCampaign(standardScenarios(), {"swaptions", "canneal"},
-                    config);
+        campaignOnly(standardScenarios(), {"swaptions", "canneal"},
+                     config, &telemetry);
     ASSERT_EQ(r.cells.size(), 10u);
     ASSERT_EQ(telemetry.eventsDropped(), 0u);
 
@@ -283,13 +297,11 @@ TEST(Campaign, TelemetryMergeDeterministicAcrossThreadCounts)
 
     ThreadPool::setGlobalThreads(1);
     Telemetry serial_t(1 << 18);
-    config.telemetry = &serial_t;
-    runCampaign(scenarios, workloads, config);
+    campaignOnly(scenarios, workloads, config, &serial_t);
 
     ThreadPool::setGlobalThreads(3);
     Telemetry parallel_t(1 << 18);
-    config.telemetry = &parallel_t;
-    runCampaign(scenarios, workloads, config);
+    campaignOnly(scenarios, workloads, config, &parallel_t);
     ThreadPool::setGlobalThreads(ThreadPool::configuredThreads());
 
     auto sc = serial_t.counters();
@@ -315,7 +327,7 @@ TEST(Campaign, DegradationDrillRetiresGroupsGracefully)
     config.accesses_per_cell = 2000;
     config.bank_due_prob = 0.02;
     std::vector<ScenarioSpec> one = {standardScenarios()[0]};
-    CampaignResult r = runCampaign(one, {"swaptions"}, config);
+    CampaignResult r = campaignOnly(one, {"swaptions"}, config);
     ASSERT_EQ(r.cells.size(), 1u);
     const CampaignCellResult &cell = r.cells[0];
     EXPECT_GT(cell.bank_due_reports, 0u);
@@ -330,7 +342,7 @@ TEST(Campaign, ReportJsonListsCellsAndCoverage)
     std::vector<ScenarioSpec> one = {standardScenarios()[1]};
     CampaignConfig config = quickConfig();
     config.accesses_per_cell = 300;
-    CampaignResult r = runCampaign(one, {"swaptions"}, config);
+    CampaignResult r = campaignOnly(one, {"swaptions"}, config);
     ASSERT_EQ(r.cells.size(), 1u);
     const JsonValue doc = campaignResultToJson(r);
 

@@ -159,7 +159,7 @@ TEST(ExperimentSpec, ExpandsCellsInScheduleOrder)
     const size_t n_campaign = spec.campaign.scenarios.size();
     ASSERT_EQ(cells.size(), 4u + n_campaign + 1u);
 
-    // Matrix first, workload-major (runMatrix order).
+    // Matrix first, workload-major.
     EXPECT_EQ(cells[0].kind, ExperimentCell::Kind::Matrix);
     EXPECT_EQ(cells[0].workload, "canneal");
     EXPECT_EQ(cells[0].option.label, "SRAM");
@@ -168,7 +168,7 @@ TEST(ExperimentSpec, ExpandsCellsInScheduleOrder)
     EXPECT_EQ(cells[2].workload, "ferret");
     EXPECT_EQ(cells[3].local_index, 3u);
 
-    // Campaign next, scenario-major (runCampaign order).
+    // Campaign next, scenario-major.
     for (size_t i = 0; i < n_campaign; ++i) {
         const ExperimentCell &c = cells[4 + i];
         EXPECT_EQ(c.kind, ExperimentCell::Kind::Campaign);
@@ -187,6 +187,47 @@ TEST(ExperimentSpec, ExpandsCellsInScheduleOrder)
     spec.campaign.enabled = false;
     spec.stress.enabled = false;
     EXPECT_TRUE(expandCells(spec).empty());
+}
+
+TEST(ExperimentSpec, RunSchedulesExactlyTheExpandedCells)
+{
+    // expandCells is the one description of a run's cells: with all
+    // four sections enabled, runExperiment's outcomes are exactly its
+    // cells, label for label, in order.
+    ExperimentSpec spec;
+    spec.matrix.requests = 1000;
+    spec.matrix.warmup = 100;
+    spec.matrix.divisor = 32;
+    spec.matrix.workloads = {"canneal", "ferret"};
+    spec.matrix.options = {
+        {"SRAM", MemTech::SRAM, Scheme::Baseline},
+        {"RM", MemTech::Racetrack, Scheme::PeccSAdaptive},
+    };
+    spec.campaign.enabled = true;
+    spec.campaign.config.accesses_per_cell = 200;
+    spec.campaign.config.bank_frames = 128;
+    const std::vector<ScenarioSpec> scenarios = standardScenarios();
+    spec.campaign.scenarios = {scenarios[0], scenarios[1]};
+    spec.campaign.workloads = {"swaptions", "canneal"};
+    spec.stress.enabled = true;
+    spec.stress.ops = 500;
+    spec.montecarlo.enabled = true;
+    spec.montecarlo.trials = 2000;
+
+    const std::vector<ExperimentCell> cells = expandCells(spec);
+    ASSERT_EQ(cells.size(), 4u + 4u + 1u + 1u);
+    ExperimentResult res = runExperiment(spec);
+    ASSERT_TRUE(res.complete());
+    ASSERT_EQ(res.cells, cells.size());
+    ASSERT_EQ(res.outcomes.size(), cells.size());
+    for (size_t i = 0; i < cells.size(); ++i)
+        EXPECT_EQ(res.outcomes[i].label, cells[i].label()) << i;
+    EXPECT_EQ(res.outcomes.front().label, "canneal/SRAM");
+    EXPECT_EQ(res.outcomes[4].label,
+              scenarios[0].name + "/swaptions");
+    EXPECT_EQ(res.outcomes[8].label, "stress");
+    EXPECT_EQ(res.outcomes[9].label, "montecarlo");
+    EXPECT_EQ(res.ok_cells, cells.size());
 }
 
 TEST(ExperimentSpec, ParsesShortcutsAndPartialDocuments)
@@ -305,6 +346,43 @@ TEST(ExperimentSpec, MalformedSpecsProduceActionableDiagnostics)
         << diag;
     EXPECT_EQ(diag.find("must be >= 1"), std::string::npos) << diag;
 
+    // Fields that parse but that a worker would abort on: each is
+    // refused here with its dotted path instead.
+    diag = parseSpecDiag("{\"campaign\": {\"workload_cores\": 0}}");
+    EXPECT_NE(diag.find("campaign.workload_cores: must be >= 1"),
+              std::string::npos)
+        << diag;
+    diag = parseSpecDiag(
+        "{\"campaign\": {\"pecc\": {\"lseg\": 8, \"correct\": 8}}}");
+    EXPECT_NE(diag.find("campaign.pecc: p-ECC requires m <= Lseg - 1 "
+                        "(m=8, Lseg=8)"),
+              std::string::npos)
+        << diag;
+    diag = parseSpecDiag(
+        "{\"stress\": {\"scheme\": \"del-ins-k\", \"lseg\": 3}}");
+    EXPECT_NE(diag.find("stress.lseg: too short for scheme 'del-ins-k': "
+                        "del-ins code (L=3, k=2) leaves no data bits"),
+              std::string::npos)
+        << diag;
+    diag = parseSpecDiag(
+        "{\"stress\": {\"scheme\": \"lm-pos\", \"lseg\": 2}}");
+    EXPECT_NE(diag.find("stress.lseg: too short for scheme 'lm-pos'"),
+              std::string::npos)
+        << diag;
+    diag = parseSpecDiag("{\"montecarlo\": {\"fit_trials\": 1}}");
+    EXPECT_NE(diag.find("montecarlo.fit_trials: must be 0 (no fit) or "
+                        ">= 2"),
+              std::string::npos)
+        << diag;
+    for (const char *p : {"-0.5", "1.5"}) {
+        diag = parseSpecDiag(std::string("{\"campaign\": {\"bank\": "
+                                         "{\"due_prob\": ") +
+                             p + "}}}");
+        EXPECT_NE(diag.find("campaign.bank.due_prob: must be in [0, 1]"),
+                  std::string::npos)
+            << diag;
+    }
+
     // Multiple problems all reported in one pass.
     diag = parseSpecDiag(
         "{\"matrix\": {\"requests\": \"x\", \"divisor\": \"y\"}}");
@@ -347,13 +425,15 @@ TEST(ExperimentEngine, RunsEveryJobOnceAndMergesShardsInOrder)
     constexpr size_t kJobs = 17;
     std::atomic<int> ran{0};
     for (size_t i = 0; i < kJobs; ++i) {
-        engine.addJob([&ran, i](TelemetryScope scope) {
+        ExperimentEngine::Cell cell;
+        cell.body = [&ran, i](TelemetryScope scope, StopFlag *) {
             ran.fetch_add(1);
             ASSERT_TRUE(scope);
             scope->counter("engine_test.jobs").add(1);
             scope->gauge("engine_test.last_lane")
                 .set(static_cast<double>(i));
-        });
+        };
+        engine.addCell(std::move(cell));
     }
     EXPECT_EQ(engine.jobCount(), kJobs);
 

@@ -11,7 +11,7 @@
  *     frozen reference (tests/reference.hh) under randomized driving;
  *  2. end-to-end equivalence: simulate() against referenceSimulate()
  *     with every SimResult field compared exactly;
- *  3. pinned digests: SHA-256 over a full runMatrix sweep, compared
+ *  3. pinned digests: SHA-256 over a full matrix sweep, compared
  *     against constants captured at pin time and across thread
  *     counts. Regenerate with RTM_UPDATE_GOLDEN=1 (the test prints
  *     the new constants and fails so stale pins cannot linger).
@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "matrix_sweep.hh"
 #include "mem/cache.hh"
 #include "mem/rm_bank.hh"
 #include "model/tech.hh"
@@ -370,7 +371,7 @@ constexpr uint64_t kGoldenWarmup = 1000;
 constexpr uint64_t kGoldenDivisor = 32;
 
 /**
- * Pinned SHA-256 digests of the full runMatrix sweep, one per
+ * Pinned SHA-256 digests of the full matrix sweep, one per
  * standardLlcOptions() column plus a combined digest. Captured with
  * RTM_UPDATE_GOLDEN=1 on the optimized implementation after proving
  * it bit-identical to the seed reference above.
@@ -433,8 +434,8 @@ TEST(GoldenSim, MatrixDigestsMatchPins)
 {
     PaperCalibratedErrorModel model;
     auto options = standardLlcOptions();
-    auto rows = runMatrix(options, &model, kGoldenRequests,
-                          kGoldenWarmup, kGoldenDivisor);
+    auto rows = sweepMatrix(options, &model, kGoldenRequests,
+                            kGoldenWarmup, kGoldenDivisor);
     auto hashes = matrixHashes(rows, options.size());
     ASSERT_EQ(hashes.size(), options.size() + 1);
 
@@ -464,12 +465,12 @@ TEST(GoldenSim, TelemetryOnDoesNotPerturbResults)
     PaperCalibratedErrorModel model;
     auto options = standardLlcOptions();
 
-    auto plain = runMatrix(options, &model, kGoldenRequests,
-                           kGoldenWarmup, kGoldenDivisor);
+    auto plain = sweepMatrix(options, &model, kGoldenRequests,
+                             kGoldenWarmup, kGoldenDivisor);
     Telemetry telemetry(1 << 14);
-    auto traced = runMatrix(options, &model, kGoldenRequests,
-                            kGoldenWarmup, kGoldenDivisor,
-                            &telemetry);
+    auto traced = sweepMatrix(options, &model, kGoldenRequests,
+                              kGoldenWarmup, kGoldenDivisor,
+                              &telemetry);
 
     ASSERT_EQ(plain.size(), traced.size());
     for (size_t w = 0; w < plain.size(); ++w) {
@@ -544,8 +545,8 @@ TEST(GoldenSim, ExplicitStaticPlacementMatchesPins)
         o.placement_epoch = 16;
         o.placement_swap_budget = 1;
     }
-    auto rows = runMatrix(options, &model, kGoldenRequests,
-                          kGoldenWarmup, kGoldenDivisor);
+    auto rows = sweepMatrix(options, &model, kGoldenRequests,
+                            kGoldenWarmup, kGoldenDivisor);
     auto hashes = matrixHashes(rows, options.size());
     for (size_t o = 0; o < options.size(); ++o)
         EXPECT_EQ(hashes[o], kGoldenOptionHashes[o])
@@ -560,13 +561,13 @@ TEST(GoldenSim, MatrixDigestsStableAcrossThreadCounts)
 
     ThreadPool::setGlobalThreads(1);
     auto serial = matrixHashes(
-        runMatrix(options, &model, kGoldenRequests, kGoldenWarmup,
-                  kGoldenDivisor),
+        sweepMatrix(options, &model, kGoldenRequests, kGoldenWarmup,
+                    kGoldenDivisor),
         options.size());
     ThreadPool::setGlobalThreads(3);
     auto parallel = matrixHashes(
-        runMatrix(options, &model, kGoldenRequests, kGoldenWarmup,
-                  kGoldenDivisor),
+        sweepMatrix(options, &model, kGoldenRequests, kGoldenWarmup,
+                    kGoldenDivisor),
         options.size());
     ThreadPool::setGlobalThreads(ThreadPool::configuredThreads());
 

@@ -341,6 +341,22 @@ TEST(Watchdog, CellDeadlineTripsTimedOut)
                     o.status == CellStatus::Ok);
 }
 
+/**
+ * A Monte-Carlo cell whose deadline has passed returns (the engine
+ * then discards it as TimedOut) instead of fitting a model to the
+ * empty moments of its skipped shards, whose zero sigma aborts.
+ */
+TEST(Watchdog, StoppedMonteCarloFitReturns)
+{
+    McSpec mc;
+    mc.trials = 100000;
+    mc.fit_trials = 100000;
+    StopFlag stop(nullptr, 1e-9); // a deadline long past
+    runMcCell(mc, {}, &stop);
+    EXPECT_TRUE(stop.stopped());
+    EXPECT_EQ(stop.reason(), StopReason::Deadline);
+}
+
 /** Cancellation before any claim leaves every cell Cancelled. */
 TEST(Cancellation, PreCancelledRunSchedulesNothing)
 {

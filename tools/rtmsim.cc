@@ -250,11 +250,8 @@ applyRunOverrides(const CliFlags &flags, ExperimentSpec *spec)
                 opt.placement_epoch = flags.getU64(
                     "placement-epoch", opt.placement_epoch);
             if (flags.has("swap-budget"))
-                opt.placement_swap_budget =
-                    static_cast<int>(flags.getU64(
-                        "swap-budget",
-                        static_cast<uint64_t>(
-                            opt.placement_swap_budget)));
+                opt.placement_swap_budget = flags.getInt(
+                    "swap-budget", opt.placement_swap_budget);
         }
     }
     if (flags.has("protection") || flags.has("codeword-frames"))
@@ -549,8 +546,15 @@ cmdRun(int argc, char **argv)
         enumFlagOrExit<PlacementKind>(flags, "placement", "static");
     cfg.hierarchy.placement.epoch_accesses =
         flags.getU64("placement-epoch", 64);
-    cfg.hierarchy.placement.swap_budget =
-        static_cast<int>(flags.getU64("swap-budget", 4));
+    if (cfg.hierarchy.placement.epoch_accesses == 0) {
+        std::fprintf(stderr, "--placement-epoch must be >= 1\n");
+        std::exit(2);
+    }
+    cfg.hierarchy.placement.swap_budget = flags.getInt("swap-budget", 4);
+    if (cfg.hierarchy.placement.swap_budget < 0) {
+        std::fprintf(stderr, "--swap-budget must be >= 0\n");
+        std::exit(2);
+    }
     cfg.hierarchy.head_policy =
         enumFlagOrExit<HeadPolicy>(flags, "head-policy", "stay");
     if (flags.has("protection") || flags.has("codeword-frames"))

@@ -4,11 +4,13 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 
 #include "codec/protected_stripe.hh"
 #include "model/reliability.hh"
 #include "model/tech.hh"
+#include "trace/trace_file.hh"
 #include "util/hash.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
@@ -28,6 +30,29 @@ checkWorkloadNames(const SpecReader &r,
         if (std::none_of(known.begin(), known.end(),
                          [&](const auto &p) { return p.name == name; }))
             r.fail("workloads", "unknown workload '" + name + "'");
+    }
+}
+
+/**
+ * Parse every trace file against the default hierarchy's cores, so a
+ * bad file fails with its `file:line` instead of in an engine worker.
+ */
+void
+checkTraces(const SpecReader &r, const std::vector<std::string> &paths)
+{
+    for (size_t i = 0; i < paths.size(); ++i) {
+        const TraceParseResult trace = loadTraceFileChecked(
+            paths[i], TraceParseMode::Strict, HierarchyConfig{}.cores);
+        const std::string at = "traces[" + std::to_string(i) + "]";
+        if (!trace.ok()) {
+            const TraceDiagnostic &d = trace.diagnostics.front();
+            r.fail(at, d.line > 0 ? paths[i] + ":" +
+                                        std::to_string(d.line) + ": " +
+                                        d.message
+                                  : d.message);
+        } else if (trace.requests.empty()) {
+            r.fail(at, paths[i] + ": no requests");
+        }
     }
 }
 
@@ -170,6 +195,7 @@ finishRead(SpecReader &r, MatrixSpec &m)
     if (!r.has("warmup"))
         m.warmup = m.requests / 10;
     checkWorkloadNames(r, m.workloads);
+    checkTraces(r, m.traces);
     // A matrix-level `placement` object is parse-time sugar: it seeds
     // the defaults every option (and shortcut expansion) inherits
     // unless the option carries its own `placement`. The emitted spec
@@ -469,7 +495,7 @@ ExperimentEngine::run(TelemetryScope root)
 void
 normalizeExperimentSpec(ExperimentSpec *spec)
 {
-    if (spec->matrix.workloads.empty())
+    if (spec->matrix.workloads.empty() && spec->matrix.traces.empty())
         for (const WorkloadProfile &p : parsecProfiles())
             spec->matrix.workloads.push_back(p.name);
     if (spec->matrix.options.empty())
@@ -569,14 +595,17 @@ expandCells(const ExperimentSpec &spec_in)
     normalizeExperimentSpec(&spec);
     std::vector<ExperimentCell> cells;
     if (spec.matrix.enabled) {
-        const size_t no = spec.matrix.options.size();
-        for (size_t w = 0; w < spec.matrix.workloads.size(); ++w) {
+        const MatrixSpec &m = spec.matrix;
+        const size_t no = m.options.size();
+        const size_t nw = m.workloads.size();
+        for (size_t w = 0; w < nw + m.traces.size(); ++w) {
             for (size_t o = 0; o < no; ++o) {
                 ExperimentCell cell;
                 cell.kind = ExperimentCell::Kind::Matrix;
                 cell.local_index = w * no + o;
-                cell.workload = spec.matrix.workloads[w];
-                cell.option = spec.matrix.options[o];
+                cell.workload =
+                    w < nw ? m.workloads[w] : m.traces[w - nw];
+                cell.option = m.options[o];
                 cells.push_back(std::move(cell));
             }
         }
@@ -808,7 +837,7 @@ runMcCell(const McSpec &spec, TelemetryScope telemetry,
 
 JsonValue
 simResultToJson(const std::string &workload, const LlcOption &opt,
-                const SimResult &r)
+                const SimResult &r, const std::string &trace_sha256)
 {
     // The cell's identity comes from the spec; "option" sits right
     // after "workload" and is not a SimResult field.
@@ -820,19 +849,23 @@ simResultToJson(const std::string &workload, const LlcOption &opt,
     v.set("workload", workload);
     v.set("option", opt.label);
     writeFields(v, row);
+    if (!trace_sha256.empty())
+        v.set("trace_sha256", trace_sha256);
     return v;
 }
 
 bool
-simResultFromJson(const JsonValue &doc, SimResult *out)
+simResultFromJson(const JsonValue &doc, SimResult *out,
+                  const std::string &trace_sha256)
 {
     std::string diag;
     SpecReader r(doc, "", &diag);
-    std::string label;
+    std::string label, sha256;
     r.readString("option", &label);
+    r.readString("trace_sha256", &sha256);
     SimResult res;
     readFields(r, res);
-    if (!diag.empty())
+    if (!diag.empty() || sha256 != trace_sha256)
         return false;
     *out = std::move(res);
     return true;
@@ -890,6 +923,8 @@ resultSectionsToJson(const ExperimentResult &result)
     if (result.has_matrix) {
         JsonValue m = JsonValue::object();
         m.set("workloads", toJson(spec.matrix.workloads));
+        if (!spec.matrix.traces.empty())
+            m.set("traces", toJson(spec.matrix.traces));
         m.set("options", toJson(spec.matrix.options));
         JsonValue results = JsonValue::array();
         for (const WorkloadMatrixRow &row : result.matrix)
@@ -965,10 +1000,18 @@ runExperiment(const ExperimentSpec &spec_in,
     res.has_stress = spec.stress.enabled;
     res.has_mc = spec.montecarlo.enabled;
     const size_t options = spec.matrix.options.size();
+    // Each trace file is read once; its row's cells share it.
+    std::vector<TraceParseResult> traces;
     if (res.has_matrix) {
         for (const std::string &name : spec.matrix.workloads)
             res.matrix.push_back(WorkloadMatrixRow{
                 parsecProfile(name), std::vector<SimResult>(options)});
+        for (const std::string &path : spec.matrix.traces) {
+            res.matrix.push_back(WorkloadMatrixRow{
+                WorkloadProfile{path}, std::vector<SimResult>(options)});
+            traces.push_back(loadTraceFileChecked(
+                path, TraceParseMode::Strict, HierarchyConfig{}.cores));
+        }
     }
     if (res.has_campaign) {
         res.campaign.cells.resize(spec.campaign.scenarios.size() *
@@ -997,26 +1040,46 @@ runExperiment(const ExperimentSpec &spec_in,
         };
         switch (c.kind) {
           case ExperimentCell::Kind::Matrix: {
-            SimResult *slot = &res.matrix[c.local_index / options]
-                                   .results[c.local_index % options];
-            bind(slot, [cfg = matrixCellConfig(spec, c.option),
-                        profile = scaledProfile(parsecProfile(c.workload),
-                                                spec.matrix.divisor),
+            const size_t row = c.local_index / options;
+            const size_t profiles = spec.matrix.workloads.size();
+            SimResult *slot =
+                &res.matrix[row].results[c.local_index % options];
+            // A trace cell replays its row's file, read once above; a
+            // profile cell generates its requests.
+            const TraceParseResult *trace =
+                row < profiles ? nullptr : &traces[row - profiles];
+            WorkloadProfile profile{c.workload};
+            if (!trace)
+                profile = scaledProfile(parsecProfile(c.workload),
+                                        spec.matrix.divisor);
+            bind(slot, [cfg = matrixCellConfig(spec, c.option), profile,
+                        trace,
                         matrix_model](TelemetryScope t, StopFlag *stop) {
                 SimConfig run = cfg;
                 run.telemetry = t;
                 run.stop = stop;
-                SimResult r = simulate(profile, run, matrix_model);
+                // The spec reader refuses a bad file; one that went
+                // bad since then fails only its own cells.
+                if (trace && (!trace->ok() || trace->requests.empty()))
+                    throw std::runtime_error(profile.name +
+                                             ": not a valid trace file");
+                SimResult r =
+                    trace ? simulateTrace(profile.name, trace->requests,
+                                          run, matrix_model)
+                          : simulate(profile, run, matrix_model);
                 if (t)
                     t->counter("runner.cells").add();
                 return r;
             });
-            // A matrix row also names its workload and option.
-            cell.save = [slot, workload = c.workload, opt = c.option] {
-                return simResultToJson(workload, opt, *slot);
+            // A matrix row also names its workload and option, and a
+            // trace cell's record pins the file it replayed.
+            const std::string sha256 = trace ? trace->sha256 : "";
+            cell.save = [slot, workload = c.workload, opt = c.option,
+                         sha256] {
+                return simResultToJson(workload, opt, *slot, sha256);
             };
-            cell.load = [slot](const JsonValue &doc) {
-                return simResultFromJson(doc, slot);
+            cell.load = [slot, sha256](const JsonValue &doc) {
+                return simResultFromJson(doc, slot, sha256);
             };
             break;
           }

@@ -215,7 +215,10 @@ class ExperimentEngine
     std::function<void(size_t, const CellOutcome &)> on_outcome_;
 };
 
-/** Matrix section of a spec: workloads x (tech, scheme) options. */
+/**
+ * Matrix section of a spec: rows x (tech, scheme) options. The rows
+ * are the workload profiles, then the trace files.
+ */
 struct MatrixSpec
 {
     bool enabled = true;
@@ -223,8 +226,11 @@ struct MatrixSpec
     uint64_t warmup = 6000;
     uint64_t divisor = 16; //!< hierarchy/working-set shrink
     uint64_t seed = 42;
-    /** Workload names; empty = every parsecProfiles() entry. */
+    /** Workload names; empty (with no traces) = every
+     *  parsecProfiles() entry. */
     std::vector<std::string> workloads;
+    /** Trace files (trace/trace_file.hh), replayed by simulateTrace. */
+    std::vector<std::string> traces;
     /** LLC options; empty = standardLlcOptions(). */
     std::vector<LlcOption> options;
 
@@ -241,13 +247,17 @@ forEachField(V &&v, S &...s)
     v("divisor", s.divisor...);
     v("seed", s.seed...);
     v("workloads", s.workloads...);
+    // Written only when set, so trace-free specs keep their bytes.
+    if (v.emitWhen((!s.traces.empty())...))
+        v("traces", s.traces...);
     v("options", HandParsed{s.options}...);
 }
 
 /**
  * The hand-written part of reading a matrix section (readFields):
  * the warmup default, option shortcuts, the matrix-level
- * `placement` default options inherit, and range checks.
+ * `placement` default options inherit, and range checks. Each trace
+ * file is parsed here, so a bad one fails before any simulation.
  */
 void finishRead(SpecReader &r, MatrixSpec &m);
 
@@ -417,8 +427,8 @@ void finishRead(SpecReader &r, ExperimentSpec &spec);
 std::string experimentSpecHash(const ExperimentSpec &spec);
 
 /**
- * Resolve every defaulted axis to its explicit catalogue (empty
- * matrix workloads -> all PARSEC profiles, empty options -> the
+ * Resolve every defaulted axis to its explicit catalogue (no matrix
+ * workloads or traces -> all PARSEC profiles, empty options -> the
  * standard LLC set, empty scenarios -> the standard catalogue, empty
  * campaign workloads -> the containment trio), so expansion and
  * emission are deterministic and emitted specs are self-contained.
@@ -456,7 +466,7 @@ struct ExperimentCell
     Kind kind = Kind::Matrix;
     /** Index within the cell's own section (seeding/ordering). */
     size_t local_index = 0;
-    std::string workload; //!< matrix/campaign cells
+    std::string workload; //!< matrix/campaign cells; a trace row: its path
     LlcOption option;     //!< matrix cells
     ScenarioSpec scenario; //!< campaign cells
 
@@ -468,7 +478,8 @@ struct ExperimentCell
 
 /**
  * Expand a spec into its flat cell list, the order runExperiment
- * schedules and journals: matrix cells first (workload-major), then
+ * schedules and journals: matrix cells first (row-major, profile
+ * rows before trace rows), then
  * campaign cells (scenario-major), then the stress drill, then the
  * Monte-Carlo cell.
  */
@@ -569,7 +580,8 @@ struct ExperimentResult
     ExperimentSpec spec; //!< normalized spec the run used
 
     bool has_matrix = false;
-    std::vector<WorkloadMatrixRow> matrix; //!< one row per workload
+    /** One row per workload, then per trace (profile.name = path). */
+    std::vector<WorkloadMatrixRow> matrix;
 
     bool has_campaign = false;
     CampaignResult campaign;
@@ -656,13 +668,19 @@ ExperimentResult runExperiment(const ExperimentSpec &spec,
                                TelemetryScope telemetry = {},
                                const RunControl &control = {});
 
-/** One matrix cell result as JSON (journal/result schema). */
+/**
+ * One matrix cell result as JSON (journal/result schema). A trace
+ * cell's journal record also pins its file's `trace_sha256`.
+ */
 JsonValue simResultToJson(const std::string &workload,
-                          const LlcOption &opt, const SimResult &r);
+                          const LlcOption &opt, const SimResult &r,
+                          const std::string &trace_sha256 = "");
 
 /** Restore a matrix cell result; false on a malformed document (any
- *  field present but mistyped, out of range or unknown). */
-bool simResultFromJson(const JsonValue &doc, SimResult *out);
+ *  field present but mistyped, out of range or unknown) or when its
+ *  `trace_sha256` differs from the one given. */
+bool simResultFromJson(const JsonValue &doc, SimResult *out,
+                       const std::string &trace_sha256 = "");
 
 /**
  * SHA-256 over the result *sections* only (matrix/campaign/stress/

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/hash.hh"
 #include "util/logging.hh"
 
 namespace rtm
@@ -168,7 +169,9 @@ loadTraceFileChecked(const std::string &path, TraceParseMode mode,
         result.diagnostics.push_back({0, error});
         return result;
     }
-    return parseTraceChecked(text, mode, cores);
+    TraceParseResult result = parseTraceChecked(text, mode, cores);
+    result.sha256 = sha256Hex(text.data(), text.size());
+    return result;
 }
 
 std::vector<MemRequest>

@@ -49,6 +49,7 @@ struct TraceParseResult
     std::vector<TraceDiagnostic> diagnostics;
     int parsed_lines = 0;  //!< request lines successfully parsed
     int skipped_lines = 0; //!< malformed lines dropped (lenient)
+    std::string sha256;    //!< the file's bytes (loadTraceFileChecked)
 
     /** True when the whole input parsed cleanly. */
     bool ok() const { return diagnostics.empty(); }
@@ -73,7 +74,8 @@ TraceParseResult parseTraceChecked(
 
 /**
  * Checked disk load: an unreadable file yields a line-0 diagnostic
- * instead of aborting.
+ * instead of aborting. A read file's SHA-256 is recorded, so a
+ * journaled result can tell when the file changed.
  */
 TraceParseResult loadTraceFileChecked(
     const std::string &path,

@@ -183,6 +183,9 @@ TEST(FieldLists, RandomSpecsRoundTrip)
         // (hierarchyGeometryError): draw a power of two in [1, 32],
         // the divisors every LLC option survives.
         spec.matrix.divisor = uint64_t{1} << (spec.matrix.divisor % 6);
+        // Trace paths must name readable trace files, which random
+        // words do not (the trace-row tests cover the key).
+        spec.matrix.traces.clear();
         // And the fields a spec refuses because a worker would abort
         // on them: a due probability beyond 1, a campaign stripe the
         // layout rejects, a stress stripe too short for its scheme.

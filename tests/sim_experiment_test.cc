@@ -399,6 +399,61 @@ TEST(ExperimentSpec, MalformedSpecsProduceActionableDiagnostics)
     EXPECT_FALSE(d2.empty());
 }
 
+/**
+ * Trace files are matrix rows after the profiles. The key is written
+ * only when set, a traces-only matrix keeps no profile rows, and a
+ * bad file fails the parse with its dotted path and `file:line`.
+ */
+TEST(ExperimentSpec, TraceRowsFollowProfilesAndFailAtParse)
+{
+    const std::string good = ::testing::TempDir() + "rows_good.trace";
+    const std::string bad = ::testing::TempDir() + "rows_bad.trace";
+    const std::string empty = ::testing::TempDir() + "rows_empty.trace";
+    ASSERT_TRUE(saveTextFileAtomic(good, "0 0x40 R\n1 0x80 W 3\n"));
+    ASSERT_TRUE(saveTextFileAtomic(bad, "0 0x40 R\n7 0x80 W\n"));
+    ASSERT_TRUE(saveTextFileAtomic(empty, "# nothing\n"));
+
+    const JsonValue plain = experimentSpecToJson(ExperimentSpec{});
+    EXPECT_EQ(plain.find("matrix")->find("traces"), nullptr);
+
+    ExperimentSpec spec = parseSpecOk(
+        "{\"matrix\": {\"workloads\": [\"swaptions\"], \"traces\": [\"" +
+        good + "\"], \"options\": [\"standard\"]}}");
+    const JsonValue doc = experimentSpecToJson(spec);
+    const JsonValue *traces = doc.find("matrix")->find("traces");
+    ASSERT_NE(traces, nullptr);
+    EXPECT_EQ(traces->at(0).asString(), good);
+    const std::vector<ExperimentCell> cells = expandCells(spec);
+    ASSERT_EQ(cells.size(), 14u);
+    EXPECT_EQ(cells[6].workload, "swaptions");
+    EXPECT_EQ(cells[7].workload, good);
+    EXPECT_EQ(cells[7].local_index, 7u);
+    EXPECT_EQ(cells[7].label(), good + "/SRAM");
+
+    spec = parseSpecOk("{\"matrix\": {\"traces\": [\"" + good + "\"]}}");
+    EXPECT_TRUE(spec.matrix.workloads.empty());
+    EXPECT_EQ(expandCells(spec).size(), standardLlcOptions().size());
+
+    std::string diag =
+        parseSpecDiag("{\"matrix\": {\"traces\": [\"" + bad + "\"]}}");
+    EXPECT_NE(diag.find("matrix.traces[0]: " + bad +
+                        ":2: core id 7 out of range (4 cores)"),
+              std::string::npos)
+        << diag;
+    diag = parseSpecDiag("{\"matrix\": {\"traces\": [\"" + good +
+                         "\", \"" + empty + "\"]}}");
+    EXPECT_NE(diag.find("matrix.traces[1]: " + empty + ": no requests"),
+              std::string::npos)
+        << diag;
+    diag = parseSpecDiag(
+        "{\"matrix\": {\"traces\": [\"/nonexistent.trace\"]}}");
+    EXPECT_NE(diag.find("matrix.traces[0]: cannot open trace file"),
+              std::string::npos)
+        << diag;
+    for (const std::string &path : {good, bad, empty})
+        std::remove(path.c_str());
+}
+
 TEST(ExperimentSpec, LoadPrefixesDiagnosticsWithPath)
 {
     const std::string path = "experiment_test_bad.json";

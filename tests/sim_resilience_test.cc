@@ -13,8 +13,10 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "sim/experiment.hh"
+#include "trace/trace_file.hh"
 #include "util/parallel.hh"
 #include "util/serde.hh"
 
@@ -257,6 +259,141 @@ TEST(KillResume, MistypedRecordRerunsCell)
     EXPECT_EQ(experimentResultDigest(res), want);
     std::remove(full.c_str());
     std::remove(journal.c_str());
+}
+
+/**
+ * Write a 4-core trace of `n` requests over a 1 MiB region; `salt`
+ * picks the addresses, so two salts give two different files.
+ */
+void
+writeTrace(const std::string &path, int n, uint64_t salt)
+{
+    std::vector<MemRequest> requests;
+    for (int i = 0; i < n; ++i) {
+        MemRequest r;
+        r.core = i % 4;
+        r.addr = 64 * ((static_cast<uint64_t>(i) * 7919 + salt) % 16384);
+        r.is_write = i % 3 == 0;
+        r.gap_instructions = static_cast<uint32_t>(i % 5);
+        requests.push_back(r);
+    }
+    ASSERT_TRUE(saveTextFileAtomic(path, formatTrace(requests)));
+}
+
+/** One profile row and one trace row on two options: 4 cells. */
+ExperimentSpec
+traceSpec(const std::string &trace)
+{
+    ExperimentSpec spec;
+    spec.name = "trace-resume";
+    spec.matrix.requests = 3000;
+    spec.matrix.warmup = 300;
+    spec.matrix.workloads = {"swaptions"};
+    spec.matrix.traces = {trace};
+    spec.matrix.options = {
+        {"RM adaptive", MemTech::Racetrack, Scheme::PeccSAdaptive},
+        {"SRAM", MemTech::SRAM, Scheme::Baseline},
+    };
+    return spec;
+}
+
+/** A trace run cut after K cells resumes to the uninterrupted digest. */
+TEST(KillResume, TraceRunResumesFromCutJournal)
+{
+    const std::string trace = tempPath("resume_rows.trace");
+    writeTrace(trace, 600, 0);
+    const ExperimentSpec spec = traceSpec(trace);
+    ASSERT_EQ(expandCells(spec).size(), 4u);
+    const ExperimentResult reference = runExperiment(spec);
+    ASSERT_TRUE(reference.complete());
+    ASSERT_EQ(reference.matrix.size(), 2u);
+    EXPECT_EQ(reference.matrix[1].results[0].workload, trace);
+    EXPECT_GT(reference.matrix[1].results[0].llc_accesses, 0u);
+    const std::string want = experimentResultDigest(reference);
+
+    const std::string journal = tempPath("resume_rows.jsonl");
+    for (size_t kill_after = 1; kill_after < reference.cells;
+         ++kill_after) {
+        std::remove(journal.c_str());
+        CancelToken cancel;
+        std::atomic<size_t> done{0};
+        RunControl interrupt;
+        interrupt.cancel = &cancel;
+        interrupt.stream_path = journal;
+        interrupt.on_cell = [&](size_t, const CellOutcome &o) {
+            if (o.status == CellStatus::Ok && ++done >= kill_after)
+                cancel.requestCancel();
+        };
+        const ExperimentResult cut =
+            runExperiment(spec, nullptr, {}, interrupt);
+        ASSERT_GE(cut.ok_cells, kill_after);
+
+        RunControl resume;
+        resume.resume_path = journal;
+        resume.stream_path = journal;
+        const ExperimentResult full =
+            runExperiment(spec, nullptr, {}, resume);
+        EXPECT_TRUE(full.complete());
+        EXPECT_EQ(full.replayed_cells, cut.ok_cells);
+        EXPECT_EQ(experimentResultDigest(full), want)
+            << "kill_after=" << kill_after;
+    }
+    std::remove(journal.c_str());
+    std::remove(trace.c_str());
+}
+
+/**
+ * A trace cell's record pins its file's SHA-256: after the file
+ * changes, a resume replays the profile cells and re-runs only the
+ * trace cells, to the digest of a fresh run on the new file.
+ */
+TEST(KillResume, ChangedTraceRerunsOnlyItsCells)
+{
+    const std::string trace = tempPath("changed_rows.trace");
+    const std::string journal = tempPath("changed_rows.jsonl");
+    std::remove(journal.c_str());
+    writeTrace(trace, 600, 0);
+    const ExperimentSpec spec = traceSpec(trace);
+    RunControl control;
+    control.stream_path = journal;
+    const ExperimentResult before =
+        runExperiment(spec, nullptr, {}, control);
+    ASSERT_TRUE(before.complete());
+
+    writeTrace(trace, 600, 12345);
+    const std::string want = experimentResultDigest(runExperiment(spec));
+    EXPECT_NE(want, experimentResultDigest(before));
+
+    RunControl resume;
+    resume.resume_path = journal;
+    const ExperimentResult after =
+        runExperiment(spec, nullptr, {}, resume);
+    EXPECT_TRUE(after.complete());
+    EXPECT_EQ(after.replayed_cells, 2u);
+    EXPECT_EQ(after.ok_cells, 2u);
+    for (size_t i = 0; i < after.outcomes.size(); ++i)
+        EXPECT_EQ(after.outcomes[i].status,
+                  i < 2 ? CellStatus::Skipped : CellStatus::Ok)
+            << after.outcomes[i].label;
+    EXPECT_EQ(experimentResultDigest(after), want);
+    std::remove(journal.c_str());
+    std::remove(trace.c_str());
+}
+
+/**
+ * A trace file the spec reader never saw (a spec built in code, or a
+ * file gone bad after parsing) fails its own cells and no others.
+ */
+TEST(FaultContainment, BadTraceFailsOnlyItsCells)
+{
+    const ExperimentResult res =
+        runExperiment(traceSpec(tempPath("missing_rows.trace")));
+    EXPECT_EQ(res.ok_cells, 2u);
+    EXPECT_EQ(res.failed_cells, 2u);
+    EXPECT_EQ(res.outcomes[3].status, CellStatus::Failed);
+    EXPECT_NE(res.outcomes[3].error.find("not a valid trace file"),
+              std::string::npos)
+        << res.outcomes[3].error;
 }
 
 /** A throwing cell is contained: Failed outcome, sweep completes. */

@@ -4,7 +4,7 @@
  *
  * Subcommands:
  *
- *   rtmsim run [options]       simulate a workload, trace, or spec
+ *   rtmsim run [options]       run an experiment spec
  *   rtmsim spec [options]      validate / expand an experiment spec
  *   rtmsim rates               print the position-error rate tables
  *   rtmsim plan <distance>     show the planner's adapter table
@@ -13,23 +13,28 @@
  *
  * `run` options:
  *   --spec FILE.json  run a declarative ExperimentSpec (see
- *                     docs/ARCHITECTURE.md); the flags below become
+ *                     docs/ARCHITECTURE.md). Without it the run is a
+ *                     one-cell matrix spec: one workload (or trace)
+ *                     on one LLC option. The flags below are
  *                     overrides on top of the spec, and a flag for a
  *                     section the spec does not enable exits 2.
- *                     A campaign section prints its per-cell
+ *                     A one-cell matrix prints the cell's detail
+ *                     block, a larger one its geomean table; a
+ *                     campaign section prints its per-cell
  *                     containment table (exit 1 unless every cell
  *                     contained its faults), a stress section its
  *                     measured-vs-analytic reconciliation table
  *   --workload NAME   PARSEC-like profile (default streamcluster)
- *   --trace PATH      replay a text trace instead of a profile
+ *   --trace PATH      replay a text trace file; with --workload the
+ *                     matrix has both rows, else only the trace's
  *   --tech T          sram | sttram | rm | rm-ideal  (default rm)
  *   --scheme S        baseline | sed | secded | pecc-o | worst |
  *                     adaptive | lm-pos | del-ins-k
  *                                                  (default adaptive)
  *   --requests N      memory requests              (default 60000)
  *   --divisor D       capacity divisor             (default 16)
- *   --seed N          RNG seed                     (default 42;
- *                     on a spec run it reseeds every enabled section)
+ *   --seed N          RNG seed (default 42); it reseeds every
+ *                     section the spec enables
  *   --placement P     static | hot-center | adaptive
  *                     data placement policy        (default static)
  *   --placement-epoch N  accesses per placement epoch (default 64)
@@ -44,13 +49,13 @@
  *   --codeword-frames N  frames per codeword, 1|2|4|8 (default 1;
  *                     under `differentiated` this sizes the cold
  *                     region's codewords)
- *   --out PATH        unified result JSON (spec runs)
+ *   --out PATH        result JSON (default rtmsim_experiment.json)
  *   --metrics PATH    write the telemetry registry as JSON
  *   --trace-out PATH  write traced events in Chrome trace_event
  *                     format (open in chrome://tracing / Perfetto);
  *                     named --trace-out because --trace already
  *                     selects the input trace file
- *   --stream-out P    checkpoint journal for spec runs (default
+ *   --stream-out P    checkpoint journal (default
  *                     `<out>.journal.jsonl`, "none" disables): each
  *                     completed cell is streamed as a CRC-framed
  *                     JSONL record, so SIGINT/SIGTERM (or a crash)
@@ -65,8 +70,8 @@
  *   --out PATH        write the normalized spec back out
  *
  * `plan` options:
- *   --lseg N          segment length               (default 8)
- *   --intensity OPS   sustained ops/s for Dsafe    (default 83e6)
+ *   --lseg N          segment length, 2..64        (default 8)
+ *   --intensity OPS   sustained ops/s for Dsafe, > 0 (default 83e6)
  *
  * `stripe` options:
  *   --segments N --lseg N --strength M --variant
@@ -87,7 +92,6 @@
 #include "model/area.hh"
 #include "sim/experiment.hh"
 #include "sim/runner.hh"
-#include "trace/trace_file.hh"
 #include "util/serde.hh"
 #include "util/table.hh"
 
@@ -95,6 +99,13 @@ using namespace rtm;
 
 namespace
 {
+
+/** A count as printf's %llu argument. */
+unsigned long long
+llu(uint64_t n)
+{
+    return n;
+}
 
 /**
  * Parse flag `name` (or `fallback`) as a token of enum E's table;
@@ -157,6 +168,14 @@ loadSpecOrExit(const std::string &path)
     return spec;
 }
 
+/** Where a run's spec came from, for diagnostics. */
+std::string
+specSource(const CliFlags &flags)
+{
+    return flags.has("spec") ? flags.get("spec", "")
+                             : std::string("a run without --spec");
+}
+
 /**
  * Exit 2 if one of `names` is set while the spec leaves `section`
  * disabled: the override would otherwise be dropped unread.
@@ -173,30 +192,28 @@ rejectForDisabledSection(const CliFlags &flags, bool enabled,
             std::fprintf(stderr,
                          "--%s only affects the %s section, which "
                          "%s does not enable\n",
-                         name, section,
-                         flags.get("spec", "").c_str());
+                         name, section, specSource(flags).c_str());
             std::exit(2);
         }
     }
 }
 
 /**
- * Apply `run` flag overrides on top of a loaded spec, then emit and
- * re-parse the result so the overrides pass the same checks as the
- * file (exit 2 with the dotted-path diagnostic otherwise).
+ * Apply `run` flag overrides on top of a loaded spec (or, without
+ * --spec, the default spec), then emit and re-parse the result so
+ * the overrides pass the same checks as a file (exit 2 with the
+ * dotted-path diagnostic otherwise).
  */
 void
 applyRunOverrides(const CliFlags &flags, ExperimentSpec *spec)
 {
-    if (flags.has("trace")) {
-        std::fprintf(stderr, "--trace replays one trace file and "
-                     "cannot be combined with --spec (--trace-out "
-                     "writes the Chrome trace)\n");
-        std::exit(2);
-    }
+    // A run without --spec has only the matrix section, one row and
+    // one option: streamcluster on rm + adaptive unless flags name
+    // others.
+    const bool plain = !flags.has("spec");
     rejectForDisabledSection(
         flags, spec->matrix.enabled, "matrix",
-        {"requests", "divisor", "workload", "tech", "scheme",
+        {"requests", "divisor", "workload", "trace", "tech", "scheme",
          "placement", "placement-epoch", "swap-budget", "head-policy",
          "protection", "codeword-frames"});
     rejectForDisabledSection(flags, spec->montecarlo.enabled,
@@ -223,9 +240,17 @@ applyRunOverrides(const CliFlags &flags, ExperimentSpec *spec)
         if (spec->montecarlo.enabled)
             spec->montecarlo.seed = seed;
     }
-    if (flags.has("workload"))
-        spec->matrix.workloads = {flags.get("workload", "")};
-    if (flags.has("tech") || flags.has("scheme")) {
+    // The named profile and/or trace are exactly the matrix rows.
+    if (plain || flags.has("workload") || flags.has("trace")) {
+        spec->matrix.workloads.clear();
+        spec->matrix.traces.clear();
+        if (flags.has("workload") || !flags.has("trace"))
+            spec->matrix.workloads = {
+                flags.get("workload", "streamcluster")};
+        if (flags.has("trace"))
+            spec->matrix.traces = {flags.get("trace", "")};
+    }
+    if (plain || flags.has("tech") || flags.has("scheme")) {
         LlcOption opt;
         opt.tech = enumFlagOrExit<MemTech>(flags, "tech", "rm");
         opt.scheme =
@@ -272,8 +297,9 @@ applyRunOverrides(const CliFlags &flags, ExperimentSpec *spec)
     std::string diag;
     if (!experimentSpecFromJson(experimentSpecToJson(*spec), spec,
                                 &diag)) {
-        std::fprintf(stderr, "%s (after flag overrides): %s\n",
-                     flags.get("spec", "").c_str(), diag.c_str());
+        std::fprintf(stderr, "%s%s: %s\n", specSource(flags).c_str(),
+                     plain ? "" : " (after flag overrides)",
+                     diag.c_str());
         std::exit(2);
     }
 }
@@ -314,16 +340,10 @@ resilienceEpilogue(const ExperimentResult &result,
         result.cancelled_cells || result.replayed_cells) {
         std::printf("cells           %llu ok, %llu replayed, "
                     "%llu failed, %llu timed out, %llu cancelled\n",
-                    static_cast<unsigned long long>(
-                        result.ok_cells),
-                    static_cast<unsigned long long>(
-                        result.replayed_cells),
-                    static_cast<unsigned long long>(
-                        result.failed_cells),
-                    static_cast<unsigned long long>(
-                        result.timed_out_cells),
-                    static_cast<unsigned long long>(
-                        result.cancelled_cells));
+                    llu(result.ok_cells), llu(result.replayed_cells),
+                    llu(result.failed_cells),
+                    llu(result.timed_out_cells),
+                    llu(result.cancelled_cells));
     }
     for (const CellOutcome &o : result.outcomes) {
         if (o.status == CellStatus::Failed)
@@ -347,6 +367,45 @@ resilienceEpilogue(const ExperimentResult &result,
     return exit_code;
 }
 
+/** The detail block of a matrix with exactly one cell. */
+void
+printMatrixCell(const SimResult &r)
+{
+    char sdc[64], due[64];
+    formatDuration(r.sdc_mttf, sdc, sizeof(sdc));
+    formatDuration(r.due_mttf, due, sizeof(due));
+    std::printf("workload        %s\n", r.workload.c_str());
+    std::printf("llc             %s + %s\n",
+                memTechName(r.llc_tech), schemeName(r.scheme));
+    std::printf("instructions    %llu\n", llu(r.instructions));
+    std::printf("mem ops         %llu\n", llu(r.mem_ops));
+    std::printf("cycles          %llu (%.3g s, IPC %.2f)\n",
+                llu(r.cycles), r.seconds, r.ipc());
+    std::printf("llc accesses    %llu (miss rate %.1f%%)\n",
+                llu(r.llc_accesses),
+                r.llc_accesses ? 100.0 * r.llc_misses /
+                                     static_cast<double>(
+                                         r.llc_accesses)
+                               : 0.0);
+    std::printf("shift ops       %llu (%llu steps, %llu cycles)\n",
+                llu(r.shift_ops), llu(r.shift_steps),
+                llu(r.shift_cycles));
+    std::printf("shifts/access   %.3f\n", r.shiftsPerAccess());
+    if (r.migrations)
+        std::printf("migrations      %llu (%llu steps)\n",
+                    llu(r.migrations), llu(r.migration_steps));
+    if (r.redundancy_accesses)
+        std::printf("redundancy      %llu accesses (%llu steps)\n",
+                    llu(r.redundancy_accesses),
+                    llu(r.redundancy_steps));
+    std::printf("energy          %.3g J dynamic, %.3g J shift, "
+                "%.3g J leakage, %.3g J DRAM\n",
+                r.cache_dynamic_energy, r.llc_shift_energy,
+                r.leakage_energy, r.dram_energy);
+    std::printf("SDC MTTF        %s\n", sdc);
+    std::printf("DUE MTTF        %s\n\n", due);
+}
+
 /** A campaign section's per-cell containment table. */
 void
 printCampaign(const CampaignSpec &spec, const CampaignResult &r)
@@ -355,8 +414,8 @@ printCampaign(const CampaignSpec &spec, const CampaignResult &r)
     std::printf("campaign: %zu scenarios x %zu workloads, %llu "
                 "accesses/cell, rates x%.0f, retry budget %d\n\n",
                 spec.scenarios.size(), spec.workloads.size(),
-                static_cast<unsigned long long>(c.accesses_per_cell),
-                c.scale, c.recovery.retry_budget);
+                llu(c.accesses_per_cell), c.scale,
+                c.recovery.retry_budget);
     auto count = [](uint64_t n) {
         return TextTable::integer(static_cast<long long>(n));
     };
@@ -376,8 +435,7 @@ printCampaign(const CampaignSpec &spec, const CampaignResult &r)
     }
     t.print(stdout);
     std::printf("\n%llu/%zu cells contained\n\n",
-                static_cast<unsigned long long>(r.contained_cells),
-                r.cells.size());
+                llu(r.contained_cells), r.cells.size());
 }
 
 /**
@@ -388,8 +446,8 @@ void
 printStress(const StressSpec &spec, const StressResult &r)
 {
     std::printf("stress: %s, rates x%.0f, %llu ops, Lseg %d\n\n",
-                schemeName(r.scheme), spec.scale,
-                static_cast<unsigned long long>(spec.ops), spec.lseg);
+                schemeName(r.scheme), spec.scale, llu(spec.ops),
+                spec.lseg);
     TextTable t({"outcome", "measured", "analytic expectation",
                  "ratio"});
     auto row = [&](const char *name, uint64_t got, double want) {
@@ -406,8 +464,7 @@ printStress(const StressSpec &spec, const StressResult &r)
     row("silent", r.silent, r.exp_sdc);
     t.print(stdout);
     std::printf("\nclean ops: %llu; mean shift distance %.2f\n",
-                static_cast<unsigned long long>(r.clean),
-                r.distances.mean());
+                llu(r.clean), r.distances.mean());
     std::printf("ratios near 1.00 validate the closed-form "
                 "reliability model against the functional stack; "
                 "the paper-scale MTTF figures rest on exactly that "
@@ -444,7 +501,10 @@ runSpec(const ExperimentSpec &spec_in, const CliFlags &flags)
     // Summary tables read every cell slot, so they are only
     // meaningful when every cell completed (or was replayed);
     // an interrupted run still writes its report + journal below.
-    if (result.has_matrix && result.complete()) {
+    if (result.has_matrix && result.complete() &&
+        result.matrix.size() * spec.matrix.options.size() == 1) {
+        printMatrixCell(result.matrix[0].results[0]);
+    } else if (result.has_matrix && result.complete()) {
         TextTable t({"option", "geomean runtime (s)",
                      "geomean energy (J)"});
         for (size_t o = 0; o < spec.matrix.options.size(); ++o) {
@@ -468,8 +528,7 @@ runSpec(const ExperimentSpec &spec_in, const CliFlags &flags)
         const McRunResult &m = result.mc;
         std::printf("montecarlo (%s tier): distance %d, %llu "
                     "trials, dev %.4g +/- %.4g, P(+1) %.3g\n",
-                    m.tier.c_str(), m.distance,
-                    static_cast<unsigned long long>(m.trials),
+                    m.tier.c_str(), m.distance, llu(m.trials),
                     m.deviation_mean, m.deviation_stddev,
                     m.step_prob_plus1);
         if (m.has_fit)
@@ -526,144 +585,13 @@ cmdRun(int argc, char **argv)
          "placement", "placement-epoch", "swap-budget",
          "head-policy", "protection", "codeword-frames"});
 
-    if (flags.has("spec")) {
-        ExperimentSpec spec =
-            loadSpecOrExit(flags.get("spec", ""));
-        applyRunOverrides(flags, &spec);
-        return runSpec(spec, flags);
-    }
-
-    SimConfig cfg;
-    cfg.hierarchy.llc_tech = enumFlagOrExit<MemTech>(flags, "tech", "rm");
-    cfg.hierarchy.scheme =
-        enumFlagOrExit<Scheme>(flags, "scheme", "adaptive");
-    cfg.hierarchy.capacity_divisor = flags.getU64("divisor", 16);
-    if (cfg.hierarchy.capacity_divisor == 0) {
-        std::fprintf(stderr, "--divisor must be >= 1\n");
-        std::exit(2);
-    }
-    cfg.hierarchy.placement.kind =
-        enumFlagOrExit<PlacementKind>(flags, "placement", "static");
-    cfg.hierarchy.placement.epoch_accesses =
-        flags.getU64("placement-epoch", 64);
-    if (cfg.hierarchy.placement.epoch_accesses == 0) {
-        std::fprintf(stderr, "--placement-epoch must be >= 1\n");
-        std::exit(2);
-    }
-    cfg.hierarchy.placement.swap_budget = flags.getInt("swap-budget", 4);
-    if (cfg.hierarchy.placement.swap_budget < 0) {
-        std::fprintf(stderr, "--swap-budget must be >= 0\n");
-        std::exit(2);
-    }
-    cfg.hierarchy.head_policy =
-        enumFlagOrExit<HeadPolicy>(flags, "head-policy", "stay");
-    if (flags.has("protection") || flags.has("codeword-frames"))
-        cfg.hierarchy.protection = protectionOrExit(flags);
-    const std::string geometry = hierarchyGeometryError(cfg.hierarchy);
-    if (!geometry.empty()) {
-        std::fprintf(stderr, "--divisor %llu: %s\n",
-                     static_cast<unsigned long long>(
-                         cfg.hierarchy.capacity_divisor),
-                     geometry.c_str());
-        std::exit(2);
-    }
-    cfg.mem_requests = flags.getU64("requests", 60000);
-    cfg.warmup_requests = cfg.mem_requests / 10;
-    cfg.seed = flags.getU64("seed", 42);
-
-    const std::string metrics_path = flags.get("metrics", "");
-    const std::string trace_out = flags.get("trace-out", "");
-    Telemetry telemetry(1 << 15);
-    if (!metrics_path.empty() || !trace_out.empty())
-        cfg.telemetry = &telemetry;
-
-    PaperCalibratedErrorModel model;
-    SimResult r;
-    if (flags.has("trace")) {
-        const std::string path = flags.get("trace", "");
-        TraceParseResult trace = loadTraceFileChecked(
-            path, TraceParseMode::Strict, cfg.hierarchy.cores);
-        if (!trace.ok()) {
-            const TraceDiagnostic &d = trace.diagnostics.front();
-            if (d.line > 0)
-                std::fprintf(stderr, "%s:%d: %s\n", path.c_str(),
-                             d.line, d.message.c_str());
-            else
-                std::fprintf(stderr, "%s\n", d.message.c_str());
-            std::exit(2);
-        }
-        if (trace.requests.empty()) {
-            std::fprintf(stderr, "%s: no requests\n", path.c_str());
-            std::exit(2);
-        }
-        r = simulateTrace(path, trace.requests, cfg, &model);
-    } else {
-        std::string name = flags.get("workload", "streamcluster");
-        WorkloadProfile profile = scaledProfile(
-            parsecProfile(name), cfg.hierarchy.capacity_divisor);
-        r = simulate(profile, cfg, &model);
-    }
-
-    char sdc[64], due[64];
-    formatDuration(r.sdc_mttf, sdc, sizeof(sdc));
-    formatDuration(r.due_mttf, due, sizeof(due));
-    std::printf("workload        %s\n", r.workload.c_str());
-    std::printf("llc             %s + %s\n",
-                memTechName(r.llc_tech), schemeName(r.scheme));
-    std::printf("instructions    %llu\n",
-                static_cast<unsigned long long>(r.instructions));
-    std::printf("mem ops         %llu\n",
-                static_cast<unsigned long long>(r.mem_ops));
-    std::printf("cycles          %llu (%.3g s, IPC %.2f)\n",
-                static_cast<unsigned long long>(r.cycles),
-                r.seconds, r.ipc());
-    std::printf("llc accesses    %llu (miss rate %.1f%%)\n",
-                static_cast<unsigned long long>(r.llc_accesses),
-                r.llc_accesses ? 100.0 * r.llc_misses /
-                                     static_cast<double>(
-                                         r.llc_accesses)
-                               : 0.0);
-    std::printf("shift ops       %llu (%llu steps, %llu cycles)\n",
-                static_cast<unsigned long long>(r.shift_ops),
-                static_cast<unsigned long long>(r.shift_steps),
-                static_cast<unsigned long long>(r.shift_cycles));
-    std::printf("shifts/access   %.3f\n", r.shiftsPerAccess());
-    if (r.migrations)
-        std::printf("migrations      %llu (%llu steps)\n",
-                    static_cast<unsigned long long>(r.migrations),
-                    static_cast<unsigned long long>(
-                        r.migration_steps));
-    if (r.redundancy_accesses)
-        std::printf("redundancy      %llu accesses (%llu steps)\n",
-                    static_cast<unsigned long long>(
-                        r.redundancy_accesses),
-                    static_cast<unsigned long long>(
-                        r.redundancy_steps));
-    std::printf("energy          %.3g J dynamic, %.3g J shift, "
-                "%.3g J leakage, %.3g J DRAM\n",
-                r.cache_dynamic_energy, r.llc_shift_energy,
-                r.leakage_energy, r.dram_energy);
-    std::printf("SDC MTTF        %s\n", sdc);
-    std::printf("DUE MTTF        %s\n", due);
-
-    if (!metrics_path.empty()) {
-        if (!telemetry.writeMetricsJson(metrics_path)) {
-            std::fprintf(stderr, "cannot write metrics to '%s'\n",
-                         metrics_path.c_str());
-            return 1;
-        }
-        std::printf("metrics         %s\n", metrics_path.c_str());
-    }
-    if (!trace_out.empty()) {
-        if (!telemetry.writeChromeTrace(trace_out)) {
-            std::fprintf(stderr, "cannot write trace to '%s'\n",
-                         trace_out.c_str());
-            return 1;
-        }
-        std::printf("trace           %s (chrome://tracing)\n",
-                    trace_out.c_str());
-    }
-    return 0;
+    // Without --spec the run is a one-cell matrix spec, which the
+    // overrides fill in from the flags and their defaults.
+    ExperimentSpec spec = flags.has("spec")
+                              ? loadSpecOrExit(flags.get("spec", ""))
+                              : ExperimentSpec{};
+    applyRunOverrides(flags, &spec);
+    return runSpec(spec, flags);
 }
 
 int
@@ -678,19 +606,13 @@ cmdSpec(int argc, char **argv)
         normalizeExperimentSpec(&spec);
 
     std::vector<ExperimentCell> cells = expandCells(spec);
-    size_t matrix = 0, campaign = 0, stress = 0, mc = 0;
-    for (const ExperimentCell &c : cells) {
-        switch (c.kind) {
-          case ExperimentCell::Kind::Matrix: ++matrix; break;
-          case ExperimentCell::Kind::Campaign: ++campaign; break;
-          case ExperimentCell::Kind::Stress: ++stress; break;
-          case ExperimentCell::Kind::MonteCarlo: ++mc; break;
-        }
-    }
+    size_t kinds[4] = {}; // cells per ExperimentCell::Kind
+    for (const ExperimentCell &c : cells)
+        ++kinds[static_cast<size_t>(c.kind)];
     std::printf("spec '%s': %zu cells (%zu matrix, %zu campaign, "
                 "%zu stress, %zu montecarlo)\n",
-                spec.name.c_str(), cells.size(), matrix, campaign,
-                stress, mc);
+                spec.name.c_str(), cells.size(), kinds[0], kinds[1],
+                kinds[2], kinds[3]);
     if (flags.has("out")) {
         const std::string out = flags.get("out", "");
         if (!saveJsonFile(out, experimentSpecToJson(spec))) {
@@ -730,6 +652,16 @@ cmdPlan(int argc, char **argv)
                                            {"lseg", "intensity"});
     int lseg = flags.getInt("lseg", 8);
     double intensity = flags.getDouble("intensity", 83e6);
+    // 64 is the longest segment any figure plans for (Fig. 12); the
+    // planner's fronts grow superlinearly beyond it.
+    if (lseg < 2 || lseg > 64) {
+        std::fprintf(stderr, "--lseg must be in [2, 64]\n");
+        return 2;
+    }
+    if (!(intensity > 0.0)) {
+        std::fprintf(stderr, "--intensity must be > 0\n");
+        return 2;
+    }
     PaperCalibratedErrorModel model;
     StsTiming timing(kDefaultClockHz, 0.4e-9, 1.0e-9, 0.34e-9);
     ShiftPlanner planner(&model, timing, 1, lseg - 1);
@@ -783,6 +715,11 @@ cmdStripe(int argc, char **argv)
                      variant.c_str());
         std::exit(2);
     }
+    const std::string geometry = protectionGeometryError(c, 0);
+    if (!geometry.empty()) {
+        std::fprintf(stderr, "%s\n", geometry.c_str());
+        return 2;
+    }
     PeccLayout lay = computeLayout(c);
     AreaModel area;
     std::printf("stripe: %d segments x %d domains, m = %d (%s)\n",
@@ -808,7 +745,7 @@ usage()
     std::printf(
         "rtmsim - racetrack memory simulator (ISCA'15 'Hi-fi "
         "Playback' reproduction)\n\n"
-        "  rtmsim run [--spec FILE.json] [--workload N|--trace P] "
+        "  rtmsim run [--spec FILE.json] [--workload N] [--trace P] "
         "[--tech T] [--scheme S]\n"
         "             [--requests N] [--divisor D] [--seed N] "
         "[--out OUT.json]\n"
@@ -822,9 +759,11 @@ usage()
         "             [--mc-tier exact|fast] [--mc-trials N]\n"
         "             [--stream-out J.jsonl|none] "
         "[--resume J.jsonl]\n"
+        "             (without --spec: a one-cell spec, streamcluster "
+        "on rm adaptive)\n"
         "  rtmsim spec [--file FILE.json] [--out OUT.json]\n"
         "  rtmsim rates\n"
-        "  rtmsim plan [--lseg N] [--intensity OPS]\n"
+        "  rtmsim plan [--lseg 2..64] [--intensity OPS]\n"
         "  rtmsim stripe [--segments N] [--lseg N] [--strength M] "
         "[--variant std|overhead|del-ins]\n"
         "  rtmsim help\n");

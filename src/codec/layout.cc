@@ -213,14 +213,6 @@ PeccLayout::storageOverhead() const
 }
 
 int
-PeccLayout::offsetForIndex(int r) const
-{
-    if (r < 0 || r >= config.seg_len)
-        rtm_panic("segment index %d out of range", r);
-    return config.seg_len - 1 - r;
-}
-
-int
 PeccLayout::expectedPhase(int offset, int period) const
 {
     int base;
@@ -251,14 +243,6 @@ PeccLayout::buildPorts() const
     for (int slot : left_window_slots)
         ports.push_back({slot, PortKind::ReadOnly});
     return ports;
-}
-
-int
-PeccLayout::dataPortIndex(int segment) const
-{
-    if (segment < 0 || segment >= config.num_segments)
-        rtm_panic("segment %d out of range", segment);
-    return segment;
 }
 
 int

@@ -28,6 +28,7 @@
 #include "device/stripe.hh"
 #include "model/tech.hh"
 #include "util/fields.hh"
+#include "util/logging.hh"
 
 namespace rtm
 {
@@ -210,7 +211,12 @@ struct PeccLayout
     }
 
     /** Offset needed to read segment-local index r. */
-    int offsetForIndex(int r) const;
+    int offsetForIndex(int r) const
+    {
+        if (r < 0 || r >= config.seg_len)
+            rtm_panic("segment index %d out of range", r);
+        return config.seg_len - 1 - r;
+    }
 
     /** Expected code phase at believed cumulative offset o. */
     int expectedPhase(int offset, int period) const;
@@ -222,7 +228,12 @@ struct PeccLayout
     std::vector<Port> buildPorts() const;
 
     /** Index of data port s in the built port list. */
-    int dataPortIndex(int segment) const;
+    int dataPortIndex(int segment) const
+    {
+        if (segment < 0 || segment >= config.num_segments)
+            rtm_panic("segment %d out of range", segment);
+        return segment;
+    }
 
     /** Index of window port i in the built port list. */
     int windowPortIndex(int i) const;

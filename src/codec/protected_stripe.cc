@@ -17,6 +17,30 @@ ProtectedStripe::ProtectedStripe(const PeccConfig &config,
     if (config.variant == PeccVariant::DelIns)
         delins_.emplace(config.num_segments, config.seg_len,
                         config.correct);
+    const int period = code_.period();
+    auto resolve = [&](const std::vector<int> &slots, int phase_base) {
+        Window win;
+        if (slots.empty())
+            return win;
+        const int width = static_cast<int>(slots.size());
+        if (width != code_.window())
+            rtm_panic("window of %d ports for a %d-bit code", width,
+                      code_.window());
+        for (int i = 1; i < width; ++i) {
+            if (slots[static_cast<size_t>(i)] != slots.front() + i)
+                rtm_panic("window ports are not consecutive");
+        }
+        win.first_slot = slots.front();
+        win.width = width;
+        win.phase_base = phase_base;
+        return win;
+    };
+    if (!layout_.window_slots.empty())
+        windows_[0] = resolve(layout_.window_slots,
+                              layout_.expectedPhase(0, period));
+    if (!layout_.left_window_slots.empty())
+        windows_[1] = resolve(layout_.left_window_slots,
+                              layout_.expectedLeftPhase(0, period));
 }
 
 void
@@ -61,49 +85,6 @@ ProtectedStripe::initializeIdeal()
     believed_offset_ = 0;
 }
 
-int
-ProtectedStripe::positionError() const
-{
-    return stripe_.trueOffset() - believed_offset_;
-}
-
-int
-ProtectedStripe::readWindowPhase(bool left_window) const
-{
-    const auto &slots = left_window ? layout_.left_window_slots
-                                    : layout_.window_slots;
-    if (slots.empty())
-        rtm_panic("this layout has no %s window",
-                  left_window ? "left" : "right");
-    const int width = static_cast<int>(slots.size());
-    if (width != code_.window())
-        return -1;
-    // The window ports are consecutive in the port list; pack their
-    // bits first-port-most-significant, exactly as phaseOf does.
-    const int first = left_window ? layout_.leftWindowPortIndex(0)
-                                  : layout_.windowPortIndex(0);
-    uint32_t value = 0;
-    for (int i = 0; i < width; ++i) {
-        const Bit b = stripe_.read(first + i);
-        if (b != Bit::Zero && b != Bit::One)
-            return -1;
-        value = (value << 1) | static_cast<uint32_t>(b);
-    }
-    return code_.phaseOfValue(value);
-}
-
-DecodeResult
-ProtectedStripe::decodeWindow(bool left_window) const
-{
-    int observed = readWindowPhase(left_window);
-    int expected = left_window
-                       ? layout_.expectedLeftPhase(believed_offset_,
-                                                   code_.period())
-                       : layout_.expectedPhase(believed_offset_,
-                                               code_.period());
-    return code_.decode(observed, expected, layout_.config.correct);
-}
-
 DecodeResult
 ProtectedStripe::checkNow() const
 {
@@ -127,10 +108,7 @@ ProtectedStripe::edcClean() const
     if (c.variant == PeccVariant::None ||
         c.variant == PeccVariant::DelIns)
         return true;
-    const int observed = readWindowPhase(false);
-    const int expected =
-        layout_.expectedPhase(believed_offset_, code_.period());
-    return observed == expected;
+    return readWindowPhase(false) == expectedWindowPhase(false);
 }
 
 void
@@ -185,101 +163,35 @@ ProtectedStripe::repairEndCode()
     }
 }
 
-ProtectedShiftResult
-ProtectedStripe::shiftBy(int distance, int max_correction_rounds)
+bool
+ProtectedStripe::correctionEpisode(DecodeResult d, bool left_window,
+                                   int max_rounds, bool count_steps,
+                                   ProtectedShiftResult &res)
 {
-    ProtectedShiftResult res;
-    const auto &c = layout_.config;
-    if (distance == 0)
-        return res;
-
-    if (c.variant == PeccVariant::OverheadRegion) {
-        // Step-by-step shift-and-write; check after every step.
-        int dir = distance > 0 ? 1 : -1;
-        for (int i = 0; i < std::abs(distance); ++i) {
-            shiftAndWriteStep(dir);
-            // Check the trailing window (the one the tape moves away
-            // from): right window for right shifts, left for left.
-            DecodeResult d = decodeWindow(dir < 0);
-            if (d.ok())
-                continue;
-            res.detected = true;
-            res.inferred_error = d.step_error;
-            if (!d.correctable) {
-                res.unrecoverable = true;
-                return res;
-            }
-            // Correction episode: raw counter-shifts (the end write
-            // ports stay idle - writing while the position is in
-            // doubt would plant code bits keyed to a possibly-wrong
-            // believed offset). The margins absorb the undefined
-            // domains each raw shift injects; the window re-check
-            // stays trustworthy throughout. One verified scrub
-            // repairs the margins after convergence.
-            int rounds = 0;
-            while (rounds++ < max_correction_rounds) {
-                int corr = -d.step_error;
-                stripe_.shift(corr);
-                res.correction_shifts += std::abs(corr);
-                d = decodeWindow(dir < 0);
-                if (d.ok()) {
-                    res.corrected = true;
-                    repairEndCode();
-                    break;
-                }
-                if (!d.correctable) {
-                    res.unrecoverable = true;
-                    return res;
-                }
-            }
-            if (!res.corrected) {
-                res.unrecoverable = true;
-                return res;
-            }
-        }
-        return res;
-    }
-
-    // Baseline / Standard variant: one shift operation.
-    if (std::abs(distance) > c.maxShiftDistance())
-        rtm_panic("shift distance %d exceeds stripe maximum %d",
-                  distance, c.maxShiftDistance());
-    stripe_.shift(distance);
-    believed_offset_ += distance;
-
-    // No per-shift window check for the code-less baseline; the
-    // del/ins variant checks position wholesale at readout time
-    // instead of per shift.
-    if (c.variant == PeccVariant::None ||
-        c.variant == PeccVariant::DelIns)
-        return res;
-
-    DecodeResult d = decodeWindow(false);
-    if (d.ok())
-        return res;
     res.detected = true;
     res.inferred_error = d.step_error;
     if (!d.correctable) {
         res.unrecoverable = true;
-        return res;
+        return false;
     }
     int rounds = 0;
-    while (rounds++ < max_correction_rounds) {
-        int corr = -d.step_error;
+    while (rounds++ < max_rounds) {
+        const int corr = -d.step_error;
         stripe_.shift(corr);
-        ++res.correction_shifts;
-        d = decodeWindow(false);
+        res.correction_shifts += count_steps ? std::abs(corr) : 1;
+        d = decodeWindow(left_window);
         if (d.ok()) {
             res.corrected = true;
-            return res;
+            if (layout_.config.variant == PeccVariant::OverheadRegion)
+                repairEndCode();
+            return true;
         }
         if (!d.correctable) {
             res.unrecoverable = true;
-            return res;
+            return false;
         }
     }
-    res.unrecoverable = true;
-    return res;
+    return false;
 }
 
 ProtectedShiftResult
@@ -295,33 +207,10 @@ ProtectedStripe::recoverNow(int max_correction_rounds)
         // home, which is exactly what the recovery ladder wants.
         return readoutNow(nullptr, max_correction_rounds);
     }
-    DecodeResult d = decodeWindow(false);
-    if (d.ok())
-        return res;
-    res.detected = true;
-    res.inferred_error = d.step_error;
-    if (!d.correctable) {
+    const DecodeResult d = decodeWindow(false);
+    if (!d.ok() &&
+        !correctionEpisode(d, false, max_correction_rounds, true, res))
         res.unrecoverable = true;
-        return res;
-    }
-    int rounds = 0;
-    while (rounds++ < max_correction_rounds) {
-        int corr = -d.step_error;
-        stripe_.shift(corr);
-        res.correction_shifts += std::abs(corr);
-        d = decodeWindow(false);
-        if (d.ok()) {
-            res.corrected = true;
-            if (c.variant == PeccVariant::OverheadRegion)
-                repairEndCode();
-            return res;
-        }
-        if (!d.correctable) {
-            res.unrecoverable = true;
-            return res;
-        }
-    }
-    res.unrecoverable = true;
     return res;
 }
 
@@ -409,18 +298,6 @@ ProtectedStripe::seekIndex(int r)
 {
     int target = layout_.offsetForIndex(r);
     return shiftBy(target - believed_offset_);
-}
-
-Bit
-ProtectedStripe::readAligned(int segment) const
-{
-    return stripe_.read(layout_.dataPortIndex(segment));
-}
-
-bool
-ProtectedStripe::writeAligned(int segment, Bit value)
-{
-    return stripe_.write(layout_.dataPortIndex(segment), value);
 }
 
 std::optional<int>

@@ -18,6 +18,7 @@
 #define RTM_CODEC_PROTECTED_STRIPE_HH
 
 #include <cstdint>
+#include <cstdlib>
 #include <optional>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "codec/layout.hh"
 #include "device/error_model.hh"
 #include "device/stripe.hh"
+#include "util/logging.hh"
 #include "util/rng.hh"
 
 namespace rtm
@@ -71,7 +73,10 @@ class ProtectedStripe
     int believedOffset() const { return believed_offset_; }
 
     /** Ground-truth position error (true - believed); tests only. */
-    int positionError() const;
+    int positionError() const
+    {
+        return stripe_.trueOffset() - believed_offset_;
+    }
 
     /**
      * Shift by a signed distance with STS and p-ECC checking.
@@ -85,8 +90,54 @@ class ProtectedStripe
      *
      * @param max_correction_rounds retries before declaring failure
      */
-    ProtectedShiftResult shiftBy(int distance,
-                                 int max_correction_rounds = 4);
+    ProtectedShiftResult shiftBy(
+        int distance, int max_correction_rounds = kMaxCorrectionRounds)
+    {
+        ProtectedShiftResult res;
+        if (distance == 0)
+            return res;
+        const PeccConfig &c = layout_.config;
+        if (c.variant == PeccVariant::OverheadRegion) {
+            // Step-by-step shift-and-write; check after every step
+            // the trailing window (the one the tape moves away from):
+            // right window for right shifts, left for left.
+            const int dir = distance > 0 ? 1 : -1;
+            const bool left = dir < 0;
+            for (int i = 0; i < std::abs(distance); ++i) {
+                shiftAndWriteStep(dir);
+                const DecodeResult d = decodeWindow(left);
+                if (d.ok())
+                    continue;
+                // An exhausted episode is forgiven once an earlier
+                // step of this shift converged.
+                if (!correctionEpisode(d, left, max_correction_rounds,
+                                       true, res) &&
+                    (res.unrecoverable || !res.corrected)) {
+                    res.unrecoverable = true;
+                    return res;
+                }
+            }
+            return res;
+        }
+
+        // Baseline / Standard variant: one shift operation, then (for
+        // Standard) the window check. The code-less baseline has no
+        // check; the del/ins variant checks position wholesale at
+        // readout time instead of per shift.
+        if (std::abs(distance) > c.maxShiftDistance())
+            rtm_panic("shift distance %d exceeds stripe maximum %d",
+                      distance, c.maxShiftDistance());
+        stripe_.shift(distance);
+        believed_offset_ += distance;
+        if (c.variant != PeccVariant::Standard)
+            return res;
+        const DecodeResult d = decodeWindow(false);
+        if (!d.ok() &&
+            !correctionEpisode(d, false, max_correction_rounds, false,
+                               res))
+            res.unrecoverable = true;
+        return res;
+    }
 
     /**
      * Move to the offset that aligns segment-local index r under the
@@ -95,17 +146,42 @@ class ProtectedStripe
     ProtectedShiftResult seekIndex(int r);
 
     /** Read the data bit of `segment` currently under its port. */
-    Bit readAligned(int segment) const;
+    Bit readAligned(int segment) const
+    {
+        return stripe_.read(layout_.dataPortIndex(segment));
+    }
 
     /** Write the data bit of `segment` currently under its port. */
-    bool writeAligned(int segment, Bit value);
+    bool writeAligned(int segment, Bit value)
+    {
+        return stripe_.write(layout_.dataPortIndex(segment), value);
+    }
 
     /**
      * Code phase read through the right (or, for p-ECC-O, the left)
      * window ports; -1 when any lane is not a defined 0/1 domain.
-     * Equal to code().phaseOf() of the bits those ports read.
+     * Equal to code().phaseOf() of the bits those ports read, taken
+     * in one packed load of the window's lanes.
      */
-    int readWindowPhase(bool left_window) const;
+    int readWindowPhase(bool left_window) const
+    {
+        const Window &win = windows_[left_window ? 1 : 0];
+        if (win.width == 0)
+            rtm_panic("this layout has no %s window",
+                      left_window ? "left" : "right");
+        const uint64_t lanes =
+            stripe_.windowLanes(win.first_slot, win.width);
+        // 0 and 1 leave a lane's high bit clear; X (and any other
+        // raw lane value) sets it and makes the window unreadable.
+        if (lanes & RacetrackStripe::kAllX)
+            return -1;
+        // Pack first-port-most-significant, exactly as phaseOf does.
+        uint32_t value = 0;
+        for (int i = 0; i < win.width; ++i)
+            value = (value << 1) |
+                    static_cast<uint32_t>((lanes >> (2 * i)) & 1);
+        return code_.phaseOfValue(value);
+    }
 
     /**
      * Run a p-ECC check without shifting (re-synchronisation probe).
@@ -188,11 +264,22 @@ class ProtectedStripe
     std::vector<Bit> dumpData() const;
 
   private:
+    /** A code window resolved at construction: its ports are
+     *  consecutive, so its lanes are one packed read. */
+    struct Window
+    {
+        int first_slot = 0; //!< wire slot of the first port
+        int width = 0;      //!< ports; 0 when the layout has none
+        int phase_base = 0; //!< phase it reads at believed offset 0
+    };
+
     PeccLayout layout_;
     CyclicCode code_;
     std::optional<DelInsCode> delins_;
     RacetrackStripe stripe_;
     int believed_offset_ = 0;
+    /** windows_[0]: the right window; windows_[1]: p-ECC-O's left. */
+    Window windows_[2];
 
     /** DelIns readout buffers, reused across rounds and readouts:
      *  the observed streams, the decode result and the decoder's
@@ -201,11 +288,55 @@ class ProtectedStripe
     DelInsCode::Result readout_decode_;
     std::vector<std::vector<Bit>> readout_scratch_;
 
-    /** Decode the active window for the current believed offset. */
-    DecodeResult decodeWindow(bool left_window) const;
+    /** Phase the window should read at the believed offset. */
+    int expectedWindowPhase(bool left_window) const
+    {
+        return (windows_[left_window ? 1 : 0].phase_base -
+                believed_offset_) &
+               (code_.period() - 1);
+    }
+
+    /**
+     * Decode the active window for the current believed offset. A
+     * window reading its expected phase is clean without running
+     * CyclicCode::decode, which returns exactly that for a zero
+     * residue.
+     */
+    DecodeResult decodeWindow(bool left_window) const
+    {
+        const int observed = readWindowPhase(left_window);
+        const int expected = expectedWindowPhase(left_window);
+        if (observed == expected) {
+            DecodeResult clean;
+            clean.valid = true;
+            return clean;
+        }
+        return code_.decode(observed, expected,
+                            layout_.config.correct);
+    }
 
     /** One raw shift step for the OverheadRegion variant. */
     void shiftAndWriteStep(int direction);
+
+    /**
+     * The correction episode after a check flagged `d`: counter-shift
+     * by the inferred error and re-check `left_window`, at most
+     * `max_rounds` times. Marks `res` detected, then corrected (true)
+     * or unrecoverable (false; an exhausted episode returns false
+     * with neither mark, for the caller to judge). `count_steps`
+     * charges a counter-shift by its length; the Standard in-line
+     * path charges one per operation.
+     *
+     * Counter-shifts are raw (the p-ECC-O end write ports stay idle:
+     * writing while the position is in doubt would plant code bits
+     * keyed to a possibly-wrong believed offset). p-ECC-O's margins
+     * absorb the undefined domains each one injects, so the window
+     * re-check stays trustworthy, and one verified scrub repairs the
+     * margins after convergence.
+     */
+    bool correctionEpisode(DecodeResult d, bool left_window,
+                           int max_rounds, bool count_steps,
+                           ProtectedShiftResult &res);
 
     /** Re-program end-code domains after a correction (p-ECC-O). */
     void repairEndCode();

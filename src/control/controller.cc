@@ -75,7 +75,22 @@ ShiftController::ShiftController(const PeccConfig &config,
                    ? ShiftPolicy::StepByStep
                    : policy,
                peak_ops_per_second),
-      recovery_(recovery), t_(telemetry.get())
+      recovery_(recovery),
+      del_ins_(config.variant == PeccVariant::DelIns),
+      two_tier_(config.two_tier &&
+                (config.variant == PeccVariant::Standard ||
+                 config.variant == PeccVariant::OverheadRegion)),
+      // Corrections are short counter-shifts; each costs the 1-step
+      // shift plus the paper's correction logic time.
+      correction_cycles_(timing_.shiftCycles(1) +
+                         kCorrectionLogicCycles),
+      // A flagged two-tier check pays the full decode and, when
+      // frames pool their check bits, the redundancy fetch from the
+      // codeword's base frame.
+      tier2_cycles_(kCorrectionLogicCycles +
+                    (config.codeword_frames > 1 ? timing_.shiftCycles(1)
+                                                : 0)),
+      t_(telemetry.get())
 {
 }
 
@@ -102,13 +117,9 @@ ShiftController::executePart(int direction, int part,
     stats_.shift_steps += static_cast<uint64_t>(part) +
                           static_cast<uint64_t>(r.correction_shifts);
     stats_.distance_histogram.add(part);
-    Cycles lat = timing_.shiftCycles(part);
-    if (r.correction_shifts > 0) {
-        // Corrections are short counter-shifts; charge each at the
-        // 1-step cost plus the paper's correction logic time.
-        lat += static_cast<Cycles>(r.correction_shifts) *
-               (timing_.shiftCycles(1) + kCorrectionLogicCycles);
-    }
+    Cycles lat = timing_.shiftCycles(part) +
+                 static_cast<Cycles>(r.correction_shifts) *
+                     correction_cycles_;
     stats_.busy_cycles += lat;
     res.latency += lat;
     if (r.detected) {
@@ -121,27 +132,21 @@ ShiftController::executePart(int direction, int part,
     if (r.corrected)
         ++stats_.corrected_errors;
 
-    const auto &c = stripe_.config();
-    if (c.two_tier && (c.variant == PeccVariant::Standard ||
-                       c.variant == PeccVariant::OverheadRegion)) {
+    if (two_tier_) {
         // Two-tier decomposition of the per-shift check. A clean
         // probe ends the check at the detect slot already folded
         // into the shift timing; a flagged shift escalates to the
-        // full decode and, when frames pool their check bits, the
-        // redundancy fetch from the codeword's base frame — extra
-        // latency only the (rare) error path pays.
+        // full decode (tier2_cycles_) — extra latency only the
+        // (rare) error path pays.
         ++stats_.edc_checks;
         if (!r.detected) {
             ++stats_.edc_passes;
             stats_.edc_cycles += kEdcProbeCycles;
         } else {
             ++stats_.full_decodes;
-            Cycles tier2 = kCorrectionLogicCycles;
-            if (c.codeword_frames > 1)
-                tier2 += timing_.shiftCycles(1);
-            stats_.decode_cycles += tier2;
-            stats_.busy_cycles += tier2;
-            res.latency += tier2;
+            stats_.decode_cycles += tier2_cycles_;
+            stats_.busy_cycles += tier2_cycles_;
+            res.latency += tier2_cycles_;
         }
     }
     return !r.unrecoverable;
@@ -163,7 +168,7 @@ ShiftController::attemptRecovery(AccessResult &res)
             stats_.shift_steps +=
                 static_cast<uint64_t>(r.correction_shifts);
             lat += static_cast<Cycles>(r.correction_shifts) *
-                   (timing_.shiftCycles(1) + kCorrectionLogicCycles);
+                   correction_cycles_;
         }
         chargeRecovery(lat, res);
     };
@@ -429,7 +434,7 @@ ShiftController::delInsAccess(int segment, int index,
 AccessResult
 ShiftController::read(int segment, int index, Cycles now_cycles)
 {
-    if (stripe_.config().variant == PeccVariant::DelIns)
+    if (del_ins_)
         return delInsAccess(segment, index, nullptr, now_cycles);
     AccessResult res = seek(index, now_cycles);
     if (!res.due)
@@ -441,7 +446,7 @@ AccessResult
 ShiftController::write(int segment, int index, Bit value,
                        Cycles now_cycles)
 {
-    if (stripe_.config().variant == PeccVariant::DelIns)
+    if (del_ins_)
         return delInsAccess(segment, index, &value, now_cycles);
     AccessResult res = seek(index, now_cycles);
     if (!res.due)

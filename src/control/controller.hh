@@ -236,6 +236,17 @@ class ShiftController
     RecoveryConfig recovery_;
     ControllerStats stats_;
 
+    // Per-shift constants resolved at construction.
+    /** Every access is a del/ins streaming readout, not a seek. */
+    bool del_ins_;
+    /** Two-tier reads on a window-checked stripe: every checked
+     *  shift is an EDC probe. */
+    bool two_tier_;
+    /** Cycles of one in-line counter-shift. */
+    Cycles correction_cycles_;
+    /** Extra cycles of a tier-2 escalation. */
+    Cycles tier2_cycles_;
+
     /** DelIns: decoded data image of the last readout (buffer
      *  reused across accesses). */
     std::vector<Bit> image_;

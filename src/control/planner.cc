@@ -111,33 +111,6 @@ ShiftPlanner::buildFronts()
     }
 }
 
-const std::vector<SequencePlan> &
-ShiftPlanner::paretoFront(int distance) const
-{
-    if (distance < 1 || distance > max_part_)
-        rtm_panic("paretoFront(%d) outside [1, %d]", distance,
-                  max_part_);
-    return fronts_[static_cast<size_t>(distance)];
-}
-
-const SequencePlan &
-ShiftPlanner::planFor(int distance, Cycles interval_cycles) const
-{
-    const auto &front = paretoFront(distance);
-    return front[planIndexFor(distance, interval_cycles)];
-}
-
-size_t
-ShiftPlanner::planIndexFor(int distance, Cycles interval_cycles) const
-{
-    const auto &front = paretoFront(distance);
-    for (size_t i = 0; i < front.size(); ++i) {
-        if (front[i].min_interval <= interval_cycles)
-            return i;
-    }
-    return front.size() - 1; // safest available
-}
-
 const SequencePlan &
 ShiftPlanner::planForIntensity(int distance,
                                double ops_per_second) const

@@ -26,6 +26,7 @@
 
 #include "control/sts.hh"
 #include "device/error_model.hh"
+#include "util/logging.hh"
 
 namespace rtm
 {
@@ -64,7 +65,13 @@ class ShiftPlanner
      * Pareto front of decompositions for a request of `distance`
      * steps, ordered by increasing latency (decreasing rate).
      */
-    const std::vector<SequencePlan> &paretoFront(int distance) const;
+    const std::vector<SequencePlan> &paretoFront(int distance) const
+    {
+        if (distance < 1 || distance > max_part_)
+            rtm_panic("paretoFront(%d) outside [1, %d]", distance,
+                      max_part_);
+        return fronts_[static_cast<size_t>(distance)];
+    }
 
     /**
      * Latency-minimal plan whose failure rate is safe at the given
@@ -72,7 +79,11 @@ class ShiftPlanner
      * to the safest plan when even it exceeds the budget.
      */
     const SequencePlan &planFor(int distance,
-                                Cycles interval_cycles) const;
+                                Cycles interval_cycles) const
+    {
+        return paretoFront(distance)[planIndexFor(distance,
+                                                  interval_cycles)];
+    }
 
     /**
      * Index into paretoFront(distance) of the plan planFor() would
@@ -81,7 +92,15 @@ class ShiftPlanner
      * accessor lets them (and the golden tests) share the exact
      * selection rule.
      */
-    size_t planIndexFor(int distance, Cycles interval_cycles) const;
+    size_t planIndexFor(int distance, Cycles interval_cycles) const
+    {
+        const auto &front = paretoFront(distance);
+        for (size_t i = 0; i < front.size(); ++i) {
+            if (front[i].min_interval <= interval_cycles)
+                return i;
+        }
+        return front.size() - 1; // safest available
+    }
 
     /**
      * Worst-case-safe plan for a sustained intensity

@@ -143,17 +143,6 @@ PositionErrorModel::outcomeList(int distance, bool sts_enabled,
         add(logProbStopInMiddle(distance, floor_k), floor_k, true);
 }
 
-ShiftOutcome
-PositionErrorModel::pickOutcome(
-    const std::vector<CumulativeOutcome> &list, double u)
-{
-    for (const CumulativeOutcome &e : list) {
-        if (u < e.acc)
-            return e.outcome;
-    }
-    return ShiftOutcome{};
-}
-
 PaperCalibratedErrorModel::PaperCalibratedErrorModel(
     double plus_fraction, double pre_sts_middle_fraction)
     : plus_fraction_(plus_fraction),
@@ -305,16 +294,6 @@ int
 ScaledErrorModel::maxStepError() const
 {
     return base_->maxStepError();
-}
-
-ShiftOutcome
-ScaledErrorModel::sample(Rng &rng, int distance, bool sts_enabled)
-    const
-{
-    if (distance < 1 || distance > kTabulatedDistance)
-        return PositionErrorModel::sample(rng, distance, sts_enabled);
-    return pickOutcome(outcomes_[sts_enabled ? 1 : 0][distance - 1],
-                       rng.uniform());
 }
 
 ScriptedErrorModel::ScriptedErrorModel(std::vector<ShiftOutcome> script)

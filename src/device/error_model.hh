@@ -138,7 +138,18 @@ class PositionErrorModel
     /** The outcome draw `u` selects from a cumulative list (success
      *  when it falls past the last entry). */
     static ShiftOutcome
-    pickOutcome(const std::vector<CumulativeOutcome> &list, double u);
+    pickOutcome(const std::vector<CumulativeOutcome> &list, double u)
+    {
+        // The running sums never decrease, so a draw at or past the
+        // last one (the common, successful shift) passes them all.
+        if (list.empty() || u >= list.back().acc)
+            return ShiftOutcome{};
+        for (const CumulativeOutcome &e : list) {
+            if (u < e.acc)
+                return e.outcome;
+        }
+        return ShiftOutcome{};
+    }
 };
 
 /**
@@ -213,8 +224,20 @@ class ScaledErrorModel final : public PositionErrorModel
     double logProbStepRaw(int distance,
                           int step_error) const override;
     int maxStepError() const override;
+
+    /** Header-inline so a scenario holding this (final) class calls
+     *  it directly: one uniform draw walked against the table. */
     ShiftOutcome sample(Rng &rng, int distance,
-                        bool sts_enabled) const override;
+                        bool sts_enabled) const override
+    {
+        if (distance < 1 || distance > kTabulatedDistance)
+            return PositionErrorModel::sample(rng, distance,
+                                              sts_enabled);
+        return pickOutcome(
+            outcomes_[sts_enabled ? 1 : 0][static_cast<size_t>(
+                distance - 1)],
+            rng.uniform());
+    }
 
   private:
     std::shared_ptr<const PositionErrorModel> base_;

@@ -18,7 +18,8 @@ InjectionLedger::merge(const InjectionLedger &other)
 
 FaultScenario::FaultScenario(
     std::shared_ptr<const PositionErrorModel> base)
-    : base_(std::move(base))
+    : base_(std::move(base)),
+      scaled_base_(dynamic_cast<const ScaledErrorModel *>(base_.get()))
 {
     if (!base_)
         rtm_fatal("fault scenario needs a base error model");
@@ -49,21 +50,6 @@ FaultScenario::maxStepError() const
     return base_->maxStepError();
 }
 
-ShiftOutcome
-FaultScenario::sample(Rng &rng, int distance, bool sts_enabled) const
-{
-    ShiftOutcome out = sampleScenario(rng, distance, sts_enabled);
-    ++ledger_.samples;
-    if (!out.ok()) {
-        ++ledger_.injected;
-        if (out.stop_in_middle)
-            ++ledger_.stop_in_middle;
-        else
-            ++ledger_.step_errors;
-    }
-    return out;
-}
-
 std::shared_ptr<const PositionErrorModel>
 FaultScenario::cloneBase() const
 {
@@ -83,10 +69,10 @@ IidScenario::IidScenario(
 }
 
 ShiftOutcome
-IidScenario::sampleScenario(Rng &rng, int distance,
-                            bool sts_enabled) const
+IidScenario::sample(Rng &rng, int distance,
+                    bool sts_enabled) const
 {
-    return base_->sample(rng, distance, sts_enabled);
+    return record(sampleBase(rng, distance, sts_enabled));
 }
 
 std::unique_ptr<FaultScenario>
@@ -109,19 +95,18 @@ BurstScenario::BurstScenario(
 bool
 BurstScenario::inBurst() const
 {
-    return shift_count_ % period_ < burst_len_;
+    return phase_ < burst_len_;
 }
 
 ShiftOutcome
-BurstScenario::sampleScenario(Rng &rng, int distance,
-                              bool sts_enabled) const
+BurstScenario::sample(Rng &rng, int distance,
+                      bool sts_enabled) const
 {
     bool burst = inBurst();
-    ++shift_count_;
-    const PositionErrorModel &m =
-        burst ? static_cast<const PositionErrorModel &>(boosted_)
-              : *base_;
-    return m.sample(rng, distance, sts_enabled);
+    if (++phase_ == period_)
+        phase_ = 0;
+    return record(burst ? boosted_.sample(rng, distance, sts_enabled)
+                        : sampleBase(rng, distance, sts_enabled));
 }
 
 std::unique_ptr<FaultScenario>
@@ -147,8 +132,8 @@ StuckStripeScenario::stuck() const
 }
 
 ShiftOutcome
-StuckStripeScenario::sampleScenario(Rng &rng, int distance,
-                                    bool sts_enabled) const
+StuckStripeScenario::sample(Rng &rng, int distance,
+                            bool sts_enabled) const
 {
     bool pinned = stuck();
     ++shift_count_;
@@ -158,9 +143,9 @@ StuckStripeScenario::sampleScenario(Rng &rng, int distance,
         // one short. Deterministic — no base-model draw.
         ShiftOutcome out;
         out.step_error = -1;
-        return out;
+        return record(out);
     }
-    return base_->sample(rng, distance, sts_enabled);
+    return record(sampleBase(rng, distance, sts_enabled));
 }
 
 std::unique_ptr<FaultScenario>
@@ -183,11 +168,12 @@ DroopScenario::DroopScenario(
 }
 
 ShiftOutcome
-DroopScenario::sampleScenario(Rng &rng, int distance,
-                              bool sts_enabled) const
+DroopScenario::sample(Rng &rng, int distance,
+                      bool sts_enabled) const
 {
-    bool droop = shift_count_ % period_ < droop_len_;
-    ++shift_count_;
+    bool droop = phase_ < droop_len_;
+    if (++phase_ == period_)
+        phase_ = 0;
     // Draw the droop coin before the base sample so the base stream
     // stays aligned with the i.i.d. regime outside droop windows.
     if (droop && rng.bernoulli(undershoot_prob_)) {
@@ -196,9 +182,9 @@ DroopScenario::sampleScenario(Rng &rng, int distance,
         // Without the stage-2 pulse, the sagging drive strands the
         // walls in the flat region short of the target.
         out.stop_in_middle = !sts_enabled;
-        return out;
+        return record(out);
     }
-    return base_->sample(rng, distance, sts_enabled);
+    return record(sampleBase(rng, distance, sts_enabled));
 }
 
 std::unique_ptr<FaultScenario>
@@ -228,10 +214,10 @@ SkewScenario::SkewScenario(
 }
 
 ShiftOutcome
-SkewScenario::sampleScenario(Rng &rng, int distance,
-                             bool sts_enabled) const
+SkewScenario::sample(Rng &rng, int distance,
+                     bool sts_enabled) const
 {
-    return skewed_.sample(rng, distance, sts_enabled);
+    return record(skewed_.sample(rng, distance, sts_enabled));
 }
 
 std::unique_ptr<FaultScenario>

@@ -79,13 +79,14 @@ class FaultScenario : public PositionErrorModel
                           int step_error) const override;
     int maxStepError() const override;
 
-    /** Samples via the scenario regime and records the ledger. */
+    /**
+     * Draw one outcome under the regime (advancing its state) and
+     * count it into the ledger. Each regime overrides this directly,
+     * so a shift makes one virtual call into its scenario; the
+     * regime reaches a ScaledErrorModel base without another.
+     */
     ShiftOutcome sample(Rng &rng, int distance,
-                        bool sts_enabled) const final;
-
-    /** Scenario-specific outcome draw (advances scenario state). */
-    virtual ShiftOutcome sampleScenario(Rng &rng, int distance,
-                                        bool sts_enabled) const = 0;
+                        bool sts_enabled) const override = 0;
 
     /**
      * Fresh copy of this scenario at the start of its timeline (shift
@@ -109,21 +110,47 @@ class FaultScenario : public PositionErrorModel
      */
     std::shared_ptr<const PositionErrorModel> cloneBase() const;
 
+    /** One draw from the wrapped model: a direct call when it is a
+     *  ScaledErrorModel (every drill's base), virtual otherwise. */
+    ShiftOutcome sampleBase(Rng &rng, int distance,
+                            bool sts_enabled) const
+    {
+        return scaled_base_
+                   ? scaled_base_->sample(rng, distance, sts_enabled)
+                   : base_->sample(rng, distance, sts_enabled);
+    }
+
+    /** Count `out` into the ledger and return it. */
+    ShiftOutcome record(ShiftOutcome out) const
+    {
+        ++ledger_.samples;
+        if (!out.ok()) {
+            ++ledger_.injected;
+            if (out.stop_in_middle)
+                ++ledger_.stop_in_middle;
+            else
+                ++ledger_.step_errors;
+        }
+        return out;
+    }
+
     std::shared_ptr<const PositionErrorModel> base_;
 
   private:
+    /** base_ as a ScaledErrorModel, or null. */
+    const ScaledErrorModel *scaled_base_;
     mutable InjectionLedger ledger_;
 };
 
 /** Control scenario: the base model's i.i.d. regime, with a ledger. */
-class IidScenario : public FaultScenario
+class IidScenario final : public FaultScenario
 {
   public:
     explicit IidScenario(
         std::shared_ptr<const PositionErrorModel> base);
 
-    ShiftOutcome sampleScenario(Rng &rng, int distance,
-                                bool sts_enabled) const override;
+    ShiftOutcome sample(Rng &rng, int distance,
+                        bool sts_enabled) const override;
     std::unique_ptr<FaultScenario> clone() const override;
     const char *name() const override { return "iid"; }
 };
@@ -132,15 +159,15 @@ class IidScenario : public FaultScenario
  * Correlated burst epochs: every `period` shifts, the first
  * `burst_len` of them sample from rates scaled by `multiplier`.
  */
-class BurstScenario : public FaultScenario
+class BurstScenario final : public FaultScenario
 {
   public:
     BurstScenario(std::shared_ptr<const PositionErrorModel> base,
                   uint64_t period, uint64_t burst_len,
                   double multiplier);
 
-    ShiftOutcome sampleScenario(Rng &rng, int distance,
-                                bool sts_enabled) const override;
+    ShiftOutcome sample(Rng &rng, int distance,
+                        bool sts_enabled) const override;
     std::unique_ptr<FaultScenario> clone() const override;
     const char *name() const override { return "burst"; }
 
@@ -152,7 +179,8 @@ class BurstScenario : public FaultScenario
     uint64_t burst_len_;
     double multiplier_;
     ScaledErrorModel boosted_;
-    mutable uint64_t shift_count_ = 0;
+    /** Shifts sampled so far, modulo period_. */
+    mutable uint64_t phase_ = 0;
 };
 
 /**
@@ -160,15 +188,15 @@ class BurstScenario : public FaultScenario
  * under-shoot by exactly one step — a wall pinned at a dead notch
  * that no normal drive frees until the window expires (re-drive).
  */
-class StuckStripeScenario : public FaultScenario
+class StuckStripeScenario final : public FaultScenario
 {
   public:
     StuckStripeScenario(
         std::shared_ptr<const PositionErrorModel> base,
         uint64_t stuck_after, uint64_t stuck_len);
 
-    ShiftOutcome sampleScenario(Rng &rng, int distance,
-                                bool sts_enabled) const override;
+    ShiftOutcome sample(Rng &rng, int distance,
+                        bool sts_enabled) const override;
     std::unique_ptr<FaultScenario> clone() const override;
     const char *name() const override { return "stuck-stripe"; }
 
@@ -186,15 +214,15 @@ class StuckStripeScenario : public FaultScenario
  * additionally under-shoot one step with probability
  * `undershoot_prob` (sagging drive fails to complete the last step).
  */
-class DroopScenario : public FaultScenario
+class DroopScenario final : public FaultScenario
 {
   public:
     DroopScenario(std::shared_ptr<const PositionErrorModel> base,
                   uint64_t period, uint64_t droop_len,
                   double undershoot_prob);
 
-    ShiftOutcome sampleScenario(Rng &rng, int distance,
-                                bool sts_enabled) const override;
+    ShiftOutcome sample(Rng &rng, int distance,
+                        bool sts_enabled) const override;
     std::unique_ptr<FaultScenario> clone() const override;
     const char *name() const override { return "droop"; }
 
@@ -202,21 +230,22 @@ class DroopScenario : public FaultScenario
     uint64_t period_;
     uint64_t droop_len_;
     double undershoot_prob_;
-    mutable uint64_t shift_count_ = 0;
+    /** Shifts sampled so far, modulo period_. */
+    mutable uint64_t phase_ = 0;
 };
 
 /**
  * Per-stripe variation skew: a fixed rate multiplier drawn
  * deterministically from the stripe id (log-normal around 1).
  */
-class SkewScenario : public FaultScenario
+class SkewScenario final : public FaultScenario
 {
   public:
     SkewScenario(std::shared_ptr<const PositionErrorModel> base,
                  uint64_t stripe_id, double sigma);
 
-    ShiftOutcome sampleScenario(Rng &rng, int distance,
-                                bool sts_enabled) const override;
+    ShiftOutcome sample(Rng &rng, int distance,
+                        bool sts_enabled) const override;
     std::unique_ptr<FaultScenario> clone() const override;
     const char *name() const override { return "skew"; }
 

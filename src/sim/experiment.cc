@@ -977,6 +977,46 @@ journalResumeError(const JournalFile &journal,
                                eq.mismatch;
 }
 
+namespace
+{
+
+/** Read the resume journal at `path` and check it belongs to a run
+ *  of `spec` (normalized) with `cells` cells; "" or a diagnostic. */
+std::string
+readResumeJournal(const std::string &path, const ExperimentSpec &spec,
+                  size_t cells, JournalFile *journal)
+{
+    std::string error;
+    if (!readJournal(path, journal, &error))
+        return "--resume: " + error;
+    error = journalResumeError(*journal, spec, cells);
+    return error.empty() ? "" : "--resume " + path + ": " + error;
+}
+
+} // anonymous namespace
+
+std::string
+runJournalError(const ExperimentSpec &spec_in, const RunControl &control)
+{
+    ExperimentSpec spec = spec_in;
+    normalizeExperimentSpec(&spec);
+    if (!control.resume_path.empty()) {
+        JournalFile journal;
+        const std::string error =
+            readResumeJournal(control.resume_path, spec,
+                              expandCells(spec).size(), &journal);
+        if (!error.empty())
+            return error;
+    }
+    if (!control.stream_path.empty()) {
+        JournalWriter probe;
+        std::string error;
+        if (!probe.open(control.stream_path, true, &error))
+            return "--stream-out: " + error;
+    }
+    return "";
+}
+
 // --- whole-spec runs -------------------------------------------------
 
 ExperimentResult
@@ -1123,13 +1163,10 @@ runExperiment(const ExperimentSpec &spec_in,
     std::vector<JournalRecord> replayed;
     if (!control.resume_path.empty()) {
         JournalFile journal;
-        std::string error;
-        if (!readJournal(control.resume_path, &journal, &error))
-            rtm_fatal("--resume: %s", error.c_str());
-        error = journalResumeError(journal, spec, res.cells);
+        const std::string error = readResumeJournal(
+            control.resume_path, spec, res.cells, &journal);
         if (!error.empty())
-            rtm_fatal("--resume %s: %s",
-                      control.resume_path.c_str(), error.c_str());
+            rtm_fatal("%s", error.c_str());
         for (JournalRecord &record : journal.records) {
             if (engine.replayCell(
                     static_cast<size_t>(record.index),

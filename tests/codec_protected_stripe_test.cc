@@ -380,5 +380,78 @@ TEST(ProtectedStripe, IntegerWindowPhaseMatchesPhaseOf)
     EXPECT_EQ(referenceWindowPhase(ps, false), -1);
 }
 
+TEST(ProtectedStripe, PackedWindowReadMatchesPortReadsOnRandomTapes)
+{
+    // readWindowPhase reads its window as one packed load of 2-bit
+    // lanes (RacetrackStripe::windowLanes). Against the per-port
+    // reference on random tapes: random 0/1/X contents, random
+    // shifts with step errors and stop-in-middle outcomes (a
+    // misaligned tape reads X on every port), both p-ECC-O windows,
+    // and windows that straddle a 32-slot word of the packed tape.
+    PeccConfig wide = cfg(2, 8, 1, PeccVariant::Standard);
+    wide.window_ports = 7; // slots 26..32
+    const std::vector<PeccConfig> configs = {
+        cfg(2, 8, 1, PeccVariant::Standard),
+        cfg(2, 8, 3, PeccVariant::Standard), // slots 30..33
+        wide,
+        cfg(2, 8, 1, PeccVariant::OverheadRegion),
+        cfg(4, 6, 1, PeccVariant::OverheadRegion), // right: 63..64
+    };
+    Rng dice(2024);
+    int straddling = 0, misaligned = 0, left_reads = 0, readable = 0;
+    for (const PeccConfig &c : configs) {
+        std::vector<ShiftOutcome> script;
+        for (int i = 0; i < 4000; ++i) {
+            switch (dice.uniformInt(8)) {
+              case 0: script.push_back({0, true}); break;
+              case 1: script.push_back({1, false}); break;
+              case 2: script.push_back({-1, false}); break;
+              default: script.push_back({}); break;
+            }
+        }
+        ScriptedErrorModel model(script);
+        ProtectedStripe ps(c, &model, Rng(5));
+        const PeccLayout &lay = ps.layout();
+        ASSERT_GT(lay.wire_len, 32);
+        for (const auto *slots :
+             {&lay.window_slots, &lay.left_window_slots}) {
+            if (!slots->empty() &&
+                slots->front() / 32 != slots->back() / 32)
+                ++straddling;
+        }
+        for (int tape = 0; tape < 40; ++tape) {
+            for (int slot = 0; slot < lay.wire_len; ++slot) {
+                const uint64_t r = dice.uniformInt(10);
+                ps.stripe().poke(slot, r == 0  ? Bit::X
+                                       : r % 2 ? Bit::One
+                                               : Bit::Zero);
+            }
+            for (int step = 0; step < 50; ++step) {
+                for (bool left : {false, true}) {
+                    if ((left ? lay.left_window_slots
+                              : lay.window_slots)
+                            .empty())
+                        continue;
+                    const int phase = ps.readWindowPhase(left);
+                    ASSERT_EQ(phase, referenceWindowPhase(ps, left))
+                        << "w " << c.window() << " variant "
+                        << static_cast<int>(c.variant)
+                        << (left ? " left" : " right") << " tape "
+                        << tape << " step " << step;
+                    left_reads += left ? 1 : 0;
+                    readable += phase >= 0 ? 1 : 0;
+                }
+                misaligned += ps.stripe().misaligned() ? 1 : 0;
+                const int d = static_cast<int>(dice.uniformInt(4));
+                ps.stripe().shift(d < 2 ? d - 2 : d - 1);
+            }
+        }
+    }
+    EXPECT_EQ(straddling, 3);
+    EXPECT_GT(misaligned, 0);
+    EXPECT_GT(left_reads, 0);
+    EXPECT_GT(readable, 0);
+}
+
 } // namespace
 } // namespace rtm

@@ -214,8 +214,9 @@ TEST(Controller, FaultInjectionSoakStaysConsistent)
         int seg = static_cast<int>(dice.uniformInt(2));
         AccessResult r = ctl.read(seg, idx, t);
         t += 50 + dice.uniformInt(1000);
-        if (!r.due)
+        if (!r.due) {
             EXPECT_TRUE(r.position_ok) << "op " << i;
+        }
     }
     EXPECT_GT(ctl.stats().detected_errors, 0u);
     EXPECT_EQ(ctl.stats().silent_errors, 0u);

@@ -416,9 +416,11 @@ TEST(FaultContainment, ThrowingCellDoesNotAbortTheSweep)
     EXPECT_EQ(res.outcomes[2].status, CellStatus::Failed);
     EXPECT_EQ(res.outcomes[2].error, "injected cell fault");
     EXPECT_EQ(res.outcomes[2].attempts, 1);
-    for (size_t i = 0; i < res.outcomes.size(); ++i)
-        if (i != 2)
+    for (size_t i = 0; i < res.outcomes.size(); ++i) {
+        if (i != 2) {
             EXPECT_EQ(res.outcomes[i].status, CellStatus::Ok);
+        }
+    }
 
     // The failure lands in the result document too.
     JsonValue doc = experimentResultToJson(res);

@@ -55,35 +55,4 @@ ShiftAdapter::cautiousPlan(int distance)
     return fixedPartsPlan(distance, 1);
 }
 
-const SequencePlan &
-ShiftAdapter::plan(int distance, Cycles now_cycles)
-{
-    if (distance < 1 || distance > planner_->maxPart())
-        rtm_panic("adapter plan(%d) outside [1, %d]", distance,
-                  planner_->maxPart());
-    Cycles interval;
-    if (first_) {
-        interval = std::numeric_limits<Cycles>::max();
-        first_ = false;
-    } else {
-        interval = now_cycles > last_request_
-                       ? now_cycles - last_request_
-                       : 0;
-    }
-    last_interval_ = interval;
-    last_request_ = now_cycles;
-
-    switch (policy_) {
-      case ShiftPolicy::Unconstrained:
-        return planner_->paretoFront(distance).front();
-      case ShiftPolicy::StepByStep:
-        return fixedPartsPlan(distance, 1);
-      case ShiftPolicy::WorstCase:
-        return fixedPartsPlan(distance, worst_case_distance_);
-      case ShiftPolicy::Adaptive:
-        return planner_->planFor(distance, interval);
-    }
-    rtm_panic("unreachable policy");
-}
-
 } // namespace rtm

@@ -21,9 +21,11 @@
 #define RTM_CONTROL_ADAPTER_HH
 
 #include <cstdint>
+#include <limits>
 
 #include "control/planner.hh"
 #include "model/tech.hh"
+#include "util/logging.hh"
 
 namespace rtm
 {
@@ -51,7 +53,35 @@ class ShiftAdapter
      * trivial single-part plans, which are returned from a scratch
      * slot valid until the next call).
      */
-    const SequencePlan &plan(int distance, Cycles now_cycles);
+    const SequencePlan &plan(int distance, Cycles now_cycles)
+    {
+        if (distance < 1 || distance > planner_->maxPart())
+            rtm_panic("adapter plan(%d) outside [1, %d]", distance,
+                      planner_->maxPart());
+        Cycles interval;
+        if (first_) {
+            interval = std::numeric_limits<Cycles>::max();
+            first_ = false;
+        } else {
+            interval = now_cycles > last_request_
+                           ? now_cycles - last_request_
+                           : 0;
+        }
+        last_interval_ = interval;
+        last_request_ = now_cycles;
+
+        switch (policy_) {
+          case ShiftPolicy::Unconstrained:
+            return planner_->paretoFront(distance).front();
+          case ShiftPolicy::StepByStep:
+            return fixedPartsPlan(distance, 1);
+          case ShiftPolicy::WorstCase:
+            return fixedPartsPlan(distance, worst_case_distance_);
+          case ShiftPolicy::Adaptive:
+            return planner_->planFor(distance, interval);
+        }
+        rtm_panic("unreachable policy");
+    }
 
     /**
      * Most conservative sequence for `distance` steps: 1-step

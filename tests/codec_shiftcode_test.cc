@@ -266,8 +266,9 @@ checkBurstCase(const DelInsCode &code,
             // Ambiguity-prone configuration: still never silent —
             // either the exact correction or a detected episode.
             EXPECT_TRUE(res.status.detected) << ctx;
-            if (res.status.correctable)
+            if (res.status.correctable) {
                 EXPECT_EQ(res.status.step_error, delta) << ctx;
+            }
         }
         // Out-of-band bursts: accepted-with-exact-data or DUE are
         // both within contract; silence was excluded above.

@@ -129,9 +129,10 @@ TEST(AlignedShardSize, SumsToTotalAndAlignsAllButLast)
             size_t sum = 0;
             for (size_t s = 0; s < shards; ++s) {
                 size_t sz = alignedShardSize(n, shards, s, 256);
-                if (s + 1 < shards)
+                if (s + 1 < shards) {
                     EXPECT_EQ(sz % 256, 0u)
                         << "n=" << n << " s=" << s;
+                }
                 sum += sz;
             }
             EXPECT_EQ(sum, n) << "n=" << n << " shards=" << shards;

@@ -319,14 +319,15 @@ forEachField(V &&v, S &...s)
 {
     v("kind", s.kind...);
     v("name", s.name...);
-    v("burst_period", s.burst_period...);
+    v("burst_period", InRange{s.burst_period, 1}...);
     v("burst_len", s.burst_len...);
-    v("burst_multiplier", s.burst_multiplier...);
+    v("burst_multiplier", InRange{s.burst_multiplier, Exclusive{0.0}}...);
     v("stuck_after", s.stuck_after...);
     v("stuck_len", s.stuck_len...);
-    v("droop_period", s.droop_period...);
+    v("droop_period", InRange{s.droop_period, 1}...);
     v("droop_len", s.droop_len...);
-    v("droop_undershoot_prob", s.droop_undershoot_prob...);
+    v("droop_undershoot_prob",
+      InRange{s.droop_undershoot_prob, 0.0, 1.0}...);
     v("stripe_id", s.stripe_id...);
     v("skew_sigma", s.skew_sigma...);
 }

@@ -115,8 +115,8 @@ template <class V, FieldsOf<ProtectionRegion>... S>
 void
 forEachField(V &&v, S &...s)
 {
-    v("begin", s.begin...);
-    v("end", s.end...);
+    v("begin", InRange{s.begin, 0.0, Exclusive{1.0}}...);
+    v("end", InRange{s.end, Exclusive{0.0}, 1.0}...);
     forEachField(v, s.domain...);
 }
 

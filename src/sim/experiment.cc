@@ -71,23 +71,18 @@ nonDefaultPlacement(const LlcOption &o)
            o.head_policy != HeadPolicy::Stay;
 }
 
-/** Range checks of the `placement` object under reader `r`. */
-void
-checkPlacement(const SpecReader &r, const LlcOption &o)
-{
-    if (o.placement_epoch == 0)
-        r.fail("placement.epoch", "must be >= 1 access");
-    if (o.placement_swap_budget < 0)
-        r.fail("placement.swap_budget", "must be >= 0");
-}
-
 /** `o` with the placement axes of `defaults`. */
 LlcOption
 inheritPlacement(LlcOption o, const LlcOption &defaults)
 {
-    placementFields([](const char *, auto &to,
-                       const auto &from) { to = from; },
-                    o, defaults);
+    placementFields(
+        [](const char *, auto &&to, const auto &from) {
+            if constexpr (requires { to.value; })
+                to.value = from.value;
+            else
+                to = from;
+        },
+        o, defaults);
     return o;
 }
 
@@ -127,8 +122,6 @@ parseOptionList(SpecReader &r, std::vector<LlcOption> *out,
         opt.tech = MemTech::Racetrack;
         opt.scheme = Scheme::PeccSAdaptive;
         readFields(o, opt);
-        if (o.has("placement"))
-            checkPlacement(o, opt);
         // Default labels must stay distinct across a placement
         // sweep, so non-default axes are spelled out unless the
         // spec names the option itself.
@@ -205,7 +198,6 @@ finishRead(SpecReader &r, MatrixSpec &m)
     FieldReader reader(r);
     reader("placement",
            SubObject{[&](auto &p) { placementFields(p, defaults); }});
-    checkPlacement(r, defaults);
     parseOptionList(r, &m.options, defaults);
     // Without an explicit option list the normalizer fills the
     // standard catalogue; expand it here instead when a matrix-level
@@ -216,18 +208,12 @@ finishRead(SpecReader &r, MatrixSpec &m)
         for (const LlcOption &o : standardLlcOptions())
             m.options.push_back(inheritPlacement(o, defaults));
     }
-    if (m.requests == 0)
-        r.fail("requests", "must be >= 1");
-    if (m.divisor == 0)
-        r.fail("divisor", "must be >= 1");
-    else
-        checkDivisorGeometry(r, m);
+    checkDivisorGeometry(r, m);
 }
 
 void
 finishRead(SpecReader &r, CampaignSpec &c)
 {
-    const CampaignConfig &cfg = c.config;
     if (const JsonValue *arr = r.child("scenarios", JsonType::Array)) {
         c.scenarios.clear();
         for (size_t i = 0; i < arr->size(); ++i) {
@@ -246,25 +232,19 @@ finishRead(SpecReader &r, CampaignSpec &c)
                 readFields(sr, s);
                 if (!sr.has("name"))
                     s.name = enumToken(s.kind);
+                if (s.burst_len > s.burst_period)
+                    sr.fail("burst_len", "must be <= burst_period");
+                if (s.droop_len > s.droop_period)
+                    sr.fail("droop_len", "must be <= droop_period");
                 c.scenarios.push_back(s);
             }
         }
     }
     checkWorkloadNames(r, c.workloads);
-    if (cfg.accesses_per_cell == 0)
-        r.fail("accesses", "must be >= 1");
-    if (cfg.scale <= 0.0)
-        r.fail("scale", "must be > 0");
-    if (cfg.workload_cores < 1)
-        r.fail("workload_cores", "must be >= 1");
     // The stripe every drill cell builds (computeLayout's checks).
-    const std::string geometry = protectionGeometryError(cfg.pecc, 0);
+    const std::string geometry = protectionGeometryError(c.config.pecc, 0);
     if (!geometry.empty())
         r.fail("pecc", geometry);
-    if (cfg.bank_frames == 0)
-        r.fail("bank.frames", "must be >= 1");
-    if (!(cfg.bank_due_prob >= 0.0 && cfg.bank_due_prob <= 1.0))
-        r.fail("bank.due_prob", "must be in [0, 1]");
 }
 
 void
@@ -284,8 +264,6 @@ finishRead(SpecReader &r, ExperimentSpec &spec)
                       : "unknown scheme '" + s.scheme + "'") +
                    " (" + drills + ")");
     }
-    if (s.scale <= 0.0)
-        r.fail("stress.scale", "must be > 0");
     if (known && schemeRow(scheme).stripe_drill) {
         // The drill's stripe: two segments of lseg domains.
         const std::string err =
@@ -299,10 +277,6 @@ finishRead(SpecReader &r, ExperimentSpec &spec)
     if (!mcTierFromToken(mc.tier, &tier))
         r.fail("montecarlo.tier",
                "unknown tier '" + mc.tier + "' (exact | fast)");
-    if (mc.distance < 1)
-        r.fail("montecarlo.distance", "must be >= 1");
-    if (mc.trials < 1)
-        r.fail("montecarlo.trials", "must be >= 1");
     // The fit reads a standard deviation, which one trial lacks.
     if (mc.fit_trials == 1)
         r.fail("montecarlo.fit_trials", "must be 0 (no fit) or >= 2");
@@ -324,9 +298,7 @@ finishRead(SpecReader &r, ExperimentSpec &spec)
         const std::string at =
             "protection.regions[" + std::to_string(i) + "].";
         const ProtectionRegion &g = p.regions[i];
-        if (g.begin < 0.0 || g.begin >= 1.0)
-            r.fail(at + "begin", "must be in [0, 1)");
-        if (g.end <= g.begin || g.end > 1.0)
+        if (g.end <= g.begin)
             r.fail(at + "end", "must be in (begin, 1]");
         checkProtectionDomain(r, at, g.domain);
     }

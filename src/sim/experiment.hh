@@ -242,9 +242,9 @@ void
 forEachField(V &&v, S &...s)
 {
     v("enabled", s.enabled...);
-    v("requests", s.requests...);
+    v("requests", InRange{s.requests, 1}...);
     v("warmup", s.warmup...);
-    v("divisor", s.divisor...);
+    v("divisor", InRange{s.divisor, 1}...);
     v("seed", s.seed...);
     v("workloads", s.workloads...);
     // Written only when set, so trace-free specs keep their bytes.
@@ -256,8 +256,9 @@ forEachField(V &&v, S &...s)
 /**
  * The hand-written part of reading a matrix section (readFields):
  * the warmup default, option shortcuts, the matrix-level
- * `placement` default options inherit, and range checks. Each trace
- * file is parsed here, so a bad one fails before any simulation.
+ * `placement` default options inherit, and the divisor's geometry.
+ * Each trace file is parsed here, so a bad one fails before any
+ * simulation.
  */
 void finishRead(SpecReader &r, MatrixSpec &m);
 
@@ -280,25 +281,26 @@ void
 forEachField(V &&v, S &...s)
 {
     v("enabled", s.enabled...);
-    v("accesses", s.config.accesses_per_cell...);
+    v("accesses", InRange{s.config.accesses_per_cell, 1}...);
     v("seed", s.config.seed...);
-    v("scale", s.config.scale...);
+    v("scale", InRange{s.config.scale, Exclusive{0.0}}...);
     v("policy", s.config.policy...);
     v("peak_ops_per_second", s.config.peak_ops_per_second...);
-    v("workload_cores", s.config.workload_cores...);
+    v("workload_cores", InRange{s.config.workload_cores, 1}...);
     v("ring_capacity", s.config.telemetry_ring_capacity...);
     v("pecc", s.config.pecc...);
     v("recovery", s.config.recovery...);
     v("bank", SubObject{[&](auto &b) {
-          b("frames", s.config.bank_frames...);
-          b("due_prob", s.config.bank_due_prob...);
+          b("frames", InRange{s.config.bank_frames, 1}...);
+          b("due_prob", InRange{s.config.bank_due_prob, 0.0, 1.0}...);
           b("retry_budget", s.config.group_retry_budget...);
       }});
     v("scenarios", HandParsed{s.scenarios}...);
     v("workloads", s.workloads...);
 }
 
-/** Scenario shortcuts and range checks (see MatrixSpec's). */
+/** Scenario shortcuts, each scenario's length <= period rules and
+ *  the drill stripe's geometry (see MatrixSpec's). */
 void finishRead(SpecReader &r, CampaignSpec &c);
 
 /**
@@ -326,7 +328,7 @@ forEachField(V &&v, S &...s)
 {
     v("enabled", s.enabled...);
     v("scheme", s.scheme...);
-    v("scale", s.scale...);
+    v("scale", InRange{s.scale, Exclusive{0.0}}...);
     v("ops", s.ops...);
     v("lseg", s.lseg...);
     v("seed", s.seed...);
@@ -355,8 +357,8 @@ void
 forEachField(V &&v, S &...s)
 {
     v("enabled", s.enabled...);
-    v("distance", s.distance...);
-    v("trials", s.trials...);
+    v("distance", InRange{s.distance, 1}...);
+    v("trials", InRange{s.trials, 1}...);
     v("fit_trials", s.fit_trials...);
     v("seed", s.seed...);
     v("tier", s.tier...);
@@ -410,9 +412,10 @@ forEachField(V &&v, S &...s)
 }
 
 /**
- * Checks of the stress and montecarlo sections, plus the protection
- * checks: level names, region bounds and each domain's geometry
- * against the default hierarchy.
+ * The checks that span fields: the stress scheme's drill and
+ * stripe, montecarlo's tier and fit_trials, and the protection
+ * levels' names, region ends past their begins and each domain's
+ * geometry against the default hierarchy.
  */
 void finishRead(SpecReader &r, ExperimentSpec &spec);
 

@@ -44,8 +44,8 @@ void
 placementFields(V &&v, O &...o)
 {
     v("policy", o.placement...);
-    v("epoch", o.placement_epoch...);
-    v("swap_budget", o.placement_swap_budget...);
+    v("epoch", InRange{o.placement_epoch, 1}...);
+    v("swap_budget", InRange{o.placement_swap_budget, 0}...);
     v("head", o.head_policy...);
 }
 

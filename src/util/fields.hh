@@ -20,13 +20,17 @@
  *  - fieldsEqual compares the listed members, FieldSum adds them.
  *
  * Enums are written as tokens from one `enumTokens(E)` table per
- * enum (found by ADL). The wrappers below keep older documents'
- * bytes: EmitOnly{x} (derived, never read back), NullIfInf{m} (+inf
- * as null), PresentIf{flag, m} (written while flag is set; reading
- * the key sets it), HandParsed{m} (read by the finishRead hook),
- * SubObject{fn} (a nested object over members of the enclosing
- * struct), and `if (v.emitWhen(cond...))` for a group of keys written
- * only when `cond` holds.
+ * enum (found by ADL). A member's valid range is declared with it as
+ * InRange{m, lo[, hi]}, either end given as Exclusive{b} to exclude
+ * it: readFields refuses a present key outside the range with
+ * `<dotted.path>: must be ...`, and every other visitor sees `m`.
+ * The wrappers below keep older documents' bytes: EmitOnly{x}
+ * (derived, never read back), NullIfInf{m} (+inf as null),
+ * PresentIf{flag, m} (written while flag is set; reading the key
+ * sets it), HandParsed{m} (read by the finishRead hook), SubObject{fn}
+ * (a nested object over members of the enclosing struct), and
+ * `if (v.emitWhen(cond...))` for a group of keys written only when
+ * `cond` holds.
  */
 
 #ifndef RTM_UTIL_FIELDS_HH
@@ -116,6 +120,64 @@ struct SubObject
     F fn;
 };
 
+/** An excluded end of an InRange: InRange{m, Exclusive{0.0}}. */
+template <class B>
+struct Exclusive
+{
+    B bound;
+};
+
+/**
+ * A member with its valid range [lo, hi]; an end given as
+ * Exclusive{b} is excluded, and an omitted hi is unbounded.
+ */
+template <class T>
+struct InRange
+{
+    using Value = std::remove_const_t<T>;
+    static constexpr Value kUnbounded =
+        std::numeric_limits<Value>::has_infinity
+            ? std::numeric_limits<Value>::infinity()
+            : std::numeric_limits<Value>::max();
+
+    struct End
+    {
+        End(Value b) : bound(b) {}
+        template <class B>
+        End(Exclusive<B> e) : bound(static_cast<Value>(e.bound)), open(true)
+        {
+        }
+        Value bound;
+        bool open = false;
+    };
+
+    T &value;
+    End lo;
+    End hi = kUnbounded;
+
+    bool admits(Value v) const
+    {
+        return (lo.open ? v > lo.bound : v >= lo.bound) &&
+               (hi.open ? v < hi.bound : v <= hi.bound);
+    }
+
+    /** The range as diagnostics state it: ">= 1", "in [0, 1)". */
+    std::string text() const
+    {
+        auto num = [](Value b) {
+            return jsonNumberToString(static_cast<double>(b));
+        };
+        if (hi.bound == kUnbounded)
+            return (lo.open ? "> " : ">= ") + num(lo.bound);
+        return std::string("in ") + (lo.open ? "(" : "[") +
+               num(lo.bound) + ", " + num(hi.bound) +
+               (hi.open ? ")" : "]");
+    }
+};
+
+template <class T, class... B>
+InRange(T &, B...) -> InRange<T>;
+
 // --- emission ---------------------------------------------------------
 
 template <class T>
@@ -193,6 +255,11 @@ class FieldWriter
     }
     template <class T>
     void operator()(const char *key, HandParsed<T> f)
+    {
+        (*this)(key, f.value);
+    }
+    template <class T>
+    void operator()(const char *key, InRange<T> f)
     {
         (*this)(key, f.value);
     }
@@ -328,6 +395,17 @@ class FieldReader
     void operator()(const char *, HandParsed<T>)
     {
     }
+    /** A refused value leaves the member as it was. */
+    template <class T>
+    void operator()(const char *key, InRange<T> f)
+    {
+        T read = f.value;
+        (*this)(key, read);
+        if (f.admits(read))
+            f.value = read;
+        else if (r_.has(key))
+            r_.fail(key, "must be " + f.text());
+    }
     template <class F>
     void operator()(const char *key, SubObject<F> sub)
     {
@@ -413,6 +491,11 @@ struct FieldsEqual
     }
     template <class T>
     void operator()(const char *key, HandParsed<T> a, HandParsed<T> b)
+    {
+        (*this)(key, a.value, b.value);
+    }
+    template <class T>
+    void operator()(const char *key, InRange<T> a, InRange<T> b)
     {
         (*this)(key, a.value, b.value);
     }

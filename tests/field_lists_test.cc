@@ -6,7 +6,9 @@
  * through experimentSpecToJson / experimentSpecFromJson (hand-parsed
  * keys and semantic checks included); results and ledgers through
  * their checkpoint loaders. The draws cover an infinite MTTF (null)
- * and the redundancy pair both absent (zero) and present.
+ * and the redundancy pair both absent (zero) and present; a bounded
+ * (InRange) field is drawn from its declared range, and a walk over
+ * the lists checks each range's ends.
  */
 
 #include <gtest/gtest.h>
@@ -47,11 +49,7 @@ class RandomFill
         } else if constexpr (std::is_unsigned_v<T>) {
             value = zeros_ && pick(3) == 0 ? 0 : 1 + pick(1ull << 53);
         } else if constexpr (std::is_same_v<T, double>) {
-            const double u = std::uniform_real_distribution<>(
-                std::numeric_limits<double>::min(), 1.0)(rng_);
-            value = k == "begin" ? u * 0.5
-                    : k == "end" ? 1.0 - u * 0.5
-                                 : u * std::pow(10.0, pick(12));
+            value = unit() * std::pow(10.0, pick(12));
         } else if constexpr (std::is_same_v<T, std::string>) {
             value = word(k);
         } else if constexpr (std::is_enum_v<T>) {
@@ -101,6 +99,22 @@ class RandomFill
     {
         (*this)(key, f.value);
     }
+    /** A draw strictly inside a real range; an integer one (integer
+     *  ranges are bounded below only) from its lowest value up. */
+    template <class T>
+    void operator()(const char *, InRange<T> f)
+    {
+        if constexpr (std::is_floating_point_v<T>) {
+            const T span = f.hi.bound == f.kUnbounded
+                               ? std::pow(10.0, pick(12))
+                               : f.hi.bound - f.lo.bound;
+            f.value = f.lo.bound + unit() * span;
+        } else {
+            const uint64_t span =
+                std::is_same_v<T, int> ? 1000 : uint64_t{1} << 53;
+            f.value = f.lo.bound + f.lo.open + static_cast<T>(pick(span));
+        }
+    }
     template <class F>
     void operator()(const char *, SubObject<F> sub)
     {
@@ -110,6 +124,13 @@ class RandomFill
 
   private:
     uint64_t pick(uint64_t n) { return rng_() % n; }
+
+    /** Uniform in (0, 1). */
+    double unit()
+    {
+        return std::uniform_real_distribution<>(
+            std::numeric_limits<double>::min(), 1.0)(rng_);
+    }
 
     /** Strings the spec checks constrain come from their domain. */
     std::string word(const std::string &key)
@@ -186,12 +207,14 @@ TEST(FieldLists, RandomSpecsRoundTrip)
         // Trace paths must name readable trace files, which random
         // words do not (the trace-row tests cover the key).
         spec.matrix.traces.clear();
-        // And the fields a spec refuses because a worker would abort
-        // on them: a due probability beyond 1, a campaign stripe the
-        // layout rejects, a stress stripe too short for its scheme.
-        double &due_prob = spec.campaign.config.bank_due_prob;
-        if (due_prob > 1.0)
-            due_prob = 1.0 / due_prob;
+        // And the rules across fields a spec refuses because a
+        // worker would abort on them: a scenario longer than its
+        // period, a campaign stripe the layout rejects, a stress
+        // stripe too short for its scheme.
+        for (ScenarioSpec &s : spec.campaign.scenarios) {
+            s.burst_len = std::min(s.burst_len, s.burst_period);
+            s.droop_len = std::min(s.droop_len, s.droop_period);
+        }
         PeccConfig &pecc = spec.campaign.config.pecc;
         if (!protectionGeometryError(pecc, 0).empty())
             pecc.correct = 1;
@@ -206,8 +229,11 @@ TEST(FieldLists, RandomSpecsRoundTrip)
         realisable(spec.protection.uniform);
         for (ProtectionLevel &l : spec.protection.levels)
             realisable(l.domain);
-        for (ProtectionRegion &g : spec.protection.regions)
+        for (ProtectionRegion &g : spec.protection.regions) {
+            if (g.end <= g.begin)
+                g.end = 1.0;
             realisable(g.domain);
+        }
 
         const JsonValue doc = experimentSpecToJson(spec);
         ExperimentSpec back;
@@ -217,6 +243,173 @@ TEST(FieldLists, RandomSpecsRoundTrip)
         EXPECT_TRUE(back == spec) << seed << ": " << doc.dump(0);
         EXPECT_EQ(experimentSpecToJson(back).dump(0), doc.dump(0))
             << seed;
+    }
+}
+
+/**
+ * Walks a spec's field lists and calls `at(path, bound)` on each
+ * InRange field, `path` dotted as diagnostics give it. An array is
+ * entered at its first item.
+ */
+template <class F>
+struct BoundWalk
+{
+    F at;
+    std::string path;
+
+    std::string join(const std::string &key) const
+    {
+        return path.empty() ? key : path + "." + key;
+    }
+
+    template <class T>
+    void operator()(const char *key, T &value)
+    {
+        if constexpr (HasFields<T>)
+            forEachField(BoundWalk{at, join(key)}, value);
+    }
+    template <class T>
+    void operator()(const char *key, std::vector<T> &items)
+    {
+        if constexpr (HasFields<T>)
+            if (!items.empty())
+                forEachField(BoundWalk{at, join(key) + "[0]"}, items[0]);
+    }
+    template <class T>
+    void operator()(const char *key, InRange<T> f)
+    {
+        at(join(key), f);
+    }
+    template <class T>
+    void operator()(const char *key, HandParsed<T> f)
+    {
+        (*this)(key, f.value);
+    }
+    template <class B, class T>
+    void operator()(const char *key, PresentIf<B, T> f)
+    {
+        (*this)(key, f.value);
+    }
+    template <class G>
+    void operator()(const char *key, SubObject<G> sub)
+    {
+        BoundWalk walk{at, join(key)};
+        sub.fn(walk);
+    }
+    template <class T>
+    void operator()(const char *, EmitOnly<T>)
+    {
+    }
+    template <class D>
+    void operator()(const char *, NullIfInf<D>)
+    {
+    }
+    bool emitWhen(bool) { return true; }
+};
+
+/** The value one step from `v` towards `to`. */
+template <class T>
+T
+step(T v, T to)
+{
+    if constexpr (std::is_floating_point_v<T>)
+        return std::nextafter(v, to);
+    else
+        return to > v ? v + 1 : v - 1;
+}
+
+/** The last value inside, or the first outside, an end of a range. */
+enum class Probe
+{
+    LowIn,
+    LowOut,
+    HighIn,
+    HighOut
+};
+
+/** Probe `p`'s value for `f`; false when there is none (an unbounded
+ *  end, or no value of T beyond it). */
+template <class T>
+bool
+probeValue(const InRange<T> &f, Probe p, T *out)
+{
+    const bool low = p == Probe::LowIn || p == Probe::LowOut;
+    const bool inside = p == Probe::LowIn || p == Probe::HighIn;
+    const auto &end = low ? f.lo : f.hi;
+    const T beyond = low ? std::numeric_limits<T>::lowest()
+                         : std::numeric_limits<T>::max();
+    if (end.bound == f.kUnbounded || end.bound == beyond)
+        return false;
+    if (inside != end.open)
+        *out = end.bound;
+    else
+        *out = step(end.bound, !inside ? beyond
+                               : low   ? f.hi.bound
+                                       : f.lo.bound);
+    return true;
+}
+
+/**
+ * Every bounded field accepts the last value inside each finite end
+ * of its range and refuses the first value outside it, naming its
+ * dotted path. The base spec enters every array the lists hold
+ * bounds in (an option, a scenario, a region) and keeps the rules
+ * across fields satisfied at every bound.
+ */
+TEST(FieldLists, BoundedFieldsRejectOutOfRange)
+{
+    ExperimentSpec base;
+    ScenarioSpec scenario;
+    scenario.burst_len = 0;
+    scenario.droop_len = 0;
+    base.campaign.scenarios = {scenario};
+    base.protection.kind = ProtectionScopeKind::AddressRegion;
+    base.protection.regions = {ProtectionRegion{}};
+    normalizeExperimentSpec(&base);
+
+    // Sets the field-th bounded field of *spec to probe p's value and
+    // returns its path, or "-" when the probe has no value.
+    auto probe = [](size_t field, Probe p, ExperimentSpec *spec) {
+        size_t seen = 0;
+        std::string path;
+        BoundWalk walk{[&](const std::string &at, auto f) {
+                           if (seen++ == field)
+                               path = probeValue(f, p, &f.value) ? at
+                                                                 : "-";
+                       },
+                       std::string()};
+        forEachField(walk, *spec);
+        return path;
+    };
+
+    size_t bounded = 0;
+    BoundWalk count{[&](const std::string &, auto) { ++bounded; },
+                    std::string()};
+    forEachField(count, base);
+    // The walk reaches the nested objects and arrays too.
+    EXPECT_GE(bounded, 18u);
+    for (size_t field = 0; field < bounded; ++field) {
+        for (Probe p : {Probe::LowIn, Probe::LowOut, Probe::HighIn,
+                        Probe::HighOut}) {
+            ExperimentSpec spec = base;
+            const std::string path = probe(field, p, &spec);
+            if (path == "-")
+                continue;
+            ExperimentSpec back;
+            std::string diag;
+            const bool ok = experimentSpecFromJson(
+                experimentSpecToJson(spec), &back, &diag);
+            const int at = static_cast<int>(p);
+            if (p == Probe::LowIn || p == Probe::HighIn) {
+                EXPECT_TRUE(ok) << path << " probe " << at << ": " << diag;
+                EXPECT_TRUE(back == spec) << path << " probe " << at;
+            } else {
+                EXPECT_FALSE(ok) << path << " probe " << at;
+                EXPECT_NE(diag.find(path + ": must be "),
+                          std::string::npos)
+                    << path << " probe " << at << ": " << diag;
+            }
+        }
     }
 }
 

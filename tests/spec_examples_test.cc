@@ -1,7 +1,7 @@
 /**
  * @file
- * Round-trips every checked-in examples/specs/*.json through the
- * spec parser, normalizer and emitter. A spec that ships with the
+ * Round-trips every checked-in JSON spec under examples/specs through
+ * the spec parser, normalizer and emitter. A spec that ships with the
  * repo must load without a single diagnostic, survive
  * parse -> emit -> parse as the identity, and expand to a non-empty
  * cell list — catching schema drift the moment a field is renamed.

@@ -31,13 +31,14 @@ report(const char *name, const DeviceParams &params)
                 std::exp(fit.logProbStep(1, -1));
     double p7 = std::exp(fit.logProbStep(7, 1)) +
                 std::exp(fit.logProbStep(7, -1));
-    StsTiming timing(kDefaultClockHz, 0.4e-9, 1.0e-9, 0.34e-9);
-    ShiftPlanner planner(&fit, timing, 1, 7);
+    StsTiming timing(kDefaultClockHz, kStage1PerStepSeconds,
+                     kStage2PulseSeconds, kInPathCheckSeconds);
+    ShiftPlanner planner(&fit, timing, 1, kSegLen - 1);
     std::printf("%-13s pitch %5.0f nm  (density x%.1f)  "
                 "P(+-1|1)=%.3g  P(+-1|7)=%.3g  Dsafe@83M=%d\n",
                 name, params.pitch() * 1e9,
                 195.0 / (params.pitch() * 1e9), p1, p7,
-                planner.safeDistance(83e6));
+                planner.safeDistance(kPeakLlcOpsPerSecond));
 }
 
 } // namespace

@@ -28,15 +28,13 @@ main()
 
     PaperCalibratedErrorModel model;
     AreaModel area;
-    const double intensity = 83e6 * 512;
+    const double intensity = kPeakLlcOpsPerSecond * kStripesPerLine;
 
     TextTable t({"m", "detects", "code domains", "read ports",
                  "area/bit (F^2)", "DUE rate (7-step)",
                  "DUE MTTF @LLC"});
     for (int m = 0; m <= 3; ++m) {
         PeccConfig c;
-        c.num_segments = 8;
-        c.seg_len = 8;
         c.correct = m;
         c.variant = PeccVariant::Standard;
         PeccLayout lay = computeLayout(c);

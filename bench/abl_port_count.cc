@@ -26,14 +26,15 @@ main()
 
     PaperCalibratedErrorModel model;
     AreaModel area;
-    const double ops = 83e6;
-    const double stripes = 512.0;
-    StsTiming timing(kDefaultClockHz, 0.4e-9, 1.0e-9, 0.34e-9);
+    const double ops = kPeakLlcOpsPerSecond;
+    const double stripes = kStripesPerLine;
+    StsTiming timing(kDefaultClockHz, kStage1PerStepSeconds,
+                     kStage2PulseSeconds, kInPathCheckSeconds);
 
     TextTable t({"ports", "Lseg", "area F^2/b", "avg dist",
                  "avg shift cyc", "DUE MTTF"});
     for (int ports : {2, 4, 8, 16, 32}) {
-        int lseg = 64 / ports;
+        int lseg = kDomainsPerStripe / ports;
         PeccConfig c;
         c.num_segments = ports;
         c.seg_len = lseg;

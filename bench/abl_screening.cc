@@ -28,7 +28,7 @@ main()
     PaperCalibratedErrorModel error_model;
     ReliabilityModel rel(&error_model, Scheme::PeccSAdaptive);
     double log_due = rel.sequence({1, 1, 1}).log_due; // typical op
-    const double intensity = 83e6 * 512;
+    const double intensity = kPeakLlcOpsPerSecond * kStripesPerLine;
     double nominal_mttf = steadyStateMttf(log_due, intensity);
     char buf[64];
     std::printf("nominal-stripe DUE MTTF: %s\n\n",

@@ -53,7 +53,7 @@ main()
                 "out-of-step errors, which SECDED p-ECC corrects.\n");
 
     StsTiming with_sts;
-    StsTiming no_sts(kDefaultClockHz, 0.4e-9, 0.0, 0.0);
+    StsTiming no_sts(kDefaultClockHz, kStage1PerStepSeconds, 0.0, 0.0);
     std::printf("\nlatency price of stage 2 (cycles/shift):\n");
     TextTable lat({"distance", "stage-1 only", "with STS",
                    "overhead"});

@@ -29,7 +29,8 @@ double
 logDuePerAccess(const PaperCalibratedErrorModel &model, int lseg,
                 Scheme scheme, double ops_per_second)
 {
-    StsTiming timing(kDefaultClockHz, 0.4e-9, 1.0e-9, 0.34e-9);
+    StsTiming timing(kDefaultClockHz, kStage1PerStepSeconds,
+                     kStage2PulseSeconds, kInPathCheckSeconds);
     ShiftPlanner planner(&model, timing, 1, lseg - 1);
     ReliabilityModel rel(&model, scheme);
 
@@ -65,8 +66,8 @@ main()
     banner("Figure 12", "MTTF sensitivity vs stripe configuration");
 
     PaperCalibratedErrorModel model;
-    const double ops = 83e6;          // LLC accesses/s (paper)
-    const double stripes = 512.0;     // per line
+    const double ops = kPeakLlcOpsPerSecond;
+    const double stripes = kStripesPerLine;
 
     struct Shape { int bits; int segments; int lseg; };
     const Shape shapes[] = {

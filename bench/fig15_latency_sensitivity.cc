@@ -36,7 +36,8 @@ AvgLatency
 averageLatency(const PaperCalibratedErrorModel &model, int lseg,
                Cycles interval)
 {
-    StsTiming timing(kDefaultClockHz, 0.4e-9, 1.0e-9, 0.34e-9);
+    StsTiming timing(kDefaultClockHz, kStage1PerStepSeconds,
+                     kStage2PulseSeconds, kInPathCheckSeconds);
     ShiftPlanner planner(&model, timing, 1, lseg - 1);
     AvgLatency out{0.0, 0.0, 0.0};
     int samples = 0;

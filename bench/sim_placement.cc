@@ -27,7 +27,6 @@
  *            baseline)
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -64,15 +63,6 @@ constexpr double kMinOracleReductionPct = 20.0;
  * the oracle's magnitude.
  */
 constexpr double kMinAdaptiveReductionPct = 2.0;
-
-double
-nowSeconds()
-{
-    using clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(
-               clock::now().time_since_epoch())
-        .count();
-}
 
 struct PolicyRun
 {
@@ -112,9 +102,9 @@ runPolicy(const char *name, const WorkloadProfile &profile,
     PolicyRun run;
     run.policy = name;
     run.head = headPolicyName(head);
-    const double t0 = nowSeconds();
+    const double t0 = monotonicSeconds();
     run.result = simulate(profile, cfg, model);
-    run.wall_seconds = nowSeconds() - t0;
+    run.wall_seconds = monotonicSeconds() - t0;
     return run;
 }
 

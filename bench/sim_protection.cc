@@ -27,7 +27,6 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -62,15 +61,6 @@ constexpr double kMinMttfGainX = 10.0;
  * loss versus the per-frame baseline within this bound.
  */
 constexpr double kMaxTwoTierBwLossPct = 35.0;
-
-double
-nowSeconds()
-{
-    using clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(
-               clock::now().time_since_epoch())
-        .count();
-}
 
 struct Sizing
 {
@@ -110,9 +100,9 @@ runPolicy(const char *label, const WorkloadProfile &profile,
     cfg.hierarchy.protection = policy;
     PolicyRun run;
     run.label = label;
-    const double t0 = nowSeconds();
+    const double t0 = monotonicSeconds();
     run.result = simulate(profile, cfg, model);
-    run.wall_seconds = nowSeconds() - t0;
+    run.wall_seconds = monotonicSeconds() - t0;
     return run;
 }
 

@@ -27,8 +27,9 @@ main()
     banner("Table 3", "safe distances and safe shift sequences");
 
     PaperCalibratedErrorModel model;
-    StsTiming timing(kDefaultClockHz, 0.4e-9, 1.0e-9, 0.34e-9);
-    ShiftPlanner planner(&model, timing, 1, 7);
+    StsTiming timing(kDefaultClockHz, kStage1PerStepSeconds,
+                     kStage2PulseSeconds, kInPathCheckSeconds);
+    ShiftPlanner planner(&model, timing, 1, kSegLen - 1);
 
     std::printf("(a) safe distance vs shift intensity "
                 "(budget T = %.3g s)\n\n",
@@ -70,6 +71,6 @@ main()
 
     std::printf("\npaper anchor: a 128 MB LLC at 83M accesses/s "
                 "gets safe distance %d (paper: 3)\n",
-                planner.safeDistance(83e6));
+                planner.safeDistance(kPeakLlcOpsPerSecond));
     return 0;
 }

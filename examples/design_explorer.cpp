@@ -32,7 +32,8 @@ double
 logDuePerAccess(const PaperCalibratedErrorModel &model, int lseg,
                 Scheme scheme, double ops)
 {
-    StsTiming timing(kDefaultClockHz, 0.4e-9, 1.0e-9, 0.34e-9);
+    StsTiming timing(kDefaultClockHz, kStage1PerStepSeconds,
+                     kStage2PulseSeconds, kInPathCheckSeconds);
     ShiftPlanner planner(&model, timing, 1, lseg - 1);
     ReliabilityModel rel(&model, scheme);
     double acc = 0.0;
@@ -58,7 +59,8 @@ double
 avgCycles(const PaperCalibratedErrorModel &model, int lseg,
           Scheme scheme, double ops)
 {
-    StsTiming timing(kDefaultClockHz, 0.4e-9, 1.0e-9, 0.34e-9);
+    StsTiming timing(kDefaultClockHz, kStage1PerStepSeconds,
+                     kStage2PulseSeconds, kInPathCheckSeconds);
     ShiftPlanner planner(&model, timing, 1, lseg - 1);
     double acc = 0.0;
     int n = 0;
@@ -86,8 +88,8 @@ main(int argc, char **argv)
 {
     double mttf_years = argc > 1 ? std::atof(argv[1]) : 10.0;
     double area_budget = argc > 2 ? std::atof(argv[2]) : 12.5;
-    const double ops = 83e6;
-    const double stripes = 512.0;
+    const double ops = kPeakLlcOpsPerSecond;
+    const double stripes = kStripesPerLine;
 
     std::printf("design explorer: DUE MTTF >= %.0f years, area <= "
                 "%.1f F^2/bit, %g accesses/s\n\n",

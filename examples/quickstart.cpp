@@ -40,7 +40,7 @@ main()
 
     ShiftController controller(config, &model,
                                ShiftPolicy::Adaptive,
-                               /*peak_ops_per_second=*/83e6,
+                               kPeakLlcOpsPerSecond,
                                Rng(2015));
     controller.initialize();
     std::printf("stripe: %d segments x %d domains, SECDED p-ECC, "

@@ -126,8 +126,8 @@ double
 BeccAnalysis::refreshSecondErrorProbability() const
 {
     // The paper quotes this for the shifts of one segment pass
-    // (8 positions) across all 512 stripes: ~0.17.
-    double ops = static_cast<double>(stripes) * 8.0;
+    // (Lseg positions) across all the line's stripes: ~0.17.
+    double ops = static_cast<double>(stripes) * kSegLen;
     return std::exp(logAnyOf(std::log(p_slip), ops));
 }
 

@@ -29,6 +29,7 @@
 #include <cstdint>
 
 #include "device/error_model.hh"
+#include "device/organisation.hh"
 
 namespace rtm
 {
@@ -87,11 +88,11 @@ class HammingSecded
 /** Closed-form pieces of the paper's Sec. 3.2 argument. */
 struct BeccAnalysis
 {
-    /** Stripes a 64-byte line is interleaved across. */
-    int stripes = 512;
+    /** Stripes a line is interleaved across. */
+    int stripes = kStripesPerLine;
 
     /** Data domains per stripe. */
-    int domains_per_stripe = 64;
+    int domains_per_stripe = kDomainsPerStripe;
 
     /** Probability a 1-step shift slips (per stripe). */
     double p_slip = 4.55e-5;

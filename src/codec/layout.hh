@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "device/organisation.hh"
 #include "device/stripe.hh"
 #include "model/tech.hh"
 #include "util/fields.hh"
@@ -48,8 +49,8 @@ constexpr int kMaxCorrectionRounds = 4;
 /** Configuration of one protected stripe. */
 struct PeccConfig
 {
-    int num_segments = 8;  //!< read/write ports sharing the stripe
-    int seg_len = 8;       //!< domains per segment (Lseg)
+    int num_segments = kPortsPerStripe; //!< ports sharing the stripe
+    int seg_len = kSegLen; //!< domains per segment (Lseg)
     int correct = 1;       //!< m: step errors corrected (0 = SED);
                            //!< burst strength k for DelIns
     PeccVariant variant = PeccVariant::Standard;

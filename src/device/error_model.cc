@@ -257,8 +257,8 @@ ScaledErrorModel::ScaledErrorModel(
 {
     if (!base_)
         rtm_fatal("ScaledErrorModel: null base model");
-    if (!(factor > 0.0))
-        rtm_fatal("ScaledErrorModel: factor must be positive");
+    if (!(factor > 0.0) || std::isinf(factor))
+        rtm_fatal("ScaledErrorModel: factor must be positive and finite");
     for (int sts = 0; sts < 2; ++sts) {
         outcomes_[sts].resize(kTabulatedDistance);
         for (int d = 1; d <= kTabulatedDistance; ++d)

@@ -305,7 +305,7 @@ struct ScenarioSpec
     uint64_t droop_len = 32;
     double droop_undershoot_prob = 0.02;
 
-    // Skew parameters.
+    // Skew: sigma <= 82 keeps exp(sigma * z) finite (Gaussian |z| <= 8.57).
     uint64_t stripe_id = 7;
     double skew_sigma = 0.6;
 
@@ -329,7 +329,7 @@ forEachField(V &&v, S &...s)
     v("droop_undershoot_prob",
       InRange{s.droop_undershoot_prob, 0.0, 1.0}...);
     v("stripe_id", s.stripe_id...);
-    v("skew_sigma", s.skew_sigma...);
+    v("skew_sigma", InRange{s.skew_sigma, 0.0, 82.0}...);
 }
 
 /** Build a scenario instance over `base` from a spec. */

@@ -40,6 +40,8 @@
 #include <string>
 #include <vector>
 
+#include "device/organisation.hh"
+
 namespace rtm
 {
 
@@ -90,10 +92,10 @@ class Cache
     /**
      * @param capacity_bytes total data capacity
      * @param associativity  ways per set
-     * @param line_bytes     line size (64 B in the paper)
+     * @param line_bytes     line size
      */
     Cache(uint64_t capacity_bytes, int associativity,
-          int line_bytes = 64);
+          int line_bytes = kLineBytes);
 
     /**
      * Look up an address; allocate on miss (write-allocate policy).

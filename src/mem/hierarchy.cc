@@ -1,7 +1,5 @@
 #include "hierarchy.hh"
 
-#include <algorithm>
-
 #include "util/logging.hh"
 
 namespace rtm
@@ -16,8 +14,7 @@ hierarchyGeometryError(const HierarchyConfig &config)
     if (d == 0)
         return "capacity divisor must be >= 1";
     const uint64_t l1_bytes = l1Params().capacity_bytes / d;
-    const uint64_t min_bytes =
-        static_cast<uint64_t>(std::max(config.line_bytes, 0)) * 16;
+    const uint64_t min_bytes = kLineBytes * 16;
     if (l1_bytes < min_bytes)
         return "capacity divisor " + std::to_string(d) +
                " leaves L1 below " + std::to_string(min_bytes) +
@@ -28,14 +25,13 @@ hierarchyGeometryError(const HierarchyConfig &config)
         uint64_t bytes;
         int ways;
     } levels[] = {
-        {"L1", l1_bytes, config.l1_ways},
-        {"L2", l2Params().capacity_bytes / d, config.l2_ways},
-        {"L3", l3For(config.llc_tech).capacity_bytes / d,
-         config.llc_ways},
+        {"L1", l1_bytes, kL1Ways},
+        {"L2", l2Params().capacity_bytes / d, kL2Ways},
+        {"L3", l3For(config.llc_tech).capacity_bytes / d, kLlcWays},
     };
     for (const auto &level : levels) {
-        const std::string err = cacheGeometryError(
-            level.bytes, level.ways, config.line_bytes);
+        const std::string err =
+            cacheGeometryError(level.bytes, level.ways, kLineBytes);
         if (!err.empty())
             return std::string(level.name) + " under capacity divisor " +
                    std::to_string(d) + ": " + err;
@@ -56,28 +52,21 @@ Hierarchy::Hierarchy(const HierarchyConfig &config,
     l3_params_.capacity_bytes /= config_.capacity_divisor;
     for (int c = 0; c < config_.cores; ++c) {
         l1_.push_back(std::make_unique<Cache>(
-            l1_params_.capacity_bytes, config_.l1_ways,
-            config_.line_bytes));
+            l1_params_.capacity_bytes, kL1Ways));
     }
     int clusters = (config_.cores + 1) / 2;
     for (int cl = 0; cl < clusters; ++cl) {
         l2_.push_back(std::make_unique<Cache>(
-            l2_params_.capacity_bytes, config_.l2_ways,
-            config_.line_bytes));
+            l2_params_.capacity_bytes, kL2Ways));
     }
-    l3_ = std::make_unique<Cache>(l3_params_.capacity_bytes,
-                                  config_.llc_ways,
-                                  config_.line_bytes);
+    l3_ = std::make_unique<Cache>(l3_params_.capacity_bytes, kLlcWays);
 
     if (config_.llc_tech == MemTech::Racetrack ||
         config_.llc_tech == MemTech::RacetrackIdeal) {
         if (!model)
             rtm_fatal("racetrack LLC needs a position-error model");
         RmBankConfig bank;
-        bank.line_frames = l3_params_.capacity_bytes /
-                           static_cast<uint64_t>(config_.line_bytes);
-        bank.frames_per_group = config_.frames_per_group;
-        bank.seg_len = config_.seg_len;
+        bank.line_frames = l3_params_.capacity_bytes / kLineBytes;
         bank.scheme = config_.scheme;
         // A uniform / llc-level scheme override replaces the bank's
         // base scheme outright (timing and planning included);
@@ -86,10 +75,8 @@ Hierarchy::Hierarchy(const HierarchyConfig &config,
         if (llc.has_scheme)
             bank.scheme = llc.scheme;
         bank.protection = config_.protection;
-        bank.mttf_target_s = config_.mttf_target_s;
         bank.head_policy = config_.head_policy;
         bank.placement = config_.placement;
-        bank.model_contention = config_.model_contention;
         bank.telemetry = config_.telemetry;
         rm_bank_ = std::make_unique<RmBank>(bank, model, l3_params_);
     }

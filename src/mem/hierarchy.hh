@@ -40,21 +40,13 @@ struct HierarchyAccess
     Cycles shift_cycles = 0; //!< racetrack shift share of latency
 };
 
-/** Hierarchy-wide configuration. */
+/** Hierarchy-wide configuration (geometry: device/organisation.hh). */
 struct HierarchyConfig
 {
     int cores = 4;
     MemTech llc_tech = MemTech::Racetrack;
     Scheme scheme = Scheme::PeccSAdaptive;
-    int llc_ways = 16;
-    int l1_ways = 2;
-    int l2_ways = 4;
-    int line_bytes = 64;
-    int seg_len = 8;          //!< racetrack segment length
-    int frames_per_group = 64;
-    double mttf_target_s = kDefaultSafeMttfSeconds;
     HeadPolicy head_policy = HeadPolicy::Stay;
-    bool model_contention = false;
 
     /** Racetrack data-placement policy (mem/placement.hh). */
     PlacementConfig placement;

@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "control/head_policy.hh"
+#include "device/organisation.hh"
 #include "util/divider.hh"
 
 namespace rtm
@@ -119,8 +120,8 @@ struct PlacementConfig
 struct PlacementGeometry
 {
     uint64_t line_frames = 0;
-    int frames_per_group = 64;
-    int seg_len = 8;
+    int frames_per_group = kDomainsPerStripe;
+    int seg_len = kSegLen;
 };
 
 /**

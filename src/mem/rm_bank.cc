@@ -15,6 +15,8 @@ namespace
 constexpr Cycles kNeverShifted =
     std::numeric_limits<Cycles>::max();
 
+static_assert(kDomainsPerStripe % kSegLen == 0, "whole segments only");
+
 } // anonymous namespace
 
 RmBank::RmBank(const RmBankConfig &config,
@@ -27,7 +29,7 @@ RmBank::RmBank(const RmBankConfig &config,
                   : 0.0),
       planner_(model, timing_,
                std::max(0, schemeCorrectionStrength(config.scheme)),
-               config.seg_len - 1, config.mttf_target_s),
+               kSegLen - 1),
       protection_(resolveProtection(config.protection,
                                     config.line_frames)),
       reliability_model_(model,
@@ -42,9 +44,6 @@ RmBank::RmBank(const RmBankConfig &config,
         rtm_fatal("RmBank needs an error model");
     if (config_.line_frames == 0)
         rtm_fatal("RmBank needs at least one frame");
-    if (config_.seg_len < 1 || config_.frames_per_group < 1 ||
-        config_.frames_per_group % config_.seg_len != 0)
-        rtm_fatal("frames_per_group must be a multiple of seg_len");
     for (size_t i = 0; i < protection_.domains.size(); ++i) {
         ProtectionDomain &d = protection_.domains[i];
         const Scheme es = d.has_scheme ? d.scheme : config_.scheme;
@@ -60,8 +59,7 @@ RmBank::RmBank(const RmBankConfig &config,
             d.two_tier = false;
         }
         const std::string err = protectionDomainError(
-            d, config_.scheme, config_.seg_len,
-            config_.frames_per_group);
+            d, config_.scheme, kSegLen, kDomainsPerStripe);
         if (!err.empty())
             rtm_fatal("protection domain %zu: %s", i, err.c_str());
         if (i > 0) {
@@ -72,7 +70,7 @@ RmBank::RmBank(const RmBankConfig &config,
         codeword_div_.emplace_back(
             static_cast<uint64_t>(std::max(d.codeword_frames, 1)));
     }
-    const auto fpg = static_cast<uint64_t>(config_.frames_per_group);
+    constexpr uint64_t fpg = kDomainsPerStripe;
     group_div_ = Divider(fpg);
     uint64_t groups = (config_.line_frames + fpg - 1) / fpg;
     head_.assign(groups, 0);
@@ -85,17 +83,13 @@ RmBank::RmBank(const RmBankConfig &config,
         remap_[g] = g;
     serving_memo_ = remap_;
     group_stats_.assign(groups, RmGroupStats{});
-    PlacementGeometry geom;
-    geom.line_frames = config_.line_frames;
-    geom.frames_per_group = config_.frames_per_group;
-    geom.seg_len = config_.seg_len;
-    placement_ = makePlacementPolicy(geom, config_.placement,
-                                     config_.head_policy);
+    placement_ = makePlacementPolicy({.line_frames = config_.line_frames},
+                                     config_.placement, config_.head_policy);
     // A cold memory has been idle "forever": the adaptive policy may
     // use its most permissive plan on the very first shift.
     last_shift_ = kNeverShifted;
     worst_case_distance_ =
-        planner_.safeDistance(config_.peak_ops_per_second);
+        planner_.safeDistance(kPeakLlcOpsPerSecond);
     invalidatePlanMemo();
 
     if (config_.telemetry) {
@@ -154,11 +148,11 @@ RmBank::invalidatePlanMemo()
     one_step_energy_ = shiftOpEnergy(1);
 
     // Heads travel within one segment, so every request distance is
-    // in [1, seg_len - 1]; precompute each distance's decomposition
+    // in [1, kSegLen - 1]; precompute each distance's decomposition
     // cost with the identical per-part fold the live path performs,
     // so serving from the memo reproduces its arithmetic bit for
     // bit.
-    const int max_distance = config_.seg_len - 1;
+    const int max_distance = kSegLen - 1;
     plan_memo_.assign(static_cast<size_t>(std::max(max_distance, 0)),
                       {});
     drift_memo_.assign(static_cast<size_t>(max_distance) + 1,
@@ -221,8 +215,7 @@ RmBank::invalidatePlanMemo()
 void
 RmBank::addMemoReliability(const PlanCost &pc, int dom)
 {
-    const double weight =
-        static_cast<double>(config_.stripes_per_group);
+    const double weight = kStripesPerLine;
     if (dom == 0) {
         stats_.reliability.addExpected(pc.sdc_prob, pc.due_prob,
                                        weight);
@@ -272,15 +265,14 @@ RmBank::applyHeadPolicy(uint64_t group, Cycles now)
         // one group rarely span domains (and drift reliability is a
         // per-group approximation anyway).
         const int dom = protection_.domainIndexFor(
-            group * static_cast<uint64_t>(config_.frames_per_group));
+            group * static_cast<uint64_t>(kDomainsPerStripe));
         if (memo_enabled_) {
             addMemoReliability(drift_memo_[static_cast<size_t>(dist)],
                                dom);
         } else {
             ShiftReliability rel = domainModel(dom).sequence(
                 std::vector<int>(static_cast<size_t>(dist), 1));
-            stats_.reliability.add(
-                rel, static_cast<double>(config_.stripes_per_group));
+            stats_.reliability.add(rel, kStripesPerLine);
         }
     }
 }
@@ -299,8 +291,7 @@ RmBank::shiftOpEnergy(int steps) const
     // the group.
     const SchemeRow &row = schemeRow(config_.scheme);
     if (row.in_path_check) {
-        energy += row.overheads.detect_energy *
-                  static_cast<double>(config_.stripes_per_group);
+        energy += row.overheads.detect_energy * kStripesPerLine;
     }
     return energy;
 }
@@ -412,8 +403,7 @@ RmBank::accessFrame(uint64_t frame_index, Cycles now)
         // Reliability: every stripe in the group shifts independently
         // and is an independent failure opportunity.
         ShiftReliability rel = domainModel(dom).sequence(*parts);
-        stats_.reliability.add(
-            rel, static_cast<double>(config_.stripes_per_group));
+        stats_.reliability.add(rel, kStripesPerLine);
     }
 
     head_[group] = static_cast<int8_t>(target);
@@ -446,7 +436,7 @@ RmBank::accessRedundancy(uint64_t frame_index, Cycles now)
     if (protection_.domains[dom].codeword_frames <= 1)
         return {};
     // The pooled check region lives in the codeword's base frame
-    // slot. codeword_frames divides frames_per_group (validated at
+    // slot. codeword_frames divides kDomainsPerStripe (validated at
     // construction), so the base frame shares the data frame's
     // group and domain.
     const uint64_t base =
@@ -484,8 +474,7 @@ RmBank::chargeMigration(const PlacementMigration &m)
     } else {
         ShiftReliability rel = domainModel(dom).sequence(
             std::vector<int>(static_cast<size_t>(dist), 1));
-        stats_.reliability.add(
-            rel, static_cast<double>(config_.stripes_per_group));
+        stats_.reliability.add(rel, kStripesPerLine);
     }
     if (t_events_) {
         // Mirror the ledger exactly: migration shifts count too.
@@ -579,8 +568,7 @@ RmBank::degradedCapacityFraction() const
     if (stats_.degraded_groups == 0)
         return 0.0;
     uint64_t lost = 0;
-    uint64_t per_group =
-        static_cast<uint64_t>(config_.frames_per_group);
+    constexpr uint64_t per_group = kDomainsPerStripe;
     for (uint64_t g = 0; g < head_.size(); ++g) {
         if (!degraded_[g])
             continue;

@@ -2,12 +2,13 @@
  * @file
  * Racetrack LLC shift engine (paper Sec. 6.1 data mapping).
  *
- * A 64-byte cache line is bit-interleaved across a group of 512
- * stripes; each stripe holds 64 data domains split into 8 segments by
- * default, so one stripe group stores 64 line frames. All stripes of
- * a group share one shift controller and move in lockstep: serving a
- * frame means shifting the group so the frame's segment-local index
- * sits under the access ports.
+ * A cache line is bit-interleaved across a group of kStripesPerLine
+ * stripes; each stripe holds kDomainsPerStripe data domains split
+ * into segments of kSegLen, so one stripe group stores that many line
+ * frames (device/organisation.hh). All stripes of a group share one
+ * shift controller and move in lockstep: serving a frame means
+ * shifting the group so the frame's segment-local index sits under
+ * the access ports.
  *
  * The engine tracks per-group head positions, plans shift sequences
  * through the control layer's adapter policy, and reports per-access
@@ -91,16 +92,11 @@ struct RmGroupStats
     uint64_t migration_steps = 0;
 };
 
-/** Configuration of the racetrack LLC shift engine. */
+/** Racetrack LLC shift-engine config (geometry: device/organisation.hh). */
 struct RmBankConfig
 {
     uint64_t line_frames = 0;  //!< cache line frames to back
-    int frames_per_group = 64; //!< data domains per stripe
-    int seg_len = 8;           //!< Lseg
-    int stripes_per_group = 512;
     Scheme scheme = Scheme::PeccSAdaptive;
-    double peak_ops_per_second = 83e6; //!< paper's estimate
-    double mttf_target_s = kDefaultSafeMttfSeconds;
 
     /**
      * Requests serviced concurrently by interleaved sub-banks.
@@ -397,7 +393,7 @@ class RmBank
     Counter *t_migration_steps_ = nullptr;
     LatencyHistogram *t_shift_latency_ = nullptr;
 
-    /** Division by frames_per_group (frame -> home group). */
+    /** Division by kDomainsPerStripe (frame -> home group). */
     Divider group_div_;
     /** codeword_div_[d]: division by domain d's codeword_frames. */
     std::vector<Divider> codeword_div_;

@@ -63,7 +63,7 @@ runFaultDrill(const ScenarioSpec &spec,
         if (stop && (i & kStopPollMask) == 0 && stop->poll())
             return res;
         MemRequest req = gen.next();
-        uint64_t line = req.addr / 64;
+        uint64_t line = req.addr / kLineBytes;
         int seg = static_cast<int>(
             line % static_cast<uint64_t>(num_segments));
         int idx = static_cast<int>(

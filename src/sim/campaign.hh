@@ -50,11 +50,11 @@ struct CampaignConfig
 
     /** Stripe protection: two segments keep scrub image dumps cheap
      *  while exercising the same code paths as the full geometry. */
-    PeccConfig pecc{2, 8, 1, PeccVariant::Standard};
+    PeccConfig pecc{2, kSegLen, 1, PeccVariant::Standard};
     /** Recovery ladder: 2 retries, realign and scrub enabled. */
     RecoveryConfig recovery{2, true, true, 2, 1024};
     ShiftPolicy policy = ShiftPolicy::Adaptive;
-    double peak_ops_per_second = 83e6;
+    double peak_ops_per_second = kPeakLlcOpsPerSecond;
     int workload_cores = 4;
 
     // Bank degradation drill (runs alongside the controller drill).

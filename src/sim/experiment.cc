@@ -141,13 +141,10 @@ void
 checkProtectionDomain(const SpecReader &r, const std::string &at,
                       const ProtectionDomain &d)
 {
-    // The fixed hierarchy defaults (Lseg, frames per group); the
-    // bank re-validates at construction against its actual scheme,
-    // this front-loads the typed diagnostic.
-    const HierarchyConfig geometry;
+    // The bank re-validates at construction against its actual
+    // scheme; this front-loads the typed diagnostic.
     const std::string err = protectionDomainError(
-        d, Scheme::PeccSAdaptive, geometry.seg_len,
-        geometry.frames_per_group);
+        d, Scheme::PeccSAdaptive, kSegLen, kDomainsPerStripe);
     if (!err.empty())
         r.fail(at + "codeword_frames", err);
 }

@@ -285,7 +285,8 @@ forEachField(V &&v, S &...s)
     v("seed", s.config.seed...);
     v("scale", InRange{s.config.scale, Exclusive{0.0}}...);
     v("policy", s.config.policy...);
-    v("peak_ops_per_second", s.config.peak_ops_per_second...);
+    v("peak_ops_per_second",
+      InRange{s.config.peak_ops_per_second, Exclusive{0.0}}...);
     v("workload_cores", InRange{s.config.workload_cores, 1}...);
     v("ring_capacity", s.config.telemetry_ring_capacity...);
     v("pecc", s.config.pecc...);
@@ -316,7 +317,7 @@ struct StressSpec
     std::string scheme = "secded";
     double scale = 500.0; //!< error-rate acceleration
     uint64_t ops = 200000;
-    int lseg = 8;
+    int lseg = kSegLen;
     uint64_t seed = 1;
 
     bool operator==(const StressSpec &) const = default;

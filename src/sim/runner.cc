@@ -54,7 +54,7 @@ scaledProfile(WorkloadProfile profile, uint64_t divisor)
         rtm_panic("capacity divisor must be >= 1");
     profile.working_set_bytes =
         std::max<uint64_t>(profile.working_set_bytes / divisor,
-                           64 * 16);
+                           kLineBytes * 16);
     return profile;
 }
 

@@ -12,7 +12,6 @@ namespace
 {
 
 constexpr uint64_t kMiB = 1ull << 20;
-constexpr int kLineBytes = 64;
 
 WorkloadProfile
 make(const std::string &name, uint64_t ws, double hot_frac,

@@ -67,7 +67,9 @@ fatalImpl(const char *file, int line, const char *fmt, ...)
     std::string msg = vformat(fmt, ap);
     va_end(ap);
     std::fprintf(stderr, "fatal: %s @ %s:%d\n", msg.c_str(), file, line);
-    std::exit(1);
+    // Not exit(): on a pool worker the global pool's destructor joins it.
+    std::fflush(nullptr);
+    std::_Exit(1);
 }
 
 void

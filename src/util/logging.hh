@@ -60,7 +60,7 @@ void debugImpl(const char *fmt, ...);
 #define rtm_panic(...) \
     ::rtm::detail::panicImpl(__FILE__, __LINE__, __VA_ARGS__)
 
-/** Exit(1): the requested configuration cannot be honoured. */
+/** _Exit(1): the requested configuration cannot be honoured. */
 #define rtm_fatal(...) \
     ::rtm::detail::fatalImpl(__FILE__, __LINE__, __VA_ARGS__)
 

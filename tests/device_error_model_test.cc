@@ -163,6 +163,15 @@ TEST(ScaledModel, CapsAtHalf)
     EXPECT_LE(std::exp(m.logProbStep(7, 1)), 0.5 + 1e-12);
 }
 
+TEST(ScaledModelDeathTest, RefusesAnInfiniteFactor)
+{
+    // An infinite factor would make an impossible outcome's
+    // log-probability -inf + inf = NaN.
+    auto base = std::make_shared<PaperCalibratedErrorModel>();
+    EXPECT_EXIT(ScaledErrorModel(base, HUGE_VAL),
+                testing::ExitedWithCode(1), "positive and finite");
+}
+
 /**
  * The outcome walk sample() performed before outcome lists were
  * tabulated: one uniform draw, then a running sum of exp(log-prob)

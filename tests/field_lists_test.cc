@@ -181,16 +181,14 @@ constexpr uint64_t kSeeds = 200;
 
 TEST(FieldLists, RandomSpecsRoundTrip)
 {
-    const HierarchyConfig geometry;
     for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
         ExperimentSpec spec = randomFilled<ExperimentSpec>(seed, false);
-        // Pooled geometry the default hierarchy cannot realise is a
+        // Pooled geometry the Table 4 bank cannot realise is a
         // (tested) diagnostic; keep the draw inside the valid set.
         auto realisable = [&](ProtectionDomain &d) {
             auto bad = [&] {
                 return !protectionDomainError(d, Scheme::PeccSAdaptive,
-                                              geometry.seg_len,
-                                              geometry.frames_per_group)
+                                              kSegLen, kDomainsPerStripe)
                             .empty();
             };
             if (bad())

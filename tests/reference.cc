@@ -12,8 +12,6 @@ namespace rtm
 namespace
 {
 
-constexpr int kLineBytes = 64;
-
 bool
 isPowerOfTwo(uint64_t v)
 {
@@ -242,18 +240,15 @@ ReferenceHierarchy::ReferenceHierarchy(const HierarchyConfig &config,
     l3_params_.capacity_bytes /= config_.capacity_divisor;
     for (int c = 0; c < config_.cores; ++c) {
         l1_.push_back(std::make_unique<RefCache>(
-            l1_params_.capacity_bytes, config_.l1_ways,
-            config_.line_bytes));
+            l1_params_.capacity_bytes, kL1Ways, kLineBytes));
     }
     int clusters = (config_.cores + 1) / 2;
     for (int cl = 0; cl < clusters; ++cl) {
         l2_.push_back(std::make_unique<RefCache>(
-            l2_params_.capacity_bytes, config_.l2_ways,
-            config_.line_bytes));
+            l2_params_.capacity_bytes, kL2Ways, kLineBytes));
     }
     l3_ = std::make_unique<RefCache>(l3_params_.capacity_bytes,
-                                     config_.llc_ways,
-                                     config_.line_bytes);
+                                     kLlcWays, kLineBytes);
 
     if (config_.llc_tech == MemTech::Racetrack ||
         config_.llc_tech == MemTech::RacetrackIdeal) {
@@ -261,14 +256,10 @@ ReferenceHierarchy::ReferenceHierarchy(const HierarchyConfig &config,
             rtm_fatal("racetrack LLC needs a position-error model");
         RmBankConfig bank;
         bank.line_frames = l3_params_.capacity_bytes /
-                           static_cast<uint64_t>(config_.line_bytes);
-        bank.frames_per_group = config_.frames_per_group;
-        bank.seg_len = config_.seg_len;
+                           static_cast<uint64_t>(kLineBytes);
         bank.scheme = config_.scheme;
-        bank.mttf_target_s = config_.mttf_target_s;
         bank.head_policy = config_.head_policy;
         bank.placement = config_.placement;
-        bank.model_contention = config_.model_contention;
         // The whole point: every access re-plans and re-folds live.
         bank.use_plan_memo = false;
         rm_bank_ = std::make_unique<RmBank>(bank, model, l3_params_);

@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
+#include "util/logging.hh"
 #include "util/parallel.hh"
 
 namespace rtm
@@ -54,6 +57,27 @@ TEST(ThreadPool, NestedCallsRunInline)
         pool.parallelFor(8, [&](size_t) { total.fetch_add(1); });
     });
     EXPECT_EQ(total.load(), 64);
+}
+
+TEST(ThreadPoolDeathTest, FatalOnAWorkerExitsWithStatusOne)
+{
+    // A fatal error on a pool worker ends the process with status 1
+    // and its message. The other workers stay busy meanwhile, so the
+    // statement can only end through the fatal call; exiting through
+    // the static destructors instead would have the global pool join
+    // the worker that called it.
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            ThreadPool::setGlobalThreads(4);
+            std::atomic<bool> fired{false};
+            parallelFor(4, [&](size_t i) {
+                if (!fired.exchange(true))
+                    rtm_fatal("cell %zu cannot be built", i);
+                std::this_thread::sleep_for(std::chrono::seconds(5));
+            });
+        },
+        testing::ExitedWithCode(1), "fatal: cell [0-9]+ cannot be built");
 }
 
 TEST(ThreadPool, GlobalThreadsCanBeOverridden)

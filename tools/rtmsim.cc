@@ -73,10 +73,11 @@
  *   --out PATH        write the normalized spec back out
  *
  * `plan` options:
- *   --lseg N          segment length, 2..64        (default 8)
- *   --intensity OPS   sustained ops/s for Dsafe, > 0 (default 83e6)
+ *   --lseg N          segment length, 2..64 (default: Table 4's Lseg)
+ *   --intensity OPS   sustained ops/s for Dsafe, > 0 (default: the
+ *                     peak LLC intensity, kPeakLlcOpsPerSecond)
  *
- * `stripe` options:
+ * `stripe` options (defaults: the Table 4 stripe, m = 1, std):
  *   --segments N --lseg N --strength M --variant
  *   std|overhead|del-ins
  */
@@ -660,8 +661,9 @@ cmdPlan(int argc, char **argv)
 {
     CliFlags flags = CliFlags::parseOrExit(argc, argv, 2,
                                            {"lseg", "intensity"});
-    int lseg = flags.getInt("lseg", 8);
-    double intensity = flags.getDouble("intensity", 83e6);
+    int lseg = flags.getInt("lseg", kSegLen);
+    double intensity =
+        flags.getDouble("intensity", kPeakLlcOpsPerSecond);
     // 64 is the longest segment any figure plans for (Fig. 12); the
     // planner's fronts grow superlinearly beyond it.
     if (lseg < 2 || lseg > 64) {
@@ -673,7 +675,8 @@ cmdPlan(int argc, char **argv)
         return 2;
     }
     PaperCalibratedErrorModel model;
-    StsTiming timing(kDefaultClockHz, 0.4e-9, 1.0e-9, 0.34e-9);
+    StsTiming timing(kDefaultClockHz, kStage1PerStepSeconds,
+                     kStage2PulseSeconds, kInPathCheckSeconds);
     ShiftPlanner planner(&model, timing, 1, lseg - 1);
     std::printf("safe distance at %.3g ops/s: %d\n\n", intensity,
                 planner.safeDistance(intensity));
@@ -708,9 +711,9 @@ cmdStripe(int argc, char **argv)
     CliFlags flags = CliFlags::parseOrExit(
         argc, argv, 2, {"segments", "lseg", "strength", "variant"});
     PeccConfig c;
-    c.num_segments = flags.getInt("segments", 8);
-    c.seg_len = flags.getInt("lseg", 8);
-    c.correct = flags.getInt("strength", 1);
+    c.num_segments = flags.getInt("segments", c.num_segments);
+    c.seg_len = flags.getInt("lseg", c.seg_len);
+    c.correct = flags.getInt("strength", c.correct);
     std::string variant = flags.get("variant", "std");
     if (variant == "std") {
         c.variant = PeccVariant::Standard;

@@ -70,7 +70,7 @@ main()
                              HeadPolicy::ReturnHome,
                              HeadPolicy::Center}) {
             Result r = run(p, bursty);
-            t.addRow({headPolicyName(p),
+            t.addRow({enumToken(p),
                       TextTable::integer(
                           static_cast<long long>(r.shift_cycles)),
                       TextTable::integer(

@@ -101,7 +101,7 @@ runPolicy(const char *name, const WorkloadProfile &profile,
     cfg.hierarchy.head_policy = head;
     PolicyRun run;
     run.policy = name;
-    run.head = headPolicyName(head);
+    run.head = enumToken(head);
     const double t0 = monotonicSeconds();
     run.result = simulate(profile, cfg, model);
     run.wall_seconds = monotonicSeconds() - t0;

@@ -11,12 +11,15 @@
  *      ./llc_study trace:/tmp/app.trace 500000
  *
  * Trace files use the format of src/trace/trace_file.hh
- * ("<core> <addr> <R|W> [gap]", one request per line).
+ * ("<core> <addr> <R|W> [gap]", one request per line). A file that
+ * does not parse, or names a core the hierarchy lacks, is refused
+ * with its `file:line: message` and exit status 2.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/runner.hh"
@@ -39,7 +42,22 @@ main(int argc, char **argv)
     WorkloadProfile profile;
     if (use_trace) {
         std::string path = workload.substr(6);
-        trace = loadTraceFile(path);
+        TraceParseResult parsed =
+            loadTraceFileChecked(path, HierarchyConfig{}.cores);
+        if (!parsed.ok()) {
+            const TraceDiagnostic &d = parsed.diagnostics.front();
+            if (d.line > 0)
+                std::fprintf(stderr, "%s:%d: %s\n", path.c_str(), d.line,
+                             d.message.c_str());
+            else
+                std::fprintf(stderr, "%s\n", d.message.c_str());
+            return 2;
+        }
+        if (parsed.requests.empty()) {
+            std::fprintf(stderr, "%s: no requests\n", path.c_str());
+            return 2;
+        }
+        trace = std::move(parsed.requests);
         std::printf("trace %s: %zu requests (looped to %llu)\n\n",
                     path.c_str(), trace.size(),
                     static_cast<unsigned long long>(requests));

@@ -98,13 +98,6 @@ struct BeccAnalysis
     double p_slip = 4.55e-5;
 
     /**
-     * Probability that a single-stripe slip is *invisible* to
-     * b-ECC on the next read: the misread neighbour bit happens to
-     * equal the correct bit (1/2 for random data).
-     */
-    double invisibleSlipProbability() const { return 0.5; }
-
-    /**
      * Shift operations needed to refresh (read out and reload) one
      * full line: every domain of every stripe must pass a port.
      */

@@ -101,9 +101,6 @@ class ProtectedLine
     /** Two-tier reads escalated to the full ECC decode. */
     uint64_t fullDecodes() const { return full_decodes_; }
 
-    /** Segment length of the underlying stripes. */
-    int segLen() const { return config_.seg_len; }
-
   private:
     PeccConfig config_;
     std::vector<std::unique_ptr<ProtectedStripe>> stripes_;

@@ -45,13 +45,6 @@ enumTokens(HeadPolicy)
     });
 }
 
-/** Human-readable head-policy name (also the spec/CLI token). */
-inline const char *
-headPolicyName(HeadPolicy policy)
-{
-    return enumToken(policy);
-}
-
 } // namespace rtm
 
 #endif // RTM_CONTROL_HEAD_POLICY_HH

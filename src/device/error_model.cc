@@ -233,24 +233,6 @@ PaperCalibratedErrorModel::logProbStopInMiddle(int distance,
     return rate > 0.0 ? std::log(rate) : kNegInf;
 }
 
-double
-ZeroErrorModel::logProbStep(int, int) const
-{
-    return kNegInf;
-}
-
-double
-ZeroErrorModel::logProbStopInMiddle(int, int) const
-{
-    return kNegInf;
-}
-
-ShiftOutcome
-ZeroErrorModel::sample(Rng &, int, bool) const
-{
-    return ShiftOutcome{};
-}
-
 ScaledErrorModel::ScaledErrorModel(
     std::shared_ptr<const PositionErrorModel> base, double factor)
     : base_(std::move(base)), log_factor_(std::log(factor))

@@ -185,16 +185,6 @@ class PaperCalibratedErrorModel : public PositionErrorModel
     double middle_fraction_;
 };
 
-/** Error-free model for functional testing. */
-class ZeroErrorModel : public PositionErrorModel
-{
-  public:
-    double logProbStep(int, int) const override;
-    double logProbStopInMiddle(int, int) const override;
-    ShiftOutcome sample(Rng &, int, bool) const override;
-    int maxStepError() const override { return 0; }
-};
-
 /**
  * Wrapper that scales another model's error rates by a constant factor
  * (used by ablation benches and accelerated fault-injection tests).
@@ -249,12 +239,13 @@ class ScaledErrorModel final : public PositionErrorModel
 /**
  * Deterministic scripted model: pops outcomes from a fixed list
  * (useful for unit-testing correction logic with exact scenarios).
+ * With an empty script it is the error-free model.
  */
 class ScriptedErrorModel : public PositionErrorModel
 {
   public:
     /** Outcomes are consumed in order; afterwards shifts succeed. */
-    explicit ScriptedErrorModel(std::vector<ShiftOutcome> script);
+    explicit ScriptedErrorModel(std::vector<ShiftOutcome> script = {});
 
     double logProbStep(int, int) const override;
     double logProbStopInMiddle(int, int) const override;

@@ -56,12 +56,6 @@ enumTokens(McTier)
     });
 }
 
-inline const char *
-mcTierToken(McTier tier)
-{
-    return enumToken(tier);
-}
-
 /** Parse a tier token; false (and *tier untouched) when unknown. */
 inline bool
 mcTierFromToken(const std::string &token, McTier *tier)

@@ -52,7 +52,7 @@ RacetrackStripe::RacetrackStripe(int wire_slots, std::vector<Port> ports,
         tail_pad_ = kAllX & ~tail_keep_;
     }
     if (!model_)
-        rtm_fatal("stripe needs an error model (use ZeroErrorModel)");
+        rtm_fatal("stripe needs an error model");
     for (const auto &p : ports_) {
         if (p.wire_slot < 0 || p.wire_slot >= wire_slots) {
             rtm_fatal("port slot %d outside wire of %d slots",

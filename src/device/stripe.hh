@@ -77,7 +77,8 @@ class RacetrackStripe
     /**
      * @param wire_slots total number of domain slots on the wire
      * @param ports      access ports (slots must be within the wire)
-     * @param model      position-error model (may be ZeroErrorModel)
+     * @param model      position-error model (an empty ScriptedErrorModel
+     *                   for error-free shifts)
      * @param rng        RNG used for fault injection
      */
     RacetrackStripe(int wire_slots, std::vector<Port> ports,

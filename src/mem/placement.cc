@@ -15,11 +15,6 @@ PlacementPolicy::PlacementPolicy(const PlacementGeometry &geom,
 {
     if (geom_.line_frames == 0)
         rtm_fatal("placement needs at least one frame");
-    if (geom_.seg_len < 1 || geom_.frames_per_group < 1 ||
-        geom_.frames_per_group % geom_.seg_len != 0)
-        rtm_fatal("frames_per_group must be a multiple of seg_len");
-    group_div_ = Divider(static_cast<uint64_t>(geom_.frames_per_group));
-    seg_div_ = Divider(static_cast<uint64_t>(geom_.seg_len));
     if (config_.epoch_accesses == 0)
         rtm_fatal("placement epoch must be >= 1 access");
     if (config_.swap_budget < 0)
@@ -33,7 +28,7 @@ PlacementPolicy::PlacementPolicy(const PlacementGeometry &geom,
                       geom_.line_frames));
     }
     fixed_rest_ = head_policy_ == HeadPolicy::Center
-                      ? (geom_.seg_len - 1) / 2
+                      ? (kSegLen - 1) / 2
                       : 0;
     // Tracking is opt-in per policy; the base class only turns it on
     // for needs every policy shares (predictive rest scheduling,
@@ -41,22 +36,16 @@ PlacementPolicy::PlacementPolicy(const PlacementGeometry &geom,
     tracking_ = config_.track_counts ||
                 head_policy_ == HeadPolicy::Predictive;
 
-    uint64_t groups =
-        (geom_.line_frames +
-         static_cast<uint64_t>(geom_.frames_per_group) - 1) /
-        static_cast<uint64_t>(geom_.frames_per_group);
     if (head_policy_ == HeadPolicy::Predictive)
-        group_rest_.assign(groups, 0);
+        group_rest_.assign(groupCount(), 0);
 }
 
 void
 PlacementPolicy::frameRange(uint64_t group, uint64_t *first,
                             uint64_t *last) const
 {
-    *first = group * static_cast<uint64_t>(geom_.frames_per_group);
-    *last = std::min(*first + static_cast<uint64_t>(
-                                  geom_.frames_per_group),
-                     geom_.line_frames);
+    *first = group * kFramesPerGroup;
+    *last = std::min(*first + kFramesPerGroup, geom_.line_frames);
 }
 
 std::vector<int>
@@ -80,11 +69,11 @@ PlacementPolicy::offsetsByProximity(uint64_t group) const
         break;
       case HeadPolicy::Stay:
       default:
-        anchor = (geom_.seg_len - 1) / 2;
+        anchor = (kSegLen - 1) / 2;
         break;
     }
-    std::vector<int> offsets(static_cast<size_t>(geom_.seg_len));
-    for (int o = 0; o < geom_.seg_len; ++o)
+    std::vector<int> offsets(static_cast<size_t>(kSegLen));
+    for (int o = 0; o < kSegLen; ++o)
         offsets[static_cast<size_t>(o)] = o;
     std::sort(offsets.begin(), offsets.end(),
               [anchor](int a, int b) {
@@ -106,13 +95,13 @@ PlacementPolicy::updateRest(uint64_t group)
     // ties toward the lower offset, and an idle group keeps its
     // previous prediction.
     std::vector<uint64_t> &per_offset = offset_heat_;
-    per_offset.assign(static_cast<size_t>(geom_.seg_len), 0);
+    per_offset.assign(static_cast<size_t>(kSegLen), 0);
     for (uint64_t f = first; f < last; ++f)
         per_offset[static_cast<size_t>(slotOffset(f))] +=
             frame_count_[f];
     uint64_t best = 0;
     int best_offset = group_rest_[group];
-    for (int o = 0; o < geom_.seg_len; ++o) {
+    for (int o = 0; o < kSegLen; ++o) {
         uint64_t c = per_offset[static_cast<size_t>(o)];
         if (c > best) {
             best = c;
@@ -131,12 +120,8 @@ PlacementPolicy::recordAccess(uint64_t frame,
     if (frame_count_.empty()) {
         // Lazily sized: most banks never track.
         frame_count_.assign(geom_.line_frames, 0);
-        uint64_t groups =
-            (geom_.line_frames +
-             static_cast<uint64_t>(geom_.frames_per_group) - 1) /
-            static_cast<uint64_t>(geom_.frames_per_group);
-        group_since_epoch_.assign(groups, 0);
-        group_epochs_.assign(groups, 0);
+        group_since_epoch_.assign(groupCount(), 0);
+        group_epochs_.assign(groupCount(), 0);
     }
     ++frame_count_[frame];
     uint64_t g = groupOf(frame);
@@ -221,11 +206,10 @@ class TablePlacement : public PlacementPolicy
                              return a < b;
                          });
         const std::vector<int> order = offsetsByProximity(group);
-        const int cap = slotsPerOffset();
         for (size_t i = 0; i < ranked.size(); ++i) {
             uint64_t f = ranked[i];
             int target =
-                order[std::min(i / static_cast<size_t>(cap),
+                order[std::min(i / static_cast<size_t>(kSlotsPerOffset),
                                order.size() - 1)];
             int old = slot_[f];
             if (old == target)
@@ -256,23 +240,11 @@ class HotCenterPlacement : public TablePlacement
         if (!config_.profile.empty()) {
             // Offline: the layout exists before the cache fills, so
             // no migration cost is charged.
-            uint64_t groups = (geom_.line_frames +
-                               static_cast<uint64_t>(
-                                   geom_.frames_per_group) -
-                               1) /
-                              static_cast<uint64_t>(
-                                  geom_.frames_per_group);
-            for (uint64_t g = 0; g < groups; ++g)
+            for (uint64_t g = 0; g < groupCount(); ++g)
                 assignHotCenter(g, config_.profile.data(), nullptr);
         } else {
             tracking_ = true;
-            uint64_t groups = (geom_.line_frames +
-                               static_cast<uint64_t>(
-                                   geom_.frames_per_group) -
-                               1) /
-                              static_cast<uint64_t>(
-                                  geom_.frames_per_group);
-            organized_.assign(groups, 0);
+            organized_.assign(groupCount(), 0);
         }
     }
 
@@ -334,11 +306,11 @@ class AdaptivePlacement : public TablePlacement
         // Target slot: the offset whose residents drew the most
         // accesses. Ties toward the lower offset for determinism.
         std::vector<uint64_t> &per_offset = offset_heat_;
-        per_offset.assign(static_cast<size_t>(geom_.seg_len), 0);
+        per_offset.assign(static_cast<size_t>(kSegLen), 0);
         for (uint64_t f = first; f < last; ++f)
             per_offset[static_cast<size_t>(slot_[f])] += counts[f];
         int target = 0;
-        for (int o = 1; o < geom_.seg_len; ++o)
+        for (int o = 1; o < kSegLen; ++o)
             if (per_offset[static_cast<size_t>(o)] >
                 per_offset[static_cast<size_t>(target)])
                 target = o;
@@ -347,7 +319,6 @@ class AdaptivePlacement : public TablePlacement
         // `pairs` of each ranking can swap, and (count, frame) is a
         // strict total order, so a partial sort yields exactly the
         // prefix a full sort would.
-        const int cap = slotsPerOffset();
         std::vector<uint64_t> &outside = outside_;
         std::vector<uint64_t> &resident = resident_;
         outside.clear();
@@ -355,7 +326,8 @@ class AdaptivePlacement : public TablePlacement
         for (uint64_t f = first; f < last; ++f)
             (slot_[f] == target ? resident : outside).push_back(f);
         const size_t pairs = std::min(
-            {outside.size(), resident.size(), static_cast<size_t>(cap),
+            {outside.size(), resident.size(),
+             static_cast<size_t>(kSlotsPerOffset),
              static_cast<size_t>(config_.swap_budget)});
         std::partial_sort(outside.begin(),
                           outside.begin() +

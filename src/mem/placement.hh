@@ -47,7 +47,6 @@
 
 #include "control/head_policy.hh"
 #include "device/organisation.hh"
-#include "util/divider.hh"
 
 namespace rtm
 {
@@ -69,19 +68,6 @@ enumTokens(PlacementKind)
         {PlacementKind::HotCenter, "hot-center"},
         {PlacementKind::Adaptive, "adaptive"},
     });
-}
-
-inline const char *
-placementKindName(PlacementKind kind)
-{
-    return enumToken(kind);
-}
-
-/** Parse a placement token; returns false on unknown input. */
-inline bool
-placementKindFromToken(const std::string &token, PlacementKind *out)
-{
-    return enumFromToken(token, out);
 }
 
 /** Placement configuration carried by RmBankConfig. */
@@ -116,12 +102,14 @@ struct PlacementConfig
     bool track_counts = false;
 };
 
-/** Geometry a placement policy needs from the bank. */
+/**
+ * Geometry a placement policy needs from the bank: its frame count.
+ * A group holds kDomainsPerStripe frames under kSegLen slot offsets
+ * (device/organisation.hh).
+ */
 struct PlacementGeometry
 {
     uint64_t line_frames = 0;
-    int frames_per_group = kDomainsPerStripe;
-    int seg_len = kSegLen;
 };
 
 /**
@@ -156,7 +144,7 @@ class PlacementPolicy
                     HeadPolicy head_policy);
     virtual ~PlacementPolicy() = default;
 
-    /** Policy token (matches placementKindName). */
+    /** Policy token (matches enumToken of its PlacementKind). */
     virtual const char *name() const = 0;
 
     /** Head offset that serves `frame` in its group. */
@@ -165,7 +153,7 @@ class PlacementPolicy
     /** Home stripe group of a frame. */
     uint64_t groupOf(uint64_t frame) const
     {
-        return group_div_.quotient(frame);
+        return frame / kFramesPerGroup;
     }
 
     /** Offset `group`'s heads drift to when idle. */
@@ -225,21 +213,29 @@ class PlacementPolicy
     /** Group epochs between two count halvings (see agesCounts). */
     static constexpr uint64_t kAgePeriod = 8;
 
-    /** The arithmetic (static) slot of a frame. */
-    int homeOffset(uint64_t frame) const
+    /** Frames of one stripe group. */
+    static constexpr uint64_t kFramesPerGroup = kDomainsPerStripe;
+    static_assert(kDomainsPerStripe % kSegLen == 0,
+                  "a stripe group must hold whole segments");
+
+    /** Groups covering the bank's frames. */
+    uint64_t groupCount() const
     {
-        // (frame mod frames_per_group) mod seg_len: seg_len divides
-        // frames_per_group (checked at construction), so one
-        // reduction does.
-        return geom_.seg_len - 1 -
-               static_cast<int>(seg_div_.remainder(frame));
+        return (geom_.line_frames + kFramesPerGroup - 1) /
+               kFramesPerGroup;
+    }
+
+    /** The arithmetic (static) slot of a frame. */
+    static int homeOffset(uint64_t frame)
+    {
+        // (frame mod kFramesPerGroup) mod kSegLen: kSegLen divides
+        // kFramesPerGroup, so one reduction does.
+        return kSegLen - 1 -
+               static_cast<int>(frame % static_cast<uint64_t>(kSegLen));
     }
 
     /** Frames a group can hold per slot offset. */
-    int slotsPerOffset() const
-    {
-        return geom_.frames_per_group / geom_.seg_len;
-    }
+    static constexpr int kSlotsPerOffset = kDomainsPerStripe / kSegLen;
 
     /** [first, last) frame range of a group. */
     void frameRange(uint64_t group, uint64_t *first,
@@ -256,8 +252,6 @@ class PlacementPolicy
     void updateRest(uint64_t group);
 
     PlacementGeometry geom_;
-    Divider group_div_; //!< by frames_per_group
-    Divider seg_div_;   //!< by seg_len
     PlacementConfig config_;
     HeadPolicy head_policy_;
     int fixed_rest_ = 0;

@@ -177,20 +177,6 @@ forEachField(V &&v, S &...s)
         v("regions", s.regions...);
 }
 
-inline const char *
-protectionKindToken(ProtectionScopeKind kind)
-{
-    return enumToken(kind);
-}
-
-/** Inverse of protectionKindToken; false on an unknown token. */
-inline bool
-protectionKindFromToken(const std::string &token,
-                        ProtectionScopeKind *out)
-{
-    return enumFromToken(token, out);
-}
-
 /**
  * Bank-resolved form of a policy: the base (llc) domain plus, for
  * AddressRegion policies, the sorted frame ranges. Resolution is a

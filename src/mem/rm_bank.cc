@@ -54,7 +54,7 @@ RmBank::RmBank(const RmBankConfig &config,
             // cell (the standard matrix includes baseline options).
             rtm_warn("protection domain %zu: scheme '%s' is "
                      "unprotected; serving per-frame codewords",
-                     i, schemeToken(es));
+                     i, enumToken(es));
             d.codeword_frames = 1;
             d.two_tier = false;
         }

@@ -7,6 +7,19 @@
 namespace rtm
 {
 
+namespace
+{
+
+// Technology constants of the stripe area model, in F^2.
+constexpr double kF2PerDomain = 6.8;          //!< stripe footprint per domain
+constexpr double kF2PerReadPort = 20.0;       //!< transistor, read-only
+constexpr double kF2PerRwPort = 40.0;         //!< transistor pair + refs
+constexpr double kF2PerWritePort = 20.0;      //!< end write driver (p-ECC-O)
+constexpr double kF2PeripheralPerPort = 10.0; //!< sense amp / driver
+constexpr double kF2PeripheralFixed = 40.0;   //!< shift driver + control
+
+} // anonymous namespace
+
 double
 cellSizeF2(MemTech tech)
 {
@@ -30,27 +43,21 @@ isoAreaCapacityBytes(MemTech tech, uint64_t sram_capacity_bytes)
         static_cast<double>(sram_capacity_bytes) * ratio + 0.5);
 }
 
-AreaModel::AreaModel(AreaModelParams params) : params_(params)
-{
-}
-
 double
 AreaModel::stripeArea(int domains, int read_ports, int rw_ports,
                       int write_ports) const
 {
     if (domains <= 0)
         rtm_panic("stripeArea: need at least one domain");
-    double stripe = params_.f2_per_domain *
-                    static_cast<double>(domains);
+    double stripe = kF2PerDomain * static_cast<double>(domains);
     double transistors =
-        params_.f2_per_read_port * static_cast<double>(read_ports) +
-        params_.f2_per_rw_port * static_cast<double>(rw_ports) +
-        params_.f2_per_write_port * static_cast<double>(write_ports);
+        kF2PerReadPort * static_cast<double>(read_ports) +
+        kF2PerRwPort * static_cast<double>(rw_ports) +
+        kF2PerWritePort * static_cast<double>(write_ports);
     int total_ports = read_ports + rw_ports + write_ports;
     double peripheral =
-        params_.f2_peripheral_fixed +
-        params_.f2_peripheral_per_port *
-            static_cast<double>(total_ports);
+        kF2PeripheralFixed +
+        kF2PeripheralPerPort * static_cast<double>(total_ports);
     // The stripe is stacked on the transistors: footprint is the
     // larger of the two layers; peripheral circuitry always adds.
     return std::max(stripe, transistors) + peripheral;

@@ -45,25 +45,12 @@ double cellSizeF2(MemTech tech);
 uint64_t isoAreaCapacityBytes(MemTech tech,
                               uint64_t sram_capacity_bytes);
 
-/** Technology constants of the stripe area model. */
-struct AreaModelParams
-{
-    double f2_per_domain = 6.8;       //!< stripe footprint per domain
-    double f2_per_read_port = 20.0;   //!< transistor, read-only
-    double f2_per_rw_port = 40.0;     //!< transistor pair + refs
-    double f2_per_write_port = 20.0;  //!< end write driver (p-ECC-O)
-    double f2_peripheral_per_port = 10.0; //!< sense amp / driver
-    double f2_peripheral_fixed = 40.0;    //!< shift driver + control
-};
-
 /**
- * Stripe area evaluator.
+ * Stripe area evaluator over the technology constants in area.cc.
  */
 class AreaModel
 {
   public:
-    explicit AreaModel(AreaModelParams params = {});
-
     /**
      * Total stripe footprint in F^2 for an explicit inventory.
      *
@@ -89,11 +76,6 @@ class AreaModel
      */
     double areaPerBitWithPorts(int data_bits, int added_read_ports,
                                int rw_ports) const;
-
-    const AreaModelParams &params() const { return params_; }
-
-  private:
-    AreaModelParams params_;
 };
 
 } // namespace rtm

@@ -47,12 +47,6 @@ enumTokens(MemTech)
     });
 }
 
-inline const char *
-techToken(MemTech tech)
-{
-    return enumToken(tech);
-}
-
 /** Timing/energy/capacity description of one cache technology. */
 struct TechParams
 {
@@ -267,19 +261,6 @@ enumTokens(Scheme)
     for (size_t i = 0; i < tokens.size(); ++i)
         tokens[i] = {kSchemeRows[i].scheme, kSchemeRows[i].token};
     return tokens;
-}
-
-inline const char *
-schemeToken(Scheme scheme)
-{
-    return enumToken(scheme);
-}
-
-/** Parse a scheme token; false (out untouched) when unknown. */
-inline bool
-schemeFromToken(const std::string &token, Scheme *out)
-{
-    return enumFromToken(token, out);
 }
 
 /** Human-readable scheme name. */

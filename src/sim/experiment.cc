@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -35,14 +36,14 @@ checkWorkloadNames(const SpecReader &r,
 
 /**
  * Parse every trace file against the default hierarchy's cores, so a
- * bad file fails with its `file:line` instead of in an engine worker.
+ * bad file fails with its `file:line` instead of in a running cell.
  */
 void
 checkTraces(const SpecReader &r, const std::vector<std::string> &paths)
 {
     for (size_t i = 0; i < paths.size(); ++i) {
-        const TraceParseResult trace = loadTraceFileChecked(
-            paths[i], TraceParseMode::Strict, HierarchyConfig{}.cores);
+        const TraceParseResult trace =
+            loadTraceFileChecked(paths[i], HierarchyConfig{}.cores);
         const std::string at = "traces[" + std::to_string(i) + "]";
         if (!trace.ok()) {
             const TraceDiagnostic &d = trace.diagnostics.front();
@@ -130,8 +131,8 @@ parseOptionList(SpecReader &r, std::vector<LlcOption> *out,
                         schemeName(opt.scheme);
             if (nonDefaultPlacement(opt))
                 opt.label += std::string(" [") +
-                             placementKindName(opt.placement) + "/" +
-                             headPolicyName(opt.head_policy) + "]";
+                             enumToken(opt.placement) + "/" +
+                             enumToken(opt.head_policy) + "]";
         }
         out->push_back(opt);
     }
@@ -152,8 +153,8 @@ checkProtectionDomain(const SpecReader &r, const std::string &at,
 /**
  * The capacity divisor must leave every option's hierarchy buildable
  * (hierarchyGeometryError, the rule the Hierarchy constructor
- * enforces), so a bad divisor fails here instead of in every engine
- * worker.
+ * enforces), so a bad divisor fails here instead of in every
+ * running cell.
  */
 void
 checkDivisorGeometry(SpecReader &r, const MatrixSpec &m)
@@ -249,7 +250,7 @@ finishRead(SpecReader &r, ExperimentSpec &spec)
 {
     const StressSpec &s = spec.stress;
     Scheme scheme;
-    const bool known = schemeFromToken(s.scheme, &scheme);
+    const bool known = enumFromToken(s.scheme, &scheme);
     if (!known || !schemeRow(scheme).stripe_drill) {
         std::string drills;
         for (const SchemeRow &row : kSchemeRows)
@@ -301,7 +302,7 @@ finishRead(SpecReader &r, ExperimentSpec &spec)
     }
 }
 
-// --- engine ----------------------------------------------------------
+// --- cell scheduling -------------------------------------------------
 
 const char *
 cellStatusToken(CellStatus status)
@@ -316,130 +317,149 @@ cellStatusToken(CellStatus status)
     return "?";
 }
 
-bool
-ExperimentEngine::replayCell(size_t index, const JsonValue &result)
+namespace
 {
-    if (index >= cells_.size())
-        return false;
-    Cell &cell = cells_[index];
-    if (cell.replayed || !cell.load || !cell.load(result))
-        return false;
-    cell.replayed = true;
-    return true;
-}
 
-void
-ExperimentEngine::runCell(Cell &cell, size_t index,
-                          TelemetryScope shard, double run_deadline)
+/**
+ * One schedulable cell of a run. `body` receives its telemetry shard
+ * plus a StopFlag it should poll at natural checkpoints; `save` and
+ * `load` serialize the cell's result slot for the journal and for
+ * resume.
+ */
+struct Cell
 {
-    CellOutcome &out = outcomes_[index];
-    const double t0 = monotonicSeconds();
-    out.start_s = t0;
-    // Effective deadline: the earlier of the per-cell watchdog and
-    // the whole-run deadline (0 = none).
-    double deadline = 0.0;
-    if (resilience_.cell_deadline_ms > 0)
-        deadline = t0 + static_cast<double>(
-                            resilience_.cell_deadline_ms) / 1e3;
-    if (run_deadline > 0.0 &&
-        (deadline == 0.0 || run_deadline < deadline))
-        deadline = run_deadline;
+    std::string label;
+    std::function<void(TelemetryScope, StopFlag *)> body;
+    std::function<JsonValue()> save;
+    std::function<bool(const JsonValue &)> load;
+    bool replayed = false; //!< load()ed from the resume journal
+};
 
-    int attempt = 0;
-    for (;;) {
-        ++attempt;
-        StopFlag stop(cancel_, deadline);
-        if (stop.poll()) {
-            out.status = stop.reason() == StopReason::Deadline
-                             ? CellStatus::TimedOut
-                             : CellStatus::Cancelled;
-            break;
-        }
-        try {
-            if (fault_hook_)
-                fault_hook_(index, attempt);
-            cell.body(shard, &stop);
-            // The latch is the validity contract: the result slot is
-            // good iff the body never observed a stop. A cancel that
-            // fires after the last poll leaves a completed cell.
-            if (stop.stopped())
-                out.status =
-                    stop.reason() == StopReason::Deadline
-                        ? CellStatus::TimedOut
-                        : CellStatus::Cancelled;
-            else
-                out.status = CellStatus::Ok;
-            break;
-        } catch (const std::exception &e) {
-            out.error = e.what();
-        } catch (...) {
-            out.error = "unknown exception";
-        }
-        out.status = CellStatus::Failed;
-        if (static_cast<uint64_t>(attempt) >
-            resilience_.retry_budget)
-            break;
-        if (cancel_ && cancel_->cancelled())
-            break;
-        // Exponential backoff, sliced so a cancel cuts it short.
-        const int shift = std::min(attempt - 1, 20);
-        uint64_t delay_ms = std::min<uint64_t>(
-            resilience_.backoff_ms << shift, 10000);
-        while (delay_ms > 0 &&
-               !(cancel_ && cancel_->cancelled())) {
-            const uint64_t slice = std::min<uint64_t>(delay_ms, 10);
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(slice));
-            delay_ms -= slice;
-        }
-    }
-    out.attempts = attempt;
-    out.wall_ms = (monotonicSeconds() - t0) * 1e3;
-    if (out.status == CellStatus::Ok && journal_ && cell.save) {
-        JournalRecord rec;
-        rec.index = index;
-        rec.label = cell.label;
-        rec.result = cell.save();
-        journal_->appendRecord(rec);
-    }
-    if (on_outcome_)
-        on_outcome_(index, out);
-}
-
-void
-ExperimentEngine::run(TelemetryScope root)
+/**
+ * Run every non-replayed cell on the global pool and return one
+ * outcome per cell. Cells are claimed dynamically, with no barrier
+ * between a spec's sections; each gets a private telemetry shard
+ * (lane = cell index) and the shards merge into `root` in cell
+ * order, so the telemetry is bit-identical at any RTM_THREADS.
+ *
+ * Every cell ends in exactly one outcome. A throwing body is retried
+ * per `resilience` with exponential backoff and then recorded as
+ * Failed without disturbing the other cells; the cancel token and
+ * the deadlines stop the run cooperatively (in-flight bodies observe
+ * their StopFlag, unclaimed cells stay Cancelled); replayed cells are
+ * Skipped. Each completed cell is appended to `journal` (when not
+ * null) as it finishes, and each executed cell adds one
+ * "experiment.cell" span and "experiment.cell_wall_ms" sample.
+ */
+std::vector<CellOutcome>
+runCells(std::vector<Cell> &cells, TelemetryScope root,
+         const RunControl &control, const ResilienceSpec &resilience,
+         JournalWriter *journal, size_t ring_capacity)
 {
-    std::vector<Cell> cells = std::move(cells_);
-    cells_.clear();
+    const CancelToken *cancel = control.cancel;
     // Pre-fill every outcome as Cancelled: a cell the cancel-aware
     // parallelFor never claims keeps exactly that status. Replayed
     // cells are Skipped up front (their slots are already loaded).
-    outcomes_.assign(cells.size(), CellOutcome{});
+    std::vector<CellOutcome> outcomes(cells.size());
     for (size_t i = 0; i < cells.size(); ++i) {
-        outcomes_[i].label = cells[i].label;
+        outcomes[i].label = cells[i].label;
         if (cells[i].replayed) {
-            outcomes_[i].status = CellStatus::Skipped;
-            if (on_outcome_)
-                on_outcome_(i, outcomes_[i]);
+            outcomes[i].status = CellStatus::Skipped;
+            if (control.on_cell)
+                control.on_cell(i, outcomes[i]);
         }
     }
     const double run_deadline =
-        resilience_.run_deadline_ms > 0
+        resilience.run_deadline_ms > 0
             ? monotonicSeconds() +
-                  static_cast<double>(resilience_.run_deadline_ms) /
+                  static_cast<double>(resilience.run_deadline_ms) /
                       1e3
             : 0.0;
-    // One shard per job: shards merge into the root in job order, so
-    // the exported telemetry is bit-identical at any RTM_THREADS.
-    TelemetryShards shards(root, cells.size(), ring_capacity_);
+
+    auto run_cell = [&](Cell &cell, size_t index, TelemetryScope shard) {
+        CellOutcome &out = outcomes[index];
+        const double t0 = monotonicSeconds();
+        out.start_s = t0;
+        // Effective deadline: the earlier of the per-cell watchdog
+        // and the whole-run deadline (0 = none).
+        double deadline = 0.0;
+        if (resilience.cell_deadline_ms > 0)
+            deadline = t0 + static_cast<double>(
+                                resilience.cell_deadline_ms) / 1e3;
+        if (run_deadline > 0.0 &&
+            (deadline == 0.0 || run_deadline < deadline))
+            deadline = run_deadline;
+
+        int attempt = 0;
+        for (;;) {
+            ++attempt;
+            StopFlag stop(cancel, deadline);
+            if (stop.poll()) {
+                out.status = stop.reason() == StopReason::Deadline
+                                 ? CellStatus::TimedOut
+                                 : CellStatus::Cancelled;
+                break;
+            }
+            try {
+                if (control.fault_hook)
+                    control.fault_hook(index, attempt);
+                cell.body(shard, &stop);
+                // The latch is the validity contract: the result slot
+                // is good iff the body never observed a stop. A
+                // cancel that fires after the last poll leaves a
+                // completed cell.
+                if (stop.stopped())
+                    out.status =
+                        stop.reason() == StopReason::Deadline
+                            ? CellStatus::TimedOut
+                            : CellStatus::Cancelled;
+                else
+                    out.status = CellStatus::Ok;
+                break;
+            } catch (const std::exception &e) {
+                out.error = e.what();
+            } catch (...) {
+                out.error = "unknown exception";
+            }
+            out.status = CellStatus::Failed;
+            if (static_cast<uint64_t>(attempt) > resilience.retry_budget)
+                break;
+            if (cancel && cancel->cancelled())
+                break;
+            // Exponential backoff, sliced so a cancel cuts it short.
+            const int shift = std::min(attempt - 1, 20);
+            uint64_t delay_ms = std::min<uint64_t>(
+                resilience.backoff_ms << shift, 10000);
+            while (delay_ms > 0 && !(cancel && cancel->cancelled())) {
+                const uint64_t slice = std::min<uint64_t>(delay_ms, 10);
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(slice));
+                delay_ms -= slice;
+            }
+        }
+        out.attempts = attempt;
+        out.wall_ms = (monotonicSeconds() - t0) * 1e3;
+        if (out.status == CellStatus::Ok && journal) {
+            JournalRecord rec;
+            rec.index = index;
+            rec.label = cell.label;
+            rec.result = cell.save();
+            journal->appendRecord(rec);
+        }
+        if (control.on_cell)
+            control.on_cell(index, out);
+    };
+
+    // One shard per cell: shards merge into the root in cell order,
+    // so the exported telemetry is bit-identical at any RTM_THREADS.
+    TelemetryShards shards(root, cells.size(), ring_capacity);
     ThreadPool::global().parallelFor(
         cells.size(),
         [&](size_t i) {
-            if (cells[i].replayed)
-                return;
-            runCell(cells[i], i, shards.shard(i), run_deadline);
+            if (!cells[i].replayed)
+                run_cell(cells[i], i, shards.shard(i));
         },
-        cancel_);
+        cancel);
     shards.mergeIntoRoot();
     if (root) {
         // Each executed cell's one wall-clock measurement, pushed in
@@ -448,8 +468,8 @@ ExperimentEngine::run(TelemetryScope root)
         Telemetry &t = *root.get();
         LatencyHistogram &wall = t.histogram(
             "experiment.cell_wall_ms", powerOfTwoEdges(65536.0));
-        for (size_t i = 0; i < outcomes_.size(); ++i) {
-            const CellOutcome &o = outcomes_[i];
+        for (size_t i = 0; i < outcomes.size(); ++i) {
+            const CellOutcome &o = outcomes[i];
             if (o.attempts == 0)
                 continue; // replayed, or never claimed
             wall.record(o.wall_ms);
@@ -457,7 +477,10 @@ ExperimentEngine::run(TelemetryScope root)
                    o.start_s, o.wall_ms * 1e-3, static_cast<double>(i));
         }
     }
+    return outcomes;
 }
+
+} // anonymous namespace
 
 // --- spec ------------------------------------------------------------
 
@@ -616,7 +639,7 @@ stressSchemeConfig(const std::string &token, Scheme *scheme,
     // The stripe drill shares one stripe between two ports; seg_len
     // is the caller's (the --lseg flag / stress.lseg field).
     Scheme s;
-    if (!schemeFromToken(token, &s) || !schemeRow(s).stripe_drill)
+    if (!enumFromToken(token, &s) || !schemeRow(s).stripe_drill)
         return false;
     *scheme = s;
     *config = peccConfigFor(s, 2, config->seg_len);
@@ -780,9 +803,9 @@ runMcCell(const McSpec &spec, TelemetryScope telemetry,
         rtm_fatal("unknown montecarlo tier '%s'", spec.tier.c_str());
     McRunResult out;
     out.distance = spec.distance;
-    out.tier = mcTierToken(tier);
+    out.tier = enumToken(tier);
     // Nominal device, seed and tier from the spec: the cell result
-    // is a pure function of the section. Inside an engine job the
+    // is a pure function of the section. Inside a scheduled cell the
     // nested shard fan-out runs inline, so the determinism guarantee
     // of run()/fitModel() carries through the scheduler.
     PositionErrorMonteCarlo mc(DeviceParams{}, spec.seed, tier);
@@ -867,7 +890,7 @@ JsonValue
 stressResultToJson(const StressResult &r)
 {
     JsonValue v = JsonValue::object();
-    v.set("scheme", schemeToken(r.scheme));
+    v.set("scheme", enumToken(r.scheme));
     v.set("corrected", r.corrected);
     v.set("due", r.due);
     v.set("silent", r.silent);
@@ -998,7 +1021,6 @@ runExperiment(const ExperimentSpec &spec_in,
     normalizeExperimentSpec(&res.spec);
     const ExperimentSpec &spec = res.spec;
 
-    ExperimentEngine engine;
     PaperCalibratedErrorModel default_model;
     const PositionErrorModel *matrix_model =
         model ? model : &default_model;
@@ -1018,23 +1040,29 @@ runExperiment(const ExperimentSpec &spec_in,
         for (const std::string &path : spec.matrix.traces) {
             res.matrix.push_back(WorkloadMatrixRow{
                 WorkloadProfile{path}, std::vector<SimResult>(options)});
-            traces.push_back(loadTraceFileChecked(
-                path, TraceParseMode::Strict, HierarchyConfig{}.cores));
+            traces.push_back(
+                loadTraceFileChecked(path, HierarchyConfig{}.cores));
         }
     }
+    // Campaign cells may ask for a larger per-shard event ring.
+    size_t ring_capacity = Telemetry::kDefaultRingCapacity;
     if (res.has_campaign) {
         res.campaign.cells.resize(spec.campaign.scenarios.size() *
                                   spec.campaign.workloads.size());
-        engine.requestRingCapacity(
-            spec.campaign.config.telemetry_ring_capacity);
+        ring_capacity =
+            std::max<size_t>(ring_capacity,
+                             spec.campaign.config.telemetry_ring_capacity);
     }
 
-    // One engine cell per expanded cell, in expansion order. A cell
-    // body reads only the spec and its own slot, so the results are
-    // independent of the worker count and of how cells interleave.
-    const std::vector<ExperimentCell> cells = expandCells(spec);
-    for (const ExperimentCell &c : cells) {
-        ExperimentEngine::Cell cell;
+    // One scheduled cell per expanded cell, in expansion order. A
+    // cell body reads only the spec and its own slot, so the results
+    // are independent of the worker count and of how cells
+    // interleave.
+    const std::vector<ExperimentCell> expanded = expandCells(spec);
+    std::vector<Cell> cells(expanded.size());
+    for (size_t i = 0; i < expanded.size(); ++i) {
+        const ExperimentCell &c = expanded[i];
+        Cell &cell = cells[i];
         cell.label = c.label();
         // The body stores run(shard, stop) in `slot`; the checkpoint
         // is the slot's field list.
@@ -1115,16 +1143,8 @@ runExperiment(const ExperimentSpec &spec_in,
             });
             break;
         }
-        engine.addCell(std::move(cell));
     }
-
     res.cells = cells.size();
-    engine.setCancelToken(control.cancel);
-    engine.setResilience(spec.resilience);
-    if (control.fault_hook)
-        engine.setFaultHook(control.fault_hook);
-    if (control.on_cell)
-        engine.setOutcomeCallback(control.on_cell);
 
     // Resume: replay every intact journaled cell into its slot.
     // A record that fails to load (index drift, malformed payload)
@@ -1137,10 +1157,12 @@ runExperiment(const ExperimentSpec &spec_in,
         if (!error.empty())
             rtm_fatal("%s", error.c_str());
         for (JournalRecord &record : journal.records) {
-            if (engine.replayCell(
-                    static_cast<size_t>(record.index),
-                    record.result))
-                replayed.push_back(std::move(record));
+            const size_t index = static_cast<size_t>(record.index);
+            if (index >= cells.size() || cells[index].replayed ||
+                !cells[index].load(record.result))
+                continue;
+            cells[index].replayed = true;
+            replayed.push_back(std::move(record));
         }
     }
 
@@ -1160,14 +1182,14 @@ runExperiment(const ExperimentSpec &spec_in,
             for (const JournalRecord &record : replayed)
                 journal.appendRecord(record);
         }
-        engine.setJournal(&journal);
     }
 
-    engine.run(telemetry);
+    res.outcomes =
+        runCells(cells, telemetry, control, spec.resilience,
+                 journal.isOpen() ? &journal : nullptr, ring_capacity);
 
     // One count per CellStatus (in enum order), feeding both the
     // result and the root telemetry.
-    res.outcomes = engine.outcomes();
     uint64_t *const tally[] = {&res.ok_cells, &res.failed_cells,
                                &res.timed_out_cells,
                                &res.cancelled_cells,

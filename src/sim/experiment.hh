@@ -11,11 +11,11 @@
  * (util/serde.hh). expandCells(spec) is the one description of a
  * run's cells, and runExperiment schedules exactly that list — matrix,
  * campaign, stress and Monte-Carlo cells alike — as one job set on
- * the global thread pool through the ExperimentEngine: no per-matrix
- * barrier, campaign and matrix cells interleave freely, yet results
- * and merged telemetry are bit-identical at any RTM_THREADS because
- * each cell derives its RNG streams from the spec alone and per-cell
- * telemetry shards merge in cell order.
+ * the global thread pool: no per-matrix barrier, campaign and matrix
+ * cells interleave freely, yet results and merged telemetry are
+ * bit-identical at any RTM_THREADS because each cell derives its RNG
+ * streams from the spec alone and per-cell telemetry shards merge in
+ * cell order.
  */
 
 #ifndef RTM_SIM_EXPERIMENT_HH
@@ -50,8 +50,8 @@ enum class CellStatus
 const char *cellStatusToken(CellStatus status);
 
 /**
- * Structured outcome of one cell. The engine produces exactly one of
- * these per scheduled cell, whatever happens inside the body — a
+ * Structured outcome of one cell. runExperiment produces exactly one
+ * of these per scheduled cell, whatever happens inside the body — a
  * throwing cell is *contained* here instead of aborting the job set.
  */
 struct CellOutcome
@@ -88,132 +88,6 @@ forEachField(V &&v, S &...s)
     v("cell_deadline_ms", s.cell_deadline_ms...);
     v("run_deadline_ms", s.run_deadline_ms...);
 }
-
-/**
- * Deterministic job-set scheduler on the global ThreadPool.
- *
- * Jobs are independent cells; each gets a private telemetry shard
- * (lane = job index) and the shards merge into the root sink in job
- * order after the parallel region, so counters/events are
- * bit-identical for any RTM_THREADS. Jobs are claimed dynamically —
- * there is no barrier between a spec's sections, which is what lets
- * matrix and campaign cells interleave.
- *
- * Crash-safety contract: every scheduled cell ends in exactly one
- * CellOutcome. A throwing body is retried per the resilience policy
- * and then recorded as Failed without disturbing the other cells; a
- * cancel token or deadline stops the run cooperatively (in-flight
- * bodies observe their StopFlag, unclaimed cells stay Cancelled);
- * completed cells stream to an attached journal so an interrupted
- * run can resume via replayCell.
- */
-class ExperimentEngine
-{
-  public:
-    /**
-     * One schedulable cell. `body` receives its telemetry shard plus
-     * a StopFlag it should poll at natural checkpoints. `save`/`load`
-     * serialize the cell's result slot for journaling/resume; either
-     * may be null, which just disables checkpointing for that cell.
-     */
-    struct Cell
-    {
-        std::string label;
-        std::function<void(TelemetryScope, StopFlag *)> body;
-        std::function<JsonValue()> save;
-        std::function<bool(const JsonValue &)> load;
-        bool replayed = false; //!< load()ed; body will not run
-    };
-
-    /** Raise the per-shard event-ring capacity (max of requests). */
-    void requestRingCapacity(size_t capacity)
-    {
-        if (capacity > ring_capacity_)
-            ring_capacity_ = capacity;
-    }
-
-    /** Queue one cell. */
-    void addCell(Cell cell) { cells_.push_back(std::move(cell)); }
-
-    size_t jobCount() const { return cells_.size(); }
-
-    /** Cooperative cancel source checked before/inside cells. */
-    void setCancelToken(const CancelToken *cancel)
-    {
-        cancel_ = cancel;
-    }
-
-    /** Retry/backoff/deadline policy (defaults: all off). */
-    void setResilience(const ResilienceSpec &resilience)
-    {
-        resilience_ = resilience;
-    }
-
-    /**
-     * Stream each completed cell to `journal` (already opened, with
-     * its header written). The writer is internally locked, so
-     * workers append directly as cells finish.
-     */
-    void setJournal(JournalWriter *journal) { journal_ = journal; }
-
-    /**
-     * Test-only fault hook, called as hook(cell_index, attempt)
-     * right before each body invocation; a throw from the hook is
-     * handled exactly like a throw from the body.
-     */
-    void setFaultHook(std::function<void(size_t, int)> hook)
-    {
-        fault_hook_ = std::move(hook);
-    }
-
-    /**
-     * Per-cell completion callback (worker threads, possibly
-     * concurrently — the callback must be thread-safe). Used by
-     * tools for progress and by tests to cancel mid-run.
-     */
-    void setOutcomeCallback(
-        std::function<void(size_t, const CellOutcome &)> cb)
-    {
-        on_outcome_ = std::move(cb);
-    }
-
-    /**
-     * Restore cell `index` from a journaled result instead of
-     * running it: load() fills the result slot now and the cell is
-     * recorded as Skipped by run(). Returns false (cell re-runs)
-     * when the index is out of range, the cell has no loader, or
-     * load() rejects the document.
-     */
-    bool replayCell(size_t index, const JsonValue &result);
-
-    /**
-     * Run every queued non-replayed cell on the global pool, then
-     * merge the telemetry shards into `root` in job order and add one
-     * "experiment.cell" span and "experiment.cell_wall_ms" sample per
-     * executed cell. One-shot: the job list is consumed; outcomes()
-     * holds one entry per cell afterwards.
-     */
-    void run(TelemetryScope root);
-
-    /** One outcome per scheduled cell, filled by run(). */
-    const std::vector<CellOutcome> &outcomes() const
-    {
-        return outcomes_;
-    }
-
-  private:
-    void runCell(Cell &cell, size_t index, TelemetryScope shard,
-                 double run_deadline);
-
-    size_t ring_capacity_ = Telemetry::kDefaultRingCapacity;
-    std::vector<Cell> cells_;
-    std::vector<CellOutcome> outcomes_;
-    const CancelToken *cancel_ = nullptr;
-    ResilienceSpec resilience_;
-    JournalWriter *journal_ = nullptr;
-    std::function<void(size_t, int)> fault_hook_;
-    std::function<void(size_t, const CellOutcome &)> on_outcome_;
-};
 
 /**
  * Matrix section of a spec: rows x (tech, scheme) options. The rows
@@ -598,7 +472,7 @@ struct ExperimentResult
 
     size_t cells = 0; //!< total scheduled cells
 
-    /** One structured outcome per scheduled cell (engine order). */
+    /** One structured outcome per scheduled cell (cell order). */
     std::vector<CellOutcome> outcomes;
     uint64_t ok_cells = 0;
     uint64_t failed_cells = 0;
@@ -631,9 +505,17 @@ struct RunControl
     std::string stream_path;
     /** Replay completed cells from this journal ("" = fresh run). */
     std::string resume_path;
-    /** Test-only per-attempt fault hook (see setFaultHook). */
+    /**
+     * Test-only fault hook, called as hook(cell_index, attempt) right
+     * before each body invocation; a throw from the hook is handled
+     * exactly like a throw from the body.
+     */
     std::function<void(size_t, int)> fault_hook;
-    /** Per-cell completion callback (thread-safe required). */
+    /**
+     * Per-cell completion callback, on worker threads and possibly
+     * concurrently (it must be thread-safe). A replayed cell reports
+     * Skipped before any cell runs.
+     */
     std::function<void(size_t, const CellOutcome &)> on_cell;
 };
 
@@ -663,9 +545,12 @@ std::string runJournalError(const ExperimentSpec &spec,
                             const RunControl &control);
 
 /**
- * Run a whole spec on the engine: every enabled section expands into
- * cells scheduled as ONE job set (matrix and campaign cells
- * interleave on the pool), bit-identical at any RTM_THREADS.
+ * Run a whole spec: every enabled section expands into cells
+ * scheduled as ONE job set (matrix and campaign cells interleave on
+ * the pool), bit-identical at any RTM_THREADS. Each cell gets a
+ * private telemetry shard; the shards merge into `telemetry` in cell
+ * order, followed by one "experiment.cell" span and
+ * "experiment.cell_wall_ms" sample per executed cell.
  *
  * With `control`, the run is crash-safe end to end: a cell that
  * throws is retried per spec.resilience and contained as a Failed

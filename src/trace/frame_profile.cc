@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "util/serde.hh"
+#include <functional>
 
 namespace rtm
 {
@@ -15,15 +14,6 @@ FrameProfile::total() const
     for (uint64_t c : counts)
         sum += c;
     return sum;
-}
-
-uint64_t
-FrameProfile::touchedFrames() const
-{
-    uint64_t n = 0;
-    for (uint64_t c : counts)
-        n += c > 0 ? 1 : 0;
-    return n;
 }
 
 double
@@ -45,43 +35,6 @@ FrameProfile::hotShare(double top_fraction) const
     for (size_t i = 0; i < top; ++i)
         hot += sorted[i];
     return static_cast<double>(hot) / static_cast<double>(sum);
-}
-
-JsonValue
-frameProfileToJson(const FrameProfile &profile)
-{
-    JsonValue counts = JsonValue::array();
-    for (uint64_t c : profile.counts)
-        counts.push(c);
-    JsonValue v = JsonValue::object();
-    v.set("counts", std::move(counts));
-    return v;
-}
-
-bool
-frameProfileFromJson(const JsonValue &doc, FrameProfile *out,
-                     std::string *diag)
-{
-    auto fail = [diag](const char *msg) {
-        if (diag)
-            *diag = std::string("frame profile: ") + msg;
-        return false;
-    };
-    if (!doc.isObject())
-        return fail("expected an object");
-    const JsonValue *counts = doc.find("counts");
-    if (!counts || !counts->isArray())
-        return fail("missing \"counts\" array");
-    FrameProfile profile;
-    profile.counts.reserve(counts->size());
-    for (size_t i = 0; i < counts->size(); ++i) {
-        const JsonValue &c = counts->at(i);
-        if (!c.isNumber())
-            return fail("counts entries must be numbers");
-        profile.counts.push_back(c.asU64());
-    }
-    *out = std::move(profile);
-    return true;
 }
 
 } // namespace rtm

@@ -6,21 +6,17 @@
  * PlacementConfig::track_counts) captures how often each LLC line
  * frame was served by the racetrack bank. The profile feeds the
  * offline hot-center placement variant (PlacementConfig::profile) of
- * a second run, and serialises to JSON so a profile captured by one
- * tool can season a later experiment.
+ * a second run.
  */
 
 #ifndef RTM_TRACE_FRAME_PROFILE_HH
 #define RTM_TRACE_FRAME_PROFILE_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace rtm
 {
-
-class JsonValue;
 
 /** Access counts per LLC line frame, indexed by frame number. */
 struct FrameProfile
@@ -30,9 +26,6 @@ struct FrameProfile
     /** Sum of all per-frame counts. */
     uint64_t total() const;
 
-    /** Number of frames with at least one access. */
-    uint64_t touchedFrames() const;
-
     /**
      * Share of accesses landing in the hottest `top_fraction` of
      * frames (e.g. 0.1 for the top decile) — the skew a hot-center
@@ -41,19 +34,6 @@ struct FrameProfile
      */
     double hotShare(double top_fraction) const;
 };
-
-/**
- * Serialise as `{"counts": [...]}`. Counts are emitted in full
- * (including trailing zeros) so frame indices survive round-trips.
- */
-JsonValue frameProfileToJson(const FrameProfile &profile);
-
-/**
- * Parse the frameProfileToJson format. On failure returns false and
- * explains in `diag` (when non-null).
- */
-bool frameProfileFromJson(const JsonValue &doc, FrameProfile *out,
-                          std::string *diag);
 
 } // namespace rtm
 

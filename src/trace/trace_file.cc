@@ -7,16 +7,12 @@
 #include <sstream>
 
 #include "util/hash.hh"
-#include "util/logging.hh"
 
 namespace rtm
 {
 
 namespace
 {
-
-/** Warnings printed per lenient parse before going quiet. */
-constexpr int kMaxLenientWarnings = 10;
 
 /**
  * Parse one non-blank trace line. Returns true on success; on
@@ -82,8 +78,7 @@ parseTraceLine(const std::string &line, int cores, MemRequest &req,
 } // anonymous namespace
 
 TraceParseResult
-parseTraceChecked(const std::string &text, TraceParseMode mode,
-                  int cores)
+parseTraceChecked(const std::string &text, int cores)
 {
     TraceParseResult result;
     std::istringstream in(text);
@@ -105,23 +100,11 @@ parseTraceChecked(const std::string &text, TraceParseMode mode,
 
         MemRequest req;
         std::string error;
-        if (parseTraceLine(line, cores, req, error)) {
-            result.requests.push_back(req);
-            ++result.parsed_lines;
-            continue;
+        if (!parseTraceLine(line, cores, req, error)) {
+            result.diagnostics.push_back({line_no, error});
+            break;
         }
-        result.diagnostics.push_back({line_no, error});
-        if (mode == TraceParseMode::Strict)
-            return result;
-        ++result.skipped_lines;
-        if (result.skipped_lines <= kMaxLenientWarnings) {
-            rtm_warn("trace line %d: %s (skipped)", line_no,
-                     error.c_str());
-        }
-    }
-    if (result.skipped_lines > kMaxLenientWarnings) {
-        rtm_warn("trace: %d further malformed lines skipped",
-                 result.skipped_lines - kMaxLenientWarnings);
+        result.requests.push_back(req);
     }
     return result;
 }
@@ -160,8 +143,7 @@ slurpTraceFile(const std::string &path, std::string *text,
 } // anonymous namespace
 
 TraceParseResult
-loadTraceFileChecked(const std::string &path, TraceParseMode mode,
-                     int cores)
+loadTraceFileChecked(const std::string &path, int cores)
 {
     std::string text, error;
     if (!slurpTraceFile(path, &text, &error)) {
@@ -169,30 +151,9 @@ loadTraceFileChecked(const std::string &path, TraceParseMode mode,
         result.diagnostics.push_back({0, error});
         return result;
     }
-    TraceParseResult result = parseTraceChecked(text, mode, cores);
+    TraceParseResult result = parseTraceChecked(text, cores);
     result.sha256 = sha256Hex(text.data(), text.size());
     return result;
-}
-
-std::vector<MemRequest>
-parseTrace(const std::string &text)
-{
-    TraceParseResult result =
-        parseTraceChecked(text, TraceParseMode::Strict);
-    if (!result.ok()) {
-        const TraceDiagnostic &d = result.diagnostics.front();
-        rtm_fatal("trace line %d: %s", d.line, d.message.c_str());
-    }
-    return std::move(result.requests);
-}
-
-std::vector<MemRequest>
-loadTraceFile(const std::string &path)
-{
-    std::string text, error;
-    if (!slurpTraceFile(path, &text, &error))
-        rtm_fatal("%s", error.c_str());
-    return parseTrace(text);
 }
 
 std::string
@@ -208,24 +169,6 @@ formatTrace(const std::vector<MemRequest> &requests)
         out += line;
     }
     return out;
-}
-
-TraceReplay::TraceReplay(std::vector<MemRequest> requests)
-    : requests_(std::move(requests))
-{
-    if (requests_.empty())
-        rtm_fatal("trace replay needs at least one request");
-}
-
-MemRequest
-TraceReplay::next()
-{
-    MemRequest r = requests_[pos_];
-    if (++pos_ == requests_.size()) {
-        pos_ = 0;
-        ++wraps_;
-    }
-    return r;
 }
 
 } // namespace rtm

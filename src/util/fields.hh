@@ -17,7 +17,7 @@
  *    diagnostics, unknown keys rejected), calling the struct's
  *    `finishRead(SpecReader &, T &)` hook when it declares one;
  *  - fromJson is the strict checkpoint reload;
- *  - fieldsEqual compares the listed members, FieldSum adds them.
+ *  - FieldsEqual compares the listed members, FieldSum adds them.
  *
  * Enums are written as tokens from one `enumTokens(E)` table per
  * enum (found by ADL). A member's valid range is declared with it as
@@ -505,15 +505,6 @@ struct FieldsEqual
         sub.fn(*this);
     }
 };
-
-template <class T>
-bool
-fieldsEqual(const T &a, const T &b)
-{
-    FieldsEqual eq;
-    forEachField(eq, a, b);
-    return eq.equal;
-}
 
 } // namespace rtm
 

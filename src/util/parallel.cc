@@ -19,7 +19,8 @@ thread_local bool tls_in_worker = false;
 
 std::unique_ptr<ThreadPool> g_pool;
 
-/** Signal-handler state: the routed token and the signal seen. */
+/** Signal-handler state: the routed token and the first signal seen
+ *  (a second one force-exits). */
 std::atomic<CancelToken *> g_signal_token{nullptr};
 std::atomic<int> g_signal_no{0};
 
@@ -55,12 +56,6 @@ installCancelOnSignals(CancelToken *token)
                 token ? cancelSignalHandler : SIG_DFL);
     std::signal(SIGTERM,
                 token ? cancelSignalHandler : SIG_DFL);
-}
-
-int
-cancelSignal()
-{
-    return g_signal_no.load(std::memory_order_relaxed);
 }
 
 unsigned

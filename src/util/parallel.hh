@@ -145,9 +145,6 @@ class StopFlag
  */
 void installCancelOnSignals(CancelToken *token);
 
-/** Signal number that fired the installed token (0 if none yet). */
-int cancelSignal();
-
 /**
  * Fixed-size worker pool. Construct directly for a private pool or
  * use ThreadPool::global() for the process-wide shared instance.

@@ -64,13 +64,6 @@ double log1mExp(double a);
  */
 double logAnyOf(double lp, double n);
 
-/** Convert a log-probability to a plain double (may underflow). */
-inline double
-fromLog(double lp)
-{
-    return std::exp(lp);
-}
-
 /**
  * Mean time to failure in seconds given a per-event failure
  * probability (log space) and an event rate in events/second.

@@ -90,13 +90,6 @@ Rng::gaussian(double mean, double stddev)
 }
 
 void
-Rng::fillUniform(double *dst, size_t n)
-{
-    for (size_t i = 0; i < n; ++i)
-        dst[i] = uniform();
-}
-
-void
 Rng::fillGaussian(double *dst, size_t n)
 {
     size_t i = 0;

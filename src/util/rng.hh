@@ -88,9 +88,6 @@ class Rng
         return uniform() < p;
     }
 
-    /** Fill dst[0..n) with uniform() draws, in draw order. */
-    void fillUniform(double *dst, size_t n);
-
     /**
      * Fill dst[0..n) with standard normals, element-for-element
      * identical to n successive gaussian() calls: the same uniforms

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "logging.hh"
-
 namespace rtm
 {
 
@@ -52,64 +50,6 @@ double
 RunningStats::stddev() const
 {
     return std::sqrt(variance());
-}
-
-Histogram::Histogram(double lo, double hi, size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0)
-{
-    if (!(hi > lo))
-        rtm_panic("Histogram range [%g, %g) is empty", lo, hi);
-    if (bins == 0)
-        rtm_panic("Histogram needs at least one bin");
-}
-
-void
-Histogram::add(double x, uint64_t weight)
-{
-    total_ += weight;
-    if (x < lo_) {
-        underflow_ += weight;
-        return;
-    }
-    if (x >= hi_) {
-        overflow_ += weight;
-        return;
-    }
-    auto idx = static_cast<size_t>((x - lo_) / width_);
-    if (idx >= counts_.size())
-        idx = counts_.size() - 1; // floating point edge at hi
-    counts_[idx] += weight;
-}
-
-uint64_t
-Histogram::count(size_t i) const
-{
-    if (i >= counts_.size())
-        rtm_panic("Histogram bin %zu out of range", i);
-    return counts_[i];
-}
-
-double
-Histogram::binLo(size_t i) const
-{
-    return lo_ + width_ * static_cast<double>(i);
-}
-
-double
-Histogram::binHi(size_t i) const
-{
-    return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-double
-Histogram::density(size_t i) const
-{
-    uint64_t in_range = total_ - underflow_ - overflow_;
-    if (in_range == 0)
-        return 0.0;
-    return static_cast<double>(count(i)) /
-           static_cast<double>(in_range);
 }
 
 void

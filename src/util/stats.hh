@@ -1,6 +1,6 @@
 /**
  * @file
- * Lightweight running statistics and histogram helpers shared by the
+ * Lightweight running statistics and integer tallies shared by the
  * device Monte-Carlo, the cache simulator, and the benchmark harnesses.
  */
 
@@ -87,56 +87,6 @@ class RunningStats
     double m2_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/**
- * Fixed-width binned histogram over [lo, hi) with under/overflow bins.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param lo lower edge of the first regular bin
-     * @param hi upper edge of the last regular bin
-     * @param bins number of regular bins (> 0)
-     */
-    Histogram(double lo, double hi, size_t bins);
-
-    /** Record one sample. */
-    void add(double x, uint64_t weight = 1);
-
-    /** Number of regular bins. */
-    size_t bins() const { return counts_.size(); }
-
-    /** Count in regular bin i. */
-    uint64_t count(size_t i) const;
-
-    /** Count of samples below lo. */
-    uint64_t underflow() const { return underflow_; }
-
-    /** Count of samples at or above hi. */
-    uint64_t overflow() const { return overflow_; }
-
-    /** Total samples recorded (including out-of-range). */
-    uint64_t total() const { return total_; }
-
-    /** Lower edge of bin i. */
-    double binLo(size_t i) const;
-
-    /** Upper edge of bin i. */
-    double binHi(size_t i) const;
-
-    /** Fraction of in-range mass falling into bin i. */
-    double density(size_t i) const;
-
-  private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<uint64_t> counts_;
-    uint64_t underflow_ = 0;
-    uint64_t overflow_ = 0;
-    uint64_t total_ = 0;
 };
 
 /**

@@ -15,7 +15,7 @@
  *    a result.
  *
  *  - *Deterministic sharded merge.* Parallel call sites (every
- *    ExperimentEngine cell) each write a private Telemetry shard;
+ *    cell of a runExperiment run) each write a private Telemetry shard;
  *    TelemetryShards::mergeInto folds them into the root sink in
  *    shard-index order on the calling thread — the same discipline as
  *    ErrorPdf::merge — so the merged registry and event stream are
@@ -34,7 +34,7 @@
  *
  * Wall time: every span reads one clock, monotonicSeconds()
  * (util/parallel.hh), in absolute microseconds, so spans from every
- * layer line up in one trace. ExperimentEngine times each cell once
+ * layer line up in one trace. runExperiment times each cell once
  * and records it as an "experiment.cell" span and an
  * "experiment.cell_wall_ms" histogram sample; the Monte-Carlo kernel
  * adds "mc.run" / "mc.fit" spans. Speed is measured by

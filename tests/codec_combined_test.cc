@@ -29,7 +29,7 @@ lineConfig()
 
 TEST(ProtectedLine, CleanWriteReadRoundTrip)
 {
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     ProtectedLine line(lineConfig(), &model, Rng(1));
     line.initialize();
     for (int idx = 0; idx < 8; ++idx)
@@ -44,7 +44,7 @@ TEST(ProtectedLine, CleanWriteReadRoundTrip)
 
 TEST(ProtectedLine, BitFlipCorrectedBySecded)
 {
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     ProtectedLine line(lineConfig(), &model, Rng(2));
     line.initialize();
     line.write(3, 0xdeadbeefcafef00dull);
@@ -58,7 +58,7 @@ TEST(ProtectedLine, BitFlipCorrectedBySecded)
 
 TEST(ProtectedLine, DoubleBitFlipDetected)
 {
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     ProtectedLine line(lineConfig(), &model, Rng(3));
     line.initialize();
     line.write(0, 0x5555aaaa5555aaaaull);
@@ -148,7 +148,7 @@ TEST(ProtectedLine, SoakUnderBothFaultClasses)
 
 TEST(ProtectedLineDeathTest, RequiresSingleSegmentStripes)
 {
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     PeccConfig c = lineConfig();
     c.num_segments = 2;
     EXPECT_EXIT(ProtectedLine(c, &model, Rng(8)),

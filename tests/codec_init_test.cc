@@ -30,7 +30,7 @@ defaultConfig()
 
 TEST(Init, CleanDeviceInitialisesFirstTry)
 {
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     ProtectedStripe ps(defaultConfig(), &model, Rng(1));
     PeccInitializer init(1);
     InitResult r = init.run(ps);
@@ -45,7 +45,7 @@ TEST(Init, CleanDeviceInitialisesFirstTry)
 
 TEST(Init, MoreRoundsCostMoreCycles)
 {
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     ProtectedStripe a(defaultConfig(), &model, Rng(2));
     ProtectedStripe b(defaultConfig(), &model, Rng(2));
     InitResult r1 = PeccInitializer(1).run(a);

@@ -42,7 +42,7 @@ patternData(int n)
 
 TEST(ProtectedStripe, CleanShiftsKeepAlignment)
 {
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     ProtectedStripe ps(cfg(2, 8, 1, PeccVariant::Standard), &model,
                        Rng(1));
     ps.initializeIdeal();
@@ -56,7 +56,7 @@ TEST(ProtectedStripe, CleanShiftsKeepAlignment)
 
 TEST(ProtectedStripe, DataSurvivesFullSweep)
 {
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     PeccConfig c = cfg(4, 8, 1, PeccVariant::Standard);
     ProtectedStripe ps(c, &model, Rng(2));
     ps.initializeIdeal();
@@ -71,7 +71,7 @@ TEST(ProtectedStripe, DataSurvivesFullSweep)
 
 TEST(ProtectedStripe, ReadAlignedSeesLoadedBits)
 {
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     PeccConfig c = cfg(2, 4, 1, PeccVariant::Standard);
     ProtectedStripe ps(c, &model, Rng(3));
     ps.initializeIdeal();
@@ -86,7 +86,7 @@ TEST(ProtectedStripe, ReadAlignedSeesLoadedBits)
 
 TEST(ProtectedStripe, WriteAlignedRoundTrips)
 {
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     PeccConfig c = cfg(2, 4, 1, PeccVariant::Standard);
     ProtectedStripe ps(c, &model, Rng(4));
     ps.initializeIdeal();
@@ -196,7 +196,7 @@ TEST(ProtectedStripe, StopInMiddleResolvedByNextOperation)
 
 TEST(PeccO, StepByStepCleanOperation)
 {
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     PeccConfig c = cfg(2, 8, 1, PeccVariant::OverheadRegion);
     ProtectedStripe ps(c, &model, Rng(12));
     ps.initializeIdeal();
@@ -331,7 +331,7 @@ TEST(ProtectedStripe, IntegerWindowPhaseMatchesPhaseOf)
          {cfg(2, 8, 0, PeccVariant::Standard),
           cfg(2, 8, 1, PeccVariant::Standard), wide,
           cfg(2, 8, 1, PeccVariant::OverheadRegion)}) {
-        ZeroErrorModel model;
+        ScriptedErrorModel model;
         ProtectedStripe ps(c, &model, Rng(3));
         const PeccLayout &lay = ps.layout();
         for (bool left : {false, true}) {

@@ -28,7 +28,7 @@ secdedConfig(PeccVariant variant = PeccVariant::Standard)
 
 TEST(Controller, ReadBackAfterWrite)
 {
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     ShiftController ctl(secdedConfig(), &model,
                         ShiftPolicy::Adaptive, 83e6, Rng(1));
     ctl.initialize();
@@ -52,7 +52,7 @@ TEST(Controller, DelInsWritesReadBackThroughTheDecodedImage)
     // back, so every data position reads back what was written.
     PeccConfig c = secdedConfig(PeccVariant::DelIns);
     c.num_segments = 8;
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     ShiftController ctl(c, &model, ShiftPolicy::Adaptive, 83e6,
                         Rng(9));
     ctl.initialize();
@@ -74,7 +74,7 @@ TEST(Controller, DelInsWritesReadBackThroughTheDecodedImage)
 
 TEST(Controller, NoShiftWhenAlreadyAligned)
 {
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     ShiftController ctl(secdedConfig(), &model,
                         ShiftPolicy::Adaptive, 83e6, Rng(2));
     ctl.initialize();
@@ -87,7 +87,7 @@ TEST(Controller, NoShiftWhenAlreadyAligned)
 
 TEST(Controller, LatencyMatchesPlannedSequence)
 {
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     ShiftController ctl(secdedConfig(), &model,
                         ShiftPolicy::Adaptive, 83e6, Rng(3));
     ctl.initialize();
@@ -114,7 +114,7 @@ TEST(Controller, AdaptiveSlowsUnderPressure)
 
 TEST(Controller, StatsAccumulate)
 {
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     ShiftController ctl(secdedConfig(), &model,
                         ShiftPolicy::Adaptive, 83e6, Rng(5));
     ctl.initialize();
@@ -177,7 +177,7 @@ TEST(Controller, BaselineCountsSilentErrors)
 
 TEST(Controller, PeccOForcesStepByStep)
 {
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     ShiftController ctl(secdedConfig(PeccVariant::OverheadRegion),
                         &model, ShiftPolicy::Adaptive, 83e6, Rng(9));
     ctl.initialize();

@@ -164,7 +164,7 @@ TEST(Planner, SedPlannerTreatsAllErrorsAsFailures)
 
 TEST(Planner, ZeroModelMakesEverythingSafe)
 {
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     StsTiming timing = peccTiming();
     ShiftPlanner planner(&model, timing, 1, 7);
     EXPECT_EQ(planner.safeDistance(1e12), 7);

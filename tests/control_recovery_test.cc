@@ -151,7 +151,7 @@ TEST(Recovery, PersistentlyStuckStripeEndsInDueNotALoop)
     // But the re-planned seek hits the same dead notch, so the
     // replan budget bounds the episode and the access ends in a
     // reported DUE instead of an unbounded retry loop.
-    auto zero = std::make_shared<ZeroErrorModel>();
+    auto zero = std::make_shared<ScriptedErrorModel>();
     StuckStripeScenario stuck(zero, 0, 1000000);
     ShiftController ctl(secdedConfig(), &stuck,
                         ShiftPolicy::Unconstrained, 83e6, Rng(5),

@@ -187,7 +187,7 @@ TEST(Stripe, ShiftAndWriteUnderInjectedError)
 
 TEST(Stripe, ShiftAndWriteLeftDirection)
 {
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     std::vector<Port> ports = {{4, PortKind::ReadWrite}};
     RacetrackStripe s(8, ports, &model, Rng(2));
     for (int i = 0; i < 8; ++i)
@@ -202,7 +202,7 @@ TEST(Controller, SegmentsAreIndependentColumns)
 {
     // Writing through segment s's port must never disturb other
     // segments' data at any index.
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     PeccConfig c;
     c.num_segments = 4;
     c.seg_len = 8;

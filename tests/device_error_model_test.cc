@@ -137,9 +137,9 @@ TEST(PaperModel, RawSamplingProducesStopInMiddle)
     EXPECT_GT(middles, 0);
 }
 
-TEST(ZeroModel, NeverErrs)
+TEST(ScriptedModel, EmptyScriptNeverErrs)
 {
-    ZeroErrorModel m;
+    ScriptedErrorModel m;
     Rng rng(1);
     for (int i = 0; i < 100; ++i)
         EXPECT_TRUE(m.sample(rng, 7, true).ok());

@@ -53,7 +53,7 @@ TEST(FaultScenario, BurstInjectsMoreThanIid)
 
 TEST(FaultScenario, StuckWindowUndershootsByExactlyOne)
 {
-    auto zero = std::make_shared<ZeroErrorModel>();
+    auto zero = std::make_shared<ScriptedErrorModel>();
     StuckStripeScenario stuck(zero, 2, 3);
     Rng rng(1);
     for (int i = 0; i < 8; ++i) {
@@ -71,7 +71,7 @@ TEST(FaultScenario, StuckWindowUndershootsByExactlyOne)
 
 TEST(FaultScenario, DroopStrandsWallsWithoutSts)
 {
-    auto zero = std::make_shared<ZeroErrorModel>();
+    auto zero = std::make_shared<ScriptedErrorModel>();
     DroopScenario droop(zero, 4, 4, 1.0); // always droop
     Rng rng(3);
     ShiftOutcome raw = droop.sample(rng, 2, false);
@@ -86,7 +86,7 @@ TEST(FaultScenario, DroopStrandsWallsWithoutSts)
 
 TEST(FaultScenario, CloneStartsAFreshTimeline)
 {
-    auto zero = std::make_shared<ZeroErrorModel>();
+    auto zero = std::make_shared<ScriptedErrorModel>();
     StuckStripeScenario stuck(zero, 1, 2);
     Rng rng(5);
     for (int i = 0; i < 4; ++i)

@@ -13,7 +13,7 @@ namespace rtm
 namespace
 {
 
-ZeroErrorModel g_zero;
+ScriptedErrorModel g_zero;
 
 RacetrackStripe
 makeStripe(int slots, const PositionErrorModel *model = &g_zero)

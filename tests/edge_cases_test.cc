@@ -32,7 +32,7 @@ TEST(EdgeLayout, MinimalTwoDomainSegment)
         c.seg_len = 2;
         c.correct = 1;
         c.variant = v;
-        ZeroErrorModel model;
+        ScriptedErrorModel model;
         ProtectedStripe ps(c, &model, Rng(1));
         ps.initializeIdeal();
         for (int r = 0; r < 2; ++r) {
@@ -54,7 +54,7 @@ TEST(EdgeLayout, SingleSegmentStripe)
     c.variant = PeccVariant::Standard;
     PeccLayout lay = computeLayout(c);
     EXPECT_GT(lay.storageOverhead(), 1.0);
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     ProtectedStripe ps(c, &model, Rng(2));
     ps.initializeIdeal();
     ps.seekIndex(15);
@@ -107,7 +107,7 @@ TEST(EdgeControl, DistanceOnePlanning)
 
 TEST(EdgeControl, ControllerSameIndexTwice)
 {
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     PeccConfig c;
     c.num_segments = 2;
     c.seg_len = 8;
@@ -188,7 +188,7 @@ TEST(EdgeProb, LogAnyOfExtremes)
 
 TEST(EdgeStripe, SingleSlotWire)
 {
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     std::vector<Port> ports = {{0, PortKind::ReadWrite}};
     RacetrackStripe s(1, ports, &model, Rng(5));
     s.poke(0, Bit::One);

@@ -88,11 +88,13 @@ TEST(TraceSim, ReplayedTraceDrivesTheHierarchy)
     // collide in the 2-way L1 and 4-way L2 (so every access misses
     // through to L3) and share one L3 set, landing in consecutive
     // ways of the same stripe group - every L3 access must shift.
-    std::vector<MemRequest> trace = parseTrace("0 0x00000 R 2\n"
-                                               "0 0x40000 R 2\n"
-                                               "0 0x80000 W 2\n"
-                                               "0 0xC0000 R 2\n"
-                                               "0 0x100000 W 2\n");
+    const TraceParseResult parsed = parseTraceChecked("0 0x00000 R 2\n"
+                                                      "0 0x40000 R 2\n"
+                                                      "0 0x80000 W 2\n"
+                                                      "0 0xC0000 R 2\n"
+                                                      "0 0x100000 W 2\n");
+    ASSERT_TRUE(parsed.ok());
+    const std::vector<MemRequest> &trace = parsed.requests;
     SimConfig cfg;
     cfg.hierarchy.llc_tech = MemTech::Racetrack;
     cfg.hierarchy.scheme = Scheme::PeccSAdaptive;
@@ -109,8 +111,10 @@ TEST(TraceSim, ReplayedTraceDrivesTheHierarchy)
 TEST(TraceSim, DeterministicReplay)
 {
     PaperCalibratedErrorModel model;
-    std::vector<MemRequest> trace =
-        parseTrace("0 0x000 R 1\n1 0x400 W 3\n2 0x800 R 2\n");
+    const TraceParseResult parsed =
+        parseTraceChecked("0 0x000 R 1\n1 0x400 W 3\n2 0x800 R 2\n");
+    ASSERT_TRUE(parsed.ok());
+    const std::vector<MemRequest> &trace = parsed.requests;
     SimConfig cfg;
     cfg.hierarchy.llc_tech = MemTech::Racetrack;
     cfg.hierarchy.capacity_divisor = 32;

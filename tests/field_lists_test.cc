@@ -219,7 +219,7 @@ TEST(FieldLists, RandomSpecsRoundTrip)
         if (!protectionGeometryError(pecc, 0).empty())
             pecc.variant = PeccVariant::Standard;
         Scheme stress;
-        ASSERT_TRUE(schemeFromToken(spec.stress.scheme, &stress));
+        ASSERT_TRUE(enumFromToken(spec.stress.scheme, &stress));
         if (!protectionGeometryError(
                  peccConfigFor(stress, 2, spec.stress.lseg), 0)
                  .empty())

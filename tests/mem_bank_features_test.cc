@@ -119,10 +119,10 @@ TEST_F(BankFeatureFixture, DriftChargesReliability)
 
 TEST(HeadPolicyNames, AreStable)
 {
-    EXPECT_STREQ(headPolicyName(HeadPolicy::Stay), "stay");
-    EXPECT_STREQ(headPolicyName(HeadPolicy::ReturnHome),
+    EXPECT_STREQ(enumToken(HeadPolicy::Stay), "stay");
+    EXPECT_STREQ(enumToken(HeadPolicy::ReturnHome),
                  "return-home");
-    EXPECT_STREQ(headPolicyName(HeadPolicy::Center), "center");
+    EXPECT_STREQ(enumToken(HeadPolicy::Center), "center");
 }
 
 } // namespace

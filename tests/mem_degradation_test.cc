@@ -27,7 +27,7 @@ smallBank(int budget = 2)
 
 TEST(Degradation, GroupRetiresAfterBudgetExhausted)
 {
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     RmBank bank(smallBank(), &model, l3For(MemTech::Racetrack));
     ASSERT_EQ(bank.groupCount(), 4u);
     uint64_t frame_in_g1 = 64; // first frame of group 1
@@ -45,7 +45,7 @@ TEST(Degradation, GroupRetiresAfterBudgetExhausted)
 
 TEST(Degradation, RemappedAccessesAreServedAndCounted)
 {
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     RmBank bank(smallBank(), &model, l3For(MemTech::Racetrack));
     bank.reportUnrecoverable(70);
     bank.reportUnrecoverable(70);
@@ -65,7 +65,7 @@ TEST(Degradation, RemappedAccessesAreServedAndCounted)
 
 TEST(Degradation, RemapChainsSkipLaterCasualties)
 {
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     RmBank bank(smallBank(1), &model, l3For(MemTech::Racetrack));
     EXPECT_TRUE(bank.reportUnrecoverable(64));  // group 1 -> 2
     EXPECT_TRUE(bank.reportUnrecoverable(128)); // group 2 -> 3
@@ -77,7 +77,7 @@ TEST(Degradation, RemapChainsSkipLaterCasualties)
 
 TEST(Degradation, AllGroupsDegradedServesInPlace)
 {
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     RmBank bank(smallBank(1), &model, l3For(MemTech::Racetrack));
     for (uint64_t g = 0; g < 4; ++g)
         EXPECT_TRUE(bank.reportUnrecoverable(g * 64));
@@ -96,7 +96,7 @@ TEST(Degradation, AllGroupsDegradedServesInPlace)
 
 TEST(Degradation, DisabledBudgetNeverRetires)
 {
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     RmBank bank(smallBank(0), &model, l3For(MemTech::Racetrack));
     for (int i = 0; i < 50; ++i)
         EXPECT_FALSE(bank.reportUnrecoverable(64));
@@ -108,7 +108,7 @@ TEST(Degradation, DisabledBudgetNeverRetires)
 
 TEST(Degradation, ReportsToRetiredGroupsAreIdempotent)
 {
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     RmBank bank(smallBank(1), &model, l3For(MemTech::Racetrack));
     EXPECT_TRUE(bank.reportUnrecoverable(64));
     EXPECT_FALSE(bank.reportUnrecoverable(64));
@@ -118,7 +118,7 @@ TEST(Degradation, ReportsToRetiredGroupsAreIdempotent)
 
 TEST(Degradation, PerGroupLedgerSumsToBankAggregates)
 {
-    ZeroErrorModel model;
+    ScriptedErrorModel model;
     RmBankConfig cfg = smallBank();
     cfg.head_policy = HeadPolicy::ReturnHome; // exercise idle drift
     RmBank bank(cfg, &model, l3For(MemTech::Racetrack));

@@ -22,19 +22,17 @@ namespace
 PlacementGeometry
 twoGroupGeometry()
 {
-    PlacementGeometry geom;
-    geom.line_frames = 128;
-    geom.frames_per_group = 64;
-    geom.seg_len = 8;
-    return geom;
+    // Two stripe groups of kDomainsPerStripe = 64 frames.
+    return {.line_frames = 128};
 }
 
+/** The arithmetic slot: Lseg - 1 - (index in group) mod Lseg. */
 int
-homeOffsetOf(const PlacementGeometry &geom, uint64_t frame)
+homeOffsetOf(uint64_t frame)
 {
     int idx = static_cast<int>(
-        frame % static_cast<uint64_t>(geom.frames_per_group));
-    return geom.seg_len - 1 - idx % geom.seg_len;
+        frame % static_cast<uint64_t>(kDomainsPerStripe));
+    return kSegLen - 1 - idx % kSegLen;
 }
 
 TEST(PlacementKindTest, TokenRoundTrip)
@@ -43,12 +41,11 @@ TEST(PlacementKindTest, TokenRoundTrip)
          {PlacementKind::Static, PlacementKind::HotCenter,
           PlacementKind::Adaptive}) {
         PlacementKind parsed;
-        ASSERT_TRUE(placementKindFromToken(placementKindName(kind),
-                                           &parsed));
+        ASSERT_TRUE(enumFromToken(enumToken(kind), &parsed));
         EXPECT_EQ(parsed, kind);
     }
     PlacementKind sink;
-    EXPECT_FALSE(placementKindFromToken("round-robin", &sink));
+    EXPECT_FALSE(enumFromToken("round-robin", &sink));
 }
 
 TEST(StaticPlacementTest, MatchesArithmeticLayoutAndNeverTracks)
@@ -59,7 +56,7 @@ TEST(StaticPlacementTest, MatchesArithmeticLayoutAndNeverTracks)
     EXPECT_STREQ(policy->name(), "static");
     EXPECT_FALSE(policy->tracking());
     for (uint64_t f = 0; f < geom.line_frames; ++f)
-        EXPECT_EQ(policy->slotOffset(f), homeOffsetOf(geom, f));
+        EXPECT_EQ(policy->slotOffset(f), homeOffsetOf(f));
 }
 
 TEST(StaticPlacementTest, TrackCountsCapturesWithoutRemapping)
@@ -82,7 +79,7 @@ TEST(StaticPlacementTest, TrackCountsCapturesWithoutRemapping)
         total += c;
     EXPECT_EQ(total, 500u);
     for (uint64_t f = 0; f < geom.line_frames; ++f)
-        EXPECT_EQ(policy->slotOffset(f), homeOffsetOf(geom, f));
+        EXPECT_EQ(policy->slotOffset(f), homeOffsetOf(f));
 }
 
 TEST(HotCenterPlacementTest, OfflineProfilePacksHottestNearAnchor)
@@ -203,7 +200,7 @@ TEST(AdaptivePlacementTest, ZeroBudgetNeverMigrates)
                              &migrations);
     EXPECT_TRUE(migrations.empty());
     for (uint64_t f = 0; f < geom.line_frames; ++f)
-        EXPECT_EQ(policy->slotOffset(f), homeOffsetOf(geom, f));
+        EXPECT_EQ(policy->slotOffset(f), homeOffsetOf(f));
 }
 
 /**
@@ -220,21 +217,18 @@ class ReferenceAdaptive
         : geom_(geom), config_(config), predictive_(predictive),
           slot_(geom.line_frames), count_(geom.line_frames)
     {
-        const uint64_t fpg =
-            static_cast<uint64_t>(geom.frames_per_group);
-        const uint64_t groups = (geom.line_frames + fpg - 1) / fpg;
+        const uint64_t groups = (geom.line_frames + kFpg - 1) / kFpg;
         since_.assign(groups, 0);
         epochs_.assign(groups, 0);
         rest_.assign(groups, 0);
         for (uint64_t f = 0; f < geom.line_frames; ++f)
-            slot_[f] = homeOffsetOf(geom, f);
+            slot_[f] = homeOffsetOf(f);
     }
 
     void record(uint64_t frame, std::vector<PlacementMigration> *out)
     {
         ++count_[frame];
-        const uint64_t g =
-            frame / static_cast<uint64_t>(geom_.frames_per_group);
+        const uint64_t g = frame / kFpg;
         if (++since_[g] < config_.epoch_accesses)
             return;
         since_[g] = 0;
@@ -251,31 +245,28 @@ class ReferenceAdaptive
     int rest(uint64_t group) const { return rest_[group]; }
 
   private:
-    uint64_t first(uint64_t g) const
-    {
-        return g * static_cast<uint64_t>(geom_.frames_per_group);
-    }
+    static constexpr uint64_t kFpg = kDomainsPerStripe;
+
+    uint64_t first(uint64_t g) const { return g * kFpg; }
     uint64_t last(uint64_t g) const
     {
-        return std::min(first(g) + static_cast<uint64_t>(
-                                       geom_.frames_per_group),
-                        geom_.line_frames);
+        return std::min(first(g) + kFpg, geom_.line_frames);
     }
 
     void onEpoch(uint64_t g, std::vector<PlacementMigration> *out)
     {
         if (config_.swap_budget == 0)
             return;
-        std::vector<uint64_t> per_offset(
-            static_cast<size_t>(geom_.seg_len), 0);
+        std::vector<uint64_t> per_offset(static_cast<size_t>(kSegLen),
+                                         0);
         for (uint64_t f = first(g); f < last(g); ++f)
             per_offset[static_cast<size_t>(slot_[f])] += count_[f];
         int target = 0;
-        for (int o = 1; o < geom_.seg_len; ++o)
+        for (int o = 1; o < kSegLen; ++o)
             if (per_offset[static_cast<size_t>(o)] >
                 per_offset[static_cast<size_t>(target)])
                 target = o;
-        const int cap = geom_.frames_per_group / geom_.seg_len;
+        const int cap = kDomainsPerStripe / kSegLen;
         std::vector<uint64_t> outside, resident;
         for (uint64_t f = first(g); f < last(g); ++f)
             (slot_[f] == target ? resident : outside).push_back(f);
@@ -312,13 +303,13 @@ class ReferenceAdaptive
 
     void updateRest(uint64_t g)
     {
-        std::vector<uint64_t> per_offset(
-            static_cast<size_t>(geom_.seg_len), 0);
+        std::vector<uint64_t> per_offset(static_cast<size_t>(kSegLen),
+                                         0);
         for (uint64_t f = first(g); f < last(g); ++f)
             per_offset[static_cast<size_t>(slot_[f])] += count_[f];
         uint64_t best = 0;
         int best_offset = rest_[g];
-        for (int o = 0; o < geom_.seg_len; ++o)
+        for (int o = 0; o < kSegLen; ++o)
             if (per_offset[static_cast<size_t>(o)] > best) {
                 best = per_offset[static_cast<size_t>(o)];
                 best_offset = o;
@@ -341,10 +332,7 @@ TEST(AdaptivePlacementTest, PartialSortMatchesStableSortReference)
     // A seeded, phase-changing skewed stream over four groups. Swap
     // budgets below, at and above the per-offset capacity (8) bound
     // the partial sort by each of its limits in turn.
-    PlacementGeometry geom;
-    geom.line_frames = 256;
-    geom.frames_per_group = 64;
-    geom.seg_len = 8;
+    const PlacementGeometry geom{.line_frames = 256};
     for (int budget : {1, 4, 8, 16}) {
         for (HeadPolicy head : {HeadPolicy::Stay, HeadPolicy::Predictive}) {
             const std::string ctx =

@@ -348,7 +348,7 @@ refStressSchemeConfig(const std::string &token, Scheme *scheme,
         {Scheme::DelIns, 2 /* kDelInsStrength */, PeccVariant::DelIns},
     };
     Scheme s;
-    if (!schemeFromToken(token, &s))
+    if (!enumFromToken(token, &s))
         return false;
     for (const Drill &d : kDrills) {
         if (d.scheme != s)

@@ -134,11 +134,11 @@ TEST(Campaign, BitIdenticalAcrossThreadCounts)
 
 TEST(Campaign, CombinedSpecInterleavingIsBitIdentical)
 {
-    // Matrix and campaign cells scheduled as ONE job set on the
-    // shared ExperimentEngine (no per-matrix barrier) must
-    // reproduce the campaign-only spec's result exactly, at
-    // several thread counts: cell seeds depend only on the
-    // campaign seed and cell index, never on job interleaving.
+    // Matrix and campaign cells scheduled as ONE job set by
+    // runExperiment (no per-matrix barrier) must reproduce the
+    // campaign-only spec's result exactly, at several thread
+    // counts: cell seeds depend only on the campaign seed and cell
+    // index, never on job interleaving.
     ExperimentSpec spec;
     spec.matrix.requests = 2000;
     spec.matrix.warmup = 200;

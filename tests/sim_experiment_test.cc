@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -474,35 +473,28 @@ TEST(ExperimentSpec, LoadPrefixesDiagnosticsWithPath)
         << diag;
 }
 
-TEST(ExperimentEngine, RunsEveryJobOnceAndMergesShardsInOrder)
+TEST(ExperimentRun, RunsEveryCellOnceAndMergesShardsInCellOrder)
 {
-    ExperimentEngine engine;
-    constexpr size_t kJobs = 17;
-    std::atomic<int> ran{0};
-    for (size_t i = 0; i < kJobs; ++i) {
-        ExperimentEngine::Cell cell;
-        cell.body = [&ran, i](TelemetryScope scope, StopFlag *) {
-            ran.fetch_add(1);
-            ASSERT_TRUE(scope);
-            scope->counter("engine_test.jobs").add(1);
-            scope->gauge("engine_test.last_lane")
-                .set(static_cast<double>(i));
-        };
-        engine.addCell(std::move(cell));
-    }
-    EXPECT_EQ(engine.jobCount(), kJobs);
-
-    Telemetry telemetry(1 << 10);
-    engine.run(&telemetry);
-    EXPECT_EQ(ran.load(), static_cast<int>(kJobs));
-    EXPECT_EQ(telemetry.counters().at("engine_test.jobs").value(),
-              kJobs);
-    // Shards merge in job order: the last lane's gauge write wins.
-    EXPECT_EQ(
-        telemetry.gauges().at("engine_test.last_lane").value(),
-        static_cast<double>(kJobs - 1));
-    // One-shot: the queue was consumed.
-    EXPECT_EQ(engine.jobCount(), 0u);
+    ExperimentSpec spec;
+    spec.matrix.requests = 1000;
+    spec.matrix.warmup = 100;
+    spec.matrix.divisor = 32;
+    spec.matrix.workloads = {"canneal", "swaptions", "ferret"};
+    spec.matrix.options = {
+        {"SRAM", MemTech::SRAM, Scheme::Baseline},
+        {"RM", MemTech::Racetrack, Scheme::PeccSAdaptive},
+    };
+    Telemetry telemetry(1 << 16);
+    ExperimentResult res = runExperiment(spec, nullptr, &telemetry);
+    ASSERT_TRUE(res.complete());
+    ASSERT_EQ(res.cells, 6u);
+    EXPECT_EQ(telemetry.counters().at("runner.cells").value(),
+              res.cells);
+    // Every cell sets the root's "sim.ipc" gauge in its own shard;
+    // merged in cell order, the last cell's write wins.
+    const double last = res.matrix.back().results.back().ipc();
+    EXPECT_NE(res.matrix.front().results.front().ipc(), last);
+    EXPECT_EQ(telemetry.gauges().at("sim.ipc").value(), last);
 }
 
 /** Cell indices of the retained "experiment.cell" spans, in order. */

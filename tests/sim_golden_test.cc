@@ -501,8 +501,8 @@ TEST(GoldenSim, TelemetryOnDoesNotPerturbResults)
 
 TEST(GoldenSim, SpecDrivenMatrixMatchesPins)
 {
-    // A declarative ExperimentSpec scheduled on the shared
-    // ExperimentEngine must reproduce the pinned digests exactly —
+    // A declarative ExperimentSpec scheduled by runExperiment must
+    // reproduce the pinned digests exactly —
     // at one thread, a fixed small count, and the configured count.
     ExperimentSpec spec;
     spec.matrix.requests = kGoldenRequests;

@@ -1,20 +1,42 @@
 /**
  * @file
- * Unit tests for the text trace-file reader and replay adapter.
+ * Unit tests for the text trace-file reader.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "trace/trace_file.hh"
+#include "util/hash.hh"
 
 namespace rtm
 {
 namespace
 {
 
+/** The requests of a trace that must parse cleanly. */
+std::vector<MemRequest>
+parseClean(const std::string &text)
+{
+    TraceParseResult r = parseTraceChecked(text);
+    EXPECT_TRUE(r.ok()) << r.diagnostics.front().message;
+    return r.requests;
+}
+
+/** Write `text` to `path` for a loader test. */
+void
+writeFile(const std::string &path, const char *text)
+{
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(text, f);
+    std::fclose(f);
+}
+
 TEST(TraceParse, BasicLines)
 {
-    auto reqs = parseTrace("0 0x40 R 3\n"
+    auto reqs = parseClean("0 0x40 R 3\n"
                            "1 128 W\n");
     ASSERT_EQ(reqs.size(), 2u);
     EXPECT_EQ(reqs[0].core, 0);
@@ -29,7 +51,7 @@ TEST(TraceParse, BasicLines)
 
 TEST(TraceParse, CommentsAndBlanksIgnored)
 {
-    auto reqs = parseTrace("# header comment\n"
+    auto reqs = parseClean("# header comment\n"
                            "\n"
                            "   \n"
                            "0 0x10 r 1  # trailing comment\n"
@@ -40,30 +62,40 @@ TEST(TraceParse, CommentsAndBlanksIgnored)
 
 TEST(TraceParse, LowercaseAccessTypes)
 {
-    auto reqs = parseTrace("2 0x100 w 5\n3 0x200 r\n");
+    auto reqs = parseClean("2 0x100 w 5\n3 0x200 r\n");
     ASSERT_EQ(reqs.size(), 2u);
     EXPECT_TRUE(reqs[0].is_write);
     EXPECT_FALSE(reqs[1].is_write);
 }
 
-TEST(TraceParseDeathTest, RejectsMalformedLines)
+/** The one diagnostic of a trace that must fail at `line`. */
+std::string
+parseError(const std::string &text, int line)
 {
-    EXPECT_EXIT(parseTrace("0 0x40\n"),
-                ::testing::ExitedWithCode(1), "expected");
-    EXPECT_EXIT(parseTrace("0 0x40 X\n"),
-                ::testing::ExitedWithCode(1), "R or W");
-    EXPECT_EXIT(parseTrace("0 zz R\n"),
-                ::testing::ExitedWithCode(1), "bad address");
-    EXPECT_EXIT(parseTrace("-1 0x40 R\n"),
-                ::testing::ExitedWithCode(1), "negative core");
-    EXPECT_EXIT(parseTrace("0 0x40 R -2\n"),
-                ::testing::ExitedWithCode(1), "negative gap");
+    TraceParseResult r = parseTraceChecked(text);
+    EXPECT_FALSE(r.ok()) << text;
+    if (r.ok())
+        return "";
+    EXPECT_EQ(r.diagnostics.size(), 1u) << text;
+    EXPECT_EQ(r.diagnostics[0].line, line) << text;
+    return r.diagnostics[0].message;
 }
 
-TEST(TraceParse, ErrorsNameTheLine)
+TEST(TraceParseChecked, RejectsMalformedLines)
 {
-    EXPECT_EXIT(parseTrace("0 0x40 R\n0 0x80 Q\n"),
-                ::testing::ExitedWithCode(1), "line 2");
+    EXPECT_EQ(parseError("0 0x40\n", 1),
+              "expected '<core> <addr> <R|W> [gap]'");
+    EXPECT_EQ(parseError("0 0x40 X\n", 1),
+              "access type must be R or W, got 'X'");
+    EXPECT_EQ(parseError("0 zz R\n", 1), "bad address 'zz'");
+    EXPECT_EQ(parseError("-1 0x40 R\n", 1), "negative core id");
+    EXPECT_EQ(parseError("0 0x40 R -2\n", 1), "negative gap");
+}
+
+TEST(TraceParseChecked, ErrorsNameTheLine)
+{
+    EXPECT_EQ(parseError("0 0x40 R\n0 0x80 Q\n", 2),
+              "access type must be R or W, got 'Q'");
 }
 
 TEST(TraceFormat, RoundTrips)
@@ -72,7 +104,7 @@ TEST(TraceFormat, RoundTrips)
         {0, 0x1a2b40, false, 12},
         {3, 0x40, true, 0},
     };
-    auto parsed = parseTrace(formatTrace(reqs));
+    auto parsed = parseClean(formatTrace(reqs));
     ASSERT_EQ(parsed.size(), reqs.size());
     for (size_t i = 0; i < reqs.size(); ++i) {
         EXPECT_EQ(parsed[i].core, reqs[i].core);
@@ -83,42 +115,18 @@ TEST(TraceFormat, RoundTrips)
     }
 }
 
-TEST(TraceReplay, LoopsAndCountsWraps)
+TEST(TraceFile, LoadsFromDiskAndHashesTheBytes)
 {
-    TraceReplay replay(parseTrace("0 0x40 R\n0 0x80 W\n"));
-    EXPECT_EQ(replay.size(), 2u);
-    EXPECT_EQ(replay.next().addr, 0x40u);
-    EXPECT_EQ(replay.next().addr, 0x80u);
-    EXPECT_EQ(replay.wraps(), 1u);
-    EXPECT_EQ(replay.next().addr, 0x40u);
-    EXPECT_EQ(replay.wraps(), 1u);
-    replay.next();
-    EXPECT_EQ(replay.wraps(), 2u);
-}
-
-TEST(TraceReplayDeathTest, RejectsEmptyTrace)
-{
-    EXPECT_EXIT(TraceReplay(std::vector<MemRequest>{}),
-                ::testing::ExitedWithCode(1), "at least one");
-}
-
-TEST(TraceFile, LoadsFromDisk)
-{
-    std::string path = "/tmp/rtm_trace_test.txt";
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("0 0x40 R 1\n1 0x80 W 2\n", f);
-    std::fclose(f);
-    auto reqs = loadTraceFile(path);
-    ASSERT_EQ(reqs.size(), 2u);
-    EXPECT_EQ(reqs[1].core, 1);
+    const std::string path =
+        std::string(::testing::TempDir()) + "rtm_trace_test.txt";
+    const char text[] = "0 0x40 R 1\n1 0x80 W 2\n";
+    writeFile(path, text);
+    TraceParseResult r = loadTraceFileChecked(path);
+    EXPECT_TRUE(r.ok());
+    ASSERT_EQ(r.requests.size(), 2u);
+    EXPECT_EQ(r.requests[1].core, 1);
+    EXPECT_EQ(r.sha256, sha256Hex(text, sizeof(text) - 1));
     std::remove(path.c_str());
-}
-
-TEST(TraceFileDeathTest, MissingFileIsFatal)
-{
-    EXPECT_EXIT(loadTraceFile("/nonexistent/rtm.trace"),
-                ::testing::ExitedWithCode(1), "cannot open");
 }
 
 TEST(TraceParseChecked, EmptyInputIsOkWithZeroRequests)
@@ -126,8 +134,6 @@ TEST(TraceParseChecked, EmptyInputIsOkWithZeroRequests)
     TraceParseResult r = parseTraceChecked("");
     EXPECT_TRUE(r.ok());
     EXPECT_TRUE(r.requests.empty());
-    EXPECT_EQ(r.parsed_lines, 0);
-    EXPECT_EQ(r.skipped_lines, 0);
 
     TraceParseResult comments =
         parseTraceChecked("# only a comment\n\n   \n");
@@ -135,7 +141,7 @@ TEST(TraceParseChecked, EmptyInputIsOkWithZeroRequests)
     EXPECT_TRUE(comments.requests.empty());
 }
 
-TEST(TraceParseChecked, StrictStopsAtFirstBadLine)
+TEST(TraceParseChecked, StopsAtFirstBadLine)
 {
     TraceParseResult r = parseTraceChecked("0 0x40 R\n"
                                            "0 0x4\n" // truncated
@@ -150,44 +156,6 @@ TEST(TraceParseChecked, StrictStopsAtFirstBadLine)
     EXPECT_EQ(r.requests[0].addr, 0x40u);
 }
 
-TEST(TraceParseChecked, LenientSkipsAndKeepsGoing)
-{
-    TraceParseResult r =
-        parseTraceChecked("0 0x40 R\n"
-                          "garbage line here\n"
-                          "0 zz W\n"
-                          "-3 0x10 R\n"
-                          "1 0x80 W 7\n",
-                          TraceParseMode::Lenient);
-    EXPECT_FALSE(r.ok());
-    EXPECT_EQ(r.skipped_lines, 3);
-    EXPECT_EQ(r.parsed_lines, 2);
-    ASSERT_EQ(r.requests.size(), 2u);
-    EXPECT_EQ(r.requests[1].addr, 0x80u);
-    EXPECT_EQ(r.requests[1].gap_instructions, 7u);
-    // Diagnostics name each offending line.
-    ASSERT_EQ(r.diagnostics.size(), 3u);
-    EXPECT_EQ(r.diagnostics[0].line, 2);
-    EXPECT_EQ(r.diagnostics[1].line, 3);
-    EXPECT_EQ(r.diagnostics[2].line, 4);
-    EXPECT_NE(r.diagnostics[1].message.find("bad address"),
-              std::string::npos);
-    EXPECT_NE(r.diagnostics[2].message.find("negative core"),
-              std::string::npos);
-}
-
-TEST(TraceParseChecked, LenientOnAllGarbageYieldsNothing)
-{
-    TraceParseResult r = parseTraceChecked(
-        "not a trace\n\x01\x02\x03\nstill not one\n",
-        TraceParseMode::Lenient);
-    EXPECT_FALSE(r.ok());
-    EXPECT_TRUE(r.requests.empty());
-    EXPECT_EQ(r.parsed_lines, 0);
-    EXPECT_EQ(r.skipped_lines,
-              static_cast<int>(r.diagnostics.size()));
-}
-
 TEST(TraceParseChecked, MissingFileYieldsDiagnostic)
 {
     TraceParseResult r =
@@ -199,18 +167,16 @@ TEST(TraceParseChecked, MissingFileYieldsDiagnostic)
               std::string::npos);
 }
 
-TEST(TraceParseChecked, LoadCheckedReadsCleanFile)
+TEST(TraceParseChecked, LoadCheckedStopsAtTheBadLine)
 {
-    std::string path = "/tmp/rtm_trace_checked_test.txt";
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("0 0x40 R 1\nbroken\n1 0x80 W 2\n", f);
-    std::fclose(f);
-    TraceParseResult r =
-        loadTraceFileChecked(path, TraceParseMode::Lenient);
-    EXPECT_EQ(r.parsed_lines, 2);
-    EXPECT_EQ(r.skipped_lines, 1);
-    ASSERT_EQ(r.requests.size(), 2u);
+    const std::string path =
+        std::string(::testing::TempDir()) + "rtm_trace_checked_test.txt";
+    writeFile(path, "0 0x40 R 1\nbroken\n1 0x80 W 2\n");
+    TraceParseResult r = loadTraceFileChecked(path);
+    EXPECT_FALSE(r.ok());
+    ASSERT_EQ(r.diagnostics.size(), 1u);
+    EXPECT_EQ(r.diagnostics[0].line, 2);
+    EXPECT_EQ(r.requests.size(), 1u);
     std::remove(path.c_str());
 }
 
@@ -232,8 +198,7 @@ TEST(TraceParseChecked, ReadErrorIsNotAnEmptyTrace)
 TEST(TraceParseChecked, CoreIdBeyondTheCoreCountIsRejected)
 {
     TraceParseResult r =
-        parseTraceChecked("0 0x40 R\n7 0x80 W\n",
-                          TraceParseMode::Strict, 4);
+        parseTraceChecked("0 0x40 R\n7 0x80 W\n", 4);
     EXPECT_FALSE(r.ok());
     ASSERT_EQ(r.diagnostics.size(), 1u);
     EXPECT_EQ(r.diagnostics[0].line, 2);
@@ -266,12 +231,6 @@ TEST(TraceParseChecked, GapIsNeverTruncated)
     EXPECT_EQ(r.diagnostics[0].message, "gap 4294967296 out of range");
     ASSERT_EQ(r.requests.size(), 1u);
     EXPECT_EQ(r.requests[0].gap_instructions, 4294967295u);
-}
-
-TEST(TraceParseDeathTest, FatalLoaderReportsReadError)
-{
-    EXPECT_EXIT(loadTraceFile("/tmp"),
-                ::testing::ExitedWithCode(1), "I/O error");
 }
 
 } // namespace

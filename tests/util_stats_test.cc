@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for running statistics, histograms and tallies.
+ * Unit tests for running statistics and tallies.
  */
 
 #include <gtest/gtest.h>
@@ -68,44 +68,6 @@ TEST(RunningStats, MergeWithEmpty)
     b.merge(a);
     EXPECT_EQ(b.count(), 2u);
     EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
-
-TEST(Histogram, BinningAndEdges)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.0);   // bin 0
-    h.add(0.999); // bin 0
-    h.add(5.0);   // bin 5
-    h.add(9.999); // bin 9
-    h.add(-0.1);  // underflow
-    h.add(10.0);  // overflow (right edge exclusive)
-    EXPECT_EQ(h.count(0), 2u);
-    EXPECT_EQ(h.count(5), 1u);
-    EXPECT_EQ(h.count(9), 1u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.total(), 6u);
-    EXPECT_DOUBLE_EQ(h.binLo(5), 5.0);
-    EXPECT_DOUBLE_EQ(h.binHi(5), 6.0);
-}
-
-TEST(Histogram, DensityNormalisesOverInRangeMass)
-{
-    Histogram h(0.0, 4.0, 4);
-    h.add(0.5, 3);
-    h.add(2.5, 1);
-    h.add(99.0, 6); // overflow ignored by density
-    EXPECT_DOUBLE_EQ(h.density(0), 0.75);
-    EXPECT_DOUBLE_EQ(h.density(2), 0.25);
-    EXPECT_DOUBLE_EQ(h.density(1), 0.0);
-}
-
-TEST(Histogram, WeightedAdd)
-{
-    Histogram h(0.0, 1.0, 1);
-    h.add(0.5, 42);
-    EXPECT_EQ(h.count(0), 42u);
-    EXPECT_EQ(h.total(), 42u);
 }
 
 TEST(IntTally, CountsAndMean)

@@ -286,7 +286,7 @@ applyRunOverrides(const CliFlags &flags, ExperimentSpec *spec)
     if (flags.has("protection") || flags.has("codeword-frames"))
         spec->protection = protectionOrExit(flags);
     if (flags.has("mc-tier"))
-        spec->montecarlo.tier = mcTierToken(
+        spec->montecarlo.tier = enumToken(
             enumFlagOrExit<McTier>(flags, "mc-tier", "exact"));
     if (flags.has("mc-trials"))
         spec->montecarlo.trials =

@@ -1,6 +1,6 @@
 #include "adapter.hh"
 
-#include <cmath>
+#include <algorithm>
 
 #include "util/logging.hh"
 #include "util/prob.hh"
@@ -17,42 +17,44 @@ ShiftAdapter::ShiftAdapter(const ShiftPlanner *planner,
         rtm_fatal("adapter needs a planner");
     worst_case_distance_ =
         planner_->safeDistance(peak_ops_per_second);
+    const int max_part = planner_->maxPart();
+    fixed_.resize(static_cast<size_t>(max_part) + 1);
+    one_step_.resize(static_cast<size_t>(max_part) + 1);
+    for (int d = 1; d <= max_part; ++d) {
+        one_step_[static_cast<size_t>(d)] = fixedPartsPlan(d, 1);
+        switch (policy_) {
+          case ShiftPolicy::Unconstrained:
+            fixed_[static_cast<size_t>(d)] = {fixedPartsPlan(d, d)};
+            break;
+          case ShiftPolicy::StepByStep:
+            fixed_[static_cast<size_t>(d)] = {fixedPartsPlan(d, 1)};
+            break;
+          case ShiftPolicy::WorstCase:
+            fixed_[static_cast<size_t>(d)] = {
+                fixedPartsPlan(d, worst_case_distance_)};
+            break;
+          case ShiftPolicy::Adaptive:
+            break; // plans() reads the planner's Pareto front
+        }
+    }
 }
 
-const SequencePlan &
-ShiftAdapter::fixedPartsPlan(int distance, int part)
+SequencePlan
+ShiftAdapter::fixedPartsPlan(int distance, int part) const
 {
-    scratch_.parts.clear();
-    scratch_.log_fail_rate =
-        -std::numeric_limits<double>::infinity();
-    scratch_.latency = 0;
+    SequencePlan plan;
+    plan.log_fail_rate = -std::numeric_limits<double>::infinity();
     int remaining = distance;
     while (remaining > 0) {
-        int p = std::min(remaining, part);
-        scratch_.parts.push_back(p);
-        scratch_.log_fail_rate = logSumExp(
-            scratch_.log_fail_rate, planner_->logFailRate(p));
+        const int p = std::min(remaining, part);
+        plan.parts.push_back(p);
+        plan.log_fail_rate =
+            logSumExp(plan.log_fail_rate, planner_->logFailRate(p));
+        // The fastest plan of a p-step front is the one-shot {p}.
+        plan.latency += planner_->paretoFront(p).front().latency;
         remaining -= p;
     }
-    scratch_.min_interval = 0;
-    // Latency: sum of per-part shift cycles via the planner's Pareto
-    // data is not available for arbitrary splits, so recompute from
-    // the front of each single part (front of d=p always contains the
-    // one-shot plan {p} as its fastest element).
-    Cycles lat = 0;
-    for (int p : scratch_.parts)
-        lat += planner_->paretoFront(p).front().latency;
-    scratch_.latency = lat;
-    return scratch_;
-}
-
-const SequencePlan &
-ShiftAdapter::cautiousPlan(int distance)
-{
-    if (distance < 1 || distance > planner_->maxPart())
-        rtm_panic("adapter cautiousPlan(%d) outside [1, %d]",
-                  distance, planner_->maxPart());
-    return fixedPartsPlan(distance, 1);
+    return plan;
 }
 
 } // namespace rtm

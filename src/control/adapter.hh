@@ -15,13 +15,20 @@
  *
  * The OverheadRegion variant (p-ECC-O) is inherently step-by-step;
  * its policy decomposes every request into 1-step shifts.
+ *
+ * The adapter is table-driven: plans(d) lists the sequences the
+ * policy may pick for a d-step request and choose() returns an index
+ * into it. Callers that precompute per-plan costs (RmBank's memo)
+ * index their own tables with the same choice.
  */
 
 #ifndef RTM_CONTROL_ADAPTER_HH
 #define RTM_CONTROL_ADAPTER_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "control/planner.hh"
 #include "model/tech.hh"
@@ -31,14 +38,15 @@ namespace rtm
 {
 
 /**
- * Stateful policy engine: owns the interval counter and consults the
- * planner's Pareto tables.
+ * Stateful policy engine: owns the memory-wide interval counter and
+ * the per-distance plan tables.
  */
 class ShiftAdapter
 {
   public:
     /**
-     * @param planner   sequence planner (not owned)
+     * @param planner   sequence planner (not owned; must outlive the
+     *                  adapter)
      * @param policy    policy flavour
      * @param peak_ops_per_second peak access intensity used by the
      *        WorstCase policy to fix its safe distance
@@ -47,40 +55,49 @@ class ShiftAdapter
                  double peak_ops_per_second);
 
     /**
-     * Choose the sequence for a request of `distance` steps issued at
-     * absolute time `now_cycles`. Updates the interval counter.
-     * The returned plan is owned by the planner's tables (except for
-     * trivial single-part plans, which are returned from a scratch
-     * slot valid until the next call).
+     * Plans the policy may pick for a `distance`-step request, in the
+     * order they are tried: the planner's Pareto front under Adaptive,
+     * a one-entry table otherwise ({d} for Unconstrained, d one-step
+     * shifts for StepByStep, chunks of the safe distance for
+     * WorstCase). The tables live as long as the adapter and its
+     * planner.
      */
+    const std::vector<SequencePlan> &plans(int distance) const
+    {
+        checkDistance(distance);
+        return policy_ == ShiftPolicy::Adaptive
+                   ? planner_->paretoFront(distance)
+                   : fixed_[static_cast<size_t>(distance)];
+    }
+
+    /**
+     * Record a request of `distance` steps issued at absolute time
+     * `now_cycles` (updates the interval counter) and return the
+     * index into plans(distance) of the sequence to issue.
+     */
+    size_t choose(int distance, Cycles now_cycles)
+    {
+        checkDistance(distance);
+        // A cold memory has been idle "forever": the adaptive policy
+        // may use its most permissive plan on the very first shift.
+        if (first_)
+            last_interval_ = std::numeric_limits<Cycles>::max();
+        else
+            last_interval_ = now_cycles > last_request_
+                                 ? now_cycles - last_request_
+                                 : 0;
+        first_ = false;
+        last_request_ = now_cycles;
+        return policy_ == ShiftPolicy::Adaptive
+                   ? planner_->planIndexFor(distance, last_interval_)
+                   : 0;
+    }
+
+    /** The sequence choose() picks: plans(d)[choose(d, now)]. */
     const SequencePlan &plan(int distance, Cycles now_cycles)
     {
-        if (distance < 1 || distance > planner_->maxPart())
-            rtm_panic("adapter plan(%d) outside [1, %d]", distance,
-                      planner_->maxPart());
-        Cycles interval;
-        if (first_) {
-            interval = std::numeric_limits<Cycles>::max();
-            first_ = false;
-        } else {
-            interval = now_cycles > last_request_
-                           ? now_cycles - last_request_
-                           : 0;
-        }
-        last_interval_ = interval;
-        last_request_ = now_cycles;
-
-        switch (policy_) {
-          case ShiftPolicy::Unconstrained:
-            return planner_->paretoFront(distance).front();
-          case ShiftPolicy::StepByStep:
-            return fixedPartsPlan(distance, 1);
-          case ShiftPolicy::WorstCase:
-            return fixedPartsPlan(distance, worst_case_distance_);
-          case ShiftPolicy::Adaptive:
-            return planner_->planFor(distance, interval);
-        }
-        rtm_panic("unreachable policy");
+        const size_t i = choose(distance, now_cycles);
+        return plans(distance)[i];
     }
 
     /**
@@ -91,16 +108,20 @@ class ShiftAdapter
      * not touch the interval counter (recovery traffic must not make
      * the adaptive policy believe intensity rose).
      */
-    const SequencePlan &cautiousPlan(int distance);
+    const SequencePlan &cautiousPlan(int distance) const
+    {
+        checkDistance(distance);
+        return one_step_[static_cast<size_t>(distance)];
+    }
 
     /** Fixed safe distance of the WorstCase policy. */
     int worstCaseSafeDistance() const { return worst_case_distance_; }
 
-    /** Policy flavour in effect. */
-    ShiftPolicy policy() const { return policy_; }
-
     /** Observed interval before the most recent request. */
     Cycles lastInterval() const { return last_interval_; }
+
+    /** Time of the most recent request (0 before the first). */
+    Cycles lastRequest() const { return last_request_; }
 
   private:
     const ShiftPlanner *planner_;
@@ -109,9 +130,20 @@ class ShiftAdapter
     Cycles last_request_ = 0;
     Cycles last_interval_ = 0;
     bool first_ = true;
-    SequencePlan scratch_;
+    /** fixed_[d]: the one-entry table of a non-adaptive policy. */
+    std::vector<std::vector<SequencePlan>> fixed_;
+    /** one_step_[d]: d one-step shifts (cautiousPlan). */
+    std::vector<SequencePlan> one_step_;
 
-    const SequencePlan &fixedPartsPlan(int distance, int part);
+    void checkDistance(int distance) const
+    {
+        if (distance < 1 || distance > planner_->maxPart())
+            rtm_panic("adapter distance %d outside [1, %d]", distance,
+                      planner_->maxPart());
+    }
+
+    /** `distance` steps in chunks of at most `part`. */
+    SequencePlan fixedPartsPlan(int distance, int part) const;
 };
 
 } // namespace rtm

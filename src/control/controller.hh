@@ -216,18 +216,6 @@ class ShiftController
     ProtectedStripe &stripe() { return stripe_; }
     const ProtectedStripe &stripe() const { return stripe_; }
 
-    /** The planner (inspection/benches). */
-    const ShiftPlanner &planner() const { return planner_; }
-
-    /** The adapter (inspection/benches). */
-    const ShiftAdapter &adapter() const { return adapter_; }
-
-    /** STS timing model in use. */
-    const StsTiming &timing() const { return timing_; }
-
-    /** Recovery-ladder configuration in effect. */
-    const RecoveryConfig &recovery() const { return recovery_; }
-
   private:
     ProtectedStripe stripe_;
     StsTiming timing_;

@@ -87,10 +87,9 @@ class ShiftPlanner
 
     /**
      * Index into paretoFront(distance) of the plan planFor() would
-     * return. Memo tables (RmBank) cache per-plan costs and use the
-     * front's min_interval thresholds as their interval buckets; this
-     * accessor lets them (and the golden tests) share the exact
-     * selection rule.
+     * return. The adaptive ShiftAdapter::choose() returns it, so
+     * callers that cache per-plan costs (RmBank's memo) share the
+     * exact selection rule.
      */
     size_t planIndexFor(int distance, Cycles interval_cycles) const
     {

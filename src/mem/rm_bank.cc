@@ -30,6 +30,8 @@ RmBank::RmBank(const RmBankConfig &config,
       planner_(model, timing_,
                std::max(0, schemeCorrectionStrength(config.scheme)),
                kSegLen - 1),
+      adapter_(&planner_, schemeRow(config.scheme).policy,
+               kPeakLlcOpsPerSecond),
       protection_(resolveProtection(config.protection,
                                     config.line_frames)),
       reliability_model_(model,
@@ -37,7 +39,6 @@ RmBank::RmBank(const RmBankConfig &config,
                              ? protection_.domains[0].scheme
                              : config.scheme,
                          protection_.domains[0].codeword_frames),
-      policy_(schemeRow(config.scheme).policy),
       memo_enabled_(config.use_plan_memo)
 {
     if (!model_)
@@ -67,14 +68,10 @@ RmBank::RmBank(const RmBankConfig &config,
                 model, d.has_scheme ? d.scheme : config_.scheme,
                 d.codeword_frames);
         }
-        codeword_div_.emplace_back(
-            static_cast<uint64_t>(std::max(d.codeword_frames, 1)));
     }
     constexpr uint64_t fpg = kDomainsPerStripe;
-    group_div_ = Divider(fpg);
-    uint64_t groups = (config_.line_frames + fpg - 1) / fpg;
+    const uint64_t groups = (config_.line_frames + fpg - 1) / fpg;
     head_.assign(groups, 0);
-    busy_until_.assign(groups, 0);
     last_access_.assign(groups, kNeverShifted);
     degraded_.assign(groups, 0);
     due_count_.assign(groups, 0);
@@ -85,12 +82,7 @@ RmBank::RmBank(const RmBankConfig &config,
     group_stats_.assign(groups, RmGroupStats{});
     placement_ = makePlacementPolicy({.line_frames = config_.line_frames},
                                      config_.placement, config_.head_policy);
-    // A cold memory has been idle "forever": the adaptive policy may
-    // use its most permissive plan on the very first shift.
-    last_shift_ = kNeverShifted;
-    worst_case_distance_ =
-        planner_.safeDistance(kPeakLlcOpsPerSecond);
-    invalidatePlanMemo();
+    buildPlanMemo();
 
     if (config_.telemetry) {
         Telemetry &t = *config_.telemetry.get();
@@ -109,87 +101,38 @@ RmBank::RmBank(const RmBankConfig &config,
     }
 }
 
-/**
- * Decompose `distance` into sub-shift parts under a static policy;
- * both the plan memo and the live (non-memo) access path use it. The
- * adaptive policy is handled by the callers (the Pareto front for the
- * memo, planFor for the live path).
- */
-static std::vector<int>
-staticPartsFor(ShiftPolicy policy, int distance, int worst_case)
-{
-    std::vector<int> parts;
-    switch (policy) {
-      case ShiftPolicy::Unconstrained:
-        parts = {distance};
-        break;
-      case ShiftPolicy::StepByStep:
-        parts.assign(static_cast<size_t>(distance), 1);
-        break;
-      case ShiftPolicy::WorstCase: {
-        int remaining = distance;
-        while (remaining > 0) {
-            int p = std::min(remaining, worst_case);
-            parts.push_back(p);
-            remaining -= p;
-        }
-        break;
-      }
-      case ShiftPolicy::Adaptive:
-        break; // caller enumerates the Pareto front instead
-    }
-    return parts;
-}
-
 void
-RmBank::invalidatePlanMemo()
+RmBank::buildPlanMemo()
 {
     one_step_cycles_ = timing_.shiftCycles(1);
     one_step_energy_ = shiftOpEnergy(1);
 
     // Heads travel within one segment, so every request distance is
-    // in [1, kSegLen - 1]; precompute each distance's decomposition
-    // cost with the identical per-part fold the live path performs,
-    // so serving from the memo reproduces its arithmetic bit for
-    // bit.
+    // in [1, kSegLen - 1]; precompute the cost of each plan the
+    // adapter may pick with the identical per-part fold the live path
+    // performs, so serving from the memo reproduces its arithmetic
+    // bit for bit.
     const int max_distance = kSegLen - 1;
     plan_memo_.assign(static_cast<size_t>(std::max(max_distance, 0)),
                       {});
     drift_memo_.assign(static_cast<size_t>(max_distance) + 1,
                        PlanCost{});
     for (int d = 1; d <= max_distance; ++d) {
-        std::vector<std::vector<int>> decomps;
-        std::vector<Cycles> intervals;
-        if (policy_ == ShiftPolicy::Adaptive) {
-            // One interval bucket per Pareto plan, in planFor's scan
-            // order: the first entry whose min_interval the observed
-            // interval meets is the plan the planner would pick.
-            for (const SequencePlan &plan : planner_.paretoFront(d)) {
-                decomps.push_back(plan.parts);
-                intervals.push_back(plan.min_interval);
-            }
-        } else {
-            decomps.push_back(
-                staticPartsFor(policy_, d, worst_case_distance_));
-            intervals.push_back(0);
-        }
         auto &entries = plan_memo_[static_cast<size_t>(d - 1)];
-        entries.reserve(decomps.size());
-        for (size_t i = 0; i < decomps.size(); ++i) {
+        for (const SequencePlan &plan : adapter_.plans(d)) {
             PlanCost pc;
-            pc.min_interval = intervals[i];
-            for (int p : decomps[i]) {
+            for (int p : plan.parts) {
                 pc.latency += timing_.shiftCycles(p);
                 pc.energy += shiftOpEnergy(p);
                 pc.total_steps += p;
                 ++pc.sub_shifts;
             }
             ShiftReliability rel =
-                reliability_model_.sequence(decomps[i]);
+                reliability_model_.sequence(plan.parts);
             pc.sdc_prob = std::exp(rel.log_sdc);
             pc.due_prob = std::exp(rel.log_due);
             for (const ReliabilityModel &dm : extra_models_) {
-                ShiftReliability r = dm.sequence(decomps[i]);
+                ShiftReliability r = dm.sequence(plan.parts);
                 pc.extra_sdc.push_back(std::exp(r.log_sdc));
                 pc.extra_due.push_back(std::exp(r.log_due));
             }
@@ -339,61 +282,32 @@ RmBank::accessFrame(uint64_t frame_index, Cycles now)
     ++group_stats_[group].accesses;
     if (t_accesses_)
         t_accesses_->add();
-    // Contention: wait out the group's previous shift sequence.
-    if (config_.model_contention && busy_until_[group] > now) {
-        cost.stall = busy_until_[group] - now;
-        cost.latency += cost.stall;
-    }
     last_access_[group] = now;
-    if (target == cur) {
-        stats_.shift_cycles += cost.latency;
+    if (target == cur)
         return cost;
-    }
 
     int distance = std::abs(target - cur);
     stats_.distance_histogram.add(distance);
 
-    // Plan under the scheme's policy using the memory-wide request
-    // interval (paper Sec. 5.3); interleaved service multiplies the
-    // effective intensity, i.e. divides the usable interval.
-    Cycles interval;
-    if (last_shift_ == kNeverShifted) {
-        interval = kNeverShifted;
-    } else {
-        interval = now > last_shift_ ? now - last_shift_ : 0;
-        if (config_.interleave_ways > 1)
-            interval /= static_cast<Cycles>(config_.interleave_ways);
-    }
+    // The scheme's policy picks the plan from the memory-wide request
+    // interval (paper Sec. 5.3); both branches below serve the same
+    // choice.
+    const size_t choice = adapter_.choose(distance, now);
     if (memo_enabled_) {
-        // Fast path: the decomposition cost and its reliability fold
-        // were precomputed per (distance, interval bucket); entries
-        // mirror planFor's scan, so picking the first bucket the
-        // interval satisfies reproduces the live plan selection.
-        const auto &entries =
-            plan_memo_[static_cast<size_t>(distance - 1)];
-        const PlanCost *pc = &entries.back();
-        for (const PlanCost &e : entries) {
-            if (e.min_interval <= interval) {
-                pc = &e;
-                break;
-            }
-        }
-        cost.latency += pc->latency;
-        cost.energy += pc->energy;
-        cost.total_steps += pc->total_steps;
-        cost.sub_shifts += pc->sub_shifts;
-        addMemoReliability(*pc, dom);
+        // Fast path: the plan's cost and reliability fold were
+        // precomputed at construction.
+        const PlanCost &pc =
+            plan_memo_[static_cast<size_t>(distance - 1)][choice];
+        cost.latency = pc.latency;
+        cost.energy = pc.energy;
+        cost.total_steps = pc.total_steps;
+        cost.sub_shifts = pc.sub_shifts;
+        addMemoReliability(pc, dom);
         ++stats_.plan_memo_hits;
     } else {
-        std::vector<int> scratch;
-        const std::vector<int> *parts = &scratch;
-        if (policy_ == ShiftPolicy::Adaptive)
-            parts = &planner_.planFor(distance, interval).parts;
-        else
-            scratch = staticPartsFor(policy_, distance,
-                                     worst_case_distance_);
-
-        for (int p : *parts) {
+        const std::vector<int> &parts =
+            adapter_.plans(distance)[choice].parts;
+        for (int p : parts) {
             cost.latency += timing_.shiftCycles(p);
             cost.energy += shiftOpEnergy(p);
             cost.total_steps += p;
@@ -402,13 +316,11 @@ RmBank::accessFrame(uint64_t frame_index, Cycles now)
 
         // Reliability: every stripe in the group shifts independently
         // and is an independent failure opportunity.
-        ShiftReliability rel = domainModel(dom).sequence(*parts);
+        ShiftReliability rel = domainModel(dom).sequence(parts);
         stats_.reliability.add(rel, kStripesPerLine);
     }
 
     head_[group] = static_cast<int8_t>(target);
-    last_shift_ = now;
-    busy_until_[group] = now + cost.latency;
     stats_.shift_ops += static_cast<uint64_t>(cost.sub_shifts);
     stats_.shift_steps += static_cast<uint64_t>(cost.total_steps);
     group_stats_[group].shift_ops +=
@@ -433,14 +345,15 @@ RmBank::accessRedundancy(uint64_t frame_index, Cycles now)
 {
     const auto dom =
         static_cast<size_t>(protection_.domainIndexFor(frame_index));
-    if (protection_.domains[dom].codeword_frames <= 1)
+    const auto f =
+        static_cast<uint64_t>(protection_.domains[dom].codeword_frames);
+    if (f <= 1)
         return {};
     // The pooled check region lives in the codeword's base frame
-    // slot. codeword_frames divides kDomainsPerStripe (validated at
-    // construction), so the base frame shares the data frame's
-    // group and domain.
-    const uint64_t base =
-        frame_index - codeword_div_[dom].remainder(frame_index);
+    // slot. codeword_frames is 2, 4 or 8 and divides
+    // kDomainsPerStripe (validated at construction), so the base
+    // frame shares the data frame's group and domain.
+    const uint64_t base = frame_index & ~(f - 1);
     ShiftCost cost = accessFrame(base, now);
     ++stats_.redundancy_accesses;
     stats_.redundancy_steps +=
@@ -548,8 +461,7 @@ RmBank::reportUnrecoverable(uint64_t frame_index)
     if (t_events_) {
         t_retired_->add();
         t_events_->event(EventKind::GroupRetired, "rm_bank",
-                         last_shift_ == kNeverShifted ? 0
-                                                      : last_shift_,
+                         adapter_.lastRequest(),
                          static_cast<double>(group),
                          static_cast<double>(target));
     }

@@ -11,8 +11,10 @@
  * the access ports.
  *
  * The engine tracks per-group head positions, plans shift sequences
- * through the control layer's adapter policy, and reports per-access
- * shift latency, energy and reliability decomposition. It deliberately
+ * through the control layer's ShiftAdapter (the policy code the shift
+ * controller runs, with one memory-wide interval counter, paper
+ * Sec. 5.3), and reports per-access shift latency, energy and
+ * reliability decomposition. It deliberately
  * does not move functional bits: the cache simulator only needs
  * timing/energy/reliability, and the functional path is already
  * exercised end-to-end by the codec/control tests.
@@ -35,7 +37,6 @@
 #include "mem/protection.hh"
 #include "model/reliability.hh"
 #include "model/tech.hh"
-#include "util/divider.hh"
 #include "util/stats.hh"
 #include "util/telemetry.hh"
 
@@ -46,7 +47,6 @@ namespace rtm
 struct ShiftCost
 {
     Cycles latency = 0;          //!< shift cycles on the access path
-    Cycles stall = 0;            //!< contention wait (in latency)
     Joules energy = 0.0;         //!< shift + detection energy
     int total_steps = 0;         //!< steps moved (all sub-shifts)
     int sub_shifts = 0;          //!< number of shift operations
@@ -98,15 +98,6 @@ struct RmBankConfig
     uint64_t line_frames = 0;  //!< cache line frames to back
     Scheme scheme = Scheme::PeccSAdaptive;
 
-    /**
-     * Requests serviced concurrently by interleaved sub-banks.
-     * Paper Sec. 5.3: "if multiple requests are serviced
-     * simultaneously by an interleaving technique, we only need to
-     * increase run-time intensity accordingly" - the adaptive policy
-     * divides the observed interval by this factor.
-     */
-    int interleave_ways = 1;
-
     /** Head-rest policy applied when a group goes idle. */
     HeadPolicy head_policy = HeadPolicy::Stay;
 
@@ -129,13 +120,6 @@ struct RmBankConfig
     ProtectionPolicy protection;
 
     /**
-     * Model per-group occupancy: a request arriving while the
-     * group's previous shift sequence is still draining stalls for
-     * the remainder (adds to the returned latency).
-     */
-    bool model_contention = false;
-
-    /**
      * Graceful degradation: DUE reports tolerated per group before
      * the bank retires it and remaps its frames onto a healthy
      * group (capacity loss instead of a crash). 0 disables
@@ -145,14 +129,16 @@ struct RmBankConfig
 
     /**
      * Serve steady-state accesses from the per-bank shift-plan memo
-     * (plan costs precomputed per (distance, interval bucket) at
-     * construction) instead of replanning and refolding reliability
-     * on every access. Results are bit-identical either way — the
-     * memo is an exact cache keyed on everything the plan depends on
-     * (distance, interval bucket, protection domain; never head,
-     * placement or degradation state) — so this switch exists only
-     * to exercise the planner live (golden cross-checks, the frozen
-     * reference simulator, baseline benchmarking).
+     * (the cost of every plan the adapter may pick, precomputed at
+     * construction) instead of refolding the chosen plan's cost and
+     * reliability on every access. Both paths take the plan from the
+     * same ShiftAdapter::choose call, so results are bit-identical
+     * either way — the memo is an exact cache keyed on everything a
+     * plan's cost depends on (distance, chosen plan, protection
+     * domain; never head, placement or degradation state) — and this
+     * switch exists only to exercise the live fold (golden
+     * cross-checks, the frozen reference simulator, baseline
+     * benchmarking).
      */
     bool use_plan_memo = true;
 
@@ -179,6 +165,10 @@ class RmBank
     RmBank(const RmBankConfig &config,
            const PositionErrorModel *model, const TechParams &tech);
 
+    // The adapter points at this bank's own planner.
+    RmBank(const RmBank &) = delete;
+    RmBank &operator=(const RmBank &) = delete;
+
     /**
      * Serve an access to a line frame at absolute time `now`.
      * Computes the group's required head movement, plans it under
@@ -201,15 +191,6 @@ class RmBank
     /** Statistics accumulated so far. */
     const RmBankStats &stats() const { return stats_; }
 
-    /** Reliability accumulator (mutable: simulator adds time). */
-    MttfAccumulator &reliability() { return stats_.reliability; }
-
-    /** The planner (bench introspection). */
-    const ShiftPlanner &planner() const { return planner_; }
-
-    /** Scheme in effect. */
-    Scheme scheme() const { return config_.scheme; }
-
     /** Energy of one shift operation of `steps` steps (one group). */
     Joules shiftOpEnergy(int steps) const;
 
@@ -230,19 +211,10 @@ class RmBank
      */
     uint64_t servingGroupFor(uint64_t frame_index) const;
 
-    /** The placement policy in effect (introspection/benches). */
-    const PlacementPolicy &placement() const { return *placement_; }
-
     /** Protection domain governing `frame` (resolved policy). */
     const ProtectionDomain &domainFor(uint64_t frame) const
     {
         return protection_.domainFor(frame);
-    }
-
-    /** The resolved protection table (introspection/benches). */
-    const ResolvedProtection &protection() const
-    {
-        return protection_;
     }
 
     /**
@@ -281,15 +253,6 @@ class RmBank
      */
     std::string ledgerViolation() const;
 
-    /**
-     * Rebuild the shift-plan memo from the current planner/scheme
-     * state. The memo depends on configuration only — head moves,
-     * migrations and group retirement leave it valid — and the
-     * configuration is immutable today, so construction calls this
-     * once.
-     */
-    void invalidatePlanMemo();
-
     /** Whether steady-state accesses are served from the memo. */
     bool planMemoEnabled() const { return memo_enabled_; }
 
@@ -299,14 +262,9 @@ class RmBank
      * per-part latency/energy/step fold and the exponentiated
      * reliability decomposition of the full sequence, so a
      * steady-state access is a table lookup plus accumulator adds.
-     * `min_interval` is the interval-bucket lower bound (0 for the
-     * non-adaptive policies, the Pareto plan's threshold for the
-     * adaptive one); entries are ordered exactly as
-     * ShiftPlanner::planFor scans them.
      */
     struct PlanCost
     {
-        Cycles min_interval = 0;
         Cycles latency = 0;
         Joules energy = 0.0;
         int total_steps = 0;
@@ -324,14 +282,15 @@ class RmBank
     TechParams tech_;
     StsTiming timing_;
     ShiftPlanner planner_;
+    /** The scheme's shift policy over planner_ (Sec. 5.3), with the
+     *  paper's one memory-wide interval counter. */
+    ShiftAdapter adapter_;
     /** Resolved protection table; domain 0 is the base domain. */
     ResolvedProtection protection_;
     /** Domain 0's reliability model (the base/llc domain). */
     ReliabilityModel reliability_model_;
     /** Models for domains 1..N-1 (empty under the default policy). */
     std::vector<ReliabilityModel> extra_models_;
-    ShiftPolicy policy_;
-    int worst_case_distance_;
 
     /** Frame -> slot mapping + head-rest scheduling. */
     std::unique_ptr<PlacementPolicy> placement_;
@@ -340,19 +299,11 @@ class RmBank
 
     /** Per-group head offset (believed == actual for timing). */
     std::vector<int8_t> head_;
-    /** Per-group cycle until which the group is still shifting
-     *  (contention modelling). */
-    std::vector<Cycles> busy_until_;
     /** Cycle of each group's previous access (idle-drift policy). */
     std::vector<Cycles> last_access_;
-    /** Cycle of the previous shift operation anywhere in the bank.
-     *  The paper's adapter (Sec. 5.3) tracks one memory-wide
-     *  interval: "the interval between it and the last shift
-     *  operation"; a single counter and table is also what keeps the
-     *  hardware cost trivial. */
-    Cycles last_shift_;
 
-    /** Memo tables: plan_memo_[d - 1] = entries for distance d. */
+    /** Memo tables: plan_memo_[d - 1][i] = cost of
+     *  adapter_.plans(d)[i]. */
     std::vector<std::vector<PlanCost>> plan_memo_;
     /** drift_memo_[d] = reliability of d single-step drift shifts. */
     std::vector<PlanCost> drift_memo_;
@@ -393,15 +344,17 @@ class RmBank
     Counter *t_migration_steps_ = nullptr;
     LatencyHistogram *t_shift_latency_ = nullptr;
 
-    /** Division by kDomainsPerStripe (frame -> home group). */
-    Divider group_div_;
-    /** codeword_div_[d]: division by domain d's codeword_frames. */
-    std::vector<Divider> codeword_div_;
-
-    uint64_t groupOf(uint64_t frame) const
+    static uint64_t groupOf(uint64_t frame)
     {
-        return group_div_.quotient(frame);
+        return frame / kDomainsPerStripe;
     }
+
+    /**
+     * Precompute plan_memo_ and drift_memo_. The memo depends on
+     * configuration only — head moves, migrations and group
+     * retirement leave it valid — so construction calls this once.
+     */
+    void buildPlanMemo();
 
     /** Reliability model of protection domain `dom`. */
     const ReliabilityModel &domainModel(int dom) const

@@ -12,9 +12,11 @@
  *
  * Constants are calibrated to the circuit-level model the paper
  * cites: ~6.8 F^2 per domain of stripe footprint (including wire
- * pitch), 35 F^2 per read-only port (one access transistor), and
- * 70 F^2 per read/write port (one extra transistor plus two pinned
- * reference domains).
+ * pitch), 20 F^2 of transistor per read-only port (one access
+ * transistor), 40 F^2 per read/write port (one extra transistor plus
+ * two pinned reference domains), 20 F^2 per end write port (p-ECC-O),
+ * and 10 F^2 of peripheral per port plus 40 F^2 fixed (shift driver
+ * and control).
  */
 
 #ifndef RTM_MODEL_AREA_HH

@@ -26,7 +26,14 @@ class AdapterFixture : public ::testing::Test
 TEST_F(AdapterFixture, UnconstrainedAlwaysOneShot)
 {
     ShiftAdapter a(&planner_, ShiftPolicy::Unconstrained, 83e6);
+    for (int d = 1; d <= 7; ++d) {
+        ASSERT_EQ(a.plans(d).size(), 1u) << "d=" << d;
+        EXPECT_EQ(a.plans(d)[0].parts, std::vector<int>{d});
+        EXPECT_EQ(a.cautiousPlan(d).parts,
+                  std::vector<int>(static_cast<size_t>(d), 1));
+    }
     for (Cycles t : {0u, 10u, 1000u}) {
+        EXPECT_EQ(a.choose(7, t), 0u);
         const SequencePlan &p = a.plan(7, t);
         EXPECT_EQ(p.parts, std::vector<int>{7});
     }
@@ -35,6 +42,11 @@ TEST_F(AdapterFixture, UnconstrainedAlwaysOneShot)
 TEST_F(AdapterFixture, StepByStepDecomposesToOnes)
 {
     ShiftAdapter a(&planner_, ShiftPolicy::StepByStep, 83e6);
+    for (int d = 1; d <= 7; ++d) {
+        ASSERT_EQ(a.plans(d).size(), 1u) << "d=" << d;
+        EXPECT_EQ(a.plans(d)[0].parts,
+                  std::vector<int>(static_cast<size_t>(d), 1));
+    }
     const SequencePlan &p = a.plan(5, 100);
     EXPECT_EQ(p.parts, (std::vector<int>{1, 1, 1, 1, 1}));
 }
@@ -44,6 +56,15 @@ TEST_F(AdapterFixture, WorstCaseUsesFixedSafeDistance)
     // 83M accesses/s -> safe distance 3 (paper Sec. 5.2).
     ShiftAdapter a(&planner_, ShiftPolicy::WorstCase, 83e6);
     EXPECT_EQ(a.worstCaseSafeDistance(), 3);
+    const std::vector<std::vector<int>> expect = {
+        {1}, {2}, {3}, {3, 1}, {3, 2}, {3, 3}, {3, 3, 1}};
+    for (int d = 1; d <= 7; ++d) {
+        ASSERT_EQ(a.plans(d).size(), 1u) << "d=" << d;
+        EXPECT_EQ(a.plans(d)[0].parts,
+                  expect[static_cast<size_t>(d - 1)]);
+        EXPECT_EQ(a.cautiousPlan(d).parts,
+                  std::vector<int>(static_cast<size_t>(d), 1));
+    }
     const SequencePlan &p = a.plan(7, 1);
     EXPECT_EQ(p.parts, (std::vector<int>{3, 3, 1}));
 }
@@ -51,6 +72,16 @@ TEST_F(AdapterFixture, WorstCaseUsesFixedSafeDistance)
 TEST_F(AdapterFixture, AdaptiveRelaxesWithLongIntervals)
 {
     ShiftAdapter a(&planner_, ShiftPolicy::Adaptive, 83e6);
+    // The adapter table is the planner's Pareto front: the one-shot
+    // plan first, the all-1-step plan last.
+    for (int d = 1; d <= 7; ++d) {
+        const std::vector<SequencePlan> &plans = a.plans(d);
+        EXPECT_EQ(&plans, &planner_.paretoFront(d)) << "d=" << d;
+        ASSERT_FALSE(plans.empty());
+        EXPECT_EQ(plans.front().parts, std::vector<int>{d});
+        EXPECT_EQ(plans.back().parts,
+                  std::vector<int>(static_cast<size_t>(d), 1));
+    }
     // First request: no history -> most permissive plan.
     const SequencePlan &first = a.plan(7, 0);
     EXPECT_EQ(first.parts.size(), 1u);
@@ -87,7 +118,17 @@ TEST_F(AdapterFixture, WorstCaseLatencyBetweenExtremes)
     EXPECT_LE(lw, ls);
 }
 
-TEST_F(AdapterFixture, ScratchPlanAccounting)
+TEST_F(AdapterFixture, PlanReferencesSurviveTheNextRequest)
+{
+    // A returned plan is a table entry: a later request for another
+    // distance must not rewrite it.
+    ShiftAdapter a(&planner_, ShiftPolicy::WorstCase, 83e6);
+    const SequencePlan &first = a.plan(7, 0);
+    a.plan(2, 10);
+    EXPECT_EQ(first.parts, (std::vector<int>{3, 3, 1}));
+}
+
+TEST_F(AdapterFixture, FixedPartsPlanAccounting)
 {
     ShiftAdapter a(&planner_, ShiftPolicy::WorstCase, 83e6);
     const SequencePlan &p = a.plan(7, 0);

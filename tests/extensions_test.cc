@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the extension features: the perpendicular-material
- * preset, bank interleaving, trace-replay simulation, and the
+ * preset, trace-replay simulation, and the
  * overdrive sensitivity of the Monte-Carlo error model.
  */
 
@@ -10,7 +10,6 @@
 #include <cmath>
 
 #include "device/montecarlo.hh"
-#include "mem/rm_bank.hh"
 #include "sim/system.hh"
 #include "trace/trace_file.hh"
 
@@ -56,29 +55,6 @@ TEST(Overdrive, UnderShootAtLowDriveOverShootAtHigh)
     };
     EXPECT_GT(err_frac(pdf_low), err_frac(pdf_nom));
     EXPECT_GT(err_frac(pdf_high), err_frac(pdf_nom));
-}
-
-TEST(Interleaving, RaisesEffectiveIntensity)
-{
-    // With N-way interleaving the adaptive policy sees 1/N of the
-    // interval and must decompose more conservatively.
-    PaperCalibratedErrorModel model;
-    auto run = [&](int ways) {
-        RmBankConfig cfg;
-        cfg.line_frames = 128;
-        cfg.scheme = Scheme::PeccSAdaptive;
-        cfg.interleave_ways = ways;
-        RmBank bank(cfg, &model, racetrackL3());
-        // Warm the interval counter with a shifting access in a
-        // different stripe group.
-        bank.accessFrame(64, 0);
-        // 7-step request (group 0, index 0) after a 100-cycle gap.
-        return bank.accessFrame(0, 100).sub_shifts;
-    };
-    int solo = run(1);
-    int interleaved = run(8);
-    EXPECT_GE(interleaved, solo);
-    EXPECT_GT(interleaved, 1);
 }
 
 TEST(TraceSim, ReplayedTraceDrivesTheHierarchy)

@@ -148,7 +148,10 @@ class RandomFill
             pool = {"l1", "l2", "llc"};
         if (!pool.empty())
             return pool[pick(pool.size())];
-        return "w" + std::to_string(pick(1000000)) + " \"q\"\n";
+        std::string w = "w";
+        w += std::to_string(pick(1000000));
+        w += " \"q\"\n";
+        return w;
     }
 
     std::mt19937_64 rng_;

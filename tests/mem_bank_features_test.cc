@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the shift-engine extensions: group contention and
- * head-position management policies.
+ * Unit tests for the shift-engine extensions: head-position
+ * management policies.
  */
 
 #include <gtest/gtest.h>
@@ -19,51 +19,19 @@ class BankFeatureFixture : public ::testing::Test
     PaperCalibratedErrorModel model_;
 
     RmBank
-    make(HeadPolicy policy, bool contention)
+    make(HeadPolicy policy)
     {
         RmBankConfig cfg;
         cfg.line_frames = 256;
         cfg.scheme = Scheme::SecdedPecc; // one-shot plans
         cfg.head_policy = policy;
-        cfg.model_contention = contention;
         return RmBank(cfg, &model_, racetrackL3());
     }
 };
 
-TEST_F(BankFeatureFixture, ContentionStallsBackToBackAccesses)
-{
-    RmBank bank = make(HeadPolicy::Stay, true);
-    // 7-step shift occupies the group for 9 cycles.
-    ShiftCost first = bank.accessFrame(0, 100);
-    EXPECT_EQ(first.stall, 0u);
-    EXPECT_EQ(first.latency, 9u);
-    // Arriving 3 cycles later: 6 cycles of the sequence remain.
-    ShiftCost second = bank.accessFrame(7, 103);
-    EXPECT_EQ(second.stall, 6u);
-    // After the drain, no stall.
-    ShiftCost third = bank.accessFrame(0, 1000);
-    EXPECT_EQ(third.stall, 0u);
-}
-
-TEST_F(BankFeatureFixture, ContentionIsPerGroup)
-{
-    RmBank bank = make(HeadPolicy::Stay, true);
-    bank.accessFrame(0, 100); // group 0 busy until 109
-    // Group 1 is free.
-    ShiftCost other = bank.accessFrame(64, 103);
-    EXPECT_EQ(other.stall, 0u);
-}
-
-TEST_F(BankFeatureFixture, ContentionOffByDefault)
-{
-    RmBank bank = make(HeadPolicy::Stay, false);
-    bank.accessFrame(0, 100);
-    EXPECT_EQ(bank.accessFrame(7, 101).stall, 0u);
-}
-
 TEST_F(BankFeatureFixture, ReturnHomeDriftsWhenIdle)
 {
-    RmBank bank = make(HeadPolicy::ReturnHome, false);
+    RmBank bank = make(HeadPolicy::ReturnHome);
     // Seek index 0 -> offset 7 (7 steps from home).
     EXPECT_EQ(bank.accessFrame(0, 0).total_steps, 7);
     // Long idle: the head drifts back to 0, so re-accessing index 7
@@ -76,7 +44,7 @@ TEST_F(BankFeatureFixture, ReturnHomeDriftsWhenIdle)
 
 TEST_F(BankFeatureFixture, StayKeepsThePosition)
 {
-    RmBank bank = make(HeadPolicy::Stay, false);
+    RmBank bank = make(HeadPolicy::Stay);
     bank.accessFrame(0, 0); // offset 7
     ShiftCost c = bank.accessFrame(7, 1000000); // offset 0
     EXPECT_EQ(c.total_steps, 7);
@@ -84,7 +52,7 @@ TEST_F(BankFeatureFixture, StayKeepsThePosition)
 
 TEST_F(BankFeatureFixture, CenterRestsAtTheMidpoint)
 {
-    RmBank bank = make(HeadPolicy::Center, false);
+    RmBank bank = make(HeadPolicy::Center);
     bank.accessFrame(0, 0); // offset 7
     // After a long idle the head sits at (8-1)/2 = 3; accessing
     // index 4 (offset 3) is then free.
@@ -94,7 +62,7 @@ TEST_F(BankFeatureFixture, CenterRestsAtTheMidpoint)
 
 TEST_F(BankFeatureFixture, NoDriftWithinShortGaps)
 {
-    RmBank bank = make(HeadPolicy::ReturnHome, false);
+    RmBank bank = make(HeadPolicy::ReturnHome);
     bank.accessFrame(0, 0); // offset 7
     // A gap shorter than the drift time + hysteresis: still at 7.
     ShiftCost c = bank.accessFrame(0, 20);
@@ -103,8 +71,8 @@ TEST_F(BankFeatureFixture, NoDriftWithinShortGaps)
 
 TEST_F(BankFeatureFixture, DriftChargesReliability)
 {
-    RmBank stay = make(HeadPolicy::Stay, false);
-    RmBank home = make(HeadPolicy::ReturnHome, false);
+    RmBank stay = make(HeadPolicy::Stay);
+    RmBank home = make(HeadPolicy::ReturnHome);
     for (Cycles t : {0u, 1000000u, 2000000u, 3000000u}) {
         stay.accessFrame(0, t);     // offset 7
         stay.accessFrame(7, t + 9); // offset 0

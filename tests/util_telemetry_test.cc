@@ -6,68 +6,23 @@
  * (no allocations, no events), and the byte layout of the JSON /
  * Chrome-trace writers.
  *
- * This TU overrides global operator new/delete with counting wrappers
- * so the zero-allocation claims are measured, not assumed. Each test
- * file builds into its own binary, so the override is contained.
+ * The binary links counting replacements of the global operator
+ * new/delete (alloc_counter.hh) so the zero-allocation claims are
+ * measured, not assumed. Each test file builds into its own binary,
+ * so the override is contained.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hh"
 #include "util/parallel.hh"
 #include "util/serde.hh"
 #include "util/telemetry.hh"
-
-namespace
-{
-std::atomic<uint64_t> g_allocations{0};
-}
-
-void *
-operator new(std::size_t size)
-{
-    ++g_allocations;
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace rtm
 {
@@ -277,8 +232,7 @@ TEST(Telemetry, DisabledPathMakesNoAllocationsAndNoEvents)
     ASSERT_EQ(events, nullptr);
 
     uint64_t sink = 0;
-    const uint64_t before =
-        g_allocations.load(std::memory_order_relaxed);
+    const uint64_t before = globalAllocationCount();
     for (uint64_t i = 0; i < 100000; ++i) {
         if (hits)
             hits->add();
@@ -288,8 +242,7 @@ TEST(Telemetry, DisabledPathMakesNoAllocationsAndNoEvents)
             events->event(EventKind::ShiftIssued, "s", i);
         sink += i; // keep the loop observable
     }
-    const uint64_t after =
-        g_allocations.load(std::memory_order_relaxed);
+    const uint64_t after = globalAllocationCount();
     EXPECT_EQ(after - before, 0u)
         << "disabled telemetry must not allocate";
     EXPECT_EQ(sink, 99999ull * 100000 / 2);
@@ -306,16 +259,14 @@ TEST(Telemetry, EnabledHotPathDoesNotAllocateAfterRegistration)
     for (uint64_t i = 0; i < 256; ++i)
         t.event(EventKind::ShiftIssued, "s", i);
 
-    const uint64_t before =
-        g_allocations.load(std::memory_order_relaxed);
+    const uint64_t before = globalAllocationCount();
     for (uint64_t i = 0; i < 100000; ++i) {
         hits.add();
         lat.record(static_cast<double>(i % 100));
         t.event(EventKind::ShiftIssued, "s", i,
                 static_cast<double>(i % 7));
     }
-    const uint64_t after =
-        g_allocations.load(std::memory_order_relaxed);
+    const uint64_t after = globalAllocationCount();
     EXPECT_EQ(after - before, 0u)
         << "counter add / histogram record / event push must be "
            "allocation-free on the steady-state hot path";

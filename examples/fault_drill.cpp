@@ -3,10 +3,11 @@
  * Fault drill: one campaign cell under a correlated-burst regime.
  *
  * Runs a recovery-hardened shift controller through a synthetic
- * workload while a BurstScenario periodically multiplies the
- * position-error rates, then prints the reconciled containment
- * ledger: injected vs detected vs corrected vs ladder-recovered vs
- * DUE vs SDC, plus the bank-layer degradation summary.
+ * workload while a burst-regime FaultScenario periodically
+ * multiplies the position-error rates, then prints the reconciled
+ * containment ledger: injected vs detected vs corrected vs
+ * ladder-recovered vs DUE vs SDC, plus the bank-layer degradation
+ * summary.
  *
  *   ./fault_drill
  */

@@ -68,12 +68,12 @@ Hierarchy::Hierarchy(const HierarchyConfig &config,
         RmBankConfig bank;
         bank.line_frames = l3_params_.capacity_bytes / kLineBytes;
         bank.scheme = config_.scheme;
-        // A uniform / llc-level scheme override replaces the bank's
-        // base scheme outright (timing and planning included);
-        // region-scoped overrides stay classification-only.
-        const ProtectionDomain &llc = config_.protection.llcDomain();
-        if (llc.has_scheme)
-            bank.scheme = llc.scheme;
+        // A uniform scheme override replaces the bank's base scheme
+        // outright (timing and planning included); region-scoped
+        // overrides stay classification-only.
+        const ProtectionDomain &uniform = config_.protection.uniform;
+        if (uniform.has_scheme)
+            bank.scheme = uniform.scheme;
         bank.protection = config_.protection;
         bank.head_policy = config_.head_policy;
         bank.placement = config_.placement;

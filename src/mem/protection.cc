@@ -7,50 +7,12 @@
 namespace rtm
 {
 
-const ProtectionDomain &
-ProtectionPolicy::llcDomain() const
-{
-    if (kind == ProtectionScopeKind::PerLevel) {
-        for (const ProtectionLevel &l : levels) {
-            if (l.level == "llc")
-                return l.domain;
-        }
-    }
-    return uniform;
-}
-
-bool
-ProtectionPolicy::isDefault() const
-{
-    if (!uniform.isDefault())
-        return false;
-    for (const ProtectionLevel &l : levels) {
-        if (!l.domain.isDefault())
-            return false;
-    }
-    for (const ProtectionRegion &r : regions) {
-        if (!r.domain.isDefault())
-            return false;
-    }
-    return true;
-}
-
-bool
-ResolvedProtection::isDefault() const
-{
-    for (const ProtectionDomain &d : domains) {
-        if (!d.isDefault())
-            return false;
-    }
-    return true;
-}
-
 ResolvedProtection
 resolveProtection(const ProtectionPolicy &policy,
                   uint64_t line_frames)
 {
     ResolvedProtection out;
-    out.domains.push_back(policy.llcDomain());
+    out.domains.push_back(policy.uniform);
     if (policy.kind != ProtectionScopeKind::AddressRegion)
         return out;
 

@@ -12,9 +12,9 @@
  *
  * A ProtectionDomain names one such contract (scheme override,
  * frames per codeword, two-tier read discipline); a
- * ProtectionPolicy maps the machine onto domains — uniformly, per
- * cache level, or per address region — and resolves to the compact
- * per-frame table the racetrack bank consults on its hot path.
+ * ProtectionPolicy maps the machine onto domains — uniformly or per
+ * address region — and resolves to the compact per-frame table the
+ * racetrack bank consults on its hot path.
  *
  * The default policy (uniform, single-frame, one-tier) is the
  * paper's configuration and leaves every golden digest bit-identical:
@@ -38,7 +38,6 @@ namespace rtm
 enum class ProtectionScopeKind
 {
     Uniform,       //!< one domain for everything
-    PerLevel,      //!< one domain per cache level (l1/l2/llc)
     AddressRegion, //!< domains over fractions of the frame space
 };
 
@@ -48,7 +47,6 @@ enumTokens(ProtectionScopeKind)
 {
     return std::to_array<EnumToken<ProtectionScopeKind>>({
         {ProtectionScopeKind::Uniform, "uniform"},
-        {ProtectionScopeKind::PerLevel, "per-level"},
         {ProtectionScopeKind::AddressRegion, "regions"},
     });
 }
@@ -59,7 +57,7 @@ struct ProtectionDomain
     /**
      * Scheme override for this domain. When set, it replaces the
      * hierarchy's scheme in this domain's reliability
-     * classification (and, for the uniform / llc domain, the bank's
+     * classification (and, for the uniform domain, the bank's
      * scheme outright). Plan decomposition and shift timing always
      * follow the bank's base scheme: position-code geometry is
      * shared by every stripe of a bank.
@@ -73,12 +71,6 @@ struct ProtectionDomain
     /** Two-tier EDC-then-ECC read discipline. */
     bool two_tier = false;
 
-    /** The paper's per-frame contract: changes nothing. */
-    bool isDefault() const
-    {
-        return !has_scheme && codeword_frames == 1 && !two_tier;
-    }
-
     bool operator==(const ProtectionDomain &o) const
     {
         return has_scheme == o.has_scheme &&
@@ -90,7 +82,7 @@ struct ProtectionDomain
 
 /**
  * Spec keys of a domain (util/fields.hh); `scheme` is present only
- * when it overrides. Levels and regions inline these keys.
+ * when it overrides. Regions inline these keys.
  */
 template <class V, FieldsOf<ProtectionDomain>... S>
 void
@@ -120,23 +112,6 @@ forEachField(V &&v, S &...s)
     forEachField(v, s.domain...);
 }
 
-/** Named per-cache-level entry (kind == PerLevel). */
-struct ProtectionLevel
-{
-    std::string level; //!< "l1" | "l2" | "llc"
-    ProtectionDomain domain;
-
-    bool operator==(const ProtectionLevel &) const = default;
-};
-
-template <class V, FieldsOf<ProtectionLevel>... S>
-void
-forEachField(V &&v, S &...s)
-{
-    v("level", s.level...);
-    forEachField(v, s.domain...);
-}
-
 /**
  * The protection-policy axis of a machine configuration.
  */
@@ -144,22 +119,13 @@ struct ProtectionPolicy
 {
     ProtectionScopeKind kind = ProtectionScopeKind::Uniform;
 
-    /** Uniform domain; also the base/fallback for the other kinds. */
+    /** The racetrack LLC bank's domain; under AddressRegion, the
+     *  fallback for frames outside every region. */
     ProtectionDomain uniform;
 
-    /** PerLevel entries. Only "llc" affects the racetrack bank;
-     *  l1/l2 entries feed the overhead accounting (tab05). */
-    std::vector<ProtectionLevel> levels;
-
-    /** AddressRegion entries (frames outside every region fall back
-     *  to `uniform`). */
+    /** AddressRegion entries (a spec may name them only under that
+     *  kind). */
     std::vector<ProtectionRegion> regions;
-
-    /** Domain governing the racetrack LLC bank. */
-    const ProtectionDomain &llcDomain() const;
-
-    /** True for the paper's configuration (no-op everywhere). */
-    bool isDefault() const;
 
     bool operator==(const ProtectionPolicy &) const = default;
 };
@@ -171,21 +137,19 @@ forEachField(V &&v, S &...s)
 {
     v("kind", s.kind...);
     v("uniform", s.uniform...);
-    if (v.emitWhen(!s.levels.empty()...))
-        v("levels", s.levels...);
     if (v.emitWhen(!s.regions.empty()...))
         v("regions", s.regions...);
 }
 
 /**
- * Bank-resolved form of a policy: the base (llc) domain plus, for
+ * Bank-resolved form of a policy: the base (uniform) domain plus, for
  * AddressRegion policies, the sorted frame ranges. Resolution is a
  * couple of comparisons per access — policies name at most a
  * handful of regions.
  */
 struct ResolvedProtection
 {
-    /** Distinct domains; [0] is the base (llc / uniform) domain. */
+    /** Distinct domains; [0] is the base (uniform) domain. */
     std::vector<ProtectionDomain> domains;
 
     struct Range
@@ -212,9 +176,6 @@ struct ResolvedProtection
     {
         return domains[static_cast<size_t>(domainIndexFor(frame))];
     }
-
-    /** Every domain is the paper's default contract. */
-    bool isDefault() const;
 };
 
 /**

@@ -283,15 +283,9 @@ finishRead(SpecReader &r, ExperimentSpec &spec)
         return;
     const ProtectionPolicy &p = spec.protection;
     checkProtectionDomain(r, "protection.uniform.", p.uniform);
-    for (size_t i = 0; i < p.levels.size(); ++i) {
-        const std::string at =
-            "protection.levels[" + std::to_string(i) + "].";
-        const std::string &level = p.levels[i].level;
-        if (level != "l1" && level != "l2" && level != "llc")
-            r.fail(at + "level", "unknown cache level '" + level +
-                                     "' (l1 | l2 | llc)");
-        checkProtectionDomain(r, at, p.levels[i].domain);
-    }
+    if (p.kind != ProtectionScopeKind::AddressRegion && !p.regions.empty())
+        r.fail("protection.regions",
+               "only allowed when protection.kind is 'regions'");
     for (size_t i = 0; i < p.regions.size(); ++i) {
         const std::string at =
             "protection.regions[" + std::to_string(i) + "].";

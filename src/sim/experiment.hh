@@ -289,8 +289,8 @@ forEachField(V &&v, S &...s)
 /**
  * The checks that span fields: the stress scheme's drill and
  * stripe, montecarlo's tier and fit_trials, and the protection
- * levels' names, region ends past their begins and each domain's
- * geometry against the default hierarchy.
+ * regions (only under kind "regions", ends past their begins) and
+ * each domain's geometry against the default hierarchy.
  */
 void finishRead(SpecReader &r, ExperimentSpec &spec);
 

@@ -77,19 +77,23 @@ class CappedErrorModel : public PositionErrorModel
     int cap_;
 };
 
-/** The five scenario regimes, all over the same base model. */
-std::vector<std::unique_ptr<FaultScenario>>
-allScenarios(std::shared_ptr<const PositionErrorModel> base)
+/** The five scenario regimes, in a drill-sized parameterisation. */
+std::vector<ScenarioSpec>
+allScenarios()
 {
-    std::vector<std::unique_ptr<FaultScenario>> out;
-    out.push_back(std::make_unique<IidScenario>(base));
-    out.push_back(
-        std::make_unique<BurstScenario>(base, 40, 10, 25.0));
-    out.push_back(
-        std::make_unique<StuckStripeScenario>(base, 60, 30));
-    out.push_back(
-        std::make_unique<DroopScenario>(base, 50, 15, 0.6));
-    out.push_back(std::make_unique<SkewScenario>(base, 7, 0.8));
+    std::vector<ScenarioSpec> out = standardScenarios();
+    auto of = [&out](ScenarioKind kind) -> ScenarioSpec & {
+        return out[static_cast<size_t>(kind)];
+    };
+    of(ScenarioKind::Burst).burst_period = 40;
+    of(ScenarioKind::Burst).burst_len = 10;
+    of(ScenarioKind::Burst).burst_multiplier = 25.0;
+    of(ScenarioKind::StuckStripe).stuck_after = 60;
+    of(ScenarioKind::StuckStripe).stuck_len = 30;
+    of(ScenarioKind::Droop).droop_period = 50;
+    of(ScenarioKind::Droop).droop_len = 15;
+    of(ScenarioKind::Droop).droop_undershoot_prob = 0.6;
+    of(ScenarioKind::Skew).skew_sigma = 0.8;
     return out;
 }
 
@@ -232,20 +236,20 @@ TEST(Differential, WithinRadiusEverySchemeHasZeroSdc)
     // Cap injections at +/-1: inside every scheme's radius. All three
     // schemes see each scenario timeline from the same seed.
     auto base = std::make_shared<CappedErrorModel>(kAccel, 1);
-    for (const auto &scenario : allScenarios(base)) {
-        SCOPED_TRACE(scenario->name());
+    for (const ScenarioSpec &scenario : allScenarios()) {
+        SCOPED_TRACE(scenario.name);
 
-        auto secded = scenario->clone();
+        auto secded = makeScenario(scenario, base);
         DiffStats s1 = runStandardDifferential(
             standardConfig(1, 0), secded.get(), kSeed, kOps);
         EXPECT_EQ(s1.sdc, 0u) << "secded";
 
-        auto lmpos = scenario->clone();
+        auto lmpos = makeScenario(scenario, base);
         DiffStats s2 = runStandardDifferential(
             lmPosConfig(), lmpos.get(), kSeed, kOps);
         EXPECT_EQ(s2.sdc, 0u) << "lm-pos";
 
-        auto delins = scenario->clone();
+        auto delins = makeScenario(scenario, base);
         DiffStats s3 =
             runDelInsDifferential(delins.get(), kSeed, kOps);
         EXPECT_EQ(s3.sdc, 0u) << "del-ins-k";
@@ -267,15 +271,15 @@ TEST(Differential, WithinRadiusTwoStepErrorsNeedTheWiderCodes)
     // at least never miscorrect silently *undetected* here (a +/-2
     // residue is detectable-uncorrectable for w=2).
     auto base = std::make_shared<CappedErrorModel>(kAccel, 2);
-    for (const auto &scenario : allScenarios(base)) {
-        SCOPED_TRACE(scenario->name());
+    for (const ScenarioSpec &scenario : allScenarios()) {
+        SCOPED_TRACE(scenario.name);
 
-        auto lmpos = scenario->clone();
+        auto lmpos = makeScenario(scenario, base);
         DiffStats s2 = runStandardDifferential(
             lmPosConfig(), lmpos.get(), kSeed, kOps);
         EXPECT_EQ(s2.sdc, 0u) << "lm-pos";
 
-        auto delins = scenario->clone();
+        auto delins = makeScenario(scenario, base);
         DiffStats s3 =
             runDelInsDifferential(delins.get(), kSeed, kOps);
         EXPECT_EQ(s3.sdc, 0u) << "del-ins-k";
@@ -289,15 +293,15 @@ TEST(Differential, BeyondRadiusIsDueNeverSilentForTheNewCodes)
     // exposes it via the sentinel run; neither may ever return wrong
     // data without the DUE flag.
     auto base = std::make_shared<CappedErrorModel>(kAccel, 3);
-    for (const auto &scenario : allScenarios(base)) {
-        SCOPED_TRACE(scenario->name());
+    for (const ScenarioSpec &scenario : allScenarios()) {
+        SCOPED_TRACE(scenario.name);
 
-        auto lmpos = scenario->clone();
+        auto lmpos = makeScenario(scenario, base);
         DiffStats s2 = runStandardDifferential(
             lmPosConfig(), lmpos.get(), kSeed, kOps);
         EXPECT_EQ(s2.sdc, 0u) << "lm-pos";
 
-        auto delins = scenario->clone();
+        auto delins = makeScenario(scenario, base);
         DiffStats s3 =
             runDelInsDifferential(delins.get(), kSeed, kOps);
         EXPECT_EQ(s3.sdc, 0u) << "del-ins-k";
@@ -307,11 +311,12 @@ TEST(Differential, BeyondRadiusIsDueNeverSilentForTheNewCodes)
 TEST(Differential, SameSeedSameSchemeIsBitIdentical)
 {
     // The harness itself must be deterministic: identical seeds and
-    // scenario clones reproduce identical counters.
+    // scenarios built from one spec reproduce identical counters.
     auto base = std::make_shared<CappedErrorModel>(kAccel, 2);
-    BurstScenario proto(base, 40, 10, 25.0);
-    auto a = proto.clone();
-    auto b = proto.clone();
+    const ScenarioSpec burst =
+        allScenarios()[static_cast<size_t>(ScenarioKind::Burst)];
+    auto a = makeScenario(burst, base);
+    auto b = makeScenario(burst, base);
     DiffStats ra =
         runDelInsDifferential(a.get(), kSeed, kOps / 4);
     DiffStats rb =

@@ -152,7 +152,11 @@ TEST(Recovery, PersistentlyStuckStripeEndsInDueNotALoop)
     // replan budget bounds the episode and the access ends in a
     // reported DUE instead of an unbounded retry loop.
     auto zero = std::make_shared<ScriptedErrorModel>();
-    StuckStripeScenario stuck(zero, 0, 1000000);
+    ScenarioSpec spec;
+    spec.kind = ScenarioKind::StuckStripe;
+    spec.stuck_after = 0;
+    spec.stuck_len = 1000000;
+    FaultScenario stuck(spec, zero);
     ShiftController ctl(secdedConfig(), &stuck,
                         ShiftPolicy::Unconstrained, 83e6, Rng(5),
                         kDefaultSafeMttfSeconds, fullLadder());

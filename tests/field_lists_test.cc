@@ -228,8 +228,9 @@ TEST(FieldLists, RandomSpecsRoundTrip)
                  .empty())
             spec.stress.lseg = 8;
         realisable(spec.protection.uniform);
-        for (ProtectionLevel &l : spec.protection.levels)
-            realisable(l.domain);
+        // Regions are refused outside the regions kind.
+        if (spec.protection.kind != ProtectionScopeKind::AddressRegion)
+            spec.protection.regions.clear();
         for (ProtectionRegion &g : spec.protection.regions) {
             if (g.end <= g.begin)
                 g.end = 1.0;

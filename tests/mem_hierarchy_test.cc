@@ -117,7 +117,7 @@ TEST_F(HierarchyFixture, BiggerLlcKeepsBigWorkingSet)
     EXPECT_LT(rm_dram, sram_dram);
 }
 
-TEST_F(HierarchyFixture, EnergyAccumulatesPerLevel)
+TEST_F(HierarchyFixture, EnergyAccumulatesAtEveryLevel)
 {
     Hierarchy h = make(MemTech::SRAM);
     HierarchyAccess cold = h.access(0, 0x4000, false, 0);

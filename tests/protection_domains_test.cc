@@ -30,9 +30,8 @@ TEST(ProtectionPolicy, DefaultResolvesToSingleDefaultDomain)
     ResolvedProtection rp =
         resolveProtection(ProtectionPolicy{}, 4096);
     ASSERT_EQ(rp.domains.size(), 1u);
-    EXPECT_TRUE(rp.domains[0].isDefault());
+    EXPECT_EQ(rp.domains[0], ProtectionDomain{});
     EXPECT_TRUE(rp.ranges.empty());
-    EXPECT_TRUE(rp.isDefault());
     EXPECT_EQ(rp.domainIndexFor(0), 0);
     EXPECT_EQ(rp.domainIndexFor(4095), 0);
 }
@@ -70,22 +69,7 @@ TEST(ProtectionPolicy, DifferentiatedPolicyShape)
     EXPECT_DOUBLE_EQ(policy.regions[0].end, 1.0);
     EXPECT_EQ(policy.regions[0].domain.codeword_frames, 8);
     EXPECT_TRUE(policy.regions[0].domain.two_tier);
-    EXPECT_TRUE(policy.uniform.isDefault());
-    EXPECT_FALSE(policy.isDefault());
-}
-
-TEST(ProtectionPolicy, LlcDomainComesFromPerLevelEntry)
-{
-    ProtectionPolicy policy;
-    policy.kind = ProtectionScopeKind::PerLevel;
-    ProtectionLevel llc;
-    llc.level = "llc";
-    llc.domain.codeword_frames = 4;
-    ProtectionLevel l1;
-    l1.level = "l1";
-    l1.domain.codeword_frames = 2;
-    policy.levels = {l1, llc};
-    EXPECT_EQ(policy.llcDomain().codeword_frames, 4);
+    EXPECT_EQ(policy.uniform, ProtectionDomain{});
 }
 
 TEST(ProtectionDomain, GeometryErrorsAreTyped)
@@ -248,22 +232,6 @@ TEST(ProtectionSpec, NonDefaultPolicyRoundTrips)
     ASSERT_TRUE(experimentSpecFromJson(doc, &back, &diag)) << diag;
     EXPECT_EQ(back, spec);
     EXPECT_EQ(experimentSpecToJson(back).dump(), doc.dump());
-
-    ExperimentSpec levels;
-    levels.name = "levels";
-    levels.protection.kind = ProtectionScopeKind::PerLevel;
-    ProtectionLevel llc;
-    llc.level = "llc";
-    llc.domain.has_scheme = true;
-    llc.domain.scheme = Scheme::LmPos;
-    llc.domain.codeword_frames = 2;
-    levels.protection.levels = {llc};
-    normalizeExperimentSpec(&levels);
-    JsonValue ldoc = experimentSpecToJson(levels);
-    ExperimentSpec lback;
-    ASSERT_TRUE(experimentSpecFromJson(ldoc, &lback, &diag))
-        << diag;
-    EXPECT_EQ(lback, levels);
 }
 
 TEST(ProtectionSpec, BadCodewordFramesDiagnosticNamesThePath)
@@ -284,6 +252,17 @@ TEST(ProtectionSpec, UnknownKeysRejected)
     parseSpecDiag(
         R"({"name": "t", "protection": {"kind": "uniform",
             "uniform": {"codeword_frames": 1, "bogus": true}}})");
+}
+
+TEST(ProtectionSpec, RegionsOnlyUnderTheRegionsKind)
+{
+    // A region under another kind would be dropped unread.
+    const std::string diag = parseSpecDiag(
+        R"({"name": "t", "protection": {"kind": "uniform",
+            "regions": [{"begin": 0.25, "end": 1.0,
+                         "codeword_frames": 8, "two_tier": true}]}})");
+    EXPECT_NE(diag.find("protection.regions"), std::string::npos)
+        << diag;
 }
 
 // ---- digest guard --------------------------------------------------

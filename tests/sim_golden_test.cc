@@ -243,9 +243,9 @@ TEST(GoldenRmBank, MemoMatchesLivePlanningUnderDegradation)
 {
     // The campaign's bank drill: accelerated rates, injected DUE
     // reports retiring groups and remapping their frames mid-run.
-    // The memo key (distance, interval bucket, protection domain)
-    // never reads degradation state, so the memo must still match
-    // live planning access for access.
+    // The memo (plan_memo_[d - 1][i], the cost of the adapter's i-th
+    // plan for a d-step shift) never reads degradation state, so it
+    // must still match live planning access for access.
     auto base = std::make_shared<PaperCalibratedErrorModel>();
     ScaledErrorModel model(base, 2000.0);
     TechParams tech = l3For(MemTech::Racetrack);

@@ -114,7 +114,6 @@ runProfiled(const WorkloadProfile &profile, const Sizing &sz,
             const PositionErrorModel *model, FrameProfile *captured)
 {
     SimConfig pass1 = baseConfig(sz);
-    pass1.hierarchy.placement.track_counts = true;
     pass1.frame_profile_out = &captured->counts;
     simulate(profile, pass1, model);
 

@@ -1,57 +1,71 @@
 /**
  * @file
- * Data-placement policies for the racetrack LLC shift engine.
+ * Data placement and head-rest scheduling for the racetrack LLC.
  *
- * The bank's shift cost on every access is the distance between a
- * group's current head position and the accessed frame's slot offset,
- * so *where* a frame sits inside its stripe group is a first-order
- * performance knob. ShiftsReduce reports 24-50% shift reduction from
- * access-frequency-aware placement and R^4 shows runtime relayout is
- * practical; this module separates that policy axis from the bank
- * mechanics (RmBank):
+ * Every access costs the distance between a group's heads and the
+ * frame's slot offset, so *where* a frame sits inside its stripe
+ * group, and where the heads wait between accesses, are first-order
+ * knobs. ShiftsReduce reports 24-50% shift reduction from
+ * access-frequency-aware placement, and the paper's intro credits
+ * "head management" [39, 44] with much of racetrack's cache
+ * viability. One `Placement` per bank decides both, apart from the
+ * bank mechanics (RmBank). Kinds:
  *
- *  - `static`     today's layout (frame index -> segment slot by
- *                 arithmetic), bit-identical to the pre-placement
- *                 bank and pinned by the golden digests.
- *  - `hot-center` ShiftsReduce-style: rank frames by access
- *                 frequency and pack the hottest frames into the
- *                 slots nearest the head's rest anchor. With an
- *                 offline profile (seeded from a first pass) the
- *                 layout is fixed at construction; without one, each
- *                 group reorganises itself once after its first
- *                 epoch of observed accesses, paying migration
- *                 shifts.
- *  - `adaptive`   online remapping: per-group epoch counters trigger
- *                 bounded hot/cold slot swaps every epoch, with the
- *                 migration shift cost charged to the bank ledger
- *                 (the same charge discipline as the degradation
- *                 remap machinery).
+ *  - `static`     the arithmetic layout (paper Sec. 6.1), pinned by
+ *                 the golden digests.
+ *  - `hot-center` pack the most-accessed frames into the slots
+ *                 nearest the heads' rest. With an offline profile
+ *                 the layout is fixed at construction; without one,
+ *                 each group reorganises once after its first epoch
+ *                 and pays the migration shifts.
+ *  - `adaptive`   bounded hot/cold slot swaps every epoch, their
+ *                 migration shifts charged to the bank ledger.
  *
- * The policy also owns the port-position scheduling axis: where a
- * group's heads rest when idle (stay / return-home / center /
- * predictive). The predictive policy rests each group's head under
- * the slot that served the most accesses in the group's last epoch.
+ * Adding a kind takes one PlacementKind row (and its token), one case
+ * in recordAccess()'s epoch switch and, if it learns from accesses,
+ * turning on `tracking_` in the constructor.
  *
- * Policies never move functional bits — like RmBank they model
- * timing/energy/reliability only; a "migration" is a scheduled cost,
- * not a data copy.
+ * Placement never moves functional bits: a "migration" is a
+ * scheduled cost, not a data copy.
  */
 
 #ifndef RTM_MEM_PLACEMENT_HH
 #define RTM_MEM_PLACEMENT_HH
 
+#include <array>
 #include <cstdint>
-#include <memory>
-#include <string>
+#include <optional>
 #include <vector>
 
-#include "control/head_policy.hh"
 #include "device/organisation.hh"
+#include "util/fields.hh"
 
 namespace rtm
 {
 
-/** Placement policy selector. */
+/** Where a group's access heads rest after serving a request. */
+enum class HeadPolicy
+{
+    Stay,       //!< leave heads where the last access put them
+    ReturnHome, //!< drift back to offset 0 when idle
+    Center,     //!< drift to the segment midpoint when idle
+    Predictive  //!< drift to the group's hottest slot of last epoch
+};
+
+/** Spec/CLI tokens; "home" is a parse-only shorthand. */
+constexpr auto
+enumTokens(HeadPolicy)
+{
+    return std::to_array<EnumToken<HeadPolicy>>({
+        {HeadPolicy::Stay, "stay"},
+        {HeadPolicy::ReturnHome, "return-home"},
+        {HeadPolicy::ReturnHome, "home"},
+        {HeadPolicy::Center, "center"},
+        {HeadPolicy::Predictive, "predictive"},
+    });
+}
+
+/** Placement kind selector. */
 enum class PlacementKind
 {
     Static,    //!< arithmetic layout (paper Sec. 6.1), the baseline
@@ -96,20 +110,11 @@ struct PlacementConfig
     std::vector<uint64_t> profile;
 
     /**
-     * Force per-frame access counting even for policies that do not
-     * need it (profiling pass of the offline hot-center variant).
+     * Force per-frame access counting even for kinds that do not
+     * need it. simulate() sets it for a profiling pass
+     * (SimConfig::frame_profile_out).
      */
     bool track_counts = false;
-};
-
-/**
- * Geometry a placement policy needs from the bank: its frame count.
- * A group holds kDomainsPerStripe frames under kSegLen slot offsets
- * (device/organisation.hh).
- */
-struct PlacementGeometry
-{
-    uint64_t line_frames = 0;
 };
 
 /**
@@ -125,155 +130,121 @@ struct PlacementMigration
 };
 
 /**
- * Frame -> (group, slot) mapping plus port-position scheduling.
- *
- * The home-group mapping (`groupOf`) is shared by every policy —
- * cross-group placement is left to the bank's remap machinery — but
- * the slot a frame occupies inside its group and the offset its
- * group's heads rest at are policy decisions.
- *
- * Determinism contract: every decision is a pure function of the
- * access sequence observed through recordAccess(), so simulations
- * stay bit-identical at any thread count.
+ * Frame -> slot mapping plus head-rest scheduling. A frame's group
+ * is fixed by arithmetic (RmBank::groupOf; a group holds
+ * kDomainsPerStripe frames under kSegLen offsets); its slot inside
+ * the group and the group's rest offset are decided here, as a pure
+ * function of the accesses seen by recordAccess() — so results stay
+ * bit-identical at any thread count.
  */
-class PlacementPolicy
+class Placement
 {
   public:
-    PlacementPolicy(const PlacementGeometry &geom,
-                    const PlacementConfig &config,
-                    HeadPolicy head_policy);
-    virtual ~PlacementPolicy() = default;
-
-    /** Policy token (matches enumToken of its PlacementKind). */
-    virtual const char *name() const = 0;
+    Placement(uint64_t line_frames, const PlacementConfig &config,
+              HeadPolicy head_policy);
 
     /** Head offset that serves `frame` in its group. */
-    virtual int slotOffset(uint64_t frame) const = 0;
-
-    /** Home stripe group of a frame. */
-    uint64_t groupOf(uint64_t frame) const
+    int slotOffset(uint64_t frame) const
     {
-        return frame / kFramesPerGroup;
+        return config_.kind == PlacementKind::Static ? homeOffset(frame)
+                                                     : slot_[frame];
     }
 
-    /** Offset `group`'s heads drift to when idle. */
-    int restOffset(uint64_t group) const
+    /** Offset `group`'s heads drift to when idle; empty under
+     *  `stay`, whose heads never drift. */
+    std::optional<int> restOffset(uint64_t group) const
     {
-        if (head_policy_ == HeadPolicy::Predictive)
+        switch (head_policy_) {
+          case HeadPolicy::ReturnHome:
+            return 0;
+          case HeadPolicy::Center:
+            return (kSegLen - 1) / 2;
+          case HeadPolicy::Predictive:
             return group_rest_[group];
-        return fixed_rest_;
+          case HeadPolicy::Stay:
+            break;
+        }
+        return std::nullopt;
     }
 
-    /**
-     * Whether the bank must call recordAccess() on every access
-     * (false for the static policy with default head policies — the
-     * hot path then skips placement bookkeeping entirely).
-     */
+    /** Whether the bank must call recordAccess() (false for static
+     *  with a non-predictive head: no bookkeeping on the hot path). */
     bool tracking() const { return tracking_; }
 
-    /**
-     * Observe one served access. Appends any migrations the policy
-     * schedules at an epoch boundary to `out` (never cleared here);
-     * the caller charges them to the shift ledger.
-     */
+    /** Observe one served access; migrations scheduled at an epoch
+     *  boundary are appended to `out` for the bank to charge. */
     void recordAccess(uint64_t frame,
                       std::vector<PlacementMigration> *out);
 
-    /**
-     * Per-frame access counts accumulated so far (empty unless the
-     * policy tracks). The offline hot-center profile of a second run
-     * is seeded from a first run's counts.
-     */
+    /** Per-frame access counts so far (empty until a tracking
+     *  placement sees its first access): a profiling pass's output,
+     *  the offline hot-center profile of a second run. */
     const std::vector<uint64_t> &frameCounts() const
     {
         return frame_count_;
     }
 
-  protected:
-    /**
-     * Epoch hook: `group` just completed `epoch_accesses` accesses.
-     * Dynamic policies reorganise here and emit migrations.
-     */
-    virtual void onEpoch(uint64_t group,
-                         std::vector<PlacementMigration> *out)
-    {
-        (void)group;
-        (void)out;
-    }
-
-    /**
-     * Whether counts are aged (halved every kAgePeriod epochs of a
-     * group). Aging every epoch would cap counts near the epoch
-     * length and drown mild within-group skew in sampling noise;
-     * a few epochs of accumulation keep the ranking separable while
-     * still following phase changes.
-     */
-    virtual bool agesCounts() const { return false; }
-
-    /** Group epochs between two count halvings (see agesCounts). */
+  private:
+    /** Group epochs between two adaptive count halvings: halving
+     *  every epoch would cap counts near the epoch length and drown
+     *  mild skew in sampling noise. */
     static constexpr uint64_t kAgePeriod = 8;
 
-    /** Frames of one stripe group. */
     static constexpr uint64_t kFramesPerGroup = kDomainsPerStripe;
-    static_assert(kDomainsPerStripe % kSegLen == 0,
-                  "a stripe group must hold whole segments");
+    /** Frames a group can hold per slot offset. */
+    static constexpr int kSlotsPerOffset = kDomainsPerStripe / kSegLen;
 
-    /** Groups covering the bank's frames. */
-    uint64_t groupCount() const
-    {
-        return (geom_.line_frames + kFramesPerGroup - 1) /
-               kFramesPerGroup;
-    }
-
-    /** The arithmetic (static) slot of a frame. */
+    /** The arithmetic (static) slot of a frame; kSegLen divides the
+     *  group size, so one reduction finds it. */
     static int homeOffset(uint64_t frame)
     {
-        // (frame mod kFramesPerGroup) mod kSegLen: kSegLen divides
-        // kFramesPerGroup, so one reduction does.
         return kSegLen - 1 -
                static_cast<int>(frame % static_cast<uint64_t>(kSegLen));
     }
 
-    /** Frames a group can hold per slot offset. */
-    static constexpr int kSlotsPerOffset = kDomainsPerStripe / kSegLen;
+    /** Groups covering the bank's frames. */
+    uint64_t groupCount() const
+    {
+        return (line_frames_ + kFramesPerGroup - 1) / kFramesPerGroup;
+    }
 
-    /** [first, last) frame range of a group. */
-    void frameRange(uint64_t group, uint64_t *first,
-                    uint64_t *last) const;
+    // Epoch steps over one group's frames [first, last).
 
-    /**
-     * Offsets ordered nearest-first around the group's rest anchor
-     * (ties toward the lower offset). The hottest frames are packed
-     * into the earliest offsets of this order.
-     */
-    std::vector<int> offsetsByProximity(uint64_t group) const;
+    /** The offset whose frames carry the most counted accesses (ties
+     *  toward the lower offset), or `idle` when none carries any. */
+    int hottestOffset(uint64_t first, uint64_t last, int idle) const;
 
-    /** Recompute the predictive rest slot of a group. */
-    void updateRest(uint64_t group);
+    /** Hot-center: fill the offsets nearest the rest anchor with the
+     *  frames hottest by `counts`; one migration per moved frame
+     *  goes to `out` when it is non-null. */
+    void packHotCenter(uint64_t first, uint64_t last,
+                       const uint64_t *counts,
+                       std::vector<PlacementMigration> *out);
 
-    PlacementGeometry geom_;
+    /** Adaptive: swap up to `swap_budget` of the hottest frames
+     *  outside the hottest offset with its coldest residents. */
+    void swapIntoHottestOffset(uint64_t first, uint64_t last,
+                               std::vector<PlacementMigration> *out);
+
+    uint64_t line_frames_;
     PlacementConfig config_;
     HeadPolicy head_policy_;
-    int fixed_rest_ = 0;
-    bool tracking_ = false;
+    bool tracking_;
 
+    /** Per-frame slot offsets (empty under the static kind). */
+    std::vector<int8_t> slot_;
     /** Per-frame access counts (allocated only when tracking). */
     std::vector<uint64_t> frame_count_;
     /** Per-group accesses since the last epoch boundary. */
     std::vector<uint64_t> group_since_epoch_;
-    /** Per-group completed-epoch counter (drives count aging). */
+    /** Per-group completed-epoch counter. */
     std::vector<uint64_t> group_epochs_;
     /** Per-group predictive rest offset. */
     std::vector<int8_t> group_rest_;
-    /** Epoch scratch: accesses served per slot offset. */
-    std::vector<uint64_t> offset_heat_;
+    /** Adaptive scratch: frames outside / inside the target. */
+    std::vector<uint64_t> outside_;
+    std::vector<uint64_t> resident_;
 };
-
-/** Build the policy selected by `config.kind`. */
-std::unique_ptr<PlacementPolicy>
-makePlacementPolicy(const PlacementGeometry &geom,
-                    const PlacementConfig &config,
-                    HeadPolicy head_policy);
 
 } // namespace rtm
 

@@ -39,6 +39,8 @@ RmBank::RmBank(const RmBankConfig &config,
                              ? protection_.domains[0].scheme
                              : config.scheme,
                          protection_.domains[0].codeword_frames),
+      placement_(config.line_frames, config.placement,
+                 config.head_policy),
       memo_enabled_(config.use_plan_memo)
 {
     if (!model_)
@@ -80,8 +82,6 @@ RmBank::RmBank(const RmBankConfig &config,
         remap_[g] = g;
     serving_memo_ = remap_;
     group_stats_.assign(groups, RmGroupStats{});
-    placement_ = makePlacementPolicy({.line_frames = config_.line_frames},
-                                     config_.placement, config_.head_policy);
     buildPlanMemo();
 
     if (config_.telemetry) {
@@ -140,7 +140,7 @@ RmBank::buildPlanMemo()
         }
 
         // Idle head drift performs d single-step shifts; cache that
-        // sequence's reliability fold too (applyHeadPolicy).
+        // sequence's reliability fold too (driftToRest).
         const std::vector<int> drift_parts(static_cast<size_t>(d), 1);
         ShiftReliability drift =
             reliability_model_.sequence(drift_parts);
@@ -170,11 +170,10 @@ RmBank::addMemoReliability(const PlanCost &pc, int dom)
 }
 
 void
-RmBank::applyHeadPolicy(uint64_t group, Cycles now)
+RmBank::driftToRest(uint64_t group, Cycles now)
 {
-    if (config_.head_policy == HeadPolicy::Stay)
-        return;
-    if (last_access_[group] == kNeverShifted)
+    const std::optional<int> rest = placement_.restOffset(group);
+    if (!rest || last_access_[group] == kNeverShifted)
         return;
     // The drift happens off the critical path during idle time; it
     // completes only if the group has been idle long enough to walk
@@ -182,13 +181,12 @@ RmBank::applyHeadPolicy(uint64_t group, Cycles now)
     Cycles idle = now > last_access_[group]
                       ? now - last_access_[group]
                       : 0;
-    int rest = placement_->restOffset(group);
-    int dist = std::abs(static_cast<int>(head_[group]) - rest);
+    int dist = std::abs(static_cast<int>(head_[group]) - *rest);
     if (dist == 0)
         return;
     Cycles needed = static_cast<Cycles>(dist) * one_step_cycles_;
     if (idle >= needed + 64) { // small hysteresis before drifting
-        head_[group] = static_cast<int8_t>(rest);
+        head_[group] = static_cast<int8_t>(*rest);
         // The drift is real work: energy, steps, and failure
         // opportunities, even though it hides off the access path.
         stats_.shift_ops += static_cast<uint64_t>(dist);
@@ -268,14 +266,14 @@ RmBank::accessFrame(uint64_t frame_index, Cycles now)
     // Placement bookkeeping: access counters, epoch boundaries, and
     // any migrations a dynamic policy schedules. Migrations are
     // charged before this access so it is served from the new slot.
-    if (placement_->tracking()) {
+    if (placement_.tracking()) {
         migration_scratch_.clear();
-        placement_->recordAccess(frame_index, &migration_scratch_);
+        placement_.recordAccess(frame_index, &migration_scratch_);
         for (const PlacementMigration &m : migration_scratch_)
             chargeMigration(m);
     }
-    applyHeadPolicy(group, now);
-    int target = placement_->slotOffset(frame_index);
+    driftToRest(group, now);
+    int target = placement_.slotOffset(frame_index);
     int cur = head_[group];
     ShiftCost cost;
     ++stats_.accesses;

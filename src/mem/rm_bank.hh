@@ -24,12 +24,10 @@
 #define RTM_MEM_RM_BANK_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "control/adapter.hh"
-#include "control/head_policy.hh"
 #include "control/planner.hh"
 #include "control/sts.hh"
 #include "device/error_model.hh"
@@ -219,13 +217,13 @@ class RmBank
 
     /**
      * Per-frame access counts accumulated by a tracking placement
-     * policy (empty otherwise). A profiling pass sets
-     * PlacementConfig::track_counts and feeds these back as the
-     * offline hot-center profile of a second run.
+     * (empty otherwise). A profiling pass (PlacementConfig::
+     * track_counts) feeds these back as the offline hot-center
+     * profile of a second run.
      */
     const std::vector<uint64_t> &frameAccessCounts() const
     {
-        return placement_->frameCounts();
+        return placement_.frameCounts();
     }
 
     /** Whether `group` has been retired. */
@@ -293,7 +291,7 @@ class RmBank
     std::vector<ReliabilityModel> extra_models_;
 
     /** Frame -> slot mapping + head-rest scheduling. */
-    std::unique_ptr<PlacementPolicy> placement_;
+    Placement placement_;
     /** Reused buffer for migrations emitted by recordAccess. */
     std::vector<PlacementMigration> migration_scratch_;
 
@@ -367,8 +365,10 @@ class RmBank
      *  under domain `dom`'s model. */
     void addMemoReliability(const PlanCost &pc, int dom);
 
-    /** Apply the idle head-drift policy before serving at `now`. */
-    void applyHeadPolicy(uint64_t group, Cycles now);
+    /** Drift the group's heads to their rest offset, if they have
+     *  one and the group idled long enough, before serving at
+     *  `now`. */
+    void driftToRest(uint64_t group, Cycles now);
 
     /**
      * Charge one scheduled frame move to the ledger: |to - from|

@@ -64,12 +64,35 @@ defaultCampaignWorkloads()
     return {"swaptions", "canneal", "ferret"};
 }
 
-/** Whether an option carries a non-default placement/head setting. */
-bool
-nonDefaultPlacement(const LlcOption &o)
+/**
+ * Default-label suffix for an option's placement axes: "" when every
+ * placementFields key keeps its LlcOption{} value, else
+ * " [policy/head]" plus " key=value" for each non-default numeric
+ * knob (epoch, swap_budget).
+ */
+std::string
+placementLabel(const LlcOption &o)
 {
-    return o.placement != PlacementKind::Static ||
-           o.head_policy != HeadPolicy::Stay;
+    const LlcOption defaults;
+    bool differs = false;
+    std::string knobs;
+    placementFields(
+        [&](const char *key, const auto &f, const auto &d) {
+            if constexpr (requires { f.value; }) {
+                if (f.value != d.value) {
+                    differs = true;
+                    knobs += std::string(" ") + key + "=" +
+                             std::to_string(f.value);
+                }
+            } else {
+                differs = differs || f != d;
+            }
+        },
+        o, defaults);
+    if (!differs)
+        return "";
+    return std::string(" [") + enumToken(o.placement) + "/" +
+           enumToken(o.head_policy) + knobs + "]";
 }
 
 /** `o` with the placement axes of `defaults`. */
@@ -128,11 +151,7 @@ parseOptionList(SpecReader &r, std::vector<LlcOption> *out,
         // spec names the option itself.
         if (!o.has("label")) {
             opt.label = std::string(memTechName(opt.tech)) + " " +
-                        schemeName(opt.scheme);
-            if (nonDefaultPlacement(opt))
-                opt.label += std::string(" [") +
-                             enumToken(opt.placement) + "/" +
-                             enumToken(opt.head_policy) + "]";
+                        schemeName(opt.scheme) + placementLabel(opt);
         }
         out->push_back(opt);
     }
@@ -201,7 +220,7 @@ finishRead(SpecReader &r, MatrixSpec &m)
     // standard catalogue; expand it here instead when a matrix-level
     // placement was given so the section is honoured in that case
     // too.
-    if (!r.has("options") && nonDefaultPlacement(defaults)) {
+    if (!r.has("options") && !placementLabel(defaults).empty()) {
         m.options.clear();
         for (const LlcOption &o : standardLlcOptions())
             m.options.push_back(inheritPlacement(o, defaults));

@@ -46,6 +46,10 @@ runSim(const std::string &name, const SimConfig &config,
     HierarchyConfig hcfg = config.hierarchy;
     if (config.telemetry)
         hcfg.telemetry = config.telemetry;
+    // A profiling pass counts under any placement kind: an empty
+    // profile would silently select online hot-center downstream.
+    if (config.frame_profile_out)
+        hcfg.placement.track_counts = true;
     Hierarchy hierarchy(hcfg, model);
 
     // Per-core local time; the simulator interleaves requests

@@ -158,9 +158,9 @@ struct SimConfig
 
     /**
      * When non-null, receives the racetrack bank's per-frame access
-     * counts at the end of the run (empty for non-racetrack LLCs or
-     * non-tracking placement policies). A profiling pass sets
-     * `hierarchy.placement.track_counts` and feeds the counts back
+     * counts at the end of the run (empty for non-racetrack LLCs).
+     * Setting it turns on `hierarchy.placement.track_counts`, so any
+     * placement kind counts; a profiling pass feeds the counts back
      * as the offline hot-center profile of a second run.
      */
     std::vector<uint64_t> *frame_profile_out = nullptr;

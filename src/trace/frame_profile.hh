@@ -2,7 +2,7 @@
  * @file
  * Per-frame access profiles for offline data placement.
  *
- * A profiling run (SimConfig::frame_profile_out with
+ * A profiling run (SimConfig::frame_profile_out, which turns on
  * PlacementConfig::track_counts) captures how often each LLC line
  * frame was served by the racetrack bank. The profile feeds the
  * offline hot-center placement variant (PlacementConfig::profile) of

@@ -19,12 +19,8 @@ namespace rtm
 namespace
 {
 
-PlacementGeometry
-twoGroupGeometry()
-{
-    // Two stripe groups of kDomainsPerStripe = 64 frames.
-    return {.line_frames = 128};
-}
+/** Two stripe groups of kDomainsPerStripe = 64 frames. */
+constexpr uint64_t kTwoGroups = 128;
 
 /** The arithmetic slot: Lseg - 1 - (index in group) mod Lseg. */
 int
@@ -48,109 +44,114 @@ TEST(PlacementKindTest, TokenRoundTrip)
     EXPECT_FALSE(enumFromToken("round-robin", &sink));
 }
 
-TEST(StaticPlacementTest, MatchesArithmeticLayoutAndNeverTracks)
+TEST(PlacementStaticTest, MatchesArithmeticLayoutAndNeverTracks)
 {
-    PlacementGeometry geom = twoGroupGeometry();
-    auto policy = makePlacementPolicy(geom, PlacementConfig{},
-                                      HeadPolicy::Stay);
-    EXPECT_STREQ(policy->name(), "static");
-    EXPECT_FALSE(policy->tracking());
-    for (uint64_t f = 0; f < geom.line_frames; ++f)
-        EXPECT_EQ(policy->slotOffset(f), homeOffsetOf(f));
+    Placement placement(kTwoGroups, PlacementConfig{},
+                        HeadPolicy::Stay);
+    EXPECT_FALSE(placement.tracking());
+    for (uint64_t f = 0; f < kTwoGroups; ++f)
+        EXPECT_EQ(placement.slotOffset(f), homeOffsetOf(f));
 }
 
-TEST(StaticPlacementTest, TrackCountsCapturesWithoutRemapping)
+TEST(HeadRestTest, OnlyStayHasNoRestOffset)
 {
-    PlacementGeometry geom = twoGroupGeometry();
+    const PlacementConfig config;
+    EXPECT_FALSE(
+        Placement(kTwoGroups, config, HeadPolicy::Stay).restOffset(0));
+    EXPECT_EQ(Placement(kTwoGroups, config, HeadPolicy::ReturnHome)
+                  .restOffset(1),
+              0);
+    EXPECT_EQ(
+        Placement(kTwoGroups, config, HeadPolicy::Center).restOffset(1),
+        (kSegLen - 1) / 2);
+    EXPECT_EQ(Placement(kTwoGroups, config, HeadPolicy::Predictive)
+                  .restOffset(1),
+              0);
+}
+
+TEST(PlacementStaticTest, TrackCountsCapturesWithoutRemapping)
+{
     PlacementConfig config;
     config.track_counts = true;
-    auto policy =
-        makePlacementPolicy(geom, config, HeadPolicy::Stay);
-    ASSERT_TRUE(policy->tracking());
+    Placement placement(kTwoGroups, config, HeadPolicy::Stay);
+    ASSERT_TRUE(placement.tracking());
 
     std::vector<PlacementMigration> migrations;
     for (int i = 0; i < 500; ++i)
-        policy->recordAccess(static_cast<uint64_t>(i % 3),
+        placement.recordAccess(static_cast<uint64_t>(i % 3),
                              &migrations);
     EXPECT_TRUE(migrations.empty());
-    ASSERT_EQ(policy->frameCounts().size(), geom.line_frames);
+    ASSERT_EQ(placement.frameCounts().size(), kTwoGroups);
     uint64_t total = 0;
-    for (uint64_t c : policy->frameCounts())
+    for (uint64_t c : placement.frameCounts())
         total += c;
     EXPECT_EQ(total, 500u);
-    for (uint64_t f = 0; f < geom.line_frames; ++f)
-        EXPECT_EQ(policy->slotOffset(f), homeOffsetOf(f));
+    for (uint64_t f = 0; f < kTwoGroups; ++f)
+        EXPECT_EQ(placement.slotOffset(f), homeOffsetOf(f));
 }
 
-TEST(HotCenterPlacementTest, OfflineProfilePacksHottestNearAnchor)
+TEST(PlacementHotCenterTest, OfflineProfilePacksHottestNearAnchor)
 {
-    PlacementGeometry geom = twoGroupGeometry();
     PlacementConfig config;
     config.kind = PlacementKind::HotCenter;
     // Group 0 heat strictly decreasing with frame index; group 1
     // cold everywhere.
-    config.profile.assign(geom.line_frames, 0);
+    config.profile.assign(kTwoGroups, 0);
     for (uint64_t f = 0; f < 64; ++f)
         config.profile[f] = 128 - f;
 
     // Stay rests mid-segment: anchor 3, proximity order
     // 3,2,4,1,5,0,6,7 with 8 frames per offset.
-    auto policy =
-        makePlacementPolicy(geom, config, HeadPolicy::Stay);
+    Placement placement(kTwoGroups, config, HeadPolicy::Stay);
     const int order[] = {3, 2, 4, 1, 5, 0, 6, 7};
     for (uint64_t f = 0; f < 64; ++f)
-        EXPECT_EQ(policy->slotOffset(f), order[f / 8])
+        EXPECT_EQ(placement.slotOffset(f), order[f / 8])
             << "frame " << f;
 
     // Return-home anchors offset 0: hottest eight frames sit at the
     // home position.
-    auto home =
-        makePlacementPolicy(geom, config, HeadPolicy::ReturnHome);
+    Placement home(kTwoGroups, config, HeadPolicy::ReturnHome);
     for (uint64_t f = 0; f < 64; ++f)
-        EXPECT_EQ(home->slotOffset(f), static_cast<int>(f / 8))
+        EXPECT_EQ(home.slotOffset(f), static_cast<int>(f / 8))
             << "frame " << f;
 }
 
-TEST(HotCenterPlacementTest, OnlineReorganisesEachGroupOnce)
+TEST(PlacementHotCenterTest, OnlineReorganisesEachGroupOnce)
 {
-    PlacementGeometry geom = twoGroupGeometry();
     PlacementConfig config;
     config.kind = PlacementKind::HotCenter;
     config.epoch_accesses = 8;
-    auto policy =
-        makePlacementPolicy(geom, config, HeadPolicy::Stay);
-    ASSERT_TRUE(policy->tracking());
+    Placement placement(kTwoGroups, config, HeadPolicy::Stay);
+    ASSERT_TRUE(placement.tracking());
 
     std::vector<PlacementMigration> migrations;
     for (int i = 0; i < 8; ++i)
-        policy->recordAccess(5, &migrations);
+        placement.recordAccess(5, &migrations);
     const size_t first_epoch = migrations.size();
     EXPECT_GT(first_epoch, 0u);
     // Frame 5 monopolised the epoch: it moves to the anchor slot.
-    EXPECT_EQ(policy->slotOffset(5), 3);
+    EXPECT_EQ(placement.slotOffset(5), 3);
 
     // Later epochs never reorganise this group again.
     for (int i = 0; i < 64; ++i)
-        policy->recordAccess(static_cast<uint64_t>(i % 7),
+        placement.recordAccess(static_cast<uint64_t>(i % 7),
                              &migrations);
     EXPECT_EQ(migrations.size(), first_epoch);
 }
 
-TEST(AdaptivePlacementTest, SwapsStayWithinBudgetEveryEpoch)
+TEST(PlacementAdaptiveTest, SwapsStayWithinBudgetEveryEpoch)
 {
-    PlacementGeometry geom = twoGroupGeometry();
     PlacementConfig config;
     config.kind = PlacementKind::Adaptive;
     config.epoch_accesses = 8;
     config.swap_budget = 2;
-    auto policy =
-        makePlacementPolicy(geom, config, HeadPolicy::Stay);
+    Placement placement(kTwoGroups, config, HeadPolicy::Stay);
 
     std::vector<PlacementMigration> migrations;
     size_t seen = 0;
     for (int epoch = 0; epoch < 50; ++epoch) {
         for (int i = 0; i < 8; ++i)
-            policy->recordAccess(
+            placement.recordAccess(
                 static_cast<uint64_t>((epoch + i * 3) % 64),
                 &migrations);
         // A swap moves two frames, so per-epoch emission is bounded
@@ -164,43 +165,39 @@ TEST(AdaptivePlacementTest, SwapsStayWithinBudgetEveryEpoch)
         EXPECT_NE(m.from_offset, m.to_offset);
 }
 
-TEST(AdaptivePlacementTest, ConcentratesHotFramesIntoOneSlot)
+TEST(PlacementAdaptiveTest, ConcentratesHotFramesIntoOneSlot)
 {
-    PlacementGeometry geom = twoGroupGeometry();
     PlacementConfig config;
     config.kind = PlacementKind::Adaptive;
     config.epoch_accesses = 8;
     config.swap_budget = 4;
-    auto policy =
-        makePlacementPolicy(geom, config, HeadPolicy::Stay);
+    Placement placement(kTwoGroups, config, HeadPolicy::Stay);
 
     // Frames 1 and 2 start one slot apart (home offsets 6 and 5)
     // and dominate the stream; the policy must co-locate them.
-    ASSERT_NE(policy->slotOffset(1), policy->slotOffset(2));
+    ASSERT_NE(placement.slotOffset(1), placement.slotOffset(2));
     std::vector<PlacementMigration> migrations;
     for (int i = 0; i < 64; ++i)
-        policy->recordAccess(1 + static_cast<uint64_t>(i % 2),
+        placement.recordAccess(1 + static_cast<uint64_t>(i % 2),
                              &migrations);
-    EXPECT_EQ(policy->slotOffset(1), policy->slotOffset(2));
+    EXPECT_EQ(placement.slotOffset(1), placement.slotOffset(2));
     EXPECT_FALSE(migrations.empty());
 }
 
-TEST(AdaptivePlacementTest, ZeroBudgetNeverMigrates)
+TEST(PlacementAdaptiveTest, ZeroBudgetNeverMigrates)
 {
-    PlacementGeometry geom = twoGroupGeometry();
     PlacementConfig config;
     config.kind = PlacementKind::Adaptive;
     config.epoch_accesses = 4;
     config.swap_budget = 0;
-    auto policy =
-        makePlacementPolicy(geom, config, HeadPolicy::Stay);
+    Placement placement(kTwoGroups, config, HeadPolicy::Stay);
     std::vector<PlacementMigration> migrations;
     for (int i = 0; i < 400; ++i)
-        policy->recordAccess(static_cast<uint64_t>(i % 5),
+        placement.recordAccess(static_cast<uint64_t>(i % 5),
                              &migrations);
     EXPECT_TRUE(migrations.empty());
-    for (uint64_t f = 0; f < geom.line_frames; ++f)
-        EXPECT_EQ(policy->slotOffset(f), homeOffsetOf(f));
+    for (uint64_t f = 0; f < kTwoGroups; ++f)
+        EXPECT_EQ(placement.slotOffset(f), homeOffsetOf(f));
 }
 
 /**
@@ -212,16 +209,17 @@ TEST(AdaptivePlacementTest, ZeroBudgetNeverMigrates)
 class ReferenceAdaptive
 {
   public:
-    ReferenceAdaptive(const PlacementGeometry &geom,
+    ReferenceAdaptive(uint64_t line_frames,
                       const PlacementConfig &config, bool predictive)
-        : geom_(geom), config_(config), predictive_(predictive),
-          slot_(geom.line_frames), count_(geom.line_frames)
+        : line_frames_(line_frames), config_(config),
+          predictive_(predictive), slot_(line_frames),
+          count_(line_frames)
     {
-        const uint64_t groups = (geom.line_frames + kFpg - 1) / kFpg;
+        const uint64_t groups = (line_frames + kFpg - 1) / kFpg;
         since_.assign(groups, 0);
         epochs_.assign(groups, 0);
         rest_.assign(groups, 0);
-        for (uint64_t f = 0; f < geom.line_frames; ++f)
+        for (uint64_t f = 0; f < line_frames; ++f)
             slot_[f] = homeOffsetOf(f);
     }
 
@@ -250,7 +248,7 @@ class ReferenceAdaptive
     uint64_t first(uint64_t g) const { return g * kFpg; }
     uint64_t last(uint64_t g) const
     {
-        return std::min(first(g) + kFpg, geom_.line_frames);
+        return std::min(first(g) + kFpg, line_frames_);
     }
 
     void onEpoch(uint64_t g, std::vector<PlacementMigration> *out)
@@ -317,7 +315,7 @@ class ReferenceAdaptive
         rest_[g] = best_offset;
     }
 
-    PlacementGeometry geom_;
+    uint64_t line_frames_;
     PlacementConfig config_;
     bool predictive_;
     std::vector<int> slot_;
@@ -327,12 +325,12 @@ class ReferenceAdaptive
     std::vector<int> rest_;
 };
 
-TEST(AdaptivePlacementTest, PartialSortMatchesStableSortReference)
+TEST(PlacementAdaptiveTest, PartialSortMatchesStableSortReference)
 {
     // A seeded, phase-changing skewed stream over four groups. Swap
     // budgets below, at and above the per-offset capacity (8) bound
     // the partial sort by each of its limits in turn.
-    const PlacementGeometry geom{.line_frames = 256};
+    constexpr uint64_t kLines = 256;
     for (int budget : {1, 4, 8, 16}) {
         for (HeadPolicy head : {HeadPolicy::Stay, HeadPolicy::Predictive}) {
             const std::string ctx =
@@ -342,8 +340,8 @@ TEST(AdaptivePlacementTest, PartialSortMatchesStableSortReference)
             config.kind = PlacementKind::Adaptive;
             config.epoch_accesses = 16;
             config.swap_budget = budget;
-            auto policy = makePlacementPolicy(geom, config, head);
-            ReferenceAdaptive ref(geom, config,
+            Placement placement(kLines, config, head);
+            ReferenceAdaptive ref(kLines, config,
                                   head == HeadPolicy::Predictive);
             std::vector<PlacementMigration> got, want;
             Rng rng(99 + static_cast<uint64_t>(budget));
@@ -351,12 +349,12 @@ TEST(AdaptivePlacementTest, PartialSortMatchesStableSortReference)
             for (int i = 0; i < 40000; ++i) {
                 if (i % 5000 == 0)
                     for (uint64_t &f : hot)
-                        f = rng.uniformInt(geom.line_frames);
+                        f = rng.uniformInt(kLines);
                 const uint64_t frame =
                     rng.uniformInt(4) == 0
-                        ? rng.uniformInt(geom.line_frames)
+                        ? rng.uniformInt(kLines)
                         : hot[rng.uniformInt(hot.size())];
-                policy->recordAccess(frame, &got);
+                placement.recordAccess(frame, &got);
                 ref.record(frame, &want);
             }
             ASSERT_EQ(got.size(), want.size()) << ctx;
@@ -368,12 +366,12 @@ TEST(AdaptivePlacementTest, PartialSortMatchesStableSortReference)
                 ASSERT_EQ(got[i].to_offset, want[i].to_offset)
                     << ctx << " " << i;
             }
-            for (uint64_t f = 0; f < geom.line_frames; ++f)
-                EXPECT_EQ(policy->slotOffset(f), ref.slot(f))
+            for (uint64_t f = 0; f < kLines; ++f)
+                EXPECT_EQ(placement.slotOffset(f), ref.slot(f))
                     << ctx << " frame " << f;
             if (head == HeadPolicy::Predictive) {
                 for (uint64_t g = 0; g < 4; ++g)
-                    EXPECT_EQ(policy->restOffset(g), ref.rest(g))
+                    EXPECT_EQ(placement.restOffset(g), ref.rest(g))
                         << ctx << " group " << g;
             }
         }
@@ -382,21 +380,19 @@ TEST(AdaptivePlacementTest, PartialSortMatchesStableSortReference)
 
 TEST(PredictiveHeadTest, RestFollowsTheHottestSlot)
 {
-    PlacementGeometry geom = twoGroupGeometry();
     PlacementConfig config;
     config.epoch_accesses = 8;
-    auto policy =
-        makePlacementPolicy(geom, config, HeadPolicy::Predictive);
-    ASSERT_TRUE(policy->tracking());
-    EXPECT_EQ(policy->restOffset(0), 0);
+    Placement placement(kTwoGroups, config, HeadPolicy::Predictive);
+    ASSERT_TRUE(placement.tracking());
+    EXPECT_EQ(placement.restOffset(0), 0);
 
     // Frame 0 sits at slot 7 and takes the whole epoch: the group's
     // predicted rest moves under it. Group 1 is untouched.
     std::vector<PlacementMigration> migrations;
     for (int i = 0; i < 8; ++i)
-        policy->recordAccess(0, &migrations);
-    EXPECT_EQ(policy->restOffset(0), 7);
-    EXPECT_EQ(policy->restOffset(1), 0);
+        placement.recordAccess(0, &migrations);
+    EXPECT_EQ(placement.restOffset(0), 7);
+    EXPECT_EQ(placement.restOffset(1), 0);
     EXPECT_TRUE(migrations.empty());
 }
 

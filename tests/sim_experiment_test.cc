@@ -258,6 +258,46 @@ TEST(ExperimentSpec, ParsesShortcutsAndPartialDocuments)
               standardLlcOptions().size());
 }
 
+TEST(ExperimentSpec, DefaultLabelsSpellOutEveryPlacementAxis)
+{
+    // Unlabelled options differing only in a numeric placement knob
+    // still get distinct labels; policy/head-only changes keep the
+    // short "[policy/head]" form, and defaults add nothing.
+    ExperimentSpec spec = parseSpecOk(
+        "{\"matrix\": {\"options\": ["
+        "  {\"placement\": {\"policy\": \"adaptive\","
+        "                   \"swap_budget\": 1}},"
+        "  {\"placement\": {\"policy\": \"adaptive\","
+        "                   \"swap_budget\": 4}},"
+        "  {\"placement\": {\"policy\": \"adaptive\", \"epoch\": 16}},"
+        "  {\"placement\": {\"epoch\": 16, \"swap_budget\": 0,"
+        "                   \"head\": \"center\"}},"
+        "  {\"placement\": {\"head\": \"predictive\"}},"
+        "  {}]}}");
+    std::vector<std::string> labels;
+    for (const LlcOption &o : spec.matrix.options)
+        labels.push_back(o.label);
+    EXPECT_EQ(labels,
+              (std::vector<std::string>{
+                  "RM p-ECC-S adaptive [adaptive/stay swap_budget=1]",
+                  "RM p-ECC-S adaptive [adaptive/stay]",
+                  "RM p-ECC-S adaptive [adaptive/stay epoch=16]",
+                  "RM p-ECC-S adaptive [static/center epoch=16 "
+                  "swap_budget=0]",
+                  "RM p-ECC-S adaptive [static/predictive]",
+                  "RM p-ECC-S adaptive",
+              }));
+
+    // A matrix-level default that changes only a numeric knob still
+    // expands the standard catalogue under it.
+    ExperimentSpec knob_only =
+        parseSpecOk("{\"matrix\": {\"placement\": {\"epoch\": 16}}}");
+    ASSERT_EQ(knob_only.matrix.options.size(),
+              standardLlcOptions().size());
+    for (const LlcOption &o : knob_only.matrix.options)
+        EXPECT_EQ(o.placement_epoch, 16u) << o.label;
+}
+
 TEST(ExperimentSpec, MalformedSpecsProduceActionableDiagnostics)
 {
     // Wrong type, with the dotted path and both type names.

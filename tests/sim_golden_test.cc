@@ -527,7 +527,7 @@ TEST(GoldenSim, SpecDrivenMatrixMatchesPins)
     ThreadPool::setGlobalThreads(ThreadPool::configuredThreads());
 }
 
-TEST(GoldenSim, ExplicitStaticPlacementMatchesPins)
+TEST(GoldenSim, ExplicitStaticLayoutMatchesPins)
 {
     // The placement refactor routed every slot lookup through a
     // policy object. Spelling the default out loud — static
@@ -703,6 +703,130 @@ TEST(GoldenSim, CodeSchemeMatrixDigestsMatchPins)
         EXPECT_EQ(hashes[o], kGoldenCodeSchemeHashes[o])
             << "option " << options[o].label;
     EXPECT_EQ(hashes.back(), kGoldenCodeSchemeCombinedHash);
+}
+
+// --- placement layout pins -------------------------------------------
+
+/**
+ * Pinned digests for the layouts the static-only pins above never
+ * reach: every placement kind under every head policy (adaptive at
+ * three swap budgets), and the two-pass profiled hot-center run.
+ * The cells make thousands of migrations, so any change to a slot
+ * table, an epoch boundary, the count aging or a rest offset moves
+ * these digests. Regenerate with RTM_UPDATE_GOLDEN=1.
+ */
+const char *const kGoldenPlacementGridHash =
+    "0427ecdd5320dedbf6585e9a3f367388d138277eb0e3c6c23507d9f73a362790";
+const char *const kGoldenProfiledHotCenterHash =
+    "6ad6a1a10f9f67ef0594741cd4716a362c61938560bfc53ce00781f72f2f5a81";
+
+SimConfig
+placementPinConfig(const PlacementConfig &placement, HeadPolicy head)
+{
+    SimConfig cfg;
+    cfg.hierarchy.llc_tech = MemTech::Racetrack;
+    cfg.hierarchy.scheme = Scheme::PeccSAdaptive;
+    cfg.hierarchy.capacity_divisor = 16;
+    cfg.hierarchy.placement = placement;
+    cfg.hierarchy.head_policy = head;
+    cfg.mem_requests = 40000;
+    cfg.warmup_requests = 4000;
+    cfg.seed = 7;
+    return cfg;
+}
+
+/** hashResult plus the placement ledger it leaves out. */
+void
+hashPlacementResult(Sha256 &h, const SimResult &r)
+{
+    hashResult(h, r);
+    h.updateValue(r.migrations);
+    h.updateValue(r.migration_steps);
+}
+
+void
+checkPlacementPin(const char *name, const std::string &got,
+                  const char *want)
+{
+    if (std::getenv("RTM_UPDATE_GOLDEN")) {
+        printf("const char *const %s =\n    \"%s\";\n", name,
+               got.c_str());
+        ADD_FAILURE() << "RTM_UPDATE_GOLDEN set: paste the printed "
+                         "pin into tests/sim_golden_test.cc";
+        return;
+    }
+    EXPECT_EQ(got, want) << name;
+}
+
+TEST(GoldenSim, PlacementGridDigestMatchesPin)
+{
+    PaperCalibratedErrorModel model;
+    const HeadPolicy heads[] = {HeadPolicy::Stay,
+                                HeadPolicy::ReturnHome,
+                                HeadPolicy::Center,
+                                HeadPolicy::Predictive};
+    std::vector<PlacementConfig> layouts;
+    for (PlacementKind kind :
+         {PlacementKind::Static, PlacementKind::HotCenter}) {
+        PlacementConfig p;
+        p.kind = kind;
+        p.epoch_accesses = 16;
+        layouts.push_back(p);
+    }
+    for (int budget : {0, 1, 4}) {
+        PlacementConfig p;
+        p.kind = PlacementKind::Adaptive;
+        p.epoch_accesses = 16;
+        p.swap_budget = budget;
+        layouts.push_back(p);
+    }
+    Sha256 h;
+    uint64_t migrations = 0;
+    for (const char *workload : {"streamcluster", "canneal"}) {
+        const WorkloadProfile profile =
+            scaledProfile(parsecProfile(workload), 16);
+        for (const PlacementConfig &p : layouts) {
+            for (HeadPolicy head : heads) {
+                const SimResult r = simulate(
+                    profile, placementPinConfig(p, head), &model);
+                hashPlacementResult(h, r);
+                migrations += r.migrations;
+            }
+        }
+    }
+    // The grid must exercise the remapping paths it pins.
+    EXPECT_GT(migrations, 0u);
+    checkPlacementPin("kGoldenPlacementGridHash", h.hexDigest(),
+                      kGoldenPlacementGridHash);
+}
+
+TEST(GoldenSim, ProfiledHotCenterDigestMatchesPin)
+{
+    PaperCalibratedErrorModel model;
+    const WorkloadProfile profile =
+        scaledProfile(parsecProfile("canneal"), 16);
+    PlacementConfig counting;
+    counting.track_counts = true;
+    SimConfig pass1 = placementPinConfig(counting, HeadPolicy::Stay);
+    std::vector<uint64_t> counts;
+    pass1.frame_profile_out = &counts;
+    const SimResult first = simulate(profile, pass1, &model);
+    ASSERT_FALSE(counts.empty());
+
+    PlacementConfig seeded;
+    seeded.kind = PlacementKind::HotCenter;
+    seeded.profile = counts;
+    const SimResult second = simulate(
+        profile, placementPinConfig(seeded, HeadPolicy::Stay), &model);
+
+    Sha256 h;
+    hashPlacementResult(h, first);
+    h.updateValue(static_cast<uint64_t>(counts.size()));
+    for (uint64_t c : counts)
+        h.updateValue(c);
+    hashPlacementResult(h, second);
+    checkPlacementPin("kGoldenProfiledHotCenterHash", h.hexDigest(),
+                      kGoldenProfiledHotCenterHash);
 }
 
 // --- 4. fast-tier pins -----------------------------------------------

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "sim/runner.hh"
 #include "util/prob.hh"
@@ -164,6 +165,34 @@ TEST_F(SimFixture, DeterministicGivenSeed)
     EXPECT_EQ(a.shift_steps, b.shift_steps);
     EXPECT_DOUBLE_EQ(a.cache_dynamic_energy,
                      b.cache_dynamic_energy);
+}
+
+TEST_F(SimFixture, ProfilingPassCountsWithoutTrackCounts)
+{
+    // Asking for a frame profile is enough: the default (static,
+    // non-counting) placement must still hand back one count per
+    // frame, or the second pass would silently run online
+    // hot-center on an empty profile. Counting itself is inert.
+    SimConfig cfg;
+    cfg.hierarchy.llc_tech = MemTech::Racetrack;
+    cfg.hierarchy.scheme = Scheme::PeccSAdaptive;
+    cfg.hierarchy.capacity_divisor = kDivisor;
+    cfg.mem_requests = 10000;
+    cfg.warmup_requests = 1000;
+    const WorkloadProfile profile =
+        scaledProfile(parsecProfile("canneal"), kDivisor);
+    const SimResult plain = simulate(profile, cfg, &model_);
+
+    std::vector<uint64_t> counts;
+    cfg.frame_profile_out = &counts;
+    const SimResult profiled = simulate(profile, cfg, &model_);
+    ASSERT_FALSE(counts.empty());
+    uint64_t total = 0;
+    for (uint64_t c : counts)
+        total += c;
+    EXPECT_GE(total, profiled.llc_accesses);
+    EXPECT_EQ(profiled.cycles, plain.cycles);
+    EXPECT_EQ(profiled.shift_steps, plain.shift_steps);
 }
 
 TEST(Runner, OptionSetsMatchPaperLegends)

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numbers>
-#include <vector>
+#include <span>
 
 #include "util/logging.hh"
 #include "util/prob.hh"
@@ -16,7 +16,7 @@ namespace
 {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-// ScaledErrorModel's per-outcome probability cap; equals std::log(0.5).
+// Scaling's per-outcome probability cap; equals std::log(0.5).
 constexpr double kLogHalf = -std::numbers::ln2;
 
 // Paper Table 2: combined +/-k out-of-step rates after STS, for shift
@@ -31,12 +31,21 @@ constexpr double kTable2K2[7] = {
 // Table 2 lists k >= 3 as "too small"; we budget it at 1e-7 of the
 // k=2 rate so downstream log-space math never sees a hard zero.
 constexpr double kK3Fraction = 1e-7;
+constexpr int kPaperMaxStepError = 3;
 
 // Power-law exponents fitted to Table 2 for distances beyond 7 steps
 // (used by the sensitivity studies with long segments):
 //   P1(N) = P1(1) * N^1.64     P2(N) = P2(1) * N^8.0
 constexpr double kK1Exponent = 1.64;
 constexpr double kK2Exponent = 8.0;
+
+// Share of each |k| rate assigned to +k, and share of the raw per-|k|
+// error mass that manifests as stop-in-middle before STS.
+constexpr double kPlusFraction = 0.8;
+constexpr double kMiddleFraction = 0.85;
+
+// The scripted model's table: every outcome impossible, up to |k| = 8.
+constexpr int kScriptedMaxStepError = 8;
 
 double
 extrapolate(const double *table, double exponent, int distance)
@@ -47,116 +56,289 @@ extrapolate(const double *table, double exponent, int distance)
     return std::min(v, 0.5);
 }
 
+/** One entry of a cumulative outcome list: a uniform draw u selects
+ *  the outcome of the first entry whose running sum exceeds it. */
+struct CumulativeOutcome
+{
+    double acc = 0.0;     //!< running sum of outcome probabilities
+    ShiftOutcome outcome; //!< outcome selected by this entry
+};
+
 } // anonymous namespace
 
-void
-PositionErrorModel::logProbStepRange(int distance, int max_magnitude,
-                                     double *plus, double *minus) const
+/**
+ * Row-major per-distance arrays, one row per distance
+ * 1..kMaxShiftDistance, K = kmax:
+ *  - step, raw: 2K per row, +1, -1, +2, -2, ...;
+ *  - middle: 2K per row, floors -K..K-1;
+ *  - at_least: K per row, magnitudes 1..K;
+ *  - success: one per row;
+ *  - outcomes[1] (STS): 2K entries per row, the step ladder;
+ *    outcomes[0] (no STS): 4K, the raw ladder then the floors.
+ */
+struct PositionErrorModel::Table
 {
-    for (int m = 1; m <= max_magnitude; ++m) {
-        plus[m - 1] = logProbStep(distance, m);
-        minus[m - 1] = logProbStep(distance, -m);
+    int kmax = 0;
+    std::vector<double> step, raw, middle, at_least, success;
+    std::vector<CumulativeOutcome> outcomes[2];
+
+    /** Size the arrays for outcomes up to |k| <= k. */
+    explicit Table(int k) : kmax(k)
+    {
+        if (kmax < 1)
+            rtm_panic("error table needs maxStepError >= 1");
+        const size_t rows = kMaxShiftDistance;
+        const size_t width = 2 * static_cast<size_t>(kmax);
+        step.resize(rows * width);
+        raw.resize(rows * width);
+        middle.resize(rows * width);
+        at_least.resize(rows * static_cast<size_t>(kmax));
+        success.resize(rows);
+        outcomes[0].resize(rows * 2 * width);
+        outcomes[1].resize(rows * width);
     }
+
+    /** Row offset of `distance` in an array `width` wide. */
+    static size_t row(int distance, size_t width)
+    {
+        if (distance < 1 || distance > kMaxShiftDistance)
+            rtm_panic("shift distance %d outside the error table "
+                      "[1, %d]",
+                      distance, kMaxShiftDistance);
+        return static_cast<size_t>(distance - 1) * width;
+    }
+
+    size_t width() const { return 2 * static_cast<size_t>(kmax); }
+
+    /** Index of signed error k within a step/raw row. */
+    size_t ladder(int step_error) const
+    {
+        const int mag = std::abs(step_error);
+        if (mag < 1 || mag > kmax)
+            rtm_panic("step error %d outside the error table's "
+                      "+/-[1, %d]",
+                      step_error, kmax);
+        return 2 * static_cast<size_t>(mag - 1) + (step_error < 0);
+    }
+
+    /** Sum the at-least and success values and the outcome lists
+     *  from step, raw and middle. */
+    void derive()
+    {
+        const size_t w = width();
+        for (int d = 1; d <= kMaxShiftDistance; ++d) {
+            const double *s = &step[row(d, w)];
+            // |k| >= m, accumulated from m outward, + before -.
+            for (int m = 1; m <= kmax; ++m) {
+                double acc = kNegInf;
+                for (size_t i = 2 * static_cast<size_t>(m - 1); i < w;
+                     ++i)
+                    acc = logSumExp(acc, s[i]);
+                at_least[row(d, static_cast<size_t>(kmax)) +
+                         static_cast<size_t>(m - 1)] = acc;
+            }
+            // 1 - sum of all error outcomes.
+            const double log_err =
+                at_least[row(d, static_cast<size_t>(kmax))];
+            success[static_cast<size_t>(d - 1)] =
+                log_err == kNegInf ? 0.0
+                : log_err >= 0.0   ? kNegInf
+                                   : log1mExp(log_err);
+            // The outcome lists: out-of-step outcomes from most likely
+            // outward; without STS the pinned share excludes the
+            // flat-region mass STS would fold in, and the flat-region
+            // floors follow.
+            for (int sts = 0; sts < 2; ++sts) {
+                const double *ladder_lp = sts ? s : &raw[row(d, w)];
+                CumulativeOutcome *out =
+                    &outcomes[sts][row(d, sts ? w : 2 * w)];
+                double acc = 0.0;
+                for (size_t i = 0; i < w; ++i) {
+                    acc += std::exp(ladder_lp[i]);
+                    const int mag = static_cast<int>(i / 2) + 1;
+                    *out++ = {acc, {i % 2 ? -mag : mag, false}};
+                }
+                if (sts)
+                    continue;
+                const double *mid = &middle[row(d, w)];
+                for (size_t i = 0; i < w; ++i) {
+                    acc += std::exp(mid[i]);
+                    *out++ = {acc, {static_cast<int>(i) - kmax, true}};
+                }
+            }
+        }
+    }
+
+    /** One uniform draw walked against the outcome list. */
+    ShiftOutcome draw(Rng &rng, int distance, bool sts_enabled) const
+    {
+        const size_t len = sts_enabled ? width() : 2 * width();
+        const std::span<const CumulativeOutcome> list(
+            &outcomes[sts_enabled][row(distance, len)], len);
+        const double u = rng.uniform();
+        // The running sums never decrease, so a draw at or past the
+        // last one (the common, successful shift) passes them all.
+        if (u >= list.back().acc)
+            return ShiftOutcome{};
+        for (const CumulativeOutcome &e : list) {
+            if (u < e.acc)
+                return e.outcome;
+        }
+        return ShiftOutcome{};
+    }
+};
+
+PositionErrorModel::PositionErrorModel(int max_step_error,
+                                       const RowFill &fill)
+{
+    auto table = std::make_shared<Table>(max_step_error);
+    const size_t w = table->width();
+    for (int d = 1; d <= kMaxShiftDistance; ++d) {
+        const size_t r = Table::row(d, w);
+        fill(d, &table->step[r], &table->raw[r], &table->middle[r]);
+    }
+    table->derive();
+    table_ = std::move(table);
 }
 
 double
-PositionErrorModel::logProbSuccess(int distance) const
+PositionErrorModel::logProbStep(int distance, int step_error) const
 {
-    // 1 - sum of all error outcomes, computed in log space. The
-    // whole +/-k ladder comes from one batched range evaluation;
-    // accumulation order matches the historical per-call loop.
-    const int kmax = maxStepError();
-    double log_err = kNegInf;
-    if (kmax > 0) {
-        std::vector<double> plus(kmax), minus(kmax);
-        logProbStepRange(distance, kmax, plus.data(), minus.data());
-        for (int k = 1; k <= kmax; ++k) {
-            log_err = logSumExp(log_err, plus[k - 1]);
-            log_err = logSumExp(log_err, minus[k - 1]);
-        }
-    }
-    if (log_err == kNegInf)
-        return 0.0;
-    if (log_err >= 0.0)
-        return kNegInf;
-    return log1mExp(log_err);
-}
-
-double
-PositionErrorModel::logProbAtLeast(int distance, int magnitude) const
-{
-    const int kmax = maxStepError();
-    double acc = kNegInf;
-    if (kmax > 0 && magnitude <= kmax) {
-        std::vector<double> plus(kmax), minus(kmax);
-        logProbStepRange(distance, kmax, plus.data(), minus.data());
-        for (int k = std::max(magnitude, 1); k <= kmax; ++k) {
-            acc = logSumExp(acc, plus[k - 1]);
-            acc = logSumExp(acc, minus[k - 1]);
-        }
-    }
-    return acc;
+    const Table &t = *table_;
+    return t.step[Table::row(distance, t.width()) + t.ladder(step_error)];
 }
 
 double
 PositionErrorModel::logProbStepRaw(int distance, int step_error) const
 {
-    return logProbStep(distance, step_error);
-}
-
-ShiftOutcome
-PositionErrorModel::sample(Rng &rng, int distance, bool sts_enabled)
-    const
-{
-    const double u = rng.uniform();
-    std::vector<CumulativeOutcome> list;
-    outcomeList(distance, sts_enabled, &list);
-    return pickOutcome(list, u);
-}
-
-void
-PositionErrorModel::outcomeList(int distance, bool sts_enabled,
-                                std::vector<CumulativeOutcome> *out)
-    const
-{
-    out->clear();
-    double acc = 0.0;
-    auto add = [&](double log_p, int step_error, bool middle) {
-        acc += std::exp(log_p);
-        out->push_back({acc, {step_error, middle}});
-    };
-    // Out-of-step outcomes from most likely outward. Without STS the
-    // pinned share excludes the flat-region mass STS would otherwise
-    // fold in, and the flat-region (stop-in-middle) floors follow.
-    const int kmax = maxStepError();
-    for (int mag = 1; mag <= kmax; ++mag) {
-        for (int sign : {+1, -1}) {
-            const int k = sign * mag;
-            add(sts_enabled ? logProbStep(distance, k)
-                            : logProbStepRaw(distance, k),
-                k, false);
-        }
-    }
-    if (sts_enabled)
-        return;
-    for (int floor_k = -kmax; floor_k < kmax; ++floor_k)
-        add(logProbStopInMiddle(distance, floor_k), floor_k, true);
-}
-
-PaperCalibratedErrorModel::PaperCalibratedErrorModel(
-    double plus_fraction, double pre_sts_middle_fraction)
-    : plus_fraction_(plus_fraction),
-      middle_fraction_(pre_sts_middle_fraction)
-{
-    if (plus_fraction_ < 0.0 || plus_fraction_ > 1.0)
-        rtm_fatal("plus_fraction must be in [0,1]");
-    if (middle_fraction_ < 0.0 || middle_fraction_ > 1.0)
-        rtm_fatal("pre_sts_middle_fraction must be in [0,1]");
+    const Table &t = *table_;
+    return t.raw[Table::row(distance, t.width()) + t.ladder(step_error)];
 }
 
 double
-PaperCalibratedErrorModel::stepErrorRate(int distance,
-                                         int magnitude) const
+PositionErrorModel::logProbStopInMiddle(int distance,
+                                        int interval_floor) const
+{
+    const Table &t = *table_;
+    if (interval_floor < -t.kmax || interval_floor >= t.kmax)
+        rtm_panic("stop-in-middle floor %d outside the error table's "
+                  "[-%d, %d)",
+                  interval_floor, t.kmax, t.kmax);
+    return t.middle[Table::row(distance, t.width()) +
+                    static_cast<size_t>(interval_floor + t.kmax)];
+}
+
+double
+PositionErrorModel::logProbSuccess(int distance) const
+{
+    return table_->success[Table::row(distance, 1)];
+}
+
+double
+PositionErrorModel::logProbAtLeast(int distance, int magnitude) const
+{
+    const Table &t = *table_;
+    const size_t r = Table::row(distance, static_cast<size_t>(t.kmax));
+    if (magnitude > t.kmax)
+        return kNegInf;
+    return t.at_least[r + static_cast<size_t>(std::max(magnitude, 1) - 1)];
+}
+
+int
+PositionErrorModel::maxStepError() const
+{
+    return table_->kmax;
+}
+
+std::shared_ptr<const PositionErrorModel::Table>
+PositionErrorModel::scaledTable(const PositionErrorModel &model,
+                                double factor)
+{
+    if (!(factor > 0.0) || std::isinf(factor))
+        rtm_fatal("ScaledErrorModel: factor must be positive and finite");
+    const double log_factor = std::log(factor);
+    const Table &base = *model.table_;
+    auto table = std::make_shared<Table>(base.kmax);
+    auto scale = [log_factor](const std::vector<double> &from,
+                              std::vector<double> *to) {
+        for (size_t i = 0; i < from.size(); ++i)
+            (*to)[i] = std::min(from[i] + log_factor, kLogHalf);
+    };
+    scale(base.step, &table->step);
+    scale(base.raw, &table->raw);
+    scale(base.middle, &table->middle);
+    table->derive();
+    return table;
+}
+
+ShiftOutcome
+PositionErrorModel::sample(Rng &rng, int distance, bool sts_enabled) const
+{
+    // The regime-free draw: the script while it lasts, else the table.
+    auto base = [&] {
+        if (script_) {
+            if (script_pos_ < script_->size())
+                return (*script_)[script_pos_++];
+            return ShiftOutcome{};
+        }
+        return table_->draw(rng, distance, sts_enabled);
+    };
+    if (!regime_)
+        return base();
+    Regime &r = *regime_;
+    // Count a regime's outcome into its ledger.
+    auto count = [&r](ShiftOutcome out) {
+        ++r.ledger.samples;
+        if (!out.ok()) {
+            ++r.ledger.injected;
+            ++(out.stop_in_middle ? r.ledger.stop_in_middle
+                                  : r.ledger.step_errors);
+        }
+        return out;
+    };
+    const ScenarioSpec &spec = r.spec;
+    switch (spec.kind) {
+      case ScenarioKind::Iid:
+        break;
+      case ScenarioKind::Burst: {
+        const bool burst = r.shifts < spec.burst_len;
+        if (++r.shifts == spec.burst_period)
+            r.shifts = 0;
+        if (burst)
+            return count(r.scaled->draw(rng, distance, sts_enabled));
+        break;
+      }
+      case ScenarioKind::StuckStripe: {
+        const bool pinned = r.shifts >= spec.stuck_after &&
+                            r.shifts < spec.stuck_after + spec.stuck_len;
+        ++r.shifts;
+        // The dead notch eats exactly one step of every drive: a
+        // 1-step request does not move at all, longer requests land
+        // one short. Deterministic: no draw.
+        if (pinned)
+            return count(ShiftOutcome{-1, false});
+        break;
+      }
+      case ScenarioKind::Droop: {
+        const bool droop = r.shifts < spec.droop_len;
+        if (++r.shifts == spec.droop_period)
+            r.shifts = 0;
+        // The droop coin comes before the base draw so the base
+        // stream stays aligned with the i.i.d. regime outside droop
+        // windows. Without the stage-2 pulse, the sagging drive
+        // strands the walls in the flat region short of the target.
+        if (droop && rng.bernoulli(spec.droop_undershoot_prob))
+            return count(ShiftOutcome{-1, !sts_enabled});
+        break;
+      }
+      case ScenarioKind::Skew:
+        return count(r.scaled->draw(rng, distance, sts_enabled));
+    }
+    return count(base());
+}
+
+double
+PaperCalibratedErrorModel::stepErrorRate(int distance, int magnitude)
 {
     if (distance <= 0)
         return 0.0;
@@ -176,131 +358,90 @@ PaperCalibratedErrorModel::stepErrorRate(int distance,
     }
 }
 
-double
-PaperCalibratedErrorModel::logProbStep(int distance,
-                                       int step_error) const
+namespace
 {
-    if (step_error == 0)
-        rtm_panic("logProbStep: step_error must be non-zero");
-    int mag = std::abs(step_error);
-    double rate = stepErrorRate(distance, mag);
-    if (rate <= 0.0)
-        return kNegInf;
-    double frac = step_error > 0 ? plus_fraction_
-                                 : 1.0 - plus_fraction_;
-    if (frac <= 0.0)
-        return kNegInf;
-    return std::log(rate) + std::log(frac);
+
+/** Table 2 split by sign, and before STS into the pinned share and
+ *  the flat-region share. */
+void
+fillPaperRow(int distance, double *step, double *raw, double *middle)
+{
+    const int kmax = kPaperMaxStepError;
+    double rate[kPaperMaxStepError + 1] = {}; // rate[|k|], |k| >= 1
+    for (int mag = 1; mag <= kmax; ++mag)
+        rate[mag] = PaperCalibratedErrorModel::stepErrorRate(distance, mag);
+    const double log_plus = std::log(kPlusFraction);
+    const double log_minus = std::log(1.0 - kPlusFraction);
+    // Before STS only (1 - middle fraction) of each rate manifests as
+    // a wall pinned in the wrong notch; the rest rests in the flat
+    // region (stop-in-middle).
+    const double log_pinned = std::log(1.0 - kMiddleFraction);
+    for (int mag = 1; mag <= kmax; ++mag) {
+        for (int i : {0, 1}) {
+            const size_t at = 2 * static_cast<size_t>(mag - 1) + i;
+            step[at] = rate[mag] <= 0.0 ? kNegInf
+                                        : std::log(rate[mag]) +
+                                              (i ? log_minus : log_plus);
+            raw[at] = step[at] + log_pinned;
+        }
+    }
+    // A positive-direction STS pushes walls in interval (k, k+1) to
+    // step error k + 1, so the pre-STS interval that feeds +k errors
+    // is (k-1, k); for -k errors it is (-k, -k+1).
+    for (int floor_k = -kmax; floor_k < kmax; ++floor_k) {
+        double sum = 0.0;
+        const int plus_k = floor_k + 1; // +k error it becomes after STS
+        if (plus_k >= 1)
+            sum += rate[plus_k] * kPlusFraction * kMiddleFraction;
+        const int minus_k = -floor_k; // -k error it becomes after -STS
+        if (minus_k >= 1)
+            sum += rate[minus_k] * (1.0 - kPlusFraction) * kMiddleFraction;
+        middle[floor_k + kmax] = sum > 0.0 ? std::log(sum) : kNegInf;
+    }
 }
 
-double
-PaperCalibratedErrorModel::logProbStepRaw(int distance,
-                                          int step_error) const
+void
+fillImpossibleRow(int, double *step, double *raw, double *middle)
 {
-    // Before STS only (1 - middle_fraction) of each rate manifests
-    // as a wall pinned in the wrong notch; the rest rests in the
-    // flat region (stop-in-middle).
-    double lp = logProbStep(distance, step_error);
-    if (middle_fraction_ >= 1.0)
-        return -std::numeric_limits<double>::infinity();
-    return lp + std::log(1.0 - middle_fraction_);
+    for (size_t i = 0; i < 2 * kScriptedMaxStepError; ++i)
+        step[i] = raw[i] = middle[i] = kNegInf;
 }
 
-double
-PaperCalibratedErrorModel::logProbStopInMiddle(int distance,
-                                               int interval_floor)
-    const
+} // anonymous namespace
+
+const PositionErrorModel &
+nonNullBase(const std::shared_ptr<const PositionErrorModel> &base,
+            const char *who)
 {
-    // Before STS, a fraction of each +/-k error mass is actually a
-    // wall resting in the adjacent flat region. A positive-direction
-    // STS pushes walls in interval (k, k+1) to step error k + 1, so
-    // the pre-STS interval that feeds +k errors is (k-1, k); for -k
-    // errors it is (-k, -k+1).
-    if (middle_fraction_ <= 0.0)
-        return kNegInf;
-    double rate = 0.0;
-    // interval (interval_floor, interval_floor + 1)
-    int plus_k = interval_floor + 1; // +k error it becomes after STS
-    if (plus_k >= 1 && plus_k <= maxStepError()) {
-        rate += stepErrorRate(distance, plus_k) * plus_fraction_ *
-                middle_fraction_;
-    }
-    int minus_k = -interval_floor; // -k error it becomes after -STS
-    if (minus_k >= 1 && minus_k <= maxStepError()) {
-        rate += stepErrorRate(distance, minus_k) *
-                (1.0 - plus_fraction_) * middle_fraction_;
-    }
-    return rate > 0.0 ? std::log(rate) : kNegInf;
+    if (!base)
+        rtm_fatal("%s: null base model", who);
+    return *base;
+}
+
+PaperCalibratedErrorModel::PaperCalibratedErrorModel()
+    : PositionErrorModel([] {
+          static const PositionErrorModel paper(kPaperMaxStepError,
+                                                fillPaperRow);
+          return paper;
+      }())
+{
 }
 
 ScaledErrorModel::ScaledErrorModel(
-    std::shared_ptr<const PositionErrorModel> base, double factor)
-    : base_(std::move(base)), log_factor_(std::log(factor))
+    const std::shared_ptr<const PositionErrorModel> &base, double factor)
+    : PositionErrorModel(
+          scaledTable(nonNullBase(base, "ScaledErrorModel"), factor))
 {
-    if (!base_)
-        rtm_fatal("ScaledErrorModel: null base model");
-    if (!(factor > 0.0) || std::isinf(factor))
-        rtm_fatal("ScaledErrorModel: factor must be positive and finite");
-    for (int sts = 0; sts < 2; ++sts) {
-        outcomes_[sts].resize(kTabulatedDistance);
-        for (int d = 1; d <= kTabulatedDistance; ++d)
-            outcomeList(d, sts != 0, &outcomes_[sts][d - 1]);
-    }
-}
-
-double
-ScaledErrorModel::logProbStep(int distance, int step_error) const
-{
-    double lp = base_->logProbStep(distance, step_error) + log_factor_;
-    return std::min(lp, kLogHalf);
-}
-
-double
-ScaledErrorModel::logProbStopInMiddle(int distance,
-                                      int interval_floor) const
-{
-    double lp = base_->logProbStopInMiddle(distance, interval_floor) +
-                log_factor_;
-    return std::min(lp, kLogHalf);
-}
-
-double
-ScaledErrorModel::logProbStepRaw(int distance, int step_error) const
-{
-    double lp = base_->logProbStepRaw(distance, step_error) +
-                log_factor_;
-    return std::min(lp, kLogHalf);
-}
-
-int
-ScaledErrorModel::maxStepError() const
-{
-    return base_->maxStepError();
 }
 
 ScriptedErrorModel::ScriptedErrorModel(std::vector<ShiftOutcome> script)
-    : script_(std::move(script))
+    : PositionErrorModel([] {
+          static const PositionErrorModel impossible(
+              kScriptedMaxStepError, fillImpossibleRow);
+          return impossible;
+      }())
 {
-}
-
-double
-ScriptedErrorModel::logProbStep(int, int) const
-{
-    return kNegInf;
-}
-
-double
-ScriptedErrorModel::logProbStopInMiddle(int, int) const
-{
-    return kNegInf;
-}
-
-ShiftOutcome
-ScriptedErrorModel::sample(Rng &, int, bool) const
-{
-    if (pos_ < script_.size())
-        return script_[pos_++];
-    return ShiftOutcome{};
+    script_ = std::move(script);
 }
 
 } // namespace rtm

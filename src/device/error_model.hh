@@ -8,25 +8,44 @@
  *    target;
  *  - stop-in-middle: walls left in a flat region, reads are undefined.
  *
- * Models expose per-distance log-probabilities for both error classes
- * and can sample concrete outcomes for fault injection. The default
- * architecture-level model, PaperCalibratedErrorModel, reproduces the
- * paper's published Table 2 rates (with power-law extrapolation beyond
- * 7 steps) and an associated pre-STS stop-in-middle split, mirroring
- * the paper's methodology of feeding device-model rates into the
- * system simulator.
+ * A PositionErrorModel is one value: an immutable probability table,
+ * shared between copies, plus an optional script of outcomes and an
+ * optional fault regime (device/fault_scenario.hh) that shape what
+ * sample() returns. For every shift distance 1..kMaxShiftDistance the
+ * table stores:
+ *  - log P(+/-k) after STS and before it, for |k| <= maxStepError();
+ *  - log P(stop-in-middle between k and k + 1) before STS;
+ *  - log P(success) and log P(|k| >= m), summed from the post-STS
+ *    values;
+ *  - the cumulative outcome lists sample() walks, STS on and off.
+ *
+ * Builders fill the per-outcome values once and the table derives the
+ * rest: PaperCalibratedErrorModel from the paper's published Table 2
+ * rates (power-law extrapolation beyond 7 steps), FittedErrorModel
+ * from its closed forms. Scaling is a transform of the stored values.
+ * A query or a sample beyond the table panics.
  */
 
 #ifndef RTM_DEVICE_ERROR_MODEL_HH
 #define RTM_DEVICE_ERROR_MODEL_HH
 
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "device/organisation.hh"
+#include "util/fields.hh"
 #include "util/rng.hh"
 
 namespace rtm
 {
+
+/** Longest shift an error table holds: the last step of the longest
+ *  segment any program plans for. */
+constexpr int kMaxShiftDistance = kMaxSegLen - 1;
 
 /** Result of one attempted shift operation. */
 struct ShiftOutcome
@@ -45,201 +64,208 @@ struct ShiftOutcome
     bool ok() const { return step_error == 0 && !stop_in_middle; }
 };
 
+/** Fault regimes a scenario can bend the outcome stream into. */
+enum class ScenarioKind
+{
+    Iid,
+    Burst,
+    StuckStripe,
+    Droop,
+    Skew
+};
+
+/** Spec tokens for the scenario kinds. */
+constexpr auto
+enumTokens(ScenarioKind)
+{
+    return std::to_array<EnumToken<ScenarioKind>>({
+        {ScenarioKind::Iid, "iid"},
+        {ScenarioKind::Burst, "burst"},
+        {ScenarioKind::StuckStripe, "stuck-stripe"},
+        {ScenarioKind::Droop, "droop"},
+        {ScenarioKind::Skew, "skew"},
+    });
+}
+
+/** Declarative scenario description (campaign configuration). */
+struct ScenarioSpec
+{
+    ScenarioKind kind = ScenarioKind::Iid;
+    std::string name = "iid";
+
+    // Burst parameters.
+    uint64_t burst_period = 64;
+    uint64_t burst_len = 8;
+    double burst_multiplier = 50.0;
+
+    // Stuck-stripe parameters.
+    uint64_t stuck_after = 200;
+    uint64_t stuck_len = 12;
+
+    // Droop parameters.
+    uint64_t droop_period = 128;
+    uint64_t droop_len = 32;
+    double droop_undershoot_prob = 0.02;
+
+    // Skew: sigma <= 82 keeps exp(sigma * z) finite (Gaussian |z| <= 8.57).
+    uint64_t stripe_id = 7;
+    double skew_sigma = 0.6;
+
+    bool operator==(const ScenarioSpec &) const = default;
+};
+
+/** Spec keys of a scenario (util/fields.hh). */
+template <class V, FieldsOf<ScenarioSpec>... S>
+void
+forEachField(V &&v, S &...s)
+{
+    v("kind", s.kind...);
+    v("name", s.name...);
+    v("burst_period", InRange{s.burst_period, 1}...);
+    v("burst_len", s.burst_len...);
+    v("burst_multiplier", InRange{s.burst_multiplier, Exclusive{0.0}}...);
+    v("stuck_after", s.stuck_after...);
+    v("stuck_len", s.stuck_len...);
+    v("droop_period", InRange{s.droop_period, 1}...);
+    v("droop_len", s.droop_len...);
+    v("droop_undershoot_prob",
+      InRange{s.droop_undershoot_prob, 0.0, 1.0}...);
+    v("stripe_id", s.stripe_id...);
+    v("skew_sigma", InRange{s.skew_sigma, 0.0, 82.0}...);
+}
+
+/** Ground-truth count of what a scenario injected. */
+struct InjectionLedger
+{
+    uint64_t samples = 0;        //!< shift outcomes drawn
+    uint64_t injected = 0;       //!< non-ok outcomes returned
+    uint64_t step_errors = 0;    //!< pinned-in-wrong-notch outcomes
+    uint64_t stop_in_middle = 0; //!< flat-region outcomes
+};
+
 /**
- * Interface: probability model for position errors of a single stripe
- * shift of a given distance.
+ * Probability model for position errors of a single stripe shift of a
+ * given distance, as a table (see the file comment).
  *
- * Probabilities are returned as natural logs; impossible outcomes
- * return -infinity. "after STS" refers to the two-stage sub-threshold
- * shift of Sec. 4.1 which converts stop-in-middle outcomes into
- * out-of-step ones.
+ * Probabilities are natural logs; impossible outcomes are -infinity.
+ * "after STS" refers to the two-stage sub-threshold shift of Sec. 4.1
+ * which converts stop-in-middle outcomes into out-of-step ones.
  */
 class PositionErrorModel
 {
   public:
-    virtual ~PositionErrorModel() = default;
-
     /**
-     * Log-probability that an N-step shift with STS ends with signed
-     * out-of-step error k (k != 0).
+     * Writes one distance's per-outcome log-probabilities, K being the
+     * model's maxStepError(): step[2(m-1)] and step[2(m-1)+1] are
+     * +m and -m after STS, raw the same before STS, and middle[f + K]
+     * the stop-in-middle between over-shift f and f + 1, f in [-K, K).
      */
-    virtual double logProbStep(int distance, int step_error) const = 0;
+    using RowFill = std::function<void(int distance, double *step,
+                                       double *raw, double *middle)>;
 
-    /**
-     * Log-probability that an N-step shift *without* the STS stage
-     * stops in the flat region between over-shift k and k+1.
-     */
-    virtual double logProbStopInMiddle(int distance,
-                                       int interval_floor) const = 0;
+    /** Tabulate `fill` at every distance 1..kMaxShiftDistance for
+     *  outcomes up to |k| <= max_step_error. */
+    PositionErrorModel(int max_step_error, const RowFill &fill);
 
-    /**
-     * Log-probability that an N-step shift *without* STS ends pinned
-     * in the wrong notch with signed error k. Post-STS rates fold the
-     * flat-region mass into +1 more step, so the raw out-of-step
-     * share is strictly smaller; the default assumes no difference.
-     */
-    virtual double logProbStepRaw(int distance, int step_error) const;
+    /** Log-probability that an N-step shift with STS ends with signed
+     *  out-of-step error k (0 < |k| <= maxStepError()). */
+    double logProbStep(int distance, int step_error) const;
 
-    /**
-     * Fill plus[m-1] = logProbStep(distance, +m) and
-     * minus[m-1] = logProbStep(distance, -m) for m in
-     * [1, max_magnitude]. The default forwards to the scalar calls;
-     * models whose adjacent outcomes share work (FittedErrorModel's
-     * Gaussian bin boundaries) override it with a batched evaluation
-     * that returns bit-identical values.
-     */
-    virtual void logProbStepRange(int distance, int max_magnitude,
-                                  double *plus, double *minus) const;
+    /** Log-probability that an N-step shift *without* STS ends pinned
+     *  in the wrong notch with signed error k. */
+    double logProbStepRaw(int distance, int step_error) const;
+
+    /** Log-probability that an N-step shift *without* STS stops in the
+     *  flat region between over-shift k and k + 1. */
+    double logProbStopInMiddle(int distance, int interval_floor) const;
 
     /** Log-probability that an N-step shift (with STS) is correct. */
     double logProbSuccess(int distance) const;
 
-    /**
-     * Log-probability of any out-of-step error of magnitude >= k for
-     * an N-step shift with STS (sum over both signs).
-     */
+    /** Log-probability of any out-of-step error of magnitude >= m for
+     *  an N-step shift with STS (sum over both signs). */
     double logProbAtLeast(int distance, int magnitude) const;
 
-    /**
-     * Sample one outcome for an N-step shift: one rng.uniform() draw
-     * walked against outcomeList(). Models with a precomputed list
-     * (ScaledErrorModel) walk that instead, with identical results.
-     */
-    virtual ShiftOutcome sample(Rng &rng, int distance,
-                                bool sts_enabled) const;
+    /** Largest |k| the table holds. */
+    int maxStepError() const;
 
-    /** Largest |k| this model assigns non-negligible probability. */
-    virtual int maxStepError() const { return 4; }
+    /**
+     * Draw one outcome for an N-step shift: the next scripted
+     * outcome, or one rng.uniform() walked against the table's
+     * cumulative outcome list, bent by the fault regime if there is
+     * one (which then advances and counts the draw).
+     */
+    ShiftOutcome sample(Rng &rng, int distance, bool sts_enabled) const;
 
   protected:
-    /**
-     * One entry of a cumulative outcome list: a uniform draw u
-     * selects the outcome of the first entry whose running
-     * probability sum exceeds it.
-     */
-    struct CumulativeOutcome
+    struct Table;
+
+    /** A fault regime and its state (device/fault_scenario.hh). */
+    struct Regime
     {
-        double acc = 0.0;     //!< running sum of outcome probabilities
-        ShiftOutcome outcome; //!< outcome selected by this entry
+        ScenarioSpec spec;
+        /** Burst and skew: the table at the regime's multiplier. */
+        std::shared_ptr<const Table> scaled;
+        /** Shifts sampled so far; burst and droop wrap it at their
+         *  period, so it is the phase within the period. */
+        uint64_t shifts = 0;
+        InjectionLedger ledger;
     };
 
-    /**
-     * Fill `out` with the cumulative outcome list of an N-step
-     * shift: out-of-step +1, -1, +2, -2, ... up to maxStepError()
-     * and, without STS, the stop-in-middle floors from
-     * -maxStepError() upward, each entry holding the running sum of
-     * exp(log-probability) in exactly that order. The order and the
-     * additions are what make every tabulated sample bit-identical
-     * to one built on the fly.
-     */
-    void outcomeList(int distance, bool sts_enabled,
-                     std::vector<CumulativeOutcome> *out) const;
-
-    /** The outcome draw `u` selects from a cumulative list (success
-     *  when it falls past the last entry). */
-    static ShiftOutcome
-    pickOutcome(const std::vector<CumulativeOutcome> &list, double u)
+    explicit PositionErrorModel(std::shared_ptr<const Table> table)
+        : table_(std::move(table))
     {
-        // The running sums never decrease, so a draw at or past the
-        // last one (the common, successful shift) passes them all.
-        if (list.empty() || u >= list.back().acc)
-            return ShiftOutcome{};
-        for (const CumulativeOutcome &e : list) {
-            if (u < e.acc)
-                return e.outcome;
-        }
-        return ShiftOutcome{};
     }
+
+    /** `model`'s table with every outcome probability multiplied by
+     *  `factor` and capped at 1/2; the sums and outcome lists are
+     *  re-derived from the scaled values. */
+    static std::shared_ptr<const Table>
+    scaledTable(const PositionErrorModel &model, double factor);
+
+    std::shared_ptr<const Table> table_;
+    /** Outcomes played before the table is consulted; an empty
+     *  script is the error-free model. */
+    std::optional<std::vector<ShiftOutcome>> script_;
+    mutable size_t script_pos_ = 0;
+    mutable std::optional<Regime> regime_;
 };
+
+/** *base; a fatal error naming `who` when base is null. */
+const PositionErrorModel &
+nonNullBase(const std::shared_ptr<const PositionErrorModel> &base,
+            const char *who);
 
 /**
  * Paper-calibrated model: Table 2 rates for distances 1..7, power-law
- * extrapolation beyond, split between + and - errors by a configurable
- * asymmetry (the paper notes + errors dominate because the drive is
- * above threshold).
+ * extrapolation beyond, 80 % of each |k| rate on +k (the paper notes
+ * + errors dominate because the drive is above threshold) and 85 % of
+ * the pre-STS mass resting in the flat region. The table is built once
+ * per process and shared by every instance.
  */
 class PaperCalibratedErrorModel : public PositionErrorModel
 {
   public:
-    /**
-     * @param plus_fraction share of each |k| rate assigned to +k
-     * @param pre_sts_middle_fraction share of the raw per-|k| error
-     *        mass that manifests as stop-in-middle before STS
-     */
-    explicit PaperCalibratedErrorModel(
-        double plus_fraction = 0.8,
-        double pre_sts_middle_fraction = 0.85);
-
-    double logProbStep(int distance, int step_error) const override;
-    double logProbStopInMiddle(int distance,
-                               int interval_floor) const override;
-    double logProbStepRaw(int distance,
-                          int step_error) const override;
-    int maxStepError() const override { return 3; }
+    PaperCalibratedErrorModel();
 
     /** Combined +/-k rate for an N-step shift (linear domain). */
-    double stepErrorRate(int distance, int magnitude) const;
-
-  private:
-    double plus_fraction_;
-    double middle_fraction_;
+    static double stepErrorRate(int distance, int magnitude);
 };
 
-/**
- * Wrapper that scales another model's error rates by a constant factor
- * (used by ablation benches and accelerated fault-injection tests).
- *
- * Every fault drill injects through this wrapper, so it tabulates its
- * cumulative outcome lists once at construction: sample() is then one
- * uniform draw and a short compare walk instead of ~24 libm calls.
- */
-class ScaledErrorModel final : public PositionErrorModel
+/** Another model's table scaled by a constant factor (ablation
+ *  benches and accelerated fault injection); no script, no regime. */
+class ScaledErrorModel : public PositionErrorModel
 {
   public:
-    /**
-     * Longest shift whose outcome lists are tabulated: the largest
-     * distance the fault drills request (the del-ins-k readout's
-     * return shift on 8-domain segments reaches 15; the campaign
-     * and positional stress drills stay within Lseg - 1 = 7).
-     * Longer shifts build their list on the fly.
-     */
-    static constexpr int kTabulatedDistance = 15;
-
-    ScaledErrorModel(std::shared_ptr<const PositionErrorModel> base,
+    ScaledErrorModel(const std::shared_ptr<const PositionErrorModel> &base,
                      double factor);
-
-    double logProbStep(int distance, int step_error) const override;
-    double logProbStopInMiddle(int distance,
-                               int interval_floor) const override;
-    double logProbStepRaw(int distance,
-                          int step_error) const override;
-    int maxStepError() const override;
-
-    /** Header-inline so a scenario holding this (final) class calls
-     *  it directly: one uniform draw walked against the table. */
-    ShiftOutcome sample(Rng &rng, int distance,
-                        bool sts_enabled) const override
-    {
-        if (distance < 1 || distance > kTabulatedDistance)
-            return PositionErrorModel::sample(rng, distance,
-                                              sts_enabled);
-        return pickOutcome(
-            outcomes_[sts_enabled ? 1 : 0][static_cast<size_t>(
-                distance - 1)],
-            rng.uniform());
-    }
-
-  private:
-    std::shared_ptr<const PositionErrorModel> base_;
-    double log_factor_;
-    /** outcomes_[sts][d - 1]: outcome list of a d-step shift. */
-    std::vector<std::vector<CumulativeOutcome>> outcomes_[2];
 };
 
 /**
- * Deterministic scripted model: pops outcomes from a fixed list
- * (useful for unit-testing correction logic with exact scenarios).
- * With an empty script it is the error-free model.
+ * Deterministic scripted model: an all-impossible table that plays a
+ * fixed list of outcomes (useful for unit-testing correction logic
+ * with exact scenarios). With an empty script it is the error-free
+ * model. Scripted outcomes consume no random draws.
  */
 class ScriptedErrorModel : public PositionErrorModel
 {
@@ -247,17 +273,8 @@ class ScriptedErrorModel : public PositionErrorModel
     /** Outcomes are consumed in order; afterwards shifts succeed. */
     explicit ScriptedErrorModel(std::vector<ShiftOutcome> script = {});
 
-    double logProbStep(int, int) const override;
-    double logProbStopInMiddle(int, int) const override;
-    ShiftOutcome sample(Rng &, int, bool) const override;
-    int maxStepError() const override { return 8; }
-
     /** Outcomes not yet consumed. */
-    size_t remaining() const { return script_.size() - pos_; }
-
-  private:
-    std::vector<ShiftOutcome> script_;
-    mutable size_t pos_ = 0;
+    size_t remaining() const { return script_->size() - script_pos_; }
 };
 
 } // namespace rtm

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <vector>
 
 #include "util/logging.hh"
 #include "util/prob.hh"
@@ -14,175 +13,133 @@ namespace
 {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+constexpr int kFittedMaxStepError = 3;
+
+double
+sigmaOf(const FittedModelParams &p, int distance)
+{
+    // AR(1) variance after N steps:
+    //   var(N) = sigma^2 * (1 - rho^N) / (1 - rho) ... using rho as
+    // the per-step variance survival factor.
+    double rho = p.resync_rho;
+    double n = static_cast<double>(distance);
+    double var = p.sigma_step * p.sigma_step * (1.0 - std::pow(rho, n)) /
+                 (1.0 - rho);
+    return std::sqrt(var);
+}
+
+double
+meanOf(const FittedModelParams &p, int distance)
+{
+    // Drift saturates with the same AR(1) memory.
+    double rho = p.resync_rho;
+    double n = static_cast<double>(distance);
+    return p.drift * (1.0 - std::pow(rho, n)) / (1.0 - rho);
+}
+
+/** Log-probability of a standard normal landing in (lo, hi]. */
+double
+logBand(double lo, double hi)
+{
+    return logDiffExp(logNormalTail(lo), logNormalTail(hi));
+}
+
+/** One distance's row of the fitted model (PositionErrorModel::RowFill). */
+void
+fillRow(const FittedModelParams &p, int distance, double *step,
+        double *raw, double *middle)
+{
+    const int kmax = kFittedMaxStepError;
+    const double w = p.notch_half_width;
+    const double mu = meanOf(p, distance);
+    const double sigma = sigmaOf(p, distance);
+    // After a positive-direction STS stage, a deviation e lands the
+    // wall at final step error k iff e in (k - 1 + w, k + w] (walls
+    // inside notch k stay; walls in the flat after notch k are pushed
+    // into notch k+1). Bin boundary ladder: x_k = (k + w - mu) / sigma
+    // for k in [-kmax - 1, kmax], each interior boundary serving two
+    // adjacent bins.
+    constexpr size_t nb = 2 * kmax + 2;
+    double x[nb], q[nb];
+    for (size_t i = 0; i < nb; ++i) {
+        double k = static_cast<double>(static_cast<int>(i) - kmax - 1);
+        x[i] = (k + w - mu) / sigma;
+    }
+    logNormalTailBatch(x, q, nb);
+    auto gauss = [&](int k) {
+        // q index of boundary x_k is k + kmax + 1.
+        return logDiffExp(q[k + kmax], q[k + kmax + 1]);
+    };
+    // Rare notch-skip (stall) events displace the wall one whole pitch
+    // forward (backward). A |k|-step error requires |k| - 1 such
+    // events plus a +/-1 Gaussian excursion, or |k| events with a
+    // clean core; the first term dominates at our rates. Backward
+    // (stall) events reuse the Gaussian +/-1 asymmetry via the sign of
+    // the excursion.
+    const double log_event =
+        p.log_skip_base +
+        p.skip_growth * static_cast<double>(distance - 1);
+    auto skip = [&](int k) {
+        const int mag = std::abs(k);
+        return static_cast<double>(mag - 1) * log_event +
+               gauss(k > 0 ? 1 : -1);
+    };
+    for (int mag = 1; mag <= kmax; ++mag) {
+        for (int i : {0, 1}) {
+            const int k = i ? -mag : mag;
+            const size_t at = 2 * static_cast<size_t>(mag - 1) + i;
+            step[at] = mag == 1 ? gauss(k) : logSumExp(gauss(k), skip(k));
+            // Pre-STS out-of-step: the deviation must land *inside*
+            // the wrong notch region (k - w, k + w], not merely past it.
+            const double kd = static_cast<double>(k);
+            raw[at] = logBand((kd - w - mu) / sigma, (kd + w - mu) / sigma);
+            if (mag >= 2)
+                raw[at] = logSumExp(raw[at], skip(k));
+        }
+    }
+    // Without STS, the wall rests wherever the stage-1 pulse leaves
+    // it. Deviation e in the flat interval (k + w, k + 1 - w) is a
+    // stop-in-middle between over-shift k and k+1.
+    for (int floor_k = -kmax; floor_k < kmax; ++floor_k) {
+        const double k = static_cast<double>(floor_k);
+        middle[floor_k + kmax] =
+            logBand((k + w - mu) / sigma, (k + 1.0 - w - mu) / sigma);
+    }
+}
+
+const FittedModelParams &
+validated(const FittedModelParams &params)
+{
+    if (params.sigma_step <= 0.0)
+        rtm_fatal("FittedErrorModel: sigma_step must be positive");
+    if (params.resync_rho < 0.0 || params.resync_rho >= 1.0)
+        rtm_fatal("FittedErrorModel: resync_rho must be in [0,1)");
+    return params;
+}
 
 } // anonymous namespace
 
 FittedErrorModel::FittedErrorModel(FittedModelParams params)
-    : params_(params)
+    : PositionErrorModel(kFittedMaxStepError,
+                         [&p = validated(params)](int d, double *step,
+                                                  double *raw,
+                                                  double *middle) {
+                             fillRow(p, d, step, raw, middle);
+                         }),
+      params_(params)
 {
-    if (params_.sigma_step <= 0.0)
-        rtm_fatal("FittedErrorModel: sigma_step must be positive");
-    if (params_.resync_rho < 0.0 || params_.resync_rho >= 1.0)
-        rtm_fatal("FittedErrorModel: resync_rho must be in [0,1)");
 }
 
 double
 FittedErrorModel::sigmaAt(int distance) const
 {
-    // AR(1) variance after N steps:
-    //   var(N) = sigma^2 * (1 - rho^N) / (1 - rho) ... using rho as
-    // the per-step variance survival factor.
-    double rho = params_.resync_rho;
-    double n = static_cast<double>(distance);
-    double var = params_.sigma_step * params_.sigma_step *
-                 (1.0 - std::pow(rho, n)) / (1.0 - rho);
-    return std::sqrt(var);
+    return sigmaOf(params_, distance);
 }
 
 double
 FittedErrorModel::meanAt(int distance) const
 {
-    // Drift saturates with the same AR(1) memory.
-    double rho = params_.resync_rho;
-    double n = static_cast<double>(distance);
-    return params_.drift * (1.0 - std::pow(rho, n)) / (1.0 - rho);
-}
-
-double
-FittedErrorModel::logGaussStep(int distance, int step_error) const
-{
-    // After a positive-direction STS stage, a deviation e lands the
-    // wall at final step error k iff e in (k - 1 + w, k + w], where w
-    // is the notch half width (walls inside notch k stay; walls in the
-    // flat after notch k are pushed into notch k+1).
-    double w = params_.notch_half_width;
-    double mu = meanAt(distance);
-    double sigma = sigmaAt(distance);
-    double k = static_cast<double>(step_error);
-    double hi = (k + w - mu) / sigma;
-    double lo = (k - 1.0 + w - mu) / sigma;
-    // P(lo < Z <= hi) = Q(lo) - Q(hi)
-    return logDiffExp(logNormalTail(lo), logNormalTail(hi));
-}
-
-double
-FittedErrorModel::logSkipStep(int distance, int step_error) const
-{
-    if (std::abs(step_error) < 2)
-        return kNegInf;
-    // A skip (stall) event displaces the wall one whole pitch forward
-    // (backward). A |k|-step error requires |k| - 1 such events plus a
-    // +/-1 Gaussian excursion, or |k| events with a clean core; the
-    // first term dominates at our rates.
-    int events = std::abs(step_error) - 1;
-    double log_event = params_.log_skip_base +
-                       params_.skip_growth *
-                       static_cast<double>(distance - 1);
-    // Backward (stall) events are possible but rarer: reuse the
-    // Gaussian +/-1 asymmetry via the sign of the +/-1 excursion.
-    double lp = static_cast<double>(events) * log_event;
-    int excursion = step_error > 0 ? 1 : -1;
-    lp += logGaussStep(distance, excursion);
-    return lp;
-}
-
-double
-FittedErrorModel::logProbStep(int distance, int step_error) const
-{
-    if (step_error == 0)
-        rtm_panic("logProbStep: step_error must be non-zero");
-    if (distance <= 0)
-        return kNegInf;
-    if (std::abs(step_error) == 1)
-        return logGaussStep(distance, step_error);
-    return logSumExp(logGaussStep(distance, step_error),
-                     logSkipStep(distance, step_error));
-}
-
-void
-FittedErrorModel::logProbStepRange(int distance, int max_magnitude,
-                                   double *plus, double *minus) const
-{
-    if (max_magnitude <= 0)
-        return;
-    if (distance <= 0) {
-        for (int m = 0; m < max_magnitude; ++m)
-            plus[m] = minus[m] = kNegInf;
-        return;
-    }
-    const int kmax = max_magnitude;
-    const double w = params_.notch_half_width;
-    const double mu = meanAt(distance);
-    const double sigma = sigmaAt(distance);
-    // Bin boundary ladder: x_k = (k + w - mu) / sigma for
-    // k in [-kmax - 1, kmax]; logGaussStep(k) spans (x_{k-1}, x_k].
-    // Each interior boundary serves two adjacent bins, so the whole
-    // signed ladder costs 2 * kmax + 2 tail evaluations.
-    const size_t nb = 2 * static_cast<size_t>(kmax) + 2;
-    std::vector<double> x(nb), q(nb);
-    for (size_t i = 0; i < nb; ++i) {
-        double k = static_cast<double>(
-            static_cast<int>(i) - kmax - 1);
-        x[i] = (k + w - mu) / sigma;
-    }
-    logNormalTailBatch(x.data(), q.data(), nb);
-    auto gauss = [&](int k) {
-        // q index of boundary x_k is k + kmax + 1.
-        return logDiffExp(q[static_cast<size_t>(k + kmax)],
-                          q[static_cast<size_t>(k + kmax + 1)]);
-    };
-    const double log_event =
-        params_.log_skip_base +
-        params_.skip_growth * static_cast<double>(distance - 1);
-    for (int m = 1; m <= kmax; ++m) {
-        if (m == 1) {
-            plus[0] = gauss(1);
-            minus[0] = gauss(-1);
-            continue;
-        }
-        double events = static_cast<double>(m - 1);
-        plus[m - 1] = logSumExp(gauss(m),
-                                events * log_event + gauss(1));
-        minus[m - 1] = logSumExp(gauss(-m),
-                                 events * log_event + gauss(-1));
-    }
-}
-
-double
-FittedErrorModel::logProbStepRaw(int distance, int step_error) const
-{
-    // Pre-STS out-of-step: the deviation must land *inside* the
-    // wrong notch region (k - w, k + w], not merely past it.
-    if (distance <= 0 || step_error == 0)
-        return -std::numeric_limits<double>::infinity();
-    double w = params_.notch_half_width;
-    double mu = meanAt(distance);
-    double sigma = sigmaAt(distance);
-    double k = static_cast<double>(step_error);
-    double lo = (k - w - mu) / sigma;
-    double hi = (k + w - mu) / sigma;
-    double lp = logDiffExp(logNormalTail(lo), logNormalTail(hi));
-    if (std::abs(step_error) >= 2)
-        lp = logSumExp(lp, logSkipStep(distance, step_error));
-    return lp;
-}
-
-double
-FittedErrorModel::logProbStopInMiddle(int distance,
-                                      int interval_floor) const
-{
-    // Without STS, the wall rests wherever the stage-1 pulse leaves
-    // it. Deviation e in the flat interval (k + w, k + 1 - w) is a
-    // stop-in-middle between over-shift k and k+1.
-    if (distance <= 0)
-        return kNegInf;
-    double w = params_.notch_half_width;
-    double mu = meanAt(distance);
-    double sigma = sigmaAt(distance);
-    double k = static_cast<double>(interval_floor);
-    double lo = (k + w - mu) / sigma;
-    double hi = (k + 1.0 - w - mu) / sigma;
-    return logDiffExp(logNormalTail(lo), logNormalTail(hi));
+    return meanOf(params_, distance);
 }
 
 } // namespace rtm

@@ -69,30 +69,14 @@ forEachField(V &&v, S &...s)
 }
 
 /**
- * Closed-form error model with the parameters above.
+ * The closed-form error model with the parameters above, tabulated:
+ * the Gaussian core and the notch-skip tail evaluated once per
+ * distance.
  */
 class FittedErrorModel : public PositionErrorModel
 {
   public:
     explicit FittedErrorModel(FittedModelParams params = {});
-
-    double logProbStep(int distance, int step_error) const override;
-    double logProbStopInMiddle(int distance,
-                               int interval_floor) const override;
-    double logProbStepRaw(int distance,
-                          int step_error) const override;
-
-    /**
-     * Batched override: adjacent Gaussian bins share a boundary
-     * (hi of +k is lo of +(k+1)), so the whole +/-[1, M] ladder
-     * needs only 2M + 2 tail evaluations through
-     * logNormalTailBatch instead of ~6M scalar ones. Values are
-     * bit-identical to the scalar logProbStep.
-     */
-    void logProbStepRange(int distance, int max_magnitude,
-                          double *plus, double *minus) const override;
-
-    int maxStepError() const override { return 3; }
 
     /** Deviation std. dev. after an N-step pulse (pitches). */
     double sigmaAt(int distance) const;
@@ -104,12 +88,6 @@ class FittedErrorModel : public PositionErrorModel
 
   private:
     FittedModelParams params_;
-
-    /** Gaussian-core log-probability of a signed +/-k outcome. */
-    double logGaussStep(int distance, int step_error) const;
-
-    /** Notch-skip tail log-probability for |k| >= 2 outcomes. */
-    double logSkipStep(int distance, int step_error) const;
 };
 
 } // namespace rtm

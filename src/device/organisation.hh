@@ -19,6 +19,8 @@ constexpr int kL2Ways = 4;     //!< L2 associativity
 constexpr int kLlcWays = 16;   //!< LLC associativity
 
 constexpr int kSegLen = 8;         //!< Lseg: domains under one port
+/** Longest Lseg any program plans for (Figs. 12 and 15). */
+constexpr int kMaxSegLen = 64;
 constexpr int kPortsPerStripe = 8; //!< access ports per stripe
 /** Data domains per stripe: the line frames of one stripe group. */
 constexpr int kDomainsPerStripe = kPortsPerStripe * kSegLen;

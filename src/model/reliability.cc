@@ -68,18 +68,9 @@ ReliabilityModel::shiftOp(int distance) const
     }
 
     const int m = code_.radius;
-    // One batched ladder fetch covers every (sign, magnitude) the
-    // classification walk below needs; values are bit-identical to
-    // the per-call logProbStep evaluations this loop used to make.
-    std::vector<double> lp_plus(static_cast<size_t>(kmax)),
-        lp_minus(static_cast<size_t>(kmax));
-    if (kmax > 0)
-        model_->logProbStepRange(distance, kmax, lp_plus.data(),
-                                 lp_minus.data());
     for (int mag = 1; mag <= kmax; ++mag) {
         for (int sign : {+1, -1}) {
-            double lp = sign > 0 ? lp_plus[mag - 1]
-                                 : lp_minus[mag - 1];
+            double lp = model_->logProbStep(distance, sign * mag);
             if (lp == kNegInf)
                 continue;
             // The shift code's own classification of this error; for

@@ -38,10 +38,10 @@ double normalTail(double x);
 /**
  * Batched log Q(x): out[i] = logNormalTail(x[i]) for i in [0, n),
  * bit-identical to the scalar calls. The win is call-site shape, not
- * SIMD: consumers that need Q at a ladder of adjacent bin boundaries
- * (FittedErrorModel, the analytic SDC/DUE sums) evaluate each
+ * SIMD: a consumer that needs Q at a ladder of adjacent bin
+ * boundaries (FittedErrorModel's table builder) evaluates each
  * boundary once through this instead of twice through the scalar
- * entry point, halving the erfc work in the reliability hot path.
+ * entry point.
  */
 void logNormalTailBatch(const double *x, double *out, size_t n);
 

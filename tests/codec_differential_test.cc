@@ -46,36 +46,28 @@ constexpr double kNegInf =
 /**
  * Paper-calibrated rates, accelerated by a constant factor and capped
  * at |k| <= cap: the knob that puts a scenario inside or beyond a
- * scheme's correction radius.
+ * scheme's correction radius. A transform of the scaled paper table:
+ * outcomes beyond the cap and every stop-in-middle are impossible, and
+ * a shift without STS errs like one with it.
  */
-class CappedErrorModel : public PositionErrorModel
+std::shared_ptr<const PositionErrorModel>
+cappedModel(double factor, int cap)
 {
-  public:
-    CappedErrorModel(double factor, int cap)
-        : scaled_(std::make_shared<PaperCalibratedErrorModel>(),
-                  factor),
-          cap_(cap)
-    {
-    }
-
-    double logProbStep(int distance, int step_error) const override
-    {
-        if (std::abs(step_error) > cap_)
-            return kNegInf;
-        return scaled_.logProbStep(distance, step_error);
-    }
-
-    double logProbStopInMiddle(int, int) const override
-    {
-        return kNegInf;
-    }
-
-    int maxStepError() const override { return cap_; }
-
-  private:
-    ScaledErrorModel scaled_;
-    int cap_;
-};
+    const ScaledErrorModel scaled(
+        std::make_shared<PaperCalibratedErrorModel>(), factor);
+    return std::make_shared<PositionErrorModel>(
+        cap, [&](int d, double *step, double *raw, double *middle) {
+            for (int mag = 1; mag <= cap; ++mag) {
+                for (int i : {0, 1}) {
+                    const size_t at = 2 * static_cast<size_t>(mag - 1) + i;
+                    step[at] = raw[at] =
+                        scaled.logProbStep(d, i ? -mag : mag);
+                }
+            }
+            for (int i = 0; i < 2 * cap; ++i)
+                middle[i] = kNegInf;
+        });
+}
 
 /** The five scenario regimes, in a drill-sized parameterisation. */
 std::vector<ScenarioSpec>
@@ -235,7 +227,7 @@ TEST(Differential, WithinRadiusEverySchemeHasZeroSdc)
 {
     // Cap injections at +/-1: inside every scheme's radius. All three
     // schemes see each scenario timeline from the same seed.
-    auto base = std::make_shared<CappedErrorModel>(kAccel, 1);
+    auto base = cappedModel(kAccel, 1);
     for (const ScenarioSpec &scenario : allScenarios()) {
         SCOPED_TRACE(scenario.name);
 
@@ -270,7 +262,7 @@ TEST(Differential, WithinRadiusTwoStepErrorsNeedTheWiderCodes)
     // del-ins-k's. The wider codes must keep SDC at zero; SECDED must
     // at least never miscorrect silently *undetected* here (a +/-2
     // residue is detectable-uncorrectable for w=2).
-    auto base = std::make_shared<CappedErrorModel>(kAccel, 2);
+    auto base = cappedModel(kAccel, 2);
     for (const ScenarioSpec &scenario : allScenarios()) {
         SCOPED_TRACE(scenario.name);
 
@@ -292,7 +284,7 @@ TEST(Differential, BeyondRadiusIsDueNeverSilentForTheNewCodes)
     // flags a +/-3 residue detectable-uncorrectable, del-ins-k
     // exposes it via the sentinel run; neither may ever return wrong
     // data without the DUE flag.
-    auto base = std::make_shared<CappedErrorModel>(kAccel, 3);
+    auto base = cappedModel(kAccel, 3);
     for (const ScenarioSpec &scenario : allScenarios()) {
         SCOPED_TRACE(scenario.name);
 
@@ -312,7 +304,7 @@ TEST(Differential, SameSeedSameSchemeIsBitIdentical)
 {
     // The harness itself must be deterministic: identical seeds and
     // scenarios built from one spec reproduce identical counters.
-    auto base = std::make_shared<CappedErrorModel>(kAccel, 2);
+    auto base = cappedModel(kAccel, 2);
     const ScenarioSpec burst =
         allScenarios()[static_cast<size_t>(ScenarioKind::Burst)];
     auto a = makeScenario(burst, base);

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "control/fsm.hh"
+#include "fsm.hh"
 
 namespace rtm
 {

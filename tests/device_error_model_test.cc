@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <memory>
+#include <optional>
 
 #include "device/error_model.hh"
 #include "device/fault_scenario.hh"
@@ -59,7 +60,7 @@ TEST(PaperModel, ExtrapolationIsContinuousAtSeven)
 
 TEST(PaperModel, SignSplitMatchesPlusFraction)
 {
-    PaperCalibratedErrorModel m(0.8, 0.85);
+    PaperCalibratedErrorModel m;
     double plus = std::exp(m.logProbStep(1, +1));
     double minus = std::exp(m.logProbStep(1, -1));
     EXPECT_NEAR(plus / (plus + minus), 0.8, 1e-9);
@@ -83,14 +84,25 @@ TEST(PaperModel, AtLeastTwoIsTable2K2Plus)
 
 TEST(PaperModel, StopInMiddleOnlyBeforeSts)
 {
-    PaperCalibratedErrorModel m(0.8, 0.85);
+    PaperCalibratedErrorModel m;
     // Pre-STS mass in the (0, +1) interval feeds +1 errors.
     double mid = std::exp(m.logProbStopInMiddle(1, 0));
     EXPECT_NEAR(mid, 4.55e-5 * 0.8 * 0.85, 1e-9);
-    // With middle fraction zero the interval is empty.
-    PaperCalibratedErrorModel none(0.8, 0.0);
-    EXPECT_EQ(none.logProbStopInMiddle(1, 0),
-              -std::numeric_limits<double>::infinity());
+    // Before STS each +/-1 rate splits into the walls pinned in the
+    // wrong notch and the walls resting in the flat region that STS
+    // pushes into that notch: (0, +1) feeds +1, (-1, 0) feeds -1.
+    for (int d = 1; d <= kMaxShiftDistance; ++d) {
+        EXPECT_NEAR(std::exp(m.logProbStepRaw(d, +1)) +
+                        std::exp(m.logProbStopInMiddle(d, 0)),
+                    std::exp(m.logProbStep(d, +1)),
+                    1e-12 * std::exp(m.logProbStep(d, +1)))
+            << "d=" << d;
+        EXPECT_NEAR(std::exp(m.logProbStepRaw(d, -1)) +
+                        std::exp(m.logProbStopInMiddle(d, -1)),
+                    std::exp(m.logProbStep(d, -1)),
+                    1e-12 * std::exp(m.logProbStep(d, -1)))
+            << "d=" << d;
+    }
 }
 
 TEST(PaperModel, SamplingMatchesRates)
@@ -173,9 +185,9 @@ TEST(ScaledModelDeathTest, RefusesAnInfiniteFactor)
 }
 
 /**
- * The outcome walk sample() performed before outcome lists were
- * tabulated: one uniform draw, then a running sum of exp(log-prob)
- * over +/-1, +/-2, ... and, without STS, the stop-in-middle floors.
+ * The outcome walk a table's outcome lists encode, over the model's
+ * queries: one uniform draw, then a running sum of exp(log-prob) over
+ * +/-1, +/-2, ... and, without STS, the stop-in-middle floors.
  */
 ShiftOutcome
 referenceWalk(const PositionErrorModel &m, Rng &rng, int distance,
@@ -210,44 +222,80 @@ referenceWalk(const PositionErrorModel &m, Rng &rng, int distance,
     return out;
 }
 
-/** Forwards every rate to `inner` but samples by referenceWalk. */
-class ReferenceWalkModel : public PositionErrorModel
+/**
+ * The fault regimes re-stated over referenceWalk: each draw walks the
+ * table's queries of the base model or, under burst and skew, of the
+ * base scaled by the regime's multiplier, with its own ledger. Window
+ * phases come from a plain shift count modulo the period.
+ */
+class ReferenceWalkModel
 {
   public:
-    explicit ReferenceWalkModel(
-        std::shared_ptr<const PositionErrorModel> inner)
-        : inner_(std::move(inner))
+    ReferenceWalkModel(const ScenarioSpec &spec,
+                       std::shared_ptr<const PositionErrorModel> base)
+        : spec_(spec), base_(std::move(base))
     {
-    }
-    double logProbStep(int d, int k) const override
-    {
-        return inner_->logProbStep(d, k);
-    }
-    double logProbStopInMiddle(int d, int k) const override
-    {
-        return inner_->logProbStopInMiddle(d, k);
-    }
-    double logProbStepRaw(int d, int k) const override
-    {
-        return inner_->logProbStepRaw(d, k);
-    }
-    int maxStepError() const override
-    {
-        return inner_->maxStepError();
-    }
-    ShiftOutcome sample(Rng &rng, int d, bool sts) const override
-    {
-        return referenceWalk(*inner_, rng, d, sts);
+        if (spec.kind == ScenarioKind::Burst)
+            scaled_.emplace(base_, spec.burst_multiplier);
+        if (spec.kind == ScenarioKind::Skew)
+            scaled_.emplace(base_,
+                            skewFactorFor(spec.stripe_id, spec.skew_sigma));
     }
 
+    ShiftOutcome sample(Rng &rng, int d, bool sts)
+    {
+        const uint64_t n = shifts_++;
+        ShiftOutcome out;
+        switch (spec_.kind) {
+          case ScenarioKind::Iid:
+            out = referenceWalk(*base_, rng, d, sts);
+            break;
+          case ScenarioKind::Burst:
+            out = referenceWalk(n % spec_.burst_period < spec_.burst_len
+                                    ? *scaled_
+                                    : *base_,
+                                rng, d, sts);
+            break;
+          case ScenarioKind::StuckStripe:
+            if (n >= spec_.stuck_after &&
+                n - spec_.stuck_after < spec_.stuck_len)
+                out.step_error = -1;
+            else
+                out = referenceWalk(*base_, rng, d, sts);
+            break;
+          case ScenarioKind::Droop:
+            if (n % spec_.droop_period < spec_.droop_len &&
+                rng.bernoulli(spec_.droop_undershoot_prob))
+                out = {-1, !sts};
+            else
+                out = referenceWalk(*base_, rng, d, sts);
+            break;
+          case ScenarioKind::Skew:
+            out = referenceWalk(*scaled_, rng, d, sts);
+            break;
+        }
+        ++ledger.samples;
+        if (!out.ok()) {
+            ++ledger.injected;
+            ++(out.stop_in_middle ? ledger.stop_in_middle
+                                  : ledger.step_errors);
+        }
+        return out;
+    }
+
+    InjectionLedger ledger;
+
   private:
-    std::shared_ptr<const PositionErrorModel> inner_;
+    ScenarioSpec spec_;
+    std::shared_ptr<const PositionErrorModel> base_;
+    std::optional<ScaledErrorModel> scaled_;
+    uint64_t shifts_ = 0;
 };
 
 TEST(ErrorModel, TabulatedSampleMatchesReferenceWalk)
 {
-    // Distances past kTabulatedDistance take the on-the-fly list.
-    const int max_distance = ScaledErrorModel::kTabulatedDistance + 4;
+    // Every tabulated distance.
+    const int max_distance = kMaxShiftDistance;
     auto base = std::make_shared<PaperCalibratedErrorModel>();
     for (double factor : {1.0, 50.0, 2000.0, 1e6}) {
         ScaledErrorModel m(base, factor);
@@ -283,25 +331,21 @@ TEST(ErrorModel, TabulatedSampleMatchesReferenceWalk)
 TEST(ErrorModel, ScenarioLedgersMatchReferenceWalk)
 {
     // Every standard regime over the same timeline of shift
-    // requests, once on the tabulated model and once on a model
-    // sampling by the reference walk: identical outcomes, ledgers
-    // and rng streams. (The burst and skew wrappers rescale their
-    // base through a ScaledErrorModel on both sides; the test above
-    // pins that model's tables.)
-    const int max_distance = ScaledErrorModel::kTabulatedDistance + 4;
+    // requests, once as a FaultScenario and once re-stated over the
+    // reference walk: identical outcomes, ledgers and rng streams.
+    const int max_distance = kMaxShiftDistance;
     auto scaled = std::make_shared<ScaledErrorModel>(
         std::make_shared<PaperCalibratedErrorModel>(), 2000.0);
-    auto reference = std::make_shared<ReferenceWalkModel>(scaled);
     for (const ScenarioSpec &spec : standardScenarios()) {
         auto tab = makeScenario(spec, scaled);
-        auto ref = makeScenario(spec, reference);
+        ReferenceWalkModel ref(spec, scaled);
         Rng timeline(99), rng_tab(7), rng_ref(7);
         for (int i = 0; i < 20000; ++i) {
             const int d = 1 + static_cast<int>(timeline.uniformInt(
                                   static_cast<uint64_t>(max_distance)));
             const bool sts = timeline.bernoulli(0.75);
             ShiftOutcome a = tab->sample(rng_tab, d, sts);
-            ShiftOutcome b = ref->sample(rng_ref, d, sts);
+            ShiftOutcome b = ref.sample(rng_ref, d, sts);
             ASSERT_EQ(a.step_error, b.step_error)
                 << spec.name << " shift " << i;
             ASSERT_EQ(a.stop_in_middle, b.stop_in_middle)
@@ -309,13 +353,25 @@ TEST(ErrorModel, ScenarioLedgersMatchReferenceWalk)
         }
         EXPECT_EQ(rng_tab.next(), rng_ref.next()) << spec.name;
         const InjectionLedger &lt = tab->ledger();
-        const InjectionLedger &lr = ref->ledger();
+        const InjectionLedger &lr = ref.ledger;
         EXPECT_EQ(lt.samples, lr.samples) << spec.name;
         EXPECT_EQ(lt.injected, lr.injected) << spec.name;
         EXPECT_EQ(lt.step_errors, lr.step_errors) << spec.name;
         EXPECT_EQ(lt.stop_in_middle, lr.stop_in_middle) << spec.name;
         EXPECT_GT(lt.injected, 0u) << spec.name;
     }
+}
+
+TEST(ErrorModelDeathTest, QueriesBeyondTheTablePanic)
+{
+    PaperCalibratedErrorModel m;
+    Rng rng(1);
+    EXPECT_DEATH(m.logProbAtLeast(kMaxShiftDistance + 1, 1),
+                 "outside the error table");
+    EXPECT_DEATH(m.sample(rng, kMaxShiftDistance + 1, true),
+                 "outside the error table");
+    EXPECT_DEATH(m.logProbStep(1, m.maxStepError() + 1),
+                 "outside the error table");
 }
 
 TEST(ScriptedModel, PlaysScriptThenSucceeds)

@@ -99,8 +99,9 @@ class RandomFill
     {
         (*this)(key, f.value);
     }
-    /** A draw strictly inside a real range; an integer one (integer
-     *  ranges are bounded below only) from its lowest value up. */
+    /** A draw strictly inside a real range; an integer one anywhere
+     *  in its range, or from its lowest value up when it is bounded
+     *  below only. */
     template <class T>
     void operator()(const char *, InRange<T> f)
     {
@@ -110,9 +111,13 @@ class RandomFill
                                : f.hi.bound - f.lo.bound;
             f.value = f.lo.bound + unit() * span;
         } else {
+            const T lo = f.lo.bound + f.lo.open;
             const uint64_t span =
-                std::is_same_v<T, int> ? 1000 : uint64_t{1} << 53;
-            f.value = f.lo.bound + f.lo.open + static_cast<T>(pick(span));
+                f.hi.bound != f.kUnbounded
+                    ? static_cast<uint64_t>(f.hi.bound - f.hi.open - lo) + 1
+                : std::is_same_v<T, int> ? 1000
+                                         : uint64_t{1} << 53;
+            f.value = lo + static_cast<T>(pick(span));
         }
     }
     template <class F>

@@ -18,7 +18,8 @@
  * Tests cross-validate the FSM's emergent cycle counts against
  * StsTiming - the two must agree exactly, which pins down that the
  * architectural latency numbers used across the evaluation are
- * implementable by this datapath.
+ * implementable by this datapath. No program runs the FSM, so it is
+ * built only into control_fsm_test.
  */
 
 #ifndef RTM_CONTROL_FSM_HH

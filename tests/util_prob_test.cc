@@ -125,7 +125,7 @@ TEST(Fit, RoundTripAndPaperAnchor)
 TEST(LogNormalTailBatch, MatchesScalarBitwise)
 {
     // The batched Gaussian tail is the exact-tier dependency of the
-    // fitted model's logProbStepRange: every element must be
+    // fitted model's table builder: every element must be
     // bit-identical to the scalar evaluation.
     std::vector<double> xs;
     for (int i = -80; i <= 80; ++i)

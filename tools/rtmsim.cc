@@ -664,10 +664,10 @@ cmdPlan(int argc, char **argv)
     int lseg = flags.getInt("lseg", kSegLen);
     double intensity =
         flags.getDouble("intensity", kPeakLlcOpsPerSecond);
-    // 64 is the longest segment any figure plans for (Fig. 12); the
-    // planner's fronts grow superlinearly beyond it.
-    if (lseg < 2 || lseg > 64) {
-        std::fprintf(stderr, "--lseg must be in [2, 64]\n");
+    // kMaxSegLen is the longest segment any figure plans for
+    // (Fig. 12); the planner's fronts grow superlinearly beyond it.
+    if (lseg < 2 || lseg > kMaxSegLen) {
+        std::fprintf(stderr, "--lseg must be in [2, %d]\n", kMaxSegLen);
         return 2;
     }
     if (!(intensity > 0.0)) {

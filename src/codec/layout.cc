@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "codec/del_ins.hh"
+#include "device/error_model.hh"
 #include "util/logging.hh"
 
 namespace rtm
@@ -107,6 +108,19 @@ protectionGeometryError(const PeccConfig &config, int frames_per_group)
             return "del-ins code (L=" + lseg + ", k=" + m +
                    ") leaves no data bits";
     }
+    // Every shift the stripe makes, and every distance its planner
+    // prices, must lie in the error table. Seeks span up to Lseg - 1
+    // steps on any variant; a del-ins readout returns home over its
+    // N - 1 = Lseg + 2k + 1 reads plus a decoded offset of up to k
+    // (DelInsCode::readoutReads()).
+    const int longest = config.variant == PeccVariant::DelIns
+                            ? config.seg_len + 3 * config.correct + 1
+                            : config.seg_len - 1;
+    if (longest > kMaxShiftDistance)
+        return "shifts of up to " + std::to_string(longest) +
+               " steps (Lseg=" + lseg + ", m=" + m +
+               ") exceed the error table's " +
+               std::to_string(kMaxShiftDistance);
     const int f = config.codeword_frames;
     if (f < 1 || f > 8 || (f & (f - 1)) != 0)
         return "codeword_frames must be 1, 2, 4 or 8 (got " +

@@ -134,6 +134,9 @@ forEachField(V &&v, S &...s)
     v("skew_sigma", InRange{s.skew_sigma, 0.0, 82.0}...);
 }
 
+/** Deterministic log-normal skew factor for a stripe id. */
+double skewFactorFor(uint64_t stripe_id, double sigma);
+
 /** Ground-truth count of what a scenario injected. */
 struct InjectionLedger
 {
@@ -217,6 +220,15 @@ class PositionErrorModel
     {
     }
 
+    /** *base; a fatal error naming `who` when base is null. */
+    static const PositionErrorModel &
+    nonNullBase(const std::shared_ptr<const PositionErrorModel> &base,
+                const char *who);
+
+    /** Bend sample() into the regime `spec` names; fatal on a spec
+     *  the regime cannot run, or when a regime is already set. */
+    void setRegime(const ScenarioSpec &spec);
+
     /** `model`'s table with every outcome probability multiplied by
      *  `factor` and capped at 1/2; the sums and outcome lists are
      *  re-derived from the scaled values. */
@@ -230,11 +242,6 @@ class PositionErrorModel
     mutable size_t script_pos_ = 0;
     mutable std::optional<Regime> regime_;
 };
-
-/** *base; a fatal error naming `who` when base is null. */
-const PositionErrorModel &
-nonNullBase(const std::shared_ptr<const PositionErrorModel> &base,
-            const char *who);
 
 /**
  * Paper-calibrated model: Table 2 rates for distances 1..7, power-law

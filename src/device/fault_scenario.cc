@@ -1,52 +1,14 @@
 #include "fault_scenario.hh"
 
-#include <cmath>
-
-#include "util/logging.hh"
-
 namespace rtm
 {
-
-double
-skewFactorFor(uint64_t stripe_id, double sigma)
-{
-    // One deterministic Gaussian per stripe id: the id seeds a
-    // private stream, so the factor is stable across runs and
-    // independent of any other sampling.
-    Rng rng(0x5eedc0de ^ (stripe_id * 0x9e3779b97f4a7c15ULL));
-    return std::exp(sigma * rng.gaussian());
-}
 
 FaultScenario::FaultScenario(
     const ScenarioSpec &spec,
     const std::shared_ptr<const PositionErrorModel> &base)
     : PositionErrorModel(nonNullBase(base, "fault scenario"))
 {
-    if (regime_)
-        rtm_fatal("fault scenario: the base model already has a regime");
-    Regime &r = regime_.emplace();
-    r.spec = spec;
-    switch (spec.kind) {
-      case ScenarioKind::Iid:
-      case ScenarioKind::StuckStripe:
-        break;
-      case ScenarioKind::Burst:
-        if (spec.burst_period == 0 || spec.burst_len > spec.burst_period)
-            rtm_fatal("burst scenario needs 0 < burst_len <= period");
-        r.scaled = scaledTable(*this, spec.burst_multiplier);
-        break;
-      case ScenarioKind::Droop:
-        if (spec.droop_period == 0 || spec.droop_len > spec.droop_period)
-            rtm_fatal("droop scenario needs 0 < droop_len <= period");
-        if (spec.droop_undershoot_prob < 0.0 ||
-            spec.droop_undershoot_prob > 1.0)
-            rtm_fatal("droop undershoot probability must be in [0,1]");
-        break;
-      case ScenarioKind::Skew:
-        r.scaled = scaledTable(
-            *this, skewFactorFor(spec.stripe_id, spec.skew_sigma));
-        break;
-    }
+    setRegime(spec);
 }
 
 std::unique_ptr<FaultScenario>

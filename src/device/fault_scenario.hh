@@ -34,8 +34,10 @@
  *
  * Adding a regime takes one ScenarioKind row (with its token), its
  * parameters as ScenarioSpec fields with one forEachField entry
- * each (device/error_model.hh), and one case in
- * PositionErrorModel::sample().
+ * each (device/error_model.hh), and one case in each of
+ * PositionErrorModel::setRegime(), which checks the spec and builds
+ * any scaled table, and PositionErrorModel::sample(), both in
+ * device/error_model.cc.
  */
 
 #ifndef RTM_DEVICE_FAULT_SCENARIO_HH
@@ -48,9 +50,6 @@
 
 namespace rtm
 {
-
-/** Deterministic log-normal skew factor for a stripe id. */
-double skewFactorFor(uint64_t stripe_id, double sigma);
 
 /**
  * A PositionErrorModel whose sampled outcomes follow the regime of a

@@ -287,7 +287,7 @@ finishRead(SpecReader &r, ExperimentSpec &spec)
             protectionGeometryError(peccConfigFor(scheme, 2, s.lseg), 0);
         if (!err.empty())
             r.fail("stress.lseg",
-                   "too short for scheme '" + s.scheme + "': " + err);
+                   "does not fit scheme '" + s.scheme + "': " + err);
     }
     const McSpec &mc = spec.montecarlo;
     McTier tier;

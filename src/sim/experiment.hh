@@ -205,9 +205,7 @@ forEachField(V &&v, S &...s)
     v("scheme", s.scheme...);
     v("scale", InRange{s.scale, Exclusive{0.0}}...);
     v("ops", s.ops...);
-    // The del-ins-k readout's return shift spans 2 * lseg - 1 steps,
-    // which must fit the error table (kMaxShiftDistance).
-    v("lseg", InRange{s.lseg, 2, kMaxSegLen / 2}...);
+    v("lseg", s.lseg...);
     v("seed", s.seed...);
 }
 

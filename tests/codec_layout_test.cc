@@ -157,6 +157,36 @@ TEST(Layout, GeometryErrorDiagnosesBadCodewordFrames)
     EXPECT_EQ(protectionGeometryError(straddle, 0), "");
 }
 
+// Every shift a stripe makes must lie in the error table: seeks of up
+// to Lseg - 1 steps on any variant, and a del-ins readout's return
+// shift of Lseg + 3k + 1.
+TEST(Layout, GeometryErrorKeepsShiftsInsideTheErrorTable)
+{
+    for (PeccVariant v : {PeccVariant::None, PeccVariant::Standard,
+                          PeccVariant::OverheadRegion}) {
+        EXPECT_EQ(protectionGeometryError(cfg(2, kMaxSegLen, 1, v), 0), "")
+            << static_cast<int>(v);
+        EXPECT_NE(protectionGeometryError(cfg(2, kMaxSegLen + 1, 1, v), 0)
+                      .find("exceed the error table"),
+                  std::string::npos)
+            << static_cast<int>(v);
+    }
+    for (int k : {1, 2, 3}) {
+        const int lseg = kMaxShiftDistance - 3 * k - 1;
+        EXPECT_EQ(protectionGeometryError(
+                      cfg(2, lseg, k, PeccVariant::DelIns), 0),
+                  "")
+            << "k " << k;
+        EXPECT_EQ(protectionGeometryError(
+                      cfg(2, lseg + 1, k, PeccVariant::DelIns), 0),
+                  "shifts of up to 64 steps (Lseg=" +
+                      std::to_string(lseg + 1) + ", m=" +
+                      std::to_string(k) +
+                      ") exceed the error table's 63")
+            << "k " << k;
+    }
+}
+
 TEST(Layout, BaselineHasNoProtectionCosts)
 {
     PeccLayout lay = computeLayout(cfg(8, 8, 1, PeccVariant::None));

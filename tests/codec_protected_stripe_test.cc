@@ -453,5 +453,33 @@ TEST(ProtectedStripe, PackedWindowReadMatchesPortReadsOnRandomTapes)
     EXPECT_GT(readable, 0);
 }
 
+// At the longest del-ins track the layout admits, a k-step burst on
+// the readout makes the return home exactly kMaxShiftDistance long
+// (N - 1 = Lseg + 2k + 1 reads plus the decoded offset k), and it
+// draws from the error table without leaving it.
+TEST(ProtectedStripe, LongestDelInsReturnShiftFitsTheErrorTable)
+{
+    const int k = 2;
+    const int lseg = kMaxShiftDistance - 3 * k - 1;
+    const PeccConfig c = cfg(2, lseg, k, PeccVariant::DelIns);
+    ASSERT_EQ(protectionGeometryError(c, 0), "");
+    for (int burst : {k, -k}) {
+        // The first read shift strays by `burst`; every later shift,
+        // the return home included, draws from the table.
+        ScriptedErrorModel model({{burst, false}});
+        ProtectedStripe ps(c, &model, Rng(3));
+        ps.initializeIdeal();
+        const std::vector<Bit> payload =
+            patternData(ps.delInsCode()->payloadBits());
+        ps.loadPayload(payload);
+        std::vector<Bit> got;
+        const ProtectedShiftResult res = ps.readoutNow(&got);
+        EXPECT_TRUE(res.corrected) << burst;
+        EXPECT_EQ(res.inferred_error, burst);
+        EXPECT_EQ(ps.positionError(), 0) << burst;
+        EXPECT_EQ(got, payload) << burst;
+    }
+}
+
 } // namespace
 } // namespace rtm

@@ -99,9 +99,8 @@ class RandomFill
     {
         (*this)(key, f.value);
     }
-    /** A draw strictly inside a real range; an integer one anywhere
-     *  in its range, or from its lowest value up when it is bounded
-     *  below only. */
+    /** A draw strictly inside a real range; an integer one (integer
+     *  ranges are bounded below only) from its lowest value up. */
     template <class T>
     void operator()(const char *, InRange<T> f)
     {
@@ -111,13 +110,9 @@ class RandomFill
                                : f.hi.bound - f.lo.bound;
             f.value = f.lo.bound + unit() * span;
         } else {
-            const T lo = f.lo.bound + f.lo.open;
             const uint64_t span =
-                f.hi.bound != f.kUnbounded
-                    ? static_cast<uint64_t>(f.hi.bound - f.hi.open - lo) + 1
-                : std::is_same_v<T, int> ? 1000
-                                         : uint64_t{1} << 53;
-            f.value = lo + static_cast<T>(pick(span));
+                std::is_same_v<T, int> ? 1000 : uint64_t{1} << 53;
+            f.value = f.lo.bound + f.lo.open + static_cast<T>(pick(span));
         }
     }
     template <class F>
@@ -216,7 +211,7 @@ TEST(FieldLists, RandomSpecsRoundTrip)
         // And the rules across fields a spec refuses because a
         // worker would abort on them: a scenario longer than its
         // period, a campaign stripe the layout rejects, a stress
-        // stripe too short for its scheme.
+        // stripe that does not fit its scheme.
         for (ScenarioSpec &s : spec.campaign.scenarios) {
             s.burst_len = std::min(s.burst_len, s.burst_period);
             s.droop_len = std::min(s.droop_len, s.droop_period);
@@ -226,6 +221,8 @@ TEST(FieldLists, RandomSpecsRoundTrip)
             pecc.correct = 1;
         if (!protectionGeometryError(pecc, 0).empty())
             pecc.variant = PeccVariant::Standard;
+        if (!protectionGeometryError(pecc, 0).empty())
+            pecc.seg_len = kSegLen;
         Scheme stress;
         ASSERT_TRUE(enumFromToken(spec.stress.scheme, &stress));
         if (!protectionGeometryError(

@@ -399,13 +399,13 @@ TEST(ExperimentSpec, MalformedSpecsProduceActionableDiagnostics)
         << diag;
     diag = parseSpecDiag(
         "{\"stress\": {\"scheme\": \"del-ins-k\", \"lseg\": 3}}");
-    EXPECT_NE(diag.find("stress.lseg: too short for scheme 'del-ins-k': "
+    EXPECT_NE(diag.find("stress.lseg: does not fit scheme 'del-ins-k': "
                         "del-ins code (L=3, k=2) leaves no data bits"),
               std::string::npos)
         << diag;
     diag = parseSpecDiag(
         "{\"stress\": {\"scheme\": \"lm-pos\", \"lseg\": 2}}");
-    EXPECT_NE(diag.find("stress.lseg: too short for scheme 'lm-pos'"),
+    EXPECT_NE(diag.find("stress.lseg: does not fit scheme 'lm-pos'"),
               std::string::npos)
         << diag;
     diag = parseSpecDiag("{\"montecarlo\": {\"fit_trials\": 1}}");

@@ -121,6 +121,8 @@ class Cache
     const CacheStats &stats() const { return stats_; }
 
     uint64_t sets() const { return sets_; }
+    /** Address bits below the tag: log2(line bytes * sets). */
+    int tagShift() const { return tag_shift_; }
     int ways() const { return ways_; }
     int lineBytes() const { return line_bytes_; }
     uint64_t capacityBytes() const { return capacity_; }

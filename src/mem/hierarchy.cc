@@ -39,28 +39,101 @@ hierarchyGeometryError(const HierarchyConfig &config)
     return "";
 }
 
-Hierarchy::Hierarchy(const HierarchyConfig &config,
-                     const PositionErrorModel *model)
-    : config_(config), l1_params_(l1Params()), l2_params_(l2Params()),
-      l3_params_(l3For(config.llc_tech)), dram_(dramParams())
+namespace
 {
-    const std::string err = hierarchyGeometryError(config_);
+
+/** `config`, after refusing it if it cannot be built. */
+const HierarchyConfig &
+checkedGeometry(const HierarchyConfig &config)
+{
+    const std::string err = hierarchyGeometryError(config);
     if (!err.empty())
         rtm_fatal("%s", err.c_str());
-    l1_params_.capacity_bytes /= config_.capacity_divisor;
-    l2_params_.capacity_bytes /= config_.capacity_divisor;
-    l3_params_.capacity_bytes /= config_.capacity_divisor;
-    for (int c = 0; c < config_.cores; ++c) {
-        l1_.push_back(std::make_unique<Cache>(
-            l1_params_.capacity_bytes, kL1Ways));
-    }
-    int clusters = (config_.cores + 1) / 2;
-    for (int cl = 0; cl < clusters; ++cl) {
-        l2_.push_back(std::make_unique<Cache>(
-            l2_params_.capacity_bytes, kL2Ways));
-    }
-    l3_ = std::make_unique<Cache>(l3_params_.capacity_bytes, kLlcWays);
+    return config;
+}
 
+/** `params` with its capacity divided by `divisor`. */
+TechParams
+dividedParams(TechParams params, uint64_t divisor)
+{
+    params.capacity_bytes /= divisor;
+    return params;
+}
+
+/** Add one level's hit/miss/writeback counters to `sink`. */
+void
+exportLevel(Telemetry &sink, const char *name, const CacheStats &s)
+{
+    std::string prefix = std::string("mem.") + name + ".";
+    sink.counter(prefix + "accesses").add(s.accesses());
+    sink.counter(prefix + "hits").add(s.accesses() - s.misses());
+    sink.counter(prefix + "misses").add(s.misses());
+    sink.counter(prefix + "writebacks").add(s.writebacks);
+}
+
+/** The counters of `caches` summed. */
+CacheStats
+sumStats(const std::vector<Cache> &caches)
+{
+    CacheStats sum;
+    for (const Cache &c : caches) {
+        const CacheStats &s = c.stats();
+        sum.reads += s.reads;
+        sum.writes += s.writes;
+        sum.read_misses += s.read_misses;
+        sum.write_misses += s.write_misses;
+        sum.writebacks += s.writebacks;
+    }
+    return sum;
+}
+
+} // anonymous namespace
+
+// --- front end -------------------------------------------------------
+
+FrontEnd::FrontEnd(const HierarchyConfig &config)
+    : cores_(checkedGeometry(config).cores)
+{
+    const uint64_t d = config.capacity_divisor;
+    for (int c = 0; c < cores_; ++c)
+        l1_.emplace_back(l1Params().capacity_bytes / d, kL1Ways);
+    for (int cl = 0; cl < (cores_ + 1) / 2; ++cl)
+        l2_.emplace_back(l2Params().capacity_bytes / d, kL2Ways);
+}
+
+const Cache &
+FrontEnd::l1(int core) const
+{
+    if (core < 0 || core >= cores_)
+        rtm_panic("core %d out of range", core);
+    return l1_[static_cast<size_t>(core)];
+}
+
+const Cache &
+FrontEnd::l2(int cluster) const
+{
+    if (cluster < 0 || cluster >= static_cast<int>(l2_.size()))
+        rtm_panic("cluster %d out of range", cluster);
+    return l2_[static_cast<size_t>(cluster)];
+}
+
+void
+FrontEnd::exportTelemetry(Telemetry &sink) const
+{
+    exportLevel(sink, "l1", sumStats(l1_));
+    exportLevel(sink, "l2", sumStats(l2_));
+}
+
+// --- back end --------------------------------------------------------
+
+BackEnd::BackEnd(const HierarchyConfig &config,
+                 const PositionErrorModel *model)
+    : config_(checkedGeometry(config)), l1_params_(l1Params()),
+      l2_params_(l2Params()),
+      l3_params_(dividedParams(l3For(config.llc_tech),
+                               config.capacity_divisor)),
+      dram_(dramParams()), l3_(l3_params_.capacity_bytes, kLlcWays)
+{
     if (config_.llc_tech == MemTech::Racetrack ||
         config_.llc_tech == MemTech::RacetrackIdeal) {
         if (!model)
@@ -82,108 +155,31 @@ Hierarchy::Hierarchy(const HierarchyConfig &config,
     }
 }
 
-const Cache &
-Hierarchy::l1(int core) const
-{
-    if (core < 0 || core >= config_.cores)
-        rtm_panic("core %d out of range", core);
-    return *l1_[static_cast<size_t>(core)];
-}
-
-const Cache &
-Hierarchy::l2(int cluster) const
-{
-    if (cluster < 0 ||
-        cluster >= static_cast<int>(l2_.size()))
-        rtm_panic("cluster %d out of range", cluster);
-    return *l2_[static_cast<size_t>(cluster)];
-}
-
 void
-Hierarchy::exportTelemetry(Telemetry &sink) const
+BackEnd::exportTelemetry(Telemetry &sink) const
 {
-    auto level = [&sink](const char *name, const CacheStats &s) {
-        std::string prefix = std::string("mem.") + name + ".";
-        sink.counter(prefix + "accesses").add(s.accesses());
-        sink.counter(prefix + "hits").add(s.accesses() - s.misses());
-        sink.counter(prefix + "misses").add(s.misses());
-        sink.counter(prefix + "writebacks").add(s.writebacks);
-    };
-    CacheStats l1_sum;
-    for (const auto &c : l1_) {
-        const CacheStats &s = c->stats();
-        l1_sum.reads += s.reads;
-        l1_sum.writes += s.writes;
-        l1_sum.read_misses += s.read_misses;
-        l1_sum.write_misses += s.write_misses;
-        l1_sum.writebacks += s.writebacks;
-    }
-    CacheStats l2_sum;
-    for (const auto &c : l2_) {
-        const CacheStats &s = c->stats();
-        l2_sum.reads += s.reads;
-        l2_sum.writes += s.writes;
-        l2_sum.read_misses += s.read_misses;
-        l2_sum.write_misses += s.write_misses;
-        l2_sum.writebacks += s.writebacks;
-    }
-    level("l1", l1_sum);
-    level("l2", l2_sum);
-    level("l3", l3_->stats());
+    exportLevel(sink, "l3", l3_.stats());
     sink.counter("mem.dram.accesses").add(dram_accesses_);
     sink.gauge("mem.dram.energy_joules").set(dram_energy_);
 }
 
 double
-Hierarchy::totalLeakageWatts() const
+BackEnd::totalLeakageWatts() const
 {
     double watts = l1_params_.leakage_watts *
                    static_cast<double>(config_.cores);
     watts += l2_params_.leakage_watts *
-             static_cast<double>(l2_.size());
+             static_cast<double>((config_.cores + 1) / 2);
     watts += l3_params_.leakage_watts;
     return watts;
 }
 
-HierarchyAccess
-Hierarchy::access(int core, Addr addr, bool is_write, Cycles now)
+void
+BackEnd::serveLlc(HierarchyAccess &out, uint8_t bits, Addr addr,
+                  bool is_write, Addr l2_victim, Cycles now)
 {
-    if (core < 0 || core >= config_.cores)
-        rtm_panic("core %d out of range", core);
-    HierarchyAccess out;
-
-    // --- L1 -----------------------------------------------------------
-    Cache &l1c = *l1_[static_cast<size_t>(core)];
-    CacheAccessResult r1 = l1c.access(addr, is_write);
-    out.latency += is_write ? l1_params_.write_latency
-                            : l1_params_.read_latency;
-    out.energy += is_write ? l1_params_.write_energy
-                           : l1_params_.read_energy;
-    if (r1.hit) {
-        out.l1_hit = true;
-        return out;
-    }
-    // A dirty L1 victim writes through to L2 (energy only; the write
-    // happens off the critical path).
-    Cache &l2c = *l2_[static_cast<size_t>(core / 2)];
-    if (r1.writeback) {
-        l2c.access(r1.victim_addr, true);
-        out.energy += l2_params_.write_energy;
-    }
-
-    // --- L2 -----------------------------------------------------------
-    CacheAccessResult r2 = l2c.access(addr, is_write);
-    out.latency += is_write ? l2_params_.write_latency
-                            : l2_params_.read_latency;
-    out.energy += is_write ? l2_params_.write_energy
-                           : l2_params_.read_energy;
-    if (r2.hit) {
-        out.l2_hit = true;
-        return out;
-    }
-
     // --- L3 -----------------------------------------------------------
-    CacheAccessResult r3 = l3_->access(addr, is_write);
+    CacheAccessResult r3 = l3_.access(addr, is_write);
     out.latency += is_write ? l3_params_.write_latency
                             : l3_params_.read_latency;
     out.energy += is_write ? l3_params_.write_energy
@@ -209,10 +205,10 @@ Hierarchy::access(int core, Addr addr, bool is_write, Cycles now)
         }
         // RacetrackIdeal: shifts tracked but free (Fig. 16 "ideal").
     }
-    if (r2.writeback) {
+    if (bits & kL2Writeback) {
         // L2 victim installs into L3 (off critical path, energy
         // plus a racetrack shift for its frame if applicable).
-        CacheAccessResult wb = l3_->access(r2.victim_addr, true);
+        CacheAccessResult wb = l3_.access(l2_victim, true);
         out.energy += l3_params_.write_energy;
         if (rm_bank_) {
             ShiftCost shift =
@@ -236,7 +232,7 @@ Hierarchy::access(int core, Addr addr, bool is_write, Cycles now)
     }
     if (r3.hit) {
         out.l3_hit = true;
-        return out;
+        return;
     }
 
     // --- DRAM ---------------------------------------------------------
@@ -250,7 +246,14 @@ Hierarchy::access(int core, Addr addr, bool is_write, Cycles now)
         dram_energy_ += dram_.access_energy;
         out.energy += dram_.access_energy;
     }
-    return out;
+}
+
+// --- whole hierarchy -------------------------------------------------
+
+Hierarchy::Hierarchy(const HierarchyConfig &config,
+                     const PositionErrorModel *model)
+    : front_(config), back_(config, model)
+{
 }
 
 } // namespace rtm

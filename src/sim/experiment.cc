@@ -5,8 +5,10 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "codec/protected_stripe.hh"
 #include "model/reliability.hh"
@@ -345,6 +347,8 @@ struct Cell
     std::function<void(TelemetryScope, StopFlag *)> body;
     std::function<JsonValue()> save;
     std::function<bool(const JsonValue &)> load;
+    /** Called once the cell's last attempt has ended (may be null). */
+    std::function<void()> done;
     bool replayed = false; //!< load()ed from the resume journal
 };
 
@@ -452,6 +456,8 @@ runCells(std::vector<Cell> &cells, TelemetryScope root,
         }
         out.attempts = attempt;
         out.wall_ms = (monotonicSeconds() - t0) * 1e3;
+        if (cell.done)
+            cell.done();
         if (out.status == CellStatus::Ok && journal) {
             JournalRecord rec;
             rec.index = index;
@@ -1034,9 +1040,11 @@ runExperiment(const ExperimentSpec &spec_in,
     normalizeExperimentSpec(&res.spec);
     const ExperimentSpec &spec = res.spec;
 
-    PaperCalibratedErrorModel default_model;
-    const PositionErrorModel *matrix_model =
-        model ? model : &default_model;
+    // The paper model is built only for a matrix that needs it.
+    std::optional<PaperCalibratedErrorModel> default_model;
+    const PositionErrorModel *matrix_model = model;
+    if (!matrix_model && spec.matrix.enabled)
+        matrix_model = &default_model.emplace();
 
     // Pre-size every result slot; cells write into them in place.
     res.has_matrix = spec.matrix.enabled;
@@ -1057,6 +1065,9 @@ runExperiment(const ExperimentSpec &spec_in,
                 loadTraceFileChecked(path, HierarchyConfig{}.cores));
         }
     }
+    // One front-end log per matrix row with two or more cells to run
+    // (set after the resume step); a lone cell simulates on its own.
+    std::vector<std::unique_ptr<FrontEndLog>> row_logs(res.matrix.size());
     // Campaign cells may ask for a larger per-shard event ring.
     size_t ring_capacity = Telemetry::kDefaultRingCapacity;
     if (res.has_campaign) {
@@ -1102,9 +1113,13 @@ runExperiment(const ExperimentSpec &spec_in,
             if (!trace)
                 profile = scaledProfile(parsecProfile(c.workload),
                                         spec.matrix.divisor);
+            const std::unique_ptr<FrontEndLog> *log = &row_logs[row];
+            // The row log frees what every cell has read, so only a
+            // cell's first run reads it; a rerun simulates on its own.
+            auto first_run = std::make_shared<bool>(true);
             bind(slot, [cfg = matrixCellConfig(spec, c.option), profile,
-                        trace,
-                        matrix_model](TelemetryScope t, StopFlag *stop) {
+                        trace, matrix_model, log,
+                        first_run](TelemetryScope t, StopFlag *stop) {
                 SimConfig run = cfg;
                 run.telemetry = t;
                 run.stop = stop;
@@ -1113,10 +1128,12 @@ runExperiment(const ExperimentSpec &spec_in,
                 if (trace && (!trace->ok() || trace->requests.empty()))
                     throw std::runtime_error(profile.name +
                                              ": not a valid trace file");
+                FrontEndLog *row_log =
+                    std::exchange(*first_run, false) ? log->get() : nullptr;
                 SimResult r =
                     trace ? simulateTrace(profile.name, trace->requests,
-                                          run, matrix_model)
-                          : simulate(profile, run, matrix_model);
+                                          run, matrix_model, row_log)
+                          : simulate(profile, run, matrix_model, row_log);
                 if (t)
                     t->counter("runner.cells").add();
                 return r;
@@ -1130,6 +1147,10 @@ runExperiment(const ExperimentSpec &spec_in,
             };
             cell.load = [slot, sha256](const JsonValue &doc) {
                 return simResultFromJson(doc, slot, sha256);
+            };
+            cell.done = [log] {
+                if (*log)
+                    (*log)->release();
             };
             break;
           }
@@ -1177,6 +1198,21 @@ runExperiment(const ExperimentSpec &spec_in,
             cells[index].replayed = true;
             replayed.push_back(std::move(record));
         }
+    }
+
+    // A row's cells serve one request stream through one L1/L2, so
+    // the cells left to run share that front end's outcomes.
+    if (res.has_matrix) {
+        std::vector<size_t> running(row_logs.size(), 0);
+        for (size_t i = 0; i < expanded.size(); ++i)
+            if (expanded[i].kind == ExperimentCell::Kind::Matrix &&
+                !cells[i].replayed)
+                ++running[expanded[i].local_index / options];
+        for (size_t row = 0; row < row_logs.size(); ++row)
+            if (running[row] > 1)
+                row_logs[row] = std::make_unique<FrontEndLog>(
+                    matrixCellConfig(spec, spec.matrix.options[0]),
+                    running[row]);
     }
 
     // Checkpoint stream. Resuming into the same file appends after

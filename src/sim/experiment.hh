@@ -559,6 +559,11 @@ std::string runJournalError(const ExperimentSpec &spec,
  * reproducing the bit-identical merge), and control.cancel plus the
  * resilience deadlines stop the run cooperatively.
  *
+ * The matrix cells of one row share the row's L1/L2 outcomes
+ * (FrontEndLog, sim/system.hh) while two or more of them are left to
+ * run; their results equal standalone simulate() runs of the
+ * cells.
+ *
  * @param model position-error model for matrix cells; null uses the
  *              paper-calibrated model. Campaign/stress cells build
  *              their own scaled models per cell, as always.

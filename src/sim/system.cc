@@ -1,6 +1,7 @@
 #include "system.hh"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "util/logging.hh"
 
@@ -25,6 +26,125 @@ SimResult::shiftsPerAccess() const
            static_cast<double>(llc_accesses);
 }
 
+// --- front-end log ---------------------------------------------------
+
+namespace
+{
+
+uint64_t
+ceilDiv(uint64_t a, uint64_t b)
+{
+    return (a + b - 1) / b;
+}
+
+} // anonymous namespace
+
+FrontEndLog::FrontEndLog(const SimConfig &config, size_t consumers)
+    : geometry_(config.hierarchy), seed_(config.seed),
+      warmup_(config.warmup_requests), requests_(config.mem_requests),
+      consumers_(consumers),
+      warmup_chunks_(ceilDiv(warmup_, kChunkRequests)),
+      chunks_total_(warmup_chunks_ + ceilDiv(requests_, kChunkRequests))
+{
+}
+
+bool
+FrontEndLog::fits(const SimConfig &config) const
+{
+    return config.hierarchy.cores == geometry_.cores &&
+           config.hierarchy.capacity_divisor ==
+               geometry_.capacity_divisor &&
+           config.seed == seed_ && config.warmup_requests == warmup_ &&
+           config.mem_requests == requests_;
+}
+
+size_t
+FrontEndLog::chunkSize(size_t k) const
+{
+    const bool warm = k < warmup_chunks_;
+    const uint64_t phase = warm ? warmup_ : requests_;
+    const uint64_t first =
+        (warm ? k : k - warmup_chunks_) * kChunkRequests;
+    return static_cast<size_t>(std::min(kChunkRequests, phase - first));
+}
+
+bool
+FrontEndLog::claim(size_t k)
+{
+    if (shared()) {
+        if (k < built_.load(std::memory_order_acquire))
+            return false;
+        std::unique_lock<std::mutex> lock(mutex_);
+        while (building_ && k >= built_.load(std::memory_order_relaxed))
+            published_cv_.wait(lock);
+        if (k < built_.load(std::memory_order_relaxed))
+            return false;
+        // Consumers read chunks in order, so the first unbuilt chunk
+        // is the one this consumer needs.
+        if (k != built_.load(std::memory_order_relaxed))
+            rtm_panic("front-end log: chunk %zu read before chunk %zu",
+                      k, built_.load(std::memory_order_relaxed));
+        building_ = true;
+    }
+    // The first claim makes the L1/L2 and the chunk slots, before any
+    // chunk is published.
+    if (!front_) {
+        front_.emplace(geometry_);
+        victim_tag_shift_ = front_->l2(0).tagShift();
+        if (shared()) {
+            chunk_.resize(chunks_total_);
+            served_ = std::make_unique<std::atomic<size_t>[]>(
+                chunks_total_);
+        }
+    }
+    if (shared())
+        chunk_[k].bits.assign((chunkSize(k) + 1) / 2, 0);
+    return true;
+}
+
+void
+FrontEndLog::publish(size_t k)
+{
+    if (!shared())
+        return;
+    chunk_[k].victims.shrink_to_fit();
+    std::lock_guard<std::mutex> lock(mutex_);
+    building_ = false;
+    built_.store(k + 1, std::memory_order_release);
+    published_cv_.notify_all();
+}
+
+void
+FrontEndLog::served(size_t k)
+{
+    if (shared() &&
+        served_[k].fetch_add(1, std::memory_order_acq_rel) + 1 ==
+            consumers_)
+        chunk_[k] = FrontEndChunk();
+}
+
+void
+FrontEndLog::exportTelemetry(Telemetry &sink) const
+{
+    if (front_)
+        front_->exportTelemetry(sink);
+    else
+        FrontEnd(geometry_).exportTelemetry(sink);
+}
+
+void
+FrontEndLog::release()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (++released_ < consumers_)
+        return;
+    front_.reset();
+    std::vector<FrontEndChunk>().swap(chunk_);
+    served_.reset();
+}
+
+// --- simulation loop -------------------------------------------------
+
 namespace
 {
 
@@ -32,17 +152,29 @@ namespace
  * Core simulation loop shared by the synthetic and trace-replay
  * front-ends: `next` yields the request stream.
  *
+ * The loop serves the stream one FrontEndLog chunk at a time. When
+ * it claims a chunk it runs each request through the log's L1/L2
+ * (recording the outcome if other runs share the log); otherwise it
+ * takes each outcome from the published chunk. Either way this run's
+ * back end (L3, racetrack bank, DRAM) serves the outcome. Which run
+ * builds a chunk changes no result: every run sharing a log draws
+ * the same requests.
+ *
  * The loop runs one request ahead: request i+1 is drawn, and the L3
  * tag and recency words it will look up are prefetched, before
  * request i is served, so the (mostly missing) LLC set load overlaps
- * request i's work. The served sequence is unchanged; the stream is
+ * request i's work. A published outcome that stays in L1/L2 skips
+ * the prefetch. The served sequence is unchanged; the stream is
  * merely asked for one request more than is served.
  */
 template <typename NextFn>
 SimResult
 runSim(const std::string &name, const SimConfig &config,
-       const PositionErrorModel *model, NextFn &&next)
+       const PositionErrorModel *model, FrontEndLog &log, NextFn &&next)
 {
+    if (!log.fits(config))
+        rtm_panic("%s: the front-end log belongs to another stream",
+                  name.c_str());
     HierarchyConfig hcfg = config.hierarchy;
     if (config.telemetry)
         hcfg.telemetry = config.telemetry;
@@ -50,7 +182,7 @@ runSim(const std::string &name, const SimConfig &config,
     // profile would silently select online hot-center downstream.
     if (config.frame_profile_out)
         hcfg.placement.track_counts = true;
-    Hierarchy hierarchy(hcfg, model);
+    BackEnd back(hcfg, model);
 
     // Per-core local time; the simulator interleaves requests
     // round-robin and advances each core independently, then takes
@@ -64,44 +196,6 @@ runSim(const std::string &name, const SimConfig &config,
     res.llc_tech = config.hierarchy.llc_tech;
     res.scheme = config.hierarchy.scheme;
 
-    // Cooperative cancellation: poll the stop flag at a coarse
-    // stride so the hot loop pays one predictable branch per block.
-    constexpr uint64_t kStopPollStride = 1024;
-
-    // One-request lookahead (see above): `ahead` is the request the
-    // next iteration serves.
-    MemRequest ahead = next();
-    hierarchy.prefetchLlc(ahead.addr);
-    auto advance = [&]() {
-        const MemRequest req = ahead;
-        ahead = next();
-        hierarchy.prefetchLlc(ahead.addr);
-        return req;
-    };
-
-    // Warmup: touch caches without accounting.
-    for (uint64_t i = 0; i < config.warmup_requests; ++i) {
-        if (config.stop && i % kStopPollStride == 0 &&
-            config.stop->poll())
-            return res;
-        const MemRequest req = advance();
-        auto c = static_cast<size_t>(req.core);
-        core_time[c] += req.gap_instructions;
-        HierarchyAccess acc = hierarchy.access(
-            req.core, req.addr, req.is_write, core_time[c]);
-        core_time[c] += acc.latency;
-    }
-
-    // Snapshot counters after warmup so deltas are measured.
-    uint64_t warm_l3_acc = hierarchy.l3().stats().accesses();
-    uint64_t warm_l3_miss = hierarchy.l3().stats().misses();
-    uint64_t warm_dram = hierarchy.dramAccesses();
-    Joules warm_dram_energy = hierarchy.dramEnergy();
-    RmBankStats warm_rm;
-    if (hierarchy.rmBank())
-        warm_rm = hierarchy.rmBank()->stats();
-    std::vector<Cycles> start_time = core_time;
-
     // Telemetry hooks on the measured loop: an access-latency
     // histogram and LLC miss-burst events. All guarded on the null
     // handle, and they only *read* the access outcome.
@@ -113,35 +207,130 @@ runSim(const std::string &name, const SimConfig &config,
     constexpr uint64_t kBurstLen = 8; //!< misses before "burst"
     uint64_t miss_run = 0;
     Cycles burst_end = 0;
-
     Joules dynamic_energy = 0.0;
-    for (uint64_t i = 0; i < config.mem_requests; ++i) {
-        if (config.stop && i % kStopPollStride == 0 &&
-            config.stop->poll())
-            return res;
-        const MemRequest req = advance();
-        auto c = static_cast<size_t>(req.core);
-        core_time[c] += req.gap_instructions;
-        res.instructions += req.gap_instructions + 1;
-        ++res.mem_ops;
-        HierarchyAccess acc = hierarchy.access(
-            req.core, req.addr, req.is_write, core_time[c]);
-        core_time[c] += acc.latency;
-        dynamic_energy += acc.energy;
-        if (t) {
-            lat_hist->record(static_cast<double>(acc.latency));
-            if (acc.dram_access) {
-                ++miss_run;
-                burst_end = core_time[c];
-            } else if (miss_run > 0) {
-                if (miss_run >= kBurstLen)
-                    t->event(EventKind::CacheMissBurst, "llc",
-                             burst_end,
-                             static_cast<double>(miss_run));
-                miss_run = 0;
+
+    // One-request lookahead (see above): `ahead` is the request the
+    // next iteration serves.
+    MemRequest ahead = next();
+    back.prefetchLlc(ahead.addr);
+
+    // Serve n requests. `outcome(j, req, &victim)` gives request j's
+    // front-end bits; `reachesLlc(j)` whether request j may go to L3.
+    // Warmup requests touch the caches without accounting.
+    auto serve = [&](auto measured, size_t n, auto &&outcome,
+                     auto &&reachesLlc) {
+        for (size_t j = 0; j < n; ++j) {
+            const MemRequest req = ahead;
+            ahead = next();
+            if (reachesLlc(j + 1))
+                back.prefetchLlc(ahead.addr);
+            Addr victim = 0;
+            const uint8_t bits = outcome(j, req, &victim);
+            auto c = static_cast<size_t>(req.core);
+            core_time[c] += req.gap_instructions;
+            if constexpr (decltype(measured)::value) {
+                res.instructions += req.gap_instructions + 1;
+                ++res.mem_ops;
+            }
+            HierarchyAccess acc = back.serve(bits, req.addr, req.is_write,
+                                             victim, core_time[c]);
+            core_time[c] += acc.latency;
+            if constexpr (decltype(measured)::value) {
+                dynamic_energy += acc.energy;
+                if (t) {
+                    lat_hist->record(static_cast<double>(acc.latency));
+                    if (acc.dram_access) {
+                        ++miss_run;
+                        burst_end = core_time[c];
+                    } else if (miss_run > 0) {
+                        if (miss_run >= kBurstLen)
+                            t->event(EventKind::CacheMissBurst, "llc",
+                                     burst_end,
+                                     static_cast<double>(miss_run));
+                        miss_run = 0;
+                    }
+                }
             }
         }
-    }
+    };
+
+    // Serve chunk k; false when the stop flag tripped. The flag is
+    // polled between chunks only, so a claimed chunk is always
+    // published.
+    auto serveChunk = [&](auto measured, size_t k) {
+        if (config.stop && config.stop->poll())
+            return false;
+        const size_t n = log.chunkSize(k);
+        if (log.claim(k)) {
+            FrontEnd &front = log.frontEnd();
+            // Outcomes are recorded only when other runs read them.
+            FrontEndChunk *out = log.shared() ? &log.building(k) : nullptr;
+            const int tag_shift = log.victimTagShift();
+            auto build = [&](auto keep) {
+                serve(
+                    measured, n,
+                    [&](size_t j, const MemRequest &req, Addr *victim) {
+                        const uint8_t bits = front.access(
+                            req.core, req.addr, req.is_write, victim);
+                        if constexpr (decltype(keep)::value)
+                            out->record(j, bits, *victim, tag_shift);
+                        return bits;
+                    },
+                    [](size_t) { return true; });
+            };
+            if (!log.shared()) {
+                build(std::false_type{});
+            } else {
+                try {
+                    build(std::true_type{});
+                } catch (...) {
+                    // The shared L1/L2 state is past the published
+                    // chunks, and other runs may be waiting on this.
+                    rtm_panic("%s: building front-end chunk %zu failed",
+                              name.c_str(), k);
+                }
+            }
+            log.publish(k);
+        } else {
+            const FrontEndChunk &in = log.published(k);
+            const int tag_shift = log.victimTagShift();
+            size_t victims = 0;
+            size_t wide = 0;
+            serve(
+                measured, n,
+                [&](size_t j, const MemRequest &req, Addr *victim) {
+                    const uint8_t bits = in.outcome(j);
+                    if (bits & kL2Writeback)
+                        *victim = in.victim(victims++, &wide, req.addr,
+                                            tag_shift);
+                    return bits;
+                },
+                [&](size_t j) {
+                    return j == n || (in.outcome(j) & kL2Miss);
+                });
+        }
+        log.served(k);
+        return true;
+    };
+
+    size_t k = 0;
+    for (; k < log.warmupChunks(); ++k)
+        if (!serveChunk(std::false_type{}, k))
+            return res;
+
+    // Snapshot counters after warmup so deltas are measured.
+    uint64_t warm_l3_acc = back.l3().stats().accesses();
+    uint64_t warm_l3_miss = back.l3().stats().misses();
+    uint64_t warm_dram = back.dramAccesses();
+    Joules warm_dram_energy = back.dramEnergy();
+    RmBankStats warm_rm;
+    if (back.rmBank())
+        warm_rm = back.rmBank()->stats();
+    std::vector<Cycles> start_time = core_time;
+
+    for (; k < log.chunks(); ++k)
+        if (!serveChunk(std::true_type{}, k))
+            return res;
     if (t && miss_run >= kBurstLen)
         t->event(EventKind::CacheMissBurst, "llc", burst_end,
                  static_cast<double>(miss_run));
@@ -154,15 +343,14 @@ runSim(const std::string &name, const SimConfig &config,
     res.seconds = cyclesToSeconds(res.cycles);
 
     res.cache_dynamic_energy = dynamic_energy;
-    res.dram_energy = hierarchy.dramEnergy() - warm_dram_energy;
-    res.leakage_energy = hierarchy.totalLeakageWatts() * res.seconds;
+    res.dram_energy = back.dramEnergy() - warm_dram_energy;
+    res.leakage_energy = back.totalLeakageWatts() * res.seconds;
 
-    res.llc_accesses = hierarchy.l3().stats().accesses() -
-                       warm_l3_acc;
-    res.llc_misses = hierarchy.l3().stats().misses() - warm_l3_miss;
-    res.dram_accesses = hierarchy.dramAccesses() - warm_dram;
+    res.llc_accesses = back.l3().stats().accesses() - warm_l3_acc;
+    res.llc_misses = back.l3().stats().misses() - warm_l3_miss;
+    res.dram_accesses = back.dramAccesses() - warm_dram;
 
-    if (const RmBank *bank = hierarchy.rmBank()) {
+    if (const RmBank *bank = back.rmBank()) {
         const RmBankStats &s = bank->stats();
         res.shift_ops = s.shift_ops - warm_rm.shift_ops;
         res.shift_steps = s.shift_steps - warm_rm.shift_steps;
@@ -212,11 +400,12 @@ runSim(const std::string &name, const SimConfig &config,
             .add(res.migration_steps);
         t->gauge("sim.ipc").set(res.ipc());
         t->gauge("sim.seconds").set(res.seconds);
-        hierarchy.exportTelemetry(*t);
+        log.exportTelemetry(*t);
+        back.exportTelemetry(*t);
     }
     if (config.frame_profile_out) {
         config.frame_profile_out->clear();
-        if (const RmBank *bank = hierarchy.rmBank())
+        if (const RmBank *bank = back.rmBank())
             *config.frame_profile_out = bank->frameAccessCounts();
     }
     return res;
@@ -226,11 +415,13 @@ runSim(const std::string &name, const SimConfig &config,
 
 SimResult
 simulate(const WorkloadProfile &profile, const SimConfig &config,
-         const PositionErrorModel *model)
+         const PositionErrorModel *model, FrontEndLog *row)
 {
+    std::optional<FrontEndLog> own;
+    FrontEndLog &log = row ? *row : own.emplace(config, 1);
     WorkloadGenerator gen(profile, config.hierarchy.cores,
                           config.seed);
-    return runSim(profile.name, config, model,
+    return runSim(profile.name, config, model, log,
                   [&gen] { return gen.next(); });
 }
 
@@ -238,7 +429,7 @@ SimResult
 simulateTrace(const std::string &name,
               const std::vector<MemRequest> &requests,
               const SimConfig &config,
-              const PositionErrorModel *model)
+              const PositionErrorModel *model, FrontEndLog *row)
 {
     if (requests.empty())
         rtm_fatal("simulateTrace: empty trace");
@@ -250,6 +441,8 @@ simulateTrace(const std::string &name,
                       "the hierarchy has %d cores",
                       i, core, config.hierarchy.cores);
     }
+    std::optional<FrontEndLog> own;
+    FrontEndLog &log = row ? *row : own.emplace(config, 1);
     size_t pos = 0;
     // Return by reference and wrap with a branch: no per-request
     // MemRequest copy and no modulo on the hot path.
@@ -259,7 +452,7 @@ simulateTrace(const std::string &name,
             pos = 0;
         return r;
     };
-    return runSim(name, config, model, next);
+    return runSim(name, config, model, log, next);
 }
 
 } // namespace rtm

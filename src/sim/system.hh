@@ -17,8 +17,13 @@
 #ifndef RTM_SIM_SYSTEM_HH
 #define RTM_SIM_SYSTEM_HH
 
+#include <atomic>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "device/error_model.hh"
 #include "mem/hierarchy.hh"
@@ -167,16 +172,192 @@ struct SimConfig
 };
 
 /**
+ * One chunk of a FrontEndLog: the front-end outcome of each of its
+ * requests, in request order. Outcomes are FrontEndBits nibbles, two
+ * to a byte. An L2 victim lies in its request's L2 set, so only its
+ * L2 tag (address >> the L2 tag shift) is kept, in 16 bits; a tag
+ * that does not fit escapes to `wide_victims`.
+ */
+struct FrontEndChunk
+{
+    /** `victims` entry whose address lives in `wide_victims`. */
+    static constexpr uint16_t kWideVictim = UINT16_MAX;
+
+    std::vector<uint8_t> bits;      //!< request j's outcome: nibble j
+    std::vector<uint16_t> victims;  //!< one L2 tag per kL2Writeback
+    std::vector<Addr> wide_victims; //!< victims whose tag is too wide
+
+    /** Outcome bits of request j. */
+    uint8_t outcome(size_t j) const
+    {
+        return (bits[j / 2] >> (j % 2 * 4)) & 0xF;
+    }
+
+    /** Store request j's outcome (`bits` starts zeroed; `victim` is
+     *  read under kL2Writeback). */
+    void record(size_t j, uint8_t b, Addr victim, int tag_shift)
+    {
+        bits[j / 2] |= static_cast<uint8_t>(b << (j % 2 * 4));
+        if (b & kL2Writeback) {
+            const Addr tag = victim >> tag_shift;
+            if (tag < kWideVictim) {
+                victims.push_back(static_cast<uint16_t>(tag));
+            } else {
+                victims.push_back(kWideVictim);
+                wide_victims.push_back(victim);
+            }
+        }
+    }
+
+    /** Address of the i-th recorded L2 victim, whose request is at
+     *  `addr`; `wide` counts the wide victims read so far. */
+    Addr victim(size_t i, size_t *wide, Addr addr, int tag_shift) const
+    {
+        const uint16_t tag = victims[i];
+        if (tag == kWideVictim)
+            return wide_victims[(*wide)++];
+        const Addr set_bits = (Addr{1} << tag_shift) - kLineBytes;
+        return (Addr{tag} << tag_shift) | (addr & set_bits);
+    }
+};
+
+/**
+ * The L1/L2 outcomes of one request stream, computed once and read
+ * by every run that serves that stream (the front end of the
+ * hierarchy split in mem/hierarchy.hh).
+ *
+ * A matrix row replays one request stream (same workload, seed,
+ * request counts, cores and capacity divisor) into each LLC option,
+ * and L1/L2 never read L3 state, so the row's front-end outcomes do
+ * not depend on the option. The row's runs share one log. The run
+ * that first reaches a chunk not yet built claims it: it serves the
+ * chunk's requests through the log's single L1/L2 state, records
+ * each outcome, and publishes the chunk at its end. The other runs
+ * serve published chunks from the record alone; a run that reaches
+ * the chunk being built blocks until it is published. Every run's
+ * requests are the same, so a chunk's contents do not depend on
+ * which run built it, and neither does any result.
+ *
+ * Chunks hold kChunkRequests requests and end at the warmup
+ * boundary. A chunk is freed once every consumer has served it, and
+ * whatever is left once every consumer has called release(); a
+ * consumer therefore reads the log in one pass only, and a run that
+ * starts over must simulate on its own. With one consumer nothing is
+ * read back, so the log keeps no chunk at all: it is the L1/L2 state
+ * alone.
+ */
+class FrontEndLog
+{
+  public:
+    /**
+     * Requests per chunk (the last chunk of each phase may be
+     * shorter). A run polls its stop flag between chunks, so a
+     * claimed chunk is always completed and published.
+     */
+    static constexpr uint64_t kChunkRequests = 1024;
+
+    /**
+     * @param config    any consumer's configuration: the L1/L2 follow
+     *                  its hierarchy's cores and capacity divisor, the
+     *                  chunks its warmup and request counts
+     * @param consumers runs that will read the log
+     */
+    FrontEndLog(const SimConfig &config, size_t consumers);
+
+    /** True when a run under `config` serves the stream this log
+     *  holds (the same front end, seed and request counts). */
+    bool fits(const SimConfig &config) const;
+
+    /** Chunks in the run: the warmup chunks, then the measured ones. */
+    size_t chunks() const { return chunks_total_; }
+    size_t warmupChunks() const { return warmup_chunks_; }
+
+    /** Requests in chunk k. */
+    size_t chunkSize(size_t k) const;
+
+    /**
+     * Start chunk `k`, which a consumer reads after chunk k - 1.
+     * Returns true when no consumer has claimed it: the caller then
+     * runs each of the chunk's requests through frontEnd(), records
+     * the outcome into building(k) when shared(), and calls
+     * publish(k). Returns false when the chunk is published, waiting
+     * first if another consumer is building it; read it with
+     * published(k). Either way the caller ends with served(k).
+     */
+    bool claim(size_t k);
+
+    /** True when other consumers read what this one builds. */
+    bool shared() const { return consumers_ > 1; }
+
+    /** Chunk `k` being built (shared() only; bits zeroed, no
+     *  victims yet). */
+    FrontEndChunk &building(size_t k) { return chunk_[k]; }
+
+    /** The L1/L2 state, for the consumer building a chunk. */
+    FrontEnd &frontEnd() { return *front_; }
+
+    /** The L2 tag shift chunks store victims under (after a claim). */
+    int victimTagShift() const { return victim_tag_shift_; }
+
+    /** End the build of chunk `k` and wake consumers waiting on it. */
+    void publish(size_t k);
+
+    /** Published chunk `k` (claim(k) returned false). */
+    const FrontEndChunk &published(size_t k) const { return chunk_[k]; }
+
+    /** The caller is done with chunk `k`; the last consumer frees it. */
+    void served(size_t k);
+
+    /**
+     * Export the L1/L2 counters into `sink`. Read once the caller has
+     * served the last chunk: they then cover the whole stream.
+     */
+    void exportTelemetry(Telemetry &sink) const;
+
+    /**
+     * A consumer is done for good (its last attempt has ended). The
+     * last one frees the chunks and the L1/L2 state.
+     */
+    void release();
+
+  private:
+    HierarchyConfig geometry_; //!< the L1/L2's cores and divisor
+    uint64_t seed_;
+    uint64_t warmup_;
+    uint64_t requests_;
+    size_t consumers_;
+    size_t warmup_chunks_;
+    size_t chunks_total_;
+    // Made by the first claim, so a log that no run has reached holds
+    // no L1/L2 and no chunks; the chunks only when shared().
+    std::optional<FrontEnd> front_;
+    int victim_tag_shift_ = 0;
+    std::vector<FrontEndChunk> chunk_;
+    /** Consumers done with each chunk. */
+    std::unique_ptr<std::atomic<size_t>[]> served_;
+
+    std::mutex mutex_;
+    std::condition_variable published_cv_;
+    std::atomic<size_t> built_{0}; //!< chunks published
+    bool building_ = false;        //!< chunk built_ is being built
+    size_t released_ = 0;
+};
+
+/**
  * Run one workload through one configuration.
  *
  * @param profile workload profile
  * @param config  simulation configuration
  * @param model   position-error model for racetrack LLCs (ignored
  *                otherwise; must outlive the call)
+ * @param row     front-end log shared with other runs of the same
+ *                stream (must fit `config`); null computes a
+ *                private one
  */
 SimResult simulate(const WorkloadProfile &profile,
                    const SimConfig &config,
-                   const PositionErrorModel *model);
+                   const PositionErrorModel *model,
+                   FrontEndLog *row = nullptr);
 
 /**
  * Run a recorded trace through one configuration (the trace loops
@@ -189,7 +370,8 @@ SimResult simulate(const WorkloadProfile &profile,
 SimResult simulateTrace(const std::string &name,
                         const std::vector<MemRequest> &requests,
                         const SimConfig &config,
-                        const PositionErrorModel *model);
+                        const PositionErrorModel *model,
+                        FrontEndLog *row = nullptr);
 
 } // namespace rtm
 

@@ -9,9 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdio>
+#include <stdexcept>
+#include <string>
+
 #include "device/montecarlo.hh"
 #include "matrix_sweep.hh"
 #include "sim/runner.hh"
+#include "trace/trace_file.hh"
 #include "util/parallel.hh"
 
 namespace rtm
@@ -181,6 +187,136 @@ TEST(ParallelDeterminism, PlacementPoliciesMatchSerial)
             expectIdentical(serial[w].results[o],
                             parallel[w].results[o]);
     }
+}
+
+/**
+ * Two profile rows and a trace row over four options (one with a
+ * dynamic placement); warmup and request counts that leave partial
+ * chunks.
+ */
+ExperimentSpec
+sharedRowSpec()
+{
+    ExperimentSpec spec;
+    spec.name = "row-shared-front-end";
+    spec.matrix.requests = 6000;
+    spec.matrix.warmup = 1500;
+    spec.matrix.divisor = 32;
+    spec.matrix.workloads = {"canneal", "swaptions"};
+    spec.matrix.traces = {std::string(RTM_REPO_DIR) +
+                          "/tests/traces/small.trace"};
+    LlcOption hot{"RM hot-center predictive", MemTech::Racetrack,
+                  Scheme::PeccSAdaptive};
+    hot.placement = PlacementKind::HotCenter;
+    hot.placement_epoch = 16;
+    hot.head_policy = HeadPolicy::Predictive;
+    spec.matrix.options = {
+        {"SRAM", MemTech::SRAM, Scheme::Baseline},
+        hot,
+        {"RM-Ideal", MemTech::RacetrackIdeal, Scheme::Baseline},
+        {"RM p-ECC-O", MemTech::Racetrack, Scheme::PeccO},
+    };
+    normalizeExperimentSpec(&spec);
+    return spec;
+}
+
+TEST(ParallelDeterminism, RowSharedFrontEndMatchesStandaloneCells)
+{
+    // The cells of a matrix row share one L1/L2 outcome log; each
+    // must still equal its own standalone simulation, whichever cell
+    // built which chunk, and across a retry and a resume.
+    PaperCalibratedErrorModel model;
+    const ExperimentSpec spec = sharedRowSpec();
+    const size_t options = spec.matrix.options.size();
+    const size_t profiles = spec.matrix.workloads.size();
+    const TraceParseResult trace = loadTraceFileChecked(
+        spec.matrix.traces[0], HierarchyConfig{}.cores);
+    ASSERT_TRUE(trace.ok());
+
+    std::vector<std::vector<SimResult>> standalone(profiles + 1);
+    for (size_t row = 0; row <= profiles; ++row) {
+        for (const LlcOption &opt : spec.matrix.options) {
+            const SimConfig cfg = cellConfig(spec, opt);
+            standalone[row].push_back(
+                row < profiles
+                    ? simulate(scaledProfile(
+                                   parsecProfile(spec.matrix.workloads[row]),
+                                   spec.matrix.divisor),
+                               cfg, &model)
+                    : simulateTrace(spec.matrix.traces[0],
+                                    trace.requests, cfg, &model));
+        }
+    }
+
+    std::string want;
+    for (unsigned threads : {1u, 4u}) {
+        const ExperimentResult res = withThreads(
+            threads, [&] { return runExperiment(spec, &model); });
+        ASSERT_TRUE(res.complete());
+        ASSERT_EQ(res.matrix.size(), profiles + 1);
+        for (size_t row = 0; row <= profiles; ++row)
+            for (size_t o = 0; o < options; ++o)
+                EXPECT_TRUE(res.matrix[row].results[o] ==
+                            standalone[row][o])
+                    << "threads=" << threads << " row " << row
+                    << " option " << spec.matrix.options[o].label;
+        if (want.empty())
+            want = experimentResultDigest(res);
+        EXPECT_EQ(experimentResultDigest(res), want);
+    }
+
+    // A cell in the middle of a row fails its first attempt and is
+    // retried after its row-mates have moved on.
+    ExperimentSpec retry_spec = spec;
+    retry_spec.resilience.retry_budget = 1;
+    retry_spec.resilience.backoff_ms = 1;
+    const size_t middle = options + 1;
+    RunControl retry;
+    retry.fault_hook = [middle](size_t index, int attempt) {
+        if (index == middle && attempt == 1)
+            throw std::runtime_error("transient");
+    };
+    const ExperimentResult retried = withThreads(4, [&] {
+        return runExperiment(retry_spec, &model, {}, retry);
+    });
+    EXPECT_TRUE(retried.complete());
+    EXPECT_EQ(retried.outcomes[middle].attempts, 2);
+    EXPECT_EQ(experimentResultDigest(retried), want);
+
+    // Interrupted after part of the first row, then resumed: the
+    // row's remaining cells share a log with fewer consumers.
+    const std::string journal =
+        std::string(::testing::TempDir()) + "row_shared_resume.jsonl";
+    for (unsigned threads : {1u, 4u}) {
+        for (size_t kill_after : {1u, 2u}) {
+            std::remove(journal.c_str());
+            CancelToken cancel;
+            std::atomic<size_t> done{0};
+            RunControl interrupt;
+            interrupt.cancel = &cancel;
+            interrupt.stream_path = journal;
+            interrupt.on_cell = [&](size_t, const CellOutcome &o) {
+                if (o.status == CellStatus::Ok && ++done >= kill_after)
+                    cancel.requestCancel();
+            };
+            const ExperimentResult cut = withThreads(threads, [&] {
+                return runExperiment(spec, &model, {}, interrupt);
+            });
+            ASSERT_GE(cut.ok_cells, kill_after);
+
+            RunControl resume;
+            resume.resume_path = journal;
+            resume.stream_path = journal;
+            const ExperimentResult full = withThreads(threads, [&] {
+                return runExperiment(spec, &model, {}, resume);
+            });
+            EXPECT_TRUE(full.complete());
+            EXPECT_EQ(full.replayed_cells, cut.ok_cells);
+            EXPECT_EQ(experimentResultDigest(full), want)
+                << "threads=" << threads << " kill_after=" << kill_after;
+        }
+    }
+    std::remove(journal.c_str());
 }
 
 } // namespace

@@ -494,6 +494,39 @@ TEST(GoldenSim, TelemetryOnDoesNotPerturbResults)
     EXPECT_EQ(telemetry.eventCount(EventKind::Span),
               static_cast<uint64_t>(cells));
     EXPECT_GT(telemetry.eventCount(EventKind::ShiftIssued), 0u);
+
+    // A row's cells export the L1/L2 counters of the row's shared
+    // front end; summed over the sweep they equal the counters of
+    // standalone simulate() runs of every cell.
+    ExperimentSpec spec;
+    spec.matrix.requests = kGoldenRequests;
+    spec.matrix.warmup = kGoldenWarmup;
+    spec.matrix.divisor = kGoldenDivisor;
+    normalizeExperimentSpec(&spec);
+    ASSERT_EQ(spec.matrix.workloads.size(), traced.size());
+    Telemetry standalone(1 << 14);
+    for (const std::string &workload : spec.matrix.workloads) {
+        const WorkloadProfile profile =
+            scaledProfile(parsecProfile(workload), kGoldenDivisor);
+        for (const LlcOption &opt : options) {
+            SimConfig cfg = cellConfig(spec, opt);
+            cfg.telemetry = &standalone;
+            simulate(profile, cfg, &model);
+        }
+    }
+    for (const char *level : {"l1", "l2"}) {
+        for (const char *name :
+             {"accesses", "hits", "misses", "writebacks"}) {
+            const std::string key =
+                std::string("mem.") + level + "." + name;
+            ASSERT_TRUE(telemetry.counters().count(key)) << key;
+            ASSERT_TRUE(standalone.counters().count(key)) << key;
+            EXPECT_EQ(telemetry.counters().at(key).value(),
+                      standalone.counters().at(key).value())
+                << key;
+        }
+    }
+    EXPECT_GT(standalone.counters().at("mem.l2.writebacks").value(), 0u);
 }
 
 TEST(GoldenSim, SpecDrivenMatrixMatchesPins)

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -193,6 +194,100 @@ TEST_F(SimFixture, ProfilingPassCountsWithoutTrackCounts)
     EXPECT_GE(total, profiled.llc_accesses);
     EXPECT_EQ(profiled.cycles, plain.cycles);
     EXPECT_EQ(profiled.shift_steps, plain.shift_steps);
+}
+
+TEST(FrontEndLog, ChunksEndAtTheWarmupBoundary)
+{
+    SimConfig cfg;
+    cfg.warmup_requests = 1500;
+    cfg.mem_requests = 6000;
+    const FrontEndLog log(cfg, 2);
+    ASSERT_EQ(log.warmupChunks(), 2u);
+    ASSERT_EQ(log.chunks(), 8u);
+    EXPECT_EQ(log.chunkSize(0), 1024u);
+    EXPECT_EQ(log.chunkSize(1), 476u);
+    EXPECT_EQ(log.chunkSize(2), 1024u);
+    EXPECT_EQ(log.chunkSize(7), 880u);
+
+    EXPECT_TRUE(log.fits(cfg));
+    SimConfig other = cfg;
+    other.hierarchy.llc_tech = MemTech::SRAM; // the back end may differ
+    EXPECT_TRUE(log.fits(other));
+    other.hierarchy.capacity_divisor = 2;
+    EXPECT_FALSE(log.fits(other));
+    other = cfg;
+    other.seed += 1;
+    EXPECT_FALSE(log.fits(other));
+}
+
+/**
+ * Serve `trace` through one Hierarchy, request by request: the
+ * unsplit path a FrontEndLog replay must reproduce (no warmup).
+ */
+SimResult
+hierarchyReplay(const std::vector<MemRequest> &trace, const SimConfig &cfg)
+{
+    Hierarchy h(cfg.hierarchy, nullptr);
+    std::vector<Cycles> core_time(
+        static_cast<size_t>(cfg.hierarchy.cores), 0);
+    SimResult res;
+    for (uint64_t i = 0; i < cfg.mem_requests; ++i) {
+        const MemRequest &req = trace[i % trace.size()];
+        auto c = static_cast<size_t>(req.core);
+        core_time[c] += req.gap_instructions;
+        const HierarchyAccess acc =
+            h.access(req.core, req.addr, req.is_write, core_time[c]);
+        core_time[c] += acc.latency;
+        res.cache_dynamic_energy += acc.energy;
+    }
+    for (Cycles t : core_time)
+        res.cycles = std::max(res.cycles, t);
+    res.llc_accesses = h.l3().stats().accesses();
+    res.llc_misses = h.l3().stats().misses();
+    res.dram_accesses = h.dramAccesses();
+    return res;
+}
+
+TEST(FrontEndLog, WideVictimLinesMatchTheHierarchy)
+{
+    // L2 tags of 2^16 - 1 and up do not fit the log's 16-bit victim
+    // slot. Dirty lines there overflow L1/L2, install into L3 as L2
+    // victims, and are read back: a victim logged at the wrong
+    // address would miss.
+    std::vector<MemRequest> trace;
+    const Addr base = Addr{1} << 40;
+    for (bool is_write : {true, false})
+        for (Addr line = 0; line < 1536; ++line)
+            trace.push_back(
+                MemRequest{0, base + line * kLineBytes, is_write, 1});
+    SimConfig cfg;
+    cfg.hierarchy.llc_tech = MemTech::SRAM;
+    cfg.hierarchy.scheme = Scheme::Baseline;
+    cfg.hierarchy.capacity_divisor = 32;
+    cfg.warmup_requests = 0;
+    cfg.mem_requests = 3 * trace.size();
+    const SimResult want = hierarchyReplay(trace, cfg);
+    ASSERT_GT(want.llc_accesses, want.llc_misses);
+
+    // Standalone (a log that keeps no chunk) and two runs sharing one.
+    FrontEndLog shared(cfg, 2);
+    SimConfig stt = cfg;
+    stt.hierarchy.llc_tech = MemTech::STTRAM;
+    const SimResult runs[] = {
+        simulateTrace("wide", trace, cfg, nullptr),
+        simulateTrace("wide", trace, cfg, nullptr, &shared),
+        simulateTrace("wide", trace, stt, nullptr, &shared),
+    };
+    shared.release();
+    shared.release();
+    for (const SimResult &r : {runs[0], runs[1]}) {
+        EXPECT_EQ(r.cycles, want.cycles);
+        EXPECT_EQ(r.llc_accesses, want.llc_accesses);
+        EXPECT_EQ(r.llc_misses, want.llc_misses);
+        EXPECT_EQ(r.dram_accesses, want.dram_accesses);
+        EXPECT_EQ(r.cache_dynamic_energy, want.cache_dynamic_energy);
+    }
+    EXPECT_TRUE(runs[2] == simulateTrace("wide", trace, stt, nullptr));
 }
 
 TEST(Runner, OptionSetsMatchPaperLegends)

@@ -122,6 +122,7 @@ FrontEnd::exportTelemetry(Telemetry &sink) const
 {
     exportLevel(sink, "l1", sumStats(l1_));
     exportLevel(sink, "l2", sumStats(l2_));
+    sink.counter("mem.l2.dropped_writebacks").add(dropped_writebacks_);
 }
 
 // --- back end --------------------------------------------------------

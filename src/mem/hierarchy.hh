@@ -18,10 +18,11 @@
  * and L2 never read L3 state, so the front end's outcomes depend only
  * on the request stream and the L1/L2 geometry (cores, capacity
  * divisor), never on the LLC option. The system simulator uses that
- * to compute one front end per matrix row and replay its outcomes
- * into each option's back end (sim/system.hh, FrontEndLog);
- * Hierarchy is the two parts run back to back, one request at a
- * time.
+ * to compute one front end per matrix row, logged chunk by chunk, and
+ * replay its outcomes into each option's back end (sim/system.hh,
+ * FrontEndLog); a run that shares its stream with no other keeps its
+ * own front end and serves it inline. Hierarchy is the two parts run
+ * back to back, one request at a time.
  */
 
 #ifndef RTM_MEM_HIERARCHY_HH
@@ -136,11 +137,12 @@ class FrontEnd
             return 0;
         // A dirty L1 victim writes into L2; whatever that write
         // evicts is dropped (the write happens off the critical
-        // path).
+        // path), and a dirty line dropped so is counted.
         Cache &l2c = l2_[static_cast<size_t>(core / 2)];
         uint8_t bits = kL1Miss;
         if (r1.writeback) {
-            l2c.access(r1.victim_addr, true);
+            if (l2c.access(r1.victim_addr, true).writeback)
+                ++dropped_writebacks_;
             bits |= kL1Writeback;
         }
         CacheAccessResult r2 = l2c.access(addr, is_write);
@@ -161,13 +163,16 @@ class FrontEnd
     const Cache &l2(int cluster) const;
 
     /** Export the L1 (summed across cores) and L2 (across clusters)
-     *  hit/miss/writeback counters into `sink`. */
+     *  hit/miss/writeback counters into `sink`, and as
+     *  `mem.l2.dropped_writebacks` the dirty L2 lines evicted by a
+     *  dirty L1 victim's install, whose writeback is dropped. */
     void exportTelemetry(Telemetry &sink) const;
 
   private:
     int cores_;
     std::vector<Cache> l1_;
     std::vector<Cache> l2_;
+    uint64_t dropped_writebacks_ = 0;
 };
 
 /**

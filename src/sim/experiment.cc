@@ -882,12 +882,8 @@ simResultFromJson(const JsonValue &doc, SimResult *out,
     return true;
 }
 
-namespace
-{
-
-/** The SimConfig of a matrix cell running `opt` under `spec`. */
 SimConfig
-matrixCellConfig(const ExperimentSpec &spec, const LlcOption &opt)
+matrixSimConfig(const ExperimentSpec &spec, const LlcOption &opt)
 {
     SimConfig cfg;
     cfg.hierarchy.llc_tech = opt.tech;
@@ -903,6 +899,9 @@ matrixCellConfig(const ExperimentSpec &spec, const LlcOption &opt)
     cfg.seed = spec.matrix.seed;
     return cfg;
 }
+
+namespace
+{
 
 /** The stress reporting view (the checkpoint is its field list). */
 JsonValue
@@ -1117,7 +1116,7 @@ runExperiment(const ExperimentSpec &spec_in,
             // The row log frees what every cell has read, so only a
             // cell's first run reads it; a rerun simulates on its own.
             auto first_run = std::make_shared<bool>(true);
-            bind(slot, [cfg = matrixCellConfig(spec, c.option), profile,
+            bind(slot, [cfg = matrixSimConfig(spec, c.option), profile,
                         trace, matrix_model, log,
                         first_run](TelemetryScope t, StopFlag *stop) {
                 SimConfig run = cfg;
@@ -1211,7 +1210,7 @@ runExperiment(const ExperimentSpec &spec_in,
         for (size_t row = 0; row < row_logs.size(); ++row)
             if (running[row] > 1)
                 row_logs[row] = std::make_unique<FrontEndLog>(
-                    matrixCellConfig(spec, spec.matrix.options[0]),
+                    matrixSimConfig(spec, spec.matrix.options[0]),
                     running[row]);
     }
 

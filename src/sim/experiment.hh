@@ -559,10 +559,11 @@ std::string runJournalError(const ExperimentSpec &spec,
  * reproducing the bit-identical merge), and control.cancel plus the
  * resilience deadlines stop the run cooperatively.
  *
- * The matrix cells of one row share the row's L1/L2 outcomes
- * (FrontEndLog, sim/system.hh) while two or more of them are left to
- * run; their results equal standalone simulate() runs of the
- * cells.
+ * The matrix cells of one row share one log of the row's L1/L2
+ * outcomes (FrontEndLog, sim/system.hh) when two or more of them are
+ * left to run; a row with one cell left to run makes no log. Every
+ * cell's result equals a standalone simulate() run of its
+ * matrixSimConfig().
  *
  * @param model position-error model for matrix cells; null uses the
  *              paper-calibrated model. Campaign/stress cells build
@@ -573,6 +574,10 @@ ExperimentResult runExperiment(const ExperimentSpec &spec,
                                    nullptr,
                                TelemetryScope telemetry = {},
                                const RunControl &control = {});
+
+/** The SimConfig of the matrix cell that runs `opt` under `spec`. */
+SimConfig matrixSimConfig(const ExperimentSpec &spec,
+                          const LlcOption &opt);
 
 /**
  * One matrix cell result as JSON (journal/result schema). A trace

@@ -1,6 +1,7 @@
 #include "system.hh"
 
 #include <algorithm>
+#include <optional>
 #include <type_traits>
 
 #include "util/logging.hh"
@@ -39,13 +40,29 @@ ceilDiv(uint64_t a, uint64_t b)
 
 } // anonymous namespace
 
-FrontEndLog::FrontEndLog(const SimConfig &config, size_t consumers)
-    : geometry_(config.hierarchy), seed_(config.seed),
-      warmup_(config.warmup_requests), requests_(config.mem_requests),
-      consumers_(consumers),
-      warmup_chunks_(ceilDiv(warmup_, kChunkRequests)),
-      chunks_total_(warmup_chunks_ + ceilDiv(requests_, kChunkRequests))
+ChunkPlan::ChunkPlan(const SimConfig &config)
+    : warmup(config.warmup_requests), requests(config.mem_requests),
+      warmup_chunks(ceilDiv(warmup, kChunkRequests)),
+      chunks(warmup_chunks + ceilDiv(requests, kChunkRequests))
 {
+}
+
+size_t
+ChunkPlan::size(size_t k) const
+{
+    const bool warm = k < warmup_chunks;
+    const uint64_t phase = warm ? warmup : requests;
+    const uint64_t first = (warm ? k : k - warmup_chunks) * kChunkRequests;
+    return static_cast<size_t>(std::min(kChunkRequests, phase - first));
+}
+
+FrontEndLog::FrontEndLog(const SimConfig &config, size_t consumers)
+    : geometry_(config.hierarchy), seed_(config.seed), plan_(config),
+      consumers_(consumers)
+{
+    if (consumers < 2)
+        rtm_panic("front-end log: %zu consumers; a lone run keeps its "
+                  "own L1/L2", consumers);
 }
 
 bool
@@ -54,72 +71,57 @@ FrontEndLog::fits(const SimConfig &config) const
     return config.hierarchy.cores == geometry_.cores &&
            config.hierarchy.capacity_divisor ==
                geometry_.capacity_divisor &&
-           config.seed == seed_ && config.warmup_requests == warmup_ &&
-           config.mem_requests == requests_;
+           config.seed == seed_ &&
+           config.warmup_requests == plan_.warmup &&
+           config.mem_requests == plan_.requests;
 }
 
-size_t
-FrontEndLog::chunkSize(size_t k) const
+const FrontEndChunk &
+FrontEndLog::chunk(size_t k, const MemRequest *requests)
 {
-    const bool warm = k < warmup_chunks_;
-    const uint64_t phase = warm ? warmup_ : requests_;
-    const uint64_t first =
-        (warm ? k : k - warmup_chunks_) * kChunkRequests;
-    return static_cast<size_t>(std::min(kChunkRequests, phase - first));
-}
-
-bool
-FrontEndLog::claim(size_t k)
-{
-    if (shared()) {
-        if (k < built_.load(std::memory_order_acquire))
-            return false;
-        std::unique_lock<std::mutex> lock(mutex_);
-        while (building_ && k >= built_.load(std::memory_order_relaxed))
-            published_cv_.wait(lock);
-        if (k < built_.load(std::memory_order_relaxed))
-            return false;
+    if (k >= built_.load(std::memory_order_acquire)) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const size_t built = built_.load(std::memory_order_relaxed);
         // Consumers read chunks in order, so the first unbuilt chunk
         // is the one this consumer needs.
-        if (k != built_.load(std::memory_order_relaxed))
+        if (k > built)
             rtm_panic("front-end log: chunk %zu read before chunk %zu",
-                      k, built_.load(std::memory_order_relaxed));
-        building_ = true;
+                      k, built);
+        if (k == built)
+            build(k, requests);
     }
-    // The first claim makes the L1/L2 and the chunk slots, before any
-    // chunk is published.
-    if (!front_) {
-        front_.emplace(geometry_);
-        victim_tag_shift_ = front_->l2(0).tagShift();
-        if (shared()) {
-            chunk_.resize(chunks_total_);
-            served_ = std::make_unique<std::atomic<size_t>[]>(
-                chunks_total_);
-        }
-    }
-    if (shared())
-        chunk_[k].bits.assign((chunkSize(k) + 1) / 2, 0);
-    return true;
+    return chunk_[k];
 }
 
 void
-FrontEndLog::publish(size_t k)
+FrontEndLog::build(size_t k, const MemRequest *requests) noexcept
 {
-    if (!shared())
-        return;
-    chunk_[k].victims.shrink_to_fit();
-    std::lock_guard<std::mutex> lock(mutex_);
-    building_ = false;
+    // The first build makes the L1/L2 and the chunk slots.
+    if (!front_) {
+        front_.emplace(geometry_);
+        victim_tag_shift_ = front_->l2(0).tagShift();
+        chunk_.resize(plan_.chunks);
+        served_ = std::make_unique<std::atomic<size_t>[]>(plan_.chunks);
+    }
+    FrontEndChunk &out = chunk_[k];
+    const size_t n = plan_.size(k);
+    out.bits.assign((n + 1) / 2, 0);
+    for (size_t j = 0; j < n; ++j) {
+        const MemRequest &req = requests[j];
+        Addr victim = 0;
+        const uint8_t bits =
+            front_->access(req.core, req.addr, req.is_write, &victim);
+        out.record(j, bits, victim, victim_tag_shift_);
+    }
+    out.victims.shrink_to_fit();
     built_.store(k + 1, std::memory_order_release);
-    published_cv_.notify_all();
 }
 
 void
 FrontEndLog::served(size_t k)
 {
-    if (shared() &&
-        served_[k].fetch_add(1, std::memory_order_acq_rel) + 1 ==
-            consumers_)
+    if (served_[k].fetch_add(1, std::memory_order_acq_rel) + 1 ==
+        consumers_)
         chunk_[k] = FrontEndChunk();
 }
 
@@ -152,27 +154,26 @@ namespace
  * Core simulation loop shared by the synthetic and trace-replay
  * front-ends: `next` yields the request stream.
  *
- * The loop serves the stream one FrontEndLog chunk at a time. When
- * it claims a chunk it runs each request through the log's L1/L2
- * (recording the outcome if other runs share the log); otherwise it
- * takes each outcome from the published chunk. Either way this run's
- * back end (L3, racetrack bank, DRAM) serves the outcome. Which run
- * builds a chunk changes no result: every run sharing a log draws
- * the same requests.
+ * The loop serves the stream one ChunkPlan chunk at a time. It draws
+ * the chunk's requests into a buffer, then takes their front-end
+ * outcomes from the row's FrontEndLog (`log`), which the first run
+ * to ask builds from these requests, or, with no log, from a private
+ * L1/L2 run inline. This run's back end (L3, racetrack bank, DRAM)
+ * then serves each outcome. Which run builds a chunk changes no
+ * result: every run sharing a log draws the same requests.
  *
- * The loop runs one request ahead: request i+1 is drawn, and the L3
- * tag and recency words it will look up are prefetched, before
- * request i is served, so the (mostly missing) LLC set load overlaps
- * request i's work. A published outcome that stays in L1/L2 skips
- * the prefetch. The served sequence is unchanged; the stream is
- * merely asked for one request more than is served.
+ * Before request j is served, the L3 tag and recency words that
+ * request j+1 of the same chunk will look up are prefetched, so the
+ * (mostly missing) LLC set load overlaps request j's work; a logged
+ * outcome that stays in L1/L2 skips the prefetch. The lookahead stays
+ * inside a chunk: a chunk's first request is not prefetched.
  */
 template <typename NextFn>
 SimResult
 runSim(const std::string &name, const SimConfig &config,
-       const PositionErrorModel *model, FrontEndLog &log, NextFn &&next)
+       const PositionErrorModel *model, FrontEndLog *log, NextFn &&next)
 {
-    if (!log.fits(config))
+    if (log && !log->fits(config))
         rtm_panic("%s: the front-end log belongs to another stream",
                   name.c_str());
     HierarchyConfig hcfg = config.hierarchy;
@@ -183,6 +184,11 @@ runSim(const std::string &name, const SimConfig &config,
     if (config.frame_profile_out)
         hcfg.placement.track_counts = true;
     BackEnd back(hcfg, model);
+    std::optional<FrontEnd> own;
+    if (!log)
+        own.emplace(config.hierarchy);
+    const ChunkPlan plan(config);
+    std::vector<MemRequest> requests(ChunkPlan::kChunkRequests);
 
     // Per-core local time; the simulator interleaves requests
     // round-robin and advances each core independently, then takes
@@ -209,23 +215,34 @@ runSim(const std::string &name, const SimConfig &config,
     Cycles burst_end = 0;
     Joules dynamic_energy = 0.0;
 
-    // One-request lookahead (see above): `ahead` is the request the
-    // next iteration serves.
-    MemRequest ahead = next();
-    back.prefetchLlc(ahead.addr);
-
-    // Serve n requests. `outcome(j, req, &victim)` gives request j's
-    // front-end bits; `reachesLlc(j)` whether request j may go to L3.
-    // Warmup requests touch the caches without accounting.
-    auto serve = [&](auto measured, size_t n, auto &&outcome,
-                     auto &&reachesLlc) {
+    // Serve chunk k; false when the stop flag tripped. Warmup
+    // requests touch the caches without accounting.
+    auto serveChunk = [&](auto measured, size_t k) {
+        if (config.stop && config.stop->poll())
+            return false;
+        const size_t n = plan.size(k);
+        for (size_t j = 0; j < n; ++j)
+            requests[j] = next();
+        const FrontEndChunk *in =
+            log ? &log->chunk(k, requests.data()) : nullptr;
+        const int tag_shift = log ? log->victimTagShift() : 0;
+        size_t victims = 0;
+        size_t wide = 0;
         for (size_t j = 0; j < n; ++j) {
-            const MemRequest req = ahead;
-            ahead = next();
-            if (reachesLlc(j + 1))
-                back.prefetchLlc(ahead.addr);
+            const MemRequest &req = requests[j];
+            if (j + 1 < n && (!in || (in->outcome(j + 1) & kL2Miss)))
+                back.prefetchLlc(requests[j + 1].addr);
             Addr victim = 0;
-            const uint8_t bits = outcome(j, req, &victim);
+            uint8_t bits;
+            if (in) {
+                bits = in->outcome(j);
+                if (bits & kL2Writeback)
+                    victim = in->victim(victims++, &wide, req.addr,
+                                        tag_shift);
+            } else {
+                bits = own->access(req.core, req.addr, req.is_write,
+                                   &victim);
+            }
             auto c = static_cast<size_t>(req.core);
             core_time[c] += req.gap_instructions;
             if constexpr (decltype(measured)::value) {
@@ -252,69 +269,13 @@ runSim(const std::string &name, const SimConfig &config,
                 }
             }
         }
-    };
-
-    // Serve chunk k; false when the stop flag tripped. The flag is
-    // polled between chunks only, so a claimed chunk is always
-    // published.
-    auto serveChunk = [&](auto measured, size_t k) {
-        if (config.stop && config.stop->poll())
-            return false;
-        const size_t n = log.chunkSize(k);
-        if (log.claim(k)) {
-            FrontEnd &front = log.frontEnd();
-            // Outcomes are recorded only when other runs read them.
-            FrontEndChunk *out = log.shared() ? &log.building(k) : nullptr;
-            const int tag_shift = log.victimTagShift();
-            auto build = [&](auto keep) {
-                serve(
-                    measured, n,
-                    [&](size_t j, const MemRequest &req, Addr *victim) {
-                        const uint8_t bits = front.access(
-                            req.core, req.addr, req.is_write, victim);
-                        if constexpr (decltype(keep)::value)
-                            out->record(j, bits, *victim, tag_shift);
-                        return bits;
-                    },
-                    [](size_t) { return true; });
-            };
-            if (!log.shared()) {
-                build(std::false_type{});
-            } else {
-                try {
-                    build(std::true_type{});
-                } catch (...) {
-                    // The shared L1/L2 state is past the published
-                    // chunks, and other runs may be waiting on this.
-                    rtm_panic("%s: building front-end chunk %zu failed",
-                              name.c_str(), k);
-                }
-            }
-            log.publish(k);
-        } else {
-            const FrontEndChunk &in = log.published(k);
-            const int tag_shift = log.victimTagShift();
-            size_t victims = 0;
-            size_t wide = 0;
-            serve(
-                measured, n,
-                [&](size_t j, const MemRequest &req, Addr *victim) {
-                    const uint8_t bits = in.outcome(j);
-                    if (bits & kL2Writeback)
-                        *victim = in.victim(victims++, &wide, req.addr,
-                                            tag_shift);
-                    return bits;
-                },
-                [&](size_t j) {
-                    return j == n || (in.outcome(j) & kL2Miss);
-                });
-        }
-        log.served(k);
+        if (log)
+            log->served(k);
         return true;
     };
 
     size_t k = 0;
-    for (; k < log.warmupChunks(); ++k)
+    for (; k < plan.warmup_chunks; ++k)
         if (!serveChunk(std::false_type{}, k))
             return res;
 
@@ -328,7 +289,7 @@ runSim(const std::string &name, const SimConfig &config,
         warm_rm = back.rmBank()->stats();
     std::vector<Cycles> start_time = core_time;
 
-    for (; k < log.chunks(); ++k)
+    for (; k < plan.chunks; ++k)
         if (!serveChunk(std::true_type{}, k))
             return res;
     if (t && miss_run >= kBurstLen)
@@ -400,7 +361,10 @@ runSim(const std::string &name, const SimConfig &config,
             .add(res.migration_steps);
         t->gauge("sim.ipc").set(res.ipc());
         t->gauge("sim.seconds").set(res.seconds);
-        log.exportTelemetry(*t);
+        if (log)
+            log->exportTelemetry(*t);
+        else
+            own->exportTelemetry(*t);
         back.exportTelemetry(*t);
     }
     if (config.frame_profile_out) {
@@ -417,11 +381,9 @@ SimResult
 simulate(const WorkloadProfile &profile, const SimConfig &config,
          const PositionErrorModel *model, FrontEndLog *row)
 {
-    std::optional<FrontEndLog> own;
-    FrontEndLog &log = row ? *row : own.emplace(config, 1);
     WorkloadGenerator gen(profile, config.hierarchy.cores,
                           config.seed);
-    return runSim(profile.name, config, model, log,
+    return runSim(profile.name, config, model, row,
                   [&gen] { return gen.next(); });
 }
 
@@ -441,8 +403,6 @@ simulateTrace(const std::string &name,
                       "the hierarchy has %d cores",
                       i, core, config.hierarchy.cores);
     }
-    std::optional<FrontEndLog> own;
-    FrontEndLog &log = row ? *row : own.emplace(config, 1);
     size_t pos = 0;
     // Return by reference and wrap with a branch: no per-request
     // MemRequest copy and no modulo on the hot path.
@@ -452,7 +412,7 @@ simulateTrace(const std::string &name,
             pos = 0;
         return r;
     };
-    return runSim(name, config, model, log, next);
+    return runSim(name, config, model, row, next);
 }
 
 } // namespace rtm

@@ -18,7 +18,6 @@
 #define RTM_SIM_SYSTEM_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -222,6 +221,26 @@ struct FrontEndChunk
 };
 
 /**
+ * How a run's requests split into chunks: kChunkRequests requests
+ * each, the warmup phase's chunks first, each phase's last chunk
+ * shorter. The run polls its stop flag between chunks.
+ */
+struct ChunkPlan
+{
+    static constexpr uint64_t kChunkRequests = 1024;
+
+    explicit ChunkPlan(const SimConfig &config);
+
+    /** Requests in chunk k. */
+    size_t size(size_t k) const;
+
+    uint64_t warmup;      //!< warmup requests
+    uint64_t requests;    //!< measured requests
+    size_t warmup_chunks; //!< chunks of the warmup phase
+    size_t chunks;        //!< warmup chunks, then the measured ones
+};
+
+/**
  * The L1/L2 outcomes of one request stream, computed once and read
  * by every run that serves that stream (the front end of the
  * hierarchy split in mem/hierarchy.hh).
@@ -229,38 +248,28 @@ struct FrontEndChunk
  * A matrix row replays one request stream (same workload, seed,
  * request counts, cores and capacity divisor) into each LLC option,
  * and L1/L2 never read L3 state, so the row's front-end outcomes do
- * not depend on the option. The row's runs share one log. The run
- * that first reaches a chunk not yet built claims it: it serves the
- * chunk's requests through the log's single L1/L2 state, records
- * each outcome, and publishes the chunk at its end. The other runs
- * serve published chunks from the record alone; a run that reaches
- * the chunk being built blocks until it is published. Every run's
+ * not depend on the option. The row's runs share one log and ask it
+ * for each chunk in turn. The first run to ask for a chunk builds it
+ * from its own requests through the log's single L1/L2 state, under
+ * the log's mutex; a run behind that frontier reads the built chunk
+ * without locking, and a run at it waits on the mutex. Every run's
  * requests are the same, so a chunk's contents do not depend on
  * which run built it, and neither does any result.
  *
- * Chunks hold kChunkRequests requests and end at the warmup
- * boundary. A chunk is freed once every consumer has served it, and
- * whatever is left once every consumer has called release(); a
- * consumer therefore reads the log in one pass only, and a run that
- * starts over must simulate on its own. With one consumer nothing is
- * read back, so the log keeps no chunk at all: it is the L1/L2 state
- * alone.
+ * A chunk is freed once every consumer has served it, and whatever
+ * is left once every consumer has called release(); a consumer
+ * therefore reads the log in one pass only, and a run that starts
+ * over must simulate on its own.
  */
 class FrontEndLog
 {
   public:
     /**
-     * Requests per chunk (the last chunk of each phase may be
-     * shorter). A run polls its stop flag between chunks, so a
-     * claimed chunk is always completed and published.
-     */
-    static constexpr uint64_t kChunkRequests = 1024;
-
-    /**
      * @param config    any consumer's configuration: the L1/L2 follow
      *                  its hierarchy's cores and capacity divisor, the
      *                  chunks its warmup and request counts
-     * @param consumers runs that will read the log
+     * @param consumers runs that will read the log (at least 2; a
+     *                  lone run keeps its own L1/L2)
      */
     FrontEndLog(const SimConfig &config, size_t consumers);
 
@@ -268,42 +277,19 @@ class FrontEndLog
      *  holds (the same front end, seed and request counts). */
     bool fits(const SimConfig &config) const;
 
-    /** Chunks in the run: the warmup chunks, then the measured ones. */
-    size_t chunks() const { return chunks_total_; }
-    size_t warmupChunks() const { return warmup_chunks_; }
-
-    /** Requests in chunk k. */
-    size_t chunkSize(size_t k) const;
+    /** The chunks of the stream. */
+    const ChunkPlan &plan() const { return plan_; }
 
     /**
-     * Start chunk `k`, which a consumer reads after chunk k - 1.
-     * Returns true when no consumer has claimed it: the caller then
-     * runs each of the chunk's requests through frontEnd(), records
-     * the outcome into building(k) when shared(), and calls
-     * publish(k). Returns false when the chunk is published, waiting
-     * first if another consumer is building it; read it with
-     * published(k). Either way the caller ends with served(k).
+     * The outcomes of chunk `k`, which a consumer asks for after
+     * chunk k - 1. `requests` holds the chunk's plan().size(k)
+     * requests; they build the chunk when no consumer has yet. The
+     * caller ends with served(k).
      */
-    bool claim(size_t k);
+    const FrontEndChunk &chunk(size_t k, const MemRequest *requests);
 
-    /** True when other consumers read what this one builds. */
-    bool shared() const { return consumers_ > 1; }
-
-    /** Chunk `k` being built (shared() only; bits zeroed, no
-     *  victims yet). */
-    FrontEndChunk &building(size_t k) { return chunk_[k]; }
-
-    /** The L1/L2 state, for the consumer building a chunk. */
-    FrontEnd &frontEnd() { return *front_; }
-
-    /** The L2 tag shift chunks store victims under (after a claim). */
+    /** The L2 tag shift chunks store victims under. */
     int victimTagShift() const { return victim_tag_shift_; }
-
-    /** End the build of chunk `k` and wake consumers waiting on it. */
-    void publish(size_t k);
-
-    /** Published chunk `k` (claim(k) returned false). */
-    const FrontEndChunk &published(size_t k) const { return chunk_[k]; }
 
     /** The caller is done with chunk `k`; the last consumer frees it. */
     void served(size_t k);
@@ -321,25 +307,25 @@ class FrontEndLog
     void release();
 
   private:
+    /** Build chunk `k` = built_ from its requests (mutex held). A
+     *  failed build would leave the L1/L2 state past the built
+     *  chunks, so it ends the program instead of throwing. */
+    void build(size_t k, const MemRequest *requests) noexcept;
+
     HierarchyConfig geometry_; //!< the L1/L2's cores and divisor
     uint64_t seed_;
-    uint64_t warmup_;
-    uint64_t requests_;
+    ChunkPlan plan_;
     size_t consumers_;
-    size_t warmup_chunks_;
-    size_t chunks_total_;
-    // Made by the first claim, so a log that no run has reached holds
-    // no L1/L2 and no chunks; the chunks only when shared().
+    // Made by the first build, so a log that no run has reached holds
+    // no L1/L2 and no chunks.
     std::optional<FrontEnd> front_;
     int victim_tag_shift_ = 0;
     std::vector<FrontEndChunk> chunk_;
     /** Consumers done with each chunk. */
     std::unique_ptr<std::atomic<size_t>[]> served_;
 
-    std::mutex mutex_;
-    std::condition_variable published_cv_;
-    std::atomic<size_t> built_{0}; //!< chunks published
-    bool building_ = false;        //!< chunk built_ is being built
+    std::mutex mutex_;             //!< held by build() and release()
+    std::atomic<size_t> built_{0}; //!< chunks built
     size_t released_ = 0;
 };
 
@@ -351,8 +337,8 @@ class FrontEndLog
  * @param model   position-error model for racetrack LLCs (ignored
  *                otherwise; must outlive the call)
  * @param row     front-end log shared with other runs of the same
- *                stream (must fit `config`); null computes a
- *                private one
+ *                stream (must fit `config`); null runs a private
+ *                L1/L2
  */
 SimResult simulate(const WorkloadProfile &profile,
                    const SimConfig &config,

@@ -140,5 +140,35 @@ TEST_F(HierarchyFixture, DirtyDataWritesBackThroughLevels)
     EXPECT_GT(h.l1(0).stats().writebacks, 0u);
 }
 
+TEST(FrontEnd, DroppedL2WritebacksAreCounted)
+{
+    // A dirty line kept hot in L1 ages out of its L2 set (A's L2
+    // writeback is a kL2Writeback). F then evicts A from L1, and
+    // A's install into L2 evicts the dirty B, whose writeback is
+    // dropped. Every dirty L2 eviction is one or the other.
+    FrontEnd front(HierarchyConfig{});
+    const Addr stride = front.l2(0).sets() * kLineBytes;
+    const Addr a = 0x40000;
+    const std::pair<Addr, bool> trace[] = {
+        {a, true},              {a + stride, true},     {a, false},
+        {a + 2 * stride, true}, {a, false},             {a + 3 * stride, true},
+        {a, false},             {a + 4 * stride, true}, {a + 5 * stride, true},
+    };
+    uint64_t l2_writebacks = 0;
+    for (const auto &[addr, is_write] : trace) {
+        Addr victim = 0;
+        if (front.access(0, addr, is_write, &victim) & kL2Writeback)
+            ++l2_writebacks;
+    }
+    Telemetry sink;
+    front.exportTelemetry(sink);
+    const uint64_t dropped =
+        sink.counters().at("mem.l2.dropped_writebacks").value();
+    EXPECT_EQ(dropped, 1u);
+    EXPECT_EQ(l2_writebacks, 2u);
+    EXPECT_EQ(sink.counters().at("mem.l2.writebacks").value(),
+              dropped + l2_writebacks);
+}
+
 } // namespace
 } // namespace rtm

@@ -11,8 +11,10 @@
 
 #include <atomic>
 #include <cstdio>
+#include <latch>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "device/montecarlo.hh"
 #include "matrix_sweep.hh"
@@ -236,7 +238,7 @@ TEST(ParallelDeterminism, RowSharedFrontEndMatchesStandaloneCells)
     std::vector<std::vector<SimResult>> standalone(profiles + 1);
     for (size_t row = 0; row <= profiles; ++row) {
         for (const LlcOption &opt : spec.matrix.options) {
-            const SimConfig cfg = cellConfig(spec, opt);
+            const SimConfig cfg = matrixSimConfig(spec, opt);
             standalone[row].push_back(
                 row < profiles
                     ? simulate(scaledProfile(
@@ -317,6 +319,49 @@ TEST(ParallelDeterminism, RowSharedFrontEndMatchesStandaloneCells)
         }
     }
     std::remove(journal.c_str());
+}
+
+TEST(ParallelDeterminism, RowLogThreadedConsumersMatchStandalone)
+{
+    // One thread per option consumes one row log. All but the last
+    // start together and race for the frontier from chunk 0 (their
+    // cheap back ends keep them abreast); the last, a racetrack
+    // option, starts only once the first has finished, so it reads
+    // every chunk without locking.
+    PaperCalibratedErrorModel model;
+    const ExperimentSpec spec = sharedRowSpec();
+    const LlcOption sram{"SRAM", MemTech::SRAM, Scheme::Baseline};
+    const LlcOption stt{"STT-RAM", MemTech::STTRAM, Scheme::Baseline};
+    const std::vector<LlcOption> options = {sram, stt, sram, stt,
+                                            spec.matrix.options.back()};
+    const WorkloadProfile profile = scaledProfile(
+        parsecProfile(spec.matrix.workloads[0]), spec.matrix.divisor);
+    std::vector<SimResult> standalone;
+    for (const LlcOption &opt : options)
+        standalone.push_back(
+            simulate(profile, matrixSimConfig(spec, opt), &model));
+
+    FrontEndLog log(matrixSimConfig(spec, options[0]), options.size());
+    std::vector<SimResult> shared(options.size());
+    std::latch start(static_cast<std::ptrdiff_t>(options.size() - 1));
+    auto consume = [&](size_t o) {
+        if (o + 1 < options.size())
+            start.arrive_and_wait();
+        shared[o] = simulate(profile, matrixSimConfig(spec, options[o]),
+                             &model, &log);
+        log.release();
+    };
+    std::thread first(consume, 0);
+    std::vector<std::thread> racing;
+    for (size_t o = 1; o + 1 < options.size(); ++o)
+        racing.emplace_back(consume, o);
+    first.join();
+    std::thread last(consume, options.size() - 1);
+    for (std::thread &t : racing)
+        t.join();
+    last.join();
+    for (size_t o = 0; o < options.size(); ++o)
+        EXPECT_TRUE(shared[o] == standalone[o]) << options[o].label;
 }
 
 } // namespace

@@ -509,7 +509,7 @@ TEST(GoldenSim, TelemetryOnDoesNotPerturbResults)
         const WorkloadProfile profile =
             scaledProfile(parsecProfile(workload), kGoldenDivisor);
         for (const LlcOption &opt : options) {
-            SimConfig cfg = cellConfig(spec, opt);
+            SimConfig cfg = matrixSimConfig(spec, opt);
             cfg.telemetry = &standalone;
             simulate(profile, cfg, &model);
         }

@@ -202,12 +202,13 @@ TEST(FrontEndLog, ChunksEndAtTheWarmupBoundary)
     cfg.warmup_requests = 1500;
     cfg.mem_requests = 6000;
     const FrontEndLog log(cfg, 2);
-    ASSERT_EQ(log.warmupChunks(), 2u);
-    ASSERT_EQ(log.chunks(), 8u);
-    EXPECT_EQ(log.chunkSize(0), 1024u);
-    EXPECT_EQ(log.chunkSize(1), 476u);
-    EXPECT_EQ(log.chunkSize(2), 1024u);
-    EXPECT_EQ(log.chunkSize(7), 880u);
+    const ChunkPlan &plan = log.plan();
+    ASSERT_EQ(plan.warmup_chunks, 2u);
+    ASSERT_EQ(plan.chunks, 8u);
+    EXPECT_EQ(plan.size(0), 1024u);
+    EXPECT_EQ(plan.size(1), 476u);
+    EXPECT_EQ(plan.size(2), 1024u);
+    EXPECT_EQ(plan.size(7), 880u);
 
     EXPECT_TRUE(log.fits(cfg));
     SimConfig other = cfg;
@@ -266,13 +267,15 @@ TEST(FrontEndLog, WideVictimLinesMatchTheHierarchy)
     cfg.hierarchy.capacity_divisor = 32;
     cfg.warmup_requests = 0;
     cfg.mem_requests = 3 * trace.size();
-    const SimResult want = hierarchyReplay(trace, cfg);
-    ASSERT_GT(want.llc_accesses, want.llc_misses);
-
-    // Standalone (a log that keeps no chunk) and two runs sharing one.
-    FrontEndLog shared(cfg, 2);
     SimConfig stt = cfg;
     stt.hierarchy.llc_tech = MemTech::STTRAM;
+    const SimResult want[] = {hierarchyReplay(trace, cfg),
+                              hierarchyReplay(trace, stt)};
+    ASSERT_GT(want[0].llc_accesses, want[0].llc_misses);
+
+    // A lone run (its own L1/L2), and two runs sharing one log: the
+    // first builds every chunk, the second replays them.
+    FrontEndLog shared(cfg, 2);
     const SimResult runs[] = {
         simulateTrace("wide", trace, cfg, nullptr),
         simulateTrace("wide", trace, cfg, nullptr, &shared),
@@ -280,14 +283,16 @@ TEST(FrontEndLog, WideVictimLinesMatchTheHierarchy)
     };
     shared.release();
     shared.release();
-    for (const SimResult &r : {runs[0], runs[1]}) {
-        EXPECT_EQ(r.cycles, want.cycles);
-        EXPECT_EQ(r.llc_accesses, want.llc_accesses);
-        EXPECT_EQ(r.llc_misses, want.llc_misses);
-        EXPECT_EQ(r.dram_accesses, want.dram_accesses);
-        EXPECT_EQ(r.cache_dynamic_energy, want.cache_dynamic_energy);
+    for (size_t i = 0; i < std::size(runs); ++i) {
+        const SimResult &r = runs[i];
+        const SimResult &w = want[i / 2];
+        EXPECT_EQ(r.cycles, w.cycles) << "run " << i;
+        EXPECT_EQ(r.llc_accesses, w.llc_accesses) << "run " << i;
+        EXPECT_EQ(r.llc_misses, w.llc_misses) << "run " << i;
+        EXPECT_EQ(r.dram_accesses, w.dram_accesses) << "run " << i;
+        EXPECT_EQ(r.cache_dynamic_energy, w.cache_dynamic_energy)
+            << "run " << i;
     }
-    EXPECT_TRUE(runs[2] == simulateTrace("wide", trace, stt, nullptr));
 }
 
 TEST(Runner, OptionSetsMatchPaperLegends)

@@ -33,6 +33,7 @@
 #include "trace/workload.hh"
 #include "util/fields.hh"
 #include "util/hash.hh"
+#include "util/telemetry.hh"
 
 namespace rtm
 {
@@ -64,22 +65,53 @@ variantConfig()
     return c;
 }
 
+/** Recovery outcomes summed over a campaign's cells. */
+struct RungTally
+{
+    ControllerStats controller; //!< merged controller ledgers
+    uint64_t rung_events = 0;   //!< RecoveryRung events traced
+
+    /**
+     * Episodes first counted as recovered and then reclassified as
+     * DUEs. Each traces a rung event and a "reclassified-<rung>"
+     * event but lands in one ledger bucket, so the excess of traced
+     * rung events over the ledger's recovered + unrecoverable
+     * buckets counts them (event totals survive ring overwrite).
+     */
+    uint64_t reclassified() const
+    {
+        return rung_events - controller.recovered_retry -
+               controller.recovered_realign -
+               controller.recovered_scrub - controller.unrecoverable;
+    }
+};
+
 /**
  * One digest over every cell of standardScenarios() x kWorkloads,
- * seeded the way runExperiment seeds campaign cells.
+ * seeded the way runExperiment seeds campaign cells. With `tally`
+ * set, each cell also runs with a telemetry sink (results are
+ * bit-identical either way) and its recovery outcomes are summed.
  */
 std::string
-campaignDigest(const CampaignConfig &config)
+campaignDigest(const CampaignConfig &config,
+               RungTally *tally = nullptr)
 {
     const std::vector<ScenarioSpec> scenarios = standardScenarios();
     Sha256 h;
     for (size_t s = 0; s < scenarios.size(); ++s) {
         for (size_t w = 0; w < kWorkloads.size(); ++w) {
             const uint64_t index = s * kWorkloads.size() + w;
+            Telemetry t(16);
             CampaignCellResult cell = runFaultDrill(
                 scenarios[s], parsecProfile(kWorkloads[w]), config,
-                mixSeed(config.seed, index));
+                mixSeed(config.seed, index),
+                tally ? TelemetryScope(&t) : TelemetryScope());
             h.updateString(campaignCellToJson(cell).dump(0));
+            if (tally) {
+                tally->controller.merge(cell.controller);
+                tally->rung_events +=
+                    t.eventCount(EventKind::RecoveryRung);
+            }
         }
     }
     return h.hexDigest();
@@ -139,6 +171,37 @@ TEST(DrillPins, RecoveryOffCampaign)
     expectPin("recovery-off", campaignDigest(c),
               "c46991110fba8f89c417b1afd53cc293"
               "f91207550b7e5f67938fd760b1e116ef");
+}
+
+TEST(DrillPins, DelInsCampaign)
+{
+    // Every access is a streaming readout (delInsAccess), recovered
+    // through the same ladder as the window schemes.
+    CampaignConfig c = variantConfig();
+    c.pecc = PeccConfig{2, 8, 1, PeccVariant::DelIns};
+    RungTally tally;
+    expectPin("del-ins", campaignDigest(c, &tally),
+              "3bc2a1037dc49ab023b0a71d17dfbc9e"
+              "8ae0c720ca09fddcafc3a8bae45ac850");
+    // The pin must cover the ladder and the DUE exit.
+    EXPECT_GT(tally.controller.recovered_retry +
+                  tally.controller.recovered_realign +
+                  tally.controller.recovered_scrub,
+              0u);
+    EXPECT_GT(tally.controller.unrecoverable, 0u);
+}
+
+TEST(DrillPins, NoReplanCampaign)
+{
+    // No re-seek after a recovery: a recovered episode that left
+    // the seek unfinished is reclassified as a DUE.
+    CampaignConfig c = variantConfig();
+    c.recovery.max_replans = 0;
+    RungTally tally;
+    expectPin("no-replan", campaignDigest(c, &tally),
+              "9fbe8d0e47640a8fb354884262840238"
+              "f04ebdc53baa62089a37f7c0226aaf5a");
+    EXPECT_GT(tally.reclassified(), 0u);
 }
 
 TEST(DrillPins, StressDrills)

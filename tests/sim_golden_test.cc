@@ -35,6 +35,7 @@
 #include "util/hash.hh"
 #include "util/parallel.hh"
 #include "util/rng.hh"
+#include "util/serde.hh"
 #include "util/telemetry.hh"
 
 namespace rtm
@@ -860,6 +861,74 @@ TEST(GoldenSim, ProfiledHotCenterDigestMatchesPin)
     hashPlacementResult(h, second);
     checkPlacementPin("kGoldenProfiledHotCenterHash", h.hexDigest(),
                       kGoldenProfiledHotCenterHash);
+}
+
+/**
+ * A bank with two non-default protection domains beside the base
+ * one: a secded-override F=2 region and a two-tier F=8 region, under
+ * static, adaptive and hot-center placements and four head policies.
+ * Every domain's reliability fold, the pooled redundancy fetch and
+ * migrations all reach the pinned digest.
+ */
+const char *const kGoldenMultiDomainBankHash =
+    "ee921e41c5bd0a7134cf0281f40bbb69a11f5df142a333304fa1352b5db91d36";
+
+TEST(GoldenSim, MultiDomainBankDigestMatchesPin)
+{
+    JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(JsonValue::parse(R"({
+      "name": "multi-domain-bank",
+      "matrix": {
+        "requests": 40000, "divisor": 16,
+        "workloads": ["canneal", "streamcluster"],
+        "options": [
+          {"label": "static stay", "tech": "rm", "scheme": "adaptive",
+           "placement": {"policy": "static", "head": "stay"}},
+          {"label": "adaptive predictive", "tech": "rm",
+           "scheme": "adaptive",
+           "placement": {"policy": "adaptive", "epoch": 16,
+                         "head": "predictive"}},
+          {"label": "hot-center center", "tech": "rm",
+           "scheme": "pecc-o",
+           "placement": {"policy": "hot-center", "epoch": 16,
+                         "head": "center"}},
+          {"label": "static return-home", "tech": "rm",
+           "scheme": "worst",
+           "placement": {"policy": "static", "head": "return-home"}}
+        ]
+      },
+      "protection": {
+        "kind": "regions",
+        "regions": [
+          {"begin": 0.25, "end": 0.5, "codeword_frames": 2,
+           "scheme": "secded"},
+          {"begin": 0.5, "end": 1.0, "codeword_frames": 8,
+           "two_tier": true}
+        ]
+      }
+    })",
+                                 &doc, &err))
+        << err;
+    ExperimentSpec spec;
+    std::string diag;
+    ASSERT_TRUE(experimentSpecFromJson(doc, &spec, &diag)) << diag;
+    const ExperimentResult res = runExperiment(spec);
+    ASSERT_TRUE(res.complete());
+    uint64_t migrations = 0;
+    uint64_t redundancy = 0;
+    for (const WorkloadMatrixRow &row : res.matrix) {
+        for (const SimResult &r : row.results) {
+            migrations += r.migrations;
+            redundancy += r.redundancy_accesses;
+        }
+    }
+    // The pin must cover the paths it is named for.
+    EXPECT_GT(migrations, 0u);
+    EXPECT_GT(redundancy, 0u);
+    checkPlacementPin("kGoldenMultiDomainBankHash",
+                      experimentResultDigest(res),
+                      kGoldenMultiDomainBankHash);
 }
 
 // --- 4. fast-tier pins -----------------------------------------------

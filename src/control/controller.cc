@@ -226,34 +226,49 @@ ShiftController::attemptRecovery(AccessResult &res)
 void
 ShiftController::reclassifyAsDue(RecoveryRung rung)
 {
-    // A rung event for this episode was already traced, so the
-    // reversal is traced too: reconciliation computes each bucket as
-    // count("<rung>") - count("reclassified-<rung>").
-    switch (rung) {
-      case RecoveryRung::Retry:
-        --stats_.recovered_retry;
-        if (t_)
-            t_->event(EventKind::RecoveryRung, "reclassified-retry",
-                      t_now_);
-        break;
-      case RecoveryRung::Realign:
-        --stats_.recovered_realign;
-        if (t_)
-            t_->event(EventKind::RecoveryRung, "reclassified-realign",
-                      t_now_);
-        break;
-      case RecoveryRung::Scrub:
-        --stats_.recovered_scrub;
-        if (t_)
-            t_->event(EventKind::RecoveryRung, "reclassified-scrub",
-                      t_now_);
-        break;
-      case RecoveryRung::None:
-        if (t_)
-            t_->event(EventKind::RecoveryRung, "due", t_now_);
-        break;
-    }
+    // Per rung: the bucket it recovered into and the event that
+    // reverses it. A rung event for this episode was already traced,
+    // so the reversal is traced too: reconciliation computes each
+    // bucket as count("<rung>") - count("reclassified-<rung>"). A
+    // failed ladder recovered nothing and traces "due".
+    static constexpr struct
+    {
+        uint64_t ControllerStats::*bucket;
+        const char *event;
+    } kReclassify[] = {
+        {nullptr, "due"},
+        {&ControllerStats::recovered_retry, "reclassified-retry"},
+        {&ControllerStats::recovered_realign, "reclassified-realign"},
+        {&ControllerStats::recovered_scrub, "reclassified-scrub"},
+    };
+    const auto &r = kReclassify[static_cast<size_t>(rung)];
+    if (r.bucket)
+        --(stats_.*r.bucket);
+    if (t_)
+        t_->event(EventKind::RecoveryRung, r.event, t_now_);
     ++stats_.unrecoverable;
+}
+
+template <class Episode>
+bool
+ShiftController::runEpisodes(Episode &&episode, AccessResult &res)
+{
+    for (int recoveries = 0; !episode(recoveries);) {
+        // The stripe exhausted its in-line corrections: climb the
+        // escalation ladder. A recovery past the replan budget
+        // verified a position but could not complete the access
+        // (e.g. a persistently stuck stripe): report a DUE rather
+        // than risk an unbounded retry loop.
+        const RecoveryRung rung = attemptRecovery(res);
+        if (rung == RecoveryRung::None ||
+            ++recoveries > recovery_.max_replans) {
+            reclassifyAsDue(rung);
+            res.due = true;
+            res.position_ok = stripe_.positionError() == 0;
+            return false;
+        }
+    }
+    return true;
 }
 
 AccessResult
@@ -272,53 +287,27 @@ ShiftController::seek(int index, Cycles now_cycles)
     // A recovery episode may leave the believed offset off the
     // planned path (a scrub rebuilds at home), so the seek re-plans
     // after every recovered episode — cautiously, and boundedly.
-    int replans = 0;
-    for (;;) {
-        int delta = target - stripe_.believedOffset();
-        if (delta == 0)
-            break;
-        int direction = delta > 0 ? 1 : -1;
-        const SequencePlan &plan =
-            replans == 0
-                ? adapter_.plan(std::abs(delta), now_cycles)
-                : adapter_.cautiousPlan(std::abs(delta));
-        RecoveryRung recovered_by = RecoveryRung::None;
-        bool episode_failed = false;
-        for (int part : plan.parts) {
-            if (executePart(direction, part, res))
-                continue;
-            // The stripe exhausted its in-line corrections: climb
-            // the escalation ladder.
-            recovered_by = attemptRecovery(res);
-            if (recovered_by == RecoveryRung::None) {
-                ++stats_.unrecoverable;
-                if (t_)
-                    t_->event(EventKind::RecoveryRung, "due", t_now_);
-                res.due = true;
-                res.position_ok = stripe_.positionError() == 0;
-                return res;
-            }
-            episode_failed = true;
-            break; // position verified but path changed: re-plan
-        }
-        if (!episode_failed)
-            break;
-        if (++replans > recovery_.max_replans) {
-            // Recovered a verified position but could not complete
-            // the seek within the replan budget (e.g. a persistently
-            // stuck stripe): report a DUE rather than risking an
-            // unbounded retry loop. The final recovery is
-            // re-accounted from its recovered bucket so each
-            // detection stays in exactly one outcome bucket.
-            reclassifyAsDue(recovered_by);
-            res.due = true;
-            res.position_ok = stripe_.positionError() == 0;
-            return res;
-        }
-    }
+    const bool done = runEpisodes(
+        [&](int attempt) {
+            const int delta = target - stripe_.believedOffset();
+            if (delta == 0)
+                return true;
+            const int direction = delta > 0 ? 1 : -1;
+            const SequencePlan &plan =
+                attempt == 0
+                    ? adapter_.plan(std::abs(delta), now_cycles)
+                    : adapter_.cautiousPlan(std::abs(delta));
+            for (int part : plan.parts)
+                if (!executePart(direction, part, res))
+                    return false;
+            return true;
+        },
+        res);
+    if (!done)
+        return res;
 
     res.position_ok = stripe_.positionError() == 0;
-    if (!res.position_ok && !res.due) {
+    if (!res.position_ok) {
         // Ground truth says we are misaligned and the code did not
         // notice: a silent data corruption in the making.
         ++stats_.silent_errors;
@@ -348,53 +337,41 @@ ShiftController::delInsAccess(int segment, int index,
     // undecodable readout the same escalation ladder as the window
     // schemes runs (recoverNow dispatches to readout rounds for this
     // variant), then the readout is retried, boundedly.
-    RecoveryRung recovered_by = RecoveryRung::None;
-    int attempts = 0;
-    for (;;) {
-        const uint64_t steps_before = stripe_.stripe().stepsMoved();
-        const uint64_t ops_before = stripe_.shiftOps();
-        ProtectedShiftResult r = stripe_.readoutNow(nullptr);
-        stats_.shift_ops += stripe_.shiftOps() - ops_before;
-        const uint64_t steps =
-            stripe_.stripe().stepsMoved() - steps_before;
-        stats_.shift_steps += steps;
-        Cycles lat = static_cast<Cycles>(steps) *
-                     timing_.shiftCycles(1);
-        if (r.correction_shifts > 0)
-            lat += static_cast<Cycles>(r.correction_shifts) *
-                   kCorrectionLogicCycles;
-        stats_.busy_cycles += lat;
-        res.latency += lat;
-        if (r.detected) {
-            ++stats_.detected_errors;
-            if (t_)
-                t_->event(EventKind::ErrorDetected, "del-ins", t_now_,
-                          static_cast<double>(r.inferred_error),
-                          static_cast<double>(r.correction_shifts));
-        }
-        if (!r.unrecoverable) {
+    const bool done = runEpisodes(
+        [&](int) {
+            const uint64_t steps_before = stripe_.stripe().stepsMoved();
+            const uint64_t ops_before = stripe_.shiftOps();
+            ProtectedShiftResult r = stripe_.readoutNow(nullptr);
+            stats_.shift_ops += stripe_.shiftOps() - ops_before;
+            const uint64_t steps =
+                stripe_.stripe().stepsMoved() - steps_before;
+            stats_.shift_steps += steps;
+            Cycles lat = static_cast<Cycles>(steps) *
+                         timing_.shiftCycles(1);
+            if (r.correction_shifts > 0)
+                lat += static_cast<Cycles>(r.correction_shifts) *
+                       kCorrectionLogicCycles;
+            stats_.busy_cycles += lat;
+            res.latency += lat;
+            if (r.detected) {
+                ++stats_.detected_errors;
+                if (t_)
+                    t_->event(EventKind::ErrorDetected, "del-ins",
+                              t_now_,
+                              static_cast<double>(r.inferred_error),
+                              static_cast<double>(r.correction_shifts));
+            }
+            if (r.unrecoverable)
+                return false;
             // A detected episode that ends in a verified decode is a
             // correction, whatever round it converged in.
             if (r.detected)
                 ++stats_.corrected_errors;
-            break;
-        }
-        recovered_by = attemptRecovery(res);
-        if (recovered_by == RecoveryRung::None) {
-            ++stats_.unrecoverable;
-            if (t_)
-                t_->event(EventKind::RecoveryRung, "due", t_now_);
-            res.due = true;
-            res.position_ok = stripe_.positionError() == 0;
-            return res;
-        }
-        if (++attempts > recovery_.max_replans) {
-            reclassifyAsDue(recovered_by);
-            res.due = true;
-            res.position_ok = stripe_.positionError() == 0;
-            return res;
-        }
-    }
+            return true;
+        },
+        res);
+    if (!done)
+        return res;
 
     // The decoded track codewords, concatenated: the stripe's full
     // data image (check bits included), indexed like its domains.

@@ -282,8 +282,20 @@ class ShiftController
      */
     RecoveryRung attemptRecovery(AccessResult &res);
 
-    /** Undo the recovered_* accounting of `rung` (replan exhausted:
-     *  the episode is re-classified as a DUE). */
+    /**
+     * Run `episode(attempt)` (attempt 0, then once more after each
+     * recovery) until it returns true, climbing the escalation
+     * ladder whenever it returns false (unrecoverable at the stripe
+     * level). A failed ladder, or more than max_replans recoveries,
+     * ends the access as a DUE through reclassifyAsDue. Returns
+     * false on a DUE, with res.due and res.position_ok set.
+     */
+    template <class Episode>
+    bool runEpisodes(Episode &&episode, AccessResult &res);
+
+    /** Count a DUE that ended an episode recovered by `rung`, undoing
+     *  that rung's recovered_* accounting (None: the ladder failed,
+     *  nothing to undo). */
     void reclassifyAsDue(RecoveryRung rung);
 
     /** Charge `cycles` to the access, busy, and recovery ledgers. */

@@ -186,19 +186,10 @@ BackEnd::serveLlc(HierarchyAccess &out, uint8_t bits, Addr addr,
     out.energy += is_write ? l3_params_.write_energy
                            : l3_params_.read_energy;
     if (rm_bank_) {
-        ShiftCost shift =
-            rm_bank_->accessFrame(r3.frame_index, now);
-        // Pooled codewords fetch their shared redundancy region on
-        // every write and, unless the domain reads two-tier, on
-        // every read (the frequent EDC-clean case skips it).
-        const ProtectionDomain &pd =
-            rm_bank_->domainFor(r3.frame_index);
-        if (pd.codeword_frames > 1 && (is_write || !pd.two_tier)) {
-            ShiftCost red =
-                rm_bank_->accessRedundancy(r3.frame_index, now);
-            shift.latency += red.latency;
-            shift.energy += red.energy;
-        }
+        // The data frame plus, for a pooled codeword, its shared
+        // redundancy region.
+        const ShiftCost shift =
+            rm_bank_->accessLine(r3.frame_index, is_write, now);
         if (config_.llc_tech == MemTech::Racetrack) {
             out.latency += shift.latency;
             out.shift_cycles = shift.latency;
@@ -212,17 +203,8 @@ BackEnd::serveLlc(HierarchyAccess &out, uint8_t bits, Addr addr,
         CacheAccessResult wb = l3_.access(l2_victim, true);
         out.energy += l3_params_.write_energy;
         if (rm_bank_) {
-            ShiftCost shift =
-                rm_bank_->accessFrame(wb.frame_index, now);
-            // The install is a write: a pooled codeword always
-            // updates its redundancy region.
-            const ProtectionDomain &pd =
-                rm_bank_->domainFor(wb.frame_index);
-            if (pd.codeword_frames > 1) {
-                ShiftCost red =
-                    rm_bank_->accessRedundancy(wb.frame_index, now);
-                shift.energy += red.energy;
-            }
+            const ShiftCost shift =
+                rm_bank_->accessLine(wb.frame_index, true, now);
             if (config_.llc_tech == MemTech::Racetrack)
                 out.energy += shift.energy;
         }

@@ -158,7 +158,12 @@ struct ResolvedProtection
         uint64_t end = 0;   //!< one past the last frame
         int domain = 0;     //!< index into `domains`
     };
-    /** Non-overlapping, sorted by begin; gaps fall to domain 0. */
+    /**
+     * Sorted by begin; gaps fall to domain 0. Spec regions may not
+     * overlap, but each snaps down to its own codeword boundary, so
+     * a range can still share up to F - 1 frames (its F) with the
+     * one before it; the first range holding a frame wins.
+     */
     std::vector<Range> ranges;
 
     int domainIndexFor(uint64_t frame) const

@@ -34,11 +34,6 @@ RmBank::RmBank(const RmBankConfig &config,
                kPeakLlcOpsPerSecond),
       protection_(resolveProtection(config.protection,
                                     config.line_frames)),
-      reliability_model_(model,
-                         protection_.domains[0].has_scheme
-                             ? protection_.domains[0].scheme
-                             : config.scheme,
-                         protection_.domains[0].codeword_frames),
       placement_(config.line_frames, config.placement,
                  config.head_policy),
       memo_enabled_(config.use_plan_memo)
@@ -65,11 +60,7 @@ RmBank::RmBank(const RmBankConfig &config,
             d, config_.scheme, kSegLen, kDomainsPerStripe);
         if (!err.empty())
             rtm_fatal("protection domain %zu: %s", i, err.c_str());
-        if (i > 0) {
-            extra_models_.emplace_back(
-                model, d.has_scheme ? d.scheme : config_.scheme,
-                d.codeword_frames);
-        }
+        domain_models_.emplace_back(model, es, d.codeword_frames);
     }
     constexpr uint64_t fpg = kDomainsPerStripe;
     const uint64_t groups = (config_.line_frames + fpg - 1) / fpg;
@@ -101,6 +92,23 @@ RmBank::RmBank(const RmBankConfig &config,
     }
 }
 
+RmBank::PlanCost
+RmBank::foldParts(const std::vector<int> &parts, int dom) const
+{
+    PlanCost pc;
+    for (int p : parts) {
+        pc.latency += timing_.shiftCycles(p);
+        pc.energy += shiftOpEnergy(p);
+        pc.total_steps += p;
+        ++pc.sub_shifts;
+    }
+    const ShiftReliability rel =
+        domain_models_[static_cast<size_t>(dom)].sequence(parts);
+    pc.sdc_prob = std::exp(rel.log_sdc);
+    pc.due_prob = std::exp(rel.log_due);
+    return pc;
+}
+
 void
 RmBank::buildPlanMemo()
 {
@@ -108,64 +116,48 @@ RmBank::buildPlanMemo()
     one_step_energy_ = shiftOpEnergy(1);
 
     // Heads travel within one segment, so every request distance is
-    // in [1, kSegLen - 1]; precompute the cost of each plan the
-    // adapter may pick with the identical per-part fold the live path
-    // performs, so serving from the memo reproduces its arithmetic
-    // bit for bit.
-    const int max_distance = kSegLen - 1;
-    plan_memo_.assign(static_cast<size_t>(std::max(max_distance, 0)),
-                      {});
-    drift_memo_.assign(static_cast<size_t>(max_distance) + 1,
+    // in [1, kSegLen - 1]. Fold each plan the adapter may pick, and
+    // each run of that many single steps (idle drift, migrations),
+    // in every domain.
+    constexpr int max_distance = kSegLen - 1;
+    const int domains = static_cast<int>(domain_models_.size());
+    plan_memo_.assign(static_cast<size_t>(domains * max_distance), {});
+    drift_memo_.assign(static_cast<size_t>(domains * kSegLen),
                        PlanCost{});
-    for (int d = 1; d <= max_distance; ++d) {
-        auto &entries = plan_memo_[static_cast<size_t>(d - 1)];
-        for (const SequencePlan &plan : adapter_.plans(d)) {
-            PlanCost pc;
-            for (int p : plan.parts) {
-                pc.latency += timing_.shiftCycles(p);
-                pc.energy += shiftOpEnergy(p);
-                pc.total_steps += p;
-                ++pc.sub_shifts;
-            }
-            ShiftReliability rel =
-                reliability_model_.sequence(plan.parts);
-            pc.sdc_prob = std::exp(rel.log_sdc);
-            pc.due_prob = std::exp(rel.log_due);
-            for (const ReliabilityModel &dm : extra_models_) {
-                ShiftReliability r = dm.sequence(plan.parts);
-                pc.extra_sdc.push_back(std::exp(r.log_sdc));
-                pc.extra_due.push_back(std::exp(r.log_due));
-            }
-            entries.push_back(pc);
-        }
-
-        // Idle head drift performs d single-step shifts; cache that
-        // sequence's reliability fold too (driftToRest).
-        const std::vector<int> drift_parts(static_cast<size_t>(d), 1);
-        ShiftReliability drift =
-            reliability_model_.sequence(drift_parts);
-        PlanCost &dc = drift_memo_[static_cast<size_t>(d)];
-        dc.sdc_prob = std::exp(drift.log_sdc);
-        dc.due_prob = std::exp(drift.log_due);
-        for (const ReliabilityModel &dm : extra_models_) {
-            ShiftReliability r = dm.sequence(drift_parts);
-            dc.extra_sdc.push_back(std::exp(r.log_sdc));
-            dc.extra_due.push_back(std::exp(r.log_due));
+    for (int dom = 0; dom < domains; ++dom) {
+        for (int d = 1; d <= max_distance; ++d) {
+            auto &entries = plan_memo_[static_cast<size_t>(
+                dom * max_distance + d - 1)];
+            for (const SequencePlan &plan : adapter_.plans(d))
+                entries.push_back(foldParts(plan.parts, dom));
+            drift_memo_[static_cast<size_t>(dom * kSegLen + d)] =
+                foldParts(std::vector<int>(static_cast<size_t>(d), 1),
+                          dom);
         }
     }
 }
 
 void
-RmBank::addMemoReliability(const PlanCost &pc, int dom)
+RmBank::chargeOffPath(uint64_t group, int dom, int steps)
 {
-    const double weight = kStripesPerLine;
-    if (dom == 0) {
-        stats_.reliability.addExpected(pc.sdc_prob, pc.due_prob,
-                                       weight);
-    } else {
-        stats_.reliability.addExpected(
-            pc.extra_sdc[static_cast<size_t>(dom - 1)],
-            pc.extra_due[static_cast<size_t>(dom - 1)], weight);
+    const auto n = static_cast<uint64_t>(steps);
+    stats_.shift_ops += n;
+    stats_.shift_steps += n;
+    group_stats_[group].shift_ops += n;
+    group_stats_[group].shift_steps += n;
+    // Charged per step, not as the fold's per-shift sum, which
+    // rounds differently.
+    stats_.shift_energy += static_cast<double>(steps) * one_step_energy_;
+    const PlanCost pc =
+        memo_enabled_
+            ? drift_memo_[static_cast<size_t>(dom * kSegLen + steps)]
+            : foldParts(std::vector<int>(n, 1), dom);
+    stats_.reliability.addExpected(pc.sdc_prob, pc.due_prob,
+                                   kStripesPerLine);
+    if (t_events_) {
+        // Mirror the ledger exactly: off-path shifts count too.
+        t_shift_ops_->add(n);
+        t_shift_steps_->add(n);
     }
 }
 
@@ -189,32 +181,13 @@ RmBank::driftToRest(uint64_t group, Cycles now)
         head_[group] = static_cast<int8_t>(*rest);
         // The drift is real work: energy, steps, and failure
         // opportunities, even though it hides off the access path.
-        stats_.shift_ops += static_cast<uint64_t>(dist);
-        stats_.shift_steps += static_cast<uint64_t>(dist);
-        group_stats_[group].shift_ops += static_cast<uint64_t>(dist);
-        group_stats_[group].shift_steps +=
-            static_cast<uint64_t>(dist);
-        stats_.shift_energy +=
-            static_cast<double>(dist) * one_step_energy_;
-        if (t_events_) {
-            // Mirror the ledger exactly: drift shifts count too.
-            t_shift_ops_->add(static_cast<uint64_t>(dist));
-            t_shift_steps_->add(static_cast<uint64_t>(dist));
-        }
         // Domain of the group's first frame; regions snap to
         // codeword boundaries, far finer than a group, so frames of
         // one group rarely span domains (and drift reliability is a
         // per-group approximation anyway).
-        const int dom = protection_.domainIndexFor(
-            group * static_cast<uint64_t>(kDomainsPerStripe));
-        if (memo_enabled_) {
-            addMemoReliability(drift_memo_[static_cast<size_t>(dist)],
-                               dom);
-        } else {
-            ShiftReliability rel = domainModel(dom).sequence(
-                std::vector<int>(static_cast<size_t>(dist), 1));
-            stats_.reliability.add(rel, kStripesPerLine);
-        }
+        chargeOffPath(
+            group, protection_.domainIndexFor(group * kDomainsPerStripe),
+            dist);
     }
 }
 
@@ -275,48 +248,35 @@ RmBank::accessFrame(uint64_t frame_index, Cycles now)
     driftToRest(group, now);
     int target = placement_.slotOffset(frame_index);
     int cur = head_[group];
-    ShiftCost cost;
     ++stats_.accesses;
     ++group_stats_[group].accesses;
     if (t_accesses_)
         t_accesses_->add();
     last_access_[group] = now;
     if (target == cur)
-        return cost;
+        return {};
 
     int distance = std::abs(target - cur);
     stats_.distance_histogram.add(distance);
 
     // The scheme's policy picks the plan from the memory-wide request
-    // interval (paper Sec. 5.3); both branches below serve the same
-    // choice.
+    // interval (paper Sec. 5.3); the memo holds the fold of every
+    // plan it may pick.
     const size_t choice = adapter_.choose(distance, now);
+    PlanCost pc;
     if (memo_enabled_) {
-        // Fast path: the plan's cost and reliability fold were
-        // precomputed at construction.
-        const PlanCost &pc =
-            plan_memo_[static_cast<size_t>(distance - 1)][choice];
-        cost.latency = pc.latency;
-        cost.energy = pc.energy;
-        cost.total_steps = pc.total_steps;
-        cost.sub_shifts = pc.sub_shifts;
-        addMemoReliability(pc, dom);
+        pc = plan_memo_[static_cast<size_t>(
+            dom * (kSegLen - 1) + distance - 1)][choice];
         ++stats_.plan_memo_hits;
     } else {
-        const std::vector<int> &parts =
-            adapter_.plans(distance)[choice].parts;
-        for (int p : parts) {
-            cost.latency += timing_.shiftCycles(p);
-            cost.energy += shiftOpEnergy(p);
-            cost.total_steps += p;
-            ++cost.sub_shifts;
-        }
-
-        // Reliability: every stripe in the group shifts independently
-        // and is an independent failure opportunity.
-        ShiftReliability rel = domainModel(dom).sequence(parts);
-        stats_.reliability.add(rel, kStripesPerLine);
+        pc = foldParts(adapter_.plans(distance)[choice].parts, dom);
     }
+    const ShiftCost cost{pc.latency, pc.energy, pc.total_steps,
+                         pc.sub_shifts};
+    // Reliability: every stripe in the group shifts independently
+    // and is an independent failure opportunity.
+    stats_.reliability.addExpected(pc.sdc_prob, pc.due_prob,
+                                   kStripesPerLine);
 
     head_[group] = static_cast<int8_t>(target);
     stats_.shift_ops += static_cast<uint64_t>(cost.sub_shifts);
@@ -339,61 +299,46 @@ RmBank::accessFrame(uint64_t frame_index, Cycles now)
 }
 
 ShiftCost
-RmBank::accessRedundancy(uint64_t frame_index, Cycles now)
+RmBank::accessLine(uint64_t frame_index, bool is_write, Cycles now)
 {
-    const auto dom =
-        static_cast<size_t>(protection_.domainIndexFor(frame_index));
-    const auto f =
-        static_cast<uint64_t>(protection_.domains[dom].codeword_frames);
-    if (f <= 1)
-        return {};
+    ShiftCost cost = accessFrame(frame_index, now);
+    const ProtectionDomain &pd = protection_.domainFor(frame_index);
+    if (pd.codeword_frames <= 1 || (!is_write && pd.two_tier))
+        return cost;
     // The pooled check region lives in the codeword's base frame
     // slot. codeword_frames is 2, 4 or 8 and divides
     // kDomainsPerStripe (validated at construction), so the base
-    // frame shares the data frame's group and domain.
-    const uint64_t base = frame_index & ~(f - 1);
-    ShiftCost cost = accessFrame(base, now);
+    // frame shares the data frame's group; accessFrame looks up its
+    // own domain, since snapped regions may share frames.
+    const auto f = static_cast<uint64_t>(pd.codeword_frames);
+    const ShiftCost red = accessFrame(frame_index & ~(f - 1), now);
     ++stats_.redundancy_accesses;
-    stats_.redundancy_steps +=
-        static_cast<uint64_t>(cost.total_steps);
+    stats_.redundancy_steps += static_cast<uint64_t>(red.total_steps);
+    cost.latency += red.latency;
+    cost.energy += red.energy;
+    cost.total_steps += red.total_steps;
+    cost.sub_shifts += red.sub_shifts;
     return cost;
 }
 
 void
 RmBank::chargeMigration(const PlacementMigration &m)
 {
-    int dist = std::abs(m.to_offset - m.from_offset);
+    const int dist = std::abs(m.to_offset - m.from_offset);
     if (dist == 0)
         return;
     // The move happens where the frame physically lives today (the
     // remap target if its home group was retired).
-    uint64_t g = serving_memo_[groupOf(m.frame)];
-    uint64_t steps = static_cast<uint64_t>(dist);
+    const uint64_t g = serving_memo_[groupOf(m.frame)];
+    const auto steps = static_cast<uint64_t>(dist);
     ++stats_.migrations;
     stats_.migration_steps += steps;
-    stats_.shift_ops += steps;
-    stats_.shift_steps += steps;
-    group_stats_[g].shift_ops += steps;
-    group_stats_[g].shift_steps += steps;
     group_stats_[g].migration_steps += steps;
-    stats_.shift_energy +=
-        static_cast<double>(dist) * one_step_energy_;
-    const int dom = protection_.domainIndexFor(m.frame);
-    if (memo_enabled_) {
-        addMemoReliability(drift_memo_[static_cast<size_t>(dist)],
-                           dom);
-    } else {
-        ShiftReliability rel = domainModel(dom).sequence(
-            std::vector<int>(static_cast<size_t>(dist), 1));
-        stats_.reliability.add(rel, kStripesPerLine);
-    }
     if (t_events_) {
-        // Mirror the ledger exactly: migration shifts count too.
         t_migrations_->add();
         t_migration_steps_->add(steps);
-        t_shift_ops_->add(steps);
-        t_shift_steps_->add(steps);
     }
+    chargeOffPath(g, protection_.domainIndexFor(m.frame), dist);
 }
 
 uint64_t

@@ -127,14 +127,14 @@ struct RmBankConfig
 
     /**
      * Serve steady-state accesses from the per-bank shift-plan memo
-     * (the cost of every plan the adapter may pick, precomputed at
-     * construction) instead of refolding the chosen plan's cost and
-     * reliability on every access. Both paths take the plan from the
-     * same ShiftAdapter::choose call, so results are bit-identical
-     * either way — the memo is an exact cache keyed on everything a
-     * plan's cost depends on (distance, chosen plan, protection
-     * domain; never head, placement or degradation state) — and this
-     * switch exists only to exercise the live fold (golden
+     * (every plan the adapter may pick and every single-step run,
+     * folded at construction) instead of folding on each access.
+     * Both take the plan from the same ShiftAdapter::choose call and
+     * fold it with the same function, so this switch only changes
+     * *when* the fold runs and results are bit-identical either way
+     * — the memo is keyed on everything a fold depends on (parts,
+     * protection domain; never head, placement or degradation
+     * state). It exists only to exercise the live fold (golden
      * cross-checks, the frozen reference simulator, baseline
      * benchmarking).
      */
@@ -175,16 +175,17 @@ class RmBank
     ShiftCost accessFrame(uint64_t frame_index, Cycles now);
 
     /**
-     * Serve the redundancy-region fetch a pooled codeword needs on
-     * top of the data access to `frame_index` (writes always; reads
-     * only when the domain is not two-tier). The shared check
-     * region lives in the codeword's base frame's slot, so this is
-     * a real access — head movement, shifts, energy, reliability —
-     * through the normal path, tallied separately in
-     * `redundancy_accesses` / `redundancy_steps`. No-op ({}) when
-     * the frame's domain keeps the paper's single-frame codewords.
+     * Serve one LLC line access: the data frame's accessFrame and,
+     * when the frame's domain pools codewords, the fetch of the
+     * shared redundancy region in the codeword's base frame slot
+     * (writes always; reads unless the domain is two-tier, whose
+     * clean EDC probe needs no redundancy). The
+     * fetch is a real access through the same path, tallied also in
+     * `redundancy_accesses` / `redundancy_steps`. Returns the sum of
+     * both costs.
      */
-    ShiftCost accessRedundancy(uint64_t frame_index, Cycles now);
+    ShiftCost accessLine(uint64_t frame_index, bool is_write,
+                         Cycles now);
 
     /** Statistics accumulated so far. */
     const RmBankStats &stats() const { return stats_; }
@@ -208,12 +209,6 @@ class RmBank
      * access in accessFrame).
      */
     uint64_t servingGroupFor(uint64_t frame_index) const;
-
-    /** Protection domain governing `frame` (resolved policy). */
-    const ProtectionDomain &domainFor(uint64_t frame) const
-    {
-        return protection_.domainFor(frame);
-    }
 
     /**
      * Per-frame access counts accumulated by a tracking placement
@@ -256,9 +251,10 @@ class RmBank
 
   private:
     /**
-     * Precomputed cost of one memoised shift decomposition: the
-     * per-part latency/energy/step fold and the exponentiated
-     * reliability decomposition of the full sequence, so a
+     * Cost of one shift decomposition under one protection domain:
+     * the per-part latency/energy/step fold and the exponentiated
+     * reliability decomposition of the full sequence (foldParts).
+     * The memo holds one per plan, drift length and domain, so a
      * steady-state access is a table lookup plus accumulator adds.
      */
     struct PlanCost
@@ -269,11 +265,6 @@ class RmBank
         int sub_shifts = 0;
         double sdc_prob = 0.0; //!< exp(sequence log_sdc)
         double due_prob = 0.0; //!< exp(sequence log_due)
-        /** Per-extra-domain fold (index i-1 holds domain i); empty
-         *  under the default single-domain policy, so the hot path
-         *  pays nothing for the feature it does not use. */
-        std::vector<double> extra_sdc;
-        std::vector<double> extra_due;
     };
     RmBankConfig config_;
     const PositionErrorModel *model_;
@@ -285,10 +276,8 @@ class RmBank
     ShiftAdapter adapter_;
     /** Resolved protection table; domain 0 is the base domain. */
     ResolvedProtection protection_;
-    /** Domain 0's reliability model (the base/llc domain). */
-    ReliabilityModel reliability_model_;
-    /** Models for domains 1..N-1 (empty under the default policy). */
-    std::vector<ReliabilityModel> extra_models_;
+    /** Reliability model of each protection domain, by index. */
+    std::vector<ReliabilityModel> domain_models_;
 
     /** Frame -> slot mapping + head-rest scheduling. */
     Placement placement_;
@@ -300,10 +289,11 @@ class RmBank
     /** Cycle of each group's previous access (idle-drift policy). */
     std::vector<Cycles> last_access_;
 
-    /** Memo tables: plan_memo_[d - 1][i] = cost of
-     *  adapter_.plans(d)[i]. */
+    /** Memo tables, per domain `dom`:
+     *  plan_memo_[dom * (kSegLen - 1) + d - 1][i] = cost of
+     *  adapter_.plans(d)[i]; drift_memo_[dom * kSegLen + d] = cost
+     *  of d single-step shifts (idle drift, migration). */
     std::vector<std::vector<PlanCost>> plan_memo_;
-    /** drift_memo_[d] = reliability of d single-step drift shifts. */
     std::vector<PlanCost> drift_memo_;
     /** Cached timing_.shiftCycles(1) / shiftOpEnergy(1). */
     Cycles one_step_cycles_ = 0;
@@ -347,23 +337,25 @@ class RmBank
         return frame / kDomainsPerStripe;
     }
 
+    /** The one cost fold: shift sub-shifts `parts` in sequence
+     *  under protection domain `dom`'s reliability model. */
+    PlanCost foldParts(const std::vector<int> &parts, int dom) const;
+
     /**
-     * Precompute plan_memo_ and drift_memo_. The memo depends on
-     * configuration only — head moves, migrations and group
-     * retirement leave it valid — so construction calls this once.
+     * Precompute plan_memo_ and drift_memo_ with foldParts. The memo
+     * depends on configuration only — head moves, migrations and
+     * group retirement leave it valid — so construction calls this
+     * once.
      */
     void buildPlanMemo();
 
-    /** Reliability model of protection domain `dom`. */
-    const ReliabilityModel &domainModel(int dom) const
-    {
-        return dom == 0 ? reliability_model_
-                        : extra_models_[static_cast<size_t>(dom - 1)];
-    }
-
-    /** Fold one memoised decomposition into the reliability ledger
-     *  under domain `dom`'s model. */
-    void addMemoReliability(const PlanCost &pc, int dom);
+    /**
+     * Charge `steps` single-step shifts made off the access path
+     * (the gentle drive) on `group` under domain `dom`: shift ops and
+     * steps (bank and group), energy and reliability, mirrored into
+     * telemetry. Idle drift and migrations both land here.
+     */
+    void chargeOffPath(uint64_t group, int dom, int steps);
 
     /** Drift the group's heads to their rest offset, if they have
      *  one and the group idled long enough, before serving at
@@ -371,10 +363,9 @@ class RmBank
     void driftToRest(uint64_t group, Cycles now);
 
     /**
-     * Charge one scheduled frame move to the ledger: |to - from|
-     * single-step shifts (the gentle drive, off the access path) on
-     * the group that physically holds the frame, with energy and
-     * reliability accounted like idle drift.
+     * Charge one scheduled frame move: |to - from| off-path shifts
+     * on the group that physically holds the frame, plus the
+     * migration counters.
      */
     void chargeMigration(const PlacementMigration &m);
 

@@ -121,9 +121,10 @@ runFaultDrill(const ScenarioSpec &spec,
     // with injected DUE reports; the bank must degrade gracefully and
     // keep its per-group ledger consistent. Retiring and remapping
     // groups changes which group serves a frame, never what a shift
-    // plan costs (the memo entry plan_memo_[d - 1][i] is the cost of
-    // the adapter's i-th plan for a d-step shift), so the drill is
-    // served from the plan memo.
+    // plan costs (the memo entry plan_memo_[dom * (kSegLen - 1) +
+    // d - 1][i] is the cost of the adapter's i-th plan for a d-step
+    // shift in protection domain dom), so the drill is served from
+    // the plan memo.
     RmBankConfig bank_config;
     bank_config.line_frames = config.bank_frames;
     bank_config.scheme = Scheme::PeccSAdaptive;

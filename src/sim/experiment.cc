@@ -313,6 +313,12 @@ finishRead(SpecReader &r, ExperimentSpec &spec)
         const ProtectionRegion &g = p.regions[i];
         if (g.end <= g.begin)
             r.fail(at + "end", "must be in (begin, 1]");
+        for (size_t j = 0; j < i; ++j) {
+            const ProtectionRegion &o = p.regions[j];
+            if (g.begin < o.end && o.begin < g.end)
+                r.fail(at + "begin",
+                       "overlaps regions[" + std::to_string(j) + "]");
+        }
         checkProtectionDomain(r, at, g.domain);
     }
 }

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <random>
@@ -230,14 +231,23 @@ TEST(FieldLists, RandomSpecsRoundTrip)
                  .empty())
             spec.stress.lseg = 8;
         realisable(spec.protection.uniform);
-        // Regions are refused outside the regions kind.
+        // Regions are refused outside the regions kind, and where
+        // one overlaps another: keep the first of each overlap.
         if (spec.protection.kind != ProtectionScopeKind::AddressRegion)
             spec.protection.regions.clear();
+        std::vector<ProtectionRegion> disjoint;
         for (ProtectionRegion &g : spec.protection.regions) {
             if (g.end <= g.begin)
                 g.end = 1.0;
             realisable(g.domain);
+            if (std::none_of(disjoint.begin(), disjoint.end(),
+                             [&](const ProtectionRegion &o) {
+                                 return g.begin < o.end &&
+                                        o.begin < g.end;
+                             }))
+                disjoint.push_back(g);
         }
+        spec.protection.regions = disjoint;
 
         const JsonValue doc = experimentSpecToJson(spec);
         ExperimentSpec back;

@@ -265,6 +265,39 @@ TEST(ProtectionSpec, RegionsOnlyUnderTheRegionsKind)
         << diag;
 }
 
+TEST(ProtectionSpec, OverlappingRegionsRejected)
+{
+    // Frames in [0.5, 0.6) would silently take the first region's
+    // domain.
+    const std::string diag = parseSpecDiag(
+        R"({"name": "t", "protection": {"kind": "regions",
+            "regions": [{"begin": 0.0, "end": 0.6,
+                         "codeword_frames": 8},
+                        {"begin": 0.5, "end": 1.0,
+                         "codeword_frames": 2}]}})");
+    EXPECT_NE(diag.find("protection.regions[1].begin"),
+              std::string::npos)
+        << diag;
+    EXPECT_NE(diag.find("overlaps regions[0]"), std::string::npos)
+        << diag;
+    // Listed out of order, the later entry is the one named.
+    const std::string reversed = parseSpecDiag(
+        R"({"name": "t", "protection": {"kind": "regions",
+            "regions": [{"begin": 0.5, "end": 1.0},
+                        {"begin": 0.25, "end": 0.75}]}})");
+    EXPECT_NE(reversed.find("protection.regions[1].begin: overlaps "
+                            "regions[0]"),
+              std::string::npos)
+        << reversed;
+    // Regions that only touch are fine.
+    parseSpecOk(
+        R"({"name": "t", "protection": {"kind": "regions",
+            "regions": [{"begin": 0.25, "end": 0.5,
+                         "codeword_frames": 2},
+                        {"begin": 0.5, "end": 1.0,
+                         "codeword_frames": 8}]}})");
+}
+
 // ---- digest guard --------------------------------------------------
 
 ExperimentSpec

@@ -183,9 +183,15 @@ TEST(Campaign, CombinedSpecInterleavingIsBitIdentical)
     ThreadPool::setGlobalThreads(ThreadPool::configuredThreads());
 }
 
-TEST(Campaign, TelemetryReconcilesWithLedgers)
+/**
+ * Run `config` over 1000-access cells with telemetry and reconcile
+ * every event stream and counter with the ledgers. `rung` receives
+ * the recovery-rung event counts by name.
+ */
+void
+reconcileTelemetry(CampaignConfig config,
+                   std::map<std::string, uint64_t> &rung)
 {
-    CampaignConfig config = quickConfig();
     config.accesses_per_cell = 1000;
     // Per-cell ring large enough that no event is ever overwritten:
     // the rung reconciliation below scans individual ring events.
@@ -232,7 +238,6 @@ TEST(Campaign, TelemetryReconcilesWithLedgers)
     // the error; if a later DUE reclassifies the episode the
     // controller emits a paired "reclassified-<rung>" event. Net
     // counts must equal the ControllerStats ledger buckets.
-    std::map<std::string, uint64_t> rung;
     for (const TraceEvent &e : telemetry.ringEvents())
         if (e.kind == EventKind::RecoveryRung)
             ++rung[e.name];
@@ -275,6 +280,29 @@ TEST(Campaign, TelemetryReconcilesWithLedgers)
     // One wall-clock span per cell.
     EXPECT_EQ(telemetry.eventCount(EventKind::Span),
               r.cells.size());
+}
+
+TEST(Campaign, TelemetryReconcilesWithLedgers)
+{
+    std::map<std::string, uint64_t> rung;
+    reconcileTelemetry(quickConfig(), rung);
+}
+
+TEST(Campaign, TelemetryReconcilesWithLedgersWithoutReplans)
+{
+    // No re-seek after a recovery: a recovered episode that left the
+    // access unfinished is reclassified as a DUE, so every rung's
+    // reversal event must reconcile too. One retry and faster
+    // faults carry episodes up to the realign and scrub rungs.
+    CampaignConfig config = quickConfig();
+    config.recovery.max_replans = 0;
+    config.recovery.retry_budget = 1;
+    config.scale = 8000.0;
+    std::map<std::string, uint64_t> rung;
+    reconcileTelemetry(config, rung);
+    for (const char *name : {"reclassified-retry", "reclassified-realign",
+                             "reclassified-scrub"})
+        EXPECT_GT(rung[name], 0u) << name;
 }
 
 TEST(Campaign, TelemetryMergeDeterministicAcrossThreadCounts)

@@ -244,9 +244,10 @@ TEST(GoldenRmBank, MemoMatchesLivePlanningUnderDegradation)
 {
     // The campaign's bank drill: accelerated rates, injected DUE
     // reports retiring groups and remapping their frames mid-run.
-    // The memo (plan_memo_[d - 1][i], the cost of the adapter's i-th
-    // plan for a d-step shift) never reads degradation state, so it
-    // must still match live planning access for access.
+    // The memo (plan_memo_[dom * (kSegLen - 1) + d - 1][i], the cost
+    // of the adapter's i-th plan for a d-step shift in domain dom)
+    // never reads degradation state, so it must still match live
+    // planning access for access.
     auto base = std::make_shared<PaperCalibratedErrorModel>();
     ScaledErrorModel model(base, 2000.0);
     TechParams tech = l3For(MemTech::Racetrack);
@@ -295,6 +296,107 @@ TEST(GoldenRmBank, MemoMatchesLivePlanningUnderDegradation)
     // The drill must actually have degraded, or it proves nothing.
     EXPECT_GT(ms.degraded_groups, 0u);
     EXPECT_GT(ms.remapped_accesses, 0u);
+    EXPECT_GT(ms.plan_memo_hits, 0u);
+    EXPECT_EQ(ls.plan_memo_hits, 0u);
+    EXPECT_EQ(memo.ledgerViolation(), "");
+    EXPECT_EQ(live.ledgerViolation(), "");
+}
+
+TEST(GoldenRmBank, MemoMatchesLivePlanningAcrossDomains)
+{
+    // Three protection domains (the base one, a secded-override
+    // F=2 region and a two-tier F=8 region) under adaptive placement
+    // and the predictive head, driven line by line: every demand
+    // shift, redundancy fetch, idle drift and migration is folded
+    // under its own domain's model, and the memo
+    // (plan_memo_[dom * (kSegLen - 1) + d - 1][i],
+    // drift_memo_[dom * kSegLen + d]) must match the live fold.
+    auto base = std::make_shared<PaperCalibratedErrorModel>();
+    ScaledErrorModel model(base, 2000.0);
+    TechParams tech = l3For(MemTech::Racetrack);
+    RmBankConfig cfg;
+    cfg.line_frames = 2048;
+    cfg.scheme = Scheme::PeccSAdaptive;
+    cfg.head_policy = HeadPolicy::Predictive;
+    cfg.placement.kind = PlacementKind::Adaptive;
+    cfg.placement.epoch_accesses = 16;
+    cfg.group_retry_budget = 2;
+    cfg.protection.kind = ProtectionScopeKind::AddressRegion;
+    ProtectionRegion strong;
+    strong.begin = 0.25;
+    strong.end = 0.5;
+    strong.domain.has_scheme = true;
+    strong.domain.scheme = Scheme::SecdedPecc;
+    strong.domain.codeword_frames = 2;
+    ProtectionRegion cold;
+    cold.begin = 0.5;
+    cold.end = 1.0;
+    cold.domain.codeword_frames = 8;
+    cold.domain.two_tier = true;
+    cfg.protection.regions = {strong, cold};
+    RmBankConfig live_cfg = cfg;
+    live_cfg.use_plan_memo = false;
+
+    RmBank memo(cfg, &model, tech);
+    RmBank live(live_cfg, &model, tech);
+    Rng rng(2718);
+    Cycles now = 0;
+    for (int i = 0; i < 6000; ++i) {
+        // A skewed frame stream gives the placement hot frames to
+        // migrate; occasional long gaps let heads drift.
+        const uint64_t frame = rng.bernoulli(0.7)
+                                   ? rng.uniformInt(64) * 29
+                                   : rng.uniformInt(cfg.line_frames);
+        const bool is_write = rng.bernoulli(0.3);
+        const ShiftCost a = memo.accessLine(frame, is_write, now);
+        const ShiftCost b = live.accessLine(frame, is_write, now);
+        ASSERT_EQ(a.latency, b.latency) << "access " << i;
+        ASSERT_EQ(a.energy, b.energy) << "access " << i;
+        ASSERT_EQ(a.total_steps, b.total_steps) << "access " << i;
+        ASSERT_EQ(a.sub_shifts, b.sub_shifts) << "access " << i;
+        now += a.latency + (rng.bernoulli(0.05)
+                                ? 500 + rng.uniformInt(4000)
+                                : rng.uniformInt(64));
+        if (rng.bernoulli(0.005)) {
+            ASSERT_EQ(memo.reportUnrecoverable(frame),
+                      live.reportUnrecoverable(frame))
+                << "access " << i;
+        }
+    }
+    const RmBankStats &ms = memo.stats();
+    const RmBankStats &ls = live.stats();
+    EXPECT_EQ(ms.accesses, ls.accesses);
+    EXPECT_EQ(ms.shift_ops, ls.shift_ops);
+    EXPECT_EQ(ms.shift_steps, ls.shift_steps);
+    EXPECT_EQ(ms.shift_cycles, ls.shift_cycles);
+    EXPECT_EQ(ms.shift_energy, ls.shift_energy);
+    EXPECT_EQ(ms.distance_histogram, ls.distance_histogram);
+    EXPECT_EQ(ms.reliability.expectedSdc(),
+              ls.reliability.expectedSdc());
+    EXPECT_EQ(ms.reliability.expectedDue(),
+              ls.reliability.expectedDue());
+    EXPECT_EQ(ms.reliability.seconds(), ls.reliability.seconds());
+    EXPECT_EQ(ms.due_reports, ls.due_reports);
+    EXPECT_EQ(ms.degraded_groups, ls.degraded_groups);
+    EXPECT_EQ(ms.remapped_accesses, ls.remapped_accesses);
+    EXPECT_EQ(ms.migrations, ls.migrations);
+    EXPECT_EQ(ms.migration_steps, ls.migration_steps);
+    EXPECT_EQ(ms.redundancy_accesses, ls.redundancy_accesses);
+    EXPECT_EQ(ms.redundancy_steps, ls.redundancy_steps);
+    for (uint64_t g = 0; g < memo.groupCount(); ++g) {
+        const RmGroupStats &mg = memo.groupStats(g);
+        const RmGroupStats &lg = live.groupStats(g);
+        EXPECT_EQ(mg.accesses, lg.accesses) << "group " << g;
+        EXPECT_EQ(mg.shift_ops, lg.shift_ops) << "group " << g;
+        EXPECT_EQ(mg.shift_steps, lg.shift_steps) << "group " << g;
+        EXPECT_EQ(mg.migration_steps, lg.migration_steps)
+            << "group " << g;
+    }
+    // The drive must reach every path it cross-checks.
+    EXPECT_GT(ms.redundancy_accesses, 0u);
+    EXPECT_GT(ms.migrations, 0u);
+    EXPECT_GT(ms.degraded_groups, 0u);
+    EXPECT_GT(ms.reliability.expectedDue(), 0.0);
     EXPECT_GT(ms.plan_memo_hits, 0u);
     EXPECT_EQ(ls.plan_memo_hits, 0u);
     EXPECT_EQ(memo.ledgerViolation(), "");

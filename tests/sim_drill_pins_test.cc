@@ -11,7 +11,9 @@
  * as SHA-256 digests over the configurations that reach distinct
  * code paths: the fault-mc campaign (Standard p-ECC, recovery
  * ladder on), p-ECC-O (shift-and-write plus the left window),
- * two-tier reads on two-frame codewords, and the ladder off.
+ * two-tier reads on two-frame codewords, the ladder off, del-ins
+ * readouts through the ladder, and no re-seek after a recovery
+ * (max_replans 0, every unfinished recovery reclassified as a DUE).
  *
  * The stripe drill pins cover a window scheme and del-ins-k in their
  * full field list; GoldenCampaign.FaultDrillDigestsPinned

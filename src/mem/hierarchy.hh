@@ -18,11 +18,13 @@
  * and L2 never read L3 state, so the front end's outcomes depend only
  * on the request stream and the L1/L2 geometry (cores, capacity
  * divisor), never on the LLC option. The system simulator uses that
- * to compute one front end per matrix row, logged chunk by chunk, and
- * replay its outcomes into each option's back end (sim/system.hh,
- * FrontEndLog); a run that shares its stream with no other keeps its
- * own front end and serves it inline. Hierarchy is the two parts run
- * back to back, one request at a time.
+ * to draw each matrix row's requests once, run them through one
+ * front end, log both chunk by chunk, and replay them into each
+ * option's back end (sim/system.hh, FrontEndLog). A logged request
+ * that stays in L1/L2 keeps no address, since BackEnd::serve reads
+ * it only for an L2 miss. A run that shares its stream with no other
+ * draws its own requests and keeps its own front end. Hierarchy is
+ * the two parts run back to back, one request at a time.
  */
 
 #ifndef RTM_MEM_HIERARCHY_HH

@@ -45,6 +45,29 @@ resolveProtection(const ProtectionPolicy &policy,
     return out;
 }
 
+std::vector<ProtectionPolicyFault>
+protectionPolicyErrors(const ProtectionPolicy &policy)
+{
+    std::vector<ProtectionPolicyFault> out;
+    if (policy.kind != ProtectionScopeKind::AddressRegion &&
+        !policy.regions.empty())
+        out.push_back({"regions",
+                       "only allowed when protection.kind is 'regions'"});
+    for (size_t i = 0; i < policy.regions.size(); ++i) {
+        const std::string at = "regions[" + std::to_string(i) + "].";
+        const ProtectionRegion &g = policy.regions[i];
+        if (g.end <= g.begin)
+            out.push_back({at + "end", "must be in (begin, 1]"});
+        for (size_t j = 0; j < i; ++j) {
+            const ProtectionRegion &o = policy.regions[j];
+            if (g.begin < o.end && o.begin < g.end)
+                out.push_back({at + "begin", "overlaps regions[" +
+                                                 std::to_string(j) + "]"});
+        }
+    }
+    return out;
+}
+
 std::string
 protectionDomainError(const ProtectionDomain &domain,
                       Scheme base_scheme, int seg_len,

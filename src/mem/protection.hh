@@ -159,8 +159,9 @@ struct ResolvedProtection
         int domain = 0;     //!< index into `domains`
     };
     /**
-     * Sorted by begin; gaps fall to domain 0. Spec regions may not
-     * overlap, but each snaps down to its own codeword boundary, so
+     * Sorted by begin; gaps fall to domain 0. Regions may not overlap
+     * (protectionPolicyErrors), but each snaps down to its own
+     * codeword boundary, so
      * a range can still share up to F - 1 frames (its F) with the
      * one before it; the first range holding a frame wins.
      */
@@ -190,6 +191,26 @@ struct ResolvedProtection
  */
 ResolvedProtection resolveProtection(const ProtectionPolicy &policy,
                                      uint64_t line_frames);
+
+/** A shape rule of ProtectionPolicy that a policy breaks. */
+struct ProtectionPolicyFault
+{
+    std::string field;  //!< key path under the policy: "regions[1].end"
+    std::string reason; //!< why: "must be in (begin, 1]"
+
+    bool operator==(const ProtectionPolicyFault &) const = default;
+};
+
+/**
+ * Every shape rule `policy` breaks, in key order; empty when none:
+ * regions only under kind AddressRegion, each region's end above its
+ * begin, and no region overlapping an earlier one (the later one is
+ * named, so a frame never has two regions to choose from). The spec
+ * reader reports each under `protection.` plus its field; the RmBank
+ * constructor ends the program on the first.
+ */
+std::vector<ProtectionPolicyFault>
+protectionPolicyErrors(const ProtectionPolicy &policy);
 
 /**
  * Validate one domain against the bank geometry (delegates to

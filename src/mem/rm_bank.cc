@@ -40,6 +40,11 @@ RmBank::RmBank(const RmBankConfig &config,
 {
     if (!model_)
         rtm_fatal("RmBank needs an error model");
+    const std::vector<ProtectionPolicyFault> faults =
+        protectionPolicyErrors(config.protection);
+    if (!faults.empty())
+        rtm_fatal("protection.%s: %s", faults[0].field.c_str(),
+                  faults[0].reason.c_str());
     if (config_.line_frames == 0)
         rtm_fatal("RmBank needs at least one frame");
     for (size_t i = 0; i < protection_.domains.size(); ++i) {

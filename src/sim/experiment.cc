@@ -304,23 +304,12 @@ finishRead(SpecReader &r, ExperimentSpec &spec)
         return;
     const ProtectionPolicy &p = spec.protection;
     checkProtectionDomain(r, "protection.uniform.", p.uniform);
-    if (p.kind != ProtectionScopeKind::AddressRegion && !p.regions.empty())
-        r.fail("protection.regions",
-               "only allowed when protection.kind is 'regions'");
-    for (size_t i = 0; i < p.regions.size(); ++i) {
-        const std::string at =
-            "protection.regions[" + std::to_string(i) + "].";
-        const ProtectionRegion &g = p.regions[i];
-        if (g.end <= g.begin)
-            r.fail(at + "end", "must be in (begin, 1]");
-        for (size_t j = 0; j < i; ++j) {
-            const ProtectionRegion &o = p.regions[j];
-            if (g.begin < o.end && o.begin < g.end)
-                r.fail(at + "begin",
-                       "overlaps regions[" + std::to_string(j) + "]");
-        }
-        checkProtectionDomain(r, at, g.domain);
-    }
+    for (const ProtectionPolicyFault &f : protectionPolicyErrors(p))
+        r.fail("protection." + f.field, f.reason);
+    for (size_t i = 0; i < p.regions.size(); ++i)
+        checkProtectionDomain(
+            r, "protection.regions[" + std::to_string(i) + "].",
+            p.regions[i].domain);
 }
 
 // --- cell scheduling -------------------------------------------------
@@ -1072,6 +1061,8 @@ runExperiment(const ExperimentSpec &spec_in,
     }
     // One front-end log per matrix row with two or more cells to run
     // (set after the resume step); a lone cell simulates on its own.
+    // The logs' chunk buffers come from, and go back to, one pool.
+    ChunkPool chunk_pool;
     std::vector<std::unique_ptr<FrontEndLog>> row_logs(res.matrix.size());
     // Campaign cells may ask for a larger per-shard event ring.
     size_t ring_capacity = Telemetry::kDefaultRingCapacity;
@@ -1206,18 +1197,34 @@ runExperiment(const ExperimentSpec &spec_in,
     }
 
     // A row's cells serve one request stream through one L1/L2, so
-    // the cells left to run share that front end's outcomes.
+    // the cells left to run share the row's requests and that front
+    // end's outcomes. A trace row whose file went bad gets no log:
+    // its cells fail on their own.
     if (res.has_matrix) {
         std::vector<size_t> running(row_logs.size(), 0);
         for (size_t i = 0; i < expanded.size(); ++i)
             if (expanded[i].kind == ExperimentCell::Kind::Matrix &&
                 !cells[i].replayed)
                 ++running[expanded[i].local_index / options];
-        for (size_t row = 0; row < row_logs.size(); ++row)
-            if (running[row] > 1)
-                row_logs[row] = std::make_unique<FrontEndLog>(
-                    matrixSimConfig(spec, spec.matrix.options[0]),
-                    running[row]);
+        const SimConfig cfg =
+            matrixSimConfig(spec, spec.matrix.options[0]);
+        const size_t profiles = spec.matrix.workloads.size();
+        for (size_t row = 0; row < row_logs.size(); ++row) {
+            if (running[row] < 2)
+                continue;
+            const TraceParseResult *trace =
+                row < profiles ? nullptr : &traces[row - profiles];
+            if (trace && (!trace->ok() || trace->requests.empty()))
+                continue;
+            row_logs[row] = std::make_unique<FrontEndLog>(
+                cfg,
+                trace ? RequestStream(trace->requests)
+                      : RequestStream(
+                            scaledProfile(res.matrix[row].profile,
+                                          spec.matrix.divisor),
+                            cfg.hierarchy.cores, cfg.seed),
+                running[row], chunk_pool);
+        }
     }
 
     // Checkpoint stream. Resuming into the same file appends after

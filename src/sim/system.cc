@@ -1,6 +1,7 @@
 #include "system.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <optional>
 #include <type_traits>
 
@@ -38,6 +39,206 @@ ceilDiv(uint64_t a, uint64_t b)
     return (a + b - 1) / b;
 }
 
+/**
+ * The layout of one chunk record (FrontEndLog): a header of counts,
+ * then the arrays below, widest first. Fields are read and written
+ * with memcpy, since a buffer is reused under other layouts.
+ */
+struct ChunkRecord
+{
+    static constexpr uint8_t kWideGap = UINT8_MAX;
+    static constexpr uint32_t kWideLine = UINT32_MAX;
+    static constexpr uint16_t kWideVictim = UINT16_MAX;
+    static constexpr int kWriteShift = 4;
+    static constexpr int kCoreShift = 5;
+    static constexpr int kMaxCores = 1 << (8 - kCoreShift);
+
+    struct Header
+    {
+        uint32_t misses = 0;       //!< L2 misses: one line each
+        uint32_t writebacks = 0;   //!< L2 writebacks: one tag each
+        uint32_t wide_gaps = 0;    //!< gaps of kWideGap and up
+        uint32_t wide_lines = 0;   //!< L2-miss addresses not in 32 bits
+        uint32_t wide_victims = 0; //!< victims whose tag is too wide
+    };
+
+    Header counts;
+    std::byte *wide_lines;   //!< Addr each
+    std::byte *wide_victims; //!< Addr each
+    std::byte *lines;        //!< uint32_t line number per L2 miss
+    std::byte *wide_gaps;    //!< uint32_t each
+    std::byte *victims;      //!< uint16_t L2 tag per L2 writeback
+    std::byte *head;         //!< outcome nibble | write bit | core
+    std::byte *gaps;         //!< uint8_t each
+
+    /** The record of `n` requests at `base`, whose header holds its
+     *  counts. */
+    ChunkRecord(std::byte *base, size_t n)
+    {
+        std::memcpy(&counts, base, sizeof(Header));
+        std::byte *p = base + sizeof(Header);
+        auto take = [&p](std::byte *&array, size_t count, size_t size) {
+            array = p;
+            p += count * size;
+        };
+        take(wide_lines, counts.wide_lines, sizeof(Addr));
+        take(wide_victims, counts.wide_victims, sizeof(Addr));
+        take(lines, counts.misses, sizeof(uint32_t));
+        take(wide_gaps, counts.wide_gaps, sizeof(uint32_t));
+        take(victims, counts.writebacks, sizeof(uint16_t));
+        take(head, n, 1);
+        take(gaps, n, 1);
+    }
+
+    /** Bytes of a record of `n` requests with counts `h` (the
+     *  arrays the constructor lays out). */
+    static constexpr size_t bytes(const Header &h, size_t n)
+    {
+        return sizeof(Header) +
+               (size_t{h.wide_lines} + h.wide_victims) * sizeof(Addr) +
+               (size_t{h.misses} + h.wide_gaps) * sizeof(uint32_t) +
+               h.writebacks * sizeof(uint16_t) + 2 * n;
+    }
+
+    static bool wideLine(Addr addr)
+    {
+        return addr % kLineBytes != 0 || addr / kLineBytes >= kWideLine;
+    }
+
+    /** Element i of an array of T. */
+    template <class T>
+    static T get(const std::byte *array, size_t i)
+    {
+        T v;
+        std::memcpy(&v, array + i * sizeof(T), sizeof(T));
+        return v;
+    }
+
+    template <class T>
+    static void put(std::byte *array, size_t i, T v)
+    {
+        std::memcpy(array + i * sizeof(T), &v, sizeof(T));
+    }
+};
+
+/**
+ * Bytes of every record buffer: the record of a full chunk whose
+ * every request misses L2 and writes back, without escapes. Buffers
+ * of one size fit any record but a rare escape-heavy one, so the pool
+ * always reuses them; sized to each record, they are freed and
+ * reallocated as rows of small and large records alternate, which
+ * cost ~1 MiB of peak RSS on the llc-sweep matrix.
+ */
+constexpr size_t kRecordBufferBytes = ChunkRecord::bytes(
+    {ChunkPlan::kChunkRequests, ChunkPlan::kChunkRequests},
+    ChunkPlan::kChunkRequests);
+
+/** The counts of the record of `batch`'s first `n` requests. */
+ChunkRecord::Header
+recordCounts(const FrontEndBatch &batch, size_t n, int tag_shift)
+{
+    ChunkRecord::Header h;
+    for (size_t j = 0; j < n; ++j) {
+        const uint8_t bits = batch.bits[j];
+        h.wide_gaps += batch.requests[j].gap_instructions >=
+                       ChunkRecord::kWideGap;
+        if (!(bits & kL2Miss))
+            continue;
+        ++h.misses;
+        h.wide_lines += ChunkRecord::wideLine(batch.requests[j].addr);
+        if (bits & kL2Writeback) {
+            ++h.writebacks;
+            h.wide_victims += (batch.victims[j] >> tag_shift) >=
+                              ChunkRecord::kWideVictim;
+        }
+    }
+    return h;
+}
+
+/** Write at `base` the record of `batch`'s first `n` requests,
+ *  whose counts are `h`. */
+void
+encodeRecord(const FrontEndBatch &batch, size_t n, int tag_shift,
+             const ChunkRecord::Header &h, std::byte *base)
+{
+    using R = ChunkRecord;
+    std::memcpy(base, &h, sizeof(h));
+    const R rec(base, n);
+    size_t m = 0, wb = 0, wg = 0, wl = 0, wv = 0;
+    for (size_t j = 0; j < n; ++j) {
+        const MemRequest &req = batch.requests[j];
+        const uint8_t bits = batch.bits[j];
+        R::put(rec.head, j,
+               static_cast<uint8_t>(bits |
+                                    req.is_write << R::kWriteShift |
+                                    req.core << R::kCoreShift));
+        const bool wide_gap = req.gap_instructions >= R::kWideGap;
+        R::put(rec.gaps, j,
+               wide_gap ? R::kWideGap
+                        : static_cast<uint8_t>(req.gap_instructions));
+        if (wide_gap)
+            R::put(rec.wide_gaps, wg++, req.gap_instructions);
+        if (!(bits & kL2Miss))
+            continue;
+        if (R::wideLine(req.addr)) {
+            R::put(rec.lines, m++, R::kWideLine);
+            R::put(rec.wide_lines, wl++, req.addr);
+        } else {
+            R::put(rec.lines, m++,
+                   static_cast<uint32_t>(req.addr / kLineBytes));
+        }
+        if (bits & kL2Writeback) {
+            const Addr victim = batch.victims[j];
+            const Addr tag = victim >> tag_shift;
+            if (tag >= R::kWideVictim) {
+                R::put(rec.victims, wb++, R::kWideVictim);
+                R::put(rec.wide_victims, wv++, victim);
+            } else {
+                R::put(rec.victims, wb++, static_cast<uint16_t>(tag));
+            }
+        }
+    }
+}
+
+/** Read the `n` requests of the record at `base` into `out`. */
+void
+decodeRecord(std::byte *base, size_t n, int tag_shift,
+             FrontEndBatch &out)
+{
+    using R = ChunkRecord;
+    const R rec(base, n);
+    // An L2 victim lies in its request's L2 set: its tag and the
+    // request's set bits make its line.
+    const Addr set_bits = (Addr{1} << tag_shift) - kLineBytes;
+    size_t m = 0, wb = 0, wg = 0, wl = 0, wv = 0;
+    for (size_t j = 0; j < n; ++j) {
+        MemRequest &req = out.requests[j];
+        const auto head = R::get<uint8_t>(rec.head, j);
+        const uint8_t bits = head & 0xF;
+        out.bits[j] = bits;
+        req.is_write = (head >> R::kWriteShift) & 1;
+        req.core = head >> R::kCoreShift;
+        const auto gap = R::get<uint8_t>(rec.gaps, j);
+        req.gap_instructions =
+            gap < R::kWideGap ? gap : R::get<uint32_t>(rec.wide_gaps, wg++);
+        if (!(bits & kL2Miss)) {
+            req.addr = 0;
+            continue;
+        }
+        const auto line = R::get<uint32_t>(rec.lines, m++);
+        req.addr = line != R::kWideLine
+                       ? Addr{line} * kLineBytes
+                       : R::get<Addr>(rec.wide_lines, wl++);
+        if (bits & kL2Writeback) {
+            const auto tag = R::get<uint16_t>(rec.victims, wb++);
+            out.victims[j] =
+                tag != R::kWideVictim
+                    ? (Addr{tag} << tag_shift) | (req.addr & set_bits)
+                    : R::get<Addr>(rec.wide_victims, wv++);
+        }
+    }
+}
+
 } // anonymous namespace
 
 ChunkPlan::ChunkPlan(const SimConfig &config)
@@ -56,29 +257,54 @@ ChunkPlan::size(size_t k) const
     return static_cast<size_t>(std::min(kChunkRequests, phase - first));
 }
 
-FrontEndLog::FrontEndLog(const SimConfig &config, size_t consumers)
-    : geometry_(config.hierarchy), seed_(config.seed), plan_(config),
-      consumers_(consumers)
+ChunkBuffer
+ChunkPool::take(size_t bytes)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (free_.empty() || free_.back().capacity < bytes)
+        return ChunkBuffer{std::make_unique_for_overwrite<std::byte[]>(bytes),
+                           bytes};
+    ChunkBuffer out = std::move(free_.back());
+    free_.pop_back();
+    return out;
+}
+
+void
+ChunkPool::give(ChunkBuffer buffer)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    free_.push_back(std::move(buffer));
+}
+
+FrontEndLog::FrontEndLog(const SimConfig &config, RequestStream stream,
+                         size_t consumers, ChunkPool &pool)
+    : geometry_(config.hierarchy), plan_(config),
+      stream_(std::move(stream)), consumers_(consumers), pool_(pool)
 {
     if (consumers < 2)
         rtm_panic("front-end log: %zu consumers; a lone run keeps its "
                   "own L1/L2", consumers);
+    if (geometry_.cores > ChunkRecord::kMaxCores)
+        rtm_panic("front-end log: %d cores; a record holds at most %d",
+                  geometry_.cores, ChunkRecord::kMaxCores);
 }
 
 bool
-FrontEndLog::fits(const SimConfig &config) const
+FrontEndLog::fits(const SimConfig &config,
+                  const RequestStream &stream) const
 {
-    return config.hierarchy.cores == geometry_.cores &&
+    return stream_ && stream.sameAs(*stream_) &&
+           config.hierarchy.cores == geometry_.cores &&
            config.hierarchy.capacity_divisor ==
                geometry_.capacity_divisor &&
-           config.seed == seed_ &&
            config.warmup_requests == plan_.warmup &&
            config.mem_requests == plan_.requests;
 }
 
-const FrontEndChunk &
-FrontEndLog::chunk(size_t k, const MemRequest *requests)
+void
+FrontEndLog::chunk(size_t k, FrontEndBatch &out)
 {
+    bool drew = false;
     if (k >= built_.load(std::memory_order_acquire)) {
         std::lock_guard<std::mutex> lock(mutex_);
         const size_t built = built_.load(std::memory_order_relaxed);
@@ -87,14 +313,19 @@ FrontEndLog::chunk(size_t k, const MemRequest *requests)
         if (k > built)
             rtm_panic("front-end log: chunk %zu read before chunk %zu",
                       k, built);
-        if (k == built)
-            build(k, requests);
+        // The builder serves what it drew, so `out` is filled.
+        drew = k == built;
+        if (drew)
+            build(k, out);
     }
-    return chunk_[k];
+    if (!drew)
+        decodeRecord(chunk_[k].bytes.get(), plan_.size(k),
+                     victim_tag_shift_, out);
+    served(k);
 }
 
 void
-FrontEndLog::build(size_t k, const MemRequest *requests) noexcept
+FrontEndLog::build(size_t k, FrontEndBatch &out) noexcept
 {
     // The first build makes the L1/L2 and the chunk slots.
     if (!front_) {
@@ -103,17 +334,19 @@ FrontEndLog::build(size_t k, const MemRequest *requests) noexcept
         chunk_.resize(plan_.chunks);
         served_ = std::make_unique<std::atomic<size_t>[]>(plan_.chunks);
     }
-    FrontEndChunk &out = chunk_[k];
     const size_t n = plan_.size(k);
-    out.bits.assign((n + 1) / 2, 0);
+    stream_->fill(out.requests, n);
     for (size_t j = 0; j < n; ++j) {
-        const MemRequest &req = requests[j];
-        Addr victim = 0;
-        const uint8_t bits =
-            front_->access(req.core, req.addr, req.is_write, &victim);
-        out.record(j, bits, victim, victim_tag_shift_);
+        const MemRequest &req = out.requests[j];
+        out.bits[j] = front_->access(req.core, req.addr, req.is_write,
+                                     &out.victims[j]);
     }
-    out.victims.shrink_to_fit();
+    const ChunkRecord::Header counts =
+        recordCounts(out, n, victim_tag_shift_);
+    chunk_[k] = pool_.take(std::max(ChunkRecord::bytes(counts, n),
+                                    kRecordBufferBytes));
+    encodeRecord(out, n, victim_tag_shift_, counts,
+                 chunk_[k].bytes.get());
     built_.store(k + 1, std::memory_order_release);
 }
 
@@ -122,7 +355,7 @@ FrontEndLog::served(size_t k)
 {
     if (served_[k].fetch_add(1, std::memory_order_acq_rel) + 1 ==
         consumers_)
-        chunk_[k] = FrontEndChunk();
+        pool_.give(std::move(chunk_[k]));
 }
 
 void
@@ -140,8 +373,12 @@ FrontEndLog::release()
     std::lock_guard<std::mutex> lock(mutex_);
     if (++released_ < consumers_)
         return;
+    stream_.reset();
     front_.reset();
-    std::vector<FrontEndChunk>().swap(chunk_);
+    for (ChunkBuffer &buf : chunk_)
+        if (buf.bytes)
+            pool_.give(std::move(buf));
+    std::vector<ChunkBuffer>().swap(chunk_);
     served_.reset();
 }
 
@@ -152,15 +389,16 @@ namespace
 
 /**
  * Core simulation loop shared by the synthetic and trace-replay
- * front-ends: `next` yields the request stream.
+ * front-ends: `stream` yields the request stream.
  *
- * The loop serves the stream one ChunkPlan chunk at a time. It draws
- * the chunk's requests into a buffer, then takes their front-end
- * outcomes from the row's FrontEndLog (`log`), which the first run
- * to ask builds from these requests, or, with no log, from a private
- * L1/L2 run inline. This run's back end (L3, racetrack bank, DRAM)
- * then serves each outcome. Which run builds a chunk changes no
- * result: every run sharing a log draws the same requests.
+ * The loop serves the stream one ChunkPlan chunk at a time. With the
+ * row's FrontEndLog (`log`) it takes both the chunk's requests and
+ * their front-end outcomes from the log and never draws from
+ * `stream`, which must match the log's; with no log it draws the
+ * requests from `stream` and runs each through a private L1/L2 as it
+ * serves it. This run's back end (L3, racetrack bank, DRAM) serves
+ * each outcome. Which run builds a chunk changes no result: the log
+ * alone draws the row's requests.
  *
  * Before request j is served, the L3 tag and recency words that
  * request j+1 of the same chunk will look up are prefetched, so the
@@ -168,12 +406,12 @@ namespace
  * outcome that stays in L1/L2 skips the prefetch. The lookahead stays
  * inside a chunk: a chunk's first request is not prefetched.
  */
-template <typename NextFn>
 SimResult
 runSim(const std::string &name, const SimConfig &config,
-       const PositionErrorModel *model, FrontEndLog *log, NextFn &&next)
+       const PositionErrorModel *model, FrontEndLog *log,
+       RequestStream &stream)
 {
-    if (log && !log->fits(config))
+    if (log && !log->fits(config, stream))
         rtm_panic("%s: the front-end log belongs to another stream",
                   name.c_str());
     HierarchyConfig hcfg = config.hierarchy;
@@ -188,7 +426,8 @@ runSim(const std::string &name, const SimConfig &config,
     if (!log)
         own.emplace(config.hierarchy);
     const ChunkPlan plan(config);
-    std::vector<MemRequest> requests(ChunkPlan::kChunkRequests);
+    const auto batch = std::make_unique<FrontEndBatch>();
+    FrontEndBatch &in = *batch;
 
     // Per-core local time; the simulator interleaves requests
     // round-robin and advances each core independently, then takes
@@ -221,36 +460,29 @@ runSim(const std::string &name, const SimConfig &config,
         if (config.stop && config.stop->poll())
             return false;
         const size_t n = plan.size(k);
-        for (size_t j = 0; j < n; ++j)
-            requests[j] = next();
-        const FrontEndChunk *in =
-            log ? &log->chunk(k, requests.data()) : nullptr;
-        const int tag_shift = log ? log->victimTagShift() : 0;
-        size_t victims = 0;
-        size_t wide = 0;
+        if (log)
+            log->chunk(k, in);
+        else
+            stream.fill(in.requests, n);
         for (size_t j = 0; j < n; ++j) {
-            const MemRequest &req = requests[j];
-            if (j + 1 < n && (!in || (in->outcome(j + 1) & kL2Miss)))
-                back.prefetchLlc(requests[j + 1].addr);
-            Addr victim = 0;
-            uint8_t bits;
-            if (in) {
-                bits = in->outcome(j);
-                if (bits & kL2Writeback)
-                    victim = in->victim(victims++, &wide, req.addr,
-                                        tag_shift);
-            } else {
-                bits = own->access(req.core, req.addr, req.is_write,
-                                   &victim);
-            }
+            const MemRequest &req = in.requests[j];
+            if (j + 1 < n && (own || (in.bits[j + 1] & kL2Miss)))
+                back.prefetchLlc(in.requests[j + 1].addr);
+            // A lone run's L1/L2 go request by request, beside the
+            // back end: a separate pass over the chunk measured ~6 %
+            // slower.
+            if (own)
+                in.bits[j] = own->access(req.core, req.addr, req.is_write,
+                                         &in.victims[j]);
             auto c = static_cast<size_t>(req.core);
             core_time[c] += req.gap_instructions;
             if constexpr (decltype(measured)::value) {
                 res.instructions += req.gap_instructions + 1;
                 ++res.mem_ops;
             }
-            HierarchyAccess acc = back.serve(bits, req.addr, req.is_write,
-                                             victim, core_time[c]);
+            HierarchyAccess acc =
+                back.serve(in.bits[j], req.addr, req.is_write,
+                           in.victims[j], core_time[c]);
             core_time[c] += acc.latency;
             if constexpr (decltype(measured)::value) {
                 dynamic_energy += acc.energy;
@@ -269,8 +501,6 @@ runSim(const std::string &name, const SimConfig &config,
                 }
             }
         }
-        if (log)
-            log->served(k);
         return true;
     };
 
@@ -381,10 +611,8 @@ SimResult
 simulate(const WorkloadProfile &profile, const SimConfig &config,
          const PositionErrorModel *model, FrontEndLog *row)
 {
-    WorkloadGenerator gen(profile, config.hierarchy.cores,
-                          config.seed);
-    return runSim(profile.name, config, model, row,
-                  [&gen] { return gen.next(); });
+    RequestStream stream(profile, config.hierarchy.cores, config.seed);
+    return runSim(profile.name, config, model, row, stream);
 }
 
 SimResult
@@ -403,16 +631,8 @@ simulateTrace(const std::string &name,
                       "the hierarchy has %d cores",
                       i, core, config.hierarchy.cores);
     }
-    size_t pos = 0;
-    // Return by reference and wrap with a branch: no per-request
-    // MemRequest copy and no modulo on the hot path.
-    auto next = [&requests, &pos]() -> const MemRequest & {
-        const MemRequest &r = requests[pos];
-        if (++pos == requests.size())
-            pos = 0;
-        return r;
-    };
-    return runSim(name, config, model, row, next);
+    RequestStream stream(requests);
+    return runSim(name, config, model, row, stream);
 }
 
 } // namespace rtm

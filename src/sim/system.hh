@@ -18,6 +18,7 @@
 #define RTM_SIM_SYSTEM_HH
 
 #include <atomic>
+#include <cstddef>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -171,56 +172,6 @@ struct SimConfig
 };
 
 /**
- * One chunk of a FrontEndLog: the front-end outcome of each of its
- * requests, in request order. Outcomes are FrontEndBits nibbles, two
- * to a byte. An L2 victim lies in its request's L2 set, so only its
- * L2 tag (address >> the L2 tag shift) is kept, in 16 bits; a tag
- * that does not fit escapes to `wide_victims`.
- */
-struct FrontEndChunk
-{
-    /** `victims` entry whose address lives in `wide_victims`. */
-    static constexpr uint16_t kWideVictim = UINT16_MAX;
-
-    std::vector<uint8_t> bits;      //!< request j's outcome: nibble j
-    std::vector<uint16_t> victims;  //!< one L2 tag per kL2Writeback
-    std::vector<Addr> wide_victims; //!< victims whose tag is too wide
-
-    /** Outcome bits of request j. */
-    uint8_t outcome(size_t j) const
-    {
-        return (bits[j / 2] >> (j % 2 * 4)) & 0xF;
-    }
-
-    /** Store request j's outcome (`bits` starts zeroed; `victim` is
-     *  read under kL2Writeback). */
-    void record(size_t j, uint8_t b, Addr victim, int tag_shift)
-    {
-        bits[j / 2] |= static_cast<uint8_t>(b << (j % 2 * 4));
-        if (b & kL2Writeback) {
-            const Addr tag = victim >> tag_shift;
-            if (tag < kWideVictim) {
-                victims.push_back(static_cast<uint16_t>(tag));
-            } else {
-                victims.push_back(kWideVictim);
-                wide_victims.push_back(victim);
-            }
-        }
-    }
-
-    /** Address of the i-th recorded L2 victim, whose request is at
-     *  `addr`; `wide` counts the wide victims read so far. */
-    Addr victim(size_t i, size_t *wide, Addr addr, int tag_shift) const
-    {
-        const uint16_t tag = victims[i];
-        if (tag == kWideVictim)
-            return wide_victims[(*wide)++];
-        const Addr set_bits = (Addr{1} << tag_shift) - kLineBytes;
-        return (Addr{tag} << tag_shift) | (addr & set_bits);
-    }
-};
-
-/**
  * How a run's requests split into chunks: kChunkRequests requests
  * each, the warmup phase's chunks first, each phase's last chunk
  * shorter. The run polls its stop flag between chunks.
@@ -241,23 +192,85 @@ struct ChunkPlan
 };
 
 /**
- * The L1/L2 outcomes of one request stream, computed once and read
- * by every run that serves that stream (the front end of the
- * hierarchy split in mem/hierarchy.hh).
+ * The requests of one chunk with their front-end outcomes: what a
+ * run's back end serves. A lone run draws the requests and runs its
+ * own L1/L2 over them; a run that shares a FrontEndLog gets both
+ * from the log. A logged request that stays in L1/L2 carries address
+ * 0: the back end reads the address of an L2 miss only.
+ */
+struct FrontEndBatch
+{
+    MemRequest requests[ChunkPlan::kChunkRequests];
+    uint8_t bits[ChunkPlan::kChunkRequests]; //!< request j's FrontEndBits
+    Addr victims[ChunkPlan::kChunkRequests]; //!< set under kL2Writeback
+};
+
+/** One chunk record's storage (FrontEndLog). */
+struct ChunkBuffer
+{
+    std::unique_ptr<std::byte[]> bytes;
+    size_t capacity = 0; //!< bytes
+};
+
+/**
+ * The free list of chunk-record buffers that an experiment's row
+ * logs share. A record is freed by whichever run reads it last; its
+ * buffer comes back here and the next build in any row reuses it, so
+ * the records do not spread over the pool workers' malloc arenas.
+ */
+class ChunkPool
+{
+  public:
+    ChunkPool() = default;
+    ChunkPool(const ChunkPool &) = delete;
+    ChunkPool &operator=(const ChunkPool &) = delete;
+
+    /**
+     * A buffer of at least `bytes` bytes: the last one given back
+     * when it fits, else a new one. A pool whose callers all ask for
+     * one size thus holds no more buffers than were live at once.
+     */
+    ChunkBuffer take(size_t bytes);
+
+    /** Return `buffer` for reuse. */
+    void give(ChunkBuffer buffer);
+
+  private:
+    std::mutex mutex_;
+    std::vector<ChunkBuffer> free_;
+};
+
+/**
+ * The request stream of one matrix row and its L1/L2 outcomes,
+ * computed once and read by every run of the row (the front end of
+ * the hierarchy split in mem/hierarchy.hh).
  *
  * A matrix row replays one request stream (same workload, seed,
  * request counts, cores and capacity divisor) into each LLC option,
- * and L1/L2 never read L3 state, so the row's front-end outcomes do
- * not depend on the option. The row's runs share one log and ask it
- * for each chunk in turn. The first run to ask for a chunk builds it
- * from its own requests through the log's single L1/L2 state, under
- * the log's mutex; a run behind that frontier reads the built chunk
- * without locking, and a run at it waits on the mutex. Every run's
- * requests are the same, so a chunk's contents do not depend on
- * which run built it, and neither does any result.
+ * and L1/L2 never read L3 state, so neither the requests nor their
+ * front-end outcomes depend on the option. The log owns the row's
+ * RequestStream, and the row's runs ask it for each chunk in turn.
+ * The first run to ask for a chunk builds it under the log's mutex:
+ * it draws the chunk's requests from the stream, runs them through
+ * the log's single L1/L2 state, records both, and serves what it
+ * drew. A run behind that frontier decodes the record without
+ * locking, and a run at it waits on the mutex. The requests come
+ * from the log alone, so a chunk's contents do not depend on which
+ * run built it, and neither does any result; no run but the builder
+ * draws requests.
  *
- * A chunk is freed once every consumer has served it, and whatever
- * is left once every consumer has called release(); a consumer
+ * A chunk record is a few bytes per request, in one ChunkPool
+ * buffer that holds any record without escapes: per request, one
+ * byte with the FrontEndBits nibble, the
+ * write bit and the core (so at most 8 cores), and one byte of
+ * instruction gap (255 and up escape to a 32-bit side list); per L2
+ * miss, the 32-bit line number (an unaligned address or a line of
+ * 2^32 - 1 and up escapes to a 64-bit side list); per L2 writeback,
+ * the victim's L2 tag in 16 bits (a victim lies in its request's L2
+ * set; a wider tag escapes likewise).
+ *
+ * A chunk is freed once every consumer has read it, and whatever is
+ * left once every consumer has called release(); a consumer
  * therefore reads the log in one pass only, and a run that starts
  * over must simulate on its own.
  */
@@ -266,61 +279,67 @@ class FrontEndLog
   public:
     /**
      * @param config    any consumer's configuration: the L1/L2 follow
-     *                  its hierarchy's cores and capacity divisor, the
-     *                  chunks its warmup and request counts
+     *                  its hierarchy's cores (at most 8) and capacity
+     *                  divisor, the chunks its warmup and request
+     *                  counts
+     * @param stream    the row's requests, drawn only by builds
      * @param consumers runs that will read the log (at least 2; a
      *                  lone run keeps its own L1/L2)
+     * @param pool      where chunk buffers come from and go back to
+     *                  (must outlive the log)
      */
-    FrontEndLog(const SimConfig &config, size_t consumers);
+    FrontEndLog(const SimConfig &config, RequestStream stream,
+                size_t consumers, ChunkPool &pool);
 
-    /** True when a run under `config` serves the stream this log
-     *  holds (the same front end, seed and request counts). */
-    bool fits(const SimConfig &config) const;
+    /** True when a run under `config` drawing `stream` serves what
+     *  this log holds (the same requests, request counts and front
+     *  end). */
+    bool fits(const SimConfig &config,
+              const RequestStream &stream) const;
 
     /** The chunks of the stream. */
     const ChunkPlan &plan() const { return plan_; }
 
     /**
-     * The outcomes of chunk `k`, which a consumer asks for after
-     * chunk k - 1. `requests` holds the chunk's plan().size(k)
-     * requests; they build the chunk when no consumer has yet. The
-     * caller ends with served(k).
+     * Fill `out` with the plan().size(k) requests of chunk `k` and
+     * their outcomes. Each consumer asks once per chunk, in order;
+     * the last one to ask frees the chunk.
      */
-    const FrontEndChunk &chunk(size_t k, const MemRequest *requests);
-
-    /** The L2 tag shift chunks store victims under. */
-    int victimTagShift() const { return victim_tag_shift_; }
-
-    /** The caller is done with chunk `k`; the last consumer frees it. */
-    void served(size_t k);
+    void chunk(size_t k, FrontEndBatch &out);
 
     /**
      * Export the L1/L2 counters into `sink`. Read once the caller has
-     * served the last chunk: they then cover the whole stream.
+     * read the last chunk: they then cover the whole stream.
      */
     void exportTelemetry(Telemetry &sink) const;
 
     /**
      * A consumer is done for good (its last attempt has ended). The
-     * last one frees the chunks and the L1/L2 state.
+     * last one frees the chunks, the stream and the L1/L2 state.
      */
     void release();
 
   private:
-    /** Build chunk `k` = built_ from its requests (mutex held). A
-     *  failed build would leave the L1/L2 state past the built
-     *  chunks, so it ends the program instead of throwing. */
-    void build(size_t k, const MemRequest *requests) noexcept;
+    /** Build chunk `k` = built_ into `out` and its record (mutex
+     *  held). A failed build would leave the stream and the L1/L2
+     *  state past the built chunks, so it ends the program instead
+     *  of throwing. */
+    void build(size_t k, FrontEndBatch &out) noexcept;
+
+    /** The caller is done with chunk `k`; the last consumer frees
+     *  it. */
+    void served(size_t k);
 
     HierarchyConfig geometry_; //!< the L1/L2's cores and divisor
-    uint64_t seed_;
     ChunkPlan plan_;
+    std::optional<RequestStream> stream_; //!< reset by the last release
     size_t consumers_;
+    ChunkPool &pool_;
     // Made by the first build, so a log that no run has reached holds
     // no L1/L2 and no chunks.
     std::optional<FrontEnd> front_;
     int victim_tag_shift_ = 0;
-    std::vector<FrontEndChunk> chunk_;
+    std::vector<ChunkBuffer> chunk_;
     /** Consumers done with each chunk. */
     std::unique_ptr<std::atomic<size_t>[]> served_;
 
@@ -336,9 +355,11 @@ class FrontEndLog
  * @param config  simulation configuration
  * @param model   position-error model for racetrack LLCs (ignored
  *                otherwise; must outlive the call)
- * @param row     front-end log shared with other runs of the same
- *                stream (must fit `config`); null runs a private
- *                L1/L2
+ * @param row     log of the row's requests and front-end outcomes,
+ *                shared with other runs of the same stream (must fit
+ *                `config` and `profile`); the run then builds no
+ *                generator. Null draws the requests here and runs a
+ *                private L1/L2.
  */
 SimResult simulate(const WorkloadProfile &profile,
                    const SimConfig &config,

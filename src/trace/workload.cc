@@ -230,4 +230,50 @@ WorkloadGenerator::next()
     return req;
 }
 
+RequestStream::RequestStream(const WorkloadProfile &profile, int cores,
+                             uint64_t seed)
+    : profile_(profile), cores_(cores), seed_(seed)
+{
+}
+
+RequestStream::RequestStream(const std::vector<MemRequest> &trace)
+    : trace_(&trace)
+{
+    if (trace.empty())
+        rtm_panic("request stream: empty trace");
+}
+
+void
+RequestStream::fill(MemRequest *out, size_t n)
+{
+    if (trace_) {
+        // Copy up to the trace's end, then wrap: no modulo per request.
+        const std::vector<MemRequest> &t = *trace_;
+        while (n > 0) {
+            const size_t run = std::min(n, t.size() - pos_);
+            std::copy_n(t.begin() + static_cast<std::ptrdiff_t>(pos_),
+                        run, out);
+            out += run;
+            n -= run;
+            pos_ += run;
+            if (pos_ == t.size())
+                pos_ = 0;
+        }
+        return;
+    }
+    if (!gen_)
+        gen_.emplace(profile_, cores_, seed_);
+    for (size_t j = 0; j < n; ++j)
+        out[j] = gen_->next();
+}
+
+bool
+RequestStream::sameAs(const RequestStream &other) const
+{
+    if (trace_ || other.trace_)
+        return trace_ == other.trace_;
+    return profile_ == other.profile_ && cores_ == other.cores_ &&
+           seed_ == other.seed_;
+}
+
 } // namespace rtm

@@ -26,7 +26,9 @@
 #ifndef RTM_TRACE_WORKLOAD_HH
 #define RTM_TRACE_WORKLOAD_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,6 +65,8 @@ struct WorkloadProfile
     double mean_gap = 3.0;
     /** True if the paper classes it capacity sensitive (Fig. 16). */
     bool capacity_sensitive = false;
+
+    bool operator==(const WorkloadProfile &) const = default;
 };
 
 /** Profiles for the PARSEC benchmarks used in the paper's figures. */
@@ -181,6 +185,40 @@ class WorkloadGenerator
     static Region regionFor(uint64_t lines, double hot_set_ratio);
 
     Addr pickLine(int core);
+};
+
+/**
+ * The request source of one run: a workload profile's generator, or
+ * a recorded trace read in a loop from its first request.
+ *
+ * The generator is built by the first fill(), so a stream that is
+ * never drawn (a run that reads its requests from a row log) builds
+ * none.
+ */
+class RequestStream
+{
+  public:
+    /** `profile`'s stream across `cores` cores from `seed`. */
+    RequestStream(const WorkloadProfile &profile, int cores,
+                  uint64_t seed);
+
+    /** `trace`, looping (non-empty; must outlive the stream). */
+    explicit RequestStream(const std::vector<MemRequest> &trace);
+
+    /** Draw the next `n` requests into `out`. */
+    void fill(MemRequest *out, size_t n);
+
+    /** True when both yield the same requests: the same profile,
+     *  cores and seed, or the same trace object. */
+    bool sameAs(const RequestStream &other) const;
+
+  private:
+    WorkloadProfile profile_;
+    int cores_ = 0;
+    uint64_t seed_ = 0;
+    std::optional<WorkloadGenerator> gen_;
+    const std::vector<MemRequest> *trace_ = nullptr;
+    size_t pos_ = 0; //!< next trace request
 };
 
 } // namespace rtm

@@ -341,7 +341,10 @@ TEST(ParallelDeterminism, RowLogThreadedConsumersMatchStandalone)
         standalone.push_back(
             simulate(profile, matrixSimConfig(spec, opt), &model));
 
-    FrontEndLog log(matrixSimConfig(spec, options[0]), options.size());
+    const SimConfig row = matrixSimConfig(spec, options[0]);
+    ChunkPool pool;
+    FrontEndLog log(row, RequestStream(profile, row.hierarchy.cores, row.seed),
+                    options.size(), pool);
     std::vector<SimResult> shared(options.size());
     std::latch start(static_cast<std::ptrdiff_t>(options.size() - 1));
     auto consume = [&](size_t o) {

@@ -15,6 +15,7 @@
 
 #include "codec/combined.hh"
 #include "mem/protection.hh"
+#include "mem/rm_bank.hh"
 #include "sim/experiment.hh"
 #include "util/serde.hh"
 
@@ -296,6 +297,39 @@ TEST(ProtectionSpec, OverlappingRegionsRejected)
                          "codeword_frames": 2},
                         {"begin": 0.5, "end": 1.0,
                          "codeword_frames": 8}]}})");
+}
+
+TEST(ProtectionPolicyDeathTest, BankRefusesOverlappingRegions)
+{
+    // A policy built in code passes no spec reader; the bank applies
+    // the same rules.
+    ProtectionPolicy policy;
+    policy.kind = ProtectionScopeKind::AddressRegion;
+    ProtectionRegion first;
+    first.begin = 0.0;
+    first.end = 0.6;
+    ProtectionRegion second;
+    second.begin = 0.5;
+    second.end = 1.0;
+    second.domain.codeword_frames = 8;
+    policy.regions = {first, second};
+    const std::vector<ProtectionPolicyFault> faults =
+        protectionPolicyErrors(policy);
+    ASSERT_EQ(faults.size(), 1u);
+    EXPECT_EQ(faults[0].field, "regions[1].begin");
+    EXPECT_EQ(faults[0].reason, "overlaps regions[0]");
+
+    PaperCalibratedErrorModel model;
+    RmBankConfig cfg;
+    cfg.line_frames = 4096;
+    cfg.protection = policy;
+    EXPECT_EXIT(RmBank(cfg, &model, racetrackL3()),
+                ::testing::ExitedWithCode(1),
+                "protection\\.regions\\[1\\]\\.begin: overlaps "
+                "regions\\[0\\]");
+    // Touching regions are fine.
+    policy.regions[1].begin = 0.6;
+    EXPECT_TRUE(protectionPolicyErrors(policy).empty());
 }
 
 // ---- digest guard --------------------------------------------------

@@ -7,6 +7,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/runner.hh"
@@ -201,7 +204,12 @@ TEST(FrontEndLog, ChunksEndAtTheWarmupBoundary)
     SimConfig cfg;
     cfg.warmup_requests = 1500;
     cfg.mem_requests = 6000;
-    const FrontEndLog log(cfg, 2);
+    const WorkloadProfile canneal = parsecProfile("canneal");
+    const auto stream = [&cfg](const WorkloadProfile &p) {
+        return RequestStream(p, cfg.hierarchy.cores, cfg.seed);
+    };
+    ChunkPool pool;
+    const FrontEndLog log(cfg, stream(canneal), 2, pool);
     const ChunkPlan &plan = log.plan();
     ASSERT_EQ(plan.warmup_chunks, 2u);
     ASSERT_EQ(plan.chunks, 8u);
@@ -210,32 +218,48 @@ TEST(FrontEndLog, ChunksEndAtTheWarmupBoundary)
     EXPECT_EQ(plan.size(2), 1024u);
     EXPECT_EQ(plan.size(7), 880u);
 
-    EXPECT_TRUE(log.fits(cfg));
+    EXPECT_TRUE(log.fits(cfg, stream(canneal)));
     SimConfig other = cfg;
     other.hierarchy.llc_tech = MemTech::SRAM; // the back end may differ
-    EXPECT_TRUE(log.fits(other));
+    EXPECT_TRUE(log.fits(other, stream(canneal)));
     other.hierarchy.capacity_divisor = 2;
-    EXPECT_FALSE(log.fits(other));
+    EXPECT_FALSE(log.fits(other, stream(canneal)));
     other = cfg;
     other.seed += 1;
-    EXPECT_FALSE(log.fits(other));
+    EXPECT_FALSE(log.fits(other, RequestStream(canneal, cfg.hierarchy.cores,
+                                               other.seed)));
+    // The log draws the requests, so a consumer of another workload,
+    // or of a trace, is refused although its front end matches.
+    EXPECT_FALSE(log.fits(cfg, stream(parsecProfile("swaptions"))));
+    WorkloadProfile renamed = canneal;
+    renamed.name = "canneal-copy";
+    EXPECT_FALSE(log.fits(cfg, stream(renamed)));
+    const std::vector<MemRequest> trace(8);
+    EXPECT_FALSE(log.fits(cfg, RequestStream(trace)));
 }
 
 /**
  * Serve `trace` through one Hierarchy, request by request: the
- * unsplit path a FrontEndLog replay must reproduce (no warmup).
+ * unsplit path a FrontEndLog replay must reproduce (no warmup, and a
+ * non-racetrack LLC, so no shift or reliability fields).
  */
 SimResult
-hierarchyReplay(const std::vector<MemRequest> &trace, const SimConfig &cfg)
+hierarchyReplay(const std::string &name,
+                const std::vector<MemRequest> &trace, const SimConfig &cfg)
 {
     Hierarchy h(cfg.hierarchy, nullptr);
     std::vector<Cycles> core_time(
         static_cast<size_t>(cfg.hierarchy.cores), 0);
     SimResult res;
+    res.workload = name;
+    res.llc_tech = cfg.hierarchy.llc_tech;
+    res.scheme = cfg.hierarchy.scheme;
     for (uint64_t i = 0; i < cfg.mem_requests; ++i) {
         const MemRequest &req = trace[i % trace.size()];
         auto c = static_cast<size_t>(req.core);
         core_time[c] += req.gap_instructions;
+        res.instructions += req.gap_instructions + 1;
+        ++res.mem_ops;
         const HierarchyAccess acc =
             h.access(req.core, req.addr, req.is_write, core_time[c]);
         core_time[c] += acc.latency;
@@ -243,10 +267,60 @@ hierarchyReplay(const std::vector<MemRequest> &trace, const SimConfig &cfg)
     }
     for (Cycles t : core_time)
         res.cycles = std::max(res.cycles, t);
+    res.seconds = cyclesToSeconds(res.cycles);
+    res.dram_energy = h.dramEnergy();
+    res.leakage_energy = h.totalLeakageWatts() * res.seconds;
     res.llc_accesses = h.l3().stats().accesses();
     res.llc_misses = h.l3().stats().misses();
     res.dram_accesses = h.dramAccesses();
+    res.sdc_mttf = std::numeric_limits<double>::infinity();
+    res.due_mttf = std::numeric_limits<double>::infinity();
     return res;
+}
+
+/**
+ * Run `trace` alone under `configs[0]`, then under every config
+ * through one shared log (the first run builds every chunk, the
+ * others decode them), and compare each with hierarchyReplay on
+ * every SimResult field.
+ */
+void
+expectLogMatchesHierarchy(const std::string &name,
+                          const std::vector<MemRequest> &trace,
+                          const std::vector<SimConfig> &configs)
+{
+    ChunkPool pool;
+    FrontEndLog shared(configs[0], RequestStream(trace), configs.size(),
+                       pool);
+    EXPECT_TRUE(simulateTrace(name, trace, configs[0], nullptr) ==
+                hierarchyReplay(name, trace, configs[0]))
+        << "lone run";
+    for (size_t i = 0; i < configs.size(); ++i) {
+        const SimResult r =
+            simulateTrace(name, trace, configs[i], nullptr, &shared);
+        const SimResult w = hierarchyReplay(name, trace, configs[i]);
+        EXPECT_TRUE(r == w) << "log consumer " << i;
+        EXPECT_EQ(r.cycles, w.cycles) << "log consumer " << i;
+        EXPECT_EQ(r.llc_misses, w.llc_misses) << "log consumer " << i;
+    }
+    for (size_t i = 0; i < configs.size(); ++i)
+        shared.release();
+}
+
+/** SRAM- and STT-RAM-LLC configurations replaying `trace` `loops`
+ *  times, without warmup. */
+std::vector<SimConfig>
+sramAndSttConfigs(const std::vector<MemRequest> &trace, uint64_t loops)
+{
+    SimConfig cfg;
+    cfg.hierarchy.llc_tech = MemTech::SRAM;
+    cfg.hierarchy.scheme = Scheme::Baseline;
+    cfg.hierarchy.capacity_divisor = 32;
+    cfg.warmup_requests = 0;
+    cfg.mem_requests = loops * trace.size();
+    SimConfig stt = cfg;
+    stt.hierarchy.llc_tech = MemTech::STTRAM;
+    return {cfg, stt};
 }
 
 TEST(FrontEndLog, WideVictimLinesMatchTheHierarchy)
@@ -261,38 +335,90 @@ TEST(FrontEndLog, WideVictimLinesMatchTheHierarchy)
         for (Addr line = 0; line < 1536; ++line)
             trace.push_back(
                 MemRequest{0, base + line * kLineBytes, is_write, 1});
-    SimConfig cfg;
-    cfg.hierarchy.llc_tech = MemTech::SRAM;
-    cfg.hierarchy.scheme = Scheme::Baseline;
-    cfg.hierarchy.capacity_divisor = 32;
-    cfg.warmup_requests = 0;
-    cfg.mem_requests = 3 * trace.size();
-    SimConfig stt = cfg;
-    stt.hierarchy.llc_tech = MemTech::STTRAM;
-    const SimResult want[] = {hierarchyReplay(trace, cfg),
-                              hierarchyReplay(trace, stt)};
-    ASSERT_GT(want[0].llc_accesses, want[0].llc_misses);
+    const std::vector<SimConfig> configs = sramAndSttConfigs(trace, 3);
+    const SimResult want = hierarchyReplay("wide", trace, configs[0]);
+    ASSERT_GT(want.llc_accesses, want.llc_misses);
+    expectLogMatchesHierarchy("wide", trace, configs);
+}
 
-    // A lone run (its own L1/L2), and two runs sharing one log: the
-    // first builds every chunk, the second replays them.
-    FrontEndLog shared(cfg, 2);
-    const SimResult runs[] = {
-        simulateTrace("wide", trace, cfg, nullptr),
-        simulateTrace("wide", trace, cfg, nullptr, &shared),
-        simulateTrace("wide", trace, stt, nullptr, &shared),
-    };
-    shared.release();
-    shared.release();
-    for (size_t i = 0; i < std::size(runs); ++i) {
-        const SimResult &r = runs[i];
-        const SimResult &w = want[i / 2];
-        EXPECT_EQ(r.cycles, w.cycles) << "run " << i;
-        EXPECT_EQ(r.llc_accesses, w.llc_accesses) << "run " << i;
-        EXPECT_EQ(r.llc_misses, w.llc_misses) << "run " << i;
-        EXPECT_EQ(r.dram_accesses, w.dram_accesses) << "run " << i;
-        EXPECT_EQ(r.cache_dynamic_energy, w.cache_dynamic_energy)
-            << "run " << i;
+TEST(FrontEndLog, EscapedRequestFieldsRoundTrip)
+{
+    // Every field a chunk record escapes: gaps at and above the
+    // one-byte slot, an unaligned address, lines of 2^32 and up (so
+    // their L2 victims escape too), on all four cores with reads
+    // and writes. The lines cycle through more than L1/L2 hold, so
+    // the escaped ones miss L2 and write back.
+    const uint32_t gaps[] = {254, 255, 70000, 3, 0};
+    const Addr regions[] = {0, Addr{1} << 38, Addr{1} << 45};
+    std::vector<MemRequest> trace;
+    for (size_t i = 0; i < 3000; ++i) {
+        MemRequest req;
+        req.core = static_cast<int>(i % 4);
+        req.is_write = (i / 4) % 3 != 0;
+        req.gap_instructions = gaps[i % std::size(gaps)];
+        req.addr = regions[i % std::size(regions)] +
+                   (i * 7 % 1500) * kLineBytes;
+        if (i % 11 == 0)
+            req.addr += 8; // unaligned
+        trace.push_back(req);
     }
+    const std::vector<SimConfig> configs = sramAndSttConfigs(trace, 2);
+
+    // The escapes do occur at L2 misses and writebacks.
+    FrontEnd front(configs[0].hierarchy);
+    const int tag_shift = front.l2(0).tagShift();
+    uint64_t unaligned = 0, high = 0, wide_victims = 0;
+    for (uint64_t i = 0; i < configs[0].mem_requests; ++i) {
+        const MemRequest &req = trace[i % trace.size()];
+        Addr victim = 0;
+        const uint8_t bits =
+            front.access(req.core, req.addr, req.is_write, &victim);
+        if (!(bits & kL2Miss))
+            continue;
+        unaligned += req.addr % kLineBytes != 0;
+        high += req.addr / kLineBytes >= Addr{1} << 32;
+        if (bits & kL2Writeback)
+            wide_victims += (victim >> tag_shift) >= UINT16_MAX;
+    }
+    EXPECT_GT(unaligned, 0u);
+    EXPECT_GT(high, 0u);
+    EXPECT_GT(wide_victims, 0u);
+
+    // A decoded chunk holds what its builder drew and served: every
+    // field, and the exact address and victim of each L2 miss (the
+    // back end reads no address bits below the line today).
+    ChunkPool pool;
+    FrontEndLog log(configs[0], RequestStream(trace), 2, pool);
+    const auto drawn = std::make_unique<FrontEndBatch>();
+    const auto decoded = std::make_unique<FrontEndBatch>();
+    size_t at = 0;
+    for (size_t k = 0; k < log.plan().chunks; ++k) {
+        log.chunk(k, *drawn);
+        log.chunk(k, *decoded);
+        for (size_t j = 0; j < log.plan().size(k); ++j, ++at) {
+            const MemRequest &want = trace[at % trace.size()];
+            const MemRequest &a = drawn->requests[j];
+            const MemRequest &b = decoded->requests[j];
+            ASSERT_EQ(a.addr, want.addr) << at;
+            ASSERT_EQ(b.core, want.core) << at;
+            ASSERT_EQ(b.is_write, want.is_write) << at;
+            ASSERT_EQ(b.gap_instructions, want.gap_instructions) << at;
+            const uint8_t bits = drawn->bits[j];
+            ASSERT_EQ(decoded->bits[j], bits) << at;
+            if (bits & kL2Miss) {
+                ASSERT_EQ(b.addr, want.addr) << at;
+            }
+            if (bits & kL2Writeback) {
+                ASSERT_EQ(decoded->victims[j], drawn->victims[j]) << at;
+            }
+        }
+    }
+    log.release();
+    log.release();
+
+    const SimResult want = hierarchyReplay("escapes", trace, configs[0]);
+    ASSERT_GT(want.llc_accesses, want.llc_misses);
+    expectLogMatchesHierarchy("escapes", trace, configs);
 }
 
 TEST(Runner, OptionSetsMatchPaperLegends)

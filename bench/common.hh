@@ -3,7 +3,8 @@
  * Shared helpers for the per-figure benchmark harnesses.
  *
  * Each bench binary regenerates the rows/series of one table or
- * figure from the paper's evaluation. Absolute values reflect this
+ * figure of the paper's evaluation, or, for llc_figures, the six
+ * figures of its LLC matrix. Absolute values reflect this
  * repository's simulator substrate; EXPERIMENTS.md records the
  * paper-vs-measured comparison.
  */
@@ -15,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/experiment.hh"
 #include "sim/runner.hh"
 #include "util/parallel.hh"
 #include "util/prob.hh"
@@ -61,38 +61,6 @@ mttfCell(double seconds)
 constexpr uint64_t kBenchRequests = 60000;
 constexpr uint64_t kBenchWarmup = 8000;
 constexpr uint64_t kBenchDivisor = 16;
-
-/**
- * Bench-sized matrix ExperimentSpec over `options` (all PARSEC
- * workloads). The sim-driven figures build their runs from this
- * spec so the bench layer and the tools share one config path.
- */
-inline ExperimentSpec
-benchMatrixSpec(const std::vector<LlcOption> &options,
-                uint64_t requests = kBenchRequests,
-                uint64_t warmup = kBenchWarmup,
-                uint64_t divisor = kBenchDivisor)
-{
-    ExperimentSpec spec;
-    spec.name = "bench-matrix";
-    spec.matrix.requests = requests;
-    spec.matrix.warmup = warmup;
-    spec.matrix.divisor = divisor;
-    spec.matrix.options = options;
-    normalizeExperimentSpec(&spec);
-    return spec;
-}
-
-/**
- * Run a matrix spec on the shared experiment engine and return the
- * workload-major rows (one SimResult per option, spec order).
- */
-inline std::vector<WorkloadMatrixRow>
-runBenchMatrix(const ExperimentSpec &spec,
-               const PositionErrorModel *model = nullptr)
-{
-    return runExperiment(spec, model).matrix;
-}
 
 } // namespace rtm
 

@@ -1,13 +1,35 @@
-# Run BIN and require the SHA-256 of its stdout, with the `workers:`
-# line taken out (the pool size is the host's), to equal SHA256.
-# Usage: cmake -DBIN=<binary> -DSHA256=<hex> -P pin_stdout.cmake
+# Run BIN and require the SHA-256 of each figure it prints, with the
+# `workers:` line taken out (the pool size is the host's), to equal
+# the matching entry of SHA256, a comma-separated list in print
+# order. A section starts at each banner rule followed by `Figure`;
+# a binary that prints one figure or table is one section.
+# Usage: cmake -DBIN=<binary> -DSHA256=<hex>[,<hex>...] -P pin_stdout.cmake
 execute_process(COMMAND ${BIN} OUTPUT_VARIABLE out RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "${BIN} exited with ${rc}")
 endif()
 string(REGEX REPLACE "workers: [^\n]*\n" "" out "${out}")
-string(SHA256 got "${out}")
-if(NOT got STREQUAL SHA256)
-    message(FATAL_ERROR
-        "${BIN}: stdout SHA-256 is ${got}, pinned ${SHA256}")
+string(REPLACE "," ";" pins "${SHA256}")
+# Cut with FIND/SUBSTRING, not into a list: the text holds `;`.
+set(mark "==============================================\nFigure")
+set(got "")
+while(NOT out STREQUAL "")
+    string(SUBSTRING "${out}" 1 -1 tail)
+    string(FIND "${tail}" "${mark}" cut)
+    if(cut EQUAL -1)
+        set(section "${out}")
+        set(out "")
+    else()
+        math(EXPR cut "${cut} + 1")
+        string(SUBSTRING "${out}" 0 ${cut} section)
+        string(SUBSTRING "${out}" ${cut} -1 out)
+    endif()
+    string(SHA256 sha "${section}")
+    list(APPEND got ${sha})
+endwhile()
+if(NOT got STREQUAL pins)
+    string(REPLACE ";" "\n  " got "${got}")
+    string(REPLACE ";" "\n  " pins "${pins}")
+    message(FATAL_ERROR "${BIN}: stdout SHA-256 per section is\n  "
+                        "${got}\npinned\n  ${pins}")
 endif()

@@ -190,21 +190,6 @@ PositionErrorMonteCarlo::simulateDeviation(int distance, Rng &rng)
     return dev;
 }
 
-void
-PositionErrorMonteCarlo::classify(double deviation, ErrorPdf &pdf)
-    const
-{
-    double w = notchHalfWidth(params_);
-    double nearest = std::round(deviation);
-    if (std::abs(deviation - nearest) <= w) {
-        pdf.step_counts.add(static_cast<int64_t>(nearest));
-    } else {
-        pdf.middle_counts.add(
-            static_cast<int64_t>(std::floor(deviation - w)));
-    }
-    pdf.deviation.add(deviation);
-}
-
 ErrorPdf
 PositionErrorMonteCarlo::run(int distance, uint64_t trials)
 {
@@ -265,44 +250,6 @@ PositionErrorMonteCarlo::run(int distance, uint64_t trials)
                          monotonicSeconds() - t0,
                          static_cast<double>(distance));
     }
-    return pdf;
-}
-
-ErrorPdf
-PositionErrorMonteCarlo::runScalarReference(int distance,
-                                            uint64_t trials)
-{
-    // Frozen pre-batching path: per-trial walk + classify over the
-    // same shard structure. Kept callable so the unit tests can
-    // assert the exact tier never drifts from it.
-    size_t shards = shardCount(trials);
-    if (shards == 0) {
-        ErrorPdf empty;
-        empty.distance = distance;
-        return empty;
-    }
-    std::vector<Rng> rngs;
-    rngs.reserve(shards);
-    for (size_t s = 0; s < shards; ++s)
-        rngs.push_back(rng_.fork());
-    ErrorPdf pdf = shardedMapReduce<ErrorPdf>(
-        shards,
-        [&](size_t s) {
-            ErrorPdf part;
-            part.distance = distance;
-            if (stop_ && stop_->poll())
-                return part;
-            uint64_t n = shardSize(trials, shards, s);
-            part.trials = n;
-            Rng rng = rngs[s];
-            for (uint64_t i = 0; i < n; ++i)
-                classify(simulateDeviation(distance, rng), part);
-            return part;
-        },
-        [](ErrorPdf &acc, const ErrorPdf &part) {
-            acc.merge(part);
-        });
-    pdf.distance = distance;
     return pdf;
 }
 

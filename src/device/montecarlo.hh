@@ -92,27 +92,18 @@ class PositionErrorMonteCarlo
      * setting, but differ from the historical single-stream ordering.
      *
      * Shards execute through the batched SoA kernels (mc_kernel.hh).
-     * In the exact tier (default) the result is bit-identical to
-     * runScalarReference(); the fast tier draws its noise in batch
-     * order through the branchless vecmath transforms and is pinned
-     * by its own golden digests instead.
+     * In the exact tier (default) the result is bit-identical to a
+     * scalar walk of simulateDeviation() per trial over the same
+     * shards, which the Monte-Carlo unit tests keep as a reference;
+     * the fast tier draws its noise in batch order through the
+     * branchless vecmath transforms and is pinned by its own golden
+     * digests instead.
      *
      * @param distance steps per shift (>= 1)
      * @param trials   number of Monte-Carlo trials
      * @return per-bin outcome statistics
      */
     ErrorPdf run(int distance, uint64_t trials);
-
-    /**
-     * The pre-batching scalar path, frozen as a reference: identical
-     * shard structure, but each shard walks one trial at a time via
-     * simulateDeviation() + classify(). Exact-tier run() must stay
-     * bit-identical to this, which
-     * MonteCarlo.ExactTierMatchesScalarReferenceBitwise enforces.
-     * Consumes the same amount of the seed stream as run() with the
-     * same arguments.
-     */
-    ErrorPdf runScalarReference(int distance, uint64_t trials);
 
     /**
      * Simulate a single pulse; returns the continuous deviation of
@@ -165,12 +156,12 @@ class PositionErrorMonteCarlo
 
     /**
      * Optional cooperative stop flag, polled at shard boundaries by
-     * run()/runScalarReference()/fitModel(). Once it trips, the
-     * remaining shards contribute nothing (a stopped fitModel()
-     * returns the default parameters) and the partial result must
-     * be discarded by the caller (the experiment engine does so by
-     * classifying the cell as cancelled/timed-out). A run that never
-     * observes the stop stays bit-identical to one with no flag.
+     * run()/fitModel(). Once it trips, the remaining shards
+     * contribute nothing (a stopped fitModel() returns the default
+     * parameters) and the partial result must be discarded by the
+     * caller (the experiment engine does so by classifying the cell
+     * as cancelled/timed-out). A run that never observes the stop
+     * stays bit-identical to one with no flag.
      */
     void setStopFlag(StopFlag *stop) { stop_ = stop; }
 
@@ -192,9 +183,6 @@ class PositionErrorMonteCarlo
 
     /** Cooperative stop flag (null = never stops). */
     StopFlag *stop_ = nullptr;
-
-    /** Classify a continuous deviation into Fig. 4 bins. */
-    void classify(double deviation, ErrorPdf &pdf) const;
 };
 
 } // namespace rtm

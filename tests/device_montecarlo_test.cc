@@ -9,7 +9,9 @@
 
 #include "device/fitted_model.hh"
 #include "device/montecarlo.hh"
+#include "util/hash.hh"
 #include "util/parallel.hh"
+#include "util/rng.hh"
 
 namespace rtm
 {
@@ -161,6 +163,96 @@ expectPdfsIdentical(const ErrorPdf &a, const ErrorPdf &b)
     EXPECT_EQ(a.deviation.stddev(), b.deviation.stddev());
 }
 
+/**
+ * The pre-batching scalar path, frozen as the exact tier's
+ * reference: run()'s shard structure and per-shard RNG forks, but
+ * each shard walks one trial at a time through simulateDeviation()
+ * and bins it into Fig. 4's classes (in-notch step k, or the
+ * stop-in-middle interval above floor(dev - w)).
+ */
+ErrorPdf
+scalarReference(const DeviceParams &p, uint64_t seed, int distance,
+                uint64_t trials)
+{
+    PositionErrorMonteCarlo mc(p, seed);
+    Rng root(seed);
+    const double w = 0.5 * p.pinning_width / p.pitch();
+    const size_t shards = shardCount(trials);
+    ErrorPdf pdf;
+    for (size_t s = 0; s < shards; ++s) {
+        Rng rng = root.fork();
+        ErrorPdf part;
+        part.distance = distance;
+        part.trials = shardSize(trials, shards, s);
+        for (uint64_t i = 0; i < part.trials; ++i) {
+            double dev = mc.simulateDeviation(distance, rng);
+            double nearest = std::round(dev);
+            if (std::abs(dev - nearest) <= w)
+                part.step_counts.add(static_cast<int64_t>(nearest));
+            else
+                part.middle_counts.add(
+                    static_cast<int64_t>(std::floor(dev - w)));
+            part.deviation.add(dev);
+        }
+        pdf.merge(part);
+    }
+    pdf.distance = distance;
+    return pdf;
+}
+
+std::string
+pdfDigest(const ErrorPdf &pdf)
+{
+    Sha256 h;
+    h.updateValue(static_cast<int32_t>(pdf.distance));
+    h.updateValue(pdf.trials);
+    for (const auto &kv : pdf.step_counts.entries()) {
+        h.updateValue(kv.first);
+        h.updateValue(kv.second);
+    }
+    for (const auto &kv : pdf.middle_counts.entries()) {
+        h.updateValue(kv.first);
+        h.updateValue(kv.second);
+    }
+    h.updateValue(pdf.deviation.count());
+    h.updateValue(pdf.deviation.mean());
+    h.updateValue(pdf.deviation.stddev());
+    return h.hexDigest();
+}
+
+/**
+ * Exact-tier run() digests (pdfDigest), captured when the scalar
+ * reference still lived beside run() in src/device/montecarlo.cc and
+ * both gave these values: distance 7 at seed 5 over sub-batch,
+ * tail-remainder and prime trial counts, and distance 1 at seed 9.
+ */
+struct ExactPin
+{
+    int distance;
+    uint64_t seed;
+    uint64_t trials;
+    const char *sha256;
+};
+
+const ExactPin kExactPins[] = {
+    {7, 5, 1,
+     "8710415a3e4d81f5c11970e86627e55feeca14b87ee96bc614d94a6dbefe9578"},
+    {7, 5, 200,
+     "f01e18c48f112d4a7ad613cce0086253daa8ee68e26de223e2764dd17c970160"},
+    {7, 5, 255,
+     "e95409c565be269af123910cae55c53c02d11bd322ff93f64fe2dea55db62efb"},
+    {7, 5, 256,
+     "1a3ab1c3457885636de28a3dd4ece0219e7933560fcc4ac97137ded01471e666"},
+    {7, 5, 4097,
+     "9df6c4524f321ccf11e30442c768fa3257b4dc1240a5df5e416fd5f3543828c3"},
+    {7, 5, 20011,
+     "bb5bf9b32007f31436452c7046ace47cd42810ea7e3bff71b795710acccd9dd7"},
+    {7, 5, 100003,
+     "1a00205792b55d36e6ef2790750fe1e7070ab9bff92d0886a308a5be4b27fdd5"},
+    {1, 9, 3001,
+     "34d25200a252c91136a3d868b37c00a0f361a7ac34535978cf944e6bf8488ba5"},
+};
+
 TEST(MonteCarlo, ExactTierMatchesScalarReferenceBitwise)
 {
     // The exact-tier contract: the batched kernel replays the
@@ -168,24 +260,24 @@ TEST(MonteCarlo, ExactTierMatchesScalarReferenceBitwise)
     // bit-identical to the frozen reference at any trial count —
     // including sub-batch, tail-remainder and prime counts.
     DeviceParams p;
-    for (uint64_t trials : {uint64_t(1), uint64_t(200),
-                            uint64_t(255), uint64_t(256),
-                            uint64_t(4097), uint64_t(20011),
-                            uint64_t(100003)}) {
-        PositionErrorMonteCarlo batch(p, 5, McTier::Exact);
-        PositionErrorMonteCarlo scalar(p, 5);
-        expectPdfsIdentical(batch.run(7, trials),
-                            scalar.runScalarReference(7, trials));
+    for (const ExactPin &pin : kExactPins) {
+        PositionErrorMonteCarlo batch(p, pin.seed, McTier::Exact);
+        expectPdfsIdentical(
+            batch.run(pin.distance, pin.trials),
+            scalarReference(p, pin.seed, pin.distance, pin.trials));
     }
 }
 
-TEST(MonteCarlo, ExactTierMatchesScalarReferenceAtDistanceOne)
+TEST(MonteCarlo, ExactTierMatchesPinnedDigests)
 {
     DeviceParams p;
-    PositionErrorMonteCarlo batch(p, 9, McTier::Exact);
-    PositionErrorMonteCarlo scalar(p, 9);
-    expectPdfsIdentical(batch.run(1, 3001),
-                        scalar.runScalarReference(1, 3001));
+    for (const ExactPin &pin : kExactPins) {
+        PositionErrorMonteCarlo batch(p, pin.seed, McTier::Exact);
+        EXPECT_EQ(pdfDigest(batch.run(pin.distance, pin.trials)),
+                  pin.sha256)
+            << "distance " << pin.distance << ", trials "
+            << pin.trials;
+    }
 }
 
 TEST(MonteCarlo, FastTierIsBitStableAcrossThreadCounts)

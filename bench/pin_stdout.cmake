@@ -3,13 +3,37 @@
 # the matching entry of SHA256, a comma-separated list in print
 # order. A section starts at each banner rule followed by `Figure`;
 # a binary that prints one figure or table is one section.
+#
+# A binary that prints several figures can be run once and checked
+# per figure: with OUT, the stripped stdout is also written to that
+# file, and with SECTIONS instead of SHA256 only the section count is
+# checked. With IN, the text is read from that file instead of
+# running BIN, and SECTION=<i> checks section i (from 0) alone
+# against the one SHA256, after requiring SECTIONS sections.
 # Usage: cmake -DBIN=<binary> -DSHA256=<hex>[,<hex>...] -P pin_stdout.cmake
-execute_process(COMMAND ${BIN} OUTPUT_VARIABLE out RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "${BIN} exited with ${rc}")
+#        cmake -DBIN=<binary> -DOUT=<file> -DSECTIONS=<n> -P pin_stdout.cmake
+#        cmake -DIN=<file> -DSECTIONS=<n> -DSECTION=<i> -DSHA256=<hex>
+#              -P pin_stdout.cmake
+if(DEFINED IN)
+    if(NOT EXISTS "${IN}")
+        message(FATAL_ERROR "${IN} is missing: run its setup test")
+    endif()
+    file(READ "${IN}" out)
+    set(what "${IN}")
+else()
+    if(DEFINED OUT)
+        file(REMOVE "${OUT}")
+    endif()
+    execute_process(COMMAND ${BIN} OUTPUT_VARIABLE out RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0)
+        message(FATAL_ERROR "${BIN} exited with ${rc}")
+    endif()
+    string(REGEX REPLACE "workers: [^\n]*\n" "" out "${out}")
+    if(DEFINED OUT)
+        file(WRITE "${OUT}" "${out}")
+    endif()
+    set(what "${BIN}")
 endif()
-string(REGEX REPLACE "workers: [^\n]*\n" "" out "${out}")
-string(REPLACE "," ";" pins "${SHA256}")
 # Cut with FIND/SUBSTRING, not into a list: the text holds `;`.
 set(mark "==============================================\nFigure")
 set(got "")
@@ -27,9 +51,23 @@ while(NOT out STREQUAL "")
     string(SHA256 sha "${section}")
     list(APPEND got ${sha})
 endwhile()
+if(DEFINED SECTIONS)
+    list(LENGTH got n)
+    if(NOT n EQUAL SECTIONS)
+        message(FATAL_ERROR "${what}: ${n} sections printed, "
+                            "${SECTIONS} expected")
+    endif()
+endif()
+if(NOT DEFINED SHA256)
+    return()
+endif()
+if(DEFINED SECTION)
+    list(GET got ${SECTION} got)
+endif()
+string(REPLACE "," ";" pins "${SHA256}")
 if(NOT got STREQUAL pins)
     string(REPLACE ";" "\n  " got "${got}")
     string(REPLACE ";" "\n  " pins "${pins}")
-    message(FATAL_ERROR "${BIN}: stdout SHA-256 per section is\n  "
+    message(FATAL_ERROR "${what}: stdout SHA-256 per section is\n  "
                         "${got}\npinned\n  ${pins}")
 endif()

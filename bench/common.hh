@@ -25,7 +25,11 @@
 namespace rtm
 {
 
-/** Print a bench banner naming the figure/table reproduced. */
+/**
+ * Print a bench banner naming the figure/table reproduced.
+ * pin_stdout.cmake cuts llc_figures' stdout before each opening rule
+ * followed by `Figure` (its `mark`): keep the two in step.
+ */
 inline void
 banner(const char *id, const char *title)
 {

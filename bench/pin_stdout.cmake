@@ -1,25 +1,21 @@
-# Run BIN and require the SHA-256 of each figure it prints, with the
-# `workers:` line taken out (the pool size is the host's), to equal
-# the matching entry of SHA256, a comma-separated list in print
-# order. A section starts at each banner rule followed by `Figure`;
-# a binary that prints one figure or table is one section.
+# Run BIN and require the SHA-256 of its stdout, with the `workers:`
+# line taken out (the pool size is the host's), to equal SHA256.
 #
-# A binary that prints several figures can be run once and checked
-# per figure: with OUT, the stripped stdout is also written to that
-# file, and with SECTIONS instead of SHA256 only the section count is
-# checked. With IN, the text is read from that file instead of
-# running BIN, and SECTION=<i> checks section i (from 0) alone
-# against the one SHA256, after requiring SECTIONS sections.
-# Usage: cmake -DBIN=<binary> -DSHA256=<hex>[,<hex>...] -P pin_stdout.cmake
+# A binary that prints several figures is run once and checked per
+# figure: with OUT, the stripped stdout is also written to that file
+# and must hold SECTIONS sections; with IN, the text is read from
+# that file instead of running BIN, and only section SECTION (from 0)
+# is hashed. A section starts at each banner rule followed by
+# `Figure` (banner() in common.hh).
+# Usage: cmake -DBIN=<binary> -DSHA256=<hex> -P pin_stdout.cmake
 #        cmake -DBIN=<binary> -DOUT=<file> -DSECTIONS=<n> -P pin_stdout.cmake
-#        cmake -DIN=<file> -DSECTIONS=<n> -DSECTION=<i> -DSHA256=<hex>
-#              -P pin_stdout.cmake
+#        cmake -DIN=<file> -DSECTION=<i> -DSHA256=<hex> -P pin_stdout.cmake
 if(DEFINED IN)
     if(NOT EXISTS "${IN}")
         message(FATAL_ERROR "${IN} is missing: run its setup test")
     endif()
     file(READ "${IN}" out)
-    set(what "${IN}")
+    set(what "${IN} section ${SECTION}")
 else()
     if(DEFINED OUT)
         file(REMOVE "${OUT}")
@@ -34,40 +30,34 @@ else()
     endif()
     set(what "${BIN}")
 endif()
-# Cut with FIND/SUBSTRING, not into a list: the text holds `;`.
-set(mark "==============================================\nFigure")
-set(got "")
-while(NOT out STREQUAL "")
-    string(SUBSTRING "${out}" 1 -1 tail)
-    string(FIND "${tail}" "${mark}" cut)
-    if(cut EQUAL -1)
-        set(section "${out}")
-        set(out "")
-    else()
-        math(EXPR cut "${cut} + 1")
-        string(SUBSTRING "${out}" 0 ${cut} section)
-        string(SUBSTRING "${out}" ${cut} -1 out)
+if(DEFINED SECTIONS OR DEFINED SECTION)
+    # Cut with FIND/SUBSTRING, not into a list: the text holds `;`.
+    set(mark "==============================================\nFigure")
+    set(rest "${out}")
+    set(n 0)
+    while(NOT rest STREQUAL "")
+        string(SUBSTRING "${rest}" 1 -1 tail)
+        string(FIND "${tail}" "${mark}" cut)
+        if(cut EQUAL -1)
+            string(LENGTH "${rest}" cut)
+        else()
+            math(EXPR cut "${cut} + 1")
+        endif()
+        if(DEFINED SECTION AND n EQUAL SECTION)
+            string(SUBSTRING "${rest}" 0 ${cut} out)
+        endif()
+        string(SUBSTRING "${rest}" ${cut} -1 rest)
+        math(EXPR n "${n} + 1")
+    endwhile()
+    if(DEFINED SECTIONS AND NOT n EQUAL SECTIONS)
+        message(FATAL_ERROR
+            "${what}: ${n} sections printed, ${SECTIONS} expected")
     endif()
-    string(SHA256 sha "${section}")
-    list(APPEND got ${sha})
-endwhile()
-if(DEFINED SECTIONS)
-    list(LENGTH got n)
-    if(NOT n EQUAL SECTIONS)
-        message(FATAL_ERROR "${what}: ${n} sections printed, "
-                            "${SECTIONS} expected")
+endif()
+if(DEFINED SHA256)
+    string(SHA256 got "${out}")
+    if(NOT got STREQUAL SHA256)
+        message(FATAL_ERROR
+            "${what}: stdout SHA-256 is ${got}, pinned ${SHA256}")
     endif()
-endif()
-if(NOT DEFINED SHA256)
-    return()
-endif()
-if(DEFINED SECTION)
-    list(GET got ${SECTION} got)
-endif()
-string(REPLACE "," ";" pins "${SHA256}")
-if(NOT got STREQUAL pins)
-    string(REPLACE ";" "\n  " got "${got}")
-    string(REPLACE ";" "\n  " pins "${pins}")
-    message(FATAL_ERROR "${what}: stdout SHA-256 per section is\n  "
-                        "${got}\npinned\n  ${pins}")
 endif()
